@@ -612,7 +612,7 @@ _register(
 _register(
     "timo-spline-refinement",
     "displacement error under two knot-span halvings",
-    "auto",
+    "fixed 5.5e9",
     _case_timo_spline_refinement,
     {"ratio_10": (0.0, 0.999), "ratio_21": (0.0, 0.999)},
 )
@@ -685,8 +685,16 @@ def run_case(name, **overrides):
 
 def check_case(name, metrics):
     """Rows of (metric, value, lo, hi, ok) against the case's bounds."""
+    return check_bands(metrics, CASES[name].expected)
+
+
+def check_bands(metrics, bands):
+    """Rows of (metric, value, lo, hi, ok) against inclusive [lo, hi] bands.
+
+    A metric missing from ``metrics`` fails its band.
+    """
     rows = []
-    for key, (lo, hi) in CASES[name].expected.items():
+    for key, (lo, hi) in bands.items():
         value = metrics.get(key)
         ok = value is not None and lo <= value <= hi
         rows.append((key, value, lo, hi, bool(ok)))

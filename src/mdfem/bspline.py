@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, DomainError, RankError
-from .quadrature import gauss_1d
+from .quadrature import tensor_rule
 
 #: Denominators smaller than this are treated as zero (0/0 == 0 convention).
 DENOM_GUARD = 1e-14
@@ -255,22 +255,6 @@ def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     return out
 
 
-def eval_basis_at(kv: KnotVector, xs: np.ndarray, nders: int = 0):
-    """Evaluate at many parameter values.
-
-    Returns ``(ders, indices)`` with shapes ``(npts, nders+1, p+1)`` and
-    ``(npts, p+1)``.
-    """
-    xs = np.asarray(xs, dtype=float)
-    npts = xs.size
-    p = kv.degree
-    ders = np.empty((npts, nders + 1, p + 1))
-    indices = np.empty((npts, p + 1), dtype=int)
-    for i, x in enumerate(xs.ravel()):
-        ders[i], indices[i] = eval_basis(kv, x, nders)
-    return ders, indices
-
-
 def evaluate_spline(kv: KnotVector, coeffs: np.ndarray, xs, nders: int = 0):
     """Evaluate a spline expansion (and derivatives) at the given parameters."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -316,22 +300,20 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
             raise ConfigError(
                 f"span mask must have length {kv.nspans}, got {span_mask.shape}"
             )
-    pts, wts = gauss_1d(kv.degree + 1)
     gram = np.zeros((n, n))
     rhs = None
     for e in range(kv.nspans):
         if not span_mask[e]:
             continue
-        a, b = kv.span_interval(kv.span_index(e))
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * pts
-        scale = 0.5 * (b - a)
+        xs, ws = tensor_rule([kv.span_interval(kv.span_index(e))],
+                             [kv.degree + 1])
+        xs = xs[:, 0]
         vals = np.asarray(target(xs), dtype=float)
         if rhs is None:
             rhs = np.zeros((n,) + vals.shape[1:])
-        for q, x in enumerate(xs):
+        for q, (x, w) in enumerate(zip(xs, ws)):
             ders, idx = eval_basis(kv, x, 0)
             Nq = ders[0]
-            w = wts[q] * scale
             gram[np.ix_(idx, idx)] += w * np.outer(Nq, Nq)
             rhs[idx] += w * np.multiply.outer(Nq, vals[q])
     if rhs is None:

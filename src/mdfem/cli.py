@@ -398,15 +398,6 @@ def write_vtk(path, title, points, cells, cell_type, displacement,
 # Reports ---------------------------------------------------------------
 
 
-def _check_rows(metrics, checks):
-    rows = []
-    for key, (lo, hi) in checks.items():
-        value = metrics.get(key)
-        ok = value is not None and lo <= value <= hi
-        rows.append((key, value, lo, hi, bool(ok)))
-    return rows
-
-
 def _report_lines(name, metrics, rows):
     lines = [f"case {name}"]
     for key in sorted(metrics):
@@ -470,7 +461,7 @@ def _run_cantilever_config(cfg, out_dir, quiet):
     metrics, state = _cantilever_call(cfg, alpha=cfg["coupling"]["alpha"],
                                       return_state=True)
     metrics["runtime_s"] = time.perf_counter() - t0
-    rows = _check_rows(metrics, cfg["checks"])
+    rows = bench.check_bands(metrics, cfg["checks"])
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _emit(out_dir, "config.json", dump_config(cfg))

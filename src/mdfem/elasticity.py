@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import Mesh, boundary_facets, bulk_points, facet_quadrature
+from .mesh import (Mesh, _element_data, boundary_facets, bulk_points,
+                   facet_quadrature)
 
 
 @dataclass
@@ -123,8 +124,6 @@ def strain_displacement_solid(mesh: Mesh, e: int, parent) -> np.ndarray:
     """B matrix at parent points of one element (spec-facing wrapper)."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     param = mesh.parent_to_param(e, parent)
-    from .mesh import _element_data
-
     _, _, _, dNdx, _, _ = _element_data(
         mesh, e, param, np.ones(parent.shape[0]), 1
     )
@@ -139,8 +138,6 @@ def stiffness_solid(mesh: Mesh, e: int, material: Material,
         _, w, _, dNdx, _, _ = bulk_points(mesh, e, nders=1)
     else:
         param, w = quadrature
-        from .mesh import _element_data
-
         _, w, _, dNdx, _, _ = _element_data(mesh, e, param, w, 1)
     return integrate_btcb(b_matrix_solid(dNdx), C, w)
 

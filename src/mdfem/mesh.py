@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import KnotVector, eval_basis, make_open_knots, _basis_ders
+from .bspline import (KnotVector, _basis_ders, _rationalize, find_span,
+                      make_open_knots)
 from .errors import ConfigError, ConvergenceError, DomainError, PairingError
-from .quadrature import gauss_1d
+from .quadrature import tensor_rule
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
 
@@ -84,16 +85,12 @@ class SplineDir:
         for i, x in enumerate(xs):
             out[i] = _basis_ders(self.kv.knots, p, x, span, nders)
         if self.kv.weights is not None:
-            from .bspline import _rationalize
-
             w = self.kv.weights[self.indices(e)]
             for i in range(xs.size):
                 out[i] = _rationalize(out[i], w, nders)
         return out
 
     def element_containing(self, x):
-        from .bspline import find_span
-
         plo, phi = self.kv.domain
         pad = 1e-10 * max(abs(plo), abs(phi), 1.0)
         if x < plo - pad or x > phi + pad:
@@ -221,7 +218,16 @@ class Mesh:
         return idx
 
     def ien(self):
-        return np.array([self.element_nodes(e) for e in range(self.nelem)])
+        """Node table ``(nelem, nen)``: row e is ``element_nodes(e)``."""
+        table = np.zeros((1, 1), dtype=int)
+        stride = 1
+        for d in self.dirs:
+            loc = stride * np.array([d.indices(i) for i in range(d.nelem)])
+            # New direction slowest in both the element and the node index.
+            table = (loc[:, None, :, None] + table[None, :, None, :]).reshape(
+                loc.shape[0] * table.shape[0], -1)
+            stride *= d.n
+        return table
 
     def element_interval(self, e, axis):
         return self.dirs[axis].element_interval(self.element_grid_index(e)[axis])
@@ -535,25 +541,15 @@ def bulk_points(mesh: Mesh, e: int, npts=None, nders=1):
 
     Returns ``(param, weights, N, dNdx, d2Ndx2, phys)`` where weights
     include the physical volume measure. ``d2Ndx2`` is None unless
-    ``nders >= 2`` (flat/straight geometry assumed for second derivatives).
+    ``nders >= 2``.
     """
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
     elif np.isscalar(npts):
         npts = (int(npts),) * mesh.dim
     gi = mesh.element_grid_index(e)
-    pts_1d, wts_1d = [], []
-    for k, (d, i) in enumerate(zip(mesh.dirs, gi)):
-        g, w = gauss_1d(npts[k])
-        a, b = d.element_interval(i)
-        pts_1d.append(0.5 * (a + b) + 0.5 * (b - a) * g)
-        wts_1d.append(0.5 * (b - a) * w)
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    param = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*wts_1d, indexing="ij")
-    wts = np.ones(param.shape[0])
-    for w in wgrids:
-        wts = wts * np.transpose(w).ravel()
+    param, wts = tensor_rule(
+        [d.element_interval(i) for d, i in zip(mesh.dirs, gi)], npts)
     return _element_data(mesh, e, param, wts, nders)
 
 
@@ -569,6 +565,10 @@ def _element_data(mesh, e, param, wts, nders):
     dNdx = np.einsum("qnj,qji->qni", dN, Jinv)
     d2Ndx2 = None
     if nders >= 2:
+        # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
+        # the last term vanishing on affine maps only.
+        d2x = np.einsum("qnkl,nm->qmkl", d2N, P)
+        d2N = d2N - np.einsum("qnm,qmkl->qnkl", dNdx, d2x)
         d2Ndx2 = np.einsum("qnkl,qki,qlj->qnij", d2N, Jinv, Jinv)
     return param, wts * det, N, dNdx, d2Ndx2, phys
 
@@ -644,26 +644,11 @@ def facet_quadrature(mesh: Mesh, facet: Facet, npts):
         counts = [int(npts)] * len(free)
     else:
         counts = [int(n) for n in npts]
-    pts_1d, wts_1d = [], []
-    for (lo, hi), n in zip(facet.clips, counts):
-        g, w = gauss_1d(n)
-        pts_1d.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * g)
-        wts_1d.append(0.5 * (hi - lo) * w)
-    if free:
-        grids = np.meshgrid(*pts_1d, indexing="ij")
-        face_pts = np.stack([np.transpose(x).ravel() for x in grids], axis=-1)
-        wgrids = np.meshgrid(*wts_1d, indexing="ij")
-        wts = np.ones(face_pts.shape[0])
-        for x in wgrids:
-            wts = wts * np.transpose(x).ravel()
-    else:  # 1D mesh: the facet is a point
-        face_pts = np.zeros((1, 0))
-        wts = np.ones(1)
+    face_pts, wts = tensor_rule(facet.clips, counts)
     nq = face_pts.shape[0]
     parent = np.empty((nq, mesh.dim))
     parent[:, facet.axis] = float(facet.side)
-    for j, k in enumerate(free):
-        parent[:, k] = face_pts[:, j]
+    parent[:, free] = face_pts
     phys = mesh.map_to_physical(facet.elem, parent)
     J, _ = mesh.jacobian(facet.elem, parent)
     if mesh.dim == 3:

@@ -18,7 +18,7 @@ from .errors import (
     DegenerateCutError,
     OverDeactivationError,
 )
-from .quadrature import gauss_1d
+from .quadrature import tensor_rule
 
 STANDARD, CUT, VOID = 0, 1, 2
 
@@ -57,33 +57,41 @@ class OverlapRegion:
         return self.signed_distance(pts) < 0.0
 
 
-def _element_samples(mesh, e):
-    """Corners plus a (p+2)-per-direction interior grid, in local coords."""
-    gi = mesh.element_grid_index(e)
-    axes = []
-    for d, i in zip(mesh.dirs, gi):
-        lo, hi = d.local_interval(i)
-        inner = np.linspace(lo, hi, d.degree + 4)[1:-1]
-        axes.append(np.concatenate([[lo, hi], inner]))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def classify(mesh, region: OverlapRegion) -> np.ndarray:
-    """Label every element STANDARD, CUT, or VOID against the region."""
+    """Label every element STANDARD, CUT, or VOID against the region.
+
+    Each element is sampled at its corners plus a (p+2)-per-direction
+    interior grid: VOID if every sample is covered, CUT if some is. A box
+    covers a point iff it covers each coordinate, so the labels follow
+    from covering flags per direction and element interval, combined by
+    outer product.
+    """
     if region.dim != mesh.dim:
         raise ConfigError(
             f"region has {region.dim} directions, mesh has {mesh.dim}")
-    labels = np.empty(mesh.nelem, dtype=int)
-    for e in range(mesh.nelem):
-        ins = region.inside(_element_samples(mesh, e))
-        if ins.all():
-            labels[e] = VOID
-        elif ins.any():
-            labels[e] = CUT
-        else:
-            labels[e] = STANDARD
-    return labels
+    every = np.ones(1, dtype=bool)
+    some = np.ones(1, dtype=bool)
+    for d, (lo, hi) in zip(mesh.dirs, region.bounds):
+        x = np.array([np.linspace(*d.local_interval(i), d.degree + 4)
+                      for i in range(d.nelem)])
+        covered = (lo < x) & (x < hi)
+        # New direction slowest, as in the element numbering.
+        every = np.logical_and.outer(covered.all(axis=1), every).ravel()
+        some = np.logical_and.outer(covered.any(axis=1), some).ravel()
+    return np.where(every, VOID, np.where(some, CUT, STANDARD))
+
+
+def _drop_covered(mesh, region, e, quadrature, source):
+    """Keep the points of a parameter-space rule the region leaves free."""
+    param, wts = quadrature
+    locs = np.stack([d.param_to_local(param[:, k])
+                     for k, d in enumerate(mesh.dirs)], axis=-1)
+    keep = ~region.inside(locs)
+    if not keep.any():
+        raise DegenerateCutError(
+            f"no point of the {source} of cut element {e} lies outside "
+            "the region; the surviving sliver is below its resolution")
+    return param[keep], wts[keep]
 
 
 def integrate_cut(mesh, e, region: OverlapRegion, ncut: int = 10):
@@ -94,28 +102,20 @@ def integrate_cut(mesh, e, region: OverlapRegion, ncut: int = 10):
     any ``element_stiffness(e, quadrature=...)`` kernel.
     """
     gi = mesh.element_grid_index(e)
-    pts_1d, wts_1d, loc_1d = [], [], []
-    for d, i in zip(mesh.dirs, gi):
-        g, w = gauss_1d(int(ncut))
-        a, b = d.element_interval(i)
-        x = 0.5 * (a + b) + 0.5 * (b - a) * g
-        pts_1d.append(x)
-        wts_1d.append(0.5 * (b - a) * w)
-        loc_1d.append(d.param_to_local(x))
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    param = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
-    lgrids = np.meshgrid(*loc_1d, indexing="ij")
-    locs = np.stack([np.transpose(g).ravel() for g in lgrids], axis=-1)
-    wgrids = np.meshgrid(*wts_1d, indexing="ij")
-    wts = np.ones(param.shape[0])
-    for w in wgrids:
-        wts = wts * np.transpose(w).ravel()
-    keep = ~region.inside(locs)
-    if not keep.any():
-        raise DegenerateCutError(
-            f"no quadrature point of cut element {e} survives the region; "
-            "the remaining sliver is below the cut-rule resolution")
-    return param[keep], wts[keep]
+    rule = tensor_rule([d.element_interval(i) for d, i in zip(mesh.dirs, gi)],
+                       (int(ncut),) * mesh.dim)
+    return _drop_covered(mesh, region, e, rule, f"{ncut}-point cut rule")
+
+
+def _cut_rules(mesh, labels, region, ncut):
+    """Cut element -> its filtered rule, or None where no point survives."""
+    rules = {}
+    for e in np.nonzero(labels == CUT)[0]:
+        try:
+            rules[int(e)] = integrate_cut(mesh, e, region, ncut=ncut)
+        except DegenerateCutError:
+            rules[int(e)] = None
+    return rules
 
 
 def deactivate_dofs(mesh, labels, region: OverlapRegion, *,
@@ -126,41 +126,38 @@ def deactivate_dofs(mesh, labels, region: OverlapRegion, *,
     so a sliver the rule cannot see counts as fully covered. Returns the
     sorted node (control point) indices to pin.
     """
-    outside = np.zeros(mesh.nelem)
-    full = np.zeros(mesh.nelem)
-    for e in range(mesh.nelem):
-        gi = mesh.element_grid_index(e)
-        meas = 1.0
-        for d, i in zip(mesh.dirs, gi):
-            lo, hi = d.local_interval(i)
-            meas *= hi - lo
-        full[e] = meas
-        if labels[e] == STANDARD:
-            outside[e] = meas
-        elif labels[e] == CUT:
-            a, b = zip(*(d.element_interval(i)
-                         for d, i in zip(mesh.dirs, gi)))
-            pscale = meas / np.prod(np.subtract(b, a))
-            try:
-                _, w = integrate_cut(mesh, e, region, ncut=ncut)
-                outside[e] = w.sum() * pscale
-            except DegenerateCutError:
-                outside[e] = 0.0
+    return _deactivate(mesh, labels, _cut_rules(mesh, labels, region, ncut),
+                       threshold)
+
+
+def _deactivate(mesh, labels, rules, threshold):
+    """`deactivate_dofs` given the cut rules of ``_cut_rules``."""
+    full = np.ones(1)
+    for d in mesh.dirs:
+        h = [hi - lo for lo, hi in map(d.local_interval, range(d.nelem))]
+        full = np.multiply.outer(h, full).ravel()
+    outside = np.where(labels == STANDARD, full, 0.0)
+    for e, rule in rules.items():
+        if rule is None:
+            continue
+        a, b = zip(*(d.element_interval(i) for d, i
+                     in zip(mesh.dirs, mesh.element_grid_index(e))))
+        outside[e] = rule[1].sum() * (full[e] / np.prod(np.subtract(b, a)))
+    ien = mesh.ien()
     support = np.zeros(mesh.nnodes)
     alive = np.zeros(mesh.nnodes)
-    for e in range(mesh.nelem):
-        nn = mesh.element_nodes(e)
-        support[nn] += full[e]
-        alive[nn] += outside[e]
+    np.add.at(support, ien, full[:, None])
+    np.add.at(alive, ien, outside[:, None])
     inactive = np.nonzero(alive < threshold * support)[0]
 
     mask = np.zeros(mesh.nnodes, dtype=bool)
     mask[inactive] = True
-    for e in np.nonzero(labels == CUT)[0]:
-        if mask[mesh.element_nodes(e)].all():
-            raise OverDeactivationError(
-                f"every basis function of cut element {e} was deactivated; "
-                "the region almost certainly covers more than intended")
+    cut = np.nonzero(labels == CUT)[0]
+    dead = cut[mask[ien[cut]].all(axis=1)]
+    if dead.size:
+        raise OverDeactivationError(
+            f"every basis function of cut element {dead[0]} was deactivated; "
+            "the region almost certainly covers more than intended")
     return inactive
 
 
@@ -184,9 +181,9 @@ class NonconformingModel:
         self.ncut = int(ncut)
         self.threshold = float(threshold)
         self.labels = classify(model.mesh, region)
-        self.inactive_nodes = deactivate_dofs(
-            model.mesh, self.labels, region,
-            threshold=threshold, ncut=ncut)
+        self._rules = _cut_rules(model.mesh, self.labels, region, self.ncut)
+        self.inactive_nodes = _deactivate(
+            model.mesh, self.labels, self._rules, self.threshold)
         nc = model.ncomp_node
         self.inactive_dofs = (
             self.inactive_nodes[:, None] * nc + np.arange(nc)
@@ -204,26 +201,18 @@ class NonconformingModel:
         They behave as void, which is safe only when every still-active
         basis function on them keeps support on some other live element.
         """
-        mesh = self._model.mesh
-        starved = []
-        for e in np.nonzero(self.labels == CUT)[0]:
-            try:
-                integrate_cut(mesh, e, self.region, ncut=self.ncut)
-            except DegenerateCutError:
-                starved.append(int(e))
+        starved = [e for e, rule in self._rules.items() if rule is None]
         if not starved:
             return frozenset()
-        pinned = np.zeros(mesh.nnodes, dtype=bool)
-        pinned[self.inactive_nodes] = True
-        supported = np.zeros(mesh.nnodes, dtype=bool)
-        for e in range(mesh.nelem):
-            if self.labels[e] == VOID or e in starved:
-                continue
-            supported[mesh.element_nodes(e)] = True
+        mesh = self._model.mesh
+        ien = mesh.ien()
+        live = self.labels != VOID
+        live[starved] = False
+        held = np.zeros(mesh.nnodes, dtype=bool)
+        held[self.inactive_nodes] = True
+        held[ien[live].ravel()] = True
         for e in starved:
-            nn = mesh.element_nodes(e)
-            orphan = ~(pinned[nn] | supported[nn])
-            if orphan.any():
+            if not held[ien[e]].all():
                 raise DegenerateCutError(
                     f"cut element {e} has no surviving quadrature points "
                     "but still carries active basis functions supported "
@@ -231,29 +220,13 @@ class NonconformingModel:
                     "deactivation threshold")
         return frozenset(starved)
 
-    def _filter(self, e, quadrature):
-        param, wts = quadrature
-        mesh = self._model.mesh
-        locs = np.stack(
-            [mesh.dirs[k].param_to_local(param[:, k])
-             for k in range(mesh.dim)], axis=-1)
-        keep = ~self.region.inside(locs)
-        if not keep.any():
-            raise DegenerateCutError(
-                f"supplied quadrature for cut element {e} has no point "
-                "outside the region")
-        return param[keep], wts[keep]
-
     def element_stiffness(self, e, quadrature=None):
         if self.labels[e] == VOID or e in self._demoted:
             return None
-        if self.labels[e] == STANDARD:
-            return self._model.element_stiffness(e, quadrature=quadrature)
-        if quadrature is None:
-            quadrature = integrate_cut(
-                self._model.mesh, e, self.region, ncut=self.ncut)
-        else:
-            quadrature = self._filter(e, quadrature)
+        if self.labels[e] == CUT:
+            quadrature = (self._rules[e] if quadrature is None else
+                          _drop_covered(self._model.mesh, self.region, e,
+                                        quadrature, "supplied quadrature"))
         return self._model.element_stiffness(e, quadrature=quadrature)
 
     def pressure_load(self, p: float) -> np.ndarray:
@@ -261,10 +234,6 @@ class NonconformingModel:
         for e in range(self._model.mesh.nelem):
             if self.labels[e] == VOID or e in self._demoted:
                 continue
-            quad = None
-            if self.labels[e] == CUT:
-                quad = integrate_cut(
-                    self._model.mesh, e, self.region, ncut=self.ncut)
-            fe = self._model.pressure_element(e, p, quad)
+            fe = self._model.pressure_element(e, p, self._rules.get(e))
             out[self._model.element_dofs(e)] += fe
         return out

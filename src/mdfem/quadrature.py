@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature rules on the parent domain [-1, 1]^d."""
+"""Gauss-Legendre quadrature: 1D rules on [-1, 1] and tensor rules on boxes."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -15,24 +15,31 @@ def gauss_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def tensor_rule(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss rule on [-1, 1]^d.
+def tensor_rule(intervals, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss rule on the box spanned by ``intervals``.
 
     Parameters
     ----------
-    counts : tuple of int
+    intervals : sequence of (a, b)
+        One interval per direction.
+    counts : sequence of int
         Number of points per direction.
 
     Returns
     -------
     points : ndarray (npts, d)
+        Ordered first direction fastest. With zero directions the rule is
+        one point (shape ``(1, 0)``) of weight 1.
     weights : ndarray (npts,)
     """
-    axes = [gauss_1d(n) for n in counts]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.ones(points.shape[0])
-    for w in wgrids:
-        weights = weights * w.ravel()
+    points = np.zeros((1, 0))
+    weights = np.ones(1)
+    for (a, b), n in zip(intervals, counts):
+        g, w = gauss_1d(int(n))
+        x = 0.5 * (a + b) + 0.5 * (b - a) * g
+        m = points.shape[0]
+        # The new direction varies slowest: repeat the rule so far per point.
+        points = np.column_stack([np.tile(points, (len(x), 1)),
+                                  np.repeat(x, m)])
+        weights = np.tile(weights, len(x)) * np.repeat(0.5 * (b - a) * w, m)
     return points, weights

@@ -3,8 +3,9 @@ bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. The solve path is a direct symmetric
-factorization: reverse Cuthill-McKee reordering plus banded Cholesky,
-with a dense fallback for small systems.
+factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns, reverse
+Cuthill-McKee reordering plus banded Cholesky above. The band storage
+(u + 1) n never exceeds the n^2 of a dense factor.
 """
 from __future__ import annotations
 
@@ -239,9 +240,6 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
         Kp = K[perm][:, perm]
         upper = sp.triu(Kp).tocoo()
         u = int((upper.col - upper.row).max()) if upper.nnz else 0
-        if (u + 1) * n > 3e8:
-            c = sla.cho_factor(K.toarray(), lower=False)
-            return sla.cho_solve(c, b)
         ab = np.zeros((u + 1, n))
         ab[u + upper.row - upper.col, upper.col] = upper.data
         cb = sla.cholesky_banded(ab, lower=False)

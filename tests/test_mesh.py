@@ -1,6 +1,8 @@
 """Mesh construction, mappings and facet quadrature."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mdfem.errors import ConfigError, PairingError
@@ -47,6 +49,8 @@ def test_ien_stride_pattern():
     row = m.element_nodes(0)
     expected = [i + 19 * j for j in range(4) for i in range(4)]
     assert list(row) == expected
+    np.testing.assert_array_equal(
+        m.ien(), [m.element_nodes(e) for e in range(m.nelem)])
     # bandwidth within one element <= p per direction, tensor-composed
     for e in range(m.nelem):
         nodes = m.element_nodes(e)
@@ -153,6 +157,27 @@ def test_bulk_points_measure():
         assert_allclose(N.sum(axis=1), 1.0, atol=1e-12)
         assert_allclose(dNdx.sum(axis=1), 0.0, atol=1e-10)
     assert_allclose(total, 24 * 6, rtol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from(("beam", "plate", "solid3d")),
+       degree=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_linear_fields_have_zero_hessian_on_curved_maps(model, degree, seed):
+    dim = {"beam": 1, "plate": 2, "solid3d": 3}[model]
+    m = build_mesh(model, "spline", degree, 3, [(0.0, 1.0)] * dim)
+    # Smooth perturbation x + a sin(W x + phi) of the control net, with
+    # |a| |W| small enough to keep every element jacobian positive.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.1, 0.1, dim)
+    W = rng.uniform(-1.5, 1.5, (dim, dim))
+    phi = rng.uniform(0.0, 2.0 * np.pi, dim)
+    m.nodes = m.nodes + a * np.sin(m.nodes @ W.T + phi)
+    for e in range(m.nelem):
+        _, _, _, _, d2Ndx2, _ = bulk_points(m, e, nders=2)
+        P = m.nodes[m.element_nodes(e)]
+        # The map reproduces each coordinate field and the constant one.
+        assert np.abs(np.einsum("qnij,nm->qmij", d2Ndx2, P)).max() <= 1e-10
+        assert np.abs(d2Ndx2.sum(axis=1)).max() <= 1e-10
 
 
 def test_facet_quadrature_measure_and_normals():

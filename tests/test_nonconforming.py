@@ -1,9 +1,10 @@
 """Region classification, DOF deactivation, and cut-element integration."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mdfem import nonconforming
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import (
@@ -96,6 +97,63 @@ class TestClassify:
         assert (labels == CUT).sum() == 20
 
 
+def _element_samples(mesh, e):
+    """Corners plus a (p+2)-per-direction interior grid, in local coords."""
+    gi = mesh.element_grid_index(e)
+    axes = []
+    for d, i in zip(mesh.dirs, gi):
+        lo, hi = d.local_interval(i)
+        inner = np.linspace(lo, hi, d.degree + 4)[1:-1]
+        axes.append(np.concatenate([[lo, hi], inner]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _classify_by_sampling(mesh, region):
+    labels = np.empty(mesh.nelem, dtype=int)
+    for e in range(mesh.nelem):
+        ins = region.inside(_element_samples(mesh, e))
+        labels[e] = VOID if ins.all() else CUT if ins.any() else STANDARD
+    return labels
+
+
+@st.composite
+def meshes_and_regions(draw):
+    dim = draw(st.integers(1, 3))
+    model = draw(st.sampled_from(
+        {1: ("beam",), 2: ("solid2d", "plate"), 3: ("solid3d",)}[dim]))
+    basis = draw(st.sampled_from(("lagrange", "spline")))
+    degree = 1 if basis == "lagrange" else draw(st.integers(1, 3))
+    nelems = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 4.0), min_size=dim,
+                            max_size=dim))
+    mesh = build_mesh(model, basis, degree, nelems,
+                      [(0.0, length) for length in lengths])
+    bounds = []
+    for d, length in zip(mesh.dirs, lengths):
+        # Sample abscissae and element boundaries hit the strict-inside
+        # test at equality; infinite and outlying bounds cover the rest.
+        marks = np.concatenate([np.linspace(*d.local_interval(i),
+                                            d.degree + 4)
+                                for i in range(d.nelem)])
+        ends = st.one_of(st.sampled_from(sorted(set(marks.tolist()))),
+                         st.floats(-1.0, length + 1.0))
+        lo = draw(st.one_of(st.just(-INF), ends))
+        hi = draw(st.one_of(st.just(INF), ends))
+        assume(lo < hi)
+        bounds.append((lo, hi))
+    return mesh, OverlapRegion(bounds)
+
+
+class TestSeparableClassify:
+    @settings(max_examples=150, deadline=None)
+    @given(meshes_and_regions())
+    def test_matches_per_element_sampling(self, case):
+        mesh, region = case
+        np.testing.assert_array_equal(classify(mesh, region),
+                                      _classify_by_sampling(mesh, region))
+
+
 class TestDeactivate:
     def test_sliver_bench_control_points(self):
         mesh = beam_mesh()
@@ -177,6 +235,56 @@ def sliver_beam_model(degree=3, basis="spline", nelems=8):
     beam = BeamModel(beam_mesh(nelems=nelems, degree=degree, basis=basis),
                      mat)
     return NonconformingModel(beam, OverlapRegion(((-INF, 5.97),)))
+
+
+def _cut_plate_model():
+    mesh = build_mesh("plate", "spline", (3, 2), (6, 5),
+                      ((0.0, 6.0), (0.0, 5.0)), z_mid=0.0)
+    plate = PlateModel(mesh, Material(E=30.0, nu=0.3, thickness=0.2))
+    return plate, OverlapRegion(((1.5, 3.7), (-INF, 2.4)))
+
+
+def _sliver_beam():
+    mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
+    return BeamModel(beam_mesh(), mat), OverlapRegion(((-INF, 5.97),))
+
+
+class TestCutRuleReuse:
+    @pytest.mark.parametrize("build", [_cut_plate_model, _sliver_beam])
+    def test_one_cut_rule_per_cut_element(self, build, monkeypatch):
+        inner, region = build()
+        mesh = inner.mesh
+        calls = []
+        direct = nonconforming.integrate_cut
+
+        def counted(mesh, e, region, ncut=10):
+            calls.append(int(e))
+            return direct(mesh, e, region, ncut=ncut)
+
+        monkeypatch.setattr(nonconforming, "integrate_cut", counted)
+        nc = NonconformingModel(inner, region)
+        K = [nc.element_stiffness(e) for e in range(mesh.nelem)]
+        f = (nc.pressure_load(-2.0) if isinstance(inner, PlateModel)
+             else None)
+        cut = np.nonzero(nc.labels == CUT)[0]
+        assert cut.size and sorted(calls) == cut.tolist()
+
+        # Same matrices and loads as building each rule on demand.
+        f_ref = np.zeros(inner.ndof)
+        for e in range(mesh.nelem):
+            quad = None
+            if nc.labels[e] == VOID or e in nc._demoted:
+                assert K[e] is None
+                continue
+            if nc.labels[e] == CUT:
+                quad = direct(mesh, e, region)
+            np.testing.assert_array_equal(
+                K[e], inner.element_stiffness(e, quadrature=quad))
+            if f is not None:
+                f_ref[inner.element_dofs(e)] += inner.pressure_element(
+                    e, -2.0, quad)
+        if f is not None:
+            np.testing.assert_array_equal(f, f_ref)
 
 
 class TestNonconformingModel:
