@@ -68,24 +68,29 @@ def timoshenko_exact(x, y, consts=None):
 # Sampling helpers -----------------------------------------------------
 
 
-def _solid_point(solid, a_model, x_local):
-    """Displacement and stress of a solid at one local-coordinate point."""
-    mesh = solid.mesh
-    x = np.atleast_1d(np.asarray(x_local, dtype=float))
-    e = mesh.element_containing(x)
-    parent = mesh.local_to_parent(e, x[None, :])
-    u, s = solid.recover(e, parent, a_model)
-    return u[0], s[0]
+def sample_points(model, a_model, points):
+    """Displacement and stress of a model at local-coordinate points.
 
-
-def _struct_disp(model, a_model, x_local, offset=0.0):
-    """Global displacement of a beam/plate at one mid-line/surface point."""
+    Points are grouped by the element containing them and each element
+    is recovered once. Beams and plates are read on their mid-line or
+    mid-surface. Returns ``(u, s)`` with one row per point.
+    """
     mesh = model.mesh
-    x = np.atleast_1d(np.asarray(x_local, dtype=float))
-    e = mesh.element_containing(x)
-    parent = mesh.local_to_parent(e, x[None, :])
-    u, _ = model.recover(e, parent, np.atleast_1d(offset), a_model)
-    return u[0]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    elems = np.array([mesh.element_containing(x) for x in pts])
+    u = s = None
+    for e in np.unique(elems):
+        idx = np.nonzero(elems == e)[0]
+        parent = mesh.local_to_parent(e, pts[idx])
+        if mesh.model in ("beam", "plate"):
+            ue, se = model.recover(e, parent, np.zeros(idx.size), a_model)
+        else:
+            ue, se = model.recover(e, parent, a_model)
+        if u is None:
+            u = np.empty((len(pts),) + ue.shape[1:])
+            s = np.empty((len(pts),) + se.shape[1:])
+        u[idx], s[idx] = ue, se
+    return u, s
 
 
 def _rel_l2(err, ref, xs):
@@ -142,12 +147,12 @@ def centerline_profile(solid, struct, a_s, a_b, consts, nsample=97):
     """
     split = solid.mesh.box[0, 1]
     xs = np.linspace(0.0, consts["L"], nsample)
+    left = xs <= split
     uy = np.empty(nsample)
-    for i, x in enumerate(xs):
-        if x <= split:
-            uy[i] = _solid_point(solid, a_s, (x, 0.0))[0][1]
-        else:
-            uy[i] = _struct_disp(struct, a_b, x - struct.mesh.origin[0])[1]
+    uy[left] = sample_points(
+        solid, a_s, np.column_stack([xs[left], np.zeros(left.sum())]))[0][:, 1]
+    uy[~left] = sample_points(
+        struct, a_b, (xs[~left] - struct.mesh.origin[0])[:, None])[0][:, 1]
     ref = timoshenko_exact(xs, 0.0, consts)[1]
     return xs, uy, ref
 
@@ -157,14 +162,11 @@ def _region_disp_error(solid, a_s, consts, nx=21, ny=7):
     (x0, x1), (y0, y1) = solid.mesh.box
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    err = np.empty((nx, ny))
-    ref = np.empty((nx, ny))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            u, _ = _solid_point(solid, a_s, (x, y))
-            uex = np.array(timoshenko_exact(x, y, consts)[:2])
-            err[i, j] = np.sum((u - uex) ** 2)
-            ref[i, j] = np.sum(uex**2)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    u = sample_points(solid, a_s, np.column_stack([X.ravel(), Y.ravel()]))[0]
+    uex = np.stack(timoshenko_exact(X, Y, consts)[:2], axis=-1)
+    err = np.sum((u.reshape(nx, ny, 2) - uex) ** 2, axis=-1)
+    ref = np.sum(uex**2, axis=-1)
     num = np.trapezoid(np.trapezoid(err, ys, axis=1), xs)
     den = np.trapezoid(np.trapezoid(ref, ys, axis=1), xs)
     return float(np.sqrt(num / den))
@@ -173,7 +175,8 @@ def _region_disp_error(solid, a_s, consts, nx=21, ny=7):
 def _sxx_line_error(solid, a_s, consts, x=12.0, ny=33):
     """Relative L2 error of the bending stress along a vertical line."""
     ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], ny)
-    vals = np.array([_solid_point(solid, a_s, (x, y))[1][0] for y in ys])
+    vals = sample_points(solid, a_s,
+                         np.column_stack([np.full(ny, x), ys]))[1][:, 0]
     return _rel_l2(vals - timoshenko_exact(x, ys, consts)[2],
                    timoshenko_exact(x, ys, consts)[2], ys)
 
@@ -182,7 +185,8 @@ def _interface_sxy_error(solid, a_s, consts, ny=33):
     """Relative L2 mismatch of the shear profile on the coupling face."""
     x = solid.mesh.box[0, 1]
     ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], ny)
-    vals = np.array([_solid_point(solid, a_s, (x, y))[1][2] for y in ys])
+    vals = sample_points(solid, a_s,
+                         np.column_stack([np.full(ny, x), ys]))[1][:, 2]
     ref = timoshenko_exact(x, ys, consts)[4]
     return _rel_l2(vals - ref, ref, ys)
 
@@ -190,7 +194,7 @@ def _interface_sxy_error(solid, a_s, consts, ny=33):
 def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample=97):
     a_s = sysm.model_part(sol.a, 0)
     a_b = sysm.model_part(sol.a, 1)
-    tip = _struct_disp(struct, a_b, struct.mesh.box[0, 1])[1]
+    tip = sample_points(struct, a_b, [struct.mesh.box[0, 1]])[0][0, 1]
     tip_exact = float(timoshenko_exact(consts["L"], 0.0, consts)[1])
     xs, uy, ref = centerline_profile(solid, struct, a_s, a_b, consts,
                                      nsample)
@@ -365,8 +369,8 @@ def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
     sysm.fix(1, [0, 1, 2])
     sysm.load(2, span.point_load(span_end, (0.0, -P, 0.0)))
     sol = sysm.solve(alpha=alpha)
-    tip = _struct_disp(span, sysm.model_part(sol.a, 2), span_end)
-    drift = _struct_disp(col, sysm.model_part(sol.a, 1), column)
+    tip = sample_points(span, sysm.model_part(sol.a, 2), [span_end])[0][0]
+    drift = sample_points(col, sysm.model_part(sol.a, 1), [column])[0][0]
 
     # Continuum reference: the L-shaped member outline carved out of one
     # box mesh via the overlap machinery (the notch is a void region).
@@ -385,7 +389,7 @@ def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
     rsys.load(0, ref.traction_force(0, 1, (0.0, -P / depth),
                                     strip=((joint_top - depth, joint_top),)))
     rsol = rsys.solve()
-    ref_tip = _solid_point(ref, rsol.a, (span_end, y_span))[0]
+    ref_tip = sample_points(ref, rsol.a, (span_end, y_span))[0][0]
 
     return {
         "alpha": float(sol.alphas[0]),
@@ -426,8 +430,8 @@ def _case_plate3d_reference():
     sysm.load(0, solid.traction_force(
         0, 1, (0.0, 0.0, -c["edge_load"] / c["thickness"])))
     sol = sysm.solve()
-    tip = _solid_point(solid, sol.a, (c["length"], 0.5 * c["width"],
-                                      0.5 * c["thickness"]))[0]
+    tip = sample_points(solid, sol.a, (c["length"], 0.5 * c["width"],
+                                       0.5 * c["thickness"]))[0][0]
     return {"tip_uz": float(tip[2]), "residual": float(sol.residual)}
 
 
@@ -443,8 +447,8 @@ def _run_plate3d_mda(theory, alpha):
     sysm.fix(0, _face_dofs(solid.mesh, 3))
     sysm.load(1, plate.edge_load(0, 1, -c["edge_load"]))
     sol = sysm.solve(alpha=alpha)
-    tip = _struct_disp(plate, sysm.model_part(sol.a, 1),
-                       (c["length"], 0.5 * c["width"]))
+    tip = sample_points(plate, sysm.model_part(sol.a, 1),
+                        (c["length"], 0.5 * c["width"]))[0][0]
     return {"alpha": float(sol.alphas[0]), "tip_uz": float(tip[2]),
             "residual": float(sol.residual)}
 
@@ -475,8 +479,8 @@ def _case_plate3d_nonconforming(l_c=175.0, alpha=5.0e3, conforming_tip=None):
     sysm.fix(0, _face_dofs(solid.mesh, 3))
     sysm.load(1, wrap.edge_load(0, 1, -c["edge_load"]))
     sol = sysm.solve(alpha=alpha)
-    tip = _struct_disp(wrap, sysm.model_part(sol.a, 1),
-                       (c["length"], 0.5 * c["width"]))
+    tip = sample_points(wrap, sysm.model_part(sol.a, 1),
+                        (c["length"], 0.5 * c["width"]))[0][0]
     if conforming_tip is None:
         conforming_tip = _run_plate3d_mda("mindlin", alpha)["tip_uz"]
     return {
@@ -520,7 +524,7 @@ def _case_square_plate(alpha=1.0e6, shift=20.0):
     pure = System([plate])
     pure.fix(0, clamp)
     pure.load(0, plate.pressure_load(-c["pressure"]))
-    w_plate = _struct_disp(plate, pure.solve().a, center)[2]
+    w_plate = sample_points(plate, pure.solve().a, center)[0][0, 2]
 
     lo = 0.5 * (c["span"] - c["patch"])
 
@@ -541,8 +545,8 @@ def _case_square_plate(alpha=1.0e6, shift=20.0):
         sysm.load(0, solid.body_force(
             (0.0, 0.0, -c["pressure"] / c["thickness"])))
         sol = sysm.solve(alpha=alpha)
-        u = _solid_point(solid, sysm.model_part(sol.a, 0),
-                         (center[0], center[1], 0.5 * c["thickness"]))[0]
+        u = sample_points(solid, sysm.model_part(sol.a, 0),
+                          (center[0], center[1], 0.5 * c["thickness"]))[0][0]
         return float(u[2]), sol
 
     w_0, sol_0 = embedded(lo)

@@ -152,26 +152,30 @@ def find_span(kv: KnotVector, x: float) -> int:
     return span
 
 
-def _basis_ders(knots: np.ndarray, degree: int, x: float, span: int,
+def _basis_ders(knots: np.ndarray, degree: int, xs, span: int,
                 nders: int) -> np.ndarray:
     """Values and derivatives of the non-vanishing basis functions.
 
-    Standard knot-insertion triangle evaluation; returns an array of shape
-    ``(nders + 1, degree + 1)`` where row k holds the k-th derivatives of
-    functions ``span - degree .. span``.
+    Standard knot-insertion triangle evaluation, run for a batch of
+    parameter values on one span at once (the points ride along as a
+    trailing axis). Returns a C-contiguous array of shape
+    ``(len(xs), nders + 1, degree + 1)`` where ``[i, k]`` holds the k-th
+    derivatives of functions ``span - degree .. span`` at ``xs[i]``.
     """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    m = xs.size
     p = degree
     ne = min(nders, p)
-    left = np.empty(p)
-    right = np.empty(p)
-    ndu = np.empty((p + 1, p + 1))
-    a = np.empty((2, p + 1))
-    ders = np.zeros((nders + 1, p + 1))
+    left = np.empty((p, m))
+    right = np.empty((p, m))
+    ndu = np.empty((p + 1, p + 1, m))
+    a = np.empty((2, p + 1, m))
+    ders = np.zeros((m, nders + 1, p + 1))
 
     ndu[0, 0] = 1.0
     for j in range(p):
-        left[j] = x - knots[span - j]
-        right[j] = knots[span + 1 + j] - x
+        left[j] = xs - knots[span - j]
+        right[j] = knots[span + 1 + j] - xs
         saved = 0.0
         for r in range(j + 1):
             # Lower triangle: inverse knot differences.
@@ -182,12 +186,12 @@ def _basis_ders(knots: np.ndarray, degree: int, x: float, span: int,
             saved = left[j - r] * temp
         ndu[j + 1, j + 1] = saved
 
-    ders[0, :] = ndu[:, p]
+    ders[:, 0, :] = ndu[:, p].T
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
         for k in range(1, ne + 1):
-            d = 0.0
+            d = np.zeros(m)
             rk = r - k
             pk = p - k
             if r >= k:
@@ -201,13 +205,13 @@ def _basis_ders(knots: np.ndarray, degree: int, x: float, span: int,
             if r <= pk:
                 a[s2, k] = -a[s1, k - 1] * ndu[pk + 1, r]
                 d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
+            ders[:, k, r] = d
             s1, s2 = s2, s1
 
     # Multiply by the correct factors p! / (p - k)!
     r = p
     for k in range(1, ne + 1):
-        ders[k, :] *= r
+        ders[:, k, :] *= r
         r *= p - k
     return ders
 
@@ -237,21 +241,27 @@ def eval_basis(kv: KnotVector, x: float, nders: int = 0):
     indices = np.arange(span - kv.degree, span + 1)
     if kv.weights is not None:
         ders = _rationalize(ders, kv.weights[indices], nders)
-    return ders, indices
+    return ders[0], indices
 
 
 def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
-    """Convert polynomial basis derivatives to rational ones (quotient rule)."""
+    """Convert polynomial basis derivatives to rational ones (quotient rule).
+
+    ``ders`` is a batch ``(npts, nders + 1, nloc)`` as returned by
+    :func:`_basis_ders`; ``w`` holds the weights of the ``nloc`` functions.
+    """
     num = ders * w  # rows: w_i N_i and derivatives
-    W = num.sum(axis=1)  # weight function W and derivatives
-    if abs(W[0]) < DENOM_GUARD:
+    W = num.sum(axis=2)  # weight function W and derivatives
+    if np.any(np.abs(W[:, 0]) < DENOM_GUARD):
         raise DomainError("rational weight function vanished")
+    W0 = W[:, 0, None]
     out = np.empty_like(num)
-    out[0] = num[0] / W[0]
+    out[:, 0] = num[:, 0] / W0
     if nders >= 1:
-        out[1] = (num[1] - out[0] * W[1]) / W[0]
+        out[:, 1] = (num[:, 1] - out[:, 0] * W[:, 1, None]) / W0
     if nders >= 2:
-        out[2] = (num[2] - 2.0 * out[1] * W[1] - out[0] * W[2]) / W[0]
+        out[:, 2] = (num[:, 2] - 2.0 * out[:, 1] * W[:, 1, None]
+                     - out[:, 0] * W[:, 2, None]) / W0
     return out
 
 
@@ -305,15 +315,18 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
     for e in range(kv.nspans):
         if not span_mask[e]:
             continue
-        xs, ws = tensor_rule([kv.span_interval(kv.span_index(e))],
-                             [kv.degree + 1])
+        span = kv.span_index(e)
+        xs, ws = tensor_rule([kv.span_interval(span)], [kv.degree + 1])
         xs = xs[:, 0]
         vals = np.asarray(target(xs), dtype=float)
         if rhs is None:
             rhs = np.zeros((n,) + vals.shape[1:])
-        for q, (x, w) in enumerate(zip(xs, ws)):
-            ders, idx = eval_basis(kv, x, 0)
-            Nq = ders[0]
+        idx = np.arange(span - kv.degree, span + 1)
+        ders = _basis_ders(kv.knots, kv.degree, xs, span, 0)
+        if kv.weights is not None:
+            ders = _rationalize(ders, kv.weights[idx], 0)
+        for q, w in enumerate(ws):
+            Nq = ders[q, 0]
             gram[np.ix_(idx, idx)] += w * np.outer(Nq, Nq)
             rhs[idx] += w * np.multiply.outer(Nq, vals[q])
     if rhs is None:

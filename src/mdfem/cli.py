@@ -311,14 +311,9 @@ def _grid_points(mesh):
     """Element-corner grid of a box mesh, first direction fastest."""
     axes = [np.linspace(mesh.box[k, 0], mesh.box[k, 1], n + 1)
             for k, n in enumerate(mesh.nelem_per_dir)]
-    shape = [len(a) for a in axes]
-    pts = np.empty((int(np.prod(shape)), mesh.dim))
-    for pid in range(pts.shape[0]):
-        rest = pid
-        for k, n in enumerate(shape):
-            pts[pid, k] = axes[k][rest % n]
-            rest //= n
-    return pts, shape
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
+    return pts, [len(a) for a in axes]
 
 
 def _grid_cells(shape):
@@ -348,18 +343,10 @@ def solid_field_grid(solid, a_model):
     Returns ``(points, cells, cell_type, u, vm)`` ready for the VTK
     writer.
     """
-    mesh = solid.mesh
-    pts, shape = _grid_points(mesh)
-    u = np.empty((pts.shape[0], mesh.dim))
-    vm = np.empty(pts.shape[0])
-    for pid, x in enumerate(pts):
-        e = mesh.element_containing(x)
-        parent = mesh.local_to_parent(e, x[None, :])
-        up, sp = solid.recover(e, parent, a_model)
-        u[pid] = up[0]
-        vm[pid] = von_mises(sp[0])[0]
+    pts, shape = _grid_points(solid.mesh)
+    u, stress = bench.sample_points(solid, a_model, pts)
     cells, cell_type = _grid_cells(shape)
-    return pts, cells, cell_type, u, vm
+    return pts, cells, cell_type, u, von_mises(stress)
 
 
 def write_vtk(path, title, points, cells, cell_type, displacement,

@@ -3,8 +3,12 @@
 The interface is the trace mesh of the solid's boundary face: each solid
 facet carries a Gauss rule, and every quadrature point is resolved into
 local coordinates of both the solid element and the partner structural
-element. From there the module assembles the consistency blocks K^n, the
-penalty blocks K^st and the stress-bound matrix H used by the eigenvalue
+element. There each model's ``trace`` gives its displacement and stress
+interpolation ``(N, S)``. Over the stacked element DOFs ``[solid |
+struct]`` of one segment, the jump operator ``J = [N_s, -N_b]`` and the
+summed traction ``T = n . [S_s, S_b]`` give the consistency block
+``K^n = -1/2 int J^T T``, the penalty block ``K^st = int J^T J`` and the
+stress-bound matrix ``H = int T^T T`` used by the eigenvalue
 stabilization estimator.
 """
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .elasticity import integrate_atb
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -81,7 +86,6 @@ class Segment:
     offsets: np.ndarray   # (nq,) section / thickness offsets
     normals: np.ndarray   # (nq, solid dim), outward from the solid
     weights: np.ndarray   # (nq,) physical surface measure
-    phys: np.ndarray      # (nq, solid dim)
 
 
 class CouplingOperator:
@@ -105,63 +109,32 @@ class CouplingOperator:
         """
         ns, nb = self.solid.ndof, self.struct.ndof
         n = ns + nb
-        rows_n, cols_n, vals_n = [], [], []
-        rows_p, cols_p, vals_p = [], [], []
-        rows_h, cols_h, vals_h = [], [], []
+        rows, cols = [], []
+        vals = ([], [], [])
         reduced = self.struct.solid_stress_rows
 
         for seg in self.segments:
+            dofs = np.concatenate([self.solid.element_dofs(seg.s_elem),
+                                   ns + self.struct.element_dofs(seg.b_elem)])
+            Ns, Ss = self.solid.trace(seg.s_elem, seg.s_parent, rows=reduced)
+            Nb, Sb = self.struct.trace(seg.b_elem, seg.b_parent, seg.offsets)
+            J = np.concatenate([Ns, -Nb], axis=2)
+            T = np.einsum("qdr,qrj->qdj", _normal_matrices(seg.normals, reduced),
+                          np.concatenate([Ss, Sb], axis=2))
             w = seg.weights
-            sdofs = self.solid.element_dofs(seg.s_elem)
-            bdofs = ns + self.struct.element_dofs(seg.b_elem)
-            Ns = self.solid.disp_matrix_at(seg.s_elem, seg.s_parent)
-            Ss = self.solid.stress_matrix_at(seg.s_elem, seg.s_parent,
-                                             rows=reduced)
-            Nb = self.struct.disp_matrix_at(seg.b_elem, seg.b_parent,
-                                            seg.offsets)
-            Sb = self.struct.stress_matrix_at(seg.b_elem, seg.b_parent,
-                                              seg.offsets)
-            nmat = _normal_matrices(seg.normals, reduced)
-            Ts = np.einsum("qdr,qrj->qdj", nmat, Ss)
-            Tb = np.einsum("qdr,qrj->qdj", nmat, Sb)
+            rows.append(np.repeat(dofs, dofs.size))
+            cols.append(np.tile(dofs, dofs.size))
+            vals[0].append((-0.5 * integrate_atb(J, T, w)).ravel())
+            vals[1].append(integrate_atb(J, J, w).ravel())
+            vals[2].append(integrate_atb(T, T, w).ravel())
 
-            def accum(rows, cols, vals, rdofs, cdofs, block):
-                rows.append(np.repeat(rdofs, len(cdofs)))
-                cols.append(np.tile(cdofs, len(rdofs)))
-                vals.append(block.ravel())
-
-            def surf(A, B):
-                return np.einsum("q,qdi,qdj->ij", w, A, B)
-
-            # K^n: minus on the solid row, plus on the structure row
-            accum(rows_n, cols_n, vals_n, sdofs, sdofs, -0.5 * surf(Ns, Ts))
-            accum(rows_n, cols_n, vals_n, sdofs, bdofs, -0.5 * surf(Ns, Tb))
-            accum(rows_n, cols_n, vals_n, bdofs, sdofs, +0.5 * surf(Nb, Ts))
-            accum(rows_n, cols_n, vals_n, bdofs, bdofs, +0.5 * surf(Nb, Tb))
-            # K^st (unscaled): jump penalty
-            accum(rows_p, cols_p, vals_p, sdofs, sdofs, surf(Ns, Ns))
-            accum(rows_p, cols_p, vals_p, sdofs, bdofs, -surf(Ns, Nb))
-            accum(rows_p, cols_p, vals_p, bdofs, sdofs, -surf(Nb, Ns))
-            accum(rows_p, cols_p, vals_p, bdofs, bdofs, surf(Nb, Nb))
-            # H: bound on the summed interface stress
-            accum(rows_h, cols_h, vals_h, sdofs, sdofs, surf(Ts, Ts))
-            accum(rows_h, cols_h, vals_h, sdofs, bdofs, surf(Ts, Tb))
-            accum(rows_h, cols_h, vals_h, bdofs, sdofs, surf(Tb, Ts))
-            accum(rows_h, cols_h, vals_h, bdofs, bdofs, surf(Tb, Tb))
-
-        def build(rows, cols, vals):
-            if not rows:
-                return sp.csr_matrix((n, n))
-            m = sp.coo_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n),
-            )
-            return m.tocsr()
-
-        return (build(rows_n, cols_n, vals_n),
-                build(rows_p, cols_p, vals_p),
-                build(rows_h, cols_h, vals_h))
+        if not rows:
+            return tuple(sp.csr_matrix((n, n)) for _ in vals)
+        ij = (np.concatenate(rows), np.concatenate(cols))
+        return tuple(
+            sp.coo_matrix((np.concatenate(v), ij), shape=(n, n)).tocsr()
+            for v in vals
+        )
 
 
 def _struct_local(struct, phys):
@@ -236,7 +209,7 @@ def build_interface(solid, struct, axis, side, *, strip=None,
             segments.append(Segment(
                 s_elem=f.elem, s_parent=parent[idx], b_elem=int(be),
                 b_parent=b_parent, offsets=offsets[idx],
-                normals=normals[idx], weights=w[idx], phys=phys[idx],
+                normals=normals[idx], weights=w[idx],
             ))
     return CouplingOperator(solid, struct, segments)
 

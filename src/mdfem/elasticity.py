@@ -113,11 +113,20 @@ def disp_matrix(N: np.ndarray, ncomp: int) -> np.ndarray:
     return out
 
 
+def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over quadrature points of w * A^T B (GEMM-shaped).
+
+    ``A`` is ``(nq, nr, na)`` and ``B`` is ``(nq, nr, nb)``; the result is
+    ``(na, nb)``.
+    """
+    nq, nr, na = A.shape
+    wB = B * w[:, None, None]
+    return A.reshape(nq * nr, na).T @ wB.reshape(nq * nr, B.shape[2])
+
+
 def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of w * B^T C B (GEMM-shaped)."""
-    nq, nr, nd = B.shape
-    CB = np.einsum("ab,qbj->qaj", C, B) * w[:, None, None]
-    return B.reshape(nq * nr, nd).T @ CB.reshape(nq * nr, nd)
+    return integrate_atb(B, np.einsum("ab,qbj->qaj", C, B), w)
 
 
 def strain_displacement_solid(mesh: Mesh, e: int, parent) -> np.ndarray:
@@ -169,16 +178,20 @@ class SolidModel:
     def element_stiffness(self, e, quadrature=None):
         return stiffness_solid(self.mesh, e, self.material, quadrature)
 
-    def disp_matrix_at(self, e, parent, offset=None):
-        param = self.mesh.parent_to_param(e, np.atleast_2d(parent))
-        N, _, _ = self.mesh.shape_ders(e, param, nders=0)
-        return disp_matrix(N, self.ncomp)
+    def trace(self, e, parent, rows=None):
+        """Displacement and stress interpolation at parent points.
 
-    def stress_matrix_at(self, e, parent, offset=None, rows=None):
-        """C @ B at parent points; ``rows`` selects stress components."""
-        B = strain_displacement_solid(self.mesh, e, parent)
+        Returns ``(N, S)`` of shapes ``(nq, ncomp, ndof_e)`` and
+        ``(nq, nvoigt, ndof_e)`` with ``S = C B``; ``rows`` selects stress
+        components.
+        """
+        param = self.mesh.parent_to_param(e, np.atleast_2d(parent))
+        _, _, N, dNdx, _, _ = _element_data(
+            self.mesh, e, param, np.ones(param.shape[0]), 1
+        )
         C = self.C if rows is None else self.C[rows, :]
-        return np.einsum("ab,qbj->qaj", C, B)
+        return (disp_matrix(N, self.ncomp),
+                np.einsum("ab,qbj->qaj", C, b_matrix_solid(dNdx)))
 
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
@@ -215,8 +228,6 @@ class SolidModel:
 
     def recover(self, e, parent, a_model):
         """Displacement and stress at parent points from model DOF values."""
-        dofs = self.element_dofs(e)
-        ae = a_model[dofs]
-        Nmat = self.disp_matrix_at(e, parent)
-        S = self.stress_matrix_at(e, parent)
-        return Nmat @ ae, S @ ae
+        N, S = self.trace(e, parent)
+        ae = a_model[self.element_dofs(e)]
+        return N @ ae, S @ ae

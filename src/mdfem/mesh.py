@@ -78,16 +78,10 @@ class SplineDir:
         Uses the polynomial extension of the span, so Newton iterates that
         step slightly outside the element remain well defined.
         """
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        span = self.kv.span_index(e)
-        p = self.kv.degree
-        out = np.empty((xs.size, nders + 1, p + 1))
-        for i, x in enumerate(xs):
-            out[i] = _basis_ders(self.kv.knots, p, x, span, nders)
+        out = _basis_ders(self.kv.knots, self.kv.degree, xs,
+                          self.kv.span_index(e), nders)
         if self.kv.weights is not None:
-            w = self.kv.weights[self.indices(e)]
-            for i in range(xs.size):
-                out[i] = _rationalize(out[i], w, nders)
+            out = _rationalize(out, self.kv.weights[self.indices(e)], nders)
         return out
 
     def element_containing(self, x):
@@ -300,7 +294,6 @@ class Mesh:
                 o = [0] * dim
                 o[k] = 1
                 dN[:, :, k] = combine(o)
-            dN = dN
         if nders >= 2:
             d2N = np.empty((nq, nen, dim, dim))
             for k in range(dim):

@@ -176,23 +176,16 @@ class BeamModel:
         Bb[:, 2, 2::3] = -N
         return Nb, Bb
 
-    def disp_matrix_at(self, e, parent, offset):
-        """Global displacement interpolation at section points."""
-        Nb, _ = self.prolong(e, parent, offset)
-        out = np.einsum("ij,qjk->qik", self.R_v.T, Nb)
+    def trace(self, e, parent, offset):
+        """Global displacement and Voigt stress interpolation at section
+        points: ``(N, S)`` with ``sigma = S a = T_inv C^b B^c a``."""
+        Nb, Bb = self.prolong(e, parent, offset)
+        N = np.einsum("ij,qjk->qik", self.R_v.T, Nb)
+        S = np.einsum("ij,qjk->qik", self.T_inv @ self.constitutive(), Bb)
         R = self._node_rotation(Nb.shape[2] // 3 if self.ncomp_node == 3 else 0)
         if R is not None:
-            out = out @ R
-        return out
-
-    def stress_matrix_at(self, e, parent, offset):
-        """Global Voigt stress interpolation (sigma = T_inv C^b B^c a)."""
-        _, Bb = self.prolong(e, parent, offset)
-        S = np.einsum("ij,qjk->qik", self.T_inv @ self.constitutive(), Bb)
-        R = self._node_rotation(Bb.shape[2] // 3 if self.ncomp_node == 3 else 0)
-        if R is not None:
-            S = S @ R
-        return S
+            N, S = N @ R, S @ R
+        return N, S
 
     def point_load(self, x_local, components) -> np.ndarray:
         """Consistent nodal load for a point force at local coordinate x.
@@ -212,10 +205,9 @@ class BeamModel:
         return f
 
     def recover(self, e, parent, offset, a_model):
-        dofs = self.element_dofs(e)
-        ae = a_model[dofs]
-        return (self.disp_matrix_at(e, parent, offset) @ ae,
-                self.stress_matrix_at(e, parent, offset) @ ae)
+        N, S = self.trace(e, parent, offset)
+        ae = a_model[self.element_dofs(e)]
+        return N @ ae, S @ ae
 
 
 class PlateModel:
@@ -353,13 +345,11 @@ class PlateModel:
         Bp[:, 4, 1::3] = -N
         return Np, Bp
 
-    def disp_matrix_at(self, e, parent, offset):
-        Np, _ = self.prolong(e, parent, offset)
-        return Np
-
-    def stress_matrix_at(self, e, parent, offset):
-        _, Bp = self.prolong(e, parent, offset)
-        return np.einsum("ab,qbj->qaj", self.constitutive(), Bp)
+    def trace(self, e, parent, offset):
+        """Displacement and reduced Voigt stress interpolation ``(N, S)``
+        at mid-surface parent points with offsets x3."""
+        Np, Bp = self.prolong(e, parent, offset)
+        return Np, np.einsum("ab,qbj->qaj", self.constitutive(), Bp)
 
     def pressure_element(self, e, p: float, quadrature=None) -> np.ndarray:
         """Consistent load of a uniform transverse pressure on one element."""
@@ -394,7 +384,6 @@ class PlateModel:
         return out
 
     def recover(self, e, parent, offset, a_model):
-        dofs = self.element_dofs(e)
-        ae = a_model[dofs]
-        return (self.disp_matrix_at(e, parent, offset) @ ae,
-                self.stress_matrix_at(e, parent, offset) @ ae)
+        N, S = self.trace(e, parent, offset)
+        ae = a_model[self.element_dofs(e)]
+        return N @ ae, S @ ae

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from mdfem.bspline import (
     KnotVector,
+    _basis_ders,
     eval_basis,
     evaluate_spline,
     find_span,
@@ -18,6 +19,7 @@ from mdfem.bspline import (
     make_open_knots,
 )
 from mdfem.errors import ConfigError, DomainError, RankError
+from mdfem.mesh import SplineDir
 
 
 def naive_bspline(knots, p, i, x):
@@ -166,6 +168,40 @@ def test_partition_of_unity_property(degree, t, seed):
     ders, _ = eval_basis(kv, x, nders=min(degree, 2))
     assert abs(ders[0].sum() - 1.0) < 1e-12
     assert ders[0].min() >= -1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(1, 4),
+    nbreaks=st.integers(2, 6),
+    rational=st.booleans(),
+    nders=st.integers(0, 2),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_batched_basis_equals_stacked_single_points(degree, nbreaks, rational,
+                                                    nders, seed, data):
+    """One call over a batch of points equals one call per point, bit for
+    bit, including points just outside the span (Newton iterates)."""
+    kv = random_kv(seed, degree=degree, nbreaks=nbreaks, rational=rational)
+    e = data.draw(st.integers(0, kv.nspans - 1))
+    span = kv.span_index(e)
+    a, b = kv.span_interval(span)
+    u = data.draw(st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=12))
+    xs = a + (b - a) * np.array(u)
+
+    batch = _basis_ders(kv.knots, degree, xs, span, nders)
+    assert batch.shape == (xs.size, nders + 1, degree + 1)
+    assert batch.flags.c_contiguous
+    single = np.stack([_basis_ders(kv.knots, degree, x, span, nders)[0]
+                       for x in xs])
+    assert np.array_equal(batch, single)
+
+    d = SplineDir(kv, 0.0, 1.0)
+    vals = d.eval(e, xs, nders)
+    assert vals.flags.c_contiguous
+    assert np.array_equal(
+        vals, np.stack([d.eval(e, [x], nders)[0] for x in xs]))
 
 
 class TestGreville:

@@ -82,9 +82,10 @@ class TestBuildInterface:
         for seg in op.segments:
             np.testing.assert_allclose(seg.normals[:, 0], 1.0, atol=1e-14)
             np.testing.assert_allclose(seg.normals[:, 1], 0.0, atol=1e-14)
-            np.testing.assert_allclose(seg.phys[:, 0], 24.0, atol=1e-12)
+            phys = solid.mesh.map_to_physical(seg.s_elem, seg.s_parent)
+            np.testing.assert_allclose(phys[:, 0], 24.0, atol=1e-12)
             # section offsets are the y coordinates
-            np.testing.assert_allclose(seg.offsets, seg.phys[:, 1], atol=1e-14)
+            np.testing.assert_allclose(seg.offsets, phys[:, 1], atol=1e-14)
 
     def test_facet_split_across_plate_elements(self):
         mat = Material(E=10.0, nu=0.3, thickness=1.0)
@@ -104,7 +105,8 @@ class TestBuildInterface:
         assert partners == [1, 3]  # right column of the 2x2 plate grid
         assert {len(seg.weights) for seg in op.segments} == {8}
         for seg in op.segments:
-            np.testing.assert_allclose(seg.offsets, seg.phys[:, 2] - 0.5,
+            phys = solid.mesh.map_to_physical(seg.s_elem, seg.s_parent)
+            np.testing.assert_allclose(seg.offsets, phys[:, 2] - 0.5,
                                        atol=1e-14)
 
     def test_orphan_point_raises(self):
@@ -220,6 +222,91 @@ class TestNitscheBlocks:
         rng = np.random.default_rng(8)
         r = rng.standard_normal(z.size) * w * 8.0
         assert v @ (Kst @ v) <= 1e-12 * (r @ (Kst @ r))
+
+
+def twelve_block_matrices(op):
+    """Reference assembly: the twelve per-segment blocks, one at a time.
+
+    K^n = -1/2 int N^T t on the solid rows and +1/2 on the structure rows
+    (t the summed traction n . [S_s, S_b]); K^st the jump penalty; H the
+    summed traction bound.
+    """
+    solid, struct = op.solid, op.struct
+    ns = solid.ndof
+    n = ns + struct.ndof
+    reduced = struct.solid_stress_rows
+    out = [np.zeros((n, n)) for _ in range(3)]
+    for seg in op.segments:
+        w = seg.weights
+        sd = solid.element_dofs(seg.s_elem)
+        bd = ns + struct.element_dofs(seg.b_elem)
+        Ns, Ss = solid.trace(seg.s_elem, seg.s_parent, rows=reduced)
+        Nb, Sb = struct.trace(seg.b_elem, seg.b_parent, seg.offsets)
+        nmat = np.stack([normal_matrix(v, reduced) for v in seg.normals])
+        Ts = np.einsum("qdr,qrj->qdj", nmat, Ss)
+        Tb = np.einsum("qdr,qrj->qdj", nmat, Sb)
+
+        def surf(A, B):
+            return np.einsum("q,qdi,qdj->ij", w, A, B)
+
+        Kn, Kst, H = out
+        Kn[np.ix_(sd, sd)] += -0.5 * surf(Ns, Ts)
+        Kn[np.ix_(sd, bd)] += -0.5 * surf(Ns, Tb)
+        Kn[np.ix_(bd, sd)] += 0.5 * surf(Nb, Ts)
+        Kn[np.ix_(bd, bd)] += 0.5 * surf(Nb, Tb)
+        Kst[np.ix_(sd, sd)] += surf(Ns, Ns)
+        Kst[np.ix_(sd, bd)] -= surf(Ns, Nb)
+        Kst[np.ix_(bd, sd)] -= surf(Nb, Ns)
+        Kst[np.ix_(bd, bd)] += surf(Nb, Nb)
+        H[np.ix_(sd, sd)] += surf(Ts, Ts)
+        H[np.ix_(sd, bd)] += surf(Ts, Tb)
+        H[np.ix_(bd, sd)] += surf(Tb, Ts)
+        H[np.ix_(bd, bd)] += surf(Tb, Tb)
+    return out
+
+
+def _rotated_timoshenko():
+    mat = Material(E=3.0e7, nu=0.3, thickness=1.0)
+    solid = SolidModel(build_mesh("solid2d", "spline", 2, (2, 3),
+                                  ((-0.5, 0.5), (0.0, 3.0))), mat)
+    beam = BeamModel(build_mesh("beam", "spline", 2, 5, ((0.0, 10.0),),
+                                origin=(0.0, -10.0), phi=0.5 * np.pi), mat)
+    return build_interface(solid, beam, axis=1, side=-1)
+
+
+def _euler_bernoulli():
+    mat = Material(E=100.0, nu=0.2, thickness=1.0)
+    solid = SolidModel(build_mesh("solid2d", "spline", 3, (4, 2),
+                                  ((0.0, 8.0), (-0.5, 0.5))), mat)
+    beam = BeamModel(build_mesh("beam", "spline", 3, 4, ((0.0, 8.0),),
+                                origin=(8.0, 0.0)), mat, "euler_bernoulli")
+    return build_interface(solid, beam, axis=0, side=1)
+
+
+def _plate(theory):
+    mat = Material(E=1000.0, nu=0.3, thickness=20.0)
+    solid = SolidModel(build_mesh("solid3d", "spline", 3, (2, 2, 2),
+                                  ((0.0, 40.0), (0.0, 25.0), (0.0, 20.0))),
+                       mat)
+    plate = PlateModel(build_mesh("plate", "spline", 3, (3, 2),
+                                  ((40.0, 80.0), (0.0, 25.0)), z_mid=10.0),
+                       mat, theory)
+    return build_interface(solid, plate, axis=0, side=1)
+
+
+@pytest.mark.parametrize("make", [
+    _rotated_timoshenko,
+    _euler_bernoulli,
+    lambda: _plate("mindlin"),
+    lambda: _plate("kirchhoff"),
+], ids=["timoshenko-rotated", "euler-bernoulli", "mindlin", "kirchhoff"])
+def test_jump_traction_form_matches_twelve_blocks(make):
+    op = make()
+    for got, want in zip(op.matrices(), twelve_block_matrices(op)):
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(got.toarray(), want, rtol=1e-12,
+                                   atol=1e-12 * scale)
 
 
 class TestEstimateAlpha:

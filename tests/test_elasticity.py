@@ -12,7 +12,7 @@ from mdfem.elasticity import (
     strain_displacement_solid,
 )
 from mdfem.errors import ConfigError
-from mdfem.mesh import build_mesh, bulk_points
+from mdfem.mesh import Mesh, build_mesh, bulk_points
 
 
 def q4_model(nelems=(1, 1), extents=((0.0, 1.0), (0.0, 1.0)), E=1.0, nu=0.0):
@@ -231,3 +231,22 @@ class TestLoads:
         f = model.body_force((0.0, -2.5))
         assert f[1::2].sum() == pytest.approx(-2.5 * 48.0 * 6.0, rel=1e-12)
         assert f[0::2].sum() == pytest.approx(0.0, abs=1e-9)
+
+
+def test_recover_evaluates_shapes_once(monkeypatch):
+    """Displacement and stress come from one shape evaluation."""
+    mesh = build_mesh("solid3d", "spline", 2, (2, 1, 1),
+                      ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0)))
+    solid = SolidModel(mesh, Material(E=1.0, nu=0.3))
+    calls = []
+    shape_ders = Mesh.shape_ders
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return shape_ders(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "shape_ders", counted)
+    a = np.random.default_rng(0).standard_normal(solid.ndof)
+    u, s = solid.recover(1, np.zeros((3, 3)), a)
+    assert len(calls) == 1
+    assert u.shape == (3, 3) and s.shape == (3, 6)

@@ -464,3 +464,27 @@ class TestFrameMember:
         np.testing.assert_allclose(
             s[0], [0.0, 0.01 * self.mat.E, 0.0], atol=1e-9
         )
+
+
+@pytest.mark.parametrize("make", [
+    lambda mat: BeamModel(beam_mesh(2, 3, 6.0, phi=0.3), mat),
+    lambda mat: BeamModel(beam_mesh(3, 3, 6.0), mat, "euler_bernoulli"),
+    lambda mat: PlateModel(plate_mesh(2, (2, 2), (4.0, 4.0)), mat),
+    lambda mat: PlateModel(plate_mesh(2, (2, 2), (4.0, 4.0)), mat,
+                           "kirchhoff"),
+])
+def test_recover_prolongs_once(monkeypatch, make):
+    """Displacement and stress come from one prolongation."""
+    model = make(Material(E=10.0, nu=0.3, thickness=0.5))
+    calls = []
+    prolong = type(model).prolong
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return prolong(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(model), "prolong", counted)
+    a = np.random.default_rng(0).standard_normal(model.ndof)
+    parent = np.zeros((2, model.mesh.dim))
+    model.recover(0, parent, np.array([0.1, -0.2]), a)
+    assert len(calls) == 1
