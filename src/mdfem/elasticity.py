@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import (Mesh, _element_data, boundary_facets, bulk_points,
-                   facet_quadrature)
+from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
+                   facet_quadrature, parent_data, quadrature_data)
 
 
 @dataclass
@@ -116,39 +116,50 @@ def disp_matrix(N: np.ndarray, ncomp: int) -> np.ndarray:
 def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of w * A^T B (GEMM-shaped).
 
-    ``A`` is ``(nq, nr, na)`` and ``B`` is ``(nq, nr, nb)``; the result is
-    ``(na, nb)``.
+    ``A`` is ``(..., nq, nr, na)`` and ``B`` is ``(..., nq, nr, nb)``, with
+    the same leading batch axes as ``w`` ``(..., nq)``; the result is
+    ``(..., na, nb)``.
     """
-    nq, nr, na = A.shape
-    wB = B * w[:, None, None]
-    return A.reshape(nq * nr, na).T @ wB.reshape(nq * nr, B.shape[2])
+    *lead, nq, nr, na = A.shape
+    wB = B * w[..., None, None]
+    return np.matmul(A.reshape(*lead, nq * nr, na).swapaxes(-1, -2),
+                     wB.reshape(*lead, nq * nr, B.shape[-1]))
 
 
 def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over quadrature points of w * B^T C B (GEMM-shaped)."""
-    return integrate_atb(B, np.einsum("ab,qbj->qaj", C, B), w)
+    """Sum over quadrature points of w * B^T C B (GEMM-shaped, batched as
+    `integrate_atb`)."""
+    return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)
 
 
 def strain_displacement_solid(mesh: Mesh, e: int, parent) -> np.ndarray:
     """B matrix at parent points of one element (spec-facing wrapper)."""
-    parent = np.atleast_2d(np.asarray(parent, dtype=float))
-    param = mesh.parent_to_param(e, parent)
-    _, _, _, dNdx, _, _ = _element_data(
-        mesh, e, param, np.ones(parent.shape[0]), 1
-    )
-    return b_matrix_solid(dNdx)
+    return b_matrix_solid(parent_data(mesh, e, parent)[1])
 
 
-def stiffness_solid(mesh: Mesh, e: int, material: Material,
+def stiffness_solid(mesh: Mesh, e, material: Material,
                     quadrature=None) -> np.ndarray:
-    """Element stiffness with the full (p+1)-point Gauss rule."""
-    C = constitutive_solid(material, mesh.dim)
-    if quadrature is None:
-        _, w, _, dNdx, _, _ = bulk_points(mesh, e, nders=1)
-    else:
-        param, w = quadrature
-        _, w, _, dNdx, _, _ = _element_data(mesh, e, param, w, 1)
-    return integrate_btcb(b_matrix_solid(dNdx), C, w)
+    """Element stiffness with the full (p+1)-point Gauss rule, for one
+    element or an element array (an explicit ``quadrature`` belongs to
+    one element). Tensor form of sum_q w B^T C B: P_kl = sum_q w G_k G_l^T
+    (G = dN/dx, one GEMM per direction pair) and K[a i, b j] = sum_kl
+    D[i k, j l] P_kl[a, b], D = B^T C B of unit gradients.
+    """
+    _, w, _, G, _, _ = quadrature_data(mesh, e, quadrature)
+    *lead, nq, nen, dim = G.shape
+    G = np.ascontiguousarray(np.moveaxis(G, -1, 0))  # [k, ..., q, a]
+    wG = G * w[..., None]
+    P = np.empty((dim, dim, *lead, nen, nen))
+    for k in range(dim):
+        for l in range(dim):
+            np.matmul(G[k].swapaxes(-1, -2), wG[l], out=P[k, l])
+    D = integrate_btcb(b_matrix_solid(np.eye(dim)[None]),
+                       constitutive_solid(material, dim), np.ones(1))
+    D = D.reshape((dim,) * 4).transpose(1, 3, 0, 2)  # [i, j, k, l]
+    # [i, j, ..., a, b] -> [..., a, i, b, j]
+    K = D.reshape(dim * dim, -1) @ P.reshape(dim * dim, -1)
+    return np.moveaxis(K.reshape(P.shape), (0, 1), (-3, -1)).reshape(
+        *lead, nen * dim, nen * dim)
 
 
 class SolidModel:
@@ -172,10 +183,10 @@ class SolidModel:
         return self.mesh.nnodes * self.ncomp
 
     def element_dofs(self, e):
-        nodes = self.mesh.element_nodes(e)
-        return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)).ravel()
+        return self.mesh.element_dofs(e, self.ncomp)
 
     def element_stiffness(self, e, quadrature=None):
+        """Element matrix, or a batch of them for an element array."""
         return stiffness_solid(self.mesh, e, self.material, quadrature)
 
     def trace(self, e, parent, rows=None):
@@ -185,10 +196,7 @@ class SolidModel:
         ``(nq, nvoigt, ndof_e)`` with ``S = C B``; ``rows`` selects stress
         components.
         """
-        param = self.mesh.parent_to_param(e, np.atleast_2d(parent))
-        _, _, N, dNdx, _, _ = _element_data(
-            self.mesh, e, param, np.ones(param.shape[0]), 1
-        )
+        N, dNdx, _, _ = parent_data(self.mesh, e, parent)
         C = self.C if rows is None else self.C[rows, :]
         return (disp_matrix(N, self.ncomp),
                 np.einsum("ab,qbj->qaj", C, b_matrix_solid(dNdx)))
@@ -196,11 +204,13 @@ class SolidModel:
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
         force = np.asarray(force, dtype=float).reshape(self.ncomp)
+        mesh = self.mesh
         out = np.zeros(self.ndof)
-        for e in range(self.mesh.nelem):
-            _, w, N, _, _, _ = bulk_points(self.mesh, e, nders=1)
-            fe = np.einsum("q,qn,c->nc", w, N, force).ravel()
-            out[self.element_dofs(e)] += fe
+        for el in element_batches(np.arange(mesh.nelem),
+                                  mesh.nen ** 2 * mesh.dim):
+            _, w, N, _, _, _ = bulk_points(mesh, el, nders=1)
+            fe = np.einsum("eq,eqn,c->enc", w, N, force)
+            np.add.at(out, self.element_dofs(el), fe.reshape(len(el), -1))
         return out
 
     def traction_force(self, axis, side, traction, npts=None,

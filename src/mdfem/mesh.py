@@ -162,6 +162,7 @@ class Mesh:
     phi: float = 0.0       # beams: mid-line rotation angle
     z_mid: float = 0.0     # plates: transverse position of the mid-surface
     _bboxes: np.ndarray | None = field(default=None, repr=False)
+    _ien: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -188,61 +189,56 @@ class Mesh:
         return tuple(d.degree for d in self.dirs)
 
     def element_grid_index(self, e):
-        """Per-direction element indices (first direction fastest)."""
-        out = []
-        for d in self.dirs:
-            out.append(e % d.nelem)
-            e //= d.nelem
-        return tuple(out)
+        """Per-direction element indices (first direction fastest); an
+        element array gives one index array per direction."""
+        gi = np.unravel_index(e, self.nelem_per_dir, order="F")
+        return gi if np.ndim(e) else tuple(int(i) for i in gi)
 
     def element_id(self, grid_index):
-        e = 0
-        for d, i in zip(reversed(self.dirs), reversed(grid_index)):
-            e = e * d.nelem + i
-        return e
+        return int(np.ravel_multi_index(tuple(grid_index),
+                                        self.nelem_per_dir, order="F"))
 
     def element_nodes(self, e):
-        """Global node indices of an element (first direction fastest)."""
-        gi = self.element_grid_index(e)
-        per_dir = [d.indices(i) for d, i in zip(self.dirs, gi)]
-        strides = np.cumprod([1] + [d.n for d in self.dirs[:-1]])
-        idx = np.zeros(1, dtype=int)
-        for inds, s in zip(per_dir, strides):
-            idx = ((inds * s)[:, None] + idx[None, :]).ravel()
-        return idx
+        """Global node indices of an element (first direction fastest), or
+        a ``(len(e), nen)`` table for an element array."""
+        return self.ien()[e]
+
+    def element_dofs(self, e, ncomp):
+        """Node-major element DOFs with ``ncomp`` unknowns per node; an
+        element array gives one row per element."""
+        nodes = self.element_nodes(e)
+        return (nodes[..., None] * ncomp + np.arange(ncomp)).reshape(
+            nodes.shape[:-1] + (-1,))
 
     def ien(self):
-        """Node table ``(nelem, nen)``: row e is ``element_nodes(e)``."""
-        table = np.zeros((1, 1), dtype=int)
-        stride = 1
-        for d in self.dirs:
-            loc = stride * np.array([d.indices(i) for i in range(d.nelem)])
-            # New direction slowest in both the element and the node index.
-            table = (loc[:, None, :, None] + table[None, :, None, :]).reshape(
-                loc.shape[0] * table.shape[0], -1)
-            stride *= d.n
-        return table
+        """Node table ``(nelem, nen)``, built once (read-only)."""
+        if self._ien is None:
+            table = np.zeros((1, 1), dtype=int)
+            stride = 1
+            for d in self.dirs:
+                loc = stride * np.array([d.indices(i) for i in range(d.nelem)])
+                # New direction slowest in the element and the node index.
+                table = (loc[:, None, :, None] + table[None, :, None, :]
+                         ).reshape(loc.shape[0] * table.shape[0], -1)
+                stride *= d.n
+            table.flags.writeable = False
+            self._ien = table
+        return self._ien
 
-    def element_interval(self, e, axis):
-        return self.dirs[axis].element_interval(self.element_grid_index(e)[axis])
+    def _bounds(self, e):
+        """Per-direction parameter intervals ``(a, b)`` of an element."""
+        return np.array([d.element_interval(i) for d, i
+                         in zip(self.dirs, self.element_grid_index(e))]).T
 
     def parent_to_param(self, e, parent):
-        parent = np.atleast_2d(np.asarray(parent, dtype=float))
-        gi = self.element_grid_index(e)
-        out = np.empty_like(parent)
-        for k, (d, i) in enumerate(zip(self.dirs, gi)):
-            a, b = d.element_interval(i)
-            out[:, k] = 0.5 * (a + b) + 0.5 * (b - a) * parent[:, k]
-        return out
+        a, b = self._bounds(e)
+        return 0.5 * (a + b) + 0.5 * (b - a) * np.atleast_2d(
+            np.asarray(parent, dtype=float))
 
     def param_to_parent(self, e, param):
-        param = np.atleast_2d(np.asarray(param, dtype=float))
-        gi = self.element_grid_index(e)
-        out = np.empty_like(param)
-        for k, (d, i) in enumerate(zip(self.dirs, gi)):
-            a, b = d.element_interval(i)
-            out[:, k] = (2.0 * param[:, k] - (a + b)) / (b - a)
-        return out
+        a, b = self._bounds(e)
+        return (2.0 * np.atleast_2d(np.asarray(param, dtype=float))
+                - (a + b)) / (b - a)
 
     def local_to_parent(self, e, local):
         local = np.atleast_2d(np.asarray(local, dtype=float))
@@ -268,43 +264,10 @@ class Mesh:
         unless requested). Local node ordering: first direction fastest.
         """
         param = np.atleast_2d(np.asarray(param, dtype=float))
-        nq, dim = param.shape
         gi = self.element_grid_index(e)
-        uni = [
-            d.eval(i, param[:, k], nders)
-            for k, (d, i) in enumerate(zip(self.dirs, gi))
-        ]
-        nloc = [d.nloc for d in self.dirs]
-        nen = self.nen
-
-        def combine(orders):
-            out = np.ones((nq, 1))
-            for k in range(dim):
-                fac = uni[k][:, orders[k], :]  # (nq, nloc_k)
-                out = out[:, None, :] * fac[:, :, None]  # new dir slowest
-                out = out.reshape(nq, -1)
-            return out
-
-        N = combine([0] * dim)
-        dN = None
-        d2N = None
-        if nders >= 1:
-            dN = np.empty((nq, nen, dim))
-            for k in range(dim):
-                o = [0] * dim
-                o[k] = 1
-                dN[:, :, k] = combine(o)
-        if nders >= 2:
-            d2N = np.empty((nq, nen, dim, dim))
-            for k in range(dim):
-                for l in range(k, dim):
-                    o = [0] * dim
-                    o[k] += 1
-                    o[l] += 1
-                    val = combine(o)
-                    d2N[:, :, k, l] = val
-                    d2N[:, :, l, k] = val
-        return N, dN, d2N
+        return _tensor_combine(
+            [d.eval(i, param[:, k], nders)
+             for k, (d, i) in enumerate(zip(self.dirs, gi))], nders)
 
     def map_to_physical(self, e, parent):
         """Map parent coordinates of an element to storage coordinates."""
@@ -317,13 +280,8 @@ class Mesh:
         param = self.parent_to_param(e, parent)
         _, dN, _ = self.shape_ders(e, param, nders=1)
         P = self.nodes[self.element_nodes(e)]
-        Jpar = np.einsum("qnj,ni->qij", dN, P)
-        gi = self.element_grid_index(e)
-        half = np.array(
-            [0.5 * np.diff(d.element_interval(i))[0]
-             for d, i in zip(self.dirs, gi)]
-        )
-        J = Jpar * half[None, None, :]
+        a, b = self._bounds(e)
+        J = np.einsum("qnj,ni->qij", dN, P) * (0.5 * (b - a))
         det = np.linalg.det(J)
         return J, det
 
@@ -372,12 +330,8 @@ class Mesh:
 
     def element_bboxes(self):
         if self._bboxes is None:
-            boxes = np.empty((self.nelem, self.dim, 2))
-            for e in range(self.nelem):
-                P = self.nodes[self.element_nodes(e)]
-                boxes[e, :, 0] = P.min(axis=0)
-                boxes[e, :, 1] = P.max(axis=0)
-            self._bboxes = boxes
+            P = self.nodes[self.ien()]
+            self._bboxes = np.stack([P.min(axis=1), P.max(axis=1)], axis=-1)
         return self._bboxes
 
     def locate(self, x):
@@ -528,41 +482,139 @@ def _per_dir(value, dim, cast):
 
 # Bulk quadrature ------------------------------------------------------
 
+# Entries an element batch may hold (element-matrix entries, or shape
+# gradients in loads); System.bulk_matrix also flushes at this count.
+_TRIPLET_BUDGET = 5_000_000
 
-def bulk_points(mesh: Mesh, e: int, npts=None, nders=1):
-    """Quadrature data for one element.
+
+def element_batches(elems, entries):
+    """Split ``elems`` into runs of at most ``_TRIPLET_BUDGET // entries``
+    elements (one at least), ``entries`` being the per-element size."""
+    step = max(1, _TRIPLET_BUDGET // entries)
+    return [elems[s:s + step] for s in range(0, len(elems), step)]
+
+
+def stiffness_batches(model, elems):
+    """``(elements, Ke)`` of a model over `element_batches` of ``elems``."""
+    ndof_e = model.mesh.nen * model.ncomp_node
+    for el in element_batches(elems, ndof_e ** 2):
+        yield el, model.element_stiffness(el)
+
+
+def _tensor_combine(uni, nders):
+    """``Mesh.shape_ders`` from per-direction basis tables ``uni[k]`` of
+    shape ``(..., nq, nders + 1, nloc_k)``; leading axes carry through."""
+    lead = uni[0].shape[:-2]
+    dim = len(uni)
+
+    def combine(orders):
+        out = np.ones(lead + (1,))
+        for k in range(dim):
+            # New direction slowest.
+            out = (out[..., None, :] * uni[k][..., orders[k], :, None]
+                   ).reshape(lead + (-1,))
+        return out
+
+    one = np.eye(dim, dtype=int)
+    N = combine(0 * one[0])
+    dN = d2N = None
+    if nders >= 1:
+        # Stored direction-major: each dN[..., k] is contiguous.
+        dN = np.moveaxis(np.stack([combine(o) for o in one]), 0, -1)
+    if nders >= 2:
+        d2N = np.empty(N.shape + (dim, dim))
+        for k in range(dim):
+            for l in range(k, dim):
+                d2N[..., k, l] = d2N[..., l, k] = combine(one[k] + one[l])
+    return N, dN, d2N
+
+
+def bulk_points(mesh: Mesh, e, npts=None, nders=1):
+    """Quadrature data for one element or an element array.
 
     Returns ``(param, weights, N, dNdx, d2Ndx2, phys)`` where weights
-    include the physical volume measure. ``d2Ndx2`` is None unless
-    ``nders >= 2``.
+    include the physical volume measure; an element array adds a leading
+    element axis to each. ``d2Ndx2`` is None unless ``nders >= 2``. Each
+    direction's basis is evaluated once per element interval, at that
+    interval's Gauss points, and the tables are combined per element.
     """
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
     elif np.isscalar(npts):
         npts = (int(npts),) * mesh.dim
-    gi = mesh.element_grid_index(e)
-    param, wts = tensor_rule(
-        [d.element_interval(i) for d, i in zip(mesh.dirs, gi)], npts)
-    return _element_data(mesh, e, param, wts, nders)
+    elems = np.atleast_1d(e)
+    gi = mesh.element_grid_index(elems)
+    qi = np.unravel_index(np.arange(int(np.prod(npts))), npts, order="F")
+    param, wts, uni = [], np.ones(1), []
+    for k, (d, n) in enumerate(zip(mesh.dirs, npts)):
+        x, w = np.empty((d.nelem, n)), np.empty((d.nelem, n))
+        tab = np.empty((d.nelem, n, nders + 1, d.nloc))
+        for i in np.unique(gi[k]):
+            pts, w[i] = tensor_rule([d.element_interval(i)], [n])
+            x[i] = pts[:, 0]
+            tab[i] = d.eval(i, x[i], nders)
+        at = (gi[k][:, None], qi[k][None, :])
+        param.append(x[at])
+        wts = wts * w[at]
+        uni.append(tab[at])
+    out = _element_data(mesh, elems, np.stack(param, axis=-1), wts, nders,
+                        _tensor_combine(uni, nders))
+    return out if np.ndim(e) else tuple(
+        None if a is None else a[0] for a in out)
 
 
-def _element_data(mesh, e, param, wts, nders):
-    N, dN, d2N = mesh.shape_ders(e, param, nders=nders)
+def quadrature_data(mesh, e, quadrature=None, nders=1):
+    """`bulk_points` data of one element or an element array, or of one
+    element on an explicit parameter-space rule ``(param, weights)``."""
+    if quadrature is None:
+        return bulk_points(mesh, e, nders=nders)
+    return _element_data(mesh, e, *quadrature, nders)
+
+
+def parent_data(mesh, e, parent, nders=1):
+    """``(N, dNdx, d2Ndx2, phys)`` at parent points of one element."""
+    parent = np.atleast_2d(np.asarray(parent, dtype=float))
+    _, _, N, dNdx, d2Ndx2, phys = _element_data(
+        mesh, e, mesh.parent_to_param(e, parent), np.ones(parent.shape[0]),
+        nders)
+    return N, dNdx, d2Ndx2, phys
+
+
+def _element_data(mesh, e, param, wts, nders, shapes=None):
+    """Physical quadrature data at parameter points of one element.
+
+    With an element array, ``param``, ``wts`` and the tabulated
+    ``shapes = (N, dN, d2N)`` carry a leading element axis; a single
+    element evaluates its shapes here and runs as a batch of one.
+    """
+    if np.ndim(e) == 0:
+        shapes = mesh.shape_ders(e, param, nders=nders)
+        out = _element_data(mesh, np.array([e]), param[None], wts[None],
+                            nders, [None if s is None else s[None]
+                                    for s in shapes])
+        return tuple(None if a is None else a[0] for a in out)
+    N, dN, d2N = shapes
     P = mesh.nodes[mesh.element_nodes(e)]
     phys = N @ P
-    J = np.einsum("qnj,ni->qij", dN, P)
+    J = np.einsum("eqnj,eni->eqij", dN, P)
     det = np.linalg.det(J)
-    if np.any(det <= 0):
-        raise DomainError(f"non-positive jacobian in element {e}")
+    bad = np.any(det <= 0, axis=-1)
+    if bad.any():
+        raise DomainError(f"non-positive jacobian in element {e[bad][0]}")
     Jinv = np.linalg.inv(J)
-    dNdx = np.einsum("qnj,qji->qni", dN, Jinv)
+    # dN/dx_i = sum_j dN/dxi_j (J^-1)_ji, direction-major like dN.
+    dNdx = np.zeros((mesh.dim,) + N.shape)
+    for i in range(mesh.dim):
+        for j in range(mesh.dim):
+            dNdx[i] += dN[..., j] * Jinv[..., j, i, None]
+    dNdx = np.moveaxis(dNdx, 0, -1)
     d2Ndx2 = None
     if nders >= 2:
         # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
         # the last term vanishing on affine maps only.
-        d2x = np.einsum("qnkl,nm->qmkl", d2N, P)
-        d2N = d2N - np.einsum("qnm,qmkl->qnkl", dNdx, d2x)
-        d2Ndx2 = np.einsum("qnkl,qki,qlj->qnij", d2N, Jinv, Jinv)
+        d2x = np.einsum("eqnkl,enm->eqmkl", d2N, P)
+        d2N = d2N - np.einsum("eqnm,eqmkl->eqnkl", dNdx, d2x)
+        d2Ndx2 = np.einsum("eqnkl,eqki,eqlj->eqnij", d2N, Jinv, Jinv)
     return param, wts * det, N, dNdx, d2Ndx2, phys
 
 
@@ -595,15 +647,13 @@ def boundary_facets(mesh: Mesh, axis: int, side: int, strip=None):
     if strip is not None and len(strip) != len(free):
         raise ConfigError("strip needs one entry per free axis")
     boundary_e = mesh.dirs[axis].nelem - 1 if side > 0 else 0
+    gi = mesh.element_grid_index(np.arange(mesh.nelem))
     facets = []
-    for e in range(mesh.nelem):
-        gi = mesh.element_grid_index(e)
-        if gi[axis] != boundary_e:
-            continue
+    for e in np.nonzero(gi[axis] == boundary_e)[0]:
         clips = []
         keep = True
         for j, k in enumerate(free):
-            lo, hi = mesh.dirs[k].local_interval(gi[k])
+            lo, hi = mesh.dirs[k].local_interval(gi[k][e])
             want = None if strip is None else strip[j]
             if want is None:
                 clips.append((-1.0, 1.0))
@@ -618,7 +668,7 @@ def boundary_facets(mesh: Mesh, axis: int, side: int, strip=None):
                 (2 * chi - lo - hi) / (hi - lo),
             ))
         if keep:
-            facets.append(Facet(e, axis, int(side), tuple(clips)))
+            facets.append(Facet(int(e), axis, int(side), tuple(clips)))
     if not facets:
         raise ConfigError("no facets found on requested face")
     return facets

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateCutError,
     OverDeactivationError,
 )
+from .mesh import element_batches, stiffness_batches
 from .quadrature import tensor_rule
 
 STANDARD, CUT, VOID = 0, 1, 2
@@ -189,6 +190,8 @@ class NonconformingModel:
             self.inactive_nodes[:, None] * nc + np.arange(nc)
         ).ravel()
         self._demoted = self._demote_unresolvable_cuts()
+        self._live = self.labels != VOID
+        self._live[list(self._demoted)] = False
 
     def __getattr__(self, name):
         if name.startswith("_"):
@@ -221,7 +224,7 @@ class NonconformingModel:
         return frozenset(starved)
 
     def element_stiffness(self, e, quadrature=None):
-        if self.labels[e] == VOID or e in self._demoted:
+        if not self._live[e]:
             return None
         if self.labels[e] == CUT:
             quadrature = (self._rules[e] if quadrature is None else
@@ -229,11 +232,28 @@ class NonconformingModel:
                                         quadrature, "supplied quadrature"))
         return self._model.element_stiffness(e, quadrature=quadrature)
 
+    def stiffness_batches(self):
+        """``(elements, Ke)`` for assembly: STANDARD elements in batches,
+        then each live CUT element with its cached rule; VOID and demoted
+        elements contribute nothing."""
+        model = self._model
+        yield from stiffness_batches(model,
+                                     np.nonzero(self.labels == STANDARD)[0])
+        for e in np.nonzero(self._live & (self.labels == CUT))[0]:
+            yield e[None], model.element_stiffness(
+                e, quadrature=self._rules[e])[None]
+
     def pressure_load(self, p: float) -> np.ndarray:
-        out = np.zeros(self._model.ndof)
-        for e in range(self._model.mesh.nelem):
-            if self.labels[e] == VOID or e in self._demoted:
-                continue
-            fe = self._model.pressure_element(e, p, self._rules.get(e))
-            out[self._model.element_dofs(e)] += fe
+        """Pressure load of the live elements, STANDARD ones batched and
+        CUT ones on their cached rule, summed in element order."""
+        model, mesh = self._model, self._model.mesh
+        live = np.nonzero(self._live)[0]
+        fe = np.empty((live.size, mesh.nen * model.ncomp_node))
+        std = np.nonzero(self.labels[live] == STANDARD)[0]
+        for b in element_batches(std, mesh.nen ** 2 * mesh.dim):
+            fe[b] = model.pressure_element(live[b], p)
+        for i in np.nonzero(self.labels[live] == CUT)[0]:
+            fe[i] = model.pressure_element(live[i], p, self._rules[live[i]])
+        out = np.zeros(model.ndof)
+        np.add.at(out, model.element_dofs(live), fe)
         return out

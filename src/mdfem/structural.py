@@ -10,10 +10,12 @@ kept in global axes and the element matrices are rotated accordingly.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .elasticity import Material, integrate_btcb
 from .errors import ConfigError, DomainError
-from .mesh import Mesh, _element_data, boundary_facets, bulk_points, facet_quadrature
+from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
+                   facet_quadrature, parent_data, quadrature_data)
 
 
 def frame_transforms(phi: float):
@@ -37,15 +39,6 @@ def frame_transforms(phi: float):
 def _require_c1(mesh: Mesh, what: str):
     if mesh.basis != "spline" or any(d.degree < 2 for d in mesh.dirs):
         raise ConfigError(f"{what} needs a C1 basis (spline, degree >= 2)")
-
-
-def _line_ders(mesh: Mesh, e: int, parent, nders: int):
-    parent = np.atleast_2d(np.asarray(parent, dtype=float))
-    param = mesh.parent_to_param(e, parent)
-    _, _, N, dNdx, d2Ndx2, phys = _element_data(
-        mesh, e, param, np.ones(parent.shape[0]), nders
-    )
-    return N, dNdx, d2Ndx2, phys
 
 
 class BeamModel:
@@ -88,44 +81,35 @@ class BeamModel:
         return None  # couples against the full 2D Voigt stress
 
     def element_dofs(self, e):
-        nodes = self.mesh.element_nodes(e)
-        n = self.ncomp_node
-        return (nodes[:, None] * n + np.arange(n)).ravel()
+        return self.mesh.element_dofs(e, self.ncomp_node)
 
     def _node_rotation(self, nen):
         if self.phi == 0.0 or self.theory == "euler_bernoulli":
             return None
-        blocks = [self._r] * nen
-        R = np.zeros((3 * nen, 3 * nen))
-        for i, b in enumerate(blocks):
-            R[3 * i:3 * i + 3, 3 * i:3 * i + 3] = b
-        return R
+        return block_diag(*[self._r] * nen)
 
     def element_stiffness(self, e, quadrature=None):
+        """Element matrix, or a batch of them for an element array."""
         mesh = self.mesh
         nders = 2 if self.theory == "euler_bernoulli" else 1
-        if quadrature is None:
-            _, w, N, dNdx, d2Ndx2, _ = bulk_points(mesh, e, nders=nders)
-        else:
-            param, pw = quadrature
-            _, w, N, dNdx, d2Ndx2, _ = _element_data(mesh, e, param, pw, nders)
-        nen = dNdx.shape[1]
+        _, w, N, dNdx, d2Ndx2, _ = quadrature_data(mesh, e, quadrature, nders)
+        nen = dNdx.shape[-2]
         if self.theory == "euler_bernoulli":
-            B = d2Ndx2[:, :, 0, 0][:, None, :]
+            B = d2Ndx2[..., 0, 0][..., None, :]
             return integrate_btcb(B, np.array([[self.EI]]), w)
         # Timoshenko: axial + bending with the full rule
-        Bab = np.zeros((len(w), 2, 3 * nen))
-        Bab[:, 0, 0::3] = dNdx[:, :, 0]
-        Bab[:, 1, 2::3] = dNdx[:, :, 0]
+        Bab = np.zeros(w.shape + (2, 3 * nen))
+        Bab[..., 0, 0::3] = dNdx[..., 0]
+        Bab[..., 1, 2::3] = dNdx[..., 0]
         K = integrate_btcb(Bab, np.diag([self.EA, self.EI]), w)
         # shear with one-point rule on linear elements (locking cure)
         if quadrature is None and mesh.dirs[0].degree == 1:
             _, ws, Ns, dNs, _, _ = bulk_points(mesh, e, npts=1, nders=1)
         else:
             ws, Ns, dNs = w, N, dNdx
-        Bs = np.zeros((len(ws), 1, 3 * nen))
-        Bs[:, 0, 1::3] = dNs[:, :, 0]
-        Bs[:, 0, 2::3] = -Ns
+        Bs = np.zeros(ws.shape + (1, 3 * nen))
+        Bs[..., 0, 1::3] = dNs[..., 0]
+        Bs[..., 0, 2::3] = -Ns
         K += integrate_btcb(Bs, np.array([[self.kGA]]), ws)
         R = self._node_rotation(nen)
         if R is not None:
@@ -152,9 +136,8 @@ class BeamModel:
         """
         offset = np.asarray(offset, dtype=float).ravel()
         self._check_offset(offset)
-        N, dNdx, d2Ndx2, _ = _line_ders(
-            self.mesh, e, parent, 2 if self.theory == "euler_bernoulli" else 1
-        )
+        N, dNdx, d2Ndx2, _ = parent_data(
+            self.mesh, e, parent, 2 if self.theory == "euler_bernoulli" else 1)
         nq, nen = N.shape
         yb = offset[:, None]
         if self.theory == "euler_bernoulli":
@@ -251,37 +234,31 @@ class PlateModel:
         return (0, 1, 3, 4, 5)
 
     def element_dofs(self, e):
-        nodes = self.mesh.element_nodes(e)
-        n = self.ncomp_node
-        return (nodes[:, None] * n + np.arange(n)).ravel()
+        return self.mesh.element_dofs(e, self.ncomp_node)
 
     def element_stiffness(self, e, quadrature=None):
+        """Element matrix, or a batch of them for an element array."""
         mesh = self.mesh
         nders = 2 if self.theory == "kirchhoff" else 1
-        if quadrature is None:
-            _, w, N, dNdx, d2Ndx2, _ = bulk_points(mesh, e, nders=nders)
-        else:
-            param, pw = quadrature
-            _, w, N, dNdx, d2Ndx2, _ = _element_data(mesh, e, param, pw, nders)
+        _, w, N, dNdx, d2Ndx2, _ = quadrature_data(mesh, e, quadrature, nders)
         if self.theory == "kirchhoff":
-            nq, nen = d2Ndx2.shape[:2]
-            B = np.zeros((nq, 3, nen))
-            B[:, 0, :] = d2Ndx2[:, :, 0, 0]
-            B[:, 1, :] = d2Ndx2[:, :, 1, 1]
-            B[:, 2, :] = 2.0 * d2Ndx2[:, :, 0, 1]
+            B = np.zeros(w.shape + (3, d2Ndx2.shape[-3]))
+            B[..., 0, :] = d2Ndx2[..., 0, 0]
+            B[..., 1, :] = d2Ndx2[..., 1, 1]
+            B[..., 2, :] = 2.0 * d2Ndx2[..., 0, 1]
             return integrate_btcb(B, self.D_b, w)
-        nq, nen = N.shape
-        d1, d2 = dNdx[:, :, 0], dNdx[:, :, 1]
-        Bb = np.zeros((nq, 3, 3 * nen))
-        Bb[:, 0, 1::3] = d1
-        Bb[:, 1, 2::3] = d2
-        Bb[:, 2, 1::3] = d2
-        Bb[:, 2, 2::3] = d1
-        Bs = np.zeros((nq, 2, 3 * nen))
-        Bs[:, 0, 0::3] = d1
-        Bs[:, 0, 1::3] = -N
-        Bs[:, 1, 0::3] = d2
-        Bs[:, 1, 2::3] = -N
+        nen = N.shape[-1]
+        d1, d2 = dNdx[..., 0], dNdx[..., 1]
+        Bb = np.zeros(w.shape + (3, 3 * nen))
+        Bb[..., 0, 1::3] = d1
+        Bb[..., 1, 2::3] = d2
+        Bb[..., 2, 1::3] = d2
+        Bb[..., 2, 2::3] = d1
+        Bs = np.zeros(w.shape + (2, 3 * nen))
+        Bs[..., 0, 0::3] = d1
+        Bs[..., 0, 1::3] = -N
+        Bs[..., 1, 0::3] = d2
+        Bs[..., 1, 2::3] = -N
         return integrate_btcb(Bb, self.D_b, w) + integrate_btcb(Bs, self.D_s, w)
 
     def constitutive(self):
@@ -311,12 +288,8 @@ class PlateModel:
         """
         offset = np.asarray(offset, dtype=float).ravel()
         self._check_offset(offset)
-        parent = np.atleast_2d(np.asarray(parent, dtype=float))
-        param = self.mesh.parent_to_param(e, parent)
-        nders = 2 if self.theory == "kirchhoff" else 1
-        _, _, N, dNdx, d2Ndx2, _ = _element_data(
-            self.mesh, e, param, np.ones(parent.shape[0]), nders
-        )
+        N, dNdx, d2Ndx2, _ = parent_data(
+            self.mesh, e, parent, 2 if self.theory == "kirchhoff" else 1)
         nq, nen = N.shape
         x3 = offset[:, None]
         if self.theory == "kirchhoff":
@@ -352,21 +325,19 @@ class PlateModel:
         return Np, np.einsum("ab,qbj->qaj", self.constitutive(), Bp)
 
     def pressure_element(self, e, p: float, quadrature=None) -> np.ndarray:
-        """Consistent load of a uniform transverse pressure on one element."""
-        if quadrature is None:
-            _, w, N, _, _, _ = bulk_points(self.mesh, e, nders=1)
-        else:
-            param, pw = quadrature
-            _, w, N, _, _, _ = _element_data(self.mesh, e, param, pw, 1)
-        fe = np.zeros((N.shape[1], self.ncomp_node))
-        fe[:, 0] = p * (w @ N)
-        return fe.ravel()
+        """Consistent load of a uniform transverse pressure on one element,
+        or one row per element of an element array."""
+        _, w, N, _, _, _ = quadrature_data(self.mesh, e, quadrature)
+        fe = np.zeros(w.shape[:-1] + (N.shape[-1], self.ncomp_node))
+        fe[..., 0] = p * np.matmul(w[..., None, :], N)[..., 0, :]
+        return fe.reshape(w.shape[:-1] + (-1,))
 
     def pressure_load(self, p: float) -> np.ndarray:
         """Consistent load for a uniform transverse pressure on w DOFs."""
         out = np.zeros(self.ndof)
-        for e in range(self.mesh.nelem):
-            out[self.element_dofs(e)] += self.pressure_element(e, p)
+        for el in element_batches(np.arange(self.mesh.nelem),
+                                  self.mesh.nen ** 2 * self.mesh.dim):
+            np.add.at(out, self.element_dofs(el), self.pressure_element(el, p))
         return out
 
     def edge_load(self, axis, side, q: float) -> np.ndarray:

@@ -2,10 +2,13 @@
 bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
-component-minor inside each block. The solve path is a direct symmetric
-factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns, reverse
-Cuthill-McKee reordering plus banded Cholesky above. The band storage
-(u + 1) n never exceeds the n^2 of a dense factor.
+component-minor inside each block. Bulk assembly takes each model's
+element matrices in batches (one kernel call per batch; solids in the
+tensor form of `elasticity.stiffness_solid`) and sums their rows by a
+sparse product instead of sorting triplets. The solve path is a direct
+symmetric factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
+reverse Cuthill-McKee reordering plus banded Cholesky above. The band
+storage (u + 1) n never exceeds the n^2 of a dense factor.
 """
 from __future__ import annotations
 
@@ -16,11 +19,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from . import mesh
 from .coupling import estimate_alpha
 from .errors import ConfigError, DefinitenessError
 
 _DENSE_CUTOFF = 400
-_TRIPLET_BUDGET = 5_000_000
 
 
 @dataclass
@@ -90,34 +93,50 @@ class System:
     # Assembly ----------------------------------------------------------
 
     def bulk_matrix(self) -> sp.csr_matrix:
-        """K~ = sum of each model's own stiffness, no coupling terms."""
+        """K~ = sum of each model's own stiffness, no coupling terms.
+
+        Element matrices come in ``(elements, Ke)`` batches, from the
+        model's own ``stiffness_batches`` where it lists them (VOID and CUT
+        elements of non-conforming models), and are summed into K, on
+        int32 DOF indices, every ``_TRIPLET_BUDGET`` entries.
+        """
         n = self.ndof
+        itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
         K = sp.csr_matrix((n, n))
-        rows, cols, vals, budget = [], [], [], 0
+        dofs, mats, budget = [], [], 0
         for m, off in zip(self.models, self.offsets):
-            for e in range(m.mesh.nelem):
-                Ke = m.element_stiffness(e)
-                if Ke is None:
-                    continue  # void element
-                d = off + m.element_dofs(e)
-                rows.append(np.repeat(d, len(d)))
-                cols.append(np.tile(d, len(d)))
-                vals.append(Ke.ravel())
+            own = getattr(m, "stiffness_batches", None)
+            for elems, Ke in (own() if own else mesh.stiffness_batches(
+                    m, np.arange(m.mesh.nelem))):
+                dofs.append((off + m.element_dofs(elems)).astype(itype))
+                mats.append(Ke)
                 budget += Ke.size
-                if budget > _TRIPLET_BUDGET:
-                    K = K + self._flush(rows, cols, vals, n)
-                    rows, cols, vals, budget = [], [], [], 0
-        if rows:
-            K = K + self._flush(rows, cols, vals, n)
-        return K
+                if budget >= mesh._TRIPLET_BUDGET:
+                    K = self._flush(K, dofs, mats)
+                    dofs, mats, budget = [], [], 0
+        return self._flush(K, dofs, mats)
 
     @staticmethod
-    def _flush(rows, cols, vals, n):
-        return sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
+    def _flush(K, dofs, mats):
+        """``K`` plus element matrices ``mats[b]`` on element DOFs
+        ``dofs[b]``, summed in element order without sorting triplets:
+        as the product S X of the stacked element rows X and the 0/1
+        matrix S sending each element row to its global row."""
+        if not dofs:
+            return K
+        rows = np.concatenate([d.ravel() for d in dofs])
+        cols = [np.broadcast_to(d[:, None, :], Ke.shape).ravel()
+                for d, Ke in zip(dofs, mats)]
+        lens = np.repeat([d.shape[1] for d in dofs], [d.size for d in dofs])
+        X = sp.csr_matrix((np.concatenate([Ke.ravel() for Ke in mats]),
+                           np.concatenate(cols),
+                           np.concatenate(([0], np.cumsum(lens)))),
+                          shape=(rows.size, K.shape[1]))
+        S = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                          shape=(K.shape[0], rows.size))
+        part = S @ X
+        part.sort_indices()
+        return K + part
 
     def _coupling_matrices(self):
         """Each coupling's (K^n, K^st, H) lifted to global numbering."""

@@ -1,0 +1,247 @@
+"""Element-batched kernels and bulk assembly against per-element oracles.
+
+The oracles below loop one element at a time the way the kernels did
+before batching: a tensor Gauss rule per element, shapes from
+``Mesh.shape_ders`` at every tensor point, and ``B^T C B`` products.
+Beam and plate kernels keep the oracle's arithmetic and must match bit
+for bit; the solid kernel sums in tensor form and must match to 1e-13.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdfem import mesh as mesh_mod
+from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
+                              constitutive_solid, integrate_btcb)
+from mdfem.mesh import _element_data, build_mesh, bulk_points
+from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
+from mdfem.quadrature import tensor_rule
+from mdfem.structural import BeamModel, PlateModel
+from mdfem.system import System
+
+INF = float("inf")
+MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
+
+
+def oracle_points(mesh, e, npts=None, nders=1):
+    if npts is None:
+        npts = tuple(d.degree + 1 for d in mesh.dirs)
+    elif np.isscalar(npts):
+        npts = (npts,) * mesh.dim
+    gi = mesh.element_grid_index(e)
+    param, w = tensor_rule(
+        [d.element_interval(i) for d, i in zip(mesh.dirs, gi)], npts)
+    return _element_data(mesh, e, param, w, nders)
+
+
+def oracle_solid(model, e):
+    _, w, _, dNdx, _, _ = oracle_points(model.mesh, e)
+    C = constitutive_solid(model.material, model.mesh.dim)
+    return integrate_btcb(b_matrix_solid(dNdx), C, w)
+
+
+def oracle_beam(model, e):
+    mesh = model.mesh
+    if model.theory == "euler_bernoulli":
+        _, w, _, _, d2, _ = oracle_points(mesh, e, nders=2)
+        return integrate_btcb(d2[:, :, 0, 0][:, None, :],
+                              np.array([[model.EI]]), w)
+    _, w, N, dNdx, _, _ = oracle_points(mesh, e)
+    nq, nen = N.shape
+    Bab = np.zeros((nq, 2, 3 * nen))
+    Bab[:, 0, 0::3] = dNdx[:, :, 0]
+    Bab[:, 1, 2::3] = dNdx[:, :, 0]
+    K = integrate_btcb(Bab, np.diag([model.EA, model.EI]), w)
+    if mesh.dirs[0].degree == 1:
+        _, w, N, dNdx, _, _ = oracle_points(mesh, e, npts=1)
+    Bs = np.zeros((len(w), 1, 3 * nen))
+    Bs[:, 0, 1::3] = dNdx[:, :, 0]
+    Bs[:, 0, 2::3] = -N
+    K += integrate_btcb(Bs, np.array([[model.kGA]]), w)
+    R = model._node_rotation(nen)
+    return K if R is None else R.T @ K @ R
+
+
+def oracle_plate(model, e):
+    if model.theory == "kirchhoff":
+        _, w, _, _, d2, _ = oracle_points(model.mesh, e, nders=2)
+        B = np.zeros((len(w), 3, d2.shape[1]))
+        B[:, 0, :] = d2[:, :, 0, 0]
+        B[:, 1, :] = d2[:, :, 1, 1]
+        B[:, 2, :] = 2.0 * d2[:, :, 0, 1]
+        return integrate_btcb(B, model.D_b, w)
+    _, w, N, dNdx, _, _ = oracle_points(model.mesh, e)
+    nq, nen = N.shape
+    d1, d2 = dNdx[:, :, 0], dNdx[:, :, 1]
+    Bb = np.zeros((nq, 3, 3 * nen))
+    Bb[:, 0, 1::3] = d1
+    Bb[:, 1, 2::3] = d2
+    Bb[:, 2, 1::3] = d2
+    Bb[:, 2, 2::3] = d1
+    Bs = np.zeros((nq, 2, 3 * nen))
+    Bs[:, 0, 0::3] = d1
+    Bs[:, 0, 1::3] = -N
+    Bs[:, 1, 0::3] = d2
+    Bs[:, 1, 2::3] = -N
+    return integrate_btcb(Bb, model.D_b, w) + integrate_btcb(Bs, model.D_s, w)
+
+
+def curve(mesh, seed):
+    """Smooth perturbation x + a sin(W x + phi) of the control net, small
+    enough to keep every element jacobian positive."""
+    rng = np.random.default_rng(seed)
+    dim = mesh.nodes.shape[1]
+    a = rng.uniform(-0.1, 0.1, dim)
+    W = rng.uniform(-1.5, 1.5, (dim, dim))
+    phi = rng.uniform(0.0, 2.0 * np.pi, dim)
+    mesh.nodes = mesh.nodes + a * np.sin(mesh.nodes @ W.T + phi)
+    return mesh
+
+
+@st.composite
+def solid_models(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    basis = draw(st.sampled_from(["lagrange", "spline", "nurbs"]))
+    nelems = tuple(draw(st.integers(1, 3)) for _ in range(dim))
+    top = 3 if dim == 2 else 2
+    degrees = (1,) * dim if basis == "lagrange" else tuple(
+        draw(st.integers(1, top)) for _ in range(dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = None
+    if basis == "nurbs":
+        weights = [rng.uniform(0.6, 1.4, n + p)
+                   for n, p in zip(nelems, degrees)]
+    mesh = build_mesh(f"solid{dim}d", "lagrange" if basis == "lagrange"
+                      else "spline", degrees, nelems, [(0.0, 1.0)] * dim,
+                      weights=weights)
+    if draw(st.booleans()):
+        curve(mesh, seed)
+    nu = draw(st.floats(0.0, 0.45))
+    return SolidModel(mesh, Material(E=draw(st.floats(1.0, 1e6)), nu=nu))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=solid_models())
+def test_solid_kernel_matches_btcb_oracle(model):
+    K = model.element_stiffness(np.arange(model.mesh.nelem))
+    assert K.shape == (model.mesh.nelem,) + (model.mesh.nen * model.ncomp,) * 2
+    for e in range(model.mesh.nelem):
+        ref = oracle_solid(model, e)
+        assert np.abs(K[e] - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(model.element_stiffness(e), K[e])
+
+
+@st.composite
+def structural_models(draw):
+    kind = draw(st.sampled_from(
+        ["timoshenko", "euler_bernoulli", "mindlin", "kirchhoff"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind in ("timoshenko", "euler_bernoulli"):
+        linear = kind == "timoshenko" and draw(st.booleans())
+        degree = 1 if linear else draw(st.integers(2, 3))
+        phi = draw(st.sampled_from([0.0, 0.3, -1.1]))
+        mesh = build_mesh("beam", "lagrange" if linear else "spline",
+                          degree, draw(st.integers(1, 6)), ((0.0, 2.0),),
+                          phi=phi)
+        if draw(st.booleans()):
+            curve(mesh, seed)
+        return BeamModel(mesh, MAT, kind)
+    degree = draw(st.integers(2 if kind == "kirchhoff" else 1, 3))
+    mesh = build_mesh("plate", "spline", degree,
+                      tuple(draw(st.integers(1, 4)) for _ in range(2)),
+                      ((0.0, 1.0), (0.0, 1.5)))
+    if draw(st.booleans()):
+        curve(mesh, seed)
+    return PlateModel(mesh, MAT, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=structural_models())
+def test_structural_kernels_equal_per_element_oracle(model):
+    oracle = oracle_beam if isinstance(model, BeamModel) else oracle_plate
+    K = model.element_stiffness(np.arange(model.mesh.nelem))
+    for e in range(model.mesh.nelem):
+        np.testing.assert_array_equal(K[e], oracle(model, e))
+        np.testing.assert_array_equal(model.element_stiffness(e), K[e])
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from(["solid2d", "solid3d", "beam", "plate"]),
+       degree=st.integers(1, 3), nders=st.integers(1, 2),
+       one_point=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_bulk_points_batch_equals_per_element_rule(model, degree, nders,
+                                                   one_point, seed):
+    dim = {"beam": 1, "plate": 2, "solid2d": 2, "solid3d": 3}[model]
+    m = curve(build_mesh(model, "spline", degree, 2, [(0.0, 1.0)] * dim),
+              seed)
+    npts = 1 if one_point else None
+    elems = np.arange(m.nelem)[::-1]
+    batch = bulk_points(m, elems, npts=npts, nders=nders)
+    for row, e in enumerate(elems):
+        for a, b, c in zip(batch, oracle_points(m, e, npts, nders),
+                           bulk_points(m, int(e), npts, nders)):
+            if b is None:
+                assert a is None and c is None
+                continue
+            np.testing.assert_array_equal(a[row], b)
+            np.testing.assert_array_equal(c, b)
+
+
+def dense_bulk(system):
+    """Per-element scatter of every live element matrix into a dense K."""
+    K = np.zeros((system.ndof, system.ndof))
+    for m, off in zip(system.models, system.offsets):
+        for e in range(m.mesh.nelem):
+            Ke = m.element_stiffness(e)
+            if Ke is not None:
+                d = off + m.element_dofs(e)
+                K[np.ix_(d, d)] += Ke
+    return K
+
+
+def nonconforming_system():
+    solid = SolidModel(build_mesh("solid2d", "spline", 2, (4, 2),
+                                  ((0.0, 4.0), (-1.0, 1.0))), MAT)
+    beam = BeamModel(build_mesh("beam", "spline", 3, 8, ((0.0, 24.0),),
+                                origin=(24.0, 0.0)), MAT)
+    sliver = NonconformingModel(beam, OverlapRegion(((-INF, 5.97),)))
+    plate = PlateModel(build_mesh("plate", "spline", (3, 2), (6, 5),
+                                  ((0.0, 6.0), (0.0, 5.0))), MAT, "kirchhoff")
+    cut = NonconformingModel(plate, OverlapRegion(((1.5, 3.7), (-INF, 2.4))))
+    assert sliver._demoted and (sliver.labels == VOID).any()
+    assert (cut.labels == CUT).any() and (cut.labels == VOID).any()
+    return System([solid, sliver, cut])
+
+
+def test_bulk_matrix_matches_dense_scatter():
+    system = nonconforming_system()
+    K = system.bulk_matrix()
+    assert K.indices.dtype == np.int32 and K.has_canonical_format
+    ref = dense_bulk(system)
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
+def test_bulk_matrix_flushes_within_budget(monkeypatch):
+    system = nonconforming_system()
+    ref = system.bulk_matrix().toarray()
+    flushes = []
+    flush = System._flush
+
+    def counted(K, dofs, mats):
+        flushes.append(sum(Ke.size for Ke in mats))
+        return flush(K, dofs, mats)
+
+    # Room for one solid or two structural element matrices: batches
+    # shrink to one or two elements and flush every few batches.
+    budget = 400
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", budget)
+    monkeypatch.setattr(System, "_flush", staticmethod(counted))
+    K = system.bulk_matrix()
+    assert len(flushes) > 5
+    # A flush holds at most one batch beyond the budget.
+    assert max(flushes) < 2 * budget
+    assert K.has_canonical_format
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())

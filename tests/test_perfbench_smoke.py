@@ -1,10 +1,12 @@
-"""One pass of the plate3d and embedded benchmark workloads.
+"""One pass of each benchmark workload: plate3d, embedded and plane2d.
 
 The passes run through ``perfbench/workloads.run_pass`` against the
 committed ``perfbench/references.json``: every solve must stay inside its
 reference band and within the benchmark's relative drift gate. A changed
 ``recover`` signature or a drift beyond round-off fails here before it
-fails a benchmark run. The test only reads ``perfbench/``.
+fails a benchmark run. plane2d runs ``mdfem.cli.main`` (batched Q4 and
+spline assembly, CSV and VTK writers) with its configs and outputs in
+``tmp_path``. The test only reads ``perfbench/``.
 """
 import json
 import pathlib
@@ -25,7 +27,7 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("name", ["plate3d", "embedded"])
+@pytest.mark.parametrize("name", ["plate3d", "embedded", "plane2d"])
 def test_pass_meets_references(workloads, name, tmp_path):
     refs = json.loads((PERFBENCH / "references.json").read_text("utf-8"))
     inputs = workloads.make_inputs(name, 1, tmp_path)

@@ -262,9 +262,9 @@ class TestBeamSectionEnergy:
             epsv = B[0] @ ae
             section += wgt * mat.width * (epsv @ Cb @ epsv)
 
-        from mdfem.structural import _line_ders
-        N, dN, d2N, _ = _line_ders(model.mesh, e, parent,
-                                   2 if theory == "euler_bernoulli" else 1)
+        from mdfem.mesh import parent_data
+        N, dN, d2N, _ = parent_data(model.mesh, e, parent,
+                                    2 if theory == "euler_bernoulli" else 1)
         if theory == "euler_bernoulli":
             wxx = d2N[0, :, 0, 0] @ ae
             beam = model.EI * wxx**2
