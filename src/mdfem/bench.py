@@ -12,7 +12,7 @@ cases compare the mixed model against a full continuum solve built here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,26 +71,17 @@ def timoshenko_exact(x, y, consts=None):
 def sample_points(model, a_model, points):
     """Displacement and stress of a model at local-coordinate points.
 
-    Points are grouped by the element containing them and each element
-    is recovered once. Beams and plates are read on their mid-line or
+    All points are located in one call and recovered in one call, each
+    in its own element. Beams and plates are read on their mid-line or
     mid-surface. Returns ``(u, s)`` with one row per point.
     """
     mesh = model.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    elems = np.array([mesh.element_containing(x) for x in pts])
-    u = s = None
-    for e in np.unique(elems):
-        idx = np.nonzero(elems == e)[0]
-        parent = mesh.local_to_parent(e, pts[idx])
-        if mesh.model in ("beam", "plate"):
-            ue, se = model.recover(e, parent, np.zeros(idx.size), a_model)
-        else:
-            ue, se = model.recover(e, parent, a_model)
-        if u is None:
-            u = np.empty((len(pts),) + ue.shape[1:])
-            s = np.empty((len(pts),) + se.shape[1:])
-        u[idx], s[idx] = ue, se
-    return u, s
+    elems = mesh.element_containing(pts)
+    parent = mesh.local_to_parent(elems, pts)
+    if mesh.model in ("beam", "plate"):
+        return model.recover(elems, parent, np.zeros(len(pts)), a_model)
+    return model.recover(elems, parent, a_model)
 
 
 def _rel_l2(err, ref, xs):
@@ -212,19 +203,16 @@ def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample=97):
     }
 
 
-def run_cantilever(basis, degree, solid_nelems, beam_nelems, *, nu=None,
-                   alpha="auto", solid_span=(0.0, 24.0),
-                   beam_span=(24.0, 48.0), covered_to=None, ncut=10,
-                   threshold=0.01, consts=None, nsample=97,
-                   return_state=False):
-    """Assemble, solve and measure one cantilever split at l_c.
+def cantilever_system(basis, degree, solid_nelems, beam_nelems, *, nu=None,
+                      solid_span=(0.0, 24.0), beam_span=(24.0, 48.0),
+                      covered_to=None, ncut=10, threshold=0.01, consts=None):
+    """Set up one cantilever split at l_c, coupled, clamped and loaded but
+    not solved. Returns ``{"system", "solid", "struct", "consts"}``.
 
     ``covered_to`` switches the beam to a non-conforming overlap: the
     part of the beam axis left of that global coordinate is treated as
     covered by the solid. ``consts`` replaces the canonical material
-    and load data; ``nu`` overrides just the Poisson ratio. With
-    ``return_state`` the assembled objects come back alongside the
-    metrics for artifact writers.
+    and load data; ``nu`` overrides just the Poisson ratio.
     """
     consts = dict(CANTILEVER if consts is None else consts)
     if nu is not None:
@@ -243,13 +231,24 @@ def run_cantilever(basis, degree, solid_nelems, beam_nelems, *, nu=None,
     sysm.fix(0, dofs, vals)
     sysm.load(1, beam.point_load(beam.mesh.box[0, 1],
                                  (0.0, -consts["P"], 0.0)))
-    sol = sysm.solve(alpha=alpha)
-    metrics = _cantilever_metrics(sysm, sol, solid, struct, consts, nsample)
-    if return_state:
-        state = {"system": sysm, "solution": sol, "solid": solid,
-                 "struct": struct, "consts": consts}
-        return metrics, state
-    return metrics
+    return {"system": sysm, "solid": solid, "struct": struct,
+            "consts": consts}
+
+
+def run_cantilever(basis, degree, solid_nelems, beam_nelems, *,
+                   alpha="auto", nsample=97, return_state=False, **setup):
+    """Set up (`cantilever_system`, which takes ``setup``), solve and
+    measure one cantilever split at l_c. With ``return_state`` the
+    assembled objects and the solution come back alongside the metrics
+    for artifact writers.
+    """
+    state = cantilever_system(basis, degree, solid_nelems, beam_nelems,
+                              **setup)
+    sysm = state["system"]
+    sol = state["solution"] = sysm.solve(alpha=alpha)
+    metrics = _cantilever_metrics(sysm, sol, state["solid"], state["struct"],
+                                  state["consts"], nsample)
+    return (metrics, state) if return_state else metrics
 
 
 def _case_timo_q4_conforming(alpha=4.7128e7):
@@ -574,13 +573,17 @@ class BenchCase:
     alpha_policy: str
     runner: Callable[..., dict]
     expected: dict
+    # Runner parameter -> (earlier case, metric) it can take from that
+    # case's result instead of recomputing it.
+    inputs: dict = field(default_factory=dict)
 
 
 CASES: dict[str, BenchCase] = {}
 
 
-def _register(name, summary, alpha_policy, runner, expected):
-    CASES[name] = BenchCase(name, summary, alpha_policy, runner, expected)
+def _register(name, summary, alpha_policy, runner, expected, inputs=None):
+    CASES[name] = BenchCase(name, summary, alpha_policy, runner, expected,
+                            inputs or {})
 
 
 _register(
@@ -647,6 +650,7 @@ _register(
     "fixed 5e3",
     lambda **kw: _case_plate3d_conforming(theory="mindlin", **kw),
     {"tip_vs_reference_rel": (0.0, 0.05)},
+    {"ref_tip": ("plate3d-reference", "tip_uz")},
 )
 _register(
     "plate3d-conforming-kirchhoff",
@@ -654,6 +658,7 @@ _register(
     "fixed 5e3",
     lambda **kw: _case_plate3d_conforming(theory="kirchhoff", **kw),
     {"tip_vs_reference_rel": (0.0, 0.05)},
+    {"ref_tip": ("plate3d-reference", "tip_uz")},
 )
 _register(
     "plate3d-nonconforming",
@@ -661,6 +666,7 @@ _register(
     "fixed 5e3",
     _case_plate3d_nonconforming,
     {"tip_vs_conforming_rel": (0.0, 0.03)},
+    {"conforming_tip": ("plate3d-conforming-mindlin", "tip_uz")},
 )
 _register(
     "square-plate-embedded",
@@ -685,6 +691,14 @@ def run_case(name, **overrides):
     metrics = CASES[name].runner(**overrides)
     metrics["runtime_s"] = time.perf_counter() - t0
     return metrics
+
+
+def shared_inputs(name, done):
+    """Runner arguments case ``name`` takes from ``done`` (case -> metrics
+    of cases already run), per its `BenchCase.inputs`."""
+    inputs = CASES[name].inputs if name in CASES else {}
+    return {param: done[src][key] for param, (src, key) in inputs.items()
+            if src in done}
 
 
 def check_case(name, metrics):

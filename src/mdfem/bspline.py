@@ -108,13 +108,6 @@ class KnotVector:
         """Parameter interval [t_i, t_{i+1}) of a knot span."""
         return float(self.knots[span]), float(self.knots[span + 1])
 
-    def element_of_span(self, span: int) -> int:
-        """Element counter of a non-empty knot span."""
-        loc = np.searchsorted(self._span_starts, span)
-        if loc == self._span_starts.size or self._span_starts[loc] != span:
-            raise DomainError(f"knot span {span} is empty")
-        return int(loc)
-
     def greville(self) -> np.ndarray:
         """Greville abscissae: moving average of ``degree`` consecutive knots."""
         p = self.degree

@@ -426,26 +426,29 @@ def _write_case_artifacts(out_dir, name, cfg, metrics, rows):
 # Subcommands -----------------------------------------------------------
 
 
-def _cantilever_call(cfg, **extra):
-    """Translate an effective cantilever config into a solver call."""
+def _cantilever_call(cfg, runner, **extra):
+    """Translate an effective cantilever config into a call of ``runner``
+    (`bench.run_cantilever` or `bench.cantilever_system`)."""
     c = cfg
     consts = {"E": c["material"]["E"], "nu": c["material"]["nu"],
               "D": c["material"]["depth"], "L": c["beam"]["span"][1],
               "P": c["load"]["P"]}
     covered_to = (c["coupling"]["l_c"]
                   if c["beam"]["span"][0] < c["coupling"]["l_c"] else None)
-    return bench.run_cantilever(
+    return runner(
         c["solid"]["basis"], c["solid"]["degree"],
         tuple(c["solid"]["nelems"]), c["beam"]["nelems"],
         solid_span=tuple(c["solid"]["span"]),
         beam_span=tuple(c["beam"]["span"]), covered_to=covered_to,
         ncut=c["coupling"]["n_cut"], threshold=c["coupling"]["tau"],
-        consts=consts, nsample=c["outputs"]["samples"], **extra)
+        consts=consts, **extra)
 
 
 def _run_cantilever_config(cfg, out_dir, quiet):
     t0 = time.perf_counter()
-    metrics, state = _cantilever_call(cfg, alpha=cfg["coupling"]["alpha"],
+    metrics, state = _cantilever_call(cfg, bench.run_cantilever,
+                                      alpha=cfg["coupling"]["alpha"],
+                                      nsample=cfg["outputs"]["samples"],
                                       return_state=True)
     metrics["runtime_s"] = time.perf_counter() - t0
     rows = bench.check_bands(metrics, cfg["checks"])
@@ -469,8 +472,14 @@ def _run_cantilever_config(cfg, out_dir, quiet):
     return 0 if all(r[4] for r in rows) else 2
 
 
-def _run_bench_case(name, overrides, out_dir, quiet):
-    metrics = bench.run_case(name, **overrides)
+def _run_bench_case(name, overrides, out_dir, quiet, done=None):
+    """Run, check and write one case; ``done`` (case -> metrics) collects
+    the results of earlier cases of the same run and feeds them to this
+    one (`bench.shared_inputs`). The artifacts record ``overrides`` only."""
+    done = {} if done is None else done
+    metrics = bench.run_case(name, **overrides,
+                             **bench.shared_inputs(name, done))
+    done[name] = metrics
     rows = bench.check_case(name, metrics)
     cfg = {"type": "bench", "case": name, "overrides": dict(overrides)}
     report = _write_case_artifacts(out_dir, name, cfg, metrics, rows)
@@ -491,9 +500,9 @@ def _cmd_run(args):
 def _cmd_bench(args):
     names = bench.case_names() if args.case == "all" else [args.case]
     out_dir = _out_path(args)
-    worst = 0
+    worst, done = 0, {}
     for name in names:
-        code = _run_bench_case(name, {}, out_dir / name, args.quiet)
+        code = _run_bench_case(name, {}, out_dir / name, args.quiet, done)
         worst = max(worst, code)
     return worst
 
@@ -503,8 +512,9 @@ def _cmd_alpha(args):
     if cfg["type"] != "cantilever":
         raise ConfigError(
             "type: alpha estimation expects a 'cantilever' config")
-    metrics = _cantilever_call(cfg, alpha="auto")
-    alpha = metrics["alpha"]
+    # Set-up and the spectral estimate only: no solve, no sampling.
+    state = _cantilever_call(cfg, bench.cantilever_system)
+    alpha = (state["system"].resolve_alpha("auto") or [0.0])[0]
     print(f"alpha = {alpha:.6e}")
     print(f"lambda1 = {2.0 * alpha:.6e}")
     return 0

@@ -27,7 +27,8 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import boundary_facets, facet_quadrature, rotation_2d
+from .mesh import (_TRIPLET_BUDGET, boundary_facets, facet_quadrature,
+                   rotation_2d)
 
 
 def normal_matrix(n, reduced=None) -> np.ndarray:
@@ -173,33 +174,29 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     """
     smesh = struct.mesh
     p_struct = max(d.degree for d in smesh.dirs)
+    if npts is None:
+        npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
+                     for k in range(solid.mesh.dim) if k != axis)
     facets = boundary_facets(solid.mesh, axis, side, strip=strip)
+    rules = [facet_quadrature(solid.mesh, f, npts) for f in facets]
+    # Every interface point is located in the structural mesh at once.
+    inplane, offsets = _struct_local(
+        struct, np.concatenate([phys for _, phys, _, _ in rules]))
+    try:
+        belems = smesh.element_containing(inplane)
+    except DomainError as exc:
+        raise PairingError(
+            f"interface point has no partner element: {exc}") from exc
+    cut = np.cumsum([len(w) for _, _, w, _ in rules])[:-1]
     segments = []
-    for f in facets:
-        if npts is None:
-            counts = tuple(
-                solid.mesh.dirs[k].degree + p_struct + 1
-                for k in range(solid.mesh.dim) if k != axis
-            )
-        else:
-            counts = npts
-        parent, phys, w, normals = facet_quadrature(solid.mesh, f, counts)
-        inplane, offsets = _struct_local(struct, phys)
-
-        belems = np.empty(len(w), dtype=int)
-        for i, pt in enumerate(inplane):
-            try:
-                belems[i] = smesh.element_containing(pt)
-            except DomainError as exc:
-                raise PairingError(
-                    f"interface point {phys[i]} has no partner element: {exc}"
-                ) from exc
-
+    for f, (parent, phys, w, normals), f_elems, f_local, f_offsets in zip(
+            facets, rules, np.split(belems, cut), np.split(inplane, cut),
+            np.split(offsets, cut)):
         diam = max(np.linalg.norm(phys.max(axis=0) - phys.min(axis=0)), 1e-30)
-        for be in np.unique(belems):
-            idx = np.nonzero(belems == be)[0]
-            b_parent = smesh.local_to_parent(be, inplane[idx])
-            back = _struct_global(struct, inplane[idx], offsets[idx])
+        for be in np.unique(f_elems):
+            idx = np.nonzero(f_elems == be)[0]
+            b_parent = smesh.local_to_parent(be, f_local[idx])
+            back = _struct_global(struct, f_local[idx], f_offsets[idx])
             err = np.linalg.norm(back - phys[idx], axis=1).max()
             if err > 1e-8 * diam:
                 raise PairingError(
@@ -208,7 +205,7 @@ def build_interface(solid, struct, axis, side, *, strip=None,
                 )
             segments.append(Segment(
                 s_elem=f.elem, s_parent=parent[idx], b_elem=int(be),
-                b_parent=b_parent, offsets=offsets[idx],
+                b_parent=b_parent, offsets=f_offsets[idx],
                 normals=normals[idx], weights=w[idx],
             ))
     return CouplingOperator(solid, struct, segments)
@@ -223,6 +220,12 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
     rigid modes (an unconstrained beam hanging off the interface); those
     are deflated through a small dense eigendecomposition, which is
     legitimate because the interface stress vanishes on them.
+
+    Power iteration on K~^-1 H. After a first step in the full space it
+    runs on the interface DOFs I only (the rows where H is nonzero): an
+    iterate u = Z y with Z = K~^-1[I, I] (pseudo-inverse on the
+    structural block) and y = H_II u, and the Rayleigh quotient
+    u.H_II u / u.y does not depend on the scaling of y.
     """
     H = sp.csr_matrix(H)
     if H.nnz == 0 or np.abs(H.data).max() == 0.0:
@@ -253,17 +256,6 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
                     "stiffness kernel carries interface stress; constrain "
                     "the structural model or supply alpha explicitly"
                 )
-    else:
-        Qn = Qp = wp = None
-
-    def ktilde_solve(y):
-        out = np.empty_like(y)
-        if ns:
-            out[:ns] = lu.solve(y[:ns])
-        if nb:
-            yb = y[ns:]
-            out[ns:] = Qp @ ((Qp.T @ yb) / wp)
-        return out
 
     def ktilde_mul(v):
         out = np.empty_like(v)
@@ -279,18 +271,36 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
         v[ns:] -= Qn @ (Qn.T @ v[ns:])
     v /= np.linalg.norm(v)
 
-    lam_old = None
-    for _ in range(maxiter):
-        y = H @ v
-        lam = float(v @ y) / float(v @ ktilde_mul(v))
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
+    y = H @ v
+    lam_old = float(v @ y) / float(v @ ktilde_mul(v))
+    iface = np.flatnonzero(abs(H) @ np.ones(ns + nb))
+    Is, Ib = iface[iface < ns], iface[iface >= ns] - ns
+    Z = np.zeros((iface.size, iface.size))
+    # Solid columns of Z in solves of at most _TRIPLET_BUDGET entries.
+    step = max(1, _TRIPLET_BUDGET // max(ns, 1))
+    for c in range(0, Is.size, step):
+        cols = Is[c:c + step]
+        E = np.zeros((ns, cols.size))
+        E[cols, np.arange(cols.size)] = 1.0
+        Z[:Is.size, c:c + cols.size] = lu.solve(E)[Is]
+    if Ib.size:
+        Z[Is.size:, Is.size:] = (Qp[Ib] / wp) @ Qp[Ib].T
+    H_II = H[iface][:, iface].toarray()
+    y = y[iface]
+    for _ in range(maxiter - 1):
+        u = Z @ y
+        uy = u @ y  # zero only where u is: Z is semi-definite
+        if uy == 0.0:
+            return 0.0
+        y = H_II @ u
+        lam = float(u @ y / uy)
+        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
             return lam / 2.0
         lam_old = lam
-        x = ktilde_solve(y)
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
+        yy = y @ y
+        if yy == 0.0:
             return 0.0
-        v = x / nrm
+        y /= np.sqrt(yy)
     raise ConvergenceError(
         f"stabilization eigenvalue stagnant after {maxiter} iterations"
     )

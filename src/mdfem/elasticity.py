@@ -190,7 +190,8 @@ class SolidModel:
         return stiffness_solid(self.mesh, e, self.material, quadrature)
 
     def trace(self, e, parent, rows=None):
-        """Displacement and stress interpolation at parent points.
+        """Displacement and stress interpolation at parent points of
+        element ``e``, or of ``e[i]`` at point ``i`` for an element array.
 
         Returns ``(N, S)`` of shapes ``(nq, ncomp, ndof_e)`` and
         ``(nq, nvoigt, ndof_e)`` with ``S = C B``; ``rows`` selects stress
@@ -237,7 +238,15 @@ class SolidModel:
         return out
 
     def recover(self, e, parent, a_model):
-        """Displacement and stress at parent points from model DOF values."""
-        N, S = self.trace(e, parent)
-        ae = a_model[self.element_dofs(e)]
-        return N @ ae, S @ ae
+        """Displacement and stress at parent points from model DOF values,
+        with ``e`` as in `trace`."""
+        return recover_values(self.trace(e, parent),
+                              a_model[self.element_dofs(e)])
+
+
+def recover_values(trace, ae):
+    """``(N a_e, S a_e)`` of a trace ``(N, S)`` and element DOF values
+    ``ae``: one row for all points, or one row per point."""
+    N, S = trace
+    ae = np.broadcast_to(ae, (N.shape[0], N.shape[-1]))[..., None]
+    return (N @ ae)[..., 0], (S @ ae)[..., 0]

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import (KnotVector, _basis_ders, _rationalize, find_span,
-                      make_open_knots)
+from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
 from .errors import ConfigError, ConvergenceError, DomainError, PairingError
 from .quadrature import tensor_rule
 
@@ -84,13 +83,15 @@ class SplineDir:
             out = _rationalize(out, self.kv.weights[self.indices(e)], nders)
         return out
 
+    def intervals(self):
+        """Parameter intervals ``(nelem, 2)`` of all elements."""
+        s = self.kv._span_starts
+        return np.stack([self.kv.knots[s], self.kv.knots[s + 1]], axis=-1)
+
     def element_containing(self, x):
         plo, phi = self.kv.domain
-        pad = 1e-10 * max(abs(plo), abs(phi), 1.0)
-        if x < plo - pad or x > phi + pad:
-            raise DomainError(f"parameter {x} outside direction range")
-        span = find_span(self.kv, min(max(x, plo), phi))
-        return self.kv.element_of_span(span)
+        return _element_of(self, x, 1e-10 * max(abs(plo), abs(phi), 1.0),
+                           "parameter")
 
 
 class LagrangeDir:
@@ -141,11 +142,26 @@ class LagrangeDir:
             out[:, 1, 1] = 1.0 / h
         return out
 
+    def intervals(self):
+        """Intervals ``(nelem, 2)`` of all elements."""
+        return np.stack([self.breaks[:-1], self.breaks[1:]], axis=-1)
+
     def element_containing(self, x):
-        if x < self.breaks[0] - 1e-12 or x > self.breaks[-1] + 1e-12:
-            raise DomainError(f"coordinate {x} outside direction range")
-        e = int(np.searchsorted(self.breaks, x, side="right")) - 1
-        return min(max(e, 0), self.nelem - 1)
+        return _element_of(self, x, 1e-12, "coordinate")
+
+
+def _element_of(d, x, pad, what):
+    """Element of direction ``d`` holding each value of ``x``. Values up
+    to ``pad`` outside the range are clamped onto it, a value on an
+    interior element boundary belongs to the element it opens, and any
+    other value outside raises DomainError."""
+    ends = d.intervals()
+    lo, hi = ends[0, 0], ends[-1, 1]
+    bad = np.atleast_1d((x < lo - pad) | (x > hi + pad))
+    if bad.any():
+        raise DomainError(f"{what} {np.atleast_1d(x)[bad][0]} outside "
+                          "direction range")
+    return np.searchsorted(ends[:, 0], np.clip(x, lo, hi), side="right") - 1
 
 
 @dataclass
@@ -195,8 +211,10 @@ class Mesh:
         return gi if np.ndim(e) else tuple(int(i) for i in gi)
 
     def element_id(self, grid_index):
-        return int(np.ravel_multi_index(tuple(grid_index),
-                                        self.nelem_per_dir, order="F"))
+        """Element of per-direction indices; index arrays give an array."""
+        e = np.ravel_multi_index(tuple(grid_index), self.nelem_per_dir,
+                                 order="F")
+        return e if np.ndim(e) else int(e)
 
     def element_nodes(self, e):
         """Global node indices of an element (first direction fastest), or
@@ -226,9 +244,11 @@ class Mesh:
         return self._ien
 
     def _bounds(self, e):
-        """Per-direction parameter intervals ``(a, b)`` of an element."""
-        return np.array([d.element_interval(i) for d, i
-                         in zip(self.dirs, self.element_grid_index(e))]).T
+        """Per-direction parameter intervals ``(a, b)`` of an element, each
+        ``(dim,)``; an element array gives ``(len(e), dim)`` arrays."""
+        ab = np.stack([d.intervals()[i] for d, i
+                       in zip(self.dirs, self.element_grid_index(e))], axis=-2)
+        return ab[..., 0], ab[..., 1]
 
     def parent_to_param(self, e, parent):
         a, b = self._bounds(e)
@@ -241,6 +261,8 @@ class Mesh:
                 - (a + b)) / (b - a)
 
     def local_to_parent(self, e, local):
+        """Parent coordinates of local-box points in element ``e``, or in
+        ``e[i]`` for point ``i`` of an element array."""
         local = np.atleast_2d(np.asarray(local, dtype=float))
         param = np.column_stack(
             [d.local_to_param(local[:, k]) for k, d in enumerate(self.dirs)]
@@ -248,13 +270,18 @@ class Mesh:
         return self.param_to_parent(e, param)
 
     def element_containing(self, x_local):
-        """Grid element index of a point given in local box coordinates."""
-        x_local = np.atleast_1d(np.asarray(x_local, dtype=float))
-        gi = [
-            d.element_containing(d.local_to_param(x_local[k]))
-            for k, d in enumerate(self.dirs)
-        ]
-        return self.element_id(gi)
+        """Grid element index of a point given in local box coordinates, or
+        one index per row of an ``(npts, dim)`` array.
+
+        Points within a tolerance outside the box are clamped onto it; a
+        point on an interior element boundary belongs to the element on its
+        upper side. Raises DomainError for any point outside.
+        """
+        x = np.asarray(x_local, dtype=float)
+        pts = np.atleast_2d(x)
+        e = self.element_id([d.element_containing(d.local_to_param(pts[:, k]))
+                             for k, d in enumerate(self.dirs)])
+        return e if x.ndim == 2 else int(e[0])
 
     def shape_ders(self, e, param, nders=1):
         """Tensor-product shape values and parameter derivatives.
@@ -262,12 +289,22 @@ class Mesh:
         Returns ``(N, dN, d2N)`` with shapes ``(nq, nen)``,
         ``(nq, nen, dim)`` and ``(nq, nen, dim, dim)`` (``d2N`` is None
         unless requested). Local node ordering: first direction fastest.
+        ``e`` is one element for all points or an array of one element per
+        point; each direction's basis is evaluated once per distinct
+        element interval, on the points that fall in it.
         """
         param = np.atleast_2d(np.asarray(param, dtype=float))
         gi = self.element_grid_index(e)
-        return _tensor_combine(
-            [d.eval(i, param[:, k], nders)
-             for k, (d, i) in enumerate(zip(self.dirs, gi))], nders)
+        uni = []
+        for k, d in enumerate(self.dirs):
+            ids, at = np.unique(np.broadcast_to(gi[k], param.shape[:1]),
+                                return_inverse=True)
+            tab = np.empty((param.shape[0], nders + 1, d.nloc))
+            for j, i in enumerate(ids):
+                pick = at == j
+                tab[pick] = d.eval(i, param[pick, k], nders)
+            uni.append(tab)
+        return _tensor_combine(uni, nders)
 
     def map_to_physical(self, e, parent):
         """Map parent coordinates of an element to storage coordinates."""
@@ -572,12 +609,19 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
 
 
 def parent_data(mesh, e, parent, nders=1):
-    """``(N, dNdx, d2Ndx2, phys)`` at parent points of one element."""
+    """``(N, dNdx, d2Ndx2, phys)`` at parent points of one element, or of
+    element ``e[i]`` at point ``i`` for an element array; one row per
+    point either way."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
+    elems = np.broadcast_to(e, parent.shape[:1])
+    param = mesh.parent_to_param(elems, parent)
+    # Each point is a batch entry of one quadrature point.
+    shapes = [None if s is None else s[:, None]
+              for s in mesh.shape_ders(elems, param, nders)]
     _, _, N, dNdx, d2Ndx2, phys = _element_data(
-        mesh, e, mesh.parent_to_param(e, parent), np.ones(parent.shape[0]),
-        nders)
-    return N, dNdx, d2Ndx2, phys
+        mesh, elems, param[:, None], np.ones((len(elems), 1)), nders, shapes)
+    return tuple(None if a is None else a[:, 0]
+                 for a in (N, dNdx, d2Ndx2, phys))
 
 
 def _element_data(mesh, e, param, wts, nders, shapes=None):

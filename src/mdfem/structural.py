@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import block_diag
 
-from .elasticity import Material, integrate_btcb
+from .elasticity import Material, integrate_btcb, recover_values
 from .errors import ConfigError, DomainError
 from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
                    facet_quadrature, parent_data, quadrature_data)
@@ -161,7 +161,8 @@ class BeamModel:
 
     def trace(self, e, parent, offset):
         """Global displacement and Voigt stress interpolation at section
-        points: ``(N, S)`` with ``sigma = S a = T_inv C^b B^c a``."""
+        points: ``(N, S)`` with ``sigma = S a = T_inv C^b B^c a``. ``e`` is
+        one element for all points or an array of one element per point."""
         Nb, Bb = self.prolong(e, parent, offset)
         N = np.einsum("ij,qjk->qik", self.R_v.T, Nb)
         S = np.einsum("ij,qjk->qik", self.T_inv @ self.constitutive(), Bb)
@@ -188,9 +189,10 @@ class BeamModel:
         return f
 
     def recover(self, e, parent, offset, a_model):
-        N, S = self.trace(e, parent, offset)
-        ae = a_model[self.element_dofs(e)]
-        return N @ ae, S @ ae
+        """Displacement and stress at section points from model DOF values,
+        with ``e`` as in `trace`."""
+        return recover_values(self.trace(e, parent, offset),
+                              a_model[self.element_dofs(e)])
 
 
 class PlateModel:
@@ -320,7 +322,8 @@ class PlateModel:
 
     def trace(self, e, parent, offset):
         """Displacement and reduced Voigt stress interpolation ``(N, S)``
-        at mid-surface parent points with offsets x3."""
+        at mid-surface parent points with offsets x3, in one element or
+        one element per point."""
         Np, Bp = self.prolong(e, parent, offset)
         return Np, np.einsum("ab,qbj->qaj", self.constitutive(), Bp)
 
@@ -355,6 +358,7 @@ class PlateModel:
         return out
 
     def recover(self, e, parent, offset, a_model):
-        N, S = self.trace(e, parent, offset)
-        ae = a_model[self.element_dofs(e)]
-        return N @ ae, S @ ae
+        """Displacement and stress at section points from model DOF values,
+        with ``e`` as in `trace`."""
+        return recover_values(self.trace(e, parent, offset),
+                              a_model[self.element_dofs(e)])

@@ -54,6 +54,7 @@ class System:
         ).astype(int)
         self._constraints: dict[int, float] = {}
         self._f = np.zeros(self.ndof)
+        self._parts = None
 
     @property
     def ndof(self):
@@ -73,6 +74,7 @@ class System:
 
     def add_coupling(self, op):
         self.couplings.append(op)
+        self._parts = None
 
     def fix(self, idx, local_dofs, values=0.0):
         """Constrain model DOFs to prescribed values."""
@@ -171,7 +173,32 @@ class System:
     def _is_solid(self, m):
         return m.mesh.model in ("solid2d", "solid3d")
 
-    def _resolve_alpha(self, alpha, Kbulk, coupling_mats, free, seed):
+    def _assembled(self):
+        """``(Kbulk, coupling matrices)``, built once until `solve` uses
+        them; pins the inactive DOFs of non-conforming models first."""
+        if self._parts is None:
+            self._collect_inactive()
+            self._parts = (self.bulk_matrix(), self._coupling_matrices())
+        return self._parts
+
+    def _free(self):
+        """Constrained DOFs, their values and the mask of free DOFs."""
+        cons = np.fromiter(self._constraints.keys(), dtype=int,
+                           count=len(self._constraints))
+        vals = np.fromiter(self._constraints.values(), dtype=float,
+                           count=len(self._constraints))
+        free = np.ones(self.ndof, dtype=bool)
+        free[cons] = False
+        return cons, vals, free
+
+    def resolve_alpha(self, alpha="auto", seed=0):
+        """One stabilization alpha per coupling, as `solve` uses them.
+
+        ``alpha`` is a number, one number per coupling, or ``"auto"``:
+        the spectral estimate `coupling.estimate_alpha` on the free DOFs,
+        computed from the assembled bulk and coupling matrices without
+        solving the system.
+        """
         if np.isscalar(alpha) and not isinstance(alpha, str):
             return [float(alpha)] * len(self.couplings)
         if isinstance(alpha, (list, tuple)):
@@ -183,6 +210,8 @@ class System:
         if not self.couplings:
             return []
 
+        Kbulk, coupling_mats = self._assembled()
+        free = self._free()[2]
         solid_free, struct_free = [], []
         for idx, m in enumerate(self.models):
             dofs = np.arange(self.offsets[idx], self.offsets[idx + 1])
@@ -202,18 +231,10 @@ class System:
     # Solve ---------------------------------------------------------------
 
     def solve(self, alpha="auto", seed=0) -> Solution:
-        self._collect_inactive()
-        Kbulk = self.bulk_matrix()
-        coupling_mats = self._coupling_matrices()
-
-        cons = np.fromiter(self._constraints.keys(), dtype=int,
-                           count=len(self._constraints))
-        vals = np.fromiter(self._constraints.values(), dtype=float,
-                           count=len(self._constraints))
-        free = np.ones(self.ndof, dtype=bool)
-        free[cons] = False
-
-        alphas = self._resolve_alpha(alpha, Kbulk, coupling_mats, free, seed)
+        alphas = self.resolve_alpha(alpha, seed)
+        Kbulk, coupling_mats = self._assembled()
+        self._parts = None
+        cons, vals, free = self._free()
         if self.couplings and min(alphas, default=1.0) <= 0:
             raise ConfigError(
                 "stabilization alpha must be positive (degenerate interface?)"
