@@ -258,18 +258,6 @@ def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     return out
 
 
-def evaluate_spline(kv: KnotVector, coeffs: np.ndarray, xs, nders: int = 0):
-    """Evaluate a spline expansion (and derivatives) at the given parameters."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros((xs.size, nders + 1) + coeffs.shape[1:])
-    for i, x in enumerate(xs):
-        ders, idx = eval_basis(kv, x, nders)
-        for k in range(nders + 1):
-            out[i, k] = np.tensordot(ders[k], coeffs[idx], axes=(0, 0))
-    return out
-
-
 def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
     """L2 projection of a scalar (or vector-valued) function onto the basis.
 

@@ -151,6 +151,11 @@ def _validate_cantilever(cfg):
         "nelems": list(nelems),
         "span": _span(solid, "solid", "span", d["solid"]["span"]),
     }
+    if basis == "lagrange" and out_solid["degree"] != 1:
+        _fail("solid.degree", "lagrange meshes support degree 1 only")
+    if out_solid["span"][0] != 0.0 or out_solid["span"][1] < 12.0:
+        _fail("solid.span", "must start at x = 0 and reach x = 12, where "
+              "the centerline and bending-stress samples are taken")
 
     beam = _block(cfg, "", "beam",
                   ("basis", "degree", "nelems", "span", "theory"))
@@ -161,8 +166,12 @@ def _validate_cantilever(cfg):
         "nelems": _integer(beam, "beam", "nelems", d["beam"]["nelems"]),
         "span": _span(beam, "beam", "span", d["beam"]["span"]),
         "theory": _choice(beam, "beam", "theory", d["beam"]["theory"],
-                          ("euler_bernoulli", "timoshenko")),
+                          ("timoshenko",)),
     }
+    for key in ("basis", "degree"):
+        if out_beam[key] != out_solid[key]:
+            _fail(f"beam.{key}", f"must equal solid.{key} ({out_solid[key]}); "
+                  f"the beam is built with the solid's {key}")
 
     material = _block(cfg, "", "material", ("E", "nu", "depth"))
     out_material = {

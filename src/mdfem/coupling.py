@@ -5,11 +5,17 @@ facet carries a Gauss rule, and every quadrature point is resolved into
 local coordinates of both the solid element and the partner structural
 element. There each model's ``trace`` gives its displacement and stress
 interpolation ``(N, S)``. Over the stacked element DOFs ``[solid |
-struct]`` of one segment, the jump operator ``J = [N_s, -N_b]`` and the
-summed traction ``T = n . [S_s, S_b]`` give the consistency block
-``K^n = -1/2 int J^T T``, the penalty block ``K^st = int J^T J`` and the
-stress-bound matrix ``H = int T^T T`` used by the eigenvalue
-stabilization estimator.
+struct]`` of one segment (the points of one facet in one partner
+element), the jump operator ``J = [N_s, -N_b]`` and the summed traction
+``T = n . [S_s, S_b]`` give the consistency block ``K^n = -1/2 int J^T
+T``, the penalty block ``K^st = int J^T J`` and the stress-bound matrix
+``H = int T^T T`` used by the eigenvalue stabilization estimator.
+
+Each interface runs as one batch: all facet rules of the face are built
+in one call and split into segments by one stable sort, each side is
+traced once over all points, the segment products run over a segment
+batch axis, and the segment blocks are summed into CSR by one sparse
+product, in local or global numbering.
 """
 from __future__ import annotations
 
@@ -27,19 +33,8 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import (_TRIPLET_BUDGET, boundary_facets, facet_quadrature,
-                   rotation_2d)
-
-
-def normal_matrix(n, reduced=None) -> np.ndarray:
-    """Matrix form of the outward normal: (matrix) @ (Voigt stress) = sigma.n.
-
-    ``reduced`` removes the stress columns a plate model cannot carry:
-    'kirchhoff' keeps (xx, yy, xy), 'mindlin' keeps (xx, yy, xy, yz, xz).
-    """
-    n = np.asarray(n, dtype=float)
-    full = _normal_matrices(n[None, :], reduced)
-    return full[0]
+from .mesh import (_TRIPLET_BUDGET, boundary_facets, element_batches,
+                   facet_rules, rotation_2d, sum_blocks)
 
 
 _REDUCED_COLS = {None: None, "kirchhoff": (0, 1, 3), "mindlin": (0, 1, 3, 4, 5)}
@@ -78,7 +73,11 @@ def _normal_matrices(normals, reduced=None):
 
 @dataclass
 class Segment:
-    """Quadrature points of one solid facet paired with one partner element."""
+    """Quadrature points of one solid facet paired with one partner element.
+
+    `CouplingOperator.points` holds a whole interface in the same record,
+    with one solid and one partner element per point.
+    """
 
     s_elem: int
     s_parent: np.ndarray  # (nq, solid dim)
@@ -90,52 +89,69 @@ class Segment:
 
 
 class CouplingOperator:
-    """One coupling interface: paired quadrature plus matrix assembly."""
+    """One coupling interface: paired quadrature plus matrix assembly.
 
-    def __init__(self, solid, struct, segments):
-        self.solid = solid
-        self.struct = struct
-        self.segments = segments
+    ``points`` holds every quadrature point of the interface, segment by
+    segment: segment ``i`` is points ``starts[i]:starts[i + 1]``.
+    ``segments`` views the same arrays one segment at a time.
+    """
+
+    def __init__(self, solid, struct, points, starts):
+        self.solid, self.struct, self.starts = solid, struct, starts
+        self.points = p = points
+        self.segments = [
+            Segment(int(p.s_elem[a]), p.s_parent[a:b], int(p.b_elem[a]),
+                    p.b_parent[a:b], p.offsets[a:b], p.normals[a:b],
+                    p.weights[a:b])
+            for a, b in zip(starts[:-1], starts[1:])]
 
     @property
     def measure(self):
-        return sum(float(seg.weights.sum()) for seg in self.segments)
+        return float(self.points.weights.sum())
 
-    def matrices(self):
-        """Assemble (K^n, K^st, H) in stacked local DOF numbering.
+    def matrices(self, offsets=None, ndof=None):
+        """Assemble (K^n, K^st, H) as sparse matrices.
 
-        All three are sparse over ``[solid DOFs | struct DOFs]``. K^st is
-        returned without the alpha factor; the full Nitsche contribution
-        is ``K^n + K^n.T + alpha * K^st``.
+        By default over the stacked local DOFs ``[solid | struct]``; with
+        the models' ``offsets = (solid, struct)`` in a global numbering of
+        ``ndof`` DOFs, straight in that numbering. K^st is returned
+        without the alpha factor; the full Nitsche contribution is
+        ``K^n + K^n.T + alpha * K^st``.
+
+        Each side is traced once over all points. The segment products
+        J^T T, J^T J and T^T T run over a batch axis of segments, one
+        batch per point count, and the segment blocks are summed by one
+        `sum_blocks` call per run of ``_TRIPLET_BUDGET`` entries.
         """
-        ns, nb = self.solid.ndof, self.struct.ndof
-        n = ns + nb
-        rows, cols = [], []
-        vals = ([], [], [])
-        reduced = self.struct.solid_stress_rows
-
-        for seg in self.segments:
-            dofs = np.concatenate([self.solid.element_dofs(seg.s_elem),
-                                   ns + self.struct.element_dofs(seg.b_elem)])
-            Ns, Ss = self.solid.trace(seg.s_elem, seg.s_parent, rows=reduced)
-            Nb, Sb = self.struct.trace(seg.b_elem, seg.b_parent, seg.offsets)
-            J = np.concatenate([Ns, -Nb], axis=2)
-            T = np.einsum("qdr,qrj->qdj", _normal_matrices(seg.normals, reduced),
-                          np.concatenate([Ss, Sb], axis=2))
-            w = seg.weights
-            rows.append(np.repeat(dofs, dofs.size))
-            cols.append(np.tile(dofs, dofs.size))
-            vals[0].append((-0.5 * integrate_atb(J, T, w)).ravel())
-            vals[1].append(integrate_atb(J, J, w).ravel())
-            vals[2].append(integrate_atb(T, T, w).ravel())
-
-        if not rows:
-            return tuple(sp.csr_matrix((n, n)) for _ in vals)
-        ij = (np.concatenate(rows), np.concatenate(cols))
-        return tuple(
-            sp.coo_matrix((np.concatenate(v), ij), shape=(n, n)).tocsr()
-            for v in vals
-        )
+        solid, struct, p = self.solid, self.struct, self.points
+        if offsets is None:
+            offsets, ndof = (0, solid.ndof), solid.ndof + struct.ndof
+        reduced = struct.solid_stress_rows
+        Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=reduced)
+        Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
+        J = np.concatenate([Ns, -Nb], axis=2)
+        T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, reduced),
+                      np.concatenate([Ss, Sb], axis=2))
+        first, counts = self.starts[:-1], np.diff(self.starts)
+        dofs = np.concatenate([
+            offsets[0] + solid.element_dofs(p.s_elem[first]),
+            offsets[1] + struct.element_dofs(p.b_elem[first])], axis=1)
+        na = dofs.shape[1]
+        parts = []
+        for run in element_batches(np.arange(counts.size), 3 * na * na):
+            # Segments of one point count are one batch, in segment order.
+            run = run[np.argsort(counts[run], kind="stable")]
+            cuts = np.flatnonzero(np.diff(counts[run], prepend=-1, append=-1))
+            blocks = [np.empty((run.size, na, na)) for _ in range(3)]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                q = first[run[a:b], None] + np.arange(counts[run[a]])
+                Jq, Tq, wq = J[q], T[q], p.weights[q]
+                integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
+                integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
+                integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
+            parts.append(sum_blocks((ndof, ndof), [dofs[run]],
+                                    *([m] for m in blocks)))
+        return tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
 
 
 def _struct_local(struct, phys):
@@ -178,37 +194,36 @@ def build_interface(solid, struct, axis, side, *, strip=None,
         npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
                      for k in range(solid.mesh.dim) if k != axis)
     facets = boundary_facets(solid.mesh, axis, side, strip=strip)
-    rules = [facet_quadrature(solid.mesh, f, npts) for f in facets]
+    parent, phys, w, normals = facet_rules(solid.mesh, facets, npts)
+    nq = w.size // len(facets)
     # Every interface point is located in the structural mesh at once.
-    inplane, offsets = _struct_local(
-        struct, np.concatenate([phys for _, phys, _, _ in rules]))
+    inplane, offsets = _struct_local(struct, phys)
     try:
         belems = smesh.element_containing(inplane)
     except DomainError as exc:
         raise PairingError(
             f"interface point has no partner element: {exc}") from exc
-    cut = np.cumsum([len(w) for _, _, w, _ in rules])[:-1]
-    segments = []
-    for f, (parent, phys, w, normals), f_elems, f_local, f_offsets in zip(
-            facets, rules, np.split(belems, cut), np.split(inplane, cut),
-            np.split(offsets, cut)):
-        diam = max(np.linalg.norm(phys.max(axis=0) - phys.min(axis=0)), 1e-30)
-        for be in np.unique(f_elems):
-            idx = np.nonzero(f_elems == be)[0]
-            b_parent = smesh.local_to_parent(be, f_local[idx])
-            back = _struct_global(struct, f_local[idx], f_offsets[idx])
-            err = np.linalg.norm(back - phys[idx], axis=1).max()
-            if err > 1e-8 * diam:
-                raise PairingError(
-                    f"interface point mismatch {err:.3e} on facet of element "
-                    f"{f.elem}"
-                )
-            segments.append(Segment(
-                s_elem=f.elem, s_parent=parent[idx], b_elem=int(be),
-                b_parent=b_parent, offsets=f_offsets[idx],
-                normals=normals[idx], weights=w[idx],
-            ))
-    return CouplingOperator(solid, struct, segments)
+    err = np.linalg.norm(_struct_global(struct, inplane, offsets) - phys,
+                         axis=1).reshape(len(facets), nq)
+    box = phys.reshape(len(facets), nq, -1)
+    diam = np.maximum(np.linalg.norm(box.max(axis=1) - box.min(axis=1),
+                                     axis=1), 1e-30)
+    bad = np.nonzero((err > 1e-8 * diam[:, None]).any(axis=1))[0]
+    if bad.size:
+        raise PairingError(
+            f"interface point mismatch {err[bad[0]].max():.3e} on facet of "
+            f"element {facets[bad[0]].elem}")
+    # One segment per facet and partner element: a stable sort keeps the
+    # facet order, partners ascending in a facet and the point order.
+    key = np.repeat(np.arange(len(facets)), nq) * smesh.nelem + belems
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
+    points = Segment(
+        s_elem=np.repeat([f.elem for f in facets], nq)[order],
+        s_parent=parent[order], b_elem=belems[order],
+        b_parent=smesh.local_to_parent(belems, inplane)[order],
+        offsets=offsets[order], normals=normals[order], weights=w[order])
+    return CouplingOperator(solid, struct, points, starts)
 
 
 def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
-                   facet_quadrature, parent_data, quadrature_data)
+                   facet_rules, parent_data, quadrature_data)
 
 
 @dataclass
@@ -113,28 +113,24 @@ def disp_matrix(N: np.ndarray, ncomp: int) -> np.ndarray:
     return out
 
 
-def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray,
+                  out=None) -> np.ndarray:
     """Sum over quadrature points of w * A^T B (GEMM-shaped).
 
     ``A`` is ``(..., nq, nr, na)`` and ``B`` is ``(..., nq, nr, nb)``, with
     the same leading batch axes as ``w`` ``(..., nq)``; the result is
-    ``(..., na, nb)``.
+    ``(..., na, nb)``, written to ``out`` if given.
     """
     *lead, nq, nr, na = A.shape
     wB = B * w[..., None, None]
     return np.matmul(A.reshape(*lead, nq * nr, na).swapaxes(-1, -2),
-                     wB.reshape(*lead, nq * nr, B.shape[-1]))
+                     wB.reshape(*lead, nq * nr, B.shape[-1]), out=out)
 
 
 def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of w * B^T C B (GEMM-shaped, batched as
     `integrate_atb`)."""
     return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)
-
-
-def strain_displacement_solid(mesh: Mesh, e: int, parent) -> np.ndarray:
-    """B matrix at parent points of one element (spec-facing wrapper)."""
-    return b_matrix_solid(parent_data(mesh, e, parent)[1])
 
 
 def stiffness_solid(mesh: Mesh, e, material: Material,
@@ -226,7 +222,7 @@ class SolidModel:
             npts = max(d.degree for d in mesh.dirs) + 1
         out = np.zeros(self.ndof)
         for f in boundary_facets(mesh, axis, side, strip=strip):
-            parent, phys, w, _ = facet_quadrature(mesh, f, npts)
+            parent, phys, w, _ = facet_rules(mesh, [f], npts)
             if callable(traction):
                 t = np.asarray(traction(phys), dtype=float)
             else:

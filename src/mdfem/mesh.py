@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
 from .errors import ConfigError, ConvergenceError, DomainError, PairingError
-from .quadrature import tensor_rule
+from .quadrature import gauss_1d, tensor_rule
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
 
@@ -393,30 +394,6 @@ class Mesh:
                 return int(e), xi
         raise PairingError(f"no element contains point {x}")
 
-    # Placement helpers -------------------------------------------------
-
-    def to_global(self, x_storage):
-        """Storage coordinates -> global physical coordinates."""
-        x = np.atleast_2d(np.asarray(x_storage, dtype=float))
-        if self.model == "beam":
-            Rv = rotation_2d(self.phi)
-            pts = np.column_stack([x[:, 0], np.zeros(x.shape[0])])
-            return self.origin[None, :] + pts @ Rv
-        if self.model == "plate":
-            return np.column_stack(
-                [x, np.full(x.shape[0], self.z_mid)]
-            )
-        if self.rotation is not None:
-            return self.origin[None, :] + x @ self.rotation.T
-        return x
-
-    def global_to_local(self, x_global):
-        """Global coordinates -> local box coordinates (solids)."""
-        x = np.atleast_2d(np.asarray(x_global, dtype=float))
-        if self.rotation is not None:
-            return (x - self.origin[None, :]) @ self.rotation
-        return x
-
 
 def rotation_2d(phi: float) -> np.ndarray:
     """Vector rotation matrix R_v: global components -> member-local ones."""
@@ -520,7 +497,7 @@ def _per_dir(value, dim, cast):
 # Bulk quadrature ------------------------------------------------------
 
 # Entries an element batch may hold (element-matrix entries, or shape
-# gradients in loads); System.bulk_matrix also flushes at this count.
+# gradients in loads); bulk and coupling assembly also flush at this count.
 _TRIPLET_BUDGET = 5_000_000
 
 
@@ -529,6 +506,44 @@ def element_batches(elems, entries):
     elements (one at least), ``entries`` being the per-element size."""
     step = max(1, _TRIPLET_BUDGET // entries)
     return [elems[s:s + step] for s in range(0, len(elems), step)]
+
+
+def add_blocks(K, dofs, mats):
+    """``K`` plus element matrices ``mats[b]`` on element DOFs ``dofs[b]``
+    (`sum_blocks` of one value list)."""
+    return K + sum_blocks(K.shape, dofs, mats)[0] if dofs else K
+
+
+def sum_blocks(shape, dofs, *values):
+    """Sparse sums of element blocks, one per value list: the blocks
+    ``values[k][b]`` on element DOFs ``dofs[b]``, summed in element order
+    without sorting triplets, as the product S X of the stacked element
+    rows X and the 0/1 matrix S sending each element row to its global
+    row. All sums are built on one S and one X index set; entries that
+    sum to exactly zero are not stored. Indices are int32 where ``shape``
+    allows."""
+    itype = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    dofs = [d.astype(itype) for d in dofs]
+    rows = _flat(dofs)
+    cols = _flat([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:])
+                  for d in dofs])
+    lens = np.repeat([d.shape[1] for d in dofs], [d.size for d in dofs])
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    S = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
+                      shape=(shape[0], rows.size))
+    out = []
+    for mats in values:
+        X = sp.csr_matrix((_flat(mats), cols, indptr),
+                          shape=(rows.size, shape[1]))
+        out.append(S @ X)
+        out[-1].sort_indices()
+    return out
+
+
+def _flat(arrays):
+    """The arrays raveled end to end; one contiguous array is not copied."""
+    return (arrays[0].ravel() if len(arrays) == 1
+            else np.concatenate([a.ravel() for a in arrays]))
 
 
 def stiffness_batches(model, elems):
@@ -718,26 +733,39 @@ def boundary_facets(mesh: Mesh, axis: int, side: int, strip=None):
     return facets
 
 
-def facet_quadrature(mesh: Mesh, facet: Facet, npts):
-    """Gauss rule on a boundary facet.
+def facet_rules(mesh: Mesh, facets, npts):
+    """Gauss rules on boundary facets of one face, in one batch.
 
     ``npts`` is either one count shared by every in-facet direction or a
     sequence with one count per direction.  Returns ``(parent, phys,
-    weights, normals)``; weights carry the surface measure, normals are
-    unit outward vectors in storage coordinates.
+    weights, normals)`` with the points of each facet in turn; weights
+    carry the surface measure, normals are unit outward vectors in storage
+    coordinates. All points are mapped in one `Mesh.shape_ders` call.
     """
-    free = [k for k in range(mesh.dim) if k != facet.axis]
-    if isinstance(npts, (int, np.integer)):
-        counts = [int(npts)] * len(free)
-    else:
-        counts = [int(n) for n in npts]
-    face_pts, wts = tensor_rule(facet.clips, counts)
-    nq = face_pts.shape[0]
-    parent = np.empty((nq, mesh.dim))
-    parent[:, facet.axis] = float(facet.side)
-    parent[:, free] = face_pts
-    phys = mesh.map_to_physical(facet.elem, parent)
-    J, _ = mesh.jacobian(facet.elem, parent)
+    axis, side = facets[0].axis, facets[0].side
+    free = [k for k in range(mesh.dim) if k != axis]
+    counts = _per_dir(npts, len(free), int)
+    qi = [i.ravel(order="F") for i in np.indices(counts)]
+    nq = int(np.prod(counts))
+    clips = np.array([f.clips for f in facets], dtype=float).reshape(
+        len(facets), len(free), 2)
+    parent = np.full((len(facets), nq, mesh.dim), float(side))
+    wts = np.ones((len(facets), nq))
+    for j, k in enumerate(free):
+        g, w = gauss_1d(counts[j])
+        a, b = clips[:, j, :1], clips[:, j, 1:]
+        parent[..., k] = 0.5 * (a + b) + 0.5 * (b - a) * g[qi[j]]
+        wts = wts * (0.5 * (b - a) * w[qi[j]])
+    parent, wts = parent.reshape(-1, mesh.dim), wts.ravel()
+    elems = np.array([f.elem for f in facets])
+    at = np.repeat(elems, nq)
+    N, dN, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent))
+    # Facet-major: one (nq, nen) @ (nen, dim) product per facet.
+    P, fq = mesh.nodes[mesh.element_nodes(elems)], (len(facets), nq)
+    phys = (N.reshape(fq + (-1,)) @ P).reshape(-1, mesh.dim)
+    a, b = mesh._bounds(elems)
+    J = (np.einsum("fqnj,fni->fqij", dN.reshape(fq + dN.shape[1:]), P)
+         * (0.5 * (b - a))[:, None, None, :]).reshape(-1, mesh.dim, mesh.dim)
     if mesh.dim == 3:
         t1, t2 = J[:, :, free[0]], J[:, :, free[1]]
         nvec = np.cross(t1, t2)
@@ -747,11 +775,11 @@ def facet_quadrature(mesh: Mesh, facet: Facet, npts):
         measure = np.linalg.norm(t, axis=1)
         nvec = np.stack([t[:, 1], -t[:, 0]], axis=-1)
     else:
-        measure = np.ones(nq)
-        nvec = np.ones((nq, 1))
+        measure = np.ones_like(wts)
+        nvec = np.ones((wts.size, 1))
     # Orient outward: the parent-axis gradient points towards growing xi_a.
     Jinv = np.linalg.inv(J)
-    grad = Jinv[:, facet.axis, :] * facet.side
+    grad = Jinv[:, axis, :] * side
     sign = np.where(np.einsum("qi,qi->q", nvec, grad) >= 0, 1.0, -1.0)
     normals = nvec * (sign / np.maximum(np.linalg.norm(nvec, axis=1), 1e-300))[:, None]
     return parent, phys, wts * measure, normals

@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 from .elasticity import Material, integrate_btcb, recover_values
 from .errors import ConfigError, DomainError
 from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
-                   facet_quadrature, parent_data, quadrature_data)
+                   facet_rules, parent_data, quadrature_data)
 
 
 def frame_transforms(phi: float):
@@ -349,7 +349,7 @@ class PlateModel:
         n = self.ncomp_node
         npts = max(d.degree for d in self.mesh.dirs) + 1
         for f in boundary_facets(self.mesh, axis, side):
-            parent, _, w, _ = facet_quadrature(self.mesh, f, npts)
+            parent, _, w, _ = facet_rules(self.mesh, [f], npts)
             param = self.mesh.parent_to_param(f.elem, parent)
             N, _, _ = self.mesh.shape_ders(f.elem, param, nders=0)
             fe = np.zeros((N.shape[1], n))

@@ -5,7 +5,9 @@ DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. Bulk assembly takes each model's
 element matrices in batches (one kernel call per batch; solids in the
 tensor form of `elasticity.stiffness_solid`) and sums their rows by a
-sparse product instead of sorting triplets. The solve path is a direct
+sparse product instead of sorting triplets (`mesh.sum_blocks`); each
+coupling sums its segment blocks the same way, straight into global
+numbering. The solve path is a direct
 symmetric factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
 reverse Cuthill-McKee reordering plus banded Cholesky above. The band
 storage (u + 1) n never exceeds the n^2 of a dense factor.
@@ -99,67 +101,28 @@ class System:
 
         Element matrices come in ``(elements, Ke)`` batches, from the
         model's own ``stiffness_batches`` where it lists them (VOID and CUT
-        elements of non-conforming models), and are summed into K, on
-        int32 DOF indices, every ``_TRIPLET_BUDGET`` entries.
+        elements of non-conforming models), and are summed into K by
+        `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries.
         """
-        n = self.ndof
-        itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        K = sp.csr_matrix((n, n))
+        K = sp.csr_matrix((self.ndof, self.ndof))
         dofs, mats, budget = [], [], 0
         for m, off in zip(self.models, self.offsets):
             own = getattr(m, "stiffness_batches", None)
             for elems, Ke in (own() if own else mesh.stiffness_batches(
                     m, np.arange(m.mesh.nelem))):
-                dofs.append((off + m.element_dofs(elems)).astype(itype))
+                dofs.append(off + m.element_dofs(elems))
                 mats.append(Ke)
                 budget += Ke.size
                 if budget >= mesh._TRIPLET_BUDGET:
-                    K = self._flush(K, dofs, mats)
+                    K = mesh.add_blocks(K, dofs, mats)
                     dofs, mats, budget = [], [], 0
-        return self._flush(K, dofs, mats)
-
-    @staticmethod
-    def _flush(K, dofs, mats):
-        """``K`` plus element matrices ``mats[b]`` on element DOFs
-        ``dofs[b]``, summed in element order without sorting triplets:
-        as the product S X of the stacked element rows X and the 0/1
-        matrix S sending each element row to its global row."""
-        if not dofs:
-            return K
-        rows = np.concatenate([d.ravel() for d in dofs])
-        cols = [np.broadcast_to(d[:, None, :], Ke.shape).ravel()
-                for d, Ke in zip(dofs, mats)]
-        lens = np.repeat([d.shape[1] for d in dofs], [d.size for d in dofs])
-        X = sp.csr_matrix((np.concatenate([Ke.ravel() for Ke in mats]),
-                           np.concatenate(cols),
-                           np.concatenate(([0], np.cumsum(lens)))),
-                          shape=(rows.size, K.shape[1]))
-        S = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                          shape=(K.shape[0], rows.size))
-        part = S @ X
-        part.sort_indices()
-        return K + part
+        return mesh.add_blocks(K, dofs, mats)
 
     def _coupling_matrices(self):
-        """Each coupling's (K^n, K^st, H) lifted to global numbering."""
-        out = []
-        n = self.ndof
-        for op in self.couplings:
-            i_s = self.model_index(op.solid)
-            i_b = self.model_index(op.struct)
-            ns = op.solid.ndof
-            gmap = np.concatenate([
-                self.offsets[i_s] + np.arange(ns),
-                self.offsets[i_b] + np.arange(op.struct.ndof),
-            ])
-            lifted = []
-            for m in op.matrices():
-                c = m.tocoo()
-                lifted.append(sp.coo_matrix(
-                    (c.data, (gmap[c.row], gmap[c.col])), shape=(n, n)
-                ).tocsr())
-            out.append(tuple(lifted))
-        return out
+        """Each coupling's (K^n, K^st, H), assembled in global numbering."""
+        return [op.matrices((self.offsets[self.model_index(op.solid)],
+                             self.offsets[self.model_index(op.struct)]),
+                            self.ndof) for op in self.couplings]
 
     def _collect_inactive(self):
         for idx, m in enumerate(self.models):

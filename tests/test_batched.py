@@ -227,7 +227,7 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
     system = nonconforming_system()
     ref = system.bulk_matrix().toarray()
     flushes = []
-    flush = System._flush
+    flush = mesh_mod.add_blocks
 
     def counted(K, dofs, mats):
         flushes.append(sum(Ke.size for Ke in mats))
@@ -237,7 +237,7 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
     # shrink to one or two elements and flush every few batches.
     budget = 400
     monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", budget)
-    monkeypatch.setattr(System, "_flush", staticmethod(counted))
+    monkeypatch.setattr(mesh_mod, "add_blocks", counted)
     K = system.bulk_matrix()
     assert len(flushes) > 5
     # A flush holds at most one batch beyond the budget.

@@ -13,13 +13,25 @@ from mdfem.bspline import (
     KnotVector,
     _basis_ders,
     eval_basis,
-    evaluate_spline,
     find_span,
     least_squares_project,
     make_open_knots,
 )
 from mdfem.errors import ConfigError, DomainError, RankError
 from mdfem.mesh import SplineDir
+
+
+def evaluate_spline(kv, coeffs, xs, nders=0):
+    """Evaluate a spline expansion (and derivatives) at the given
+    parameters, one `eval_basis` call per point."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros((xs.size, nders + 1) + coeffs.shape[1:])
+    for i, x in enumerate(xs):
+        ders, idx = eval_basis(kv, x, nders)
+        for k in range(nders + 1):
+            out[i, k] = np.tensordot(ders[k], coeffs[idx], axes=(0, 0))
+    return out
 
 
 def naive_bspline(knots, p, i, x):

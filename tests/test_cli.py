@@ -1,9 +1,14 @@
 """Config validation, artifact writers, and the command-line front-end."""
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdfem.cli import (
     dump_config,
@@ -248,3 +253,63 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+def _one_broken(**changes):
+    """An example: a valid bi-cubic config with the given draws changed."""
+    base = dict(basis="spline", degree=3, lo=0.0, hi=24.0,
+                beam_basis="spline", beam_degree=3, theory="timoshenko",
+                nelems=(2, 1, 2))
+    return example(**{**base, **changes})
+
+
+@settings(max_examples=40, deadline=None)
+@_one_broken()
+@_one_broken(basis="lagrange", beam_basis="lagrange")
+@_one_broken(basis="lagrange", beam_basis="lagrange", degree=1,
+             beam_degree=1)
+@_one_broken(lo=0.5)
+@_one_broken(hi=11.5)
+@_one_broken(beam_basis="lagrange")
+@_one_broken(beam_degree=2)
+@_one_broken(theory="euler_bernoulli")
+@given(basis=st.sampled_from(("lagrange", "spline")),
+       degree=st.integers(1, 3),
+       lo=st.sampled_from((0.0, 0.0, 0.5, -1.0)),
+       hi=st.floats(0.5, 30.0),
+       beam_basis=st.sampled_from(("lagrange", "spline")),
+       beam_degree=st.integers(1, 3),
+       theory=st.sampled_from(("timoshenko", "euler_bernoulli")),
+       nelems=st.tuples(st.integers(1, 3), st.integers(1, 2),
+                        st.integers(1, 3)))
+def test_cantilever_config_runs_or_names_the_offending_key(
+        basis, degree, lo, hi, beam_basis, beam_degree, theory, nelems):
+    """A small cantilever config either runs or exits 1 with an error
+    naming one of the keys it breaks. The examples break at most one key
+    each."""
+    cfg = {"type": "cantilever",
+           "solid": {"basis": basis, "degree": degree,
+                     "nelems": list(nelems[:2]), "span": [lo, hi]},
+           "beam": {"basis": beam_basis, "degree": beam_degree,
+                    "nelems": nelems[2], "span": [hi, hi + 24.0],
+                    "theory": theory},
+           "outputs": {"centerline_csv": None, "vtk": None, "report": None,
+                       "samples": 9}}
+    broken = {key for key, bad in (
+        ("solid.degree", basis == "lagrange" and degree != 1),
+        ("solid.span", lo != 0.0 or hi < 12.0),
+        ("beam.basis", beam_basis != basis),
+        ("beam.degree", beam_degree != degree),
+        ("beam.theory", theory != "timoshenko"),
+    ) if bad}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(pathlib.Path(tmp), "config.json", cfg)
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", path, "--out-dir", tmp, "--quiet"])
+    if broken:
+        assert code == 1
+        assert any(key in err.getvalue() for key in broken), err.getvalue()
+    else:
+        assert code == 0, err.getvalue()

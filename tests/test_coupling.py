@@ -6,10 +6,9 @@ import scipy.sparse as sp
 
 from mdfem.bspline import least_squares_project
 from mdfem.coupling import (
-    CouplingOperator,
+    _normal_matrices,
     build_interface,
     estimate_alpha,
-    normal_matrix,
 )
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import (
@@ -19,7 +18,19 @@ from mdfem.errors import (
     RankError,
 )
 from mdfem.mesh import build_mesh
+from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
+from mdfem.system import System
+
+
+def normal_matrix(n, reduced=None) -> np.ndarray:
+    """Matrix form of one outward normal: (matrix) @ (Voigt stress) =
+    sigma.n, the per-point form of `_normal_matrices`.
+
+    ``reduced`` removes the stress columns a plate model cannot carry:
+    'kirchhoff' keeps (xx, yy, xy), 'mindlin' keeps (xx, yy, xy, yz, xz).
+    """
+    return _normal_matrices(np.asarray(n, dtype=float)[None, :], reduced)[0]
 
 
 class TestNormalMatrix:
@@ -294,12 +305,42 @@ def _plate(theory):
     return build_interface(solid, plate, axis=0, side=1)
 
 
-@pytest.mark.parametrize("make", [
-    _rotated_timoshenko,
-    _euler_bernoulli,
-    lambda: _plate("mindlin"),
-    lambda: _plate("kirchhoff"),
-], ids=["timoshenko-rotated", "euler-bernoulli", "mindlin", "kirchhoff"])
+def _split_facets():
+    """Each solid facet spans three plate elements, cut unevenly: the
+    segments of one facet differ in point count."""
+    mat = Material(E=1000.0, nu=0.3, thickness=1.0)
+    solid = SolidModel(build_mesh("solid3d", "spline", 2, (1, 2, 1),
+                                  ((0.0, 2.0), (0.0, 2.0), (0.0, 1.0))), mat)
+    plate = PlateModel(build_mesh("plate", "spline", 2, (2, 5),
+                                  ((2.0, 4.0), (0.0, 2.0)), z_mid=0.5), mat)
+    return build_interface(solid, plate, axis=0, side=1)
+
+
+def _nonconforming_partner():
+    """A solid patch on a Kirchhoff plate with the covered part removed."""
+    mat = Material(E=1000.0, nu=0.3, thickness=2.0)
+    plate = PlateModel(build_mesh("plate", "spline", 3, (4, 4),
+                                  ((0.0, 8.0), (0.0, 8.0)), z_mid=1.0),
+                       mat, "kirchhoff")
+    box = ((3.0, 5.0), (2.5, 5.5))
+    wrap = NonconformingModel(plate, OverlapRegion(box))
+    solid = SolidModel(build_mesh("solid3d", "spline", 2, (1, 2, 1),
+                                  box + ((0.0, 2.0),)), mat)
+    return build_interface(solid, wrap, axis=1, side=-1)
+
+
+_INTERFACES = {
+    "timoshenko-rotated": _rotated_timoshenko,
+    "euler-bernoulli": _euler_bernoulli,
+    "mindlin": lambda: _plate("mindlin"),
+    "kirchhoff": lambda: _plate("kirchhoff"),
+    "split-facets": _split_facets,
+    "nonconforming": _nonconforming_partner,
+}
+
+
+@pytest.mark.parametrize("make", list(_INTERFACES.values()),
+                         ids=list(_INTERFACES))
 def test_jump_traction_form_matches_twelve_blocks(make):
     op = make()
     for got, want in zip(op.matrices(), twelve_block_matrices(op)):
@@ -307,6 +348,54 @@ def test_jump_traction_form_matches_twelve_blocks(make):
         assert scale > 0.0
         np.testing.assert_allclose(got.toarray(), want, rtol=1e-12,
                                    atol=1e-12 * scale)
+
+
+def test_split_facets_pair_with_several_partners():
+    op = _split_facets()
+    by_facet = {}
+    for seg in op.segments:
+        by_facet.setdefault(seg.s_elem, []).append(seg)
+    assert len(by_facet) == 2
+    for segs in by_facet.values():
+        assert [seg.b_elem for seg in segs] == sorted(
+            {seg.b_elem for seg in segs})
+        assert len(segs) == 3
+    assert len({len(seg.weights) for seg in op.segments}) > 1
+
+
+@pytest.mark.parametrize("make", [_rotated_timoshenko, _split_facets,
+                                  _nonconforming_partner],
+                         ids=["timoshenko-rotated", "split-facets",
+                              "nonconforming"])
+def test_one_trace_per_side_per_assembly(make, monkeypatch):
+    op = make()
+    assert len(op.segments) > 1
+    calls = {"solid": 0, "struct": 0}
+    for side, model in (("solid", op.solid), ("struct", op.struct)):
+        def counted(*args, _trace=model.trace, _side=side, **kwargs):
+            calls[_side] += 1
+            return _trace(*args, **kwargs)
+        monkeypatch.setattr(model, "trace", counted)
+    op.matrices()
+    assert calls == {"solid": 1, "struct": 1}
+
+
+@pytest.mark.parametrize("make", [_split_facets, _nonconforming_partner],
+                         ids=["split-facets", "nonconforming"])
+def test_system_assembles_the_lift_of_local_matrices(make):
+    """Structural model first: the solid block sits after it, so the
+    global map of the stacked local DOFs [solid | struct] is not
+    monotone. The global coupling matrices are the lifted local ones."""
+    op = make()
+    sysm = System([op.struct, op.solid], [op])
+    ns, nb = op.solid.ndof, op.struct.ndof
+    gmap = np.concatenate([nb + np.arange(ns), np.arange(nb)])
+    for got, local in zip(sysm._coupling_matrices()[0], op.matrices()):
+        c = local.tocoo()
+        want = sp.coo_matrix((c.data, (gmap[c.row], gmap[c.col])),
+                             shape=got.shape).toarray()
+        assert got.has_canonical_format
+        np.testing.assert_array_equal(got.toarray(), want)
 
 
 class TestEstimateAlpha:

@@ -9,10 +9,14 @@ from mdfem.elasticity import (
     b_matrix_solid,
     constitutive_solid,
     stiffness_solid,
-    strain_displacement_solid,
 )
 from mdfem.errors import ConfigError
-from mdfem.mesh import Mesh, build_mesh, bulk_points
+from mdfem.mesh import Mesh, build_mesh, bulk_points, parent_data
+
+
+def strain_displacement_solid(mesh, e, parent):
+    """B matrix at parent points of one element."""
+    return b_matrix_solid(parent_data(mesh, e, parent)[1])
 
 
 def q4_model(nelems=(1, 1), extents=((0.0, 1.0), (0.0, 1.0)), E=1.0, nu=0.0):

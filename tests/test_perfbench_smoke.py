@@ -6,11 +6,13 @@ reference band and within the benchmark's relative drift gate. A changed
 ``recover`` signature or a drift beyond round-off fails here before it
 fails a benchmark run. plane2d runs ``mdfem.cli.main`` (batched Q4 and
 spline assembly, CSV and VTK writers) with its configs and outputs in
-``tmp_path``. The test only reads ``perfbench/``.
+``tmp_path``. One more embedded pass runs under the benchmark's span
+tracer. The tests only read ``perfbench/``.
 """
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -27,6 +29,16 @@ def workloads():
     return workloads
 
 
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
 @pytest.mark.parametrize("name", ["plate3d", "embedded", "plane2d"])
 def test_pass_meets_references(workloads, name, tmp_path):
     refs = json.loads((PERFBENCH / "references.json").read_text("utf-8"))
@@ -35,3 +47,29 @@ def test_pass_meets_references(workloads, name, tmp_path):
     assert records
     assert [(r["name"], r["reason"]) for r in records] == [
         (r["name"], None) for r in records]
+
+
+def test_traced_embedded_pass(workloads, tracing, tmp_path):
+    """The tracer's spans close consistently around one embedded pass, and
+    its interface counters read `CouplingOperator.segments` and their
+    weights: 36 segments with 784 points over 8 interface assemblies."""
+    refs = json.loads((PERFBENCH / "references.json").read_text("utf-8"))
+    inputs = workloads.make_inputs("embedded", 1, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.begin_pass(0)
+    try:
+        c0 = time.process_time()
+        records = workloads.run_pass("embedded", inputs,
+                                     refs["workloads"]["embedded"], {})
+        cpu = time.process_time() - c0
+    finally:
+        tracer.uninstall()
+    metrics, counts = tracer.end_pass(cpu, {})
+    assert records and all(r["reason"] is None for r in records)
+    assert counts["coupling.segments"] == 36
+    assert counts["coupling.qpoints"] == 784
+    assert metrics["coupling.assemble_calls"] == 8
+    # Each assembly prolongs all its points in one call; the rest are the
+    # recovery calls.
+    assert metrics["structural.recover_calls"] == 1
+    assert metrics["structural.prolong_calls"] == 8 + 1
