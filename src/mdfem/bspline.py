@@ -145,15 +145,16 @@ def find_span(kv: KnotVector, x: float) -> int:
     return span
 
 
-def _basis_ders(knots: np.ndarray, degree: int, xs, span: int,
+def _basis_ders(knots: np.ndarray, degree: int, xs, span,
                 nders: int) -> np.ndarray:
     """Values and derivatives of the non-vanishing basis functions.
 
     Standard knot-insertion triangle evaluation, run for a batch of
-    parameter values on one span at once (the points ride along as a
-    trailing axis). Returns a C-contiguous array of shape
+    parameter values at once (the points ride along as a trailing axis).
+    ``span`` is one knot span for all values or an array of one span per
+    value. Returns a C-contiguous array of shape
     ``(len(xs), nders + 1, degree + 1)`` where ``[i, k]`` holds the k-th
-    derivatives of functions ``span - degree .. span`` at ``xs[i]``.
+    derivatives of functions ``span[i] - degree .. span[i]`` at ``xs[i]``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     m = xs.size
@@ -241,9 +242,10 @@ def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     """Convert polynomial basis derivatives to rational ones (quotient rule).
 
     ``ders`` is a batch ``(npts, nders + 1, nloc)`` as returned by
-    :func:`_basis_ders`; ``w`` holds the weights of the ``nloc`` functions.
+    :func:`_basis_ders`; ``w`` holds the weights of the ``nloc`` functions,
+    shared by all points ``(nloc,)`` or per point ``(npts, nloc)``.
     """
-    num = ders * w  # rows: w_i N_i and derivatives
+    num = ders * w[..., None, :]  # rows: w_i N_i and derivatives
     W = num.sum(axis=2)  # weight function W and derivatives
     if np.any(np.abs(W[:, 0]) < DENOM_GUARD):
         raise DomainError("rational weight function vanished")

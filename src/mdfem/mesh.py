@@ -1,9 +1,10 @@
 """Tensor-product meshes for solids, beams and plates.
 
-A mesh is a tensor product of univariate directions, each either a 2-noded
-Lagrange subdivision or a B-spline/NURBS knot vector. Geometry is carried by
-a full control net (initialised to grid nodes or Greville points), so the
-same machinery serves straight boxes and perturbed patches.
+A mesh is a tensor product of univariate directions, each a B-spline/NURBS
+knot vector; a 2-noded Lagrange subdivision is the degree-1 B-spline on
+open knots, with its nodes at the breaks. Geometry is carried by a full
+control net (initialised to the Greville points), so the same machinery
+serves straight boxes and perturbed patches.
 
 Coordinate stages: parent [-1,1]^d -> parameter (affine per element and
 direction) -> stored coordinates. Solid meshes store global coordinates
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 
 from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
 from .errors import ConfigError, ConvergenceError, DomainError, PairingError
-from .quadrature import gauss_1d, tensor_rule
+from .quadrature import gauss_1d
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
 
@@ -69,17 +70,18 @@ class SplineDir:
         return self.param_to_local(self.kv.greville())
 
     def indices(self, e):
-        span = self.kv.span_index(e)
-        return np.arange(span - self.kv.degree, span + 1)
+        """Basis functions of element e (one row per element of an array)."""
+        return self.kv._span_starts[e][..., None] + np.arange(-self.degree, 1)
 
     def eval(self, e, xs, nders):
-        """Basis derivatives at parameter values, on element e's span.
+        """Basis derivatives at parameter values, on element e's span or,
+        for an element array, on the span of ``e[i]`` at ``xs[i]``.
 
         Uses the polynomial extension of the span, so Newton iterates that
         step slightly outside the element remain well defined.
         """
         out = _basis_ders(self.kv.knots, self.kv.degree, xs,
-                          self.kv.span_index(e), nders)
+                          self.kv._span_starts[e], nders)
         if self.kv.weights is not None:
             out = _rationalize(out, self.kv.weights[self.indices(e)], nders)
         return out
@@ -88,81 +90,6 @@ class SplineDir:
         """Parameter intervals ``(nelem, 2)`` of all elements."""
         s = self.kv._span_starts
         return np.stack([self.kv.knots[s], self.kv.knots[s + 1]], axis=-1)
-
-    def element_containing(self, x):
-        plo, phi = self.kv.domain
-        return _element_of(self, x, 1e-10 * max(abs(plo), abs(phi), 1.0),
-                           "parameter")
-
-
-class LagrangeDir:
-    """One direction subdivided into 2-noded linear elements."""
-
-    degree = 1
-    nloc = 2
-
-    def __init__(self, breaks):
-        self.breaks = np.asarray(breaks, dtype=float)
-        if self.breaks.size < 2 or np.any(np.diff(self.breaks) <= 0):
-            raise ConfigError("breaks must be strictly increasing")
-
-    @property
-    def nelem(self):
-        return self.breaks.size - 1
-
-    @property
-    def n(self):
-        return self.breaks.size
-
-    def element_interval(self, e):
-        return float(self.breaks[e]), float(self.breaks[e + 1])
-
-    local_interval = element_interval
-
-    def param_to_local(self, x):
-        return x
-
-    def local_to_param(self, x):
-        return x
-
-    def node_coords(self):
-        return self.breaks.copy()
-
-    def indices(self, e):
-        return np.array([e, e + 1])
-
-    def eval(self, e, xs, nders):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        a, b = self.element_interval(e)
-        h = b - a
-        out = np.zeros((xs.size, nders + 1, 2))
-        out[:, 0, 0] = (b - xs) / h
-        out[:, 0, 1] = (xs - a) / h
-        if nders >= 1:
-            out[:, 1, 0] = -1.0 / h
-            out[:, 1, 1] = 1.0 / h
-        return out
-
-    def intervals(self):
-        """Intervals ``(nelem, 2)`` of all elements."""
-        return np.stack([self.breaks[:-1], self.breaks[1:]], axis=-1)
-
-    def element_containing(self, x):
-        return _element_of(self, x, 1e-12, "coordinate")
-
-
-def _element_of(d, x, pad, what):
-    """Element of direction ``d`` holding each value of ``x``. Values up
-    to ``pad`` outside the range are clamped onto it, a value on an
-    interior element boundary belongs to the element it opens, and any
-    other value outside raises DomainError."""
-    ends = d.intervals()
-    lo, hi = ends[0, 0], ends[-1, 1]
-    bad = np.atleast_1d((x < lo - pad) | (x > hi + pad))
-    if bad.any():
-        raise DomainError(f"{what} {np.atleast_1d(x)[bad][0]} outside "
-                          "direction range")
-    return np.searchsorted(ends[:, 0], np.clip(x, lo, hi), side="right") - 1
 
 
 @dataclass
@@ -235,7 +162,7 @@ class Mesh:
             table = np.zeros((1, 1), dtype=int)
             stride = 1
             for d in self.dirs:
-                loc = stride * np.array([d.indices(i) for i in range(d.nelem)])
+                loc = stride * d.indices(np.arange(d.nelem))
                 # New direction slowest in the element and the node index.
                 table = (loc[:, None, :, None] + table[None, :, None, :]
                          ).reshape(loc.shape[0] * table.shape[0], -1)
@@ -274,14 +201,26 @@ class Mesh:
         """Grid element index of a point given in local box coordinates, or
         one index per row of an ``(npts, dim)`` array.
 
-        Points within a tolerance outside the box are clamped onto it; a
-        point on an interior element boundary belongs to the element on its
-        upper side. Raises DomainError for any point outside.
+        Points up to 1e-10 of a direction's knot range outside the box are
+        clamped onto it; a point on an interior element boundary belongs to
+        the element on its upper side. Raises DomainError for any point
+        further outside.
         """
         x = np.asarray(x_local, dtype=float)
         pts = np.atleast_2d(x)
-        e = self.element_id([d.element_containing(d.local_to_param(pts[:, k]))
-                             for k, d in enumerate(self.dirs)])
+        gi = []
+        for k, d in enumerate(self.dirs):
+            t = d.local_to_param(pts[:, k])
+            lo, hi = d.kv.domain
+            pad = 1e-10 * max(abs(lo), abs(hi), 1.0)
+            bad = (t < lo - pad) | (t > hi + pad)
+            if bad.any():
+                raise DomainError(
+                    f"local coordinate {pts[bad, k][0]} outside direction "
+                    f"{k} range [{d.lo}, {d.hi}]")
+            gi.append(np.searchsorted(d.intervals()[:, 0], np.clip(t, lo, hi),
+                                      side="right") - 1)
+        e = self.element_id(gi)
         return e if x.ndim == 2 else int(e[0])
 
     def shape_ders(self, e, param, nders=1):
@@ -291,21 +230,12 @@ class Mesh:
         ``(nq, nen, dim)`` and ``(nq, nen, dim, dim)`` (``d2N`` is None
         unless requested). Local node ordering: first direction fastest.
         ``e`` is one element for all points or an array of one element per
-        point; each direction's basis is evaluated once per distinct
-        element interval, on the points that fall in it.
+        point; each direction's basis is evaluated in one call.
         """
         param = np.atleast_2d(np.asarray(param, dtype=float))
-        gi = self.element_grid_index(e)
-        uni = []
-        for k, d in enumerate(self.dirs):
-            ids, at = np.unique(np.broadcast_to(gi[k], param.shape[:1]),
-                                return_inverse=True)
-            tab = np.empty((param.shape[0], nders + 1, d.nloc))
-            for j, i in enumerate(ids):
-                pick = at == j
-                tab[pick] = d.eval(i, param[pick, k], nders)
-            uni.append(tab)
-        return _tensor_combine(uni, nders)
+        return _tensor_combine(
+            [d.eval(i, param[:, k], nders) for k, (d, i)
+             in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
 
     def map_to_physical(self, e, parent):
         """Map parent coordinates of an element to storage coordinates."""
@@ -410,7 +340,10 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     model : str
         'solid2d', 'solid3d', 'beam' or 'plate'.
     basis : str
-        'lagrange' (2-noded lines / Q4) or 'spline'.
+        'lagrange' (2-noded lines / Q4) or 'spline'. A Lagrange direction
+        is built as the degree-1 spline on open knots, whose nodes (the
+        Greville points) are the element breaks; ``mesh.basis`` keeps the
+        name.
     degrees : int or sequence
         Polynomial degree per direction. Lagrange requires degree 1.
     nelems : int or sequence
@@ -422,7 +355,7 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         or, for beams, the global position of the local origin.
     phi : beam mid-line rotation angle.
     z_mid : transverse position of a plate mid-surface.
-    weights : per-direction NURBS weight arrays (optional).
+    weights : per-direction NURBS weight arrays (optional, spline only).
     """
     if model not in MODEL_DIMS:
         raise ConfigError(f"unknown model kind {model!r}")
@@ -434,6 +367,11 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     extents = np.asarray(extents, dtype=float).reshape(dim, 2)
     if np.any(extents[:, 1] <= extents[:, 0]):
         raise ConfigError("extents must have positive length")
+    if basis not in ("lagrange", "spline"):
+        raise ConfigError(f"unknown basis kind {basis!r}")
+    if basis == "lagrange" and weights is not None:
+        raise ConfigError("weights apply to spline meshes only, not to "
+                          "lagrange meshes")
 
     dirs = []
     for k in range(dim):
@@ -442,17 +380,12 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
             raise ConfigError(f"degree must be at least 1, got {p}")
         if ne < 1:
             raise ConfigError("need at least one element per direction")
-        if basis == "lagrange":
-            if p != 1:
-                raise ConfigError("lagrange meshes support degree 1 only")
-            dirs.append(LagrangeDir(np.linspace(*extents[k], ne + 1)))
-        elif basis == "spline":
-            knots = make_open_knots(p, np.linspace(0.0, ne, ne + 1))
-            w = None if weights is None else weights[k]
-            kv = KnotVector(knots, p, w)
-            dirs.append(SplineDir(kv, extents[k, 0], extents[k, 1]))
-        else:
-            raise ConfigError(f"unknown basis kind {basis!r}")
+        if basis == "lagrange" and p != 1:
+            raise ConfigError("lagrange meshes support degree 1 only")
+        knots = make_open_knots(p, np.linspace(0.0, ne, ne + 1))
+        w = None if weights is None else weights[k]
+        kv = KnotVector(knots, p, w)
+        dirs.append(SplineDir(kv, extents[k, 0], extents[k, 1]))
 
     coords_1d = [d.node_coords() for d in dirs]
     grids = np.meshgrid(*coords_1d, indexing="ij")
@@ -587,8 +520,8 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     Returns ``(param, weights, N, dNdx, d2Ndx2, phys)`` where weights
     include the physical volume measure; an element array adds a leading
     element axis to each. ``d2Ndx2`` is None unless ``nders >= 2``. Each
-    direction's basis is evaluated once per element interval, at that
-    interval's Gauss points, and the tables are combined per element.
+    direction's basis is evaluated in one call at the Gauss points of all
+    its element intervals, and the tables are combined per element.
     """
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
@@ -599,16 +532,15 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     qi = np.unravel_index(np.arange(int(np.prod(npts))), npts, order="F")
     param, wts, uni = [], np.ones(1), []
     for k, (d, n) in enumerate(zip(mesh.dirs, npts)):
-        x, w = np.empty((d.nelem, n)), np.empty((d.nelem, n))
-        tab = np.empty((d.nelem, n, nders + 1, d.nloc))
-        for i in np.unique(gi[k]):
-            pts, w[i] = tensor_rule([d.element_interval(i)], [n])
-            x[i] = pts[:, 0]
-            tab[i] = d.eval(i, x[i], nders)
+        g, w = gauss_1d(n)
+        a, b = d.intervals().T[..., None]
+        # Each interval's rule, mapped as `quadrature.tensor_rule` maps it.
+        x = 0.5 * (a + b) + 0.5 * (b - a) * g
+        tab = d.eval(np.repeat(np.arange(d.nelem), n), x.ravel(), nders)
         at = (gi[k][:, None], qi[k][None, :])
         param.append(x[at])
-        wts = wts * w[at]
-        uni.append(tab[at])
+        wts = wts * (0.5 * (b - a) * w)[at]
+        uni.append(tab.reshape(x.shape + tab.shape[1:])[at])
     out = _element_data(mesh, elems, np.stack(param, axis=-1), wts, nders,
                         _tensor_combine(uni, nders))
     return out if np.ndim(e) else tuple(

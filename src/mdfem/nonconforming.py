@@ -119,20 +119,9 @@ def _cut_rules(mesh, labels, region, ncut):
     return rules
 
 
-def deactivate_dofs(mesh, labels, region: OverlapRegion, *,
-                    threshold: float = 0.01, ncut: int = 10) -> np.ndarray:
-    """Basis functions whose surviving support fraction is below threshold.
-
-    The surviving measure is evaluated at the resolution of the cut rule,
-    so a sliver the rule cannot see counts as fully covered. Returns the
-    sorted node (control point) indices to pin.
-    """
-    return _deactivate(mesh, labels, _cut_rules(mesh, labels, region, ncut),
-                       threshold)
-
-
 def _deactivate(mesh, labels, rules, threshold):
-    """`deactivate_dofs` given the cut rules of ``_cut_rules``."""
+    """Sorted nodes whose support fraction surviving the cut rules of
+    ``_cut_rules`` is below ``threshold`` (a sliver no rule sees is lost)."""
     full = np.ones(1)
     for d in mesh.dirs:
         h = [hi - lo for lo, hi in map(d.local_interval, range(d.nelem))]

@@ -345,16 +345,20 @@ class PlateModel:
 
     def edge_load(self, axis, side, q: float) -> np.ndarray:
         """Consistent load for a uniform transverse line load on one edge."""
+        mesh = self.mesh
+        facets = boundary_facets(mesh, axis, side)
+        parent, _, w, _ = facet_rules(mesh, facets,
+                                      max(d.degree for d in mesh.dirs) + 1)
+        elems = np.array([f.elem for f in facets])
+        at = np.repeat(elems, len(w) // len(elems))
+        N, _, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent), nders=0)
+        fq = (len(elems), -1)
+        fe = np.zeros((len(elems), N.shape[1], self.ncomp_node))
+        fe[..., 0] = q * (w.reshape(fq)[:, None, :]
+                          @ N.reshape(fq + N.shape[1:]))[:, 0]
         out = np.zeros(self.ndof)
-        n = self.ncomp_node
-        npts = max(d.degree for d in self.mesh.dirs) + 1
-        for f in boundary_facets(self.mesh, axis, side):
-            parent, _, w, _ = facet_rules(self.mesh, [f], npts)
-            param = self.mesh.parent_to_param(f.elem, parent)
-            N, _, _ = self.mesh.shape_ders(f.elem, param, nders=0)
-            fe = np.zeros((N.shape[1], n))
-            fe[:, 0] = q * (w @ N)
-            out[self.element_dofs(f.elem)] += fe.ravel()
+        # Summed facet by facet, in list order.
+        np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
         return out
 
     def recover(self, e, parent, offset, a_model):

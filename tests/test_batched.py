@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from mdfem import mesh as mesh_mod
 from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
                               constitutive_solid, integrate_btcb)
-from mdfem.mesh import _element_data, build_mesh, bulk_points
+from mdfem.mesh import (_element_data, boundary_facets, build_mesh,
+                        bulk_points, facet_rules)
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.quadrature import tensor_rule
 from mdfem.structural import BeamModel, PlateModel
@@ -245,3 +246,61 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
     assert K.has_canonical_format
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
+
+
+def oracle_facet_load(model, axis, side, npts, load, strip=None):
+    """Per-facet loop: one facet rule, one shape evaluation and one
+    scatter per facet; ``load(w, N, phys)`` gives the ``(nen, ncomp)``
+    facet load from the rule weights, shape values and points."""
+    mesh = model.mesh
+    out = np.zeros(model.ndof)
+    for f in boundary_facets(mesh, axis, side, strip=strip):
+        parent, phys, w, _ = facet_rules(mesh, [f], npts)
+        N, _, _ = mesh.shape_ders(f.elem, mesh.parent_to_param(f.elem, parent),
+                                  nders=0)
+        out[model.element_dofs(f.elem)] += load(w, N, phys).ravel()
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=solid_models(), data=st.data())
+def test_traction_force_equals_per_facet_loop(model, data):
+    mesh = model.mesh
+    axis = data.draw(st.integers(0, mesh.dim - 1))
+    side = data.draw(st.sampled_from([-1, 1]))
+    strip = [None] * (mesh.dim - 1)
+    if data.draw(st.booleans()):
+        strip[0] = (0.2, 0.7)
+
+    def traction(x):
+        return np.sin(x + np.arange(mesh.dim))
+
+    np.testing.assert_array_equal(
+        model.traction_force(axis, side, traction, strip=strip),
+        oracle_facet_load(model, axis, side, max(mesh.degrees) + 1,
+                          lambda w, N, x: np.einsum("q,qn,qc->nc", w, N,
+                                                    traction(x)), strip))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["mindlin", "kirchhoff"]),
+       degree=st.integers(1, 3), nelems=st.tuples(st.integers(1, 4),
+                                                  st.integers(1, 4)),
+       axis=st.integers(0, 1), side=st.sampled_from([-1, 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_edge_load_equals_per_facet_loop(kind, degree, nelems, axis, side,
+                                         seed):
+    degree = max(degree, 2) if kind == "kirchhoff" else degree
+    mesh = curve(build_mesh("plate", "lagrange" if degree == 1 else "spline",
+                            degree, nelems, ((0.0, 1.0), (0.0, 1.5))), seed)
+    model = PlateModel(mesh, MAT, kind)
+    q = -2.5
+
+    def load(w, N, x):
+        fe = np.zeros((N.shape[1], model.ncomp_node))
+        fe[:, 0] = q * (w @ N)
+        return fe
+
+    np.testing.assert_array_equal(
+        model.edge_load(axis, side, q),
+        oracle_facet_load(model, axis, side, degree + 1, load))

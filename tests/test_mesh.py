@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from mdfem.errors import ConfigError, PairingError
 from mdfem.mesh import (
+    SplineDir,
     boundary_facets,
     build_mesh,
     bulk_points,
@@ -258,3 +259,96 @@ def test_beam_placement():
                     origin=[0.0, 0.0], phi=np.pi / 2)
     g = to_global(mv, np.array([[10.0]]))
     assert_allclose(g, [[0.0, 10.0]], atol=1e-12)
+
+
+def hat_functions(breaks, e, x):
+    """Values and first derivatives ``(len(x), 2, 2)`` of the two linear
+    hat functions of element ``e`` on ``breaks`` at local coordinates
+    ``x``: the 2-noded Lagrange element in closed form."""
+    a, b = breaks[e], breaks[e + 1]
+    h = b - a
+    out = np.empty((x.size, 2, 2))
+    out[:, 0, 0] = (b - x) / h
+    out[:, 0, 1] = (x - a) / h
+    out[:, 1, 0] = -1.0 / h
+    out[:, 1, 1] = 1.0 / h
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(ne=st.integers(1, 16), lo=st.floats(-100.0, 100.0),
+       length=st.floats(0.1, 1000.0), data=st.data())
+def test_lagrange_direction_is_the_hat_basis(ne, lo, length, data):
+    hi = lo + length
+    d = build_mesh("beam", "lagrange", 1, ne, [(lo, hi)]).dirs[0]
+    breaks = np.linspace(lo, hi, ne + 1)
+    scale = max(abs(lo), abs(hi))
+    assert_allclose(d.node_coords(), breaks, rtol=0, atol=1e-14 * scale)
+    e = data.draw(st.integers(0, ne - 1))
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                    max_size=8)))
+    h = breaks[e + 1] - breaks[e]
+    x = breaks[e] + u * h
+    got = d.eval(e, d.local_to_param(x), 1)
+    want = hat_functions(breaks, e, x)
+    # Values carry the rounding of x relative to the element size.
+    assert_allclose(got[:, 0], want[:, 0], rtol=0, atol=1e-14 * scale / h)
+    # Parameter derivatives, chained to local ones.
+    (ta, tb), (xa, xb) = d.element_interval(e), d.local_interval(e)
+    assert_allclose(got[:, 1] * (tb - ta) / (xb - xa), want[:, 1],
+                    rtol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.sampled_from(("lagrange", "spline", "nurbs")),
+       degree=st.integers(1, 4), ne=st.integers(1, 8), nders=st.integers(0, 2),
+       npts=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_direction_element_array_equals_per_element_calls(
+        basis, degree, ne, nders, npts, seed):
+    rng = np.random.default_rng(seed)
+    degree = 1 if basis == "lagrange" else degree
+    weights = ([rng.uniform(0.5, 1.5, ne + degree)] if basis == "nurbs"
+               else None)
+    d = build_mesh("beam", "lagrange" if basis == "lagrange" else "spline",
+                   degree, ne, [(-1.0, 2.0)], weights=weights).dirs[0]
+    e = rng.integers(0, ne, npts)
+    a, b = d.intervals()[e].T
+    # Includes values just outside the span (Newton iterates).
+    xs = a + (b - a) * rng.uniform(-0.05, 1.05, npts)
+    batch = d.eval(e, xs, nders)
+    assert batch.shape == (npts, nders + 1, degree + 1)
+    assert np.array_equal(batch, np.stack(
+        [d.eval(int(i), [x], nders)[0] for i, x in zip(e, xs)]))
+    assert np.array_equal(d.indices(e),
+                          np.stack([d.indices(int(i)) for i in e]))
+
+
+@pytest.mark.parametrize("model, basis, degree", [
+    ("solid2d", "lagrange", 1), ("solid3d", "lagrange", 1),
+    ("solid3d", "spline", 2), ("plate", "spline", 3)])
+def test_one_basis_call_per_direction(model, basis, degree, monkeypatch):
+    dim = 3 if model == "solid3d" else 2
+    m = build_mesh(model, basis, degree, (5, 4, 3)[:dim],
+                   [(0.0, 5.0), (-1.0, 1.0), (0.0, 2.0)][:dim])
+    calls = []
+    evaluate = SplineDir.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SplineDir, "eval", counted)
+    rng = np.random.default_rng(4)
+    elems = rng.integers(0, m.nelem, 40)
+    param = m.parent_to_param(elems, rng.uniform(-1.0, 1.0, (40, dim)))
+    m.shape_ders(elems, param, nders=2)
+    assert len(calls) == m.dim
+    calls.clear()
+    bulk_points(m, np.arange(m.nelem), nders=2)
+    assert len(calls) == m.dim
+
+
+def test_weights_rejected_on_lagrange_meshes():
+    with pytest.raises(ConfigError, match="weights"):
+        build_mesh("solid2d", "lagrange", 1, (2, 2), [(0, 1), (0, 1)],
+                   weights=[np.ones(3), np.ones(3)])

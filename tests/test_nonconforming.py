@@ -21,13 +21,20 @@ from mdfem.nonconforming import (
     NonconformingModel,
     OverlapRegion,
     classify,
-    deactivate_dofs,
     integrate_cut,
 )
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 
 INF = float("inf")
+
+
+def deactivate_dofs(mesh, labels, region):
+    """Nodes a `NonconformingModel` with the default threshold (0.01) and
+    cut rule (10 points) pins for ``region``."""
+    return nonconforming._deactivate(
+        mesh, labels, nonconforming._cut_rules(mesh, labels, region, 10),
+        0.01)
 
 
 def beam_mesh(nelems=8, degree=3, basis="spline", length=24.0):

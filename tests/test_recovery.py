@@ -8,6 +8,7 @@ the scalar-element API. `full_space_alpha` is the power iteration on
 K~^-1 H over all free DOFs, one sparse solve per step.
 """
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,9 +148,12 @@ def test_points_outside_raise(kind):
         for bad in (lo - 1e-6 * (hi - lo), hi + 1e-6 * (hi - lo)):
             pts = sample_set(mesh, rng, 4)
             pts[2, k] = bad
-            with pytest.raises(DomainError):
+            # Names the direction, the local coordinate and the box range.
+            msg = re.escape(f"local coordinate {pts[2, k]} outside "
+                            f"direction {k} range [{lo}, {hi}]")
+            with pytest.raises(DomainError, match=msg):
                 bench.sample_points(model, a, pts)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=msg):
                 mesh.element_containing(pts[2])
 
 
