@@ -11,8 +11,10 @@ cases compare the mixed model against a full continuum solve built here.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -648,7 +650,7 @@ _register(
     "plate3d-conforming-mindlin",
     "32x4x5 tri-cubic solid + 16x2 cubic shear-flexible plate",
     "fixed 5e3",
-    lambda **kw: _case_plate3d_conforming(theory="mindlin", **kw),
+    partial(_case_plate3d_conforming, theory="mindlin"),
     {"tip_vs_reference_rel": (0.0, 0.05)},
     {"ref_tip": ("plate3d-reference", "tip_uz")},
 )
@@ -656,7 +658,7 @@ _register(
     "plate3d-conforming-kirchhoff",
     "32x4x5 tri-cubic solid + 16x2 cubic rotation-free plate",
     "fixed 5e3",
-    lambda **kw: _case_plate3d_conforming(theory="kirchhoff", **kw),
+    partial(_case_plate3d_conforming, theory="kirchhoff"),
     {"tip_vs_reference_rel": (0.0, 0.05)},
     {"ref_tip": ("plate3d-reference", "tip_uz")},
 )
@@ -681,14 +683,44 @@ def case_names():
     return list(CASES)
 
 
-def run_case(name, **overrides):
-    """Run one registered case; returns its metrics plus wall time."""
+def _case(name):
     if name not in CASES:
         raise ConfigError(
             f"unknown bench case {name!r}; known: {', '.join(CASES)}"
         )
+    return CASES[name]
+
+
+def check_overrides(name, overrides):
+    """``overrides`` of case ``name``'s runner keywords, each of its
+    default's kind (a float default also takes an int, a None default a
+    number, ``alpha`` also ``"auto"``). Raises ConfigError naming
+    ``overrides.<key>`` and listing the case's parameters."""
+    runner = _case(name).runner
+    # Keywords a `partial` registration fixes are not parameters.
+    params = {p.name: p.default for p in
+              inspect.signature(runner).parameters.values()
+              if p.name not in getattr(runner, "keywords", {})}
+    listed = f"(case {name!r} takes: {', '.join(params) or 'nothing'})"
+    out = {}
+    for key, value in overrides.items():
+        if key not in params:
+            raise ConfigError(f"overrides.{key}: unknown parameter {listed}")
+        kind = float if params[key] is None else type(params[key])
+        value = float(value) if kind is float and type(value) is int else value
+        if type(value) is not kind and (key, value) != ("alpha", "auto"):
+            want = kind.__name__ + (' or "auto"' if key == "alpha" else "")
+            raise ConfigError(
+                f"overrides.{key}: expected {want}, got {value!r} {listed}")
+        out[key] = value
+    return out
+
+
+def run_case(name, **overrides):
+    """Run one registered case; returns its metrics plus wall time."""
+    runner = _case(name).runner
     t0 = time.perf_counter()
-    metrics = CASES[name].runner(**overrides)
+    metrics = runner(**overrides)
     metrics["runtime_s"] = time.perf_counter() - t0
     return metrics
 

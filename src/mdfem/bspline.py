@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, DomainError, RankError
-from .quadrature import tensor_rule
+from .quadrature import tensor_rules
 
 #: Denominators smaller than this are treated as zero (0/0 == 0 convention).
 DENOM_GUARD = 1e-14
@@ -293,27 +293,28 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
             raise ConfigError(
                 f"span mask must have length {kv.nspans}, got {span_mask.shape}"
             )
-    gram = np.zeros((n, n))
-    rhs = None
-    for e in range(kv.nspans):
-        if not span_mask[e]:
-            continue
-        span = kv.span_index(e)
-        xs, ws = tensor_rule([kv.span_interval(span)], [kv.degree + 1])
-        xs = xs[:, 0]
-        vals = np.asarray(target(xs), dtype=float)
-        if rhs is None:
-            rhs = np.zeros((n,) + vals.shape[1:])
-        idx = np.arange(span - kv.degree, span + 1)
-        ders = _basis_ders(kv.knots, kv.degree, xs, span, 0)
-        if kv.weights is not None:
-            ders = _rationalize(ders, kv.weights[idx], 0)
-        for q, w in enumerate(ws):
-            Nq = ders[q, 0]
-            gram[np.ix_(idx, idx)] += w * np.outer(Nq, Nq)
-            rhs[idx] += w * np.multiply.outer(Nq, vals[q])
-    if rhs is None:
+    spans = kv._span_starts[span_mask]
+    if not spans.size:
         raise RankError("projection mask selects no spans")
+    # The (p+1)-point Gauss rule of every masked span, span-major.
+    xs, ws, _ = tensor_rules([kv.knots[spans[:, None] + [0, 1]]],
+                             [np.arange(spans.size)], [kv.degree + 1])
+    xs, ws = xs.ravel(), ws.ravel()
+    at = np.repeat(spans, kv.degree + 1)
+    idx = at[:, None] + np.arange(-kv.degree, 1)
+    N = _basis_ders(kv.knots, kv.degree, xs, at, 0)
+    if kv.weights is not None:
+        N = _rationalize(N, kv.weights[idx], 0)
+    N = N[:, 0]
+    vals = np.asarray(target(xs), dtype=float)
+    comp = (1,) * (vals.ndim - 1)
+    # Point by point in span order, each entry w * (N_a N_b).
+    gram = np.zeros((n, n))
+    np.add.at(gram, (idx[:, :, None], idx[:, None, :]),
+              ws[:, None, None] * (N[:, :, None] * N[:, None, :]))
+    rhs = np.zeros((n,) + vals.shape[1:])
+    np.add.at(rhs, idx, ws.reshape((-1, 1) + comp)
+              * (N.reshape(N.shape + comp) * vals[:, None]))
     try:
         # Cholesky doubles as the rank check: the Gram matrix of a basis
         # restricted to the mask is PD iff every function has support there.

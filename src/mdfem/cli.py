@@ -236,10 +236,8 @@ def _validate_bench(cfg):
     overrides = cfg.get("overrides", {})
     if not isinstance(overrides, dict):
         _fail("overrides", "expected an object")
-    for k, v in overrides.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            _fail(f"overrides.{k}", "expected a number or string")
-    return {"type": "bench", "case": case, "overrides": dict(overrides)}
+    return {"type": "bench", "case": case,
+            "overrides": bench.check_overrides(case, overrides)}
 
 
 def validate_config(cfg):

@@ -135,11 +135,12 @@ def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def stiffness_solid(mesh: Mesh, e, material: Material,
                     quadrature=None) -> np.ndarray:
-    """Element stiffness with the full (p+1)-point Gauss rule, for one
-    element or an element array (an explicit ``quadrature`` belongs to
-    one element). Tensor form of sum_q w B^T C B: P_kl = sum_q w G_k G_l^T
-    (G = dN/dx, one GEMM per direction pair) and K[a i, b j] = sum_kl
-    D[i k, j l] P_kl[a, b], D = B^T C B of unit gradients.
+    """Element stiffness with the full (p+1)-point Gauss rule or an
+    explicit ``quadrature`` (as `mesh.quadrature_data` takes it), for one
+    element or an element array. Tensor form of sum_q w B^T C B:
+    P_kl = sum_q w G_k G_l^T (G = dN/dx, one GEMM per direction pair) and
+    K[a i, b j] = sum_kl D[i k, j l] P_kl[a, b], D = B^T C B of unit
+    gradients.
     """
     _, w, _, G, _, _ = quadrature_data(mesh, e, quadrature)
     *lead, nq, nen, dim = G.shape

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
 from .errors import ConfigError, ConvergenceError, DomainError, PairingError
-from .quadrature import gauss_1d
+from .quadrature import tensor_rules
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
 
@@ -154,7 +154,7 @@ class Mesh:
         element array gives one row per element."""
         nodes = self.element_nodes(e)
         return (nodes[..., None] * ncomp + np.arange(ncomp)).reshape(
-            nodes.shape[:-1] + (-1,))
+            nodes.shape[:-1] + (nodes.shape[-1] * ncomp,))
 
     def ien(self):
         """Node table ``(nelem, nen)``, built once (read-only)."""
@@ -479,11 +479,18 @@ def _flat(arrays):
             else np.concatenate([a.ravel() for a in arrays]))
 
 
-def stiffness_batches(model, elems):
-    """``(elements, Ke)`` of a model over `element_batches` of ``elems``."""
+def stiffness_batches(model, elems, rule=None):
+    """``(elements, Ke)`` of a model over `element_batches` of ``elems``,
+    on the standard rule or on an explicit ``rule = (param, wts)`` with
+    one row per element. A batch holds as many element-matrix entries,
+    or element DOFs times point coordinates where that is larger."""
     ndof_e = model.mesh.nen * model.ncomp_node
-    for el in element_batches(elems, ndof_e ** 2):
-        yield el, model.element_stiffness(el)
+    nq = 0 if rule is None else rule[1].shape[1]
+    for rows in element_batches(np.arange(len(elems)),
+                                ndof_e * max(ndof_e, nq * model.mesh.dim)):
+        yield elems[rows], model.element_stiffness(
+            elems[rows],
+            None if rule is None else tuple(r[rows] for r in rule))
 
 
 def _tensor_combine(uni, nders):
@@ -525,87 +532,79 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     """
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
-    elif np.isscalar(npts):
-        npts = (int(npts),) * mesh.dim
     elems = np.atleast_1d(e)
-    gi = mesh.element_grid_index(elems)
-    qi = np.unravel_index(np.arange(int(np.prod(npts))), npts, order="F")
-    param, wts, uni = [], np.ones(1), []
-    for k, (d, n) in enumerate(zip(mesh.dirs, npts)):
-        g, w = gauss_1d(n)
-        a, b = d.intervals().T[..., None]
-        # Each interval's rule, mapped as `quadrature.tensor_rule` maps it.
-        x = 0.5 * (a + b) + 0.5 * (b - a) * g
-        tab = d.eval(np.repeat(np.arange(d.nelem), n), x.ravel(), nders)
-        at = (gi[k][:, None], qi[k][None, :])
-        param.append(x[at])
-        wts = wts * (0.5 * (b - a) * w)[at]
+    param, wts, rules = tensor_rules([d.intervals() for d in mesh.dirs],
+                                     mesh.element_grid_index(elems),
+                                     _per_dir(npts, mesh.dim, int))
+    uni = []
+    for d, (x, at) in zip(mesh.dirs, rules):
+        tab = d.eval(np.repeat(np.arange(d.nelem), x.shape[1]), x.ravel(),
+                     nders)
         uni.append(tab.reshape(x.shape + tab.shape[1:])[at])
-    out = _element_data(mesh, elems, np.stack(param, axis=-1), wts, nders,
+    out = _element_data(mesh, elems, param, wts, nders,
                         _tensor_combine(uni, nders))
     return out if np.ndim(e) else tuple(
         None if a is None else a[0] for a in out)
 
 
 def quadrature_data(mesh, e, quadrature=None, nders=1):
-    """`bulk_points` data of one element or an element array, or of one
-    element on an explicit parameter-space rule ``(param, weights)``."""
+    """`bulk_points` data of one element or an element array, on the
+    standard rule or on an explicit parameter-space rule ``(param,
+    weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
+    ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
+    explicit rule are evaluated in one `Mesh.shape_ders` call."""
     if quadrature is None:
         return bulk_points(mesh, e, nders=nders)
-    return _element_data(mesh, e, *quadrature, nders)
+    elems = np.atleast_1d(e)
+    param = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
+    wts = np.reshape(quadrature[1], param.shape[:2])
+    shapes = mesh.shape_ders(np.repeat(elems, param.shape[1]),
+                             param.reshape(-1, mesh.dim), nders)
+    out = _element_data(mesh, elems, param, wts, nders,
+                        [None if s is None else s.reshape(param.shape[:2]
+                                                          + s.shape[1:])
+                         for s in shapes])
+    return out if np.ndim(e) else tuple(
+        None if a is None else a[0] for a in out)
 
 
 def parent_data(mesh, e, parent, nders=1):
     """``(N, dNdx, d2Ndx2, phys)`` at parent points of one element, or of
     element ``e[i]`` at point ``i`` for an element array; one row per
-    point either way."""
+    point either way. Each point is an element of a one-point rule."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     elems = np.broadcast_to(e, parent.shape[:1])
-    param = mesh.parent_to_param(elems, parent)
-    # Each point is a batch entry of one quadrature point.
-    shapes = [None if s is None else s[:, None]
-              for s in mesh.shape_ders(elems, param, nders)]
-    _, _, N, dNdx, d2Ndx2, phys = _element_data(
-        mesh, elems, param[:, None], np.ones((len(elems), 1)), nders, shapes)
+    rule = (mesh.parent_to_param(elems, parent)[:, None],
+            np.ones((len(elems), 1)))
     return tuple(None if a is None else a[:, 0]
-                 for a in (N, dNdx, d2Ndx2, phys))
+                 for a in quadrature_data(mesh, elems, rule, nders)[2:])
 
 
-def _element_data(mesh, e, param, wts, nders, shapes=None):
-    """Physical quadrature data at parameter points of one element.
-
-    With an element array, ``param``, ``wts`` and the tabulated
-    ``shapes = (N, dN, d2N)`` carry a leading element axis; a single
-    element evaluates its shapes here and runs as a batch of one.
-    """
-    if np.ndim(e) == 0:
-        shapes = mesh.shape_ders(e, param, nders=nders)
-        out = _element_data(mesh, np.array([e]), param[None], wts[None],
-                            nders, [None if s is None else s[None]
-                                    for s in shapes])
-        return tuple(None if a is None else a[0] for a in out)
+def _element_data(mesh, e, param, wts, nders, shapes):
+    """Physical quadrature data of an element array at parameter points
+    ``param`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
+    ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``."""
     N, dN, d2N = shapes
     P = mesh.nodes[mesh.element_nodes(e)]
+    PT = np.swapaxes(P, -1, -2)[:, None]  # (E, 1, dim_x, nen)
     phys = N @ P
-    J = np.einsum("eqnj,eni->eqij", dN, P)
+    J = PT @ dN
     det = np.linalg.det(J)
     bad = np.any(det <= 0, axis=-1)
     if bad.any():
         raise DomainError(f"non-positive jacobian in element {e[bad][0]}")
     Jinv = np.linalg.inv(J)
-    # dN/dx_i = sum_j dN/dxi_j (J^-1)_ji, direction-major like dN.
-    dNdx = np.zeros((mesh.dim,) + N.shape)
-    for i in range(mesh.dim):
-        for j in range(mesh.dim):
-            dNdx[i] += dN[..., j] * Jinv[..., j, i, None]
-    dNdx = np.moveaxis(dNdx, 0, -1)
+    # dN/dx_i = sum_j dN/dxi_j (J^-1)_ji.
+    dNdx = dN @ Jinv
     d2Ndx2 = None
     if nders >= 2:
         # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
         # the last term vanishing on affine maps only.
-        d2x = np.einsum("eqnkl,enm->eqmkl", d2N, P)
-        d2N = d2N - np.einsum("eqnm,eqmkl->eqnkl", dNdx, d2x)
-        d2Ndx2 = np.einsum("eqnkl,eqki,eqlj->eqnij", d2N, Jinv, Jinv)
+        flat = d2N.shape[:-2] + (-1,)
+        d2x = PT @ d2N.reshape(flat)
+        d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
+        Jinv = Jinv[..., None, :, :]
+        d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
     return param, wts * det, N, dNdx, d2Ndx2, phys
 
 
@@ -676,18 +675,14 @@ def facet_rules(mesh: Mesh, facets, npts):
     """
     axis, side = facets[0].axis, facets[0].side
     free = [k for k in range(mesh.dim) if k != axis]
-    counts = _per_dir(npts, len(free), int)
-    qi = [i.ravel(order="F") for i in np.indices(counts)]
-    nq = int(np.prod(counts))
     clips = np.array([f.clips for f in facets], dtype=float).reshape(
         len(facets), len(free), 2)
+    pts, wts, _ = tensor_rules(np.swapaxes(clips, 0, 1),
+                               [np.arange(len(facets))] * len(free),
+                               _per_dir(npts, len(free), int))
+    nq = wts.shape[1]
     parent = np.full((len(facets), nq, mesh.dim), float(side))
-    wts = np.ones((len(facets), nq))
-    for j, k in enumerate(free):
-        g, w = gauss_1d(counts[j])
-        a, b = clips[:, j, :1], clips[:, j, 1:]
-        parent[..., k] = 0.5 * (a + b) + 0.5 * (b - a) * g[qi[j]]
-        wts = wts * (0.5 * (b - a) * w[qi[j]])
+    parent[..., free] = pts
     parent, wts = parent.reshape(-1, mesh.dim), wts.ravel()
     elems = np.array([f.elem for f in facets])
     at = np.repeat(elems, nq)

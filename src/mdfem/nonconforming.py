@@ -3,10 +3,10 @@
 When a solid mesh overlaps part of a structural model, the covered part of
 the structure must not contribute stiffness. Elements fully covered are
 dropped, elements crossed by the region boundary are integrated with a
-filtered Gauss rule, and basis functions with (almost) no support left are
-pinned to zero. `NonconformingModel` packages all of that behind the same
-interface the plain models expose, so assembly and coupling code does not
-care which kind it is given.
+Gauss rule whose covered points weigh zero, and basis functions with
+(almost) no support left are pinned to zero. `NonconformingModel`
+packages all of that behind the same interface the plain models expose,
+so assembly and coupling code does not care which kind it is given.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     OverDeactivationError,
 )
 from .mesh import element_batches, stiffness_batches
-from .quadrature import tensor_rule
+from .quadrature import tensor_rules
 
 STANDARD, CUT, VOID = 0, 1, 2
 
@@ -73,8 +73,8 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
     every = np.ones(1, dtype=bool)
     some = np.ones(1, dtype=bool)
     for d, (lo, hi) in zip(mesh.dirs, region.bounds):
-        x = np.array([np.linspace(*d.local_interval(i), d.degree + 4)
-                      for i in range(d.nelem)])
+        a, b = d.param_to_local(d.intervals()).T
+        x = np.linspace(a, b, d.degree + 4, axis=-1)
         covered = (lo < x) & (x < hi)
         # New direction slowest, as in the element numbering.
         every = np.logical_and.outer(covered.all(axis=1), every).ravel()
@@ -82,73 +82,69 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
     return np.where(every, VOID, np.where(some, CUT, STANDARD))
 
 
-def _drop_covered(mesh, region, e, quadrature, source):
-    """Keep the points of a parameter-space rule the region leaves free."""
-    param, wts = quadrature
-    locs = np.stack([d.param_to_local(param[:, k])
-                     for k, d in enumerate(mesh.dirs)], axis=-1)
-    keep = ~region.inside(locs)
-    if not keep.any():
-        raise DegenerateCutError(
-            f"no point of the {source} of cut element {e} lies outside "
-            "the region; the surviving sliver is below its resolution")
-    return param[keep], wts[keep]
+def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int = 10):
+    """Fixed-shape cut rules of an element array, in parameter coordinates.
 
-
-def integrate_cut(mesh, e, region: OverlapRegion, ncut: int = 10):
-    """Filtered Gauss rule for a cut element, in parameter coordinates.
-
-    Builds an ncut-point tensor rule and drops every point covered by the
-    region. Weights stay pre-jacobian, so the result plugs directly into
-    any ``element_stiffness(e, quadrature=...)`` kernel.
+    Returns ``(param, wts)`` of shapes ``(E, ncut**dim, dim)`` and
+    ``(E, ncut**dim)``: each element's ncut-point tensor Gauss rule, with
+    weight 0 on every point the region covers. Weights stay
+    pre-jacobian, so a row plugs directly into any
+    ``element_stiffness(e, quadrature=...)`` kernel; an all-zero row is
+    an element whose surviving sliver no point resolves. As in
+    `classify`, covering flags per direction combine by outer product.
     """
-    gi = mesh.element_grid_index(e)
-    rule = tensor_rule([d.element_interval(i) for d, i in zip(mesh.dirs, gi)],
-                       (int(ncut),) * mesh.dim)
-    return _drop_covered(mesh, region, e, rule, f"{ncut}-point cut rule")
+    param, wts, rules = tensor_rules(
+        [d.intervals() for d in mesh.dirs],
+        mesh.element_grid_index(np.asarray(elems, dtype=int)),
+        (int(ncut),) * mesh.dim)
+    covered = True
+    for d, (lo, hi), (x, at) in zip(mesh.dirs, region.bounds, rules):
+        loc = d.param_to_local(x)
+        covered = covered & ((lo < loc) & (loc < hi))[at]
+    return param, np.where(covered, 0.0, wts)
 
 
-def _cut_rules(mesh, labels, region, ncut):
-    """Cut element -> its filtered rule, or None where no point survives."""
-    rules = {}
-    for e in np.nonzero(labels == CUT)[0]:
-        try:
-            rules[int(e)] = integrate_cut(mesh, e, region, ncut=ncut)
-        except DegenerateCutError:
-            rules[int(e)] = None
-    return rules
+def _deactivate(mesh, labels, wts, threshold):
+    """Pinned nodes and starved elements of a cut, ``(inactive, starved)``.
 
-
-def _deactivate(mesh, labels, rules, threshold):
-    """Sorted nodes whose support fraction surviving the cut rules of
-    ``_cut_rules`` is below ``threshold`` (a sliver no rule sees is lost)."""
+    A node is pinned (``inactive``, sorted) when its support fraction
+    surviving the cut rule weights ``wts`` (one `integrate_cut` row per
+    CUT element, in element order) is below ``threshold``. A cut element
+    whose row is all zero is starved: its sliver is below the rule
+    resolution, and it behaves as void, which is safe only when every
+    active node on it keeps support on some other live element.
+    """
     full = np.ones(1)
     for d in mesh.dirs:
-        h = [hi - lo for lo, hi in map(d.local_interval, range(d.nelem))]
-        full = np.multiply.outer(h, full).ravel()
+        a, b = d.param_to_local(d.intervals()).T
+        full = np.multiply.outer(b - a, full).ravel()
     outside = np.where(labels == STANDARD, full, 0.0)
-    for e, rule in rules.items():
-        if rule is None:
-            continue
-        a, b = zip(*(d.element_interval(i) for d, i
-                     in zip(mesh.dirs, mesh.element_grid_index(e))))
-        outside[e] = rule[1].sum() * (full[e] / np.prod(np.subtract(b, a)))
+    cut = np.nonzero(labels == CUT)[0]
+    a, b = mesh._bounds(cut)
+    outside[cut] = wts.sum(axis=1) * (full[cut] / np.prod(b - a, axis=1))
     ien = mesh.ien()
     support = np.zeros(mesh.nnodes)
     alive = np.zeros(mesh.nnodes)
     np.add.at(support, ien, full[:, None])
     np.add.at(alive, ien, outside[:, None])
-    inactive = np.nonzero(alive < threshold * support)[0]
-
-    mask = np.zeros(mesh.nnodes, dtype=bool)
-    mask[inactive] = True
-    cut = np.nonzero(labels == CUT)[0]
-    dead = cut[mask[ien[cut]].all(axis=1)]
+    pinned = alive < threshold * support
+    dead = cut[pinned[ien[cut]].all(axis=1)]
     if dead.size:
         raise OverDeactivationError(
             f"every basis function of cut element {dead[0]} was deactivated; "
             "the region almost certainly covers more than intended")
-    return inactive
+    starved = cut[~wts.any(axis=1)]
+    live = labels != VOID
+    live[starved] = False
+    held = pinned.copy()
+    held[ien[live]] = True
+    orphans = starved[~held[ien[starved]].all(axis=1)]
+    if orphans.size:
+        raise DegenerateCutError(
+            f"cut element {orphans[0]} has no surviving quadrature points "
+            "but still carries active basis functions supported nowhere "
+            "else; increase the cut rule or the deactivation threshold")
+    return np.nonzero(pinned)[0], starved
 
 
 class NonconformingModel:
@@ -163,86 +159,61 @@ class NonconformingModel:
     def __init__(self, model, region: OverlapRegion, *,
                  threshold: float = 0.01, ncut: int = 10):
         self._model = model
-        if region.dim != model.mesh.dim:
-            raise ConfigError(
-                f"region has {region.dim} directions, structural mesh "
-                f"has {model.mesh.dim}")
+        mesh = model.mesh
         self.region = region
         self.ncut = int(ncut)
         self.threshold = float(threshold)
-        self.labels = classify(model.mesh, region)
-        self._rules = _cut_rules(model.mesh, self.labels, region, self.ncut)
-        self.inactive_nodes = _deactivate(
-            model.mesh, self.labels, self._rules, self.threshold)
+        self.labels = classify(mesh, region)
+        cut = np.nonzero(self.labels == CUT)[0]
+        param, wts = integrate_cut(mesh, cut, region, ncut=self.ncut)
+        self.inactive_nodes, starved = _deactivate(mesh, self.labels, wts,
+                                                   self.threshold)
         nc = model.ncomp_node
-        self.inactive_dofs = (
-            self.inactive_nodes[:, None] * nc + np.arange(nc)
-        ).ravel()
-        self._demoted = self._demote_unresolvable_cuts()
+        self.inactive_dofs = (self.inactive_nodes[:, None] * nc
+                              + np.arange(nc)).ravel()
+        self._demoted = frozenset(starved.tolist())
         self._live = self.labels != VOID
-        self._live[list(self._demoted)] = False
+        self._live[starved] = False
+        # The rules of the live cut elements, one row each.
+        keep = wts.any(axis=1)
+        self._cut, self._cut_rule = cut[keep], (param[keep], wts[keep])
 
     def __getattr__(self, name):
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._model, name)
 
-    def _demote_unresolvable_cuts(self):
-        """Cut elements whose surviving sliver is below the rule resolution.
-
-        They behave as void, which is safe only when every still-active
-        basis function on them keeps support on some other live element.
-        """
-        starved = [e for e, rule in self._rules.items() if rule is None]
-        if not starved:
-            return frozenset()
-        mesh = self._model.mesh
-        ien = mesh.ien()
-        live = self.labels != VOID
-        live[starved] = False
-        held = np.zeros(mesh.nnodes, dtype=bool)
-        held[self.inactive_nodes] = True
-        held[ien[live].ravel()] = True
-        for e in starved:
-            if not held[ien[e]].all():
-                raise DegenerateCutError(
-                    f"cut element {e} has no surviving quadrature points "
-                    "but still carries active basis functions supported "
-                    "nowhere else; increase the cut rule or the "
-                    "deactivation threshold")
-        return frozenset(starved)
-
-    def element_stiffness(self, e, quadrature=None):
+    def element_stiffness(self, e):
         if not self._live[e]:
             return None
         if self.labels[e] == CUT:
-            quadrature = (self._rules[e] if quadrature is None else
-                          _drop_covered(self._model.mesh, self.region, e,
-                                        quadrature, "supplied quadrature"))
-        return self._model.element_stiffness(e, quadrature=quadrature)
+            i = np.searchsorted(self._cut, e)
+            return self._model.element_stiffness(
+                e, quadrature=(self._cut_rule[0][i], self._cut_rule[1][i]))
+        return self._model.element_stiffness(e)
 
     def stiffness_batches(self):
         """``(elements, Ke)`` for assembly: STANDARD elements in batches,
-        then each live CUT element with its cached rule; VOID and demoted
-        elements contribute nothing."""
-        model = self._model
-        yield from stiffness_batches(model,
-                                     np.nonzero(self.labels == STANDARD)[0])
-        for e in np.nonzero(self._live & (self.labels == CUT))[0]:
-            yield e[None], model.element_stiffness(
-                e, quadrature=self._rules[e])[None]
+        then the live CUT elements in batches on their cut rules; VOID and
+        demoted elements contribute nothing."""
+        yield from stiffness_batches(
+            self._model, np.nonzero(self.labels == STANDARD)[0])
+        yield from stiffness_batches(self._model, self._cut, self._cut_rule)
 
     def pressure_load(self, p: float) -> np.ndarray:
-        """Pressure load of the live elements, STANDARD ones batched and
-        CUT ones on their cached rule, summed in element order."""
+        """Pressure load of the live elements, STANDARD ones and CUT ones
+        (on their cut rules) each in batches, summed in element order."""
         model, mesh = self._model, self._model.mesh
         live = np.nonzero(self._live)[0]
         fe = np.empty((live.size, mesh.nen * model.ncomp_node))
-        std = np.nonzero(self.labels[live] == STANDARD)[0]
-        for b in element_batches(std, mesh.nen ** 2 * mesh.dim):
-            fe[b] = model.pressure_element(live[b], p)
-        for i in np.nonzero(self.labels[live] == CUT)[0]:
-            fe[i] = model.pressure_element(live[i], p, self._rules[live[i]])
+        for kind, rule in ((STANDARD, None), (CUT, self._cut_rule)):
+            at = np.nonzero(self.labels[live] == kind)[0]
+            nq = mesh.nen if rule is None else rule[1].shape[1]
+            for rows in element_batches(np.arange(at.size),
+                                        mesh.nen * nq * mesh.dim):
+                fe[at[rows]] = model.pressure_element(
+                    live[at[rows]], p,
+                    None if rule is None else tuple(r[rows] for r in rule))
         out = np.zeros(model.ndof)
         np.add.at(out, model.element_dofs(live), fe)
         return out

@@ -1,4 +1,5 @@
-"""Gauss-Legendre quadrature: 1D rules on [-1, 1] and tensor rules on boxes."""
+"""Gauss-Legendre quadrature: 1D rules on [-1, 1] and tensor rules on
+batches of boxes."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -15,31 +16,26 @@ def gauss_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def tensor_rule(intervals, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss rule on the box spanned by ``intervals``.
+def tensor_rules(bounds, index, counts):
+    """Tensor-product Gauss rules of a batch of boxes, built per direction
+    (the one tensor-rule builder: bulk, cut, facet and projection rules).
 
-    Parameters
-    ----------
-    intervals : sequence of (a, b)
-        One interval per direction.
-    counts : sequence of int
-        Number of points per direction.
-
-    Returns
-    -------
-    points : ndarray (npts, d)
-        Ordered first direction fastest. With zero directions the rule is
-        one point (shape ``(1, 0)``) of weight 1.
-    weights : ndarray (npts,)
+    Box i spans interval ``bounds[k][index[k][i]]`` in direction k, where
+    ``bounds[k]`` is an ``(m_k, 2)`` array, and carries ``counts[k]``
+    points there. Returns ``(points, weights, rules)``: ``points``
+    ``(E, nq, dim)``, first direction fastest, ``weights`` ``(E, nq)``,
+    and per direction ``rules[k] = (x, at)``, the abscissae ``(m_k,
+    counts[k])`` on every interval with the index pair that gathers them,
+    ``x[at]`` being ``points[..., k]``.
     """
-    points = np.zeros((1, 0))
-    weights = np.ones(1)
-    for (a, b), n in zip(intervals, counts):
+    qi = np.unravel_index(np.arange(int(np.prod(counts))), counts, order="F")
+    points, weights, rules = [], np.ones(1), []
+    for ab, i, n, q in zip(bounds, index, counts, qi):
         g, w = gauss_1d(int(n))
+        a, b = np.asarray(ab, dtype=float).T[..., None]
         x = 0.5 * (a + b) + 0.5 * (b - a) * g
-        m = points.shape[0]
-        # The new direction varies slowest: repeat the rule so far per point.
-        points = np.column_stack([np.tile(points, (len(x), 1)),
-                                  np.repeat(x, m)])
-        weights = np.tile(weights, len(x)) * np.repeat(0.5 * (b - a) * w, m)
-    return points, weights
+        at = (np.asarray(i)[:, None], q[None, :])
+        points.append(x[at])
+        weights = weights * (0.5 * (b - a) * w)[at]
+        rules.append((x, at))
+    return np.stack(points, axis=-1), weights, rules

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from mdfem import mesh as mesh_mod
 from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
                               constitutive_solid, integrate_btcb)
-from mdfem.mesh import (_element_data, boundary_facets, build_mesh,
-                        bulk_points, facet_rules)
+from mdfem.mesh import (boundary_facets, build_mesh, bulk_points,
+                        facet_rules, quadrature_data)
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
-from mdfem.quadrature import tensor_rule
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
+from oracles import tensor_rule
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
@@ -32,7 +32,7 @@ def oracle_points(mesh, e, npts=None, nders=1):
     gi = mesh.element_grid_index(e)
     param, w = tensor_rule(
         [d.element_interval(i) for d, i in zip(mesh.dirs, gi)], npts)
-    return _element_data(mesh, e, param, w, nders)
+    return quadrature_data(mesh, e, (param, w), nders)
 
 
 def oracle_solid(model, e):

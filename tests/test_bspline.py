@@ -6,12 +6,15 @@ closed-form Bernstein values, and against finite differences.
 """
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from mdfem import bspline
 from mdfem.bspline import (
     KnotVector,
     _basis_ders,
+    _rationalize,
     eval_basis,
     find_span,
     least_squares_project,
@@ -19,6 +22,7 @@ from mdfem.bspline import (
 )
 from mdfem.errors import ConfigError, DomainError, RankError
 from mdfem.mesh import SplineDir
+from oracles import tensor_rule
 
 
 def evaluate_spline(kv, coeffs, xs, nders=0):
@@ -57,6 +61,32 @@ def random_kv(seed, degree=3, nbreaks=5, rational=False):
     if rational:
         weights = rng.uniform(0.5, 2.0, knots.size - degree - 1)
     return KnotVector(knots, degree, weights)
+
+
+def oracle_project(kv, target, span_mask):
+    """`least_squares_project` one span at a time: a tensor rule, a basis
+    call and a target call per span, then a Gram and right-hand-side
+    update per Gauss point."""
+    gram, rhs = np.zeros((kv.n, kv.n)), None
+    for e in np.nonzero(span_mask)[0]:
+        span = kv.span_index(e)
+        xs, ws = tensor_rule([kv.span_interval(span)], [kv.degree + 1])
+        xs = xs[:, 0]
+        vals = np.asarray(target(xs), dtype=float)
+        if rhs is None:
+            rhs = np.zeros((kv.n,) + vals.shape[1:])
+        idx = np.arange(span - kv.degree, span + 1)
+        ders = _basis_ders(kv.knots, kv.degree, xs, span, 0)
+        if kv.weights is not None:
+            ders = _rationalize(ders, kv.weights[idx], 0)
+        for q, w in enumerate(ws):
+            Nq = ders[q, 0]
+            gram[np.ix_(idx, idx)] += w * np.outer(Nq, Nq)
+            rhs[idx] += w * np.multiply.outer(Nq, vals[q])
+    if rhs is None:
+        raise RankError("projection mask selects no spans")
+    c = sla.cho_factor(gram)
+    return sla.cho_solve(c, rhs.reshape(kv.n, -1)).reshape(rhs.shape)
 
 
 class TestFindSpan:
@@ -312,3 +342,43 @@ class TestLeastSquaresProject:
             least_squares_project(kv, lambda y: y, span_mask=mask)
         with pytest.raises(RankError):
             least_squares_project(kv, lambda y: y, span_mask=np.zeros(4, bool))
+
+
+class TestBatchedProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 8), st.booleans(),
+           st.integers(0, 2**32 - 1), st.integers(0, 2))
+    def test_equals_per_span_loop(self, degree, nbreaks, rational, seed,
+                                  ncomp):
+        kv = random_kv(seed, degree, nbreaks, rational)
+        rng = np.random.default_rng(seed)
+        mask = rng.random(kv.nspans) < 0.7
+        c = rng.standard_normal((4, max(ncomp, 1)))
+
+        def target(y):
+            # Arithmetic only, so values do not depend on the batch.
+            y = y[:, None]
+            v = c[0] + y * (c[1] + y * (c[2] + y * c[3]))
+            return v[:, 0] if ncomp == 0 else v
+
+        try:
+            ref = oracle_project(kv, target, mask)
+        except (RankError, np.linalg.LinAlgError):
+            with pytest.raises(RankError):
+                least_squares_project(kv, target, span_mask=mask)
+            return
+        np.testing.assert_array_equal(
+            least_squares_project(kv, target, span_mask=mask), ref)
+
+    def test_one_basis_call_per_projection(self, monkeypatch):
+        calls = []
+        direct = bspline._basis_ders
+
+        def counted(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(bspline, "_basis_ders", counted)
+        kv = random_kv(3, degree=3, nbreaks=7, rational=True)
+        least_squares_project(kv, lambda y: y * y)
+        assert len(calls) == 1 and len(calls[0][2]) == 4 * kv.nspans

@@ -90,6 +90,18 @@ class TestConfigValidation:
             again = validate_config(json.loads(dump_config(cfg)))
             assert again == cfg
 
+    def test_bench_overrides_take_the_kind_of_their_default(self):
+        cfg = validate_config({"type": "bench", "case": "frame",
+                               "overrides": {"P": 2, "alpha": "auto"}})
+        assert cfg["overrides"] == {"P": 2.0, "alpha": "auto"}
+        assert type(cfg["overrides"]["P"]) is float
+
+    def test_empty_output_name_is_rejected(self):
+        # Skipping a file takes null; "" is no file name.
+        with pytest.raises(ConfigError,
+                           match=r"outputs\.vtk: expected a file name or null"):
+            validate_config({"type": "cantilever", "outputs": {"vtk": ""}})
+
     def test_effective_config_revalidates_to_itself(self):
         cfg = validate_config({"type": "cantilever",
                                "coupling": {"alpha": 4.7128e7}})
@@ -248,6 +260,25 @@ class TestMain:
         assert main(["bench", "no-such-case", "--out-dir",
                      str(tmp_path)]) == 1
         assert "unknown bench case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, overrides, message", [
+        ("frame", {"bogus": 1}, "overrides.bogus: unknown parameter"),
+        ("frame", {"nu": "abc"}, "overrides.nu: unknown parameter"),
+        ("timo-spline-conforming", {"nu": "abc"},
+         "overrides.nu: expected float, got 'abc'"),
+        ("frame", {"alpha": "fast"},
+         'overrides.alpha: expected float or "auto"'),
+        ("plate3d-conforming-mindlin", {"theory": "kirchhoff"},
+         "overrides.theory: unknown parameter"),
+    ])
+    def test_bad_bench_override_exits_1(self, tmp_path, capsys, case,
+                                        overrides, message):
+        path = _write(tmp_path, "bad.json", {"type": "bench", "case": case,
+                                             "overrides": overrides})
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: overrides.") and message in err
+        assert f"(case '{case}' takes: " in err and "Traceback" not in err
 
     def test_usage_errors_exit_1(self):
         with pytest.raises(SystemExit) as exc:

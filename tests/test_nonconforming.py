@@ -25,6 +25,7 @@ from mdfem.nonconforming import (
 )
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
+from oracles import tensor_rule
 
 INF = float("inf")
 
@@ -32,9 +33,9 @@ INF = float("inf")
 def deactivate_dofs(mesh, labels, region):
     """Nodes a `NonconformingModel` with the default threshold (0.01) and
     cut rule (10 points) pins for ``region``."""
+    cut = np.nonzero(labels == CUT)[0]
     return nonconforming._deactivate(
-        mesh, labels, nonconforming._cut_rules(mesh, labels, region, 10),
-        0.01)
+        mesh, labels, integrate_cut(mesh, cut, region, 10)[1], 0.01)[0]
 
 
 def beam_mesh(nelems=8, degree=3, basis="spline", length=24.0):
@@ -192,8 +193,9 @@ class TestIntegrateCut:
         mesh = build_mesh("plate", "spline", (2, 2), (1, 1),
                           ((0.0, 1.0), (0.0, 1.0)), z_mid=0.0)
         plate = PlateModel(mesh, Material(E=30.0, nu=0.3, thickness=0.2))
-        quad = integrate_cut(mesh, 0, OverlapRegion(((5.0, 6.0), (5.0, 6.0))))
-        K_cut = plate.element_stiffness(0, quadrature=quad)
+        param, wts = integrate_cut(mesh, [0],
+                                   OverlapRegion(((5.0, 6.0), (5.0, 6.0))))
+        K_cut = plate.element_stiffness(0, quadrature=(param[0], wts[0]))
         K_std = plate.element_stiffness(0)
         np.testing.assert_allclose(K_cut, K_std,
                                    atol=1e-14 * np.abs(K_std).max())
@@ -203,8 +205,8 @@ class TestIntegrateCut:
                           ((0.0, 1.0), (0.0, 1.0)), z_mid=0.0)
         plate = PlateModel(mesh, Material(E=30.0, nu=0.3, thickness=0.2))
         region = OverlapRegion(((-INF, 0.5), (-INF, INF)))
-        K_cut = plate.element_stiffness(
-            0, quadrature=integrate_cut(mesh, 0, region))
+        param, wts = integrate_cut(mesh, [0], region)
+        K_cut = plate.element_stiffness(0, quadrature=(param[0], wts[0]))
         # exact reference: high-order rule placed on the surviving half
         from mdfem.quadrature import gauss_1d
         g, w = gauss_1d(12)
@@ -218,10 +220,34 @@ class TestIntegrateCut:
         err = np.abs(K_cut - K_ref).max()
         assert err <= 0.01 * np.abs(K_ref).max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(meshes_and_regions(), st.integers(1, 6))
+    def test_rows_are_tensor_rules_with_covered_points_zeroed(self, case,
+                                                              ncut):
+        mesh, region = case
+        elems = np.arange(mesh.nelem)[::-1]
+        param, wts = integrate_cut(mesh, elems, region, ncut)
+        for row, e in enumerate(elems):
+            pts, w = tensor_rule(
+                [d.element_interval(i)
+                 for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
+                (ncut,) * mesh.dim)
+            locs = np.stack([d.param_to_local(pts[:, k])
+                             for k, d in enumerate(mesh.dirs)], axis=-1)
+            np.testing.assert_array_equal(param[row], pts)
+            np.testing.assert_array_equal(
+                wts[row], np.where(region.inside(locs), 0.0, w))
+
     def test_unresolvable_sliver_raises(self):
         mesh = beam_mesh(nelems=1, degree=1, basis="lagrange", length=1.0)
-        with pytest.raises(DegenerateCutError):
-            integrate_cut(mesh, 0, OverlapRegion(((-INF, 1.0 - 1e-6),)))
+        region = OverlapRegion(((-INF, 1.0 - 1e-6),))
+        _, wts = integrate_cut(mesh, [0], region)
+        assert wts.shape == (1, 10) and not wts.any()
+        # The starved element is the only one: every basis function on it
+        # loses its support, so the model refuses the region.
+        beam = BeamModel(mesh, Material(E=3.0e7, nu=0.3, thickness=6.0))
+        with pytest.raises(OverDeactivationError):
+            NonconformingModel(beam, region)
 
 
 class TestMonotonicity:
@@ -259,38 +285,71 @@ def _sliver_beam():
 class TestCutRuleReuse:
     @pytest.mark.parametrize("build", [_cut_plate_model, _sliver_beam])
     def test_one_cut_rule_per_cut_element(self, build, monkeypatch):
+        """One `integrate_cut` call builds one rule row per cut element,
+        and one kernel call covers every live cut element."""
         inner, region = build()
         mesh = inner.mesh
-        calls = []
+        rule_calls, kernel_calls = [], []
         direct = nonconforming.integrate_cut
 
-        def counted(mesh, e, region, ncut=10):
-            calls.append(int(e))
-            return direct(mesh, e, region, ncut=ncut)
+        def counted(mesh, elems, region, ncut=10):
+            rule_calls.append(np.array(elems))
+            return direct(mesh, elems, region, ncut=ncut)
+
+        def spy(name, pos):
+            """Record the calls with a rule; ``pos`` is the position of
+            the kernel's ``quadrature`` argument after the elements."""
+            kernel = getattr(inner, name)
+
+            def call(e, *args, **kw):
+                rule = args[pos] if len(args) > pos else kw.get("quadrature")
+                if rule is not None:
+                    kernel_calls.append((name, np.array(e)))
+                return kernel(e, *args, **kw)
+            monkeypatch.setattr(inner, name, call)
 
         monkeypatch.setattr(nonconforming, "integrate_cut", counted)
         nc = NonconformingModel(inner, region)
-        K = [nc.element_stiffness(e) for e in range(mesh.nelem)]
-        f = (nc.pressure_load(-2.0) if isinstance(inner, PlateModel)
-             else None)
         cut = np.nonzero(nc.labels == CUT)[0]
-        assert cut.size and sorted(calls) == cut.tolist()
+        assert cut.size and len(rule_calls) == 1
+        np.testing.assert_array_equal(rule_calls[0], cut)
 
-        # Same matrices and loads as building each rule on demand.
+        spy("element_stiffness", 0)
+        plate = isinstance(inner, PlateModel)
+        if plate:
+            spy("pressure_element", 1)
+        batches = list(nc.stiffness_batches())
+        f = nc.pressure_load(-2.0) if plate else None
+        live_cut = cut[nc._live[cut]]
+        # One kernel call each covering every live cut element.
+        expected = [("element_stiffness", live_cut)] if live_cut.size else []
+        if plate and live_cut.size:
+            expected.append(("pressure_element", live_cut))
+        assert [c[0] for c in kernel_calls] == [c[0] for c in expected]
+        for (_, got), (_, want) in zip(kernel_calls, expected):
+            np.testing.assert_array_equal(got, want)
+        monkeypatch.undo()
+
+        # Rows equal the per-element kernels on the same rule row, and so
+        # does the per-element accessor.
+        param, wts = direct(mesh, cut, region)
+        K = {int(e): Ke for el, Kb in batches for e, Ke in zip(el, Kb)}
         f_ref = np.zeros(inner.ndof)
         for e in range(mesh.nelem):
-            quad = None
             if nc.labels[e] == VOID or e in nc._demoted:
-                assert K[e] is None
+                assert nc.element_stiffness(e) is None and e not in K
                 continue
+            quad = None
             if nc.labels[e] == CUT:
-                quad = direct(mesh, e, region)
-            np.testing.assert_array_equal(
-                K[e], inner.element_stiffness(e, quadrature=quad))
-            if f is not None:
+                i = np.searchsorted(cut, e)
+                quad = (param[i], wts[i])
+            Ke = inner.element_stiffness(e, quadrature=quad)
+            np.testing.assert_array_equal(K[e], Ke)
+            np.testing.assert_array_equal(nc.element_stiffness(e), Ke)
+            if plate:
                 f_ref[inner.element_dofs(e)] += inner.pressure_element(
                     e, -2.0, quad)
-        if f is not None:
+        if plate:
             np.testing.assert_array_equal(f, f_ref)
 
 
@@ -413,3 +472,144 @@ class TestNonconformingModel:
         tip = sol.a[sys.ndof - 2]
         # static Timoshenko cantilever value, loose sanity band
         assert tip == pytest.approx(-0.0690987, rel=0.02)
+
+
+# Batched cut rules against the per-element path -------------------------
+
+MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
+
+# kind -> (mesh model, allowed bases, degree range, model factory)
+KINDS = {
+    "timoshenko-linear": ("beam", ("lagrange", "spline", "nurbs"), (1, 1),
+                          lambda m: BeamModel(m, MAT)),
+    "timoshenko-cubic": ("beam", ("spline", "nurbs"), (3, 3),
+                         lambda m: BeamModel(m, MAT)),
+    "euler-bernoulli": ("beam", ("spline", "nurbs"), (2, 3),
+                        lambda m: BeamModel(m, MAT, "euler_bernoulli")),
+    "mindlin": ("plate", ("lagrange", "spline", "nurbs"), (1, 3),
+                lambda m: PlateModel(m, MAT, "mindlin")),
+    "kirchhoff": ("plate", ("spline", "nurbs"), (2, 3),
+                  lambda m: PlateModel(m, MAT, "kirchhoff")),
+    "solid2d": ("solid2d", ("lagrange", "spline", "nurbs"), (1, 3),
+                lambda m: SolidModel(m, MAT)),
+    "solid3d": ("solid3d", ("lagrange", "spline", "nurbs"), (1, 2),
+                lambda m: SolidModel(m, MAT)),
+}
+
+
+@st.composite
+def cut_models(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    model, bases, (plo, phi), make = KINDS[kind]
+    dim = 3 if model == "solid3d" else 2 if model != "beam" else 1
+    basis = draw(st.sampled_from(bases))
+    degree = 1 if basis == "lagrange" else draw(st.integers(plo, phi))
+    nelems = draw(st.lists(st.integers(1, 3 if dim == 3 else 4),
+                           min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 4.0), min_size=dim,
+                            max_size=dim))
+    weights = None
+    if basis == "nurbs":
+        weights = [np.array(draw(st.lists(st.floats(0.5, 2.0),
+                                          min_size=n + degree,
+                                          max_size=n + degree)))
+                   for n in nelems]
+    mesh = build_mesh(model, "lagrange" if basis == "lagrange" else "spline",
+                      degree, nelems, [(0.0, h) for h in lengths],
+                      weights=weights)
+    bounds = []
+    for n, h in zip(nelems, lengths):
+        # Ends just off an element boundary leave slivers no rule sees.
+        slivers = (np.linspace(0.0, h, n + 1)[:, None]
+                   + np.array([-1e-4, 1e-4]) * h / n).ravel().tolist()
+        ends = st.one_of(st.floats(-0.5, h + 0.5), st.sampled_from(slivers))
+        lo = draw(st.one_of(st.just(-INF), ends, ends))
+        hi = draw(st.one_of(st.just(INF), ends, ends))
+        assume(lo < hi)
+        bounds.append((lo, hi))
+    ncut = draw(st.sampled_from((2, 3, 4) if dim == 3 else (2, 3, 5, 10)))
+    threshold = draw(st.sampled_from((0.01, 0.05, 0.2)))
+    return make(mesh), OverlapRegion(bounds), ncut, threshold
+
+
+def oracle_cut_rule(mesh, e, region, ncut):
+    """The ncut-point tensor rule of one element with its covered points
+    dropped, or None where none survives."""
+    param, wts = tensor_rule(
+        [d.element_interval(i)
+         for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
+        (ncut,) * mesh.dim)
+    locs = np.stack([d.param_to_local(param[:, k])
+                     for k, d in enumerate(mesh.dirs)], axis=-1)
+    keep = ~region.inside(locs)
+    return (param[keep], wts[keep]) if keep.any() else None
+
+
+def oracle_nonconforming(inner, region, ncut, threshold):
+    """Labels, pinned DOFs, demoted elements, dense bulk matrix and (for
+    plates) pressure load, one element at a time on filtered rules;
+    raises what the model must raise."""
+    mesh = inner.mesh
+    labels = _classify_by_sampling(mesh, region)
+    rules = {e: oracle_cut_rule(mesh, e, region, ncut)
+             for e in np.nonzero(labels == CUT)[0].tolist()}
+    ien = mesh.ien()
+    support = np.zeros(mesh.nnodes)
+    alive = np.zeros(mesh.nnodes)
+    for e in range(mesh.nelem):
+        gi = mesh.element_grid_index(e)
+        full = np.prod([hi - lo for d, i in zip(mesh.dirs, gi)
+                        for lo, hi in [d.local_interval(i)]])
+        out = full if labels[e] == STANDARD else 0.0
+        if rules.get(e) is not None:
+            a, b = zip(*(d.element_interval(i) for d, i in zip(mesh.dirs, gi)))
+            out = rules[e][1].sum() * (full / np.prod(np.subtract(b, a)))
+        support[ien[e]] += full
+        alive[ien[e]] += out
+    inactive = np.nonzero(alive < threshold * support)[0]
+    for e in rules:
+        if set(ien[e]) <= set(inactive.tolist()):
+            raise OverDeactivationError(e)
+    starved = sorted(e for e, rule in rules.items() if rule is None)
+    live = [e for e in range(mesh.nelem)
+            if labels[e] != VOID and e not in starved]
+    held = set(inactive.tolist()) | {n for e in live for n in ien[e]}
+    for e in starved:
+        if not set(ien[e]) <= held:
+            raise DegenerateCutError(e)
+    K = np.zeros((inner.ndof, inner.ndof))
+    f = np.zeros(inner.ndof)
+    for e in live:
+        d = inner.element_dofs(e)
+        K[np.ix_(d, d)] += inner.element_stiffness(e, quadrature=rules.get(e))
+        if isinstance(inner, PlateModel):
+            f[d] += inner.pressure_element(e, -2.0, rules.get(e))
+    nc = inner.ncomp_node
+    dofs = (inactive[:, None] * nc + np.arange(nc)).ravel()
+    return labels, dofs, frozenset(starved), K, f
+
+
+class TestBatchedCutOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(cut_models())
+    def test_matches_per_element_filtered_rules(self, case):
+        inner, region, ncut, threshold = case
+        try:
+            labels, dofs, demoted, K, f = oracle_nonconforming(
+                inner, region, ncut, threshold)
+        except (OverDeactivationError, DegenerateCutError) as exc:
+            with pytest.raises(type(exc)):
+                NonconformingModel(inner, region, threshold=threshold,
+                                   ncut=ncut)
+            return
+        nc = NonconformingModel(inner, region, threshold=threshold,
+                                ncut=ncut)
+        np.testing.assert_array_equal(nc.labels, labels)
+        np.testing.assert_array_equal(nc.inactive_dofs, dofs)
+        assert nc._demoted == demoted
+        scale = max(np.abs(K).max(), 1e-300)
+        np.testing.assert_allclose(System([nc]).bulk_matrix().toarray(), K,
+                                   rtol=0, atol=1e-13 * scale)
+        if isinstance(inner, PlateModel):
+            np.testing.assert_allclose(nc.pressure_load(-2.0), f, rtol=0,
+                                       atol=1e-13 * np.abs(f).max())
