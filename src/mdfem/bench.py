@@ -11,7 +11,6 @@ cases compare the mixed model against a full continuum solve built here.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -93,18 +92,6 @@ def _rel_l2(err, ref, xs):
 
 
 # End-loaded cantilever (2D) -------------------------------------------
-
-
-def _cantilever_parts(basis, degree, solid_nelems, beam_nelems, *, consts,
-                      solid_span=(0.0, 24.0), beam_span=(24.0, 48.0)):
-    c = consts
-    mat = Material(E=c["E"], nu=c["nu"], thickness=c["D"])
-    smesh = build_mesh("solid2d", basis, degree, solid_nelems,
-                       (solid_span, (-0.5 * c["D"], 0.5 * c["D"])))
-    length = beam_span[1] - beam_span[0]
-    bmesh = build_mesh("beam", basis, degree, beam_nelems, ((0.0, length),),
-                       origin=(beam_span[0], 0.0))
-    return SolidModel(smesh, mat), BeamModel(bmesh, mat, theory="timoshenko")
 
 
 def _edge_exact_clamp(solid, consts):
@@ -219,9 +206,14 @@ def cantilever_system(basis, degree, solid_nelems, beam_nelems, *, nu=None,
     consts = dict(CANTILEVER if consts is None else consts)
     if nu is not None:
         consts["nu"] = nu
-    solid, beam = _cantilever_parts(basis, degree, solid_nelems, beam_nelems,
-                                    consts=consts, solid_span=solid_span,
-                                    beam_span=beam_span)
+    mat = Material(E=consts["E"], nu=consts["nu"], thickness=consts["D"])
+    half = 0.5 * consts["D"]
+    solid = SolidModel(build_mesh("solid2d", basis, degree, solid_nelems,
+                                  (solid_span, (-half, half))), mat)
+    beam = BeamModel(build_mesh("beam", basis, degree, beam_nelems,
+                                ((0.0, beam_span[1] - beam_span[0]),),
+                                origin=(beam_span[0], 0.0)),
+                     mat, theory="timoshenko")
     struct = beam
     if covered_to is not None:
         region = OverlapRegion(((-np.inf, covered_to - beam_span[0]),))
@@ -683,7 +675,8 @@ def case_names():
     return list(CASES)
 
 
-def _case(name):
+def get_case(name):
+    """The registered `BenchCase` ``name``; raises ConfigError."""
     if name not in CASES:
         raise ConfigError(
             f"unknown bench case {name!r}; known: {', '.join(CASES)}"
@@ -691,34 +684,9 @@ def _case(name):
     return CASES[name]
 
 
-def check_overrides(name, overrides):
-    """``overrides`` of case ``name``'s runner keywords, each of its
-    default's kind (a float default also takes an int, a None default a
-    number, ``alpha`` also ``"auto"``). Raises ConfigError naming
-    ``overrides.<key>`` and listing the case's parameters."""
-    runner = _case(name).runner
-    # Keywords a `partial` registration fixes are not parameters.
-    params = {p.name: p.default for p in
-              inspect.signature(runner).parameters.values()
-              if p.name not in getattr(runner, "keywords", {})}
-    listed = f"(case {name!r} takes: {', '.join(params) or 'nothing'})"
-    out = {}
-    for key, value in overrides.items():
-        if key not in params:
-            raise ConfigError(f"overrides.{key}: unknown parameter {listed}")
-        kind = float if params[key] is None else type(params[key])
-        value = float(value) if kind is float and type(value) is int else value
-        if type(value) is not kind and (key, value) != ("alpha", "auto"):
-            want = kind.__name__ + (' or "auto"' if key == "alpha" else "")
-            raise ConfigError(
-                f"overrides.{key}: expected {want}, got {value!r} {listed}")
-        out[key] = value
-    return out
-
-
 def run_case(name, **overrides):
     """Run one registered case; returns its metrics plus wall time."""
-    runner = _case(name).runner
+    runner = get_case(name).runner
     t0 = time.perf_counter()
     metrics = runner(**overrides)
     metrics["runtime_s"] = time.perf_counter() - t0

@@ -13,20 +13,20 @@ unknown keys anywhere are rejected with their full path. Two shapes:
                    "span": [24.0, 48.0], "theory": "timoshenko"},
       "material": {"E": 3.0e7, "nu": 0.3, "depth": 6.0},
       "load":     {"P": 1000.0},
-      "coupling": {"l_c": 24.0, "alpha": 4.7128e7,
+      "coupling": {"l_c": 24.0, "alpha": "auto",
                    "n_cut": 10, "tau": 0.01},
       "outputs":  {"centerline_csv": "centerline.csv",
                    "vtk": "solid.vtk", "report": "report.txt",
                    "samples": 97},
-      "checks":   {"tip_rel_err": [0.0, 0.015]}
+      "checks":   {}
     }
 
 Every block is optional and defaults to the values above. ``alpha`` is
 a positive number or ``"auto"``. A ``beam.span`` starting left of
 ``coupling.l_c`` makes the overlap non-conforming; the covered part of
 the beam axis is deactivated. ``checks`` maps result metrics to
-inclusive ``[lo, hi]`` bands; a violated band is a tolerance failure
-(exit code 2), not an error.
+inclusive ``[lo, hi]`` bands, such as ``{"tip_rel_err": [0.0, 0.015]}``;
+a violated band is a tolerance failure (exit code 2), not an error.
 
 ``"bench"`` re-runs a registered benchmark case::
 
@@ -37,7 +37,10 @@ Exit codes: 0 success and all bands met, 2 band violated, 1 error.
 
 import argparse
 import csv
+import inspect
 import json
+import math
+import operator
 import pathlib
 import sys
 import time
@@ -47,23 +50,39 @@ import numpy as np
 from mdfem import bench
 from mdfem.errors import ConfigError, MdfemError
 
-# Result metrics a cantilever config may put bands on.
-_METRICS = (
-    "alpha", "tip_uy", "tip_uy_exact", "tip_rel_err",
-    "centerline_uy_rel_l2", "region_disp_rel_l2", "sxx_line_rel_l2",
-    "interface_sxy_rel_l2", "residual", "runtime_s",
-)
-
-_DEFAULTS = {
-    "solid": {"basis": "lagrange", "degree": 1, "nelems": [40, 10],
-              "span": [0.0, 24.0]},
-    "beam": {"basis": "lagrange", "degree": 1, "nelems": 29,
-             "span": [24.0, 48.0], "theory": "timoshenko"},
-    "material": {"E": 3.0e7, "nu": 0.3, "depth": 6.0},
-    "load": {"P": 1000.0},
-    "outputs": {"centerline_csv": "centerline.csv", "vtk": "solid.vtk",
-                "report": "report.txt", "samples": 97},
+_C = bench.CANTILEVER
+# Every cantilever config key: path -> (kind, default, rule). Kinds are
+# checked by `check_value`; a callable default is computed from the rows
+# before it, a None default leaves the key out (check bands).
+_SCHEMA = {
+    "solid.basis": ("choice", "lagrange", ("lagrange", "spline")),
+    "solid.degree": ("integer", 1, ((">=", 1),)),
+    "solid.nelems": ("cells", [40, 10], None),
+    "solid.span": ("span", [0.0, 24.0], None),
+    "beam.basis": ("choice", "lagrange", ("lagrange", "spline")),
+    "beam.degree": ("integer", 1, ((">=", 1),)),
+    "beam.nelems": ("integer", 29, ((">=", 1),)),
+    "beam.span": ("span", [24.0, _C["L"]], None),
+    "beam.theory": ("choice", "timoshenko", ("timoshenko",)),
+    "material.E": ("number", _C["E"], ((">", 0.0),)),
+    "material.nu": ("number", _C["nu"], ((">=", 0.0), ("<=", 0.49))),
+    "material.depth": ("number", _C["D"], ((">", 0.0),)),
+    "load.P": ("number", _C["P"], None),
+    "coupling.l_c": ("number", lambda out: out["solid"]["span"][1], None),
+    "coupling.alpha": ("number_or_auto", "auto", ((">", 0.0),)),
+    "coupling.n_cut": ("integer", 10, ((">=", 1),)),
+    "coupling.tau": ("number", 0.01, ((">", 0.0), ("<=", 1.0))),
+    "outputs.centerline_csv": ("file", "centerline.csv", None),
+    "outputs.vtk": ("file", "solid.vtk", None),
+    "outputs.report": ("file", "report.txt", None),
+    "outputs.samples": ("integer", 97, ((">=", 2),)),
+    **{f"checks.{metric}": ("band", None, None) for metric in (
+        "alpha", "tip_uy", "tip_uy_exact", "tip_rel_err",
+        "centerline_uy_rel_l2", "region_disp_rel_l2", "sxx_line_rel_l2",
+        "interface_sxy_rel_l2", "residual", "runtime_s")},
 }
+_BLOCKS = tuple(dict.fromkeys(path.split(".")[0] for path in _SCHEMA))
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 # Config loading and validation ----------------------------------------
@@ -73,171 +92,120 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _block(cfg, path, key, known):
-    raw = cfg.get(key, {})
-    if not isinstance(raw, dict):
-        _fail(f"{path}{key}", "expected an object")
-    for k in raw:
-        if k not in known:
-            _fail(f"{path}{key}.{k}", "unknown key")
-    return raw
-
-
-def _number(block, path, key, default, *, lo=None, hi=None,
-            lo_open=False):
-    v = block.get(key, default)
+def _real(v):
+    """A JSON number as a float; None for anything else."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", "expected a number")
-    v = float(v)
-    if not np.isfinite(v):
-        _fail(f"{path}.{key}", "must be finite")
-    if lo is not None and (v < lo or (lo_open and v == lo)):
-        _fail(f"{path}.{key}", f"must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi}")
-    return v
-
-
-def _integer(block, path, key, default, *, lo=1):
-    v = block.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", "expected an integer")
-    if v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo}")
-    return v
-
-
-def _choice(block, path, key, default, choices):
-    v = block.get(key, default)
-    if v not in choices:
-        _fail(f"{path}.{key}", f"expected one of {', '.join(choices)}")
-    return v
-
-
-def _span(block, path, key, default):
-    v = block.get(key, default)
-    if (not isinstance(v, list) or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                   for c in v)):
-        _fail(f"{path}.{key}", "expected [lo, hi]")
-    lo, hi = float(v[0]), float(v[1])
-    if not lo < hi:
-        _fail(f"{path}.{key}", "must be increasing")
-    return [lo, hi]
-
-
-def _out_name(block, path, key, default):
-    v = block.get(key, default)
-    if v is None:
         return None
-    if not isinstance(v, str) or not v:
-        _fail(f"{path}.{key}", "expected a file name or null")
-    return v
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal past the float range
+        return math.inf if v > 0 else -math.inf
+
+
+def check_value(path, value, kind, rule):
+    """``value`` checked as one `_SCHEMA` kind and returned normalized
+    (numbers as floats, lists copied). ``rule`` holds the choices of a
+    "choice" and the ``(op, bound)`` pairs of a number or an integer.
+    Raises ConfigError naming ``path``."""
+    if kind == "choice":
+        if value not in rule:
+            _fail(path, f"expected one of {', '.join(rule)}")
+        return value
+    if kind == "file":
+        if value is not None and (not isinstance(value, str) or not value):
+            _fail(path, "expected a file name or null")
+        return value
+    if kind == "cells":
+        if (not isinstance(value, list) or len(value) != 2
+                or any(isinstance(n, bool) or not isinstance(n, int)
+                       or n < 1 for n in value)):
+            _fail(path, "expected [nx, ny] positive integers")
+        return list(value)
+    if kind in ("span", "band"):
+        pair = ([_real(c) for c in value]
+                if isinstance(value, list) and len(value) == 2 else [None])
+        if kind == "band":
+            if None in pair or not pair[0] <= pair[1]:
+                _fail(path, "expected [lo, hi] with lo <= hi")
+        elif None in pair:
+            _fail(path, "expected [lo, hi]")
+        elif not pair[0] < pair[1]:
+            _fail(path, "must be increasing")
+        elif not all(map(math.isfinite, pair)):
+            _fail(path, "must be finite")
+        return pair
+    if kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, "expected an integer")
+    elif kind == "number" or value != "auto":
+        value = _real(value)
+        if value is None:
+            _fail(path, "expected a number")
+        if not math.isfinite(value):
+            _fail(path, "must be finite")
+    else:
+        return value
+    for op, bound in rule or ():
+        if not _BOUNDS[op](value, bound):
+            _fail(path, f"must be {op} {bound}")
+    return value
 
 
 def _validate_cantilever(cfg):
-    d = _DEFAULTS
-    solid = _block(cfg, "", "solid", ("basis", "degree", "nelems", "span"))
-    basis = _choice(solid, "solid", "basis", d["solid"]["basis"],
-                    ("lagrange", "spline"))
-    nelems = solid.get("nelems", d["solid"]["nelems"])
-    if (not isinstance(nelems, list) or len(nelems) != 2
-            or any(isinstance(n, bool) or not isinstance(n, int)
-                   or n < 1 for n in nelems)):
-        _fail("solid.nelems", "expected [nx, ny] positive integers")
-    out_solid = {
-        "basis": basis,
-        "degree": _integer(solid, "solid", "degree", d["solid"]["degree"]),
-        "nelems": list(nelems),
-        "span": _span(solid, "solid", "span", d["solid"]["span"]),
-    }
-    if basis == "lagrange" and out_solid["degree"] != 1:
+    for block in _BLOCKS:
+        if not isinstance(cfg.get(block, {}), dict):
+            _fail(block, "expected an object")
+        for key in cfg.get(block, {}):
+            if f"{block}.{key}" not in _SCHEMA:
+                _fail(f"{block}.{key}", "unknown key")
+    out = {"type": "cantilever", **{block: {} for block in _BLOCKS}}
+    for path, (kind, default, rule) in _SCHEMA.items():
+        block, key = path.split(".")
+        raw = cfg.get(block, {})
+        if key in raw or default is not None:
+            value = raw.get(key, default(out) if callable(default) else default)
+            out[block][key] = check_value(path, value, kind, rule)
+
+    solid, beam, coupling = out["solid"], out["beam"], out["coupling"]
+    if solid["basis"] == "lagrange" and solid["degree"] != 1:
         _fail("solid.degree", "lagrange meshes support degree 1 only")
-    if out_solid["span"][0] != 0.0 or out_solid["span"][1] < 12.0:
+    if solid["span"][0] != 0.0 or solid["span"][1] < 12.0:
         _fail("solid.span", "must start at x = 0 and reach x = 12, where "
               "the centerline and bending-stress samples are taken")
-
-    beam = _block(cfg, "", "beam",
-                  ("basis", "degree", "nelems", "span", "theory"))
-    out_beam = {
-        "basis": _choice(beam, "beam", "basis", d["beam"]["basis"],
-                         ("lagrange", "spline")),
-        "degree": _integer(beam, "beam", "degree", d["beam"]["degree"]),
-        "nelems": _integer(beam, "beam", "nelems", d["beam"]["nelems"]),
-        "span": _span(beam, "beam", "span", d["beam"]["span"]),
-        "theory": _choice(beam, "beam", "theory", d["beam"]["theory"],
-                          ("timoshenko",)),
-    }
     for key in ("basis", "degree"):
-        if out_beam[key] != out_solid[key]:
-            _fail(f"beam.{key}", f"must equal solid.{key} ({out_solid[key]}); "
+        if beam[key] != solid[key]:
+            _fail(f"beam.{key}", f"must equal solid.{key} ({solid[key]}); "
                   f"the beam is built with the solid's {key}")
-
-    material = _block(cfg, "", "material", ("E", "nu", "depth"))
-    out_material = {
-        "E": _number(material, "material", "E", d["material"]["E"],
-                     lo=0.0, lo_open=True),
-        "nu": _number(material, "material", "nu", d["material"]["nu"],
-                      lo=0.0, hi=0.49),
-        "depth": _number(material, "material", "depth",
-                         d["material"]["depth"], lo=0.0, lo_open=True),
-    }
-
-    load = _block(cfg, "", "load", ("P",))
-    out_load = {"P": _number(load, "load", "P", d["load"]["P"])}
-
-    coupling = _block(cfg, "", "coupling", ("l_c", "alpha", "n_cut", "tau"))
-    alpha = coupling.get("alpha", "auto")
-    if alpha != "auto":
-        alpha = _number(coupling, "coupling", "alpha", None,
-                        lo=0.0, lo_open=True)
-    out_coupling = {
-        "l_c": _number(coupling, "coupling", "l_c", out_solid["span"][1]),
-        "alpha": alpha,
-        "n_cut": _integer(coupling, "coupling", "n_cut", 10),
-        "tau": _number(coupling, "coupling", "tau", 0.01, lo=0.0, hi=1.0,
-                       lo_open=True),
-    }
-    if out_coupling["l_c"] != out_solid["span"][1]:
+    if coupling["l_c"] != solid["span"][1]:
         _fail("coupling.l_c", "must sit on the solid's right face "
-              f"(solid.span[1] = {out_solid['span'][1]:g})")
-    if not out_beam["span"][0] <= out_coupling["l_c"] < out_beam["span"][1]:
+              f"(solid.span[1] = {solid['span'][1]:g})")
+    if not beam["span"][0] <= coupling["l_c"] < beam["span"][1]:
         _fail("beam.span", "must reach the interface at l_c")
-
-    outputs = _block(cfg, "", "outputs",
-                     ("centerline_csv", "vtk", "report", "samples"))
-    out_outputs = {
-        k: _out_name(outputs, "outputs", k, d["outputs"][k])
-        for k in ("centerline_csv", "vtk", "report")
-    }
-    out_outputs["samples"] = _integer(outputs, "outputs", "samples",
-                                      d["outputs"]["samples"], lo=2)
-
-    checks = _block(cfg, "", "checks", _METRICS)
-    out_checks = {}
-    for key, band in checks.items():
-        if (not isinstance(band, list) or len(band) != 2
-                or any(isinstance(c, bool)
-                       or not isinstance(c, (int, float)) for c in band)
-                or not band[0] <= band[1]):
-            _fail(f"checks.{key}", "expected [lo, hi] with lo <= hi")
-        out_checks[key] = [float(band[0]), float(band[1])]
-
-    return {"type": "cantilever", "solid": out_solid, "beam": out_beam,
-            "material": out_material, "load": out_load,
-            "coupling": out_coupling, "outputs": out_outputs,
-            "checks": out_checks}
+    return out
 
 
-def _validate_bench(cfg):
-    case = cfg.get("case")
-    if not isinstance(case, str) or not case:
-        _fail("case", "expected a bench case name")
-    overrides = cfg.get("overrides", {})
-    if not isinstance(overrides, dict):
-        _fail("overrides", "expected an object")
-    return {"type": "bench", "case": case,
-            "overrides": bench.check_overrides(case, overrides)}
+def check_overrides(case, overrides):
+    """``overrides`` of bench case ``case``'s runner keywords: ``alpha`` of
+    the kind of ``coupling.alpha``, every other one (all default to a
+    float or None) a finite number. Raises ConfigError naming
+    ``overrides.<key>`` and listing the case's parameters."""
+    runner = bench.get_case(case).runner
+    # Keywords a `partial` registration fixes are not parameters.
+    params = [name for name in inspect.signature(runner).parameters
+              if name not in getattr(runner, "keywords", {})]
+    listed = f"(case {case!r} takes: {', '.join(params) or 'nothing'})"
+    out = {}
+    for key, value in overrides.items():
+        path = f"overrides.{key}"
+        kind, _, rule = (_SCHEMA["coupling.alpha"] if key == "alpha"
+                         else ("number", None, None))
+        try:
+            if key not in params:
+                _fail(path, "unknown parameter")
+            out[key] = check_value(path, value, kind, rule)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} {listed}") from None
+    return out
 
 
 def validate_config(cfg):
@@ -245,19 +213,21 @@ def validate_config(cfg):
     if not isinstance(cfg, dict):
         _fail("", "expected a JSON object")
     kind = cfg.get("type")
-    if kind == "cantilever":
-        known = ("type", "solid", "beam", "material", "load", "coupling",
-                 "outputs", "checks")
-    elif kind == "bench":
-        known = ("type", "case", "overrides")
-    else:
+    if kind not in ("cantilever", "bench"):
         _fail("type", "expected 'cantilever' or 'bench'")
+    known = _BLOCKS if kind == "cantilever" else ("case", "overrides")
     for k in cfg:
-        if k not in known:
+        if k != "type" and k not in known:
             _fail(k, "unknown key")
     if kind == "cantilever":
         return _validate_cantilever(cfg)
-    return _validate_bench(cfg)
+    case, overrides = cfg.get("case"), cfg.get("overrides", {})
+    if not isinstance(case, str) or not case:
+        _fail("case", "expected a bench case name")
+    if not isinstance(overrides, dict):
+        _fail("overrides", "expected an object")
+    return {"type": "bench", "case": case,
+            "overrides": check_overrides(case, overrides)}
 
 
 def load_config(path):

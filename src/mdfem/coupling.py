@@ -194,7 +194,7 @@ def build_interface(solid, struct, axis, side, *, strip=None,
         npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
                      for k in range(solid.mesh.dim) if k != axis)
     facets = boundary_facets(solid.mesh, axis, side, strip=strip)
-    parent, phys, w, normals = facet_rules(solid.mesh, facets, npts)
+    parent, phys, w, normals, _ = facet_rules(solid.mesh, facets, npts)
     nq = w.size // len(facets)
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = _struct_local(struct, phys)

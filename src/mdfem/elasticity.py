@@ -222,14 +222,12 @@ class SolidModel:
         if npts is None:
             npts = max(d.degree for d in mesh.dirs) + 1
         facets = boundary_facets(mesh, axis, side, strip=strip)
-        parent, phys, w, _ = facet_rules(mesh, facets, npts)
+        _, phys, w, _, N = facet_rules(mesh, facets, npts)
         if callable(traction):
             t = np.asarray(traction(phys), dtype=float)
         else:
             t = np.tile(np.asarray(traction, dtype=float), (len(w), 1))
         elems = np.array([f.elem for f in facets])
-        at = np.repeat(elems, len(w) // len(elems))
-        N, _, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent), nders=0)
         fq = (len(elems), -1)
         fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
                        N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))

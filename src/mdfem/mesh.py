@@ -669,9 +669,10 @@ def facet_rules(mesh: Mesh, facets, npts):
 
     ``npts`` is either one count shared by every in-facet direction or a
     sequence with one count per direction.  Returns ``(parent, phys,
-    weights, normals)`` with the points of each facet in turn; weights
+    weights, normals, N)`` with the points of each facet in turn; weights
     carry the surface measure, normals are unit outward vectors in storage
-    coordinates. All points are mapped in one `Mesh.shape_ders` call.
+    coordinates, ``N`` holds the shape values. All points are mapped in
+    one `Mesh.shape_ders` call.
     """
     axis, side = facets[0].axis, facets[0].side
     free = [k for k in range(mesh.dim) if k != axis]
@@ -704,9 +705,7 @@ def facet_rules(mesh: Mesh, facets, npts):
     else:
         measure = np.ones_like(wts)
         nvec = np.ones((wts.size, 1))
-    # Orient outward: the parent-axis gradient points towards growing xi_a.
-    Jinv = np.linalg.inv(J)
-    grad = Jinv[:, axis, :] * side
-    sign = np.where(np.einsum("qi,qi->q", nvec, grad) >= 0, 1.0, -1.0)
+    # Orient outward: the tangent product is det(J) J^-T (-1)^axis e_axis.
+    sign = np.where(np.linalg.det(J) * side * (-1) ** axis >= 0, 1.0, -1.0)
     normals = nvec * (sign / np.maximum(np.linalg.norm(nvec, axis=1), 1e-300))[:, None]
-    return parent, phys, wts * measure, normals
+    return parent, phys, wts * measure, normals, N

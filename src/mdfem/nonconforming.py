@@ -46,17 +46,6 @@ class OverlapRegion:
     def dim(self):
         return len(self.bounds)
 
-    def signed_distance(self, pts):
-        """Coordinate-wise box distance, negative inside the solid."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.full(pts.shape[0], -np.inf)
-        for k, (lo, hi) in enumerate(self.bounds):
-            d = np.maximum(d, np.maximum(lo - pts[:, k], pts[:, k] - hi))
-        return d
-
-    def inside(self, pts):
-        return self.signed_distance(pts) < 0.0
-
 
 def classify(mesh, region: OverlapRegion) -> np.ndarray:
     """Label every element STANDARD, CUT, or VOID against the region.

@@ -347,11 +347,9 @@ class PlateModel:
         """Consistent load for a uniform transverse line load on one edge."""
         mesh = self.mesh
         facets = boundary_facets(mesh, axis, side)
-        parent, _, w, _ = facet_rules(mesh, facets,
-                                      max(d.degree for d in mesh.dirs) + 1)
+        _, _, w, _, N = facet_rules(mesh, facets,
+                                    max(d.degree for d in mesh.dirs) + 1)
         elems = np.array([f.elem for f in facets])
-        at = np.repeat(elems, len(w) // len(elems))
-        N, _, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent), nders=0)
         fq = (len(elems), -1)
         fe = np.zeros((len(elems), N.shape[1], self.ncomp_node))
         fe[..., 0] = q * (w.reshape(fq)[:, None, :]

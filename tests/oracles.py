@@ -3,6 +3,9 @@
 `tensor_rule` builds the Gauss rule of one box by repeated tiling; the
 library builds the rules of whole batches of boxes per direction
 (`quadrature.tensor_rules`) and must reproduce it bit for bit.
+`signed_distance` and `inside` test points against an `OverlapRegion`
+one point at a time; the library classifies and cuts elements from
+per-direction covering flags instead.
 """
 import numpy as np
 
@@ -37,3 +40,18 @@ def tensor_rule(intervals, counts) -> tuple[np.ndarray, np.ndarray]:
                                   np.repeat(x, m)])
         weights = np.tile(weights, len(x)) * np.repeat(0.5 * (b - a) * w, m)
     return points, weights
+
+
+def signed_distance(region, pts):
+    """Coordinate-wise box distance to an `OverlapRegion`, negative inside
+    the solid."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d = np.full(pts.shape[0], -np.inf)
+    for k, (lo, hi) in enumerate(region.bounds):
+        d = np.maximum(d, np.maximum(lo - pts[:, k], pts[:, k] - hi))
+    return d
+
+
+def inside(region, pts):
+    """Points strictly inside ``region``; its boundary is not covered."""
+    return signed_distance(region, pts) < 0.0

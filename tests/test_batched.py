@@ -255,7 +255,7 @@ def oracle_facet_load(model, axis, side, npts, load, strip=None):
     mesh = model.mesh
     out = np.zeros(model.ndof)
     for f in boundary_facets(mesh, axis, side, strip=strip):
-        parent, phys, w, _ = facet_rules(mesh, [f], npts)
+        parent, phys, w, _, _ = facet_rules(mesh, [f], npts)
         N, _, _ = mesh.shape_ders(f.elem, mesh.parent_to_param(f.elem, parent),
                                   nders=0)
         out[model.element_dofs(f.elem)] += load(w, N, phys).ravel()
@@ -304,3 +304,23 @@ def test_edge_load_equals_per_facet_loop(kind, degree, nelems, axis, side,
     np.testing.assert_array_equal(
         model.edge_load(axis, side, q),
         oracle_facet_load(model, axis, side, degree + 1, load))
+
+
+def test_facet_loads_evaluate_shapes_once(monkeypatch):
+    """The facet rule's shape values feed the load: one evaluation each."""
+    solid = SolidModel(build_mesh("solid3d", "spline", 2, (2, 1, 1),
+                                  [(0.0, 1.0)] * 3), MAT)
+    plate = PlateModel(build_mesh("plate", "spline", 2, (2, 2),
+                                  ((0.0, 1.0), (0.0, 1.5))), MAT, "mindlin")
+    calls = []
+    shape_ders = mesh_mod.Mesh.shape_ders
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return shape_ders(self, *args, **kwargs)
+
+    monkeypatch.setattr(mesh_mod.Mesh, "shape_ders", counted)
+    solid.traction_force(0, 1, (1.0, 0.0, 0.0))
+    assert len(calls) == 1
+    plate.edge_load(1, -1, 2.0)
+    assert len(calls) == 2

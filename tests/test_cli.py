@@ -2,7 +2,9 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdfem import cli
 from mdfem.cli import (
+    _SCHEMA,
     dump_config,
     load_config,
     main,
@@ -23,7 +27,8 @@ from mdfem.cli import (
 from mdfem.errors import ConfigError
 
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _write(tmp_path, name, obj):
@@ -107,6 +112,16 @@ class TestConfigValidation:
                                "coupling": {"alpha": 4.7128e7}})
         again = validate_config(json.loads(dump_config(cfg)))
         assert again == cfg
+
+    def test_documented_cantilever_config_is_the_default(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in
+                  re.findall(r"```json\n(.*?)```", readme, re.S)]
+        docstring = cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+        default = validate_config({"type": "cantilever"})
+        for shown in [json.loads(docstring)] + [
+                b for b in blocks if b["type"] == "cantilever"]:
+            assert validate_config(shown) == default
 
     def test_load_config_reports_bad_files(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.json"):
@@ -265,11 +280,15 @@ class TestMain:
         ("frame", {"bogus": 1}, "overrides.bogus: unknown parameter"),
         ("frame", {"nu": "abc"}, "overrides.nu: unknown parameter"),
         ("timo-spline-conforming", {"nu": "abc"},
-         "overrides.nu: expected float, got 'abc'"),
-        ("frame", {"alpha": "fast"},
-         'overrides.alpha: expected float or "auto"'),
+         "overrides.nu: expected a number"),
+        ("frame", {"alpha": "fast"}, "overrides.alpha: expected a number"),
         ("plate3d-conforming-mindlin", {"theory": "kirchhoff"},
          "overrides.theory: unknown parameter"),
+        ("frame", {"P": math.nan}, "overrides.P: must be finite"),
+        ("frame", {"E": math.inf}, "overrides.E: must be finite"),
+        ("frame", {"alpha": -math.inf}, "overrides.alpha: must be finite"),
+        ("frame", {"alpha": -1}, "overrides.alpha: must be > 0"),
+        ("timo-q4-conforming", {"alpha": 0}, "overrides.alpha: must be > 0"),
     ])
     def test_bad_bench_override_exits_1(self, tmp_path, capsys, case,
                                         overrides, message):
@@ -344,3 +363,117 @@ def test_cantilever_config_runs_or_names_the_offending_key(
         assert any(key in err.getvalue() for key in broken), err.getvalue()
     else:
         assert code == 0, err.getvalue()
+
+
+# Draws for `_SCHEMA` rows: valid values and single-key breaks per kind.
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _bounds(rule):
+    return dict(rule or ())
+
+
+def _valid_value(kind, rule):
+    if kind == "choice":
+        return st.sampled_from(rule)
+    if kind == "file":
+        return st.none() | st.text(min_size=1, max_size=8)
+    if kind == "cells":
+        return st.lists(st.integers(1, 50), min_size=2, max_size=2)
+    if kind in ("span", "band"):
+        return st.lists(_FINITE, min_size=2, max_size=2, unique=True).map(
+            sorted)
+    if kind == "integer":
+        return st.integers(_bounds(rule)[">="], 10**6)
+    b = _bounds(rule)
+    numbers = st.floats(b.get(">", b.get(">=")), b.get("<="),
+                        exclude_min=">" in b, allow_nan=False,
+                        allow_infinity=False)
+    ints = st.integers(-2, 2).filter(
+        lambda v: all(cli._BOUNDS[op](v, x) for op, x in b.items()))
+    return (numbers | ints | st.just("auto") if kind == "number_or_auto"
+            else numbers | ints)
+
+
+def _broken_value(kind, rule):
+    objects = st.just({"a": 1})
+    if kind == "choice":
+        return objects | st.sampled_from(["nope", 1, None, True])
+    if kind == "file":
+        return objects | st.sampled_from([3, "", True, ["a"]])
+    if kind == "cells":
+        return objects | st.sampled_from(
+            [[1], [0, 1], [1, True], [1.0, 2], "2x2", [1, 2, 3]])
+    if kind in ("span", "band"):
+        bad = [[1.0], [2.0, 1.0], [True, 1], ["a", 1], [math.nan, 1.0],
+               "0,1", [1.0, math.nan]]
+        if kind == "span":
+            bad += [[0.0, math.inf], [-math.inf, 1.0], [3.0, 3.0]]
+        return objects | st.sampled_from(bad)
+    if kind == "integer":
+        lo = _bounds(rule)[">="]
+        return objects | st.sampled_from([True, 1.5, "3", None]) | (
+            st.integers(-10**6, lo - 1))
+    out = [st.sampled_from([True, False, "3", None, [1.0], math.nan,
+                            math.inf, -math.inf, 10**400, -10**400])]
+    for op, x in _bounds(rule).items():
+        out.append({">": st.floats(max_value=x),
+                    ">=": st.floats(max_value=x, exclude_max=True),
+                    "<=": st.floats(min_value=x, exclude_min=True)}[op]
+                   .filter(math.isfinite))
+    return st.one_of(objects, *out)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A raw cantilever config setting a random subset of `_SCHEMA` keys,
+    with the keys the cross-key rules relate drawn consistently."""
+    cfg = {"type": "cantilever"}
+    for path, (kind, _, rule) in _SCHEMA.items():
+        if draw(st.booleans()):
+            block, key = path.split(".")
+            cfg.setdefault(block, {})[key] = draw(_valid_value(kind, rule))
+    solid = cfg.setdefault("solid", {})
+    beam, coupling = cfg.setdefault("beam", {}), cfg.get("coupling", {})
+    if solid.get("basis", "lagrange") == "lagrange":
+        solid["degree"] = 1
+    beam["basis"] = solid.get("basis", "lagrange")
+    beam["degree"] = solid.get("degree", 1)
+    hi = solid.get("span", [0.0, 24.0])[1]
+    if "span" in solid:
+        hi = draw(st.floats(12.0, 1e3))
+        solid["span"] = [draw(st.sampled_from([0, 0.0])), hi]
+    if "l_c" in coupling:
+        coupling["l_c"] = hi
+    beam["span"] = [hi - draw(st.floats(0.0, 10.0)),
+                    hi + draw(st.floats(1e-3, 50.0))]
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_valid_configs())
+def test_schema_valid_draws_revalidate_to_themselves(raw):
+    cfg = validate_config(raw)
+    filled = {f"{block}.{key}" for block in cli._BLOCKS for key in cfg[block]}
+    assert {path for path, row in _SCHEMA.items() if row[1] is not None} <= (
+        filled)
+    assert validate_config(json.loads(dump_config(cfg))) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_single_key_breaks_name_the_key(data):
+    """One bad value, or one unknown key, in an otherwise default config
+    is reported under that key's path."""
+    path = data.draw(st.sampled_from(sorted(_SCHEMA)))
+    kind, _, rule = _SCHEMA[path]
+    block, key = path.split(".")
+    if data.draw(st.booleans()):
+        value = data.draw(_broken_value(kind, rule))
+    else:
+        key = data.draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: f"{block}.{k}" not in _SCHEMA))
+        path, value = f"{block}.{key}", 1.0
+    with pytest.raises(ConfigError) as err:
+        validate_config({"type": "cantilever", block: {key: value}})
+    assert str(err.value).startswith(f"{path}: "), str(err.value)

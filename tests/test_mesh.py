@@ -144,7 +144,7 @@ def test_inverse_map_round_trip():
 def test_inverse_map_outside_signal():
     m = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 2), (0, 2)])
     facet = boundary_facets(m, 0, +1)[0]
-    _, phys, _, normals = facet_rules(m, [facet], 2)
+    _, phys, _, normals, _ = facet_rules(m, [facet], 2)
     probe = phys[0] + 1e-3 * normals[0]
     xi, inside = m.inverse_map(facet.elem, probe)
     assert not inside
@@ -209,7 +209,7 @@ def test_facet_quadrature_measure_and_normals():
     assert len(facets) == 10
     total = 0.0
     for f in facets:
-        _, phys, w, normals = facet_rules(m, [f], 3)
+        _, phys, w, normals, _ = facet_rules(m, [f], 3)
         total += w.sum()
         assert_allclose(phys[:, 0], 24.0, atol=1e-12)
         assert_allclose(normals, [[1.0, 0.0]] * len(w), atol=1e-14)
@@ -229,7 +229,7 @@ def test_facet_measure_3d():
     facets = boundary_facets(m, 0, +1)
     total = 0.0
     for f in facets:
-        _, phys, w, normals = facet_rules(m, [f], 3)
+        _, phys, w, normals, _ = facet_rules(m, [f], 3)
         total += w.sum()
         assert_allclose(normals[:, 0], 1.0, atol=1e-13)
     assert_allclose(total, 500.0, rtol=1e-12)
@@ -246,8 +246,30 @@ def test_rotated_solid_placement():
     assert_allclose(local, [8.0, 0.0], atol=1e-9)
     # outward normal of the local +x face is the rotated x axis
     f = boundary_facets(m, 0, +1)[0]
-    _, _, _, normals = facet_rules(m, [f], 2)
+    _, _, _, normals, _ = facet_rules(m, [f], 2)
     assert_allclose(normals, np.tile(Q @ [1.0, 0.0], (2, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reflected_curved_placement_keeps_normals_outward(dim):
+    """A reflected placement makes det J negative; every facet normal must
+    still be the outward gradient direction side * J^-T e_axis."""
+    Q = np.eye(dim)[::-1]  # swaps the first and last axes: det Q = -1
+    m = build_mesh(f"solid{dim}d", "spline", 2, (2,) * dim,
+                   [(0.0, 1.0)] * dim, origin=np.ones(dim), rotation=Q)
+    m.nodes = m.nodes + 0.05 * np.sin(3.0 * m.nodes[:, ::-1])
+    for axis in range(dim):
+        for side in (-1, 1):
+            facets = boundary_facets(m, axis, side)
+            parent, _, _, normals, _ = facet_rules(m, facets, 3)
+            nq = len(normals) // len(facets)
+            for i, f in enumerate(facets):
+                J, det = m.jacobian(f.elem, parent[i * nq:(i + 1) * nq])
+                assert (det < 0).all()
+                grad = side * np.linalg.inv(J)[:, axis, :]
+                grad /= np.linalg.norm(grad, axis=1)[:, None]
+                assert_allclose(normals[i * nq:(i + 1) * nq], grad,
+                                atol=1e-12)
 
 
 def test_beam_placement():
