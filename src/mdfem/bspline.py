@@ -100,14 +100,6 @@ class KnotVector:
         """Number of non-empty knot spans (elements)."""
         return self._span_starts.size
 
-    def span_index(self, element: int) -> int:
-        """Knot index of the span opening the given element."""
-        return int(self._span_starts[element])
-
-    def span_interval(self, span: int) -> tuple[float, float]:
-        """Parameter interval [t_i, t_{i+1}) of a knot span."""
-        return float(self.knots[span]), float(self.knots[span + 1])
-
     def greville(self) -> np.ndarray:
         """Greville abscissae: moving average of ``degree`` consecutive knots."""
         p = self.degree

@@ -131,7 +131,7 @@ def check_value(path, value, kind, rule):
             _fail(path, "expected [lo, hi]")
         elif not pair[0] < pair[1]:
             _fail(path, "must be increasing")
-        elif not all(map(math.isfinite, pair)):
+        if not all(map(math.isfinite, pair)):
             _fail(path, "must be finite")
         return pair
     if kind == "integer":

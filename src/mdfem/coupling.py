@@ -33,42 +33,27 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import (_TRIPLET_BUDGET, boundary_facets, element_batches,
-                   facet_rules, rotation_2d, sum_blocks)
+from .mesh import (_TRIPLET_BUDGET, element_batches, facet_rules,
+                   rotation_2d, sum_blocks)
 
 
-_REDUCED_COLS = {None: None, "kirchhoff": (0, 1, 3), "mindlin": (0, 1, 3, 4, 5)}
+# Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
+# xy, yz, xz) in 3D.
+_VOIGT = {2: ((0, 2), (2, 1)), 3: ((0, 3, 5), (3, 1, 4), (5, 4, 2))}
 
 
-def _normal_matrices(normals, reduced=None):
-    """Vectorized normal matrices, one per row of ``normals``."""
+def _normal_matrices(normals, rows=None):
+    """Traction maps, one per row of ``normals``: ``(nq, d, nvoigt)``
+    matrices taking Voigt stress to sigma.n, restricted to the Voigt
+    ``rows`` a partner model carries (its ``solid_stress_rows``)."""
     normals = np.asarray(normals, dtype=float)
     nq, d = normals.shape
     lengths = np.linalg.norm(normals, axis=1)
     if np.any(np.abs(lengths - 1.0) > 1e-8):
         raise DomainError("normals must have unit length")
-    if d == 2:
-        out = np.zeros((nq, 2, 3))
-        out[:, 0, 0] = normals[:, 0]
-        out[:, 0, 2] = normals[:, 1]
-        out[:, 1, 1] = normals[:, 1]
-        out[:, 1, 2] = normals[:, 0]
-        return out
-    out = np.zeros((nq, 3, 6))
-    nx, ny, nz = normals[:, 0], normals[:, 1], normals[:, 2]
-    out[:, 0, 0] = nx
-    out[:, 0, 3] = ny
-    out[:, 0, 5] = nz
-    out[:, 1, 1] = ny
-    out[:, 1, 3] = nx
-    out[:, 1, 4] = nz
-    out[:, 2, 2] = nz
-    out[:, 2, 4] = ny
-    out[:, 2, 5] = nx
-    cols = _REDUCED_COLS.get(reduced, reduced)
-    if cols is not None:
-        out = out[:, :, cols]
-    return out
+    out = np.zeros((nq, d, d * (d + 1) // 2))
+    out[:, np.arange(d)[:, None], _VOIGT[d]] = normals[:, None, :]
+    return out if rows is None else out[:, :, rows]
 
 
 @dataclass
@@ -126,11 +111,11 @@ class CouplingOperator:
         solid, struct, p = self.solid, self.struct, self.points
         if offsets is None:
             offsets, ndof = (0, solid.ndof), solid.ndof + struct.ndof
-        reduced = struct.solid_stress_rows
-        Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=reduced)
+        rows = struct.solid_stress_rows
+        Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
         Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
         J = np.concatenate([Ns, -Nb], axis=2)
-        T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, reduced),
+        T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),
                       np.concatenate([Ss, Sb], axis=2))
         first, counts = self.starts[:-1], np.diff(self.starts)
         dofs = np.concatenate([
@@ -193,9 +178,10 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     if npts is None:
         npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
                      for k in range(solid.mesh.dim) if k != axis)
-    facets = boundary_facets(solid.mesh, axis, side, strip=strip)
-    parent, phys, w, normals, _ = facet_rules(solid.mesh, facets, npts)
-    nq = w.size // len(facets)
+    elems, parent, phys, w, normals, _ = facet_rules(
+        solid.mesh, axis, side, npts, strip=strip)
+    nf = len(elems)
+    nq = w.size // nf
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = _struct_local(struct, phys)
     try:
@@ -204,22 +190,22 @@ def build_interface(solid, struct, axis, side, *, strip=None,
         raise PairingError(
             f"interface point has no partner element: {exc}") from exc
     err = np.linalg.norm(_struct_global(struct, inplane, offsets) - phys,
-                         axis=1).reshape(len(facets), nq)
-    box = phys.reshape(len(facets), nq, -1)
+                         axis=1).reshape(nf, nq)
+    box = phys.reshape(nf, nq, -1)
     diam = np.maximum(np.linalg.norm(box.max(axis=1) - box.min(axis=1),
                                      axis=1), 1e-30)
     bad = np.nonzero((err > 1e-8 * diam[:, None]).any(axis=1))[0]
     if bad.size:
         raise PairingError(
             f"interface point mismatch {err[bad[0]].max():.3e} on facet of "
-            f"element {facets[bad[0]].elem}")
+            f"element {elems[bad[0]]}")
     # One segment per facet and partner element: a stable sort keeps the
     # facet order, partners ascending in a facet and the point order.
-    key = np.repeat(np.arange(len(facets)), nq) * smesh.nelem + belems
+    key = np.repeat(np.arange(nf), nq) * smesh.nelem + belems
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     points = Segment(
-        s_elem=np.repeat([f.elem for f in facets], nq)[order],
+        s_elem=np.repeat(elems, nq)[order],
         s_parent=parent[order], b_elem=belems[order],
         b_parent=smesh.local_to_parent(belems, inplane)[order],
         offsets=offsets[order], normals=normals[order], weights=w[order])

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
-                   facet_rules, parent_data, quadrature_data)
+from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
+                   parent_data, quadrature_data)
 
 
 @dataclass
@@ -221,18 +221,16 @@ class SolidModel:
         mesh = self.mesh
         if npts is None:
             npts = max(d.degree for d in mesh.dirs) + 1
-        facets = boundary_facets(mesh, axis, side, strip=strip)
-        _, phys, w, _, N = facet_rules(mesh, facets, npts)
+        elems, _, phys, w, _, N = facet_rules(mesh, axis, side, npts, strip)
         if callable(traction):
             t = np.asarray(traction(phys), dtype=float)
         else:
             t = np.tile(np.asarray(traction, dtype=float), (len(w), 1))
-        elems = np.array([f.elem for f in facets])
         fq = (len(elems), -1)
         fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
                        N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))
         out = np.zeros(self.ndof)
-        # Summed facet by facet, in list order.
+        # Summed facet by facet, in element order.
         np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
         return out
 

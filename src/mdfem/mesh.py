@@ -53,13 +53,6 @@ class SplineDir:
     def n(self):
         return self.kv.n
 
-    def element_interval(self, e):
-        return self.kv.span_interval(self.kv.span_index(e))
-
-    def local_interval(self, e):
-        a, b = self.element_interval(e)
-        return self.param_to_local(a), self.param_to_local(b)
-
     def param_to_local(self, x):
         return self.lo + (x - self._poff) * self._pscale
 
@@ -249,7 +242,7 @@ class Mesh:
         _, dN, _ = self.shape_ders(e, param, nders=1)
         P = self.nodes[self.element_nodes(e)]
         a, b = self._bounds(e)
-        J = np.einsum("qnj,ni->qij", dN, P) * (0.5 * (b - a))
+        J = (P.T @ dN) * (0.5 * (b - a))
         det = np.linalg.det(J)
         return J, det
 
@@ -608,26 +601,27 @@ def _element_data(mesh, e, param, wts, nders, shapes):
     return param, wts * det, N, dNdx, d2Ndx2, phys
 
 
-# Boundary facets ------------------------------------------------------
+# Boundary faces -------------------------------------------------------
 
 
-@dataclass
-class Facet:
-    """One element face on a mesh boundary, possibly clipped to a strip."""
+def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
+    """Gauss rules on the boundary facets of one box face, in one batch.
 
-    elem: int
-    axis: int
-    side: int  # -1 or +1 in parent coordinates
-    clips: tuple  # per free axis: (lo, hi) in parent coordinates
+    The face is ``side`` (-1 or +1, in parent coordinates) of direction
+    ``axis``; its facets are the elements whose ``axis`` index is the
+    first or last one. ``strip`` optionally restricts the face in the
+    *local box* coordinates of the free axes: a sequence with one ``(lo,
+    hi)`` pair or ``None`` per free axis. Facets that do not intersect
+    the strip are dropped; partially covered facets get rules on their
+    clipped parent intervals.
 
-
-def boundary_facets(mesh: Mesh, axis: int, side: int, strip=None):
-    """Element faces on the given box face.
-
-    ``strip`` optionally restricts the face in the *local box* coordinates
-    of the free axes: a sequence with one ``(lo, hi)`` pair or ``None`` per
-    free axis. Facets that do not intersect the strip are dropped; partially
-    covered facets carry clipped parent intervals.
+    ``npts`` is either one count shared by every in-facet direction or a
+    sequence with one count per direction. Returns ``(elems, parent,
+    phys, weights, normals, N)``: the element of each facet, in element
+    order, and the points of each facet in turn; weights carry the
+    surface measure, normals are unit outward vectors in storage
+    coordinates, ``N`` holds the shape values. All points are mapped in
+    one `Mesh.shape_ders` call.
     """
     if not 0 <= axis < mesh.dim:
         raise ConfigError(f"facet axis {axis} outside mesh dimension {mesh.dim}")
@@ -636,76 +630,46 @@ def boundary_facets(mesh: Mesh, axis: int, side: int, strip=None):
     free = [k for k in range(mesh.dim) if k != axis]
     if strip is not None and len(strip) != len(free):
         raise ConfigError("strip needs one entry per free axis")
-    boundary_e = mesh.dirs[axis].nelem - 1 if side > 0 else 0
     gi = mesh.element_grid_index(np.arange(mesh.nelem))
-    facets = []
-    for e in np.nonzero(gi[axis] == boundary_e)[0]:
-        clips = []
-        keep = True
-        for j, k in enumerate(free):
-            lo, hi = mesh.dirs[k].local_interval(gi[k][e])
-            want = None if strip is None else strip[j]
-            if want is None:
-                clips.append((-1.0, 1.0))
-                continue
-            clo, chi = max(lo, want[0]), min(hi, want[1])
-            if chi - clo <= 1e-12 * (hi - lo):
-                keep = False
-                break
-            # local -> parent on this axis (affine)
-            clips.append((
-                (2 * clo - lo - hi) / (hi - lo),
-                (2 * chi - lo - hi) / (hi - lo),
-            ))
-        if keep:
-            facets.append(Facet(int(e), axis, int(side), tuple(clips)))
-    if not facets:
+    keep = gi[axis] == (mesh.dirs[axis].nelem - 1 if side > 0 else 0)
+    # Per free direction: the parent interval each element keeps.
+    clips = []
+    for j, k in enumerate(free):
+        d = mesh.dirs[k]
+        lo, hi = d.param_to_local(d.intervals()).T
+        want = None if strip is None else strip[j]
+        if want is None:
+            clips.append(np.tile([-1.0, 1.0], (d.nelem, 1)))
+            continue
+        clo, chi = np.maximum(lo, want[0]), np.minimum(hi, want[1])
+        keep &= (chi - clo > 1e-12 * (hi - lo))[gi[k]]
+        # local -> parent on this axis (affine)
+        clips.append(np.stack([2 * clo - lo - hi, 2 * chi - lo - hi],
+                              axis=-1) / (hi - lo)[:, None])
+    elems = np.flatnonzero(keep)
+    if not elems.size:
         raise ConfigError("no facets found on requested face")
-    return facets
-
-
-def facet_rules(mesh: Mesh, facets, npts):
-    """Gauss rules on boundary facets of one face, in one batch.
-
-    ``npts`` is either one count shared by every in-facet direction or a
-    sequence with one count per direction.  Returns ``(parent, phys,
-    weights, normals, N)`` with the points of each facet in turn; weights
-    carry the surface measure, normals are unit outward vectors in storage
-    coordinates, ``N`` holds the shape values. All points are mapped in
-    one `Mesh.shape_ders` call.
-    """
-    axis, side = facets[0].axis, facets[0].side
-    free = [k for k in range(mesh.dim) if k != axis]
-    clips = np.array([f.clips for f in facets], dtype=float).reshape(
-        len(facets), len(free), 2)
-    pts, wts, _ = tensor_rules(np.swapaxes(clips, 0, 1),
-                               [np.arange(len(facets))] * len(free),
+    pts, wts, _ = tensor_rules(clips, [gi[k][elems] for k in free],
                                _per_dir(npts, len(free), int))
     nq = wts.shape[1]
-    parent = np.full((len(facets), nq, mesh.dim), float(side))
+    parent = np.full((len(elems), nq, mesh.dim), float(side))
     parent[..., free] = pts
     parent, wts = parent.reshape(-1, mesh.dim), wts.ravel()
-    elems = np.array([f.elem for f in facets])
     at = np.repeat(elems, nq)
     N, dN, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent))
     # Facet-major: one (nq, nen) @ (nen, dim) product per facet.
-    P, fq = mesh.nodes[mesh.element_nodes(elems)], (len(facets), nq)
+    P, fq = mesh.nodes[mesh.element_nodes(elems)], (len(elems), nq)
     phys = (N.reshape(fq + (-1,)) @ P).reshape(-1, mesh.dim)
     a, b = mesh._bounds(elems)
-    J = (np.einsum("fqnj,fni->fqij", dN.reshape(fq + dN.shape[1:]), P)
+    J = (np.swapaxes(P, -1, -2)[:, None] @ dN.reshape(fq + dN.shape[1:])
          * (0.5 * (b - a))[:, None, None, :]).reshape(-1, mesh.dim, mesh.dim)
     if mesh.dim == 3:
-        t1, t2 = J[:, :, free[0]], J[:, :, free[1]]
-        nvec = np.cross(t1, t2)
-        measure = np.linalg.norm(nvec, axis=1)
-    elif mesh.dim == 2:
-        t = J[:, :, free[0]]
-        measure = np.linalg.norm(t, axis=1)
-        nvec = np.stack([t[:, 1], -t[:, 0]], axis=-1)
+        nvec = np.cross(J[:, :, free[0]], J[:, :, free[1]])
     else:
-        measure = np.ones_like(wts)
-        nvec = np.ones((wts.size, 1))
+        t = J[:, :, free[0]]
+        nvec = np.stack([t[:, 1], -t[:, 0]], axis=-1)
+    measure = np.linalg.norm(nvec, axis=1)
     # Orient outward: the tangent product is det(J) J^-T (-1)^axis e_axis.
     sign = np.where(np.linalg.det(J) * side * (-1) ** axis >= 0, 1.0, -1.0)
-    normals = nvec * (sign / np.maximum(np.linalg.norm(nvec, axis=1), 1e-300))[:, None]
-    return parent, phys, wts * measure, normals, N
+    normals = nvec * (sign / np.maximum(measure, 1e-300))[:, None]
+    return elems, parent, phys, wts * measure, normals, N

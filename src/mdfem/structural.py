@@ -14,8 +14,8 @@ from scipy.linalg import block_diag
 
 from .elasticity import Material, integrate_btcb, recover_values
 from .errors import ConfigError, DomainError
-from .mesh import (Mesh, boundary_facets, bulk_points, element_batches,
-                   facet_rules, parent_data, quadrature_data)
+from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
+                   parent_data, quadrature_data)
 
 
 def frame_transforms(phi: float):
@@ -346,16 +346,14 @@ class PlateModel:
     def edge_load(self, axis, side, q: float) -> np.ndarray:
         """Consistent load for a uniform transverse line load on one edge."""
         mesh = self.mesh
-        facets = boundary_facets(mesh, axis, side)
-        _, _, w, _, N = facet_rules(mesh, facets,
-                                    max(d.degree for d in mesh.dirs) + 1)
-        elems = np.array([f.elem for f in facets])
+        elems, _, _, w, _, N = facet_rules(
+            mesh, axis, side, max(d.degree for d in mesh.dirs) + 1)
         fq = (len(elems), -1)
         fe = np.zeros((len(elems), N.shape[1], self.ncomp_node))
         fe[..., 0] = q * (w.reshape(fq)[:, None, :]
                           @ N.reshape(fq + N.shape[1:]))[:, 0]
         out = np.zeros(self.ndof)
-        # Summed facet by facet, in list order.
+        # Summed facet by facet, in element order.
         np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
         return out
 

@@ -54,7 +54,8 @@ class System:
         self.offsets = np.concatenate(
             [[0], np.cumsum([m.ndof for m in models])]
         ).astype(int)
-        self._constraints: dict[int, float] = {}
+        # Prescribed value of each DOF; NaN where the DOF is free.
+        self._fixed = np.full(self.ndof, np.nan)
         self._f = np.zeros(self.ndof)
         self._parts = None
 
@@ -79,16 +80,22 @@ class System:
         self._parts = None
 
     def fix(self, idx, local_dofs, values=0.0):
-        """Constrain model DOFs to prescribed values."""
-        dofs = self.global_dofs(idx, local_dofs)
-        values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
+        """Constrain model DOFs to prescribed values. A DOF keeps the value
+        it was first given, by an earlier call or earlier in this one;
+        another value for it is a conflict."""
+        dofs = self.global_dofs(idx, local_dofs).ravel()
+        values = np.broadcast_to(np.asarray(values, dtype=float),
+                                 dofs.shape).ravel()
         if not np.all(np.isfinite(values)):
             raise ConfigError("Dirichlet values must be finite")
-        for d, v in zip(dofs, values):
-            old = self._constraints.get(int(d))
-            if old is not None and old != v:
-                raise ConfigError(f"conflicting constraint on DOF {d}")
-            self._constraints[int(d)] = float(v)
+        ref = self._fixed[dofs]
+        _, first, inv = np.unique(dofs, return_index=True, return_inverse=True)
+        unset = np.isnan(ref)
+        ref[unset] = values[first[inv]][unset]
+        bad = np.flatnonzero(ref != values)
+        if bad.size:
+            raise ConfigError(f"conflicting constraint on DOF {dofs[bad[0]]}")
+        self._fixed[dofs] = values
 
     def load(self, idx, f_local):
         f_local = np.asarray(f_local, dtype=float)
@@ -126,10 +133,7 @@ class System:
 
     def _collect_inactive(self):
         for idx, m in enumerate(self.models):
-            inactive = getattr(m, "inactive_dofs", None)
-            if inactive is None:
-                continue
-            dofs = inactive() if callable(inactive) else inactive
+            dofs = getattr(m, "inactive_dofs", ())
             if len(dofs):
                 self.fix(idx, np.asarray(dofs, dtype=int), 0.0)
 
@@ -146,13 +150,9 @@ class System:
 
     def _free(self):
         """Constrained DOFs, their values and the mask of free DOFs."""
-        cons = np.fromiter(self._constraints.keys(), dtype=int,
-                           count=len(self._constraints))
-        vals = np.fromiter(self._constraints.values(), dtype=float,
-                           count=len(self._constraints))
-        free = np.ones(self.ndof, dtype=bool)
-        free[cons] = False
-        return cons, vals, free
+        free = np.isnan(self._fixed)
+        cons = np.flatnonzero(~free)
+        return cons, self._fixed[cons], free
 
     def resolve_alpha(self, alpha="auto", seed=0):
         """One stabilization alpha per coupling, as `solve` uses them.

@@ -3,9 +3,14 @@
 `tensor_rule` builds the Gauss rule of one box by repeated tiling; the
 library builds the rules of whole batches of boxes per direction
 (`quadrature.tensor_rules`) and must reproduce it bit for bit.
-`signed_distance` and `inside` test points against an `OverlapRegion`
-one point at a time; the library classifies and cuts elements from
-per-direction covering flags instead.
+`boundary_facets` enumerates the facets of a box face one element at a
+time, with their clipped parent intervals; `mesh.facet_rules` selects
+and clips a whole face per direction instead. `span_index`,
+`span_interval`, `element_interval` and `local_interval` read one
+element's interval at a time, where the library reads
+`SplineDir.intervals()`. `signed_distance` and `inside` test points
+against an `OverlapRegion` one point at a time; the library classifies
+and cuts elements from per-direction covering flags instead.
 """
 import numpy as np
 
@@ -55,3 +60,60 @@ def signed_distance(region, pts):
 def inside(region, pts):
     """Points strictly inside ``region``; its boundary is not covered."""
     return signed_distance(region, pts) < 0.0
+
+
+def span_index(kv, element) -> int:
+    """Knot index of the span opening the given element of a knot vector."""
+    return int(kv._span_starts[element])
+
+
+def span_interval(kv, span) -> tuple[float, float]:
+    """Parameter interval [t_i, t_{i+1}) of a knot span."""
+    return float(kv.knots[span]), float(kv.knots[span + 1])
+
+
+def element_interval(d, e) -> tuple[float, float]:
+    """Parameter interval of element ``e`` of a `SplineDir`."""
+    return span_interval(d.kv, span_index(d.kv, e))
+
+
+def local_interval(d, e) -> tuple[float, float]:
+    """Local-coordinate interval of element ``e`` of a `SplineDir`."""
+    a, b = element_interval(d, e)
+    return d.param_to_local(a), d.param_to_local(b)
+
+
+def boundary_facets(mesh, axis, side, strip=None):
+    """Facets ``(elem, clips)`` of box face ``side`` of direction ``axis``,
+    in element order, one element at a time.
+
+    ``strip`` optionally restricts the face in the *local box* coordinates
+    of the free axes: one ``(lo, hi)`` pair or ``None`` per free axis.
+    Facets that do not intersect the strip are dropped; ``clips`` holds
+    one parent interval ``(lo, hi)`` per free axis.
+    """
+    free = [k for k in range(mesh.dim) if k != axis]
+    boundary_e = mesh.dirs[axis].nelem - 1 if side > 0 else 0
+    gi = mesh.element_grid_index(np.arange(mesh.nelem))
+    facets = []
+    for e in np.nonzero(gi[axis] == boundary_e)[0]:
+        clips = []
+        keep = True
+        for j, k in enumerate(free):
+            lo, hi = local_interval(mesh.dirs[k], gi[k][e])
+            want = None if strip is None else strip[j]
+            if want is None:
+                clips.append((-1.0, 1.0))
+                continue
+            clo, chi = max(lo, want[0]), min(hi, want[1])
+            if chi - clo <= 1e-12 * (hi - lo):
+                keep = False
+                break
+            # local -> parent on this axis (affine)
+            clips.append((
+                (2 * clo - lo - hi) / (hi - lo),
+                (2 * chi - lo - hi) / (hi - lo),
+            ))
+        if keep:
+            facets.append((int(e), tuple(clips)))
+    return facets

@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from mdfem import mesh as mesh_mod
 from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
                               constitutive_solid, integrate_btcb)
-from mdfem.mesh import (boundary_facets, build_mesh, bulk_points,
-                        facet_rules, quadrature_data)
+from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
-from oracles import tensor_rule
+from oracles import boundary_facets, element_interval, tensor_rule
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
@@ -31,7 +30,7 @@ def oracle_points(mesh, e, npts=None, nders=1):
         npts = (npts,) * mesh.dim
     gi = mesh.element_grid_index(e)
     param, w = tensor_rule(
-        [d.element_interval(i) for d, i in zip(mesh.dirs, gi)], npts)
+        [element_interval(d, i) for d, i in zip(mesh.dirs, gi)], npts)
     return quadrature_data(mesh, e, (param, w), nders)
 
 
@@ -249,16 +248,20 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
 
 
 def oracle_facet_load(model, axis, side, npts, load, strip=None):
-    """Per-facet loop: one facet rule, one shape evaluation and one
-    scatter per facet; ``load(w, N, phys)`` gives the ``(nen, ncomp)``
-    facet load from the rule weights, shape values and points."""
+    """Per-facet loop over the reference facets: one shape evaluation and
+    one scatter per facet, on that facet's points of one face rule;
+    ``load(w, N, phys)`` gives the ``(nen, ncomp)`` facet load from the
+    rule weights, shape values and points."""
     mesh = model.mesh
     out = np.zeros(model.ndof)
-    for f in boundary_facets(mesh, axis, side, strip=strip):
-        parent, phys, w, _, _ = facet_rules(mesh, [f], npts)
-        N, _, _ = mesh.shape_ders(f.elem, mesh.parent_to_param(f.elem, parent),
+    _, parent, phys, w, _, _ = facet_rules(mesh, axis, side, npts, strip)
+    facets = boundary_facets(mesh, axis, side, strip=strip)
+    nq = len(w) // len(facets)
+    for i, (e, _) in enumerate(facets):
+        q = slice(i * nq, (i + 1) * nq)
+        N, _, _ = mesh.shape_ders(e, mesh.parent_to_param(e, parent[q]),
                                   nders=0)
-        out[model.element_dofs(f.elem)] += load(w, N, phys).ravel()
+        out[model.element_dofs(e)] += load(w[q], N, phys[q]).ravel()
     return out
 
 

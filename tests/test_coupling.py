@@ -23,14 +23,20 @@ from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 
 
+# Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
+# xy), 'mindlin' keeps (xx, yy, xy, yz, xz).
+PLATE_ROWS = {"kirchhoff": (0, 1, 3), "mindlin": (0, 1, 3, 4, 5)}
+
+
 def normal_matrix(n, reduced=None) -> np.ndarray:
     """Matrix form of one outward normal: (matrix) @ (Voigt stress) =
     sigma.n, the per-point form of `_normal_matrices`.
 
     ``reduced`` removes the stress columns a plate model cannot carry:
-    'kirchhoff' keeps (xx, yy, xy), 'mindlin' keeps (xx, yy, xy, yz, xz).
+    a `PLATE_ROWS` name or the rows themselves.
     """
-    return _normal_matrices(np.asarray(n, dtype=float)[None, :], reduced)[0]
+    return _normal_matrices(np.asarray(n, dtype=float)[None, :],
+                            PLATE_ROWS.get(reduced, reduced))[0]
 
 
 class TestNormalMatrix:

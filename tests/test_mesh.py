@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from mdfem.errors import ConfigError, PairingError
 from mdfem.mesh import (
     SplineDir,
-    boundary_facets,
     build_mesh,
     bulk_points,
     facet_rules,
     rotation_2d,
 )
+from oracles import (boundary_facets, element_interval, local_interval,
+                     tensor_rule)
 
 
 def to_global(mesh, x_storage):
@@ -143,10 +144,9 @@ def test_inverse_map_round_trip():
 
 def test_inverse_map_outside_signal():
     m = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 2), (0, 2)])
-    facet = boundary_facets(m, 0, +1)[0]
-    _, phys, _, normals, _ = facet_rules(m, [facet], 2)
+    elems, _, phys, _, normals, _ = facet_rules(m, 0, +1, 2)
     probe = phys[0] + 1e-3 * normals[0]
-    xi, inside = m.inverse_map(facet.elem, probe)
+    xi, inside = m.inverse_map(elems[0], probe)
     assert not inside
     assert xi[0] > 1.0 + 1e-8
 
@@ -205,34 +205,25 @@ def test_linear_fields_have_zero_hessian_on_curved_maps(model, degree, seed):
 
 def test_facet_quadrature_measure_and_normals():
     m = build_mesh("solid2d", "lagrange", 1, (40, 10), [(0, 24), (-3, 3)])
-    facets = boundary_facets(m, 0, +1)
-    assert len(facets) == 10
-    total = 0.0
-    for f in facets:
-        _, phys, w, normals, _ = facet_rules(m, [f], 3)
-        total += w.sum()
-        assert_allclose(phys[:, 0], 24.0, atol=1e-12)
-        assert_allclose(normals, [[1.0, 0.0]] * len(w), atol=1e-14)
-    assert_allclose(total, 6.0, rtol=1e-12)
+    elems, _, phys, w, normals, _ = facet_rules(m, 0, +1, 3)
+    assert len(elems) == 10
+    assert_allclose(phys[:, 0], 24.0, atol=1e-12)
+    assert_allclose(normals, [[1.0, 0.0]] * len(w), atol=1e-14)
+    assert_allclose(w.sum(), 6.0, rtol=1e-12)
 
 
 def test_facet_strip_clipping():
     m = build_mesh("solid2d", "lagrange", 1, (4, 8), [(0, 4), (0, 8)])
-    facets = boundary_facets(m, 0, +1, strip=[(2.5, 5.5)])
-    total = sum(facet_rules(m, [f], 3)[2].sum() for f in facets)
+    total = facet_rules(m, 0, +1, 3, strip=[(2.5, 5.5)])[3].sum()
     assert_allclose(total, 3.0, rtol=1e-12)
 
 
 def test_facet_measure_3d():
     m = build_mesh("solid3d", "spline", 2, (4, 2, 2),
                    [(0, 160), (0, 25), (0, 20)])
-    facets = boundary_facets(m, 0, +1)
-    total = 0.0
-    for f in facets:
-        _, phys, w, normals, _ = facet_rules(m, [f], 3)
-        total += w.sum()
-        assert_allclose(normals[:, 0], 1.0, atol=1e-13)
-    assert_allclose(total, 500.0, rtol=1e-12)
+    _, _, phys, w, normals, _ = facet_rules(m, 0, +1, 3)
+    assert_allclose(normals[:, 0], 1.0, atol=1e-13)
+    assert_allclose(w.sum(), 500.0, rtol=1e-12)
 
 
 def test_rotated_solid_placement():
@@ -245,8 +236,7 @@ def test_rotated_solid_placement():
     local = global_to_local(m, m.map_to_physical(e, xi[None, :]))[0]
     assert_allclose(local, [8.0, 0.0], atol=1e-9)
     # outward normal of the local +x face is the rotated x axis
-    f = boundary_facets(m, 0, +1)[0]
-    _, _, _, normals, _ = facet_rules(m, [f], 2)
+    normals = facet_rules(m, 0, +1, 2)[4][:2]
     assert_allclose(normals, np.tile(Q @ [1.0, 0.0], (2, 1)), atol=1e-12)
 
 
@@ -260,16 +250,81 @@ def test_reflected_curved_placement_keeps_normals_outward(dim):
     m.nodes = m.nodes + 0.05 * np.sin(3.0 * m.nodes[:, ::-1])
     for axis in range(dim):
         for side in (-1, 1):
-            facets = boundary_facets(m, axis, side)
-            parent, _, _, normals, _ = facet_rules(m, facets, 3)
-            nq = len(normals) // len(facets)
-            for i, f in enumerate(facets):
-                J, det = m.jacobian(f.elem, parent[i * nq:(i + 1) * nq])
+            elems, parent, _, _, normals, _ = facet_rules(m, axis, side, 3)
+            nq = len(normals) // len(elems)
+            for i, e in enumerate(elems):
+                J, det = m.jacobian(e, parent[i * nq:(i + 1) * nq])
                 assert (det < 0).all()
                 grad = side * np.linalg.inv(J)[:, axis, :]
                 grad /= np.linalg.norm(grad, axis=1)[:, None]
                 assert_allclose(normals[i * nq:(i + 1) * nq], grad,
                                 atol=1e-12)
+
+
+@st.composite
+def face_meshes(draw):
+    """Small 2D and 3D solids (straight, curved or reflected) and plates."""
+    model = draw(st.sampled_from(("solid2d", "solid3d", "plate")))
+    dim = 3 if model == "solid3d" else 2
+    degree = draw(st.integers(1, 3))
+    nelems = draw(st.tuples(*[st.integers(1, 4)] * dim))
+    extents = [(lo, lo + ln) for lo, ln in draw(st.tuples(
+        *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 20.0))] * dim))]
+    placement = {}
+    if model != "plate" and draw(st.booleans()):
+        # Swaps the first and last axes: det J < 0.
+        placement = {"origin": np.ones(dim), "rotation": np.eye(dim)[::-1]}
+    m = build_mesh(model, "lagrange" if degree == 1 else "spline", degree,
+                   nelems, extents, **placement)
+    if draw(st.booleans()):
+        size = min(hi - lo for lo, hi in extents)
+        m.nodes = m.nodes + 0.02 * size * np.sin(m.nodes[:, ::-1] / size)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=face_meshes(), data=st.data())
+def test_facet_rules_equal_per_facet_enumeration(m, data):
+    """The face's facets are the reference enumeration's, and each facet's
+    parent points are the tensor rule on its clipped intervals, placed on
+    the face, bit for bit."""
+    axis = data.draw(st.integers(0, m.dim - 1))
+    side = data.draw(st.sampled_from([-1, 1]))
+    free = [k for k in range(m.dim) if k != axis]
+    strip = []
+    for k in free:
+        lo, hi = m.box[k]
+        kind = data.draw(st.sampled_from(["none", "partial", "drop"]))
+        if kind == "partial":
+            a = data.draw(st.floats(0.0, 0.4))
+            b = data.draw(st.floats(0.6, 1.0))
+            strip.append((lo + a * (hi - lo), lo + b * (hi - lo)))
+        elif kind == "drop":
+            # Misses the lower elements whenever there are two or more.
+            strip.append((lo + data.draw(st.floats(0.55, 0.95)) * (hi - lo),
+                          hi))
+        else:
+            strip.append(None)
+    strip = data.draw(st.sampled_from([None, strip]))
+    npts = data.draw(st.tuples(*[st.integers(1, 4)] * len(free)))
+    facets = boundary_facets(m, axis, side, strip)
+    elems, parent, *_ = facet_rules(m, axis, side, npts, strip)
+    np.testing.assert_array_equal(elems, [e for e, _ in facets])
+    nq = int(np.prod(npts))
+    for i, (_, clips) in enumerate(facets):
+        want = np.full((nq, m.dim), float(side))
+        want[:, free] = tensor_rule(clips, npts)[0]
+        np.testing.assert_array_equal(parent[i * nq:(i + 1) * nq], want)
+
+
+def test_facet_rules_reject_bad_faces():
+    m = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 4), (0, 4)])
+    for axis, side, strip, msg in [
+            (2, 1, None, "axis 2 outside"), (0, 0, None, "side must be"),
+            (0, 1, [None, None], "one entry per free axis"),
+            (0, 1, [(5.0, 6.0)], "no facets found")]:
+        with pytest.raises(ConfigError, match=msg):
+            facet_rules(m, axis, side, 2, strip)
 
 
 def test_beam_placement():
@@ -316,7 +371,7 @@ def test_lagrange_direction_is_the_hat_basis(ne, lo, length, data):
     # Values carry the rounding of x relative to the element size.
     assert_allclose(got[:, 0], want[:, 0], rtol=0, atol=1e-14 * scale / h)
     # Parameter derivatives, chained to local ones.
-    (ta, tb), (xa, xb) = d.element_interval(e), d.local_interval(e)
+    (ta, tb), (xa, xb) = element_interval(d, e), local_interval(d, e)
     assert_allclose(got[:, 1] * (tb - ta) / (xb - xa), want[:, 1],
                     rtol=1e-14)
 

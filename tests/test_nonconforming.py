@@ -25,7 +25,8 @@ from mdfem.nonconforming import (
 )
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
-from oracles import inside, signed_distance, tensor_rule
+from oracles import (element_interval, inside, local_interval,
+                     signed_distance, tensor_rule)
 
 INF = float("inf")
 
@@ -110,7 +111,7 @@ def _element_samples(mesh, e):
     gi = mesh.element_grid_index(e)
     axes = []
     for d, i in zip(mesh.dirs, gi):
-        lo, hi = d.local_interval(i)
+        lo, hi = local_interval(d, i)
         inner = np.linspace(lo, hi, d.degree + 4)[1:-1]
         axes.append(np.concatenate([[lo, hi], inner]))
     grids = np.meshgrid(*axes, indexing="ij")
@@ -141,7 +142,7 @@ def meshes_and_regions(draw):
     for d, length in zip(mesh.dirs, lengths):
         # Sample abscissae and element boundaries hit the strict-inside
         # test at equality; infinite and outlying bounds cover the rest.
-        marks = np.concatenate([np.linspace(*d.local_interval(i),
+        marks = np.concatenate([np.linspace(*local_interval(d, i),
                                             d.degree + 4)
                                 for i in range(d.nelem)])
         ends = st.one_of(st.sampled_from(sorted(set(marks.tolist()))),
@@ -229,7 +230,7 @@ class TestIntegrateCut:
         param, wts = integrate_cut(mesh, elems, region, ncut)
         for row, e in enumerate(elems):
             pts, w = tensor_rule(
-                [d.element_interval(i)
+                [element_interval(d, i)
                  for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
                 (ncut,) * mesh.dim)
             locs = np.stack([d.param_to_local(pts[:, k])
@@ -536,7 +537,7 @@ def oracle_cut_rule(mesh, e, region, ncut):
     """The ncut-point tensor rule of one element with its covered points
     dropped, or None where none survives."""
     param, wts = tensor_rule(
-        [d.element_interval(i)
+        [element_interval(d, i)
          for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
         (ncut,) * mesh.dim)
     locs = np.stack([d.param_to_local(param[:, k])
@@ -559,10 +560,11 @@ def oracle_nonconforming(inner, region, ncut, threshold):
     for e in range(mesh.nelem):
         gi = mesh.element_grid_index(e)
         full = np.prod([hi - lo for d, i in zip(mesh.dirs, gi)
-                        for lo, hi in [d.local_interval(i)]])
+                        for lo, hi in [local_interval(d, i)]])
         out = full if labels[e] == STANDARD else 0.0
         if rules.get(e) is not None:
-            a, b = zip(*(d.element_interval(i) for d, i in zip(mesh.dirs, gi)))
+            a, b = zip(*(element_interval(d, i)
+                         for d, i in zip(mesh.dirs, gi)))
             out = rules[e][1].sum() * (full / np.prod(np.subtract(b, a)))
         support[ien[e]] += full
         alive[ien[e]] += out

@@ -25,6 +25,7 @@ from mdfem.errors import ConvergenceError, DomainError
 from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
+from oracles import element_interval, local_interval
 
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
 INF = float("inf")
@@ -34,10 +35,10 @@ def oracle_element(mesh, x):
     gi = []
     for d, xk in zip(mesh.dirs, x):
         t = d.local_to_param(xk)
-        lo, hi = d.element_interval(0)[0], d.element_interval(d.nelem - 1)[1]
+        lo, hi = element_interval(d, 0)[0], element_interval(d, d.nelem - 1)[1]
         t = min(max(t, lo), hi)
         gi.append(max(i for i in range(d.nelem)
-                      if d.element_interval(i)[0] <= t))
+                      if element_interval(d, i)[0] <= t))
     return mesh.element_id(gi)
 
 
@@ -113,7 +114,7 @@ def sample_set(mesh, rng, npts):
     cols = []
     for k, d in enumerate(mesh.dirs):
         lo, hi = mesh.box[k]
-        breaks = np.array([d.local_interval(i)[0] for i in range(d.nelem)]
+        breaks = np.array([local_interval(d, i)[0] for i in range(d.nelem)]
                           + [hi])
         pool = np.concatenate([rng.uniform(lo, hi, npts), breaks,
                                [lo - 1e-14 * (hi - lo), hi + 1e-14 * (hi - lo)]])

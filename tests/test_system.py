@@ -96,6 +96,18 @@ class TestConstraints:
         sys.fix(0, [0], values=0.25)
         sys.fix(0, [0], values=0.25)
 
+    def test_same_dof_twice_in_one_call(self):
+        solid, beam, op = small_coupled()
+        sys = System([solid, beam], [op])
+        sys.fix(0, [3, 5, 3], values=[0.25, 1.0, 0.25])
+        with pytest.raises(ConfigError, match="conflicting constraint on "
+                                              "DOF 5$"):
+            sys.fix(0, [2, 5, 4, 5], values=[0.0, 1.0, 0.0, 2.0])
+        cons, vals, free = sys._free()
+        np.testing.assert_array_equal(cons, [3, 5])
+        np.testing.assert_array_equal(vals, [0.25, 1.0])
+        assert free.sum() == sys.ndof - 2
+
 
 class TestCoupledSolve:
     def test_rigid_translation_passes_through_interface(self):
