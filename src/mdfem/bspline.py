@@ -1,8 +1,9 @@
 """B-spline and NURBS basis evaluation on open knot vectors.
 
-Univariate machinery shared by curve, surface and volume meshes: knot-span
-lookup, basis values with first and second derivatives, Greville abscissae,
-and least-squares projection of boundary data onto a spline space.
+Univariate machinery shared by curve, surface and volume meshes: basis
+values with first and second derivatives on given knot spans, Greville
+abscissae, and least-squares projection of boundary data onto a spline
+space.
 """
 from __future__ import annotations
 
@@ -112,31 +113,6 @@ class KnotVector:
         return np.around(out, decimals=15)
 
 
-def find_span(kv: KnotVector, x: float) -> int:
-    """Locate the knot span containing x.
-
-    Returns the unique index i with ``knots[i] <= x < knots[i+1]`` among the
-    non-empty spans; the right endpoint of the domain maps to the last
-    non-empty span.
-
-    Raises
-    ------
-    DomainError
-        If x lies outside the parameter domain.
-    """
-    lo, hi = kv.domain
-    if x < lo or x > hi:
-        raise DomainError(f"parameter {x} outside domain [{lo}, {hi}]")
-    knots = kv.knots
-    low = kv.degree
-    high = knots.size - kv.degree - 1
-    if x >= knots[high]:
-        # Right endpoint: last non-empty span.
-        return int(kv._span_starts[-1])
-    span = int(np.searchsorted(knots, x, side="right")) - 1
-    return span
-
-
 def _basis_ders(knots: np.ndarray, degree: int, xs, span,
                 nders: int) -> np.ndarray:
     """Values and derivatives of the non-vanishing basis functions.
@@ -200,34 +176,6 @@ def _basis_ders(knots: np.ndarray, degree: int, xs, span,
         ders[:, k, :] *= r
         r *= p - k
     return ders
-
-
-def eval_basis(kv: KnotVector, x: float, nders: int = 0):
-    """Evaluate the non-vanishing (rational) basis functions at x.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    x : float
-        Parameter value inside the domain.
-    nders : int
-        Highest derivative order requested (0, 1 or 2).
-
-    Returns
-    -------
-    ders : ndarray (nders + 1, degree + 1)
-        Row k holds the k-th derivative of each non-vanishing function.
-    indices : ndarray (degree + 1,)
-        Global indices of those functions.
-    """
-    if nders not in (0, 1, 2):
-        raise DomainError(f"derivative order must be 0, 1 or 2, got {nders}")
-    span = find_span(kv, x)
-    ders = _basis_ders(kv.knots, kv.degree, x, span, nders)
-    indices = np.arange(span - kv.degree, span + 1)
-    if kv.weights is not None:
-        ders = _rationalize(ders, kv.weights[indices], nders)
-    return ders[0], indices
 
 
 def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:

@@ -8,10 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
 from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
-                   parent_data, quadrature_data)
+                   grid_nodes, parent_data, quadrature_data)
+from .quadrature import tensor_rules
 
 
 @dataclass
@@ -150,13 +152,88 @@ def stiffness_solid(mesh: Mesh, e, material: Material,
     for k in range(dim):
         for l in range(dim):
             np.matmul(G[k].swapaxes(-1, -2), wG[l], out=P[k, l])
-    D = integrate_btcb(b_matrix_solid(np.eye(dim)[None]),
-                       constitutive_solid(material, dim), np.ones(1))
-    D = D.reshape((dim,) * 4).transpose(1, 3, 0, 2)  # [i, j, k, l]
     # [i, j, ..., a, b] -> [..., a, i, b, j]
-    K = D.reshape(dim * dim, -1) @ P.reshape(dim * dim, -1)
+    K = _hooke(material, dim).reshape(dim * dim, -1) @ P.reshape(dim * dim, -1)
     return np.moveaxis(K.reshape(P.shape), (0, 1), (-3, -1)).reshape(
         *lead, nen * dim, nen * dim)
+
+
+def _hooke(material, dim):
+    """D[i, j, k, l] = B^T C B of unit gradients: the coefficient of
+    d_k u_i d_l v_j in the strain energy density."""
+    D = integrate_btcb(b_matrix_solid(np.eye(dim)[None]),
+                       constitutive_solid(material, dim), np.ones(1))
+    return D.reshape((dim,) * 4).transpose(1, 3, 0, 2)
+
+
+def stiffness_separable(mesh: Mesh, material: Material):
+    """Whole-mesh stiffness as canonical CSR without exact zeros if the
+    nodes are bit for bit the net `grid_nodes` gives and the Jacobian is
+    positive; else None, left to `stiffness_solid` (which may raise).
+
+    The map is x = origin + A y, y_k a function of t_k alone, so P_kl =
+    det(A) sum_mn G_mk G_nl P^y_mn (G = A^-1), each P^y_mn the Kronecker
+    product over directions k (first fastest) of the 1D band matrices
+    int B^(a) B^(b) dy_k, a = [m = k], b = [n = k]. One GEMM with D on
+    their shared pattern gives the node blocks.
+    """
+    dim, bands = mesh.dim, [_band_1d(d) for d in mesh.dirs]
+    A = np.eye(dim) if mesh.rotation is None else mesh.rotation
+    if (np.linalg.det(A) <= 0 or any(b is None for b in bands)
+            or not np.array_equal(mesh.nodes, grid_nodes(
+                mesh.dirs, mesh.origin, mesh.rotation))):
+        return None
+    m, n = np.indices((dim, dim)).reshape(2, -1)  # (m, n) of each P column
+    P = ()
+    for k, (ptr, cols, vals) in enumerate(bands):
+        band = ptr, cols, vals[:, 2 * (m == k) + (n == k)]
+        P = _kron_csr(*band, *P) if P else band
+    G = np.linalg.inv(A)
+    D = np.linalg.det(A) * np.einsum("ijkl,mk,nl->mnij", _hooke(material, dim),
+                                     G, G).reshape(dim * dim, -1)
+    K = sp.bsr_matrix(((P[2] @ D).reshape(-1, dim, dim), P[1], P[0]),
+                      shape=(mesh.nnodes * dim,) * 2).tocsr()
+    K.eliminate_zeros()
+    return K
+
+
+def _band_1d(d):
+    """The 1D matrices int B^(a) B^(b) dy (a, b in {0, 1}, y local) of one
+    direction on its (p+1)-point Gauss rule, as CSR ``(indptr, indices,
+    values (nnz, 4))`` with value 2a + b; None where dy/dt <= 0."""
+    el, p = np.arange(d.nelem), d.degree
+    t, w, _ = tensor_rules([d.intervals()], [el], [p + 1])
+    tab = d.eval(np.repeat(el, p + 1), t.ravel(), 1).reshape(w.shape + (2, -1))
+    idx = d.indices(el)
+    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], d.node_coords()[idx])
+    if np.any(dy <= 0):
+        return None
+    tab[..., 1, :] /= dy[..., None]
+    band = np.zeros((d.n, 2 * p + 1, 2, 2))  # [i, j - i + p, a, b]
+    # Element e holds the consecutive functions idx[e] = s_e + (0 .. p).
+    loc = np.arange(p + 1)
+    np.add.at(band, (idx[:, :, None], p + loc - loc[:, None]),
+              np.einsum("eq,eqai,eqbj->eijab", w * dy, tab, tab))
+    i, s = np.indices(band.shape[:2])
+    keep = (0 <= i + s - p) & (i + s - p < d.n)
+    return (np.concatenate(([0], np.cumsum(keep.sum(1)))), (i + s - p)[keep],
+            band[keep].reshape(-1, 4))
+
+
+def _kron_csr(pa, ca, va, pb, cb, vb):
+    """Kronecker product ``(indptr, indices, values)`` of square CSR
+    matrices a and b, b fastest, whose values carry a trailing axis
+    (multiplied entry by entry); sorted rows stay sorted."""
+    la, lb = np.diff(pa), np.diff(pb)
+    rowlen = np.outer(la, lb).ravel()
+    ptr = np.concatenate(([0], np.cumsum(rowlen)))
+    r = np.repeat(np.arange(rowlen.size), rowlen)
+    ia, ib = np.divmod(r, lb.size)
+    q, s = np.divmod(np.arange(ptr[-1]) - ptr[r], lb[ib])
+    ea, eb = pa[ia] + q, pb[ib] + s
+    vals = np.take(va, ea, axis=0)
+    vals *= np.take(vb, eb, axis=0)
+    return ptr, ca[ea] * lb.size + cb[eb], vals
 
 
 class SolidModel:

@@ -380,13 +380,6 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         kv = KnotVector(knots, p, w)
         dirs.append(SplineDir(kv, extents[k, 0], extents[k, 1]))
 
-    coords_1d = [d.node_coords() for d in dirs]
-    grids = np.meshgrid(*coords_1d, indexing="ij")
-    # First direction fastest in the global node numbering.
-    nodes = np.stack(
-        [np.transpose(g).ravel() for g in grids], axis=-1
-    )
-
     ndglobal = 2 if model in ("solid2d", "beam") else 3
     if origin is not None:
         origin = np.asarray(origin, dtype=float).reshape(ndglobal)
@@ -400,15 +393,24 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
                 origin = np.zeros(dim)
             if rotation is None:
                 rotation = np.eye(dim)
-            nodes = origin[None, :] + nodes @ rotation.T
     elif model == "beam":
         if origin is None:
             origin = np.zeros(2)
 
     return Mesh(
-        model=model, basis=basis, dirs=dirs, nodes=nodes,
+        model=model, basis=basis, dirs=dirs,
+        nodes=grid_nodes(dirs, origin, rotation),
         box=extents, origin=origin, rotation=rotation, phi=phi, z_mid=z_mid,
     )
+
+
+def grid_nodes(dirs, origin=None, rotation=None):
+    """The net `build_mesh` makes: the tensor grid of the directions'
+    nodes, first direction fastest, placed at ``origin + rotation @ x``
+    when a rotation is given."""
+    grids = np.meshgrid(*[d.node_coords() for d in dirs], indexing="ij")
+    nodes = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
+    return nodes if rotation is None else origin + nodes @ rotation.T
 
 
 def _per_dir(value, dim, cast):
@@ -623,6 +625,8 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     coordinates, ``N`` holds the shape values. All points are mapped in
     one `Mesh.shape_ders` call.
     """
+    if mesh.dim == 1:
+        raise ConfigError("a beam mesh has no faces")
     if not 0 <= axis < mesh.dim:
         raise ConfigError(f"facet axis {axis} outside mesh dimension {mesh.dim}")
     if side not in (-1, 1):

@@ -2,12 +2,12 @@
 bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
-component-minor inside each block. Bulk assembly takes each model's
-element matrices in batches (one kernel call per batch; solids in the
-tensor form of `elasticity.stiffness_solid`) and sums their rows by a
-sparse product instead of sorting triplets (`mesh.sum_blocks`); each
-coupling sums its segment blocks the same way, straight into global
-numbering. The solve path is a direct
+component-minor inside each block. Bulk assembly places one matrix per
+model on the diagonal: a plain solid on the net `build_mesh` makes comes
+whole from 1D matrices (`elasticity.stiffness_separable`), other models
+sum batches of element matrices by a sparse product instead of sorting
+triplets (`mesh.sum_blocks`); each coupling sums its segment blocks the
+same way, straight into global numbering. The solve path is a direct
 symmetric factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
 reverse Cuthill-McKee reordering plus banded Cholesky above. The band
 storage (u + 1) n never exceeds the n^2 of a dense factor.
@@ -23,6 +23,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import mesh
 from .coupling import estimate_alpha
+from .elasticity import SolidModel, stiffness_separable
 from .errors import ConfigError, DefinitenessError
 
 _DENSE_CUTOFF = 400
@@ -70,7 +71,13 @@ class System:
         raise ConfigError("model is not part of this system")
 
     def global_dofs(self, idx, local_dofs):
-        return self.offsets[idx] + np.asarray(local_dofs, dtype=int)
+        local = np.asarray(local_dofs, dtype=int)
+        n = self.models[idx].ndof
+        bad = local[(local < 0) | (local >= n)]
+        if bad.size:
+            raise ConfigError(f"model {idx}: local DOF {bad[0]} outside "
+                              f"[0, {n})")
+        return self.offsets[idx] + local
 
     def model_part(self, a, idx):
         return a[self.offsets[idx]:self.offsets[idx + 1]]
@@ -104,26 +111,15 @@ class System:
     # Assembly ----------------------------------------------------------
 
     def bulk_matrix(self) -> sp.csr_matrix:
-        """K~ = sum of each model's own stiffness, no coupling terms.
+        """K~ = sum of each model's own stiffness, no coupling terms: one
+        canonical CSR matrix per model, placed on the diagonal once.
 
-        Element matrices come in ``(elements, Ke)`` batches, from the
-        model's own ``stiffness_batches`` where it lists them (VOID and CUT
-        elements of non-conforming models), and are summed into K by
-        `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries.
-        """
-        K = sp.csr_matrix((self.ndof, self.ndof))
-        dofs, mats, budget = [], [], 0
-        for m, off in zip(self.models, self.offsets):
-            own = getattr(m, "stiffness_batches", None)
-            for elems, Ke in (own() if own else mesh.stiffness_batches(
-                    m, np.arange(m.mesh.nelem))):
-                dofs.append(off + m.element_dofs(elems))
-                mats.append(Ke)
-                budget += Ke.size
-                if budget >= mesh._TRIPLET_BUDGET:
-                    K = mesh.add_blocks(K, dofs, mats)
-                    dofs, mats, budget = [], [], 0
-        return mesh.add_blocks(K, dofs, mats)
+        A plain `SolidModel` on the net `build_mesh` makes is assembled
+        whole by `stiffness_separable`. Other models' ``(elements, Ke)``
+        batches, from their own ``stiffness_batches`` where they list them
+        (VOID and CUT elements of non-conforming models), are summed by
+        `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
+        return _block_diag([_model_matrix(m) for m in self.models])
 
     def _coupling_matrices(self):
         """Each coupling's (K^n, K^st, H), assembled in global numbering."""
@@ -224,6 +220,41 @@ class System:
         r[free] = 0.0
         sol.reactions = r
         return sol
+
+
+def _model_matrix(m) -> sp.csr_matrix:
+    """One model's stiffness matrix in its own DOF numbering."""
+    if type(m) is SolidModel:
+        K = stiffness_separable(m.mesh, m.material)
+        if K is not None:
+            return K
+    own = getattr(m, "stiffness_batches", None)
+    K = sp.csr_matrix((m.ndof, m.ndof))
+    dofs, mats, budget = [], [], 0
+    for elems, Ke in (own() if own else mesh.stiffness_batches(
+            m, np.arange(m.mesh.nelem))):
+        dofs.append(m.element_dofs(elems))
+        mats.append(Ke)
+        budget += Ke.size
+        if budget >= mesh._TRIPLET_BUDGET:
+            K = mesh.add_blocks(K, dofs, mats)
+            dofs, mats, budget = [], [], 0
+    return mesh.add_blocks(K, dofs, mats)
+
+
+def _block_diag(parts) -> sp.csr_matrix:
+    """Square CSR matrices along the diagonal of one, canonical where
+    each part is."""
+    if len(parts) < 2:
+        return parts[0] if parts else sp.csr_matrix((0, 0))
+    n = np.cumsum([0] + [p.shape[0] for p in parts])
+    nnz = np.cumsum([0] + [p.nnz for p in parts])
+    return sp.csr_matrix(
+        (np.concatenate([p.data for p in parts]),
+         np.concatenate([p.indices + o for p, o in zip(parts, n)]),
+         np.concatenate([[0]] + [p.indptr[1:] + z
+                                 for p, z in zip(parts, nnz)])),
+        shape=(n[-1], n[-1]))
 
 
 def _solve_spd(K: sp.csr_matrix, b: np.ndarray) -> np.ndarray:

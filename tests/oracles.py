@@ -8,12 +8,17 @@ time, with their clipped parent intervals; `mesh.facet_rules` selects
 and clips a whole face per direction instead. `span_index`,
 `span_interval`, `element_interval` and `local_interval` read one
 element's interval at a time, where the library reads
-`SplineDir.intervals()`. `signed_distance` and `inside` test points
-against an `OverlapRegion` one point at a time; the library classifies
-and cuts elements from per-direction covering flags instead.
+`SplineDir.intervals()`; `find_span` and `eval_basis` locate and
+evaluate the basis at one parameter value, where the library evaluates
+whole batches on known spans (`SplineDir.eval`). `signed_distance` and
+`inside` test points against an `OverlapRegion` one point at a time;
+the library classifies and cuts elements from per-direction covering
+flags instead.
 """
 import numpy as np
 
+from mdfem.bspline import _basis_ders, _rationalize
+from mdfem.errors import DomainError
 from mdfem.quadrature import gauss_1d
 
 
@@ -117,3 +122,55 @@ def boundary_facets(mesh, axis, side, strip=None):
         if keep:
             facets.append((int(e), tuple(clips)))
     return facets
+
+
+def find_span(kv, x: float) -> int:
+    """Locate the knot span containing x.
+
+    Returns the unique index i with ``knots[i] <= x < knots[i+1]`` among the
+    non-empty spans; the right endpoint of the domain maps to the last
+    non-empty span.
+
+    Raises
+    ------
+    DomainError
+        If x lies outside the parameter domain.
+    """
+    lo, hi = kv.domain
+    if x < lo or x > hi:
+        raise DomainError(f"parameter {x} outside domain [{lo}, {hi}]")
+    knots = kv.knots
+    high = knots.size - kv.degree - 1
+    if x >= knots[high]:
+        # Right endpoint: last non-empty span.
+        return int(kv._span_starts[-1])
+    span = int(np.searchsorted(knots, x, side="right")) - 1
+    return span
+
+
+def eval_basis(kv, x: float, nders: int = 0):
+    """Evaluate the non-vanishing (rational) basis functions at x.
+
+    Parameters
+    ----------
+    kv : KnotVector
+    x : float
+        Parameter value inside the domain.
+    nders : int
+        Highest derivative order requested (0, 1 or 2).
+
+    Returns
+    -------
+    ders : ndarray (nders + 1, degree + 1)
+        Row k holds the k-th derivative of each non-vanishing function.
+    indices : ndarray (degree + 1,)
+        Global indices of those functions.
+    """
+    if nders not in (0, 1, 2):
+        raise DomainError(f"derivative order must be 0, 1 or 2, got {nders}")
+    span = find_span(kv, x)
+    ders = _basis_ders(kv.knots, kv.degree, x, span, nders)
+    indices = np.arange(span - kv.degree, span + 1)
+    if kv.weights is not None:
+        ders = _rationalize(ders, kv.weights[indices], nders)
+    return ders[0], indices

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from mdfem.bench import run_case
-from mdfem.bspline import (KnotVector, eval_basis, least_squares_project,
-                           make_open_knots)
+from mdfem.bspline import KnotVector, least_squares_project, make_open_knots
 from mdfem.coupling import build_interface
 from mdfem.elasticity import SolidModel
 from mdfem.mesh import build_mesh, rotation_2d
 from mdfem.structural import BeamModel, Material, PlateModel
 from mdfem.system import System
+from oracles import eval_basis
 
 E_PATCH = 1000.0
 JUMP_TOL = 1e-9

@@ -7,12 +7,15 @@ Beam and plate kernels keep the oracle's arithmetic and must match bit
 for bit; the solid kernel sums in tensor form and must match to 1e-13.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdfem import elasticity
 from mdfem import mesh as mesh_mod
 from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
                               constitutive_solid, integrate_btcb)
+from mdfem.errors import DomainError
 from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
@@ -225,6 +228,8 @@ def test_bulk_matrix_matches_dense_scatter():
 
 def test_bulk_matrix_flushes_within_budget(monkeypatch):
     system = nonconforming_system()
+    # A perturbed net keeps the solid on the batched quadrature path.
+    system.models[0].mesh.nodes[7] += (0.05, -0.03)
     ref = system.bulk_matrix().toarray()
     flushes = []
     flush = mesh_mod.add_blocks
@@ -243,6 +248,105 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
     # A flush holds at most one batch beyond the budget.
     assert max(flushes) < 2 * budget
     assert K.has_canonical_format
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
+def spy_quadrature(monkeypatch):
+    """Record every `stiffness_solid` call (the quadrature path)."""
+    calls = []
+    kernel = elasticity.stiffness_solid
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(elasticity, "stiffness_solid", spy)
+    return calls
+
+
+def random_rotation(rng, dim):
+    """A proper rotation drawn from ``rng``."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+@st.composite
+def separable_solids(draw):
+    """Solid meshes as `build_mesh` makes them: 2D and 3D, Lagrange or
+    spline of degree 1-4 per direction, optional NURBS weights and
+    optional placement by origin and rotation."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lagrange = draw(st.booleans())
+    degrees = [1 if lagrange else draw(st.integers(1, 4)) for _ in range(dim)]
+    nelems = [draw(st.integers(1, 3 if dim == 3 else 4)) for _ in range(dim)]
+    lo = rng.uniform(-2.0, 2.0, dim)
+    extents = np.stack([lo, lo + rng.uniform(0.3, 3.0, dim)], axis=-1)
+    kw = {}
+    if not lagrange and draw(st.booleans()):
+        kw["weights"] = [rng.uniform(0.5, 2.0, n + p)
+                         for n, p in zip(nelems, degrees)]
+    if draw(st.booleans()):
+        kw["origin"] = rng.uniform(-5.0, 5.0, dim)
+        kw["rotation"] = random_rotation(rng, dim)
+    return build_mesh(f"solid{dim}d", "lagrange" if lagrange else "spline",
+                      degrees, nelems, extents, **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(separable_solids())
+def test_separable_bulk_matches_quadrature(mesh):
+    model = SolidModel(mesh, MAT)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_quadrature(mp)
+        K = System([model]).bulk_matrix()
+    assert calls == []
+    assert K.indices.dtype == np.int32 and K.has_canonical_format
+    assert not (K.data == 0).any()
+    e = np.arange(mesh.nelem)
+    ref = mesh_mod.sum_blocks(K.shape, [model.element_dofs(e)],
+                              elasticity.stiffness_solid(mesh, e, MAT))[0]
+    ref = ref.toarray()
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
+def test_perturbed_net_takes_the_quadrature_path(monkeypatch):
+    mesh = build_mesh("solid3d", "spline", (2, 1, 3), (3, 2, 2),
+                      ((0.0, 3.0), (0.0, 1.0), (0.0, 2.0)))
+    mesh.nodes[13] += (0.02, -0.01, 0.03)
+    calls = spy_quadrature(monkeypatch)
+    system = System([SolidModel(mesh, MAT)])
+    K = system.bulk_matrix()
+    assert len(calls) == 1 and len(calls[0]) == mesh.nelem
+    ref = dense_bulk(system)
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
+def test_reflecting_rotation_raises_as_the_quadrature_path():
+    mesh = build_mesh("solid2d", "spline", 2, (3, 2),
+                      ((0.0, 3.0), (0.0, 1.0)), rotation=np.diag([1.0, -1.0]))
+    with pytest.raises(DomainError) as quadrature:
+        elasticity.stiffness_solid(mesh, np.arange(mesh.nelem), MAT)
+    with pytest.raises(DomainError, match="non-positive jacobian") as bulk:
+        System([SolidModel(mesh, MAT)]).bulk_matrix()
+    assert str(bulk.value) == str(quadrature.value)
+
+
+def test_bulk_matrix_of_separable_solid_and_beam_is_int32_canonical():
+    solid = SolidModel(build_mesh("solid2d", "spline", 3, (5, 2),
+                                  ((0.0, 4.0), (-1.0, 1.0))), MAT)
+    beam = BeamModel(build_mesh("beam", "spline", 3, 8, ((0.0, 24.0),),
+                                origin=(4.0, 0.0)), MAT)
+    system = System([solid, beam])
+    K = system.bulk_matrix()
+    assert K.indices.dtype == np.int32 and K.indptr.dtype == np.int32
+    assert K.has_canonical_format and not (K.data == 0).any()
+    ref = dense_bulk(system)
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
 

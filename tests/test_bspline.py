@@ -15,14 +15,13 @@ from mdfem.bspline import (
     KnotVector,
     _basis_ders,
     _rationalize,
-    eval_basis,
-    find_span,
     least_squares_project,
     make_open_knots,
 )
 from mdfem.errors import ConfigError, DomainError, RankError
 from mdfem.mesh import SplineDir
-from oracles import span_index, span_interval, tensor_rule
+from oracles import (eval_basis, find_span, span_index, span_interval,
+                     tensor_rule)
 
 
 def evaluate_spline(kv, coeffs, xs, nders=0):

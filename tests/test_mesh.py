@@ -327,6 +327,13 @@ def test_facet_rules_reject_bad_faces():
             facet_rules(m, axis, side, 2, strip)
 
 
+def test_facet_rules_on_a_beam_mesh_is_a_config_error():
+    m = build_mesh("beam", "spline", 3, 4, [(0, 24)])
+    for axis, side in [(0, 1), (0, -1), (1, 1)]:
+        with pytest.raises(ConfigError, match="a beam mesh has no faces"):
+            facet_rules(m, axis, side, 2)
+
+
 def test_beam_placement():
     m = build_mesh("beam", "spline", 3, 4, [(0, 24)],
                    origin=[24.0, 0.0], phi=0.0)

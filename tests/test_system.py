@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
@@ -107,6 +109,49 @@ class TestConstraints:
         np.testing.assert_array_equal(cons, [3, 5])
         np.testing.assert_array_equal(vals, [0.25, 1.0])
         assert free.sum() == sys.ndof - 2
+
+
+    def test_dofs_outside_the_model_rejected(self):
+        # A 2x2 Q4 solid (18 DOFs) before a Timoshenko beam: -1 and 18
+        # would otherwise land on the beam's DOFs 26 and 18.
+        sys = q4_and_beam()
+        for dofs in ([-1], [18]):
+            with pytest.raises(ConfigError, match=r"model 0: local DOF "
+                                                  r"-?\d+ outside \[0, 18\)"):
+                sys.fix(0, dofs, 0.5)
+        assert free_count(sys) == sys.ndof
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1]),
+           st.lists(st.integers(-30, 40), min_size=1, max_size=5))
+    def test_fix_range_check(self, idx, dofs):
+        sys = q4_and_beam()
+        n = sys.models[idx].ndof
+        bad = [d for d in dofs if not 0 <= d < n]
+        if bad:
+            with pytest.raises(ConfigError, match=rf"model {idx}: local DOF "
+                                                  rf"{bad[0]} outside \[0, {n}\)$"):
+                sys.fix(idx, dofs, 0.25)
+            assert free_count(sys) == sys.ndof
+            return
+        sys.fix(idx, dofs, 0.25)
+        cons, vals, _ = sys._free()
+        np.testing.assert_array_equal(cons, np.unique(sys.offsets[idx]
+                                                      + np.array(dofs)))
+        assert np.all(vals == 0.25)
+
+
+def q4_and_beam():
+    mat = Material(E=200.0, nu=0.25)
+    solid = SolidModel(build_mesh("solid2d", "lagrange", 1, (2, 2),
+                                  ((0.0, 2.0), (0.0, 1.0))), mat)
+    beam = BeamModel(build_mesh("beam", "lagrange", 1, 2, ((0.0, 2.0),),
+                                origin=(2.0, 0.5)), mat)
+    return System([solid, beam])
+
+
+def free_count(sys):
+    return int(sys._free()[2].sum())
 
 
 class TestCoupledSolve:
