@@ -107,10 +107,8 @@ class KnotVector:
         if p == 0:
             # Midpoints of the spans; the averaging rule has no knots to average.
             return 0.5 * (self.knots[:-1] + self.knots[1:])
-        out = np.array(
-            [self.knots[i + 1: i + p + 1].sum() / p for i in range(self.n)]
-        )
-        return np.around(out, decimals=15)
+        window = self.knots[np.arange(1, p + 1) + np.arange(self.n)[:, None]]
+        return np.around(window.sum(axis=1) / p, decimals=15)
 
 
 def _basis_ders(knots: np.ndarray, degree: int, xs, span,

@@ -94,8 +94,9 @@ class CouplingOperator:
     def measure(self):
         return float(self.points.weights.sum())
 
-    def matrices(self, offsets=None, ndof=None):
-        """Assemble (K^n, K^st, H) as sparse matrices.
+    def matrices(self, offsets=None, ndof=None, with_h=True):
+        """Assemble (K^n, K^st, H) as sparse matrices; H is None unless
+        ``with_h`` (only the alpha estimate reads it).
 
         By default over the stacked local DOFs ``[solid | struct]``; with
         the models' ``offsets = (solid, struct)`` in a global numbering of
@@ -127,16 +128,18 @@ class CouplingOperator:
             # Segments of one point count are one batch, in segment order.
             run = run[np.argsort(counts[run], kind="stable")]
             cuts = np.flatnonzero(np.diff(counts[run], prepend=-1, append=-1))
-            blocks = [np.empty((run.size, na, na)) for _ in range(3)]
+            blocks = [np.empty((run.size, na, na)) for _ in range(2 + with_h)]
             for a, b in zip(cuts[:-1], cuts[1:]):
                 q = first[run[a:b], None] + np.arange(counts[run[a]])
                 Jq, Tq, wq = J[q], T[q], p.weights[q]
                 integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
                 integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
-                integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
+                if with_h:
+                    integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
             parts.append(sum_blocks((ndof, ndof), [dofs[run]],
                                     *([m] for m in blocks)))
-        return tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
+        out = tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
+        return out if with_h else out + (None,)
 
 
 def _struct_local(struct, phys):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .errors import ConfigError
 from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
@@ -78,43 +79,6 @@ def constitutive_solid(material: Material, dim: int) -> np.ndarray:
     raise ConfigError(f"solid dimension must be 2 or 3, got {dim}")
 
 
-def b_matrix_solid(dNdx: np.ndarray) -> np.ndarray:
-    """Strain-displacement matrices from shape gradients.
-
-    ``dNdx`` has shape (nq, nen, dim); the result has shape
-    (nq, nvoigt, dim * nen) with DOFs node-major.
-    """
-    nq, nen, dim = dNdx.shape
-    if dim == 2:
-        B = np.zeros((nq, 3, 2 * nen))
-        B[:, 0, 0::2] = dNdx[:, :, 0]
-        B[:, 1, 1::2] = dNdx[:, :, 1]
-        B[:, 2, 0::2] = dNdx[:, :, 1]
-        B[:, 2, 1::2] = dNdx[:, :, 0]
-        return B
-    B = np.zeros((nq, 6, 3 * nen))
-    dx, dy, dz = dNdx[:, :, 0], dNdx[:, :, 1], dNdx[:, :, 2]
-    B[:, 0, 0::3] = dx
-    B[:, 1, 1::3] = dy
-    B[:, 2, 2::3] = dz
-    B[:, 3, 0::3] = dy
-    B[:, 3, 1::3] = dx
-    B[:, 4, 1::3] = dz
-    B[:, 4, 2::3] = dy
-    B[:, 5, 0::3] = dz
-    B[:, 5, 2::3] = dx
-    return B
-
-
-def disp_matrix(N: np.ndarray, ncomp: int) -> np.ndarray:
-    """Displacement interpolation matrices (nq, ncomp, ncomp * nen)."""
-    nq, nen = N.shape
-    out = np.zeros((nq, ncomp, ncomp * nen))
-    for c in range(ncomp):
-        out[:, c, c::ncomp] = N
-    return out
-
-
 def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray,
                   out=None) -> np.ndarray:
     """Sum over quadrature points of w * A^T B (GEMM-shaped).
@@ -129,87 +93,178 @@ def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray,
                      wB.reshape(*lead, nq * nr, B.shape[-1]), out=out)
 
 
-def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum over quadrature points of w * B^T C B (GEMM-shaped, batched as
-    `integrate_atb`)."""
-    return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)
+# The second derivatives d2/dx_k dx_l of a jet, k <= l.
+_PAIRS = {dim: np.triu_indices(dim) for dim in (1, 2, 3)}
 
 
-def stiffness_solid(mesh: Mesh, e, material: Material,
-                    quadrature=None) -> np.ndarray:
-    """Element stiffness with the full (p+1)-point Gauss rule or an
-    explicit ``quadrature`` (as `mesh.quadrature_data` takes it), for one
-    element or an element array. Tensor form of sum_q w B^T C B:
-    P_kl = sum_q w G_k G_l^T (G = dN/dx, one GEMM per direction pair) and
-    K[a i, b j] = sum_kl D[i k, j l] P_kl[a, b], D = B^T C B of unit
-    gradients.
+def jets(dim):
+    """Derivative multi-indices ``(njet, dim)`` of the shape jet, in the
+    order of every table and form: the value, the first derivatives, then
+    the second ones (`_PAIRS`)."""
+    one = np.eye(dim, dtype=int)
+    k, l = _PAIRS[dim]
+    return np.concatenate([np.zeros((1, dim), int), one, one[k] + one[l]])
+
+
+def kinematics(disp, strain):
+    """Tables ``(U, E)``, each ``(2, rows, ncomp, njet)``: row r of the
+    displacement (U) or Voigt strain (E) at section offset y sums ``(a + y
+    b) d^m u_c`` over its terms ``(c, m, a, b)``, m a `jets` multi-index."""
+    rows = disp + strain
+    terms = [t for row in rows for t in row]
+    index = {tuple(m): j for j, m in enumerate(jets(len(terms[0][1])))}
+    t = np.zeros((2, len(rows), 1 + max(c for c, *_ in terms), len(index)))
+    for r, row in enumerate(rows):
+        for c, m, a, b in row:
+            t[:, r, c, index[m]] = a, b
+    return t[:, :len(disp)], t[:, len(disp):]
+
+
+def solid_kinematics(dim):
+    """u_c = N a_c and the Voigt strains, engineering shears; a row's
+    terms are a set, so that a normal strain (i = j) has one."""
+    pairs = ((0, 0), (1, 1), (0, 1)) if dim == 2 else (
+        (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+    d = [tuple(r) for r in np.eye(dim, dtype=int)]
+    return kinematics([[(c, (0,) * dim, 1, 0)] for c in range(dim)],
+                      [{(i, d[j], 1, 0), (j, d[i], 1, 0)} for i, j in pairs])
+
+
+def section_form(kin, C, area=1.0, inertia=0.0):
+    """Stiffness form D ``(ncomp, njet, ncomp, njet)``, energy density sum
+    D[i a j b] d^a u_i d^b u_j: strain rows E0 + y E1 of ``kin``, law ``C``,
+    over a section of moments ``area`` (y^0), ``inertia`` (y^2; no y^1)."""
+    return sum(m * np.einsum("rca,rs,sdb->cadb", E, C, E)
+               for m, E in zip((area, inertia), kin[1]))
+
+
+def interpolate(mesh, e, parent, kin, offset=None):
+    """``(N, B)``: the displacement and strain rows of ``kin`` at section
+    offsets ``offset`` (one per point or one for all) at parent points of
+    element ``e``, or of ``e[i]`` at point ``i`` for an element array:
+    ``(nq, rows, ncomp * nen)``, DOFs node-major."""
+    t = np.concatenate(kin, axis=1)
+    r, c, j = np.nonzero(t.any(0))
+    # Second derivatives are needed iff a used column follows the first.
+    shapes = parent_data(mesh, e, parent, 2 if j.max() > mesh.dim else 1)
+    J = _jet(shapes[:3], set(j.tolist()), mesh.dim)
+    nq, nen = shapes[0].shape
+    y = 0.0 if offset is None else np.reshape(offset, (-1, 1))
+    out = np.zeros((nq, t.shape[1], nen, t.shape[2]))
+    for row, comp, col, a, b in zip(r.tolist(), c.tolist(), j.tolist(),
+                                    *t[:, r, c, j].tolist()):
+        out[:, row, :, comp] += (a + y * b) * J[col]
+    out = out.reshape(nq, t.shape[1], -1)
+    return out[:, :kin[0].shape[1]], out[:, kin[0].shape[1]:]
+
+
+def _jet(shapes, used, dim):
+    """``{j: column j}`` of the jet of ``(N, dN, d2N)``, j in ``used``."""
+    N, dN, d2N = shapes
+    k, l = _PAIRS[dim]
+    return {j: N if j == 0 else dN[..., j - 1] if j <= dim
+            else d2N[..., k[j - 1 - dim], l[j - 1 - dim]] for j in used}
+
+
+def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
+    """Element matrices of a stiffness ``form``: a list of ``(D, npts)``
+    parts, D as `section_form` gives it, each on its ``npts``-point Gauss
+    rule (None: p + 1) or all on an explicit ``quadrature`` (as
+    `mesh.quadrature_data` takes it); one element or an element array.
+    P_ab = sum_q w d^a N (d^b N)^T for each pair of used jet columns (one
+    GEMM each), and K[m i, n j] = sum_ab D[i a j b] P_ab[m, n]."""
+    if quadrature is not None:
+        form = [(sum(D for D, _ in form), None)]
+    parts = []
+    for D, npts in form:
+        used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
+        nders = 2 if used[-1] > mesh.dim else 1
+        _, w, *shapes, _ = (bulk_points(mesh, e, npts, nders)
+                            if quadrature is None else
+                            quadrature_data(mesh, e, quadrature, nders))
+        J = np.stack(list(_jet(shapes, used, mesh.dim).values()))
+        *lead, _, nen = J.shape[1:]
+        wJ = J * w[..., None]
+        nu, nc = used.size, D.shape[0]
+        P = np.empty((nu, nu, *lead, nen, nen))
+        for a in range(nu):
+            for b in range(nu):
+                np.matmul(J[a].swapaxes(-1, -2), wJ[b], out=P[a, b])
+        # [i, j, ..., m, n]. A one-row product is a GEMV, whose sums depend
+        # on the batch size: that row is summed term by term.
+        Du = D[:, used][..., used].transpose(0, 2, 1, 3).reshape(nc * nc, -1)
+        P = P.reshape(nu * nu, -1)
+        Kp = Du @ P if nc > 1 else sum(d * p for d, p in zip(Du[0], P) if d)
+        # -> [..., m, i, n, j]
+        parts.append(np.moveaxis(Kp.reshape(nc, nc, *lead, nen, nen), (0, 1),
+                                 (-3, -1)).reshape(*lead, nen * nc, nen * nc))
+    return sum(parts[1:], parts[0])
+
+
+def stiffness_separable(mesh: Mesh, form):
+    """Whole-mesh matrix of a stiffness ``form`` (as `stiffness_quadrature`
+    takes it), canonical CSR without exact zeros, if the nodes are bit for
+    bit the net `grid_nodes` gives and the Jacobian is positive; else None.
+
+    The map is x = origin + A y, y_k a function of t_k alone, so a jet in
+    x combines jets in y (`_jet_map`), and P_ab in y is the Kronecker
+    product over directions (first fastest) of the 1D band matrices int
+    B^(a_k) B^(b_k) dy_k. One GEMM per part with D gives the node blocks.
     """
-    _, w, _, G, _, _ = quadrature_data(mesh, e, quadrature)
-    *lead, nq, nen, dim = G.shape
-    G = np.ascontiguousarray(np.moveaxis(G, -1, 0))  # [k, ..., q, a]
-    wG = G * w[..., None]
-    P = np.empty((dim, dim, *lead, nen, nen))
-    for k in range(dim):
-        for l in range(dim):
-            np.matmul(G[k].swapaxes(-1, -2), wG[l], out=P[k, l])
-    # [i, j, ..., a, b] -> [..., a, i, b, j]
-    K = _hooke(material, dim).reshape(dim * dim, -1) @ P.reshape(dim * dim, -1)
-    return np.moveaxis(K.reshape(P.shape), (0, 1), (-3, -1)).reshape(
-        *lead, nen * dim, nen * dim)
-
-
-def _hooke(material, dim):
-    """D[i, j, k, l] = B^T C B of unit gradients: the coefficient of
-    d_k u_i d_l v_j in the strain energy density."""
-    D = integrate_btcb(b_matrix_solid(np.eye(dim)[None]),
-                       constitutive_solid(material, dim), np.ones(1))
-    return D.reshape((dim,) * 4).transpose(1, 3, 0, 2)
-
-
-def stiffness_separable(mesh: Mesh, material: Material):
-    """Whole-mesh stiffness as canonical CSR without exact zeros if the
-    nodes are bit for bit the net `grid_nodes` gives and the Jacobian is
-    positive; else None, left to `stiffness_solid` (which may raise).
-
-    The map is x = origin + A y, y_k a function of t_k alone, so P_kl =
-    det(A) sum_mn G_mk G_nl P^y_mn (G = A^-1), each P^y_mn the Kronecker
-    product over directions k (first fastest) of the 1D band matrices
-    int B^(a) B^(b) dy_k, a = [m = k], b = [n = k]. One GEMM with D on
-    their shared pattern gives the node blocks.
-    """
-    dim, bands = mesh.dim, [_band_1d(d) for d in mesh.dirs]
+    dim = mesh.dim
     A = np.eye(dim) if mesh.rotation is None else mesh.rotation
-    if (np.linalg.det(A) <= 0 or any(b is None for b in bands)
-            or not np.array_equal(mesh.nodes, grid_nodes(
-                mesh.dirs, mesh.origin, mesh.rotation))):
+    if (np.linalg.det(A) <= 0 or not np.array_equal(mesh.nodes, grid_nodes(
+            mesh.dirs, mesh.origin, mesh.rotation))):
         return None
-    m, n = np.indices((dim, dim)).reshape(2, -1)  # (m, n) of each P column
-    P = ()
-    for k, (ptr, cols, vals) in enumerate(bands):
-        band = ptr, cols, vals[:, 2 * (m == k) + (n == k)]
-        P = _kron_csr(*band, *P) if P else band
-    G = np.linalg.inv(A)
-    D = np.linalg.det(A) * np.einsum("ijkl,mk,nl->mnij", _hooke(material, dim),
-                                     G, G).reshape(dim * dim, -1)
-    K = sp.bsr_matrix(((P[2] @ D).reshape(-1, dim, dim), P[1], P[0]),
-                      shape=(mesh.nnodes * dim,) * 2).tocsr()
+    T, m = _jet_map(np.linalg.inv(A)), jets(dim)
+    vals = []
+    for D, npts in form:
+        D = np.linalg.det(A) * np.einsum("ab,iajc,cd->ibjd", T, D, T)
+        used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
+        a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
+        nders, P = 2 if used[-1] > dim else 1, ()
+        for k, d in enumerate(mesh.dirs):
+            band = _band_1d(d, npts or d.degree + 1, nders)
+            if band is None:
+                return None
+            band = *band[:2], band[2][:, m[a, k], m[b, k]]
+            P = _kron_csr(*band, *P) if P else band
+        vals.append(P[2] @ D[:, a, :, b].reshape(a.size, -1))
+    nc = form[0][0].shape[0]
+    K = sp.bsr_matrix((sum(vals[1:], vals[0]).reshape(-1, nc, nc), P[1],
+                       P[0]), shape=(mesh.nnodes * nc,) * 2).tocsr()
     K.eliminate_zeros()
     return K
 
 
-def _band_1d(d):
-    """The 1D matrices int B^(a) B^(b) dy (a, b in {0, 1}, y local) of one
-    direction on its (p+1)-point Gauss rule, as CSR ``(indptr, indices,
-    values (nnz, 4))`` with value 2a + b; None where dy/dt <= 0."""
+def _jet_map(G):
+    """T with d^a/dx = sum_b T[a, b] d^b/dy (`jets` order) for y = G x + c:
+    d/dx_k = sum_m G_mk d/dy_m, and d2/dx_k dx_l the product of two."""
+    k, l = _PAIRS[len(G)]
+    Q = G[k][:, k] * G[l][:, l] + G[l][:, k] * G[k][:, l]
+    return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
+
+
+def _band_1d(d, npts, nders):
+    """The 1D matrices int B^(a) B^(b) dy (a, b <= nders, y local) of one
+    direction on its ``npts``-point Gauss rule, as CSR ``(indptr, indices,
+    values (nnz, nders + 1, nders + 1))``; None where dy/dt <= 0."""
     el, p = np.arange(d.nelem), d.degree
-    t, w, _ = tensor_rules([d.intervals()], [el], [p + 1])
-    tab = d.eval(np.repeat(el, p + 1), t.ravel(), 1).reshape(w.shape + (2, -1))
+    t, w, _ = tensor_rules([d.intervals()], [el], [npts])
+    tab = d.eval(np.repeat(el, npts), t.ravel(), nders).reshape(
+        w.shape + (nders + 1, -1))
     idx = d.indices(el)
-    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], d.node_coords()[idx])
+    x = d.node_coords()[idx]
+    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], x)
     if np.any(dy <= 0):
         return None
+    if nders == 2:
+        # d2N/dy2 = (d2N/dt2 - dN/dt d2y/dt2 / dy/dt) / (dy/dt)^2
+        tab[..., 2, :] -= tab[..., 1, :] * (np.einsum(
+            "eqa,ea->eq", tab[..., 2, :], x) / dy)[..., None]
+        tab[..., 2, :] /= (dy * dy)[..., None]
     tab[..., 1, :] /= dy[..., None]
-    band = np.zeros((d.n, 2 * p + 1, 2, 2))  # [i, j - i + p, a, b]
+    band = np.zeros((d.n, 2 * p + 1, nders + 1, nders + 1))  # [i, j - i + p]
     # Element e holds the consecutive functions idx[e] = s_e + (0 .. p).
     loc = np.arange(p + 1)
     np.add.at(band, (idx[:, :, None], p + loc - loc[:, None]),
@@ -217,7 +272,7 @@ def _band_1d(d):
     i, s = np.indices(band.shape[:2])
     keep = (0 <= i + s - p) & (i + s - p < d.n)
     return (np.concatenate(([0], np.cumsum(keep.sum(1)))), (i + s - p)[keep],
-            band[keep].reshape(-1, 4))
+            band[keep])
 
 
 def _kron_csr(pa, ca, va, pb, cb, vb):
@@ -236,7 +291,18 @@ def _kron_csr(pa, ca, va, pb, cb, vb):
     return ptr, ca[ea] * lb.size + cb[eb], vals
 
 
-class SolidModel:
+class Model:
+    """``ncomp_node`` unknowns per node of ``mesh``, DOFs node-major."""
+
+    @property
+    def ndof(self):
+        return self.mesh.nnodes * self.ncomp_node
+
+    def element_dofs(self, e):
+        return self.mesh.element_dofs(e, self.ncomp_node)
+
+
+class SolidModel(Model):
     """Continuum body: mesh plus material, exposing coupling kernels."""
 
     def __init__(self, mesh: Mesh, material: Material):
@@ -244,24 +310,18 @@ class SolidModel:
             raise ConfigError(f"SolidModel needs a solid mesh, got {mesh.model}")
         self.mesh = mesh
         self.material = material
-        self.ncomp = mesh.dim
+        self.ncomp = self.ncomp_node = mesh.dim
         self.C = constitutive_solid(material, mesh.dim)
+        self.kinematics = solid_kinematics(mesh.dim)
 
-    @property
-    def ncomp_node(self):
-        """Unknowns per node, under the name model-generic code expects."""
-        return self.ncomp
-
-    @property
-    def ndof(self):
-        return self.mesh.nnodes * self.ncomp
-
-    def element_dofs(self, e):
-        return self.mesh.element_dofs(e, self.ncomp)
+    def stiffness_form(self):
+        """The `section_form` of the solid kinematics and Hooke's law."""
+        return [(section_form(self.kinematics, self.C), None)]
 
     def element_stiffness(self, e, quadrature=None):
         """Element matrix, or a batch of them for an element array."""
-        return stiffness_solid(self.mesh, e, self.material, quadrature)
+        return stiffness_quadrature(self.mesh, e, self.stiffness_form(),
+                                    quadrature)
 
     def trace(self, e, parent, rows=None):
         """Displacement and stress interpolation at parent points of
@@ -271,10 +331,8 @@ class SolidModel:
         ``(nq, nvoigt, ndof_e)`` with ``S = C B``; ``rows`` selects stress
         components.
         """
-        N, dNdx, _, _ = parent_data(self.mesh, e, parent)
-        C = self.C if rows is None else self.C[rows, :]
-        return (disp_matrix(N, self.ncomp),
-                np.einsum("ab,qbj->qaj", C, b_matrix_solid(dNdx)))
+        N, B = interpolate(self.mesh, e, parent, self.kinematics)
+        return N, (self.C if rows is None else self.C[rows, :]) @ B
 
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""

@@ -1,21 +1,53 @@
-"""Reduced-model kernels: beams (Euler-Bernoulli, Timoshenko) and plates
-(Kirchhoff, Mindlin-Reissner), their prolongation operators onto the
-surrounding continuum, and frame rotation machinery.
+"""Reduced models: beams (Euler-Bernoulli, Timoshenko) and plates
+(Kirchhoff, Mindlin-Reissner), and their prolongation onto the continuum.
 
-Beam DOFs are w (Euler-Bernoulli) or (u, w, theta) (Timoshenko) per
-control point; plate DOFs are w (Kirchhoff) or (w, beta1, beta2)
-(Mindlin). With a nonzero frame angle the Timoshenko nodal unknowns are
-kept in global axes and the element matrices are rotated accordingly.
+Each theory states its kinematics once, as a table (`KINEMATICS`): the
+continuum displacement and strain it implies at a section offset, value
++ offset * slope. `prolong` and `trace` contract the table with the
+shape functions, and the stiffness is the section integral of the
+prolonged strain energy (`elasticity.section_form`). Timoshenko unknowns
+of a member at a frame angle stay in global axes: the rotation acts on
+the component axes of the table.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from .elasticity import Material, integrate_btcb, recover_values
+from .elasticity import (Material, Model, constitutive_solid, interpolate,
+                         kinematics, recover_values, section_form,
+                         stiffness_quadrature)
 from .errors import ConfigError, DomainError
-from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
-                   parent_data, quadrature_data)
+from .mesh import Mesh, element_batches, facet_rules, quadrature_data
+
+# Rows: displacement (ux, uy) or (u1, u2, u3), then Voigt strain (xx, yy,
+# xy), for Mindlin (xx, yy, xy, yz, xz). Terms: (component, derivative
+# multi-index, value, slope); the section offset is y or z.
+KINEMATICS = {
+    # (w): ux = -y w', uy = w; exx = -y w''.
+    "euler_bernoulli": kinematics(
+        [[(0, (1,), 0, -1)], [(0, (0,), 1, 0)]], [[(0, (2,), 0, -1)], [], []]),
+    # (u, w, theta): ux = u - y theta, uy = w; exx = u' - y theta',
+    # gxy = w' - theta.
+    "timoshenko": kinematics(
+        [[(0, (0,), 1, 0), (2, (0,), 0, -1)], [(1, (0,), 1, 0)]],
+        [[(0, (1,), 1, 0), (2, (1,), 0, -1)], [],
+         [(1, (1,), 1, 0), (2, (0,), -1, 0)]]),
+    # (w): u1 = -z w_x, u2 = -z w_y, u3 = w; exx = -z w_xx, eyy = -z w_yy,
+    # gxy = -2 z w_xy.
+    "kirchhoff": kinematics(
+        [[(0, (1, 0), 0, -1)], [(0, (0, 1), 0, -1)], [(0, (0, 0), 1, 0)]],
+        [[(0, (2, 0), 0, -1)], [(0, (0, 2), 0, -1)], [(0, (1, 1), 0, -2)]]),
+    # (w, beta1, beta2): u1 = -z beta1, u2 = -z beta2, u3 = w;
+    # exx = -z beta1_x, eyy = -z beta2_y, gxy = -z (beta1_y + beta2_x),
+    # gyz = w_y - beta2, gxz = w_x - beta1.
+    "mindlin": kinematics(
+        [[(1, (0, 0), 0, -1)], [(2, (0, 0), 0, -1)], [(0, (0, 0), 1, 0)]],
+        [[(1, (1, 0), 0, -1)], [(2, (0, 1), 0, -1)],
+         [(1, (0, 1), 0, -1), (2, (1, 0), 0, -1)],
+         [(0, (0, 1), 1, 0), (2, (0, 0), -1, 0)],
+         [(0, (1, 0), 1, 0), (1, (0, 0), -1, 0)]]),
+}
 
 
 def frame_transforms(phi: float):
@@ -41,7 +73,17 @@ def _require_c1(mesh: Mesh, what: str):
         raise ConfigError(f"{what} needs a C1 basis (spline, degree >= 2)")
 
 
-class BeamModel:
+def _prolong(model, e, parent, offset):
+    """The model's kinematics at section offsets within its thickness."""
+    offset = np.asarray(offset, dtype=float).ravel()
+    h = model.material.thickness
+    if np.any(np.abs(offset) > h / 2 + 1e-12 * h):
+        raise DomainError(
+            f"section offset outside the {model.mesh.model} thickness")
+    return interpolate(model.mesh, e, parent, model.kinematics, offset)
+
+
+class BeamModel(Model):
     """Beam on a 1D mesh, optionally rotated in the plane by ``mesh.phi``."""
 
     def __init__(self, mesh: Mesh, material: Material,
@@ -57,7 +99,10 @@ class BeamModel:
         self.theory = theory
         self.ncomp_node = 1 if theory == "euler_bernoulli" else 3
         self.phi = mesh.phi or 0.0
-        self.R_v, self.T_inv, self._r = frame_transforms(self.phi)
+        self.R_v, self.T_inv, r = frame_transforms(self.phi)
+        # Timoshenko unknowns are in global axes: local ones are r @ them.
+        self.kinematics = KINEMATICS[theory] if self.ncomp_node == 1 else \
+            tuple(np.einsum("psck,cd->psdk", t, r) for t in KINEMATICS[theory])
 
     # section shortcuts
     @property
@@ -73,103 +118,46 @@ class BeamModel:
         return self.material.k_shear * self.material.G * self.material.area
 
     @property
-    def ndof(self):
-        return self.mesh.nnodes * self.ncomp_node
-
-    @property
     def solid_stress_rows(self):
         return None  # couples against the full 2D Voigt stress
 
-    def element_dofs(self, e):
-        return self.mesh.element_dofs(e, self.ncomp_node)
-
-    def _node_rotation(self, nen):
-        if self.phi == 0.0 or self.theory == "euler_bernoulli":
-            return None
-        return block_diag(*[self._r] * nen)
+    def stiffness_form(self):
+        """The `section_form` over the section (A, I); Timoshenko shear on
+        linear elements is a second part on the one-point rule."""
+        m, C = self.material, self.constitutive()
+        parts = [(C, None)]
+        if self.theory == "timoshenko" and self.mesh.dirs[0].degree == 1:
+            shear = np.diag([0.0, 0.0, C[2, 2]])
+            parts = [(C - shear, None), (shear, 1)]
+        return [(section_form(self.kinematics, Cp, m.area, m.inertia), npts)
+                for Cp, npts in parts]
 
     def element_stiffness(self, e, quadrature=None):
         """Element matrix, or a batch of them for an element array."""
-        mesh = self.mesh
-        nders = 2 if self.theory == "euler_bernoulli" else 1
-        _, w, N, dNdx, d2Ndx2, _ = quadrature_data(mesh, e, quadrature, nders)
-        nen = dNdx.shape[-2]
-        if self.theory == "euler_bernoulli":
-            B = d2Ndx2[..., 0, 0][..., None, :]
-            return integrate_btcb(B, np.array([[self.EI]]), w)
-        # Timoshenko: axial + bending with the full rule
-        Bab = np.zeros(w.shape + (2, 3 * nen))
-        Bab[..., 0, 0::3] = dNdx[..., 0]
-        Bab[..., 1, 2::3] = dNdx[..., 0]
-        K = integrate_btcb(Bab, np.diag([self.EA, self.EI]), w)
-        # shear with one-point rule on linear elements (locking cure)
-        if quadrature is None and mesh.dirs[0].degree == 1:
-            _, ws, Ns, dNs, _, _ = bulk_points(mesh, e, npts=1, nders=1)
-        else:
-            ws, Ns, dNs = w, N, dNdx
-        Bs = np.zeros(ws.shape + (1, 3 * nen))
-        Bs[..., 0, 1::3] = dNs[..., 0]
-        Bs[..., 0, 2::3] = -Ns
-        K += integrate_btcb(Bs, np.array([[self.kGA]]), ws)
-        R = self._node_rotation(nen)
-        if R is not None:
-            K = R.T @ K @ R
-        return K
+        return stiffness_quadrature(self.mesh, e, self.stiffness_form(),
+                                    quadrature)
 
     def constitutive(self):
         """Section-level Hooke matrix C^b in local (xx, yy, xy) Voigt order."""
-        E = self.material.E
-        shear = 0.0 if self.theory == "euler_bernoulli" else \
-            self.material.k_shear * self.material.G
-        return np.diag([E, 0.0, shear])
-
-    def _check_offset(self, offset):
-        h = self.material.thickness
-        if np.any(np.abs(offset) > h / 2 + 1e-12 * h):
-            raise DomainError("section offset outside the beam depth")
+        m = self.material
+        shear = 0.0 if self.theory == "euler_bernoulli" else m.k_shear * m.G
+        return np.diag([m.E, 0.0, shear])
 
     def prolong(self, e, parent, offset):
         """Local-frame prolongation matrices at (x-bar, y-bar) points.
 
-        Returns ``(Nb, Bb)`` mapping local element DOFs to the in-plane
-        displacement (2 rows) and Voigt strain (3 rows, eps_yy = 0).
+        Returns ``(Nb, Bb)`` mapping element DOFs to the in-plane
+        displacement (2 rows) and Voigt strain (3 rows, eps_yy = 0) in
+        the member's axes.
         """
-        offset = np.asarray(offset, dtype=float).ravel()
-        self._check_offset(offset)
-        N, dNdx, d2Ndx2, _ = parent_data(
-            self.mesh, e, parent, 2 if self.theory == "euler_bernoulli" else 1)
-        nq, nen = N.shape
-        yb = offset[:, None]
-        if self.theory == "euler_bernoulli":
-            Nb = np.zeros((nq, 2, nen))
-            Nb[:, 0, :] = -yb * dNdx[:, :, 0]
-            Nb[:, 1, :] = N
-            Bb = np.zeros((nq, 3, nen))
-            Bb[:, 0, :] = -yb * d2Ndx2[:, :, 0, 0]
-            return Nb, Bb
-        Nb = np.zeros((nq, 2, 3 * nen))
-        Nb[:, 0, 0::3] = N
-        Nb[:, 0, 2::3] = -yb * N
-        Nb[:, 1, 1::3] = N
-        Bb = np.zeros((nq, 3, 3 * nen))
-        d = dNdx[:, :, 0]
-        Bb[:, 0, 0::3] = d
-        Bb[:, 0, 2::3] = -yb * d
-        Bb[:, 2, 1::3] = d
-        Bb[:, 2, 2::3] = -N
-        return Nb, Bb
+        return _prolong(self, e, parent, offset)
 
     def trace(self, e, parent, offset):
         """Global displacement and Voigt stress interpolation at section
         points: ``(N, S)`` with ``sigma = S a = T_inv C^b B^c a``. ``e`` is
         one element for all points or an array of one element per point."""
         Nb, Bb = self.prolong(e, parent, offset)
-        N = np.einsum("ij,qjk->qik", self.R_v.T, Nb)
-        S = np.einsum("ij,qjk->qik", self.T_inv @ self.constitutive(), Bb)
-        R = self._node_rotation(Nb.shape[2] // 3 if self.ncomp_node == 3 else 0)
-        if R is not None:
-            N, S = N @ R, S @ R
-        return N, S
+        return self.R_v.T @ Nb, self.T_inv @ self.constitutive() @ Bb
 
     def point_load(self, x_local, components) -> np.ndarray:
         """Consistent nodal load for a point force at local coordinate x.
@@ -195,7 +183,7 @@ class BeamModel:
                               a_model[self.element_dofs(e)])
 
 
-class PlateModel:
+class PlateModel(Model):
     """Plate on a 2D mid-surface mesh at transverse position ``mesh.z_mid``."""
 
     def __init__(self, mesh: Mesh, material: Material,
@@ -210,77 +198,30 @@ class PlateModel:
         self.material = material
         self.theory = theory
         self.ncomp_node = 1 if theory == "kirchhoff" else 3
-
-    @property
-    def D_b(self):
-        """Moment-curvature matrix Eh^3/(12(1-nu^2)) [[1,nu,0],[nu,1,0],[0,0,(1-nu)/2]]."""
-        nu = self.material.nu
-        return self.material.plate_rigidity * np.array([
-            [1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)],
-        ])
-
-    @property
-    def D_s(self):
-        m = self.material
-        return m.k_shear * m.G * m.thickness * np.eye(2)
-
-    @property
-    def ndof(self):
-        return self.mesh.nnodes * self.ncomp_node
+        self.kinematics = KINEMATICS[theory]
 
     @property
     def solid_stress_rows(self):
         # selects from the 3D Voigt order (xx, yy, zz, xy, yz, xz)
-        if self.theory == "kirchhoff":
-            return (0, 1, 3)
-        return (0, 1, 3, 4, 5)
+        return (0, 1, 3) if self.theory == "kirchhoff" else (0, 1, 3, 4, 5)
 
-    def element_dofs(self, e):
-        return self.mesh.element_dofs(e, self.ncomp_node)
+    def stiffness_form(self):
+        """The `section_form` through the thickness h (h, h^3 / 12)."""
+        h = self.material.thickness
+        return [(section_form(self.kinematics, self.constitutive(), h,
+                              h ** 3 / 12.0), None)]
 
     def element_stiffness(self, e, quadrature=None):
         """Element matrix, or a batch of them for an element array."""
-        mesh = self.mesh
-        nders = 2 if self.theory == "kirchhoff" else 1
-        _, w, N, dNdx, d2Ndx2, _ = quadrature_data(mesh, e, quadrature, nders)
-        if self.theory == "kirchhoff":
-            B = np.zeros(w.shape + (3, d2Ndx2.shape[-3]))
-            B[..., 0, :] = d2Ndx2[..., 0, 0]
-            B[..., 1, :] = d2Ndx2[..., 1, 1]
-            B[..., 2, :] = 2.0 * d2Ndx2[..., 0, 1]
-            return integrate_btcb(B, self.D_b, w)
-        nen = N.shape[-1]
-        d1, d2 = dNdx[..., 0], dNdx[..., 1]
-        Bb = np.zeros(w.shape + (3, 3 * nen))
-        Bb[..., 0, 1::3] = d1
-        Bb[..., 1, 2::3] = d2
-        Bb[..., 2, 1::3] = d2
-        Bb[..., 2, 2::3] = d1
-        Bs = np.zeros(w.shape + (2, 3 * nen))
-        Bs[..., 0, 0::3] = d1
-        Bs[..., 0, 1::3] = -N
-        Bs[..., 1, 0::3] = d2
-        Bs[..., 1, 2::3] = -N
-        return integrate_btcb(Bb, self.D_b, w) + integrate_btcb(Bs, self.D_s, w)
+        return stiffness_quadrature(self.mesh, e, self.stiffness_form(),
+                                    quadrature)
 
     def constitutive(self):
         """C^p on the plate's nonzero stress rows (3x3 or 5x5 blocks)."""
         m = self.material
-        nu = m.nu
-        Cm = m.E / (1.0 - nu**2) * np.array([
-            [1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 0.5 * (1.0 - nu)],
-        ])
-        if self.theory == "kirchhoff":
-            return Cm
-        C = np.zeros((5, 5))
-        C[:3, :3] = Cm
-        C[3, 3] = C[4, 4] = m.k_shear * m.G
-        return C
-
-    def _check_offset(self, offset):
-        h = self.material.thickness
-        if np.any(np.abs(offset) > h / 2 + 1e-12 * h):
-            raise DomainError("offset outside the plate thickness")
+        Cm = constitutive_solid(m, 2)  # plane stress
+        return Cm if self.theory == "kirchhoff" else block_diag(
+            Cm, m.k_shear * m.G * np.eye(2))
 
     def prolong(self, e, parent, offset):
         """Prolongation at mid-surface parent points with offsets x3.
@@ -288,44 +229,14 @@ class PlateModel:
         Returns ``(Np, Bp)``: displacement (3 rows) and reduced Voigt
         strain (3 rows Kirchhoff, 5 rows Mindlin) interpolation.
         """
-        offset = np.asarray(offset, dtype=float).ravel()
-        self._check_offset(offset)
-        N, dNdx, d2Ndx2, _ = parent_data(
-            self.mesh, e, parent, 2 if self.theory == "kirchhoff" else 1)
-        nq, nen = N.shape
-        x3 = offset[:, None]
-        if self.theory == "kirchhoff":
-            Np = np.zeros((nq, 3, nen))
-            Np[:, 0, :] = -x3 * dNdx[:, :, 0]
-            Np[:, 1, :] = -x3 * dNdx[:, :, 1]
-            Np[:, 2, :] = N
-            Bp = np.zeros((nq, 3, nen))
-            Bp[:, 0, :] = -x3 * d2Ndx2[:, :, 0, 0]
-            Bp[:, 1, :] = -x3 * d2Ndx2[:, :, 1, 1]
-            Bp[:, 2, :] = -2.0 * x3 * d2Ndx2[:, :, 0, 1]
-            return Np, Bp
-        d1, d2 = dNdx[:, :, 0], dNdx[:, :, 1]
-        Np = np.zeros((nq, 3, 3 * nen))
-        Np[:, 0, 1::3] = -x3 * N
-        Np[:, 1, 2::3] = -x3 * N
-        Np[:, 2, 0::3] = N
-        Bp = np.zeros((nq, 5, 3 * nen))
-        Bp[:, 0, 1::3] = -x3 * d1
-        Bp[:, 1, 2::3] = -x3 * d2
-        Bp[:, 2, 1::3] = -x3 * d2
-        Bp[:, 2, 2::3] = -x3 * d1
-        Bp[:, 3, 0::3] = d2
-        Bp[:, 3, 2::3] = -N
-        Bp[:, 4, 0::3] = d1
-        Bp[:, 4, 1::3] = -N
-        return Np, Bp
+        return _prolong(self, e, parent, offset)
 
     def trace(self, e, parent, offset):
         """Displacement and reduced Voigt stress interpolation ``(N, S)``
         at mid-surface parent points with offsets x3, in one element or
         one element per point."""
         Np, Bp = self.prolong(e, parent, offset)
-        return Np, np.einsum("ab,qbj->qaj", self.constitutive(), Bp)
+        return Np, self.constitutive() @ Bp
 
     def pressure_element(self, e, p: float, quadrature=None) -> np.ndarray:
         """Consistent load of a uniform transverse pressure on one element,

@@ -2,15 +2,13 @@
 bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
-component-minor inside each block. Bulk assembly places one matrix per
-model on the diagonal: a plain solid on the net `build_mesh` makes comes
-whole from 1D matrices (`elasticity.stiffness_separable`), other models
-sum batches of element matrices by a sparse product instead of sorting
-triplets (`mesh.sum_blocks`); each coupling sums its segment blocks the
-same way, straight into global numbering. The solve path is a direct
-symmetric factorization: dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
-reverse Cuthill-McKee reordering plus banded Cholesky above. The band
-storage (u + 1) n never exceeds the n^2 of a dense factor.
+component-minor inside each block. Every model gives its stiffness form
+(`stiffness_form`); on the net `build_mesh` makes, the whole model matrix
+comes from 1D matrices (`elasticity.stiffness_separable`), else batches
+of element matrices (`elasticity.stiffness_quadrature`) are summed by a
+sparse product (`mesh.sum_blocks`), as each coupling sums its segment
+blocks. The solve is dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
+reverse Cuthill-McKee reordering plus banded Cholesky above.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import mesh
 from .coupling import estimate_alpha
-from .elasticity import SolidModel, stiffness_separable
+from .elasticity import stiffness_separable
 from .errors import ConfigError, DefinitenessError
 
 _DENSE_CUTOFF = 400
@@ -114,18 +112,17 @@ class System:
         """K~ = sum of each model's own stiffness, no coupling terms: one
         canonical CSR matrix per model, placed on the diagonal once.
 
-        A plain `SolidModel` on the net `build_mesh` makes is assembled
-        whole by `stiffness_separable`. Other models' ``(elements, Ke)``
-        batches, from their own ``stiffness_batches`` where they list them
-        (VOID and CUT elements of non-conforming models), are summed by
-        `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
+        A model without its own ``stiffness_batches`` (non-conforming
+        models list theirs) is tried on `stiffness_separable` first; else
+        its ``(elements, Ke)`` batches are summed by `mesh.add_blocks`
+        every ``_TRIPLET_BUDGET`` entries."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
-    def _coupling_matrices(self):
-        """Each coupling's (K^n, K^st, H), assembled in global numbering."""
+    def _coupling_matrices(self, with_h=True):
+        """Each coupling's (K^n, K^st, H or None) in global numbering."""
         return [op.matrices((self.offsets[self.model_index(op.solid)],
                              self.offsets[self.model_index(op.struct)]),
-                            self.ndof) for op in self.couplings]
+                            self.ndof, with_h) for op in self.couplings]
 
     def _collect_inactive(self):
         for idx, m in enumerate(self.models):
@@ -133,15 +130,13 @@ class System:
             if len(dofs):
                 self.fix(idx, np.asarray(dofs, dtype=int), 0.0)
 
-    def _is_solid(self, m):
-        return m.mesh.model in ("solid2d", "solid3d")
-
-    def _assembled(self):
+    def _assembled(self, with_h=False):
         """``(Kbulk, coupling matrices)``, built once until `solve` uses
-        them; pins the inactive DOFs of non-conforming models first."""
+        them, H only ``with_h``; pins inactive non-conforming DOFs first."""
         if self._parts is None:
             self._collect_inactive()
-            self._parts = (self.bulk_matrix(), self._coupling_matrices())
+            self._parts = (self.bulk_matrix(),
+                           self._coupling_matrices(with_h))
         return self._parts
 
     def _free(self):
@@ -169,22 +164,17 @@ class System:
         if not self.couplings:
             return []
 
-        Kbulk, coupling_mats = self._assembled()
+        Kbulk, coupling_mats = self._assembled(with_h=True)
         free = self._free()[2]
-        solid_free, struct_free = [], []
-        for idx, m in enumerate(self.models):
-            dofs = np.arange(self.offsets[idx], self.offsets[idx + 1])
-            dofs = dofs[free[dofs]]
-            (solid_free if self._is_solid(m) else struct_free).append(dofs)
-        solid_free = np.concatenate(solid_free) if solid_free else np.array([], int)
-        struct_free = np.concatenate(struct_free) if struct_free else np.array([], int)
-
-        Ks = Kbulk[solid_free][:, solid_free]
-        Kb = Kbulk[struct_free][:, struct_free].toarray()
-        H = sum(h for _, _, h in coupling_mats)
+        solid = np.repeat([m.mesh.model in ("solid2d", "solid3d")
+                           for m in self.models], np.diff(self.offsets))
+        solid_free = np.flatnonzero(free & solid)
+        struct_free = np.flatnonzero(free & ~solid)
         order = np.concatenate([solid_free, struct_free])
-        Hff = H[order][:, order]
-        a = estimate_alpha(Ks, Kb, Hff, seed=seed)
+        H = sum(h for _, _, h in coupling_mats)[order][:, order]
+        a = estimate_alpha(Kbulk[solid_free][:, solid_free],
+                           Kbulk[struct_free][:, struct_free].toarray(), H,
+                           seed=seed)
         return [a] * len(self.couplings)
 
     # Solve ---------------------------------------------------------------
@@ -224,11 +214,10 @@ class System:
 
 def _model_matrix(m) -> sp.csr_matrix:
     """One model's stiffness matrix in its own DOF numbering."""
-    if type(m) is SolidModel:
-        K = stiffness_separable(m.mesh, m.material)
-        if K is not None:
-            return K
     own = getattr(m, "stiffness_batches", None)
+    K = None if own else stiffness_separable(m.mesh, m.stiffness_form())
+    if K is not None:
+        return K
     K = sp.csr_matrix((m.ndof, m.ndof))
     dofs, mats, budget = [], [], 0
     for elems, Ke in (own() if own else mesh.stiffness_batches(

@@ -13,11 +13,14 @@ evaluate the basis at one parameter value, where the library evaluates
 whole batches on known spans (`SplineDir.eval`). `signed_distance` and
 `inside` test points against an `OverlapRegion` one point at a time;
 the library classifies and cuts elements from per-direction covering
-flags instead.
+flags instead. `b_matrix_solid` and `integrate_btcb` build the solid
+strain matrix by hand and integrate w B^T C B; the library states each
+model's kinematics as a table and integrates its stiffness form.
 """
 import numpy as np
 
 from mdfem.bspline import _basis_ders, _rationalize
+from mdfem.elasticity import integrate_atb
 from mdfem.errors import DomainError
 from mdfem.quadrature import gauss_1d
 
@@ -174,3 +177,37 @@ def eval_basis(kv, x: float, nders: int = 0):
     if kv.weights is not None:
         ders = _rationalize(ders, kv.weights[indices], nders)
     return ders[0], indices
+
+
+def b_matrix_solid(dNdx: np.ndarray) -> np.ndarray:
+    """Strain-displacement matrices from shape gradients.
+
+    ``dNdx`` has shape (nq, nen, dim); the result has shape
+    (nq, nvoigt, dim * nen) with DOFs node-major.
+    """
+    nq, nen, dim = dNdx.shape
+    if dim == 2:
+        B = np.zeros((nq, 3, 2 * nen))
+        B[:, 0, 0::2] = dNdx[:, :, 0]
+        B[:, 1, 1::2] = dNdx[:, :, 1]
+        B[:, 2, 0::2] = dNdx[:, :, 1]
+        B[:, 2, 1::2] = dNdx[:, :, 0]
+        return B
+    B = np.zeros((nq, 6, 3 * nen))
+    dx, dy, dz = dNdx[:, :, 0], dNdx[:, :, 1], dNdx[:, :, 2]
+    B[:, 0, 0::3] = dx
+    B[:, 1, 1::3] = dy
+    B[:, 2, 2::3] = dz
+    B[:, 3, 0::3] = dy
+    B[:, 3, 1::3] = dx
+    B[:, 4, 1::3] = dz
+    B[:, 4, 2::3] = dy
+    B[:, 5, 0::3] = dz
+    B[:, 5, 2::3] = dx
+    return B
+
+
+def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over quadrature points of w * B^T C B (GEMM-shaped, batched as
+    `elasticity.integrate_atb`)."""
+    return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)

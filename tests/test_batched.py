@@ -2,9 +2,10 @@
 
 The oracles below loop one element at a time the way the kernels did
 before batching: a tensor Gauss rule per element, shapes from
-``Mesh.shape_ders`` at every tensor point, and ``B^T C B`` products.
-Beam and plate kernels keep the oracle's arithmetic and must match bit
-for bit; the solid kernel sums in tensor form and must match to 1e-13.
+``Mesh.shape_ders`` at every tensor point, and ``B^T C B`` products of
+hand-built B matrices. The library integrates each model's stiffness
+form in tensor form instead, so every kernel must match to 1e-13 of the
+largest entry.
 """
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from hypothesis import strategies as st
 
 from mdfem import elasticity
 from mdfem import mesh as mesh_mod
-from mdfem.elasticity import (Material, SolidModel, b_matrix_solid,
-                              constitutive_solid, integrate_btcb)
+from mdfem import structural
+from mdfem.elasticity import Material, SolidModel, constitutive_solid
 from mdfem.errors import DomainError
 from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
-from mdfem.structural import BeamModel, PlateModel
+from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System
-from oracles import boundary_facets, element_interval, tensor_rule
+from oracles import (b_matrix_solid, boundary_facets, element_interval,
+                     integrate_btcb, tensor_rule)
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
@@ -61,18 +63,20 @@ def oracle_beam(model, e):
     Bs[:, 0, 1::3] = dNdx[:, :, 0]
     Bs[:, 0, 2::3] = -N
     K += integrate_btcb(Bs, np.array([[model.kGA]]), w)
-    R = model._node_rotation(nen)
-    return K if R is None else R.T @ K @ R
+    R = np.kron(np.eye(nen), frame_transforms(model.phi)[2])
+    return R.T @ K @ R
 
 
 def oracle_plate(model, e):
+    m = model.material
+    D_b = m.thickness ** 3 / 12.0 * constitutive_solid(m, 2)
     if model.theory == "kirchhoff":
         _, w, _, _, d2, _ = oracle_points(model.mesh, e, nders=2)
         B = np.zeros((len(w), 3, d2.shape[1]))
         B[:, 0, :] = d2[:, :, 0, 0]
         B[:, 1, :] = d2[:, :, 1, 1]
         B[:, 2, :] = 2.0 * d2[:, :, 0, 1]
-        return integrate_btcb(B, model.D_b, w)
+        return integrate_btcb(B, D_b, w)
     _, w, N, dNdx, _, _ = oracle_points(model.mesh, e)
     nq, nen = N.shape
     d1, d2 = dNdx[:, :, 0], dNdx[:, :, 1]
@@ -86,7 +90,8 @@ def oracle_plate(model, e):
     Bs[:, 0, 1::3] = -N
     Bs[:, 1, 0::3] = d2
     Bs[:, 1, 2::3] = -N
-    return integrate_btcb(Bb, model.D_b, w) + integrate_btcb(Bs, model.D_s, w)
+    D_s = m.k_shear * m.G * m.thickness * np.eye(2)
+    return integrate_btcb(Bb, D_b, w) + integrate_btcb(Bs, D_s, w)
 
 
 def curve(mesh, seed):
@@ -165,7 +170,8 @@ def test_structural_kernels_equal_per_element_oracle(model):
     oracle = oracle_beam if isinstance(model, BeamModel) else oracle_plate
     K = model.element_stiffness(np.arange(model.mesh.nelem))
     for e in range(model.mesh.nelem):
-        np.testing.assert_array_equal(K[e], oracle(model, e))
+        ref = oracle(model, e)
+        assert np.abs(K[e] - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(model.element_stiffness(e), K[e])
 
 
@@ -253,15 +259,17 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
 
 
 def spy_quadrature(monkeypatch):
-    """Record every `stiffness_solid` call (the quadrature path)."""
+    """Record every `stiffness_quadrature` call (the quadrature path),
+    from solids and structures alike."""
     calls = []
-    kernel = elasticity.stiffness_solid
+    kernel = elasticity.stiffness_quadrature
 
     def spy(*args, **kwargs):
         calls.append(args[1])
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(elasticity, "stiffness_solid", spy)
+    for module in (elasticity, structural):
+        monkeypatch.setattr(module, "stiffness_quadrature", spy)
     return calls
 
 
@@ -296,19 +304,50 @@ def separable_solids(draw):
                       degrees, nelems, extents, **kw)
 
 
-@settings(max_examples=40, deadline=None)
-@given(separable_solids())
-def test_separable_bulk_matches_quadrature(mesh):
-    model = SolidModel(mesh, MAT)
+@st.composite
+def separable_structures(draw):
+    """Beams and plates on the net `build_mesh` makes: Euler-Bernoulli,
+    Timoshenko (degree 1 with its one-point shear rule, and higher),
+    Kirchhoff and Mindlin; Lagrange or spline of degree up to 4 per
+    direction, optional NURBS weights; beams placed at a frame angle."""
+    kind = draw(st.sampled_from(
+        ["timoshenko", "euler_bernoulli", "mindlin", "kirchhoff"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beam = kind in ("timoshenko", "euler_bernoulli")
+    dim = 1 if beam else 2
+    c1 = kind in ("euler_bernoulli", "kirchhoff")
+    lagrange = not c1 and draw(st.booleans())
+    degrees = [1 if lagrange else draw(st.integers(2 if c1 else 1, 4))
+               for _ in range(dim)]
+    nelems = [draw(st.integers(1, 6 if beam else 4)) for _ in range(dim)]
+    lo = rng.uniform(-2.0, 2.0, dim)
+    extents = np.stack([lo, lo + rng.uniform(0.3, 3.0, dim)], axis=-1)
+    kw = {}
+    if not lagrange and draw(st.booleans()):
+        kw["weights"] = [rng.uniform(0.5, 2.0, n + p)
+                         for n, p in zip(nelems, degrees)]
+    if beam:
+        kw["phi"] = draw(st.sampled_from([0.0, 0.3, -1.1]))
+        kw["origin"] = rng.uniform(-5.0, 5.0, 2)
+    mesh = build_mesh("beam" if beam else "plate",
+                      "lagrange" if lagrange else "spline", degrees, nelems,
+                      extents, **kw)
+    return (BeamModel if beam else PlateModel)(mesh, MAT, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(separable_solids().map(lambda m: SolidModel(m, MAT)),
+                 separable_structures()))
+def test_separable_bulk_matches_quadrature(model):
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_quadrature(mp)
         K = System([model]).bulk_matrix()
     assert calls == []
     assert K.indices.dtype == np.int32 and K.has_canonical_format
     assert not (K.data == 0).any()
-    e = np.arange(mesh.nelem)
+    e = np.arange(model.mesh.nelem)
     ref = mesh_mod.sum_blocks(K.shape, [model.element_dofs(e)],
-                              elasticity.stiffness_solid(mesh, e, MAT))[0]
+                              model.element_stiffness(e))[0]
     ref = ref.toarray()
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
@@ -327,11 +366,33 @@ def test_perturbed_net_takes_the_quadrature_path(monkeypatch):
                                atol=1e-13 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("kind", ["timoshenko", "euler_bernoulli",
+                                  "mindlin", "kirchhoff"])
+def test_perturbed_structure_takes_the_quadrature_path(monkeypatch, kind):
+    if kind in ("timoshenko", "euler_bernoulli"):
+        mesh = build_mesh("beam", "spline", 3, 5, ((0.0, 4.0),), phi=0.3)
+        mesh.nodes[4] += 0.02
+        model = BeamModel(mesh, MAT, kind)
+    else:
+        mesh = build_mesh("plate", "spline", 2, (3, 2),
+                          ((0.0, 3.0), (0.0, 2.0)))
+        mesh.nodes[6] += (0.02, -0.01)
+        model = PlateModel(mesh, MAT, kind)
+    calls = spy_quadrature(monkeypatch)
+    system = System([model])
+    K = system.bulk_matrix()
+    assert len(calls) == 1 and len(calls[0]) == mesh.nelem
+    ref = dense_bulk(system)
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
 def test_reflecting_rotation_raises_as_the_quadrature_path():
     mesh = build_mesh("solid2d", "spline", 2, (3, 2),
                       ((0.0, 3.0), (0.0, 1.0)), rotation=np.diag([1.0, -1.0]))
     with pytest.raises(DomainError) as quadrature:
-        elasticity.stiffness_solid(mesh, np.arange(mesh.nelem), MAT)
+        elasticity.stiffness_quadrature(mesh, np.arange(mesh.nelem),
+                                        SolidModel(mesh, MAT).stiffness_form())
     with pytest.raises(DomainError, match="non-positive jacobian") as bulk:
         System([SolidModel(mesh, MAT)]).bulk_matrix()
     assert str(bulk.value) == str(quadrature.value)

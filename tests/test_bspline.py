@@ -254,6 +254,26 @@ class TestGreville:
             ders, idx = eval_basis(kv, x)
             assert_allclose(ders[0] @ g[idx], x, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(1, 10), nbreaks=st.integers(2, 12),
+           repeat=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_moving_average_loop(self, degree, nbreaks, repeat,
+                                            seed):
+        """Bit for bit the mean of each window of ``degree`` knots, summed
+        one window at a time."""
+        rng = np.random.default_rng(seed)
+        breaks = np.cumsum(rng.uniform(0.05, 3.0, nbreaks)) - 7.0
+        # Interior knots repeated up to the degree (C0 at most).
+        mult = rng.integers(1, min(repeat, degree) + 1, nbreaks - 2)
+        knots = np.concatenate([np.full(degree + 1, breaks[0]),
+                                np.repeat(breaks[1:-1], mult),
+                                np.full(degree + 1, breaks[-1])])
+        kv = KnotVector(knots, degree)
+        loop = np.array([knots[i + 1:i + degree + 1].sum() / degree
+                         for i in range(kv.n)])
+        np.testing.assert_array_equal(kv.greville(),
+                                      np.around(loop, decimals=15))
+
     def test_count_and_endpoints(self):
         kv = KnotVector(make_open_knots(3, np.arange(5.0)), 3)
         g = kv.greville()

@@ -1,22 +1,27 @@
-"""Plane-stress / 3D continuum kernels: constitutive law, B matrices,
-element stiffness, consistent loads."""
+"""Plane-stress / 3D continuum kernels: constitutive law, strain
+kinematics, element stiffness, consistent loads."""
 import numpy as np
 import pytest
 
 from mdfem.elasticity import (
     Material,
     SolidModel,
-    b_matrix_solid,
     constitutive_solid,
-    stiffness_solid,
+    interpolate,
+    solid_kinematics,
 )
 from mdfem.errors import ConfigError
-from mdfem.mesh import Mesh, build_mesh, bulk_points, parent_data
+from mdfem.mesh import Mesh, build_mesh, bulk_points
+from oracles import b_matrix_solid
 
 
 def strain_displacement_solid(mesh, e, parent):
     """B matrix at parent points of one element."""
-    return b_matrix_solid(parent_data(mesh, e, parent)[1])
+    return interpolate(mesh, e, parent, solid_kinematics(mesh.dim))[1]
+
+
+def stiffness_solid(mesh, e, material):
+    return SolidModel(mesh, material).element_stiffness(e)
 
 
 def q4_model(nelems=(1, 1), extents=((0.0, 1.0), (0.0, 1.0)), E=1.0, nu=0.0):
@@ -107,9 +112,9 @@ class TestStrainDisplacement:
         np.testing.assert_allclose(B @ a, 0.0, atol=1e-12)
 
     def test_row_layout_3d(self):
-        dNdx = np.zeros((1, 1, 3))
-        dNdx[0, 0] = [2.0, 3.0, 5.0]
-        B = b_matrix_solid(dNdx)[0]
+        # the strain table on one node's jet (N, dN/dx) = (0, 2, 3, 5)
+        E = solid_kinematics(3)[1][0]
+        B = np.einsum("rcj,j->rc", E[..., :4], [0.0, 2.0, 3.0, 5.0])
         # single node: columns are (u_x, u_y, u_z)
         np.testing.assert_allclose(B[:, 0], [2, 0, 0, 3, 0, 5])
         np.testing.assert_allclose(B[:, 1], [0, 3, 0, 2, 5, 0])

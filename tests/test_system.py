@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdfem import coupling
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DefinitenessError
@@ -236,6 +237,49 @@ class TestCoupledSolve:
         sol = sys.solve()
         assert sol.reactions[1::2].sum() == pytest.approx(P, rel=1e-8)
         assert sol.reactions[0::2].sum() == pytest.approx(0.0, abs=1e-8 * P)
+
+
+class TestStressBoundOnDemand:
+    """H = int T^T T feeds the alpha estimate only, so only that builds
+    it."""
+
+    def loaded(self):
+        solid, beam, op = small_coupled()
+        sys = System([solid, beam], [op])
+        sys.fix(0, clamped_edge_dofs(solid))
+        sys.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
+        return sys
+
+    def spy(self, monkeypatch):
+        """Value lists per `sum_blocks` call of the coupling assembly."""
+        counts = []
+        real = coupling.sum_blocks
+
+        def counted(shape, dofs, *values):
+            counts.append(len(values))
+            return real(shape, dofs, *values)
+
+        monkeypatch.setattr(coupling, "sum_blocks", counted)
+        return counts
+
+    def test_fixed_alpha_makes_no_h_product(self, monkeypatch):
+        counts = self.spy(monkeypatch)
+        self.loaded().solve(alpha=2.0e3)
+        assert counts == [2]
+        self.loaded().solve(alpha="auto")
+        assert counts == [2, 3]
+
+    @pytest.mark.parametrize("alpha", ["auto", 2.0e3])
+    def test_same_numbers_as_always_building_h(self, monkeypatch, alpha):
+        sol = self.loaded().solve(alpha=alpha)
+        matrices = coupling.CouplingOperator.matrices
+        monkeypatch.setattr(
+            coupling.CouplingOperator, "matrices",
+            lambda op, offsets=None, ndof=None, with_h=True:
+            matrices(op, offsets, ndof))
+        ref = self.loaded().solve(alpha=alpha)
+        assert sol.alphas == ref.alphas
+        np.testing.assert_array_equal(sol.a, ref.a)
 
 
 class TestSpdSolver:
