@@ -189,6 +189,7 @@ def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample=97):
         "interface_sxy_rel_l2": _interface_sxy_error(solid, a_s, consts),
         "residual": float(sol.residual),
         "_centerline": np.column_stack([xs, uy, ref]),
+        "_solve": sol.stats,
     }
 
 
@@ -392,6 +393,7 @@ def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
         "reference_tip_uy": float(ref_tip[1]),
         "tip_vs_reference_rel": abs(tip[1] - ref_tip[1]) / abs(ref_tip[1]),
         "residual": float(max(sol.residual, rsol.residual)),
+        "_solve": sol.stats,
     }
 
 
@@ -425,7 +427,8 @@ def _case_plate3d_reference():
     sol = sysm.solve()
     tip = sample_points(solid, sol.a, (c["length"], 0.5 * c["width"],
                                        0.5 * c["thickness"]))[0][0]
-    return {"tip_uz": float(tip[2]), "residual": float(sol.residual)}
+    return {"tip_uz": float(tip[2]), "residual": float(sol.residual),
+            "_solve": sol.stats}
 
 
 def _run_plate3d_mda(theory, alpha):
@@ -443,7 +446,7 @@ def _run_plate3d_mda(theory, alpha):
     tip = sample_points(plate, sysm.model_part(sol.a, 1),
                         (c["length"], 0.5 * c["width"]))[0][0]
     return {"alpha": float(sol.alphas[0]), "tip_uz": float(tip[2]),
-            "residual": float(sol.residual)}
+            "residual": float(sol.residual), "_solve": sol.stats}
 
 
 def _case_plate3d_conforming(theory="mindlin", alpha=5.0e3, ref_tip=None):
@@ -483,6 +486,7 @@ def _case_plate3d_nonconforming(l_c=175.0, alpha=5.0e3, conforming_tip=None):
         "tip_vs_conforming_rel": (abs(tip[2] - conforming_tip)
                                   / abs(conforming_tip)),
         "residual": float(sol.residual),
+        "_solve": sol.stats,
     }
 
 
@@ -552,6 +556,7 @@ def _case_square_plate(alpha=1.0e6, shift=20.0):
         "shifted_center_uz": w_shift,
         "shifted_rel_diff": abs(w_shift - w_plate) / abs(w_plate),
         "residual": float(max(sol_0.residual, sol_shift.residual)),
+        "_solve": sol_0.stats,
     }
 
 

@@ -367,6 +367,8 @@ def _report_lines(name, metrics, rows):
     for key in sorted(metrics):
         if not key.startswith("_"):
             lines.append(f"  {key} = {metrics[key]:.10g}")
+    lines += [f"  solve.{k} = {v}" for k, v in sorted(
+        metrics.get("_solve", {}).items())]
     for key, value, lo, hi, ok in rows:
         shown = "missing" if value is None else f"{value:.10g}"
         verdict = "PASS" if ok else "FAIL"
@@ -467,7 +469,7 @@ def _run_bench_case(name, overrides, out_dir, quiet, done=None):
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    out_dir = _out_path(args)
+    out_dir = pathlib.Path(args.out_dir)
     if cfg["type"] == "bench":
         return _run_bench_case(cfg["case"], cfg["overrides"],
                                out_dir / cfg["case"], args.quiet)
@@ -476,7 +478,7 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     names = bench.case_names() if args.case == "all" else [args.case]
-    out_dir = _out_path(args)
+    out_dir = pathlib.Path(args.out_dir)
     worst, done = 0, {}
     for name in names:
         code = _run_bench_case(name, {}, out_dir / name, args.quiet, done)
@@ -495,10 +497,6 @@ def _cmd_alpha(args):
     print(f"alpha = {alpha:.6e}")
     print(f"lambda1 = {2.0 * alpha:.6e}")
     return 0
-
-
-def _out_path(args):
-    return pathlib.Path(args.out_dir)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -541,10 +539,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except MdfemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MdfemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,10 @@ component-minor inside each block. Every model gives its stiffness form
 comes from 1D matrices (`elasticity.stiffness_separable`), else batches
 of element matrices (`elasticity.stiffness_quadrature`) are summed by a
 sparse product (`mesh.sum_blocks`), as each coupling sums its segment
-blocks. The solve is dense Cholesky up to ``_DENSE_CUTOFF`` unknowns,
-reverse Cuthill-McKee reordering plus banded Cholesky above.
+blocks. The solve factors the assembled CSR matrix straight, with no
+symmetrize pass: dense Cholesky up to ``_DENSE_CUTOFF`` free unknowns,
+else banded Cholesky in the smaller-band order of reverse Cuthill-McKee
+and a sort along the longest axis of the DOFs' control points.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ class Solution:
     free: np.ndarray           # boolean mask of unconstrained DOFs
     residual: float
     reactions: np.ndarray = field(default=None)
+    stats: dict = field(default_factory=dict)  # solve sizes, `_solve_spd`
 
 
 class System:
@@ -104,6 +107,10 @@ class System:
 
     def load(self, idx, f_local):
         f_local = np.asarray(f_local, dtype=float)
+        n = self.models[idx].ndof
+        if f_local.shape != (n,) or not np.isfinite(f_local).all():
+            raise ConfigError(f"model {idx}: a load is {n} finite values, "
+                              f"got shape {f_local.shape}")
         self._f[self.offsets[idx]:self.offsets[idx + 1]] += f_local
 
     # Assembly ----------------------------------------------------------
@@ -126,9 +133,7 @@ class System:
 
     def _collect_inactive(self):
         for idx, m in enumerate(self.models):
-            dofs = getattr(m, "inactive_dofs", ())
-            if len(dofs):
-                self.fix(idx, np.asarray(dofs, dtype=int), 0.0)
+            self.fix(idx, np.asarray(getattr(m, "inactive_dofs", ()), int))
 
     def _assembled(self, with_h=False):
         """``(Kbulk, coupling matrices)``, built once until `solve` uses
@@ -153,63 +158,69 @@ class System:
         computed from the assembled bulk and coupling matrices without
         solving the system.
         """
-        if np.isscalar(alpha) and not isinstance(alpha, str):
-            return [float(alpha)] * len(self.couplings)
         if isinstance(alpha, (list, tuple)):
             if len(alpha) != len(self.couplings):
                 raise ConfigError("need one alpha per coupling")
-            return [float(a) for a in alpha]
-        if alpha != "auto":
+            alphas = [float(a) for a in alpha]
+        elif np.isscalar(alpha) and not isinstance(alpha, str):
+            alphas = [float(alpha)] * len(self.couplings)
+        elif alpha != "auto":
             raise ConfigError(f"alpha must be 'auto' or numeric, got {alpha!r}")
-        if not self.couplings:
+        elif not self.couplings:
             return []
+        else:
+            Kbulk, coupling_mats = self._assembled(with_h=True)
+            free = self._free()[2]
+            solid = np.repeat([m.mesh.model in ("solid2d", "solid3d")
+                               for m in self.models], np.diff(self.offsets))
+            solid_free = np.flatnonzero(free & solid)
+            struct_free = np.flatnonzero(free & ~solid)
+            order = np.concatenate([solid_free, struct_free])
+            H = sum(h for _, _, h in coupling_mats)[order][:, order]
+            alphas = [estimate_alpha(
+                Kbulk[solid_free][:, solid_free],
+                Kbulk[struct_free][:, struct_free].toarray(), H,
+                seed=seed)] * len(self.couplings)
+        if not all(0.0 < a < np.inf for a in alphas):
+            raise ConfigError(f"stabilization alpha must be finite and "
+                              f"positive, got {alphas} (degenerate interface?)")
+        return alphas
 
-        Kbulk, coupling_mats = self._assembled(with_h=True)
-        free = self._free()[2]
-        solid = np.repeat([m.mesh.model in ("solid2d", "solid3d")
-                           for m in self.models], np.diff(self.offsets))
-        solid_free = np.flatnonzero(free & solid)
-        struct_free = np.flatnonzero(free & ~solid)
-        order = np.concatenate([solid_free, struct_free])
-        H = sum(h for _, _, h in coupling_mats)[order][:, order]
-        a = estimate_alpha(Kbulk[solid_free][:, solid_free],
-                           Kbulk[struct_free][:, struct_free].toarray(), H,
-                           seed=seed)
-        return [a] * len(self.couplings)
+    def _dof_points(self):
+        """Global (x, y, z) of each DOF's control point; a beam's lie at
+        ``origin`` + s (cos phi, sin phi), a plate's at ``z_mid``."""
+        parts = []
+        for m in self.models:
+            msh, x = m.mesh, m.mesh.nodes
+            if msh.model == "beam":
+                x = msh.origin + x * [np.cos(msh.phi), np.sin(msh.phi)]
+            x = np.pad(x, ((0, 0), (0, 3 - x.shape[1])),
+                       constant_values=msh.z_mid)
+            parts.append(np.repeat(x, m.ncomp_node, axis=0))
+        return np.concatenate(parts)
 
     # Solve ---------------------------------------------------------------
 
     def solve(self, alpha="auto", seed=0) -> Solution:
+        """K = bulk + the sum over couplings of Kn + Kn^T + alpha Kst;
+        right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
+        residual (free DOFs) and the reactions (constrained ones)."""
         alphas = self.resolve_alpha(alpha, seed)
         Kbulk, coupling_mats = self._assembled()
         self._parts = None
-        cons, vals, free = self._free()
-        if self.couplings and min(alphas, default=1.0) <= 0:
-            raise ConfigError(
-                "stabilization alpha must be positive (degenerate interface?)"
-            )
-
-        K = Kbulk
-        for (Kn, Kst, _), a_c in zip(coupling_mats, alphas):
-            K = K + Kn + Kn.T + a_c * Kst
-        K = ((K + K.T) * 0.5).tocsr()
-
-        f = self._f.copy()
-        a = np.zeros(self.ndof)
-        a[cons] = vals
-        b = f[free] - K[free][:, cons] @ vals
-        Kff = K[free][:, free].tocsr()
-        x = _solve_spd(Kff, b)
-        a[free] = x
-
-        resid_ref = max(float(np.linalg.norm(b)), 1e-300)
-        residual = float(np.linalg.norm(Kff @ x - b)) / resid_ref
-        sol = Solution(a=a, alphas=alphas, K=K, f=f, free=free,
-                       residual=residual)
+        free = self._free()[2]
+        terms = [Kn + Kn.T + a_c * Kst
+                 for (Kn, Kst, _), a_c in zip(coupling_mats, alphas)]
+        K = (Kbulk + sum(terms[1:], terms[0])).tocsr() if terms else Kbulk
+        f, a, stats = self._f.copy(), np.where(free, 0.0, self._fixed), {}
+        b = (f - K @ a)[free]
+        a[free] = _solve_spd(K, b, free, self._dof_points(), stats)
         r = K @ a - f
+        residual = (float(np.linalg.norm(r[free]))
+                    / max(float(np.linalg.norm(b)), 1e-300))
         r[free] = 0.0
-        sol.reactions = r
-        return sol
+        return Solution(a=a, alphas=alphas, K=K, f=f, free=free,
+                        residual=residual, reactions=r, stats=stats)
 
 
 def _model_matrix(m) -> sp.csr_matrix:
@@ -246,32 +257,66 @@ def _block_diag(parts) -> sp.csr_matrix:
         shape=(n[-1], n[-1]))
 
 
-def _solve_spd(K: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Direct symmetric positive definite solve.
-
-    Raises DefinitenessError when the factorization breaks down, which is
-    the observable symptom of an under-stabilized interface.
-    """
-    n = K.shape[0]
-    if n == 0:
-        return np.zeros(0)
+def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
+               stats=None) -> np.ndarray:
+    """Direct solve of ``K[free][:, free] x = b`` (all DOFs by default),
+    K symmetric positive definite to round-off: one triangle is read.
+    Dense Cholesky up to ``_DENSE_CUTOFF`` unknowns, else banded Cholesky
+    in `_band_order`'s order, K's upper triangle scattered into band
+    storage. ``stats`` gets ndof, nnz, band, band_mb, ordering and the
+    candidates' bands. A DefinitenessError says the factorization broke
+    down, the observable symptom of an under-stabilized interface."""
+    free = np.ones(K.shape[0], bool) if free is None else free
+    idx = np.flatnonzero(free)
+    n, stats = idx.size, {} if stats is None else stats
     try:
         if n <= _DENSE_CUTOFF:
-            c = sla.cho_factor(K.toarray(), lower=False)
-            return sla.cho_solve(c, b)
-        perm = reverse_cuthill_mckee(K, symmetric_mode=True)
-        Kp = K[perm][:, perm]
-        upper = sp.triu(Kp).tocoo()
-        u = int((upper.col - upper.row).max()) if upper.nnz else 0
-        ab = np.zeros((u + 1, n))
-        ab[u + upper.row - upper.col, upper.col] = upper.data
-        cb = sla.cholesky_banded(ab, lower=False)
-        xp = sla.cho_solve_banded((cb, False), b[perm])
-        x = np.empty_like(xp)
-        x[perm] = xp
-        return x
+            Kff = K[idx][:, idx]
+            stats.update(ndof=n, nnz=Kff.nnz, ordering="dense")
+            return sla.cho_solve(sla.cho_factor(Kff.toarray(), lower=False),
+                                 b)
+        name, pos, bands = _band_order(K, free, points)
+        u = bands[name]
+        # Row and column place of every entry, -1 off the free block.
+        pr, pc = np.repeat(pos, np.diff(K.indptr)), np.take(pos, K.indices)
+        kept = (pr >= 0) & (pc >= 0)
+        up = np.flatnonzero(kept & (pc >= pr))
+        ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
+        ab.T.ravel()[pr[up] + u * (pc[up] + np.int64(1))] = K.data[up]
+        stats.update(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
+                     band_mb=ab.nbytes / 1e6, ordering=name,
+                     **{f"{k}_band": v for k, v in bands.items()})
+        cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=False)
+        q, bp = pos[idx], np.empty(n)
+        bp[q] = b
+        return sla.cho_solve_banded((cb, False), bp, overwrite_b=True)[q]
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(
             "stiffness matrix is not positive definite; if this system is "
             "Nitsche-coupled the stabilization alpha is likely too small"
         ) from exc
+
+
+def _band_order(K: sp.csr_matrix, free, points=None):
+    """``(name, pos, bands)``: the order of the ``free`` DOFs with the
+    smaller upper band, each DOF's place in it (-1 if not free) and each
+    candidate's band. The candidates are reverse Cuthill-McKee on K, the
+    other DOFs dropped, and a stable sort of ``points`` (one per DOF)
+    along the longest axis of the free ones' bounding box; RCM wins ties."""
+    idx = np.flatnonzero(free)
+    rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
+    orders = {"rcm": rcm[free[rcm]]}
+    if points is not None:
+        p = points[idx]
+        orders["geometric"] = idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
+                                             kind="stable")]
+    # A band in one pass over K: each nonempty row's furthest column place.
+    rows = np.flatnonzero(np.diff(K.indptr))
+    places, bands = {}, {}
+    for name, perm in orders.items():
+        pos = places[name] = np.full(K.shape[0], -1, dtype=K.indices.dtype)
+        pos[perm] = np.arange(perm.size)
+        last = np.maximum.reduceat(np.take(pos, K.indices), K.indptr[rows])
+        bands[name] = int((last - pos[rows])[free[rows]].max(initial=0))
+    name = min(bands, key=bands.get)
+    return name, places[name], bands

@@ -221,6 +221,21 @@ class TestMain:
         assert lines[0] == "x,uy,uy_exact"
         assert len(lines) == 1 + 97
 
+    def test_solve_sizes_go_to_the_report_only(self, q4_run, tmp_path):
+        _, out = q4_run
+        sizes = dict(re.findall(r"^  solve\.(\w+) = (\S+)$",
+                                (out / "report.txt").read_text(), re.M))
+        assert sorted(sizes) == ["band", "band_mb", "geometric_band", "ndof",
+                                 "nnz", "ordering", "rcm_band"]
+        band, rcm = int(sizes["band"]), int(sizes["rcm_band"])
+        assert band == min(rcm, int(sizes["geometric_band"]))
+        assert sizes["ordering"] == ("rcm" if band == rcm else "geometric")
+        assert main(["bench", "timo-q4-conforming", "--out-dir",
+                     str(tmp_path), "--quiet"]) == 0
+        case = tmp_path / "timo-q4-conforming"
+        assert "  solve.ordering = " in (case / "report.txt").read_text()
+        assert "solve" not in (case / "metrics.csv").read_text()
+
     def test_run_is_deterministic_byte_for_byte(self, q4_run, tmp_path):
         _, first = q4_run
         code = main(["run", str(CONFIGS / "timo-q4.json"), "--out-dir",

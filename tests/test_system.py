@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,9 @@ from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DefinitenessError
 from mdfem.mesh import build_mesh
-from mdfem.structural import BeamModel
-from mdfem.system import System, _solve_spd
+from mdfem.nonconforming import NonconformingModel, OverlapRegion
+from mdfem.structural import BeamModel, PlateModel
+from mdfem.system import System, _band_order, _solve_spd
 
 
 def small_coupled():
@@ -310,3 +312,252 @@ class TestSpdSolver:
         A = sp.eye(500, format="csr") * -1.0
         with pytest.raises(DefinitenessError):
             _solve_spd(A, np.ones(500))
+
+
+class TestSolveInputs:
+    """Non-finite or misshapen solve inputs are typed errors, raised before
+    any assembly."""
+
+    def loaded(self, monkeypatch=None):
+        solid, beam, op = small_coupled()
+        sys = System([solid, beam], [op])
+        sys.fix(0, clamped_edge_dofs(solid))
+        if monkeypatch is not None:
+            monkeypatch.setattr(System, "bulk_matrix",
+                                lambda self: pytest.fail("assembled"))
+        return sys
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0, -2.0e3,
+                                       [np.nan], [np.inf], (0.0,)])
+    def test_bad_alpha_rejected(self, monkeypatch, alpha):
+        sys = self.loaded(monkeypatch)
+        for call in (sys.solve, sys.resolve_alpha):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                call(alpha=alpha)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_load_rejected(self, bad):
+        sys = self.loaded()
+        f = np.zeros(sys.models[1].ndof)
+        f[-2] = bad
+        with pytest.raises(ConfigError, match=r"model 1: a load is 18 "
+                                              r"finite values"):
+            sys.load(1, f)
+        assert not sys._f.any()
+
+    @pytest.mark.parametrize("shape", [(3,), (17,), (19,), (18, 1), ()])
+    def test_load_length_must_match_the_model(self, shape):
+        sys = self.loaded()
+        assert sys.models[1].ndof == 18
+        with pytest.raises(ConfigError, match=r"model 1: a load is 18 "
+                                              r"finite values, got shape"):
+            sys.load(1, np.ones(shape))
+        assert not sys._f.any()
+
+
+def band_oracle(K, perm):
+    """Upper band of ``K[perm][:, perm]`` from its COO upper triangle."""
+    upper = sp.triu(K[perm][:, perm]).tocoo()
+    return int((upper.col - upper.row).max()) if upper.nnz else 0
+
+
+def drawn_system(data):
+    """A random clamped and loaded system of one of five kinds, with a
+    fixed alpha for its couplings."""
+    mat = Material(E=1000.0, nu=0.3, thickness=2.0)
+    kind = data.draw(st.sampled_from(
+        ["solid2d", "solid3d", "beam", "solid_plate", "nonconforming"]))
+    if kind in ("solid2d", "solid3d"):
+        dim = 2 if kind == "solid2d" else 3
+        degree = data.draw(st.integers(1, 3 if dim == 2 else 2))
+        nelems = data.draw(st.tuples(*[st.integers(1, 9 if dim == 2 else 4)
+                                       for _ in range(dim)]))
+        sizes = data.draw(st.tuples(*[st.floats(0.5, 20.0)
+                                      for _ in range(dim)]))
+        angle = data.draw(st.floats(-np.pi, np.pi))
+        R = np.eye(dim)
+        R[:2, :2] = [[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]]
+        solid = SolidModel(build_mesh(
+            kind, "spline", degree, nelems, [(0.0, h) for h in sizes],
+            origin=np.zeros(dim), rotation=R), mat)
+        sys = System([solid])
+        first = np.flatnonzero(np.arange(solid.mesh.nnodes)
+                               % solid.mesh.dirs[0].n == 0)
+        sys.fix(0, (first[:, None] * dim + np.arange(dim)).ravel())
+        return sys, None
+    if kind == "beam":
+        theory = data.draw(st.sampled_from(["timoshenko", "euler_bernoulli"]))
+        degree = data.draw(st.integers(2 if theory == "euler_bernoulli"
+                                       else 1, 3))
+        beam = BeamModel(build_mesh(
+            "beam", "spline", degree, data.draw(st.integers(1, 40)),
+            ((0.0, data.draw(st.floats(1.0, 50.0))),),
+            origin=data.draw(st.tuples(st.floats(-9, 9), st.floats(-9, 9))),
+            phi=data.draw(st.floats(0.05, 2 * np.pi - 0.05))), mat,
+            theory=theory)
+        sys = System([beam])
+        sys.fix(0, np.arange(3 if theory == "timoshenko" else 2))
+        return sys, None
+    if kind == "solid_plate":
+        nx = data.draw(st.integers(1, 6))
+        solid = SolidModel(build_mesh(
+            "solid3d", "spline", 2, (nx, data.draw(st.integers(1, 3)), 2),
+            ((0.0, 10.0), (0.0, 5.0), (0.0, 2.0))), mat)
+        plate = PlateModel(build_mesh(
+            "plate", "spline", 2, (data.draw(st.integers(1, 8)), 2),
+            ((10.0, 30.0), (0.0, 5.0)), z_mid=1.0), mat,
+            theory=data.draw(st.sampled_from(["mindlin", "kirchhoff"])))
+        sys = System([solid, plate],
+                     [build_interface(solid, plate, axis=0, side=1)])
+        n0 = solid.mesh.dirs[0].n
+        first = np.flatnonzero(np.arange(solid.mesh.nnodes) % n0 == 0)
+        sys.fix(0, (first[:, None] * 3 + np.arange(3)).ravel())
+        return sys, 1.0e5
+    mat = Material(E=1000.0, nu=0.3, thickness=6.0)
+    solid = SolidModel(build_mesh("solid2d", "lagrange", 1,
+                                  (data.draw(st.integers(4, 20)), 4),
+                                  ((0.0, 30.0), (-3.0, 3.0))), mat)
+    beam = NonconformingModel(
+        BeamModel(build_mesh("beam", "lagrange", 1, 8, ((0.0, 24.0),),
+                             origin=(24.0, 0.0)), mat),
+        OverlapRegion(((-np.inf, data.draw(st.floats(3.5, 8.5))),)))
+    sys = System([solid, beam], [build_interface(solid, beam, axis=0, side=1)])
+    sys.fix(0, clamped_edge_dofs(solid))
+    assert len(beam.inactive_dofs)
+    return sys, 1.0e6
+
+
+class TestBandOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_chosen_band_never_exceeds_rcm(self, data):
+        sys, alpha = drawn_system(data)
+        sol = sys.solve(alpha=alpha or "auto")
+        K, free = sol.K, sol.free
+        name, pos, bands = _band_order(K, free, sys._dof_points())
+        idx = np.flatnonzero(free)
+        perm = np.empty(idx.size, dtype=int)
+        perm[pos[idx]] = idx
+        assert np.all(pos[~free] == -1)
+        assert band_oracle(K, perm) == bands[name] <= bands["rcm"]
+        assert name == min(("rcm", "geometric"), key=bands.get)
+        rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
+        assert band_oracle(K, rcm[free[rcm]]) == bands["rcm"]
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_long_bar_takes_the_geometric_order(self, axis):
+        # Slabs across a 12-element bar give one band whichever axis is
+        # the long one, smaller than RCM's.
+        nelems, extents = [2, 2, 2], [(0.0, 2.0)] * 3
+        nelems[axis], extents[axis] = 12, (0.0, 24.0)
+        solid = SolidModel(build_mesh("solid3d", "spline", 2, nelems,
+                                      extents), Material(E=1.0, nu=0.3))
+        sys = System([solid])
+        name, _, bands = _band_order(sys.bulk_matrix(),
+                                     np.ones(sys.ndof, dtype=bool),
+                                     sys._dof_points())
+        assert name == "geometric"
+        assert bands["geometric"] == 128 < bands["rcm"]
+
+    def test_dof_points_are_global(self):
+        # A beam's control points lie on its rotated mid-line, a plate's
+        # at z_mid; one row per DOF, padded to (x, y, z).
+        mat = Material(E=1.0, nu=0.3, thickness=1.0)
+        beam = BeamModel(build_mesh("beam", "lagrange", 1, 4, ((1.0, 5.0),),
+                                    origin=(2.0, 3.0), phi=2.0), mat)
+        plate = PlateModel(build_mesh("plate", "spline", 2, (2, 1),
+                                      ((0.0, 4.0), (0.0, 2.0)), z_mid=1.5),
+                           mat, theory="kirchhoff")
+        c, s = np.cos(0.4), np.sin(0.4)
+        solid = SolidModel(build_mesh("solid2d", "lagrange", 1, (2, 1),
+                                      ((0.0, 2.0), (0.0, 1.0)),
+                                      origin=(1.0, -1.0),
+                                      rotation=[[c, -s], [s, c]]), mat)
+        sys = System([beam, plate, solid])
+        pts = sys._dof_points()
+        assert pts.shape == (sys.ndof, 3)
+        t = np.arange(1.0, 6.0)
+        ref = np.column_stack([2.0 + t * np.cos(2.0), 3.0 + t * np.sin(2.0),
+                               np.zeros(5)])
+        np.testing.assert_allclose(sys.model_part(pts, 0),
+                                   np.repeat(ref, 3, axis=0), atol=1e-14)
+        np.testing.assert_array_equal(
+            sys.model_part(pts, 1),
+            np.column_stack([plate.mesh.nodes, np.full(12, 1.5)]))
+        ref = np.column_stack([solid.mesh.nodes, np.zeros(6)])
+        np.testing.assert_array_equal(sys.model_part(pts, 2),
+                                      np.repeat(ref, 2, axis=0))
+        assert abs(solid.mesh.nodes[1] - [1.0 + c, -1.0 + s]).max() < 1e-15
+
+    def test_solve_stats(self):
+        # 902 + 90 DOFs: the banded path.
+        mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
+        solid = SolidModel(build_mesh("solid2d", "lagrange", 1, (40, 10),
+                                      ((0.0, 24.0), (-3.0, 3.0))), mat)
+        beam = BeamModel(build_mesh("beam", "lagrange", 1, 29, ((0.0, 24.0),),
+                                    origin=(24.0, 0.0)), mat)
+        sys = System([solid, beam],
+                     [build_interface(solid, beam, axis=0, side=1)])
+        sys.fix(0, clamped_edge_dofs(solid))
+        sys.load(1, beam.point_load(24.0, (0.0, -1000.0, 0.0)))
+        sol = sys.solve(alpha=4.7e7)
+        s = sol.stats
+        Kff = sol.K[sol.free][:, sol.free]
+        assert s["ndof"] == sol.free.sum() == Kff.shape[0]
+        assert s["nnz"] == Kff.nnz
+        assert s["band"] == min(s["rcm_band"], s["geometric_band"])
+        assert s["ordering"] == ("rcm" if s["band"] == s["rcm_band"]
+                                 else "geometric")
+        assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
+        small = System([beam])
+        small.fix(0, [0, 1, 2])
+        sol = small.solve()
+        assert sol.stats == {"ndof": 87, "ordering": "dense",
+                             "nnz": sol.K[sol.free][:, sol.free].nnz}
+
+
+class TestSolveFromAssembled:
+    @pytest.mark.parametrize("n", [60, 700])
+    def test_spd_oracle_with_free_mask(self, n):
+        # K symmetric to round-off only, some DOFs constrained: the
+        # solution is that of sym(K)[free, free] (dense and banded path).
+        rng = np.random.default_rng(n)
+        B = sp.random(n, n, density=4.0 / n, random_state=rng, format="csr")
+        A = (B @ B.T + sp.eye(n) * 5.0).tocsr()
+        A.data *= 1.0 + 1e-15 * rng.standard_normal(A.nnz)
+        assert 0 < abs(A - A.T).max() <= 1e-14 * abs(A).max()
+        free = rng.random(n) < 0.8
+        b = rng.standard_normal(free.sum())
+        stats = {}
+        x = _solve_spd(A, b, free, rng.random((n, 3)), stats)
+        S = 0.5 * (A + A.T).toarray()
+        ref = np.linalg.solve(S[np.ix_(free, free)], b)
+        np.testing.assert_allclose(x, ref, rtol=1e-10,
+                                   atol=1e-10 * abs(ref).max())
+        assert stats["ndof"] == free.sum()
+
+    def test_residual_and_reactions_match_the_sliced_formulas(
+            self, monkeypatch):
+        # An inexact solve (perturbed x) so the residual is not round-off.
+        import mdfem.system as system
+        real = system._solve_spd
+        monkeypatch.setattr(system, "_solve_spd", lambda *args: 1.001 * real(
+            *args))
+        solid, beam, op = small_coupled()
+        sys = System([solid, beam], [op])
+        dofs = clamped_edge_dofs(solid)
+        sys.fix(0, dofs, np.where(dofs % 2 == 0, 0.01, -0.02))
+        sys.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
+        sol = sys.solve(alpha=2.0e3)
+        K, free, a, f = sol.K, sol.free, sol.a, sol.f
+        cons = ~free
+        b = f[free] - K[free][:, cons] @ a[cons]
+        resid = np.linalg.norm(K[free][:, free] @ a[free] - b)
+        resid /= np.linalg.norm(b)
+        assert resid > 1e-4
+        assert sol.residual == pytest.approx(resid, rel=1e-12)
+        r = K @ a - f
+        r[free] = 0.0
+        np.testing.assert_allclose(sol.reactions, r, rtol=0,
+                                   atol=1e-12 * abs(r).max())
