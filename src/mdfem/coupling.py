@@ -33,8 +33,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import (_TRIPLET_BUDGET, element_batches, facet_rules,
-                   rotation_2d, sum_blocks)
+from .mesh import _TRIPLET_BUDGET, element_batches, facet_rules, sum_blocks
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -151,8 +150,7 @@ def _struct_local(struct, phys):
     mesh = struct.mesh
     phys = np.atleast_2d(phys)
     if mesh.model == "beam":
-        Rv = rotation_2d(mesh.phi)
-        loc = (phys - mesh.origin[None, :]) @ Rv.T
+        loc = (phys - mesh.origin[None, :]) @ struct.R_v.T
         return loc[:, :1], loc[:, 1]
     if mesh.model == "plate":
         return phys[:, :2], phys[:, 2] - mesh.z_mid
@@ -164,7 +162,7 @@ def _struct_global(struct, inplane, offsets):
     mesh = struct.mesh
     if mesh.model == "beam":
         loc = np.column_stack([inplane[:, 0], offsets])
-        return mesh.origin[None, :] + loc @ rotation_2d(mesh.phi)
+        return mesh.origin[None, :] + loc @ struct.R_v
     return np.column_stack([inplane, mesh.z_mid + offsets])
 
 

@@ -292,14 +292,63 @@ def _kron_csr(pa, ca, va, pb, cb, vb):
 
 
 class Model:
-    """``ncomp_node`` unknowns per node of ``mesh``, DOFs node-major."""
+    """``ncomp_node`` unknowns per node of ``mesh``, DOFs node-major,
+    integrated over `parts`; none is pinned (`inactive_dofs`)."""
+
+    inactive_dofs = ()
 
     @property
     def ndof(self):
         return self.mesh.nnodes * self.ncomp_node
 
+    @property
+    def parts(self):
+        """``[(elements, rule)]``: the first on the standard Gauss rule
+        (None), any other on ``(param, wts)`` rows per element as
+        `mesh.quadrature_data` takes them. Here one, every element."""
+        return [(np.arange(self.mesh.nelem), None)]
+
     def element_dofs(self, e):
         return self.mesh.element_dofs(e, self.ncomp_node)
+
+    def part_index(self, elems):
+        """The index in `parts` of each element, -1 where it is in none."""
+        at = np.full(self.mesh.nelem, -1)
+        for i, (el, _) in enumerate(self.parts):
+            at[el] = i
+        return at[elems]
+
+    def batches(self, width):
+        """``(elements, rule)`` of `parts` in `mesh.element_batches` runs
+        of ``width * max(width, nq * dim)`` entries an element, nq its
+        rule's points (the standard rule: nen), a rule cut to its rows."""
+        mesh = self.mesh
+        for elems, rule in self.parts:
+            nq = mesh.nen if rule is None else rule[1].shape[1]
+            for rows in element_batches(np.arange(len(elems)),
+                                        width * max(width, nq * mesh.dim)):
+                yield elems[rows], None if rule is None else tuple(
+                    r[rows] for r in rule)
+
+    def element_sum(self, kernel):
+        """The load of element rows ``kernel(elements, rule)`` over
+        `batches`, summed once in element order."""
+        mesh = self.mesh
+        fe = np.zeros((mesh.nelem, mesh.nen * self.ncomp_node))
+        for el, rule in self.batches(mesh.nen):
+            fe[el] = kernel(el, rule)
+        live = np.sort(np.concatenate([el for el, _ in self.parts]))
+        out = np.zeros(self.ndof)
+        np.add.at(out, self.element_dofs(live), fe[live])
+        return out
+
+    def face_rules(self, axis, side, npts, strip=None):
+        """`mesh.facet_rules`, every facet on the standard-rule part."""
+        rules = facet_rules(self.mesh, axis, side, npts, strip)
+        bad = rules[0][self.part_index(rules[0]) != 0]
+        if bad.size:
+            raise ConfigError(f"face load on element {bad[0]}, void or cut")
+        return rules
 
 
 class SolidModel(Model):
@@ -337,14 +386,11 @@ class SolidModel(Model):
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
         force = np.asarray(force, dtype=float).reshape(self.ncomp)
-        mesh = self.mesh
-        out = np.zeros(self.ndof)
-        for el in element_batches(np.arange(mesh.nelem),
-                                  mesh.nen ** 2 * mesh.dim):
-            _, w, N, _, _, _ = bulk_points(mesh, el, nders=1)
-            fe = np.einsum("eq,eqn,c->enc", w, N, force)
-            np.add.at(out, self.element_dofs(el), fe.reshape(len(el), -1))
-        return out
+
+        def rows(el, rule):
+            _, w, N, _, _, _ = quadrature_data(self.mesh, el, rule)
+            return np.einsum("eq,eqn,c->enc", w, N, force).reshape(len(el), -1)
+        return self.element_sum(rows)
 
     def traction_force(self, axis, side, traction, npts=None,
                        strip=None) -> np.ndarray:
@@ -356,7 +402,7 @@ class SolidModel(Model):
         mesh = self.mesh
         if npts is None:
             npts = max(d.degree for d in mesh.dirs) + 1
-        elems, _, phys, w, _, N = facet_rules(mesh, axis, side, npts, strip)
+        elems, _, phys, w, _, N = self.face_rules(axis, side, npts, strip)
         if callable(traction):
             t = np.asarray(traction(phys), dtype=float)
         else:

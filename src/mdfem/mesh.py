@@ -318,12 +318,6 @@ class Mesh:
         raise PairingError(f"no element contains point {x}")
 
 
-def rotation_2d(phi: float) -> np.ndarray:
-    """Vector rotation matrix R_v: global components -> member-local ones."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
-
-
 def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
                rotation=None, phi=0.0, z_mid=0.0, weights=None) -> Mesh:
     """Construct a tensor-product mesh.
@@ -472,20 +466,6 @@ def _flat(arrays):
     """The arrays raveled end to end; one contiguous array is not copied."""
     return (arrays[0].ravel() if len(arrays) == 1
             else np.concatenate([a.ravel() for a in arrays]))
-
-
-def stiffness_batches(model, elems, rule=None):
-    """``(elements, Ke)`` of a model over `element_batches` of ``elems``,
-    on the standard rule or on an explicit ``rule = (param, wts)`` with
-    one row per element. A batch holds as many element-matrix entries,
-    or element DOFs times point coordinates where that is larger."""
-    ndof_e = model.mesh.nen * model.ncomp_node
-    nq = 0 if rule is None else rule[1].shape[1]
-    for rows in element_batches(np.arange(len(elems)),
-                                ndof_e * max(ndof_e, nq * model.mesh.dim)):
-        yield elems[rows], model.element_stiffness(
-            elems[rows],
-            None if rule is None else tuple(r[rows] for r in rule))
 
 
 def _tensor_combine(uni, nders):

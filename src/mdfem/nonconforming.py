@@ -4,9 +4,10 @@ When a solid mesh overlaps part of a structural model, the covered part of
 the structure must not contribute stiffness. Elements fully covered are
 dropped, elements crossed by the region boundary are integrated with a
 Gauss rule whose covered points weigh zero, and basis functions with
-(almost) no support left are pinned to zero. `NonconformingModel`
-packages all of that behind the same interface the plain models expose,
-so assembly and coupling code does not care which kind it is given.
+(almost) no support left are pinned to zero. `NonconformingModel` states
+that as its `parts`, the element lists each stiffness and load of the
+wrapped model integrates, so assembly, loads and coupling treat it as
+any model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     DegenerateCutError,
     OverDeactivationError,
 )
-from .mesh import element_batches, stiffness_batches
 from .quadrature import tensor_rules
 
 STANDARD, CUT, VOID = 0, 1, 2
@@ -139,10 +139,12 @@ def _deactivate(mesh, labels, wts, threshold):
 class NonconformingModel:
     """Structural model with the part covered by a solid region removed.
 
-    Wraps a beam or plate model: void elements contribute nothing, cut
-    elements integrate over the surviving part only, and basis functions
-    with (almost) no support left are reported through `inactive_dofs` so
-    the assembler pins them. Everything else delegates to the inner model.
+    Its `parts` are the STANDARD elements on the standard rule, then the
+    live CUT elements on their `integrate_cut` rows; VOID and demoted
+    elements are in none. Basis functions with (almost) no support left
+    are listed in `inactive_dofs`, which the assembler pins. The inner
+    model's methods and properties run with the wrapper as ``self``, so
+    its stiffness and loads integrate the wrapper's `parts`.
     """
 
     def __init__(self, model, region: OverlapRegion, *,
@@ -155,54 +157,24 @@ class NonconformingModel:
         self.labels = classify(mesh, region)
         cut = np.nonzero(self.labels == CUT)[0]
         param, wts = integrate_cut(mesh, cut, region, ncut=self.ncut)
-        self.inactive_nodes, starved = _deactivate(mesh, self.labels, wts,
-                                                   self.threshold)
+        self.inactive_nodes, _ = _deactivate(mesh, self.labels, wts,
+                                             self.threshold)
         nc = model.ncomp_node
         self.inactive_dofs = (self.inactive_nodes[:, None] * nc
                               + np.arange(nc)).ravel()
-        self._demoted = frozenset(starved.tolist())
-        self._live = self.labels != VOID
-        self._live[starved] = False
-        # The rules of the live cut elements, one row each.
+        # A starved cut element (all-zero row) is demoted to void.
         keep = wts.any(axis=1)
-        self._cut, self._cut_rule = cut[keep], (param[keep], wts[keep])
+        self.parts = [(np.nonzero(self.labels == STANDARD)[0], None),
+                      (cut[keep], (param[keep], wts[keep]))]
 
     def __getattr__(self, name):
         if name.startswith("_"):
             raise AttributeError(name)
+        attr = getattr(type(self._model), name, None)
+        if hasattr(attr, "__get__") and name not in vars(self._model):
+            return attr.__get__(self)
         return getattr(self._model, name)
 
-    def element_stiffness(self, e):
-        if not self._live[e]:
-            return None
-        if self.labels[e] == CUT:
-            i = np.searchsorted(self._cut, e)
-            return self._model.element_stiffness(
-                e, quadrature=(self._cut_rule[0][i], self._cut_rule[1][i]))
-        return self._model.element_stiffness(e)
-
-    def stiffness_batches(self):
-        """``(elements, Ke)`` for assembly: STANDARD elements in batches,
-        then the live CUT elements in batches on their cut rules; VOID and
-        demoted elements contribute nothing."""
-        yield from stiffness_batches(
-            self._model, np.nonzero(self.labels == STANDARD)[0])
-        yield from stiffness_batches(self._model, self._cut, self._cut_rule)
-
     def pressure_load(self, p: float) -> np.ndarray:
-        """Pressure load of the live elements, STANDARD ones and CUT ones
-        (on their cut rules) each in batches, summed in element order."""
-        model, mesh = self._model, self._model.mesh
-        live = np.nonzero(self._live)[0]
-        fe = np.empty((live.size, mesh.nen * model.ncomp_node))
-        for kind, rule in ((STANDARD, None), (CUT, self._cut_rule)):
-            at = np.nonzero(self.labels[live] == kind)[0]
-            nq = mesh.nen if rule is None else rule[1].shape[1]
-            for rows in element_batches(np.arange(at.size),
-                                        mesh.nen * nq * mesh.dim):
-                fe[at[rows]] = model.pressure_element(
-                    live[at[rows]], p,
-                    None if rule is None else tuple(r[rows] for r in rule))
-        out = np.zeros(model.ndof)
-        np.add.at(out, model.element_dofs(live), fe)
-        return out
+        """The inner model's pressure load over the live parts."""
+        return type(self._model).pressure_load(self, p)

@@ -18,7 +18,7 @@ from .elasticity import (Material, Model, constitutive_solid, interpolate,
                          kinematics, recover_values, section_form,
                          stiffness_quadrature)
 from .errors import ConfigError, DomainError
-from .mesh import Mesh, element_batches, facet_rules, quadrature_data
+from .mesh import Mesh, quadrature_data
 
 # Rows: displacement (ux, uy) or (u1, u2, u3), then Voigt strain (xx, yy,
 # xy), for Mindlin (xx, yy, xy, yz, xz). Terms: (component, derivative
@@ -168,6 +168,8 @@ class BeamModel(Model):
         """
         comp = np.asarray(components, dtype=float).reshape(self.ncomp_node)
         e = self.mesh.element_containing((x_local,))
+        if self.part_index(e) < 0:
+            raise ConfigError(f"point load on element {e}, void or demoted")
         parent = self.mesh.local_to_parent(e, np.array([[x_local]]))
         param = self.mesh.parent_to_param(e, parent)
         N, _, _ = self.mesh.shape_ders(e, param, nders=0)
@@ -248,17 +250,14 @@ class PlateModel(Model):
 
     def pressure_load(self, p: float) -> np.ndarray:
         """Consistent load for a uniform transverse pressure on w DOFs."""
-        out = np.zeros(self.ndof)
-        for el in element_batches(np.arange(self.mesh.nelem),
-                                  self.mesh.nen ** 2 * self.mesh.dim):
-            np.add.at(out, self.element_dofs(el), self.pressure_element(el, p))
-        return out
+        return self.element_sum(
+            lambda el, rule: self.pressure_element(el, p, rule))
 
     def edge_load(self, axis, side, q: float) -> np.ndarray:
         """Consistent load for a uniform transverse line load on one edge."""
         mesh = self.mesh
-        elems, _, _, w, _, N = facet_rules(
-            mesh, axis, side, max(d.degree for d in mesh.dirs) + 1)
+        elems, _, _, w, _, N = self.face_rules(
+            axis, side, max(d.degree for d in mesh.dirs) + 1)
         fq = (len(elems), -1)
         fe = np.zeros((len(elems), N.shape[1], self.ncomp_node))
         fe[..., 0] = q * (w.reshape(fq)[:, None, :]

@@ -3,12 +3,13 @@ bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. Every model gives its stiffness form
-(`stiffness_form`); on the net `build_mesh` makes, the whole model matrix
-comes from 1D matrices (`elasticity.stiffness_separable`), else batches
-of element matrices (`elasticity.stiffness_quadrature`) are summed by a
-sparse product (`mesh.sum_blocks`), as each coupling sums its segment
-blocks. The solve factors the assembled CSR matrix straight, with no
-symmetrize pass: dense Cholesky up to ``_DENSE_CUTOFF`` free unknowns,
+(`stiffness_form`) over its element `parts`; one part, the whole net
+`build_mesh` makes, gives the matrix from 1D matrices
+(`elasticity.stiffness_separable`), else the parts' batches of element
+matrices (`elasticity.stiffness_quadrature`) are summed by a sparse
+product (`mesh.sum_blocks`), as each coupling sums its segment blocks.
+The solve factors the assembled CSR matrix straight, with no symmetrize
+pass: dense Cholesky up to ``_DENSE_CUTOFF`` free unknowns,
 else banded Cholesky in the smaller-band order of reverse Cuthill-McKee
 and a sort along the longest axis of the DOFs' control points.
 """
@@ -71,9 +72,14 @@ class System:
                 return i
         raise ConfigError("model is not part of this system")
 
+    def _model(self, idx):
+        if not 0 <= idx < len(self.models):
+            raise ConfigError(f"model {idx} outside [0, {len(self.models)})")
+        return self.models[idx]
+
     def global_dofs(self, idx, local_dofs):
         local = np.asarray(local_dofs, dtype=int)
-        n = self.models[idx].ndof
+        n = self._model(idx).ndof
         bad = local[(local < 0) | (local >= n)]
         if bad.size:
             raise ConfigError(f"model {idx}: local DOF {bad[0]} outside "
@@ -81,6 +87,7 @@ class System:
         return self.offsets[idx] + local
 
     def model_part(self, a, idx):
+        self._model(idx)
         return a[self.offsets[idx]:self.offsets[idx + 1]]
 
     def add_coupling(self, op):
@@ -107,7 +114,7 @@ class System:
 
     def load(self, idx, f_local):
         f_local = np.asarray(f_local, dtype=float)
-        n = self.models[idx].ndof
+        n = self._model(idx).ndof
         if f_local.shape != (n,) or not np.isfinite(f_local).all():
             raise ConfigError(f"model {idx}: a load is {n} finite values, "
                               f"got shape {f_local.shape}")
@@ -119,10 +126,10 @@ class System:
         """K~ = sum of each model's own stiffness, no coupling terms: one
         canonical CSR matrix per model, placed on the diagonal once.
 
-        A model without its own ``stiffness_batches`` (non-conforming
-        models list theirs) is tried on `stiffness_separable` first; else
-        its ``(elements, Ke)`` batches are summed by `mesh.add_blocks`
-        every ``_TRIPLET_BUDGET`` entries."""
+        A model whose one part is the whole mesh on the standard rule is
+        tried on `stiffness_separable` first; else the element matrices
+        of its `Model.batches` are summed by `mesh.add_blocks` every
+        ``_TRIPLET_BUDGET`` entries."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
     def _coupling_matrices(self, with_h=True):
@@ -131,15 +138,12 @@ class System:
                              self.offsets[self.model_index(op.struct)]),
                             self.ndof, with_h) for op in self.couplings]
 
-    def _collect_inactive(self):
-        for idx, m in enumerate(self.models):
-            self.fix(idx, np.asarray(getattr(m, "inactive_dofs", ()), int))
-
     def _assembled(self, with_h=False):
         """``(Kbulk, coupling matrices)``, built once until `solve` uses
         them, H only ``with_h``; pins inactive non-conforming DOFs first."""
         if self._parts is None:
-            self._collect_inactive()
+            for idx, m in enumerate(self.models):
+                self.fix(idx, np.asarray(m.inactive_dofs, int))
             self._parts = (self.bulk_matrix(),
                            self._coupling_matrices(with_h))
         return self._parts
@@ -188,12 +192,12 @@ class System:
 
     def _dof_points(self):
         """Global (x, y, z) of each DOF's control point; a beam's lie at
-        ``origin`` + s (cos phi, sin phi), a plate's at ``z_mid``."""
+        ``origin`` + s R_v[0], a plate's at ``z_mid``."""
         parts = []
         for m in self.models:
             msh, x = m.mesh, m.mesh.nodes
             if msh.model == "beam":
-                x = msh.origin + x * [np.cos(msh.phi), np.sin(msh.phi)]
+                x = msh.origin + x * m.R_v[0]
             x = np.pad(x, ((0, 0), (0, 3 - x.shape[1])),
                        constant_values=msh.z_mid)
             parts.append(np.repeat(x, m.ncomp_node, axis=0))
@@ -225,17 +229,17 @@ class System:
 
 def _model_matrix(m) -> sp.csr_matrix:
     """One model's stiffness matrix in its own DOF numbering."""
-    own = getattr(m, "stiffness_batches", None)
-    K = None if own else stiffness_separable(m.mesh, m.stiffness_form())
+    (elems, rule), *rest = m.parts
+    whole = not rest and rule is None and len(elems) == m.mesh.nelem
+    K = stiffness_separable(m.mesh, m.stiffness_form()) if whole else None
     if K is not None:
         return K
     K = sp.csr_matrix((m.ndof, m.ndof))
     dofs, mats, budget = [], [], 0
-    for elems, Ke in (own() if own else mesh.stiffness_batches(
-            m, np.arange(m.mesh.nelem))):
+    for elems, rule in m.batches(m.mesh.nen * m.ncomp_node):
         dofs.append(m.element_dofs(elems))
-        mats.append(Ke)
-        budget += Ke.size
+        mats.append(m.element_stiffness(elems, rule))
+        budget += mats[-1].size
         if budget >= mesh._TRIPLET_BUDGET:
             K = mesh.add_blocks(K, dofs, mats)
             dofs, mats, budget = [], [], 0

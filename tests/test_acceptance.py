@@ -16,8 +16,8 @@ from mdfem.bench import run_case
 from mdfem.bspline import KnotVector, least_squares_project, make_open_knots
 from mdfem.coupling import build_interface
 from mdfem.elasticity import SolidModel
-from mdfem.mesh import build_mesh, rotation_2d
-from mdfem.structural import BeamModel, Material, PlateModel
+from mdfem.mesh import build_mesh
+from mdfem.structural import BeamModel, Material, PlateModel, frame_transforms
 from mdfem.system import System
 from oracles import eval_basis
 
@@ -125,7 +125,7 @@ def _jump_ratio(op, sol):
 def _beam_patch(theory, phi, state):
     """Solid strip (member coords x in (0, 6)) + beam on x in (6, 12)."""
     mat = Material(E=E_PATCH, nu=0.0, thickness=2.0)
-    Rg = rotation_2d(phi).T
+    Rg = frame_transforms(phi)[0].T
     smesh = build_mesh("solid2d", "spline", 3, (3, 2),
                        ((0.0, 6.0), (-1.0, 1.0)), rotation=Rg)
     solid = SolidModel(smesh, mat)
@@ -381,7 +381,7 @@ def test_08_basis_micro_suite(report):
     mesh = build_mesh("solid2d", "spline", 2, (3, 2),
                       ((0.0, 3.0), (0.0, 2.0)),
                       origin=np.array([1.5, -0.5]),
-                      rotation=rotation_2d(0.4).T)
+                      rotation=frame_transforms(0.4)[0].T)
     rt_dev = 0.0
     for _ in range(25):
         e = int(rng.integers(mesh.nelem))

@@ -198,14 +198,15 @@ def test_bulk_points_batch_equals_per_element_rule(model, degree, nders,
 
 
 def dense_bulk(system):
-    """Per-element scatter of every live element matrix into a dense K."""
+    """Per-element scatter into a dense K of the element matrix of every
+    element in a part of its model, on its own row of the part's rule."""
     K = np.zeros((system.ndof, system.ndof))
     for m, off in zip(system.models, system.offsets):
-        for e in range(m.mesh.nelem):
-            Ke = m.element_stiffness(e)
-            if Ke is not None:
+        for elems, rule in m.parts:
+            for i, e in enumerate(elems.tolist()):
+                quad = None if rule is None else (rule[0][i], rule[1][i])
                 d = off + m.element_dofs(e)
-                K[np.ix_(d, d)] += Ke
+                K[np.ix_(d, d)] += m.element_stiffness(e, quad)
     return K
 
 
@@ -218,7 +219,10 @@ def nonconforming_system():
     plate = PlateModel(build_mesh("plate", "spline", (3, 2), (6, 5),
                                   ((0.0, 6.0), (0.0, 5.0))), MAT, "kirchhoff")
     cut = NonconformingModel(plate, OverlapRegion(((1.5, 3.7), (-INF, 2.4))))
-    assert sliver._demoted and (sliver.labels == VOID).any()
+    # A demoted (starved) cut element and VOID elements: in no part.
+    dead = sliver.part_index(np.arange(sliver.mesh.nelem)) < 0
+    assert (dead & (sliver.labels == CUT)).any()
+    assert (sliver.labels == VOID).any() and dead[sliver.labels == VOID].all()
     assert (cut.labels == CUT).any() and (cut.labels == VOID).any()
     return System([solid, sliver, cut])
 

@@ -11,8 +11,8 @@ from mdfem.mesh import (
     build_mesh,
     bulk_points,
     facet_rules,
-    rotation_2d,
 )
+from mdfem.structural import frame_transforms
 from oracles import (boundary_facets, element_interval, local_interval,
                      tensor_rule)
 
@@ -21,7 +21,7 @@ def to_global(mesh, x_storage):
     """Storage coordinates -> global physical coordinates."""
     x = np.atleast_2d(np.asarray(x_storage, dtype=float))
     if mesh.model == "beam":
-        Rv = rotation_2d(mesh.phi)
+        Rv = frame_transforms(mesh.phi)[0]
         pts = np.column_stack([x[:, 0], np.zeros(x.shape[0])])
         return mesh.origin[None, :] + pts @ Rv
     if mesh.model == "plate":
@@ -228,7 +228,7 @@ def test_facet_measure_3d():
 
 def test_rotated_solid_placement():
     phi = np.pi / 6
-    Q = rotation_2d(phi).T  # local -> global
+    Q = frame_transforms(phi)[0].T  # local -> global
     m = build_mesh("solid2d", "lagrange", 1, (4, 2), [(0, 8), (-1, 1)],
                    origin=[1.0, 2.0], rotation=Q)
     # the local point (8, 0) should land at origin + Q @ (8, 0)

@@ -13,7 +13,7 @@ from mdfem.errors import (
     OverDeactivationError,
     RankError,
 )
-from mdfem.mesh import build_mesh
+from mdfem.mesh import build_mesh, quadrature_data
 from mdfem.nonconforming import (
     CUT,
     STANDARD,
@@ -319,9 +319,11 @@ class TestCutRuleReuse:
         plate = isinstance(inner, PlateModel)
         if plate:
             spy("pressure_element", 1)
-        batches = list(nc.stiffness_batches())
+        System([nc]).bulk_matrix()
         f = nc.pressure_load(-2.0) if plate else None
-        live_cut = cut[nc._live[cut]]
+        param, wts = direct(mesh, cut, region)
+        keep = wts.any(axis=1)
+        live_cut = cut[keep]
         # One kernel call each covering every live cut element.
         expected = [("element_stiffness", live_cut)] if live_cut.size else []
         if plate and live_cut.size:
@@ -331,14 +333,24 @@ class TestCutRuleReuse:
             np.testing.assert_array_equal(got, want)
         monkeypatch.undo()
 
-        # Rows equal the per-element kernels on the same rule row, and so
-        # does the per-element accessor.
-        param, wts = direct(mesh, cut, region)
-        K = {int(e): Ke for el, Kb in batches for e, Ke in zip(el, Kb)}
+        # STANDARD elements on the standard rule, then the live cut
+        # elements on their `integrate_cut` rows.
+        (std, none), (el, rule) = nc.parts
+        assert none is None
+        np.testing.assert_array_equal(std,
+                                      np.flatnonzero(nc.labels == STANDARD))
+        np.testing.assert_array_equal(el, live_cut)
+        np.testing.assert_array_equal(rule[0], param[keep])
+        np.testing.assert_array_equal(rule[1], wts[keep])
+        # Batched rows equal the per-element kernels on the same rule row;
+        # VOID and demoted elements are in no part.
+        K = {int(e): Ke for el, q in nc.batches(mesh.nen * inner.ncomp_node)
+             for e, Ke in zip(el, nc.element_stiffness(el, q))}
+        dead = set(np.nonzero(nc.labels == VOID)[0]) | set(cut[~keep])
         f_ref = np.zeros(inner.ndof)
         for e in range(mesh.nelem):
-            if nc.labels[e] == VOID or e in nc._demoted:
-                assert nc.element_stiffness(e) is None and e not in K
+            if e in dead:
+                assert nc.part_index(e) < 0 and e not in K
                 continue
             quad = None
             if nc.labels[e] == CUT:
@@ -346,7 +358,6 @@ class TestCutRuleReuse:
                 quad = (param[i], wts[i])
             Ke = inner.element_stiffness(e, quadrature=quad)
             np.testing.assert_array_equal(K[e], Ke)
-            np.testing.assert_array_equal(nc.element_stiffness(e), Ke)
             if plate:
                 f_ref[inner.element_dofs(e)] += inner.pressure_element(
                     e, -2.0, quad)
@@ -359,11 +370,16 @@ class TestNonconformingModel:
         nc = sliver_beam_model()
         np.testing.assert_array_equal(nc.inactive_nodes, [0, 1])
         np.testing.assert_array_equal(nc.inactive_dofs, [0, 1, 2, 3, 4, 5])
-        assert nc._demoted == {1}
-        assert nc.element_stiffness(0) is None  # void
-        assert nc.element_stiffness(1) is None  # starved cut
-        K2 = nc.element_stiffness(2)
-        np.testing.assert_array_equal(K2, nc._model.element_stiffness(2))
+        # Element 0 is void, element 1 a starved (demoted) cut: no part.
+        assert list(nc.labels[:2]) == [VOID, CUT]
+        np.testing.assert_array_equal(nc.part_index(np.arange(8)),
+                                      [-1, -1, 0, 0, 0, 0, 0, 0])
+        ref = np.zeros((nc.ndof, nc.ndof))
+        for e in range(2, 8):
+            d = nc.element_dofs(e)
+            ref[np.ix_(d, d)] += nc._model.element_stiffness(e)
+        np.testing.assert_allclose(System([nc]).bulk_matrix().toarray(), ref,
+                                   rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_delegation(self):
         nc = sliver_beam_model()
@@ -378,9 +394,11 @@ class TestNonconformingModel:
         mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
         beam = BeamModel(beam_mesh(), mat)
         nc = NonconformingModel(beam, OverlapRegion(((-INF, 4.5),)))
-        assert nc._demoted == frozenset()
-        K = nc.element_stiffness(1)
-        assert K is not None
+        # The cut element 1 is resolvable: not demoted, on its own rule.
+        (_, _), (cut, rule) = nc.parts
+        np.testing.assert_array_equal(cut, np.nonzero(nc.labels == CUT)[0])
+        np.testing.assert_array_equal(cut, [1])
+        K = nc.element_stiffness(cut, rule)[0]
         np.testing.assert_allclose(K, K.T, atol=1e-12 * np.abs(K).max())
         full = beam.element_stiffness(1)
         assert 0 < np.abs(K).max() < np.abs(full).max()
@@ -546,10 +564,13 @@ def oracle_cut_rule(mesh, e, region, ncut):
     return (param[keep], wts[keep]) if keep.any() else None
 
 
+BODY = np.array([1.0, -2.0, 0.5])
+
+
 def oracle_nonconforming(inner, region, ncut, threshold):
-    """Labels, pinned DOFs, demoted elements, dense bulk matrix and (for
-    plates) pressure load, one element at a time on filtered rules;
-    raises what the model must raise."""
+    """Labels, pinned DOFs, demoted elements, dense bulk matrix and the
+    pressure load (plates) or body force `BODY` (solids), one element at a
+    time on filtered rules; raises what the model must raise."""
     mesh = inner.mesh
     labels = _classify_by_sampling(mesh, region)
     rules = {e: oracle_cut_rule(mesh, e, region, ncut)
@@ -586,6 +607,9 @@ def oracle_nonconforming(inner, region, ncut, threshold):
         K[np.ix_(d, d)] += inner.element_stiffness(e, quadrature=rules.get(e))
         if isinstance(inner, PlateModel):
             f[d] += inner.pressure_element(e, -2.0, rules.get(e))
+        if isinstance(inner, SolidModel):
+            _, w, N, _, _, _ = quadrature_data(mesh, e, rules.get(e))
+            f[d] += np.einsum("q,qn,c->nc", w, N, BODY[:mesh.dim]).ravel()
     nc = inner.ncomp_node
     dofs = (inactive[:, None] * nc + np.arange(nc)).ravel()
     return labels, dofs, frozenset(starved), K, f
@@ -608,10 +632,77 @@ class TestBatchedCutOracle:
                                 ncut=ncut)
         np.testing.assert_array_equal(nc.labels, labels)
         np.testing.assert_array_equal(nc.inactive_dofs, dofs)
-        assert nc._demoted == demoted
+        dead = nc.part_index(np.arange(inner.mesh.nelem)) < 0
+        assert dead[labels == VOID].all()
+        assert set(np.nonzero(dead & (labels == CUT))[0].tolist()) == demoted
         scale = max(np.abs(K).max(), 1e-300)
         np.testing.assert_allclose(System([nc]).bulk_matrix().toarray(), K,
                                    rtol=0, atol=1e-13 * scale)
         if isinstance(inner, PlateModel):
             np.testing.assert_allclose(nc.pressure_load(-2.0), f, rtol=0,
                                        atol=1e-13 * np.abs(f).max())
+        if isinstance(inner, SolidModel):
+            np.testing.assert_allclose(nc.body_force(BODY[:inner.mesh.dim]),
+                                       f, rtol=0, atol=1e-13 * np.abs(f).max())
+
+
+class TestLoadsOverParts:
+    """Every load of a wrapped model integrates its live parts only."""
+
+    @staticmethod
+    def half_covered_solid(lo=2.0):
+        """4x2 Q4 solid on [0, 4] x [0, 2], covered for x > ``lo``."""
+        solid = SolidModel(build_mesh("solid2d", "lagrange", 1, (4, 2),
+                                      ((0.0, 4.0), (0.0, 2.0))), MAT)
+        return solid, NonconformingModel(
+            solid, OverlapRegion(((lo, INF), (-INF, INF))))
+
+    def test_body_force_over_live_parts(self):
+        solid, nc = self.half_covered_solid()
+        f = nc.body_force((0.0, -1.0))
+        # The live area x < 2, not the whole mesh (-8).
+        assert f.sum() == pytest.approx(-4.0, rel=1e-12)
+        ref = np.zeros(solid.ndof)
+        for e in range(solid.mesh.nelem):
+            if solid.mesh.element_grid_index(e)[0] < 2:
+                _, w, N, _, _, _ = quadrature_data(solid.mesh, e)
+                ref[solid.element_dofs(e)] += np.einsum(
+                    "q,qn,c->nc", w, N, (0.0, -1.0)).ravel()
+        np.testing.assert_array_equal(f, ref)
+        # The middle node on x = 2 (node 7) carries two live elements.
+        assert f[2 * 7 + 1] == pytest.approx(-0.5, rel=1e-12)
+        assert not f.reshape(-1, 2)[solid.mesh.nodes[:, 0] > 2.0].any()
+
+    def test_face_load_on_void_or_cut_facet_raises(self):
+        solid, nc = self.half_covered_solid(lo=2.5)
+        assert list(nc.labels[:4]) == [STANDARD, STANDARD, CUT, VOID]
+        t = (0.3, 1.0)
+        for strip in (None, ((0.0, 3.0),), ((3.2, 4.0),)):
+            with pytest.raises(ConfigError, match="void or cut"):
+                nc.traction_force(1, -1, t, strip=strip)
+        with pytest.raises(ConfigError, match="void or cut"):
+            nc.traction_force(0, 1, t)
+        # On STANDARD facets only, the load is the plain model's.
+        for axis, side, strip in ((1, -1, ((0.0, 2.0),)), (0, -1, None)):
+            np.testing.assert_array_equal(
+                nc.traction_force(axis, side, t, strip=strip),
+                solid.traction_force(axis, side, t, strip=strip))
+
+    def test_edge_load_on_cut_facet_raises(self):
+        plate, region = _cut_plate_model()
+        nc = NonconformingModel(plate, region)
+        with pytest.raises(ConfigError, match="void or cut"):
+            nc.edge_load(1, -1, 2.0)
+        np.testing.assert_array_equal(nc.edge_load(1, 1, 2.0),
+                                      plate.edge_load(1, 1, 2.0))
+
+    def test_point_load_on_dead_element_raises(self):
+        nc = sliver_beam_model()
+        # Element 0 (x in [0, 3]) is VOID, element 1 a demoted cut.
+        for x in (1.0, 4.5):
+            with pytest.raises(ConfigError, match="void or demoted"):
+                nc.point_load(x, (0.0, -1.0, 0.0))
+        for x in (6.0, 24.0):
+            np.testing.assert_array_equal(
+                nc.point_load(x, (0.0, -1.0, 0.0)),
+                nc._model.point_load(x, (0.0, -1.0, 0.0)))

@@ -143,6 +143,30 @@ class TestConstraints:
                                                       + np.array(dofs)))
         assert np.all(vals == 0.25)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-4, 5))
+    def test_model_index_range_check(self, idx):
+        # Python indexing would take -1 and -2 as the beam and the solid.
+        sys = q4_and_beam()
+        n, a = len(sys.models), np.arange(float(sys.ndof))
+        if 0 <= idx < n:
+            m, off = sys.models[idx], sys.offsets[idx]
+            np.testing.assert_array_equal(sys.global_dofs(idx, [0, 1]),
+                                          [off, off + 1])
+            np.testing.assert_array_equal(sys.model_part(a, idx),
+                                          off + np.arange(m.ndof))
+            sys.load(idx, np.ones(m.ndof))
+            assert sys._f.sum() == m.ndof == sys._f[off:off + m.ndof].sum()
+            return
+        for call in (lambda: sys.global_dofs(idx, [0]),
+                     lambda: sys.fix(idx, [0, 1]),
+                     lambda: sys.load(idx, np.zeros(sys.models[0].ndof)),
+                     lambda: sys.model_part(a, idx)):
+            with pytest.raises(ConfigError,
+                               match=rf"^model {idx} outside \[0, {n}\)$"):
+                call()
+        assert free_count(sys) == sys.ndof and not sys._f.any()
+
 
 def q4_and_beam():
     mat = Material(E=200.0, nu=0.25)
