@@ -152,22 +152,13 @@ def _region_disp_error(solid, a_s, consts, nx=21, ny=7):
     return float(np.sqrt(num / den))
 
 
-def _sxx_line_error(solid, a_s, consts, x=12.0, ny=33):
-    """Relative L2 error of the bending stress along a vertical line."""
+def _line_stress_error(solid, a_s, consts, x, row, ny=33):
+    """Relative L2 error of Voigt stress ``row`` along the vertical line
+    at ``x``: the bending stress (0) or the shear (2)."""
     ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], ny)
     vals = sample_points(solid, a_s,
-                         np.column_stack([np.full(ny, x), ys]))[1][:, 0]
-    return _rel_l2(vals - timoshenko_exact(x, ys, consts)[2],
-                   timoshenko_exact(x, ys, consts)[2], ys)
-
-
-def _interface_sxy_error(solid, a_s, consts, ny=33):
-    """Relative L2 mismatch of the shear profile on the coupling face."""
-    x = solid.mesh.box[0, 1]
-    ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], ny)
-    vals = sample_points(solid, a_s,
-                         np.column_stack([np.full(ny, x), ys]))[1][:, 2]
-    ref = timoshenko_exact(x, ys, consts)[4]
+                         np.column_stack([np.full(ny, x), ys]))[1][:, row]
+    ref = timoshenko_exact(x, ys, consts)[2 + row]
     return _rel_l2(vals - ref, ref, ys)
 
 
@@ -185,8 +176,9 @@ def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample=97):
         "tip_rel_err": abs(tip - tip_exact) / abs(tip_exact),
         "centerline_uy_rel_l2": _rel_l2(uy - ref, ref, xs),
         "region_disp_rel_l2": _region_disp_error(solid, a_s, consts),
-        "sxx_line_rel_l2": _sxx_line_error(solid, a_s, consts),
-        "interface_sxy_rel_l2": _interface_sxy_error(solid, a_s, consts),
+        "sxx_line_rel_l2": _line_stress_error(solid, a_s, consts, 12.0, 0),
+        "interface_sxy_rel_l2": _line_stress_error(
+            solid, a_s, consts, solid.mesh.box[0, 1], 2),
         "residual": float(sol.residual),
         "_centerline": np.column_stack([xs, uy, ref]),
         "_solve": sol.stats,

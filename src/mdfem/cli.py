@@ -49,6 +49,7 @@ import numpy as np
 
 from mdfem import bench
 from mdfem.errors import ConfigError, MdfemError
+from mdfem.mesh import build_mesh
 
 _C = bench.CANTILEVER
 # Every cantilever config key: path -> (kind, default, rule). Kinds are
@@ -284,46 +285,19 @@ def von_mises(stress):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _grid_points(mesh):
-    """Element-corner grid of a box mesh, first direction fastest."""
-    axes = [np.linspace(mesh.box[k, 0], mesh.box[k, 1], n + 1)
-            for k, n in enumerate(mesh.nelem_per_dir)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
-    return pts, [len(a) for a in axes]
-
-
-def _grid_cells(shape):
-    """Quad/hex connectivity over a corner grid, VTK corner order."""
-    if len(shape) == 2:
-        (n0, n1), stride = shape, shape[0]
-        cells = []
-        for j in range(n1 - 1):
-            for i in range(n0 - 1):
-                p = i + stride * j
-                cells.append([p, p + 1, p + 1 + stride, p + stride])
-        return np.array(cells), 9
-    n0, n1, n2 = shape
-    cells = []
-    for k in range(n2 - 1):
-        for j in range(n1 - 1):
-            for i in range(n0 - 1):
-                p = i + n0 * (j + n1 * k)
-                quad = [p, p + 1, p + 1 + n0, p + n0]
-                cells.append(quad + [q + n0 * n1 for q in quad])
-    return np.array(cells), 12
-
-
 def solid_field_grid(solid, a_model):
-    """Sample displacement and von Mises stress on the element corners.
+    """Sample displacement and von Mises stress on the element corners,
+    the nodes of a degree-1 mesh over the solid's box and element grid.
 
     Returns ``(points, cells, cell_type, u, vm)`` ready for the VTK
-    writer.
+    writer: quads (9) or hexahedra (12), the node table in VTK corner
+    order.
     """
-    pts, shape = _grid_points(solid.mesh)
-    u, stress = bench.sample_points(solid, a_model, pts)
-    cells, cell_type = _grid_cells(shape)
-    return pts, cells, cell_type, u, von_mises(stress)
+    m = solid.mesh
+    grid = build_mesh(m.model, "lagrange", 1, m.nelem_per_dir, m.box)
+    u, stress = bench.sample_points(solid, a_model, grid.nodes)
+    cells = grid.ien()[:, [0, 1, 3, 2, 4, 5, 7, 6][:grid.nen]]
+    return grid.nodes, cells, {2: 9, 3: 12}[m.dim], u, von_mises(stress)
 
 
 def write_vtk(path, title, points, cells, cell_type, displacement,

@@ -141,31 +141,6 @@ class CouplingOperator:
         return out if with_h else out + (None,)
 
 
-def _struct_local(struct, phys):
-    """Map global interface points into structural local coordinates.
-
-    Returns ``(inplane, offsets)``: the coordinates living on the
-    structural mesh and the section / thickness offset per point.
-    """
-    mesh = struct.mesh
-    phys = np.atleast_2d(phys)
-    if mesh.model == "beam":
-        loc = (phys - mesh.origin[None, :]) @ struct.R_v.T
-        return loc[:, :1], loc[:, 1]
-    if mesh.model == "plate":
-        return phys[:, :2], phys[:, 2] - mesh.z_mid
-    raise ConfigError(f"unsupported structural mesh {mesh.model!r}")
-
-
-def _struct_global(struct, inplane, offsets):
-    """Inverse of :func:`_struct_local` for the pairing validation."""
-    mesh = struct.mesh
-    if mesh.model == "beam":
-        loc = np.column_stack([inplane[:, 0], offsets])
-        return mesh.origin[None, :] + loc @ struct.R_v
-    return np.column_stack([inplane, mesh.z_mid + offsets])
-
-
 def build_interface(solid, struct, axis, side, *, strip=None,
                     npts=None) -> CouplingOperator:
     """Pair the solid boundary face with the structural mesh.
@@ -184,13 +159,13 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     nf = len(elems)
     nq = w.size // nf
     # Every interface point is located in the structural mesh at once.
-    inplane, offsets = _struct_local(struct, phys)
+    inplane, offsets = struct.to_local(phys)
     try:
         belems = smesh.element_containing(inplane)
     except DomainError as exc:
         raise PairingError(
             f"interface point has no partner element: {exc}") from exc
-    err = np.linalg.norm(_struct_global(struct, inplane, offsets) - phys,
+    err = np.linalg.norm(struct.to_global(inplane, offsets) - phys,
                          axis=1).reshape(nf, nq)
     box = phys.reshape(nf, nq, -1)
     diam = np.maximum(np.linalg.norm(box.max(axis=1) - box.min(axis=1),
@@ -223,11 +198,12 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
     are deflated through a small dense eigendecomposition, which is
     legitimate because the interface stress vanishes on them.
 
-    Power iteration on K~^-1 H. After a first step in the full space it
-    runs on the interface DOFs I only (the rows where H is nonzero): an
+    Power iteration on K~^-1 H, on the interface DOFs I only (the rows
+    where H is nonzero), from y = (H v)[I] for a random unit v: an
     iterate u = Z y with Z = K~^-1[I, I] (pseudo-inverse on the
     structural block) and y = H_II u, and the Rayleigh quotient
-    u.H_II u / u.y does not depend on the scaling of y.
+    u.H_II u / u.y does not depend on the scaling of y. ``maxiter``
+    counts the products with H, the first one included.
     """
     H = sp.csr_matrix(H)
     if H.nnz == 0 or np.abs(H.data).max() == 0.0:
@@ -259,22 +235,12 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
                     "the structural model or supply alpha explicitly"
                 )
 
-    def ktilde_mul(v):
-        out = np.empty_like(v)
-        if ns:
-            out[:ns] = K_solid @ v[:ns]
-        if nb:
-            out[ns:] = K_struct @ v[ns:]
-        return out
-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(ns + nb)
     if nb and Qn.shape[1]:
         v[ns:] -= Qn @ (Qn.T @ v[ns:])
     v /= np.linalg.norm(v)
 
-    y = H @ v
-    lam_old = float(v @ y) / float(v @ ktilde_mul(v))
     iface = np.flatnonzero(abs(H) @ np.ones(ns + nb))
     Is, Ib = iface[iface < ns], iface[iface >= ns] - ns
     Z = np.zeros((iface.size, iface.size))
@@ -288,7 +254,8 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
     if Ib.size:
         Z[Is.size:, Is.size:] = (Qp[Ib] / wp) @ Qp[Ib].T
     H_II = H[iface][:, iface].toarray()
-    y = y[iface]
+    y = (H @ v)[iface]
+    lam_old = np.nan  # no previous quotient: the first step cannot stop
     for _ in range(maxiter - 1):
         u = Z @ y
         uy = u @ y  # zero only where u is: Z is semi-definite

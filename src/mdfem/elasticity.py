@@ -330,6 +330,15 @@ class Model:
                 yield elems[rows], None if rule is None else tuple(
                     r[rows] for r in rule)
 
+    def element_load(self, e, values, quadrature=None):
+        """Consistent load of constant ``values`` (one per nodal unknown)
+        per unit measure of element ``e``, or one row per element of an
+        element array, on the standard or an explicit rule."""
+        _, w, N, _, _, _ = quadrature_data(self.mesh, e, quadrature)
+        return np.einsum("...q,...qn,c->...nc", w, N, np.reshape(
+            np.asarray(values, dtype=float), self.ncomp_node)).reshape(
+                w.shape[:-1] + (-1,))
+
     def element_sum(self, kernel):
         """The load of element rows ``kernel(elements, rule)`` over
         `batches`, summed once in element order."""
@@ -342,13 +351,37 @@ class Model:
         np.add.at(out, self.element_dofs(live), fe[live])
         return out
 
-    def face_rules(self, axis, side, npts, strip=None):
-        """`mesh.facet_rules`, every facet on the standard-rule part."""
-        rules = facet_rules(self.mesh, axis, side, npts, strip)
-        bad = rules[0][self.part_index(rules[0]) != 0]
+    def face_load(self, axis, side, values, npts=None, strip=None):
+        """Consistent load of ``values`` per unit measure of a boundary face
+        (`mesh.facet_rules`, ``npts`` p + 1 by default), every facet on the
+        standard-rule part: one value per nodal unknown, or a callable
+        mapping points ``(nq, dim)`` to one such row per point. Summed
+        facet by facet, in element order."""
+        mesh = self.mesh
+        if npts is None:
+            npts = max(mesh.degrees) + 1
+        elems, _, phys, w, _, N = facet_rules(mesh, axis, side, npts, strip)
+        bad = elems[self.part_index(elems) != 0]
         if bad.size:
             raise ConfigError(f"face load on element {bad[0]}, void or cut")
-        return rules
+        t = np.asarray(values(phys) if callable(values) else
+                       np.tile(values, (len(w), 1)), dtype=float)
+        fq = (len(elems), -1)
+        fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
+                       N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))
+        out = np.zeros(self.ndof)
+        np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
+        return out
+
+    def to_global(self, stored, offsets):
+        """Global coordinates of stored ones at section ``offsets``: a solid
+        stores global coordinates."""
+        return stored
+
+    def to_local(self, phys):
+        """Beams and plates map global points to ``(inplane, offsets)``."""
+        raise ConfigError(f"a {self.mesh.model} model has no section to "
+                          "pair an interface with")
 
 
 class SolidModel(Model):
@@ -385,35 +418,14 @@ class SolidModel(Model):
 
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
-        force = np.asarray(force, dtype=float).reshape(self.ncomp)
-
-        def rows(el, rule):
-            _, w, N, _, _, _ = quadrature_data(self.mesh, el, rule)
-            return np.einsum("eq,eqn,c->enc", w, N, force).reshape(len(el), -1)
-        return self.element_sum(rows)
+        return self.element_sum(
+            lambda el, rule: self.element_load(el, force, rule))
 
     def traction_force(self, axis, side, traction, npts=None,
                        strip=None) -> np.ndarray:
-        """Consistent nodal load for a traction on a boundary face.
-
-        ``traction`` is a constant vector or a callable mapping physical
-        points (nq, dim) to traction vectors (nq, dim).
-        """
-        mesh = self.mesh
-        if npts is None:
-            npts = max(d.degree for d in mesh.dirs) + 1
-        elems, _, phys, w, _, N = self.face_rules(axis, side, npts, strip)
-        if callable(traction):
-            t = np.asarray(traction(phys), dtype=float)
-        else:
-            t = np.tile(np.asarray(traction, dtype=float), (len(w), 1))
-        fq = (len(elems), -1)
-        fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
-                       N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))
-        out = np.zeros(self.ndof)
-        # Summed facet by facet, in element order.
-        np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
-        return out
+        """Consistent nodal load for a traction on a boundary face, a
+        constant vector or a callable of the points (`Model.face_load`)."""
+        return self.face_load(axis, side, traction, npts, strip)
 
     def recover(self, e, parent, a_model):
         """Displacement and stress at parent points from model DOF values,

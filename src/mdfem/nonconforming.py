@@ -168,6 +168,8 @@ class NonconformingModel:
                       (cut[keep], (param[keep], wts[keep]))]
 
     def __getattr__(self, name):
+        # Private names are refused: a helper that the inner class's
+        # methods call on ``self`` must be public or a module function.
         if name.startswith("_"):
             raise AttributeError(name)
         attr = getattr(type(self._model), name, None)

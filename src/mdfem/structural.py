@@ -18,7 +18,7 @@ from .elasticity import (Material, Model, constitutive_solid, interpolate,
                          kinematics, recover_values, section_form,
                          stiffness_quadrature)
 from .errors import ConfigError, DomainError
-from .mesh import Mesh, quadrature_data
+from .mesh import Mesh
 
 # Rows: displacement (ux, uy) or (u1, u2, u3), then Voigt strain (xx, yy,
 # xy), for Mindlin (xx, yy, xy, yz, xz). Terms: (component, derivative
@@ -121,6 +121,17 @@ class BeamModel(Model):
     def solid_stress_rows(self):
         return None  # couples against the full 2D Voigt stress
 
+    def to_local(self, phys):
+        """Global points ``(n, 2)`` as ``(inplane (n, 1), offsets (n,))``:
+        the axis coordinate and the section offset."""
+        loc = (np.atleast_2d(phys) - self.mesh.origin) @ self.R_v.T
+        return loc[:, :1], loc[:, 1]
+
+    def to_global(self, inplane, offsets):
+        """Inverse of `to_local`."""
+        return self.mesh.origin + np.column_stack(
+            [inplane[:, 0], offsets]) @ self.R_v
+
     def stiffness_form(self):
         """The `section_form` over the section (A, I); Timoshenko shear on
         linear elements is a second part on the one-point rule."""
@@ -207,6 +218,16 @@ class PlateModel(Model):
         # selects from the 3D Voigt order (xx, yy, zz, xy, yz, xz)
         return (0, 1, 3) if self.theory == "kirchhoff" else (0, 1, 3, 4, 5)
 
+    def to_local(self, phys):
+        """Global points ``(n, 3)`` as ``(inplane (n, 2), offsets (n,))``:
+        mid-surface coordinates and the offset from ``z_mid``."""
+        phys = np.atleast_2d(phys)
+        return phys[:, :2], phys[:, 2] - self.mesh.z_mid
+
+    def to_global(self, inplane, offsets):
+        """Inverse of `to_local`."""
+        return np.column_stack([inplane, self.mesh.z_mid + offsets])
+
     def stiffness_form(self):
         """The `section_form` through the thickness h (h, h^3 / 12)."""
         h = self.material.thickness
@@ -243,10 +264,8 @@ class PlateModel(Model):
     def pressure_element(self, e, p: float, quadrature=None) -> np.ndarray:
         """Consistent load of a uniform transverse pressure on one element,
         or one row per element of an element array."""
-        _, w, N, _, _, _ = quadrature_data(self.mesh, e, quadrature)
-        fe = np.zeros(w.shape[:-1] + (N.shape[-1], self.ncomp_node))
-        fe[..., 0] = p * np.matmul(w[..., None, :], N)[..., 0, :]
-        return fe.reshape(w.shape[:-1] + (-1,))
+        return self.element_load(e, p * np.eye(self.ncomp_node)[0],
+                                 quadrature)
 
     def pressure_load(self, p: float) -> np.ndarray:
         """Consistent load for a uniform transverse pressure on w DOFs."""
@@ -255,17 +274,7 @@ class PlateModel(Model):
 
     def edge_load(self, axis, side, q: float) -> np.ndarray:
         """Consistent load for a uniform transverse line load on one edge."""
-        mesh = self.mesh
-        elems, _, _, w, _, N = self.face_rules(
-            axis, side, max(d.degree for d in mesh.dirs) + 1)
-        fq = (len(elems), -1)
-        fe = np.zeros((len(elems), N.shape[1], self.ncomp_node))
-        fe[..., 0] = q * (w.reshape(fq)[:, None, :]
-                          @ N.reshape(fq + N.shape[1:]))[:, 0]
-        out = np.zeros(self.ndof)
-        # Summed facet by facet, in element order.
-        np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
-        return out
+        return self.face_load(axis, side, q * np.eye(self.ncomp_node)[0])
 
     def recover(self, e, parent, offset, a_model):
         """Displacement and stress at section points from model DOF values,

@@ -9,9 +9,9 @@ component-minor inside each block. Every model gives its stiffness form
 matrices (`elasticity.stiffness_quadrature`) are summed by a sparse
 product (`mesh.sum_blocks`), as each coupling sums its segment blocks.
 The solve factors the assembled CSR matrix straight, with no symmetrize
-pass: dense Cholesky up to ``_DENSE_CUTOFF`` free unknowns,
-else banded Cholesky in the smaller-band order of reverse Cuthill-McKee
-and a sort along the longest axis of the DOFs' control points.
+pass, by banded Cholesky at every size, in the smaller-band order of
+reverse Cuthill-McKee and a sort along the longest axis of the DOFs'
+global control points (`Model.to_global`).
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ from . import mesh
 from .coupling import estimate_alpha
 from .elasticity import stiffness_separable
 from .errors import ConfigError, DefinitenessError
-
-_DENSE_CUTOFF = 400
 
 
 @dataclass
@@ -73,6 +71,8 @@ class System:
         raise ConfigError("model is not part of this system")
 
     def _model(self, idx):
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+            raise ConfigError(f"model index {idx!r} is not an integer")
         if not 0 <= idx < len(self.models):
             raise ConfigError(f"model {idx} outside [0, {len(self.models)})")
         return self.models[idx]
@@ -191,15 +191,12 @@ class System:
         return alphas
 
     def _dof_points(self):
-        """Global (x, y, z) of each DOF's control point; a beam's lie at
-        ``origin`` + s R_v[0], a plate's at ``z_mid``."""
+        """Global (x, y, z) of each DOF's control point, at section offset
+        0 of a beam or plate."""
         parts = []
         for m in self.models:
-            msh, x = m.mesh, m.mesh.nodes
-            if msh.model == "beam":
-                x = msh.origin + x * m.R_v[0]
-            x = np.pad(x, ((0, 0), (0, 3 - x.shape[1])),
-                       constant_values=msh.z_mid)
+            x = m.to_global(m.mesh.nodes, np.zeros(m.mesh.nnodes))
+            x = np.pad(x, ((0, 0), (0, 3 - x.shape[1])))
             parts.append(np.repeat(x, m.ncomp_node, axis=0))
         return np.concatenate(parts)
 
@@ -265,20 +262,17 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
                stats=None) -> np.ndarray:
     """Direct solve of ``K[free][:, free] x = b`` (all DOFs by default),
     K symmetric positive definite to round-off: one triangle is read.
-    Dense Cholesky up to ``_DENSE_CUTOFF`` unknowns, else banded Cholesky
-    in `_band_order`'s order, K's upper triangle scattered into band
-    storage. ``stats`` gets ndof, nnz, band, band_mb, ordering and the
+    Banded Cholesky at every size, in `_band_order`'s order, K's upper
+    triangle scattered into band storage; no free DOF gives an empty
+    vector. ``stats`` gets ndof, nnz, band, band_mb, ordering and the
     candidates' bands. A DefinitenessError says the factorization broke
     down, the observable symptom of an under-stabilized interface."""
     free = np.ones(K.shape[0], bool) if free is None else free
     idx = np.flatnonzero(free)
     n, stats = idx.size, {} if stats is None else stats
+    if n == 0:
+        return np.zeros(0)
     try:
-        if n <= _DENSE_CUTOFF:
-            Kff = K[idx][:, idx]
-            stats.update(ndof=n, nnz=Kff.nnz, ordering="dense")
-            return sla.cho_solve(sla.cho_factor(Kff.toarray(), lower=False),
-                                 b)
         name, pos, bands = _band_order(K, free, points)
         u = bands[name]
         # Row and column place of every entry, -1 off the free block.

@@ -469,9 +469,9 @@ def test_edge_load_equals_per_facet_loop(kind, degree, nelems, axis, side,
     q = -2.5
 
     def load(w, N, x):
-        fe = np.zeros((N.shape[1], model.ncomp_node))
-        fe[:, 0] = q * (w @ N)
-        return fe
+        # The traction sum, with the line load on w and zero elsewhere.
+        t = np.tile(q * np.eye(model.ncomp_node)[0], (len(w), 1))
+        return np.einsum("q,qn,qc->nc", w, N, t)
 
     np.testing.assert_array_equal(
         model.edge_load(axis, side, q),

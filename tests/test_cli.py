@@ -196,6 +196,33 @@ class TestWriters:
         np.testing.assert_allclose(u[:, 0], 0.01 * pts[:, 0], atol=1e-14)
         np.testing.assert_allclose(vm, 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("nelems", [(3, 2), (3, 2, 2)])
+    def test_field_grid_cells_in_vtk_corner_order(self, nelems):
+        # Unit cells, first direction fastest; a quad runs counter-
+        # clockwise, a hexahedron its bottom then its top face.
+        from mdfem.elasticity import Material, SolidModel
+        from mdfem.mesh import build_mesh
+
+        dim = len(nelems)
+        solid = SolidModel(build_mesh(f"solid{dim}d", "spline", 2, nelems,
+                                      [(0.0, float(n)) for n in nelems]),
+                           Material(E=1.0, nu=0.3))
+        pts, cells, cell_type, u, vm = solid_field_grid(
+            solid, np.zeros(solid.ndof))
+        assert cell_type == {2: 9, 3: 12}[dim]
+        lower = np.stack(np.meshgrid(*[np.arange(float(n)) for n in nelems],
+                                     indexing="ij"), -1)
+        np.testing.assert_array_equal(
+            pts[cells[:, 0]], lower.transpose(*range(dim)[::-1], dim)
+            .reshape(-1, dim))
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        corners = (np.array(square) if dim == 2 else np.array(
+            [c + [0] for c in square] + [c + [1] for c in square]))
+        np.testing.assert_array_equal(pts[cells] - pts[cells[:, :1]],
+                                      np.broadcast_to(corners, cells.shape
+                                                      + (dim,)))
+        assert u.shape == pts.shape and not vm.any()
+
 
 @pytest.fixture(scope="module")
 def q4_run(tmp_path_factory):

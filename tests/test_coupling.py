@@ -12,6 +12,7 @@ from mdfem.coupling import (
 )
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import (
+    ConfigError,
     ConvergenceError,
     DomainError,
     PairingError,
@@ -130,6 +131,11 @@ class TestBuildInterface:
         solid, beam = q4_bench_models()
         with pytest.raises(PairingError):
             build_interface(solid, beam, axis=0, side=-1)
+
+    def test_solid_partner_rejected(self):
+        solid, _ = q4_bench_models()
+        with pytest.raises(ConfigError, match="solid2d model has no section"):
+            build_interface(solid, solid, axis=0, side=1)
 
 
 def bending_state():

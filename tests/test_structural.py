@@ -71,6 +71,43 @@ class TestFrameTransforms:
             )
 
 
+class TestPlacement:
+    """Global points and (in-plane, offset) pairs of a beam or a plate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(-np.pi, np.pi),
+           origin=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_beam_round_trip(self, phi, origin, seed):
+        beam = BeamModel(beam_mesh(1, 3, 10.0, "lagrange", origin=origin,
+                                   phi=phi), Material(E=1.0, nu=0.3))
+        x = np.random.default_rng(seed).uniform(-60.0, 60.0, (7, 2))
+        inplane, offsets = beam.to_local(x)
+        assert inplane.shape == (7, 1) and offsets.shape == (7,)
+        np.testing.assert_allclose(beam.to_global(inplane, offsets), x,
+                                   rtol=0, atol=1e-12 * np.abs(x).max())
+        # Axis coordinate 2 along (cos phi, sin phi), offset 0.5 normal.
+        c, s = np.cos(phi), np.sin(phi)
+        np.testing.assert_allclose(
+            beam.to_global(np.array([[2.0]]), np.array([0.5])),
+            [np.add(origin, [2.0 * c - 0.5 * s, 2.0 * s + 0.5 * c])],
+            rtol=0, atol=1e-12 * 60.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z_mid=st.floats(-50, 50), seed=st.integers(0, 2**32 - 1))
+    def test_plate_round_trip(self, z_mid, seed):
+        plate = PlateModel(plate_mesh(2, (2, 1), (4.0, 2.0), z_mid=z_mid),
+                           Material(E=1.0, nu=0.3))
+        x = np.random.default_rng(seed).uniform(-60.0, 60.0, (7, 3))
+        inplane, offsets = plate.to_local(x)
+        assert inplane.shape == (7, 2) and offsets.shape == (7,)
+        np.testing.assert_allclose(plate.to_global(inplane, offsets), x,
+                                   rtol=0, atol=1e-12 * np.abs(x).max())
+        np.testing.assert_array_equal(
+            plate.to_global(np.array([[1.0, 2.0]]), np.array([0.5])),
+            [[1.0, 2.0, z_mid + 0.5]])
+
+
 class TestEulerBernoulli:
     mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
 

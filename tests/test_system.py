@@ -1,9 +1,11 @@
 """Assembly, constraints, and the global solve path."""
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdfem import coupling
@@ -143,13 +145,20 @@ class TestConstraints:
                                                       + np.array(dofs)))
         assert np.all(vals == 0.25)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(-4, 5))
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(-4, 5), st.integers(-4, 5).map(np.int64),
+                     st.floats(), st.text(max_size=3), st.booleans()))
+    @example(0.5)
+    @example("0")
+    @example(True)
     def test_model_index_range_check(self, idx):
-        # Python indexing would take -1 and -2 as the beam and the solid.
+        # Python indexing would take -1 and -2 as the beam and the solid,
+        # and True as the beam.
         sys = q4_and_beam()
         n, a = len(sys.models), np.arange(float(sys.ndof))
-        if 0 <= idx < n:
+        integer = (isinstance(idx, (int, np.integer))
+                   and not isinstance(idx, bool))
+        if integer and 0 <= idx < n:
             m, off = sys.models[idx], sys.offsets[idx]
             np.testing.assert_array_equal(sys.global_dofs(idx, [0, 1]),
                                           [off, off + 1])
@@ -158,12 +167,13 @@ class TestConstraints:
             sys.load(idx, np.ones(m.ndof))
             assert sys._f.sum() == m.ndof == sys._f[off:off + m.ndof].sum()
             return
+        msg = (rf"^model {idx} outside \[0, {n}\)$" if integer else
+               rf"^model index {re.escape(repr(idx))} is not an integer$")
         for call in (lambda: sys.global_dofs(idx, [0]),
                      lambda: sys.fix(idx, [0, 1]),
                      lambda: sys.load(idx, np.zeros(sys.models[0].ndof)),
                      lambda: sys.model_part(a, idx)):
-            with pytest.raises(ConfigError,
-                               match=rf"^model {idx} outside \[0, {n}\)$"):
+            with pytest.raises(ConfigError, match=msg):
                 call()
         assert free_count(sys) == sys.ndof and not sys._f.any()
 
@@ -336,6 +346,27 @@ class TestSpdSolver:
         A = sp.eye(500, format="csr") * -1.0
         with pytest.raises(DefinitenessError):
             _solve_spd(A, np.ones(500))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 5), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_small_systems_match_dense_solve(self, n, ncons, points, seed):
+        # 1-60 free DOFs take the band order and banded Cholesky too.
+        rng = np.random.default_rng(seed)
+        size = n + ncons
+        B = sp.random(size, size, density=0.2, random_state=rng)
+        A = (B @ B.T + sp.eye(size)).tocsr()
+        free = rng.permutation(size) < n
+        b = rng.standard_normal(n)
+        stats = {}
+        x = _solve_spd(A, b, free, rng.random((size, 3)) if points else None,
+                       stats)
+        ref = np.linalg.solve(A.toarray()[np.ix_(free, free)], b)
+        np.testing.assert_allclose(x, ref, rtol=1e-10,
+                                   atol=1e-10 * abs(ref).max())
+        assert stats["ndof"] == n
+        assert stats["ordering"] in (("rcm", "geometric") if points
+                                     else ("rcm",))
 
 
 class TestSolveInputs:
@@ -515,7 +546,7 @@ class TestBandOrder:
         assert abs(solid.mesh.nodes[1] - [1.0 + c, -1.0 + s]).max() < 1e-15
 
     def test_solve_stats(self):
-        # 902 + 90 DOFs: the banded path.
+        # 902 + 90 DOFs, and the beam alone: one banded path at any size.
         mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
         solid = SolidModel(build_mesh("solid2d", "lagrange", 1, (40, 10),
                                       ((0.0, 24.0), (-3.0, 3.0))), mat)
@@ -525,27 +556,26 @@ class TestBandOrder:
                      [build_interface(solid, beam, axis=0, side=1)])
         sys.fix(0, clamped_edge_dofs(solid))
         sys.load(1, beam.point_load(24.0, (0.0, -1000.0, 0.0)))
-        sol = sys.solve(alpha=4.7e7)
-        s = sol.stats
-        Kff = sol.K[sol.free][:, sol.free]
-        assert s["ndof"] == sol.free.sum() == Kff.shape[0]
-        assert s["nnz"] == Kff.nnz
-        assert s["band"] == min(s["rcm_band"], s["geometric_band"])
-        assert s["ordering"] == ("rcm" if s["band"] == s["rcm_band"]
-                                 else "geometric")
-        assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
         small = System([beam])
         small.fix(0, [0, 1, 2])
-        sol = small.solve()
-        assert sol.stats == {"ndof": 87, "ordering": "dense",
-                             "nnz": sol.K[sol.free][:, sol.free].nnz}
+        for sol in (sys.solve(alpha=4.7e7), small.solve()):
+            s = sol.stats
+            Kff = sol.K[sol.free][:, sol.free]
+            assert s["ndof"] == sol.free.sum() == Kff.shape[0]
+            assert s["nnz"] == Kff.nnz
+            assert s["band"] == min(s["rcm_band"], s["geometric_band"])
+            assert s["ordering"] == ("rcm" if s["band"] == s["rcm_band"]
+                                     else "geometric")
+            assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
+        # The 87-DOF beam alone takes the banded path as well.
+        assert s["ndof"] == 87 and s["band"] < 87
 
 
 class TestSolveFromAssembled:
     @pytest.mark.parametrize("n", [60, 700])
     def test_spd_oracle_with_free_mask(self, n):
         # K symmetric to round-off only, some DOFs constrained: the
-        # solution is that of sym(K)[free, free] (dense and banded path).
+        # solution is that of sym(K)[free, free], small or large.
         rng = np.random.default_rng(n)
         B = sp.random(n, n, density=4.0 / n, random_state=rng, format="csr")
         A = (B @ B.T + sp.eye(n) * 5.0).tocsr()
