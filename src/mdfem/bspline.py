@@ -198,8 +198,9 @@ def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     return out
 
 
-def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
-    """L2 projection of a scalar (or vector-valued) function onto the basis.
+def least_squares_project(kv: KnotVector, target) -> np.ndarray:
+    """L2 projection of a scalar (or vector-valued) function onto the basis
+    over the whole knot domain.
 
     Parameters
     ----------
@@ -207,10 +208,6 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
     target : callable
         Maps an array of parameter values to function values; the result may
         have trailing component axes.
-    span_mask : boolean array or None
-        Which elements (non-empty spans) to integrate over. ``None`` means
-        the whole domain. Functions without support in the masked region make
-        the Gram matrix singular.
 
     Returns
     -------
@@ -220,21 +217,11 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
     Raises
     ------
     RankError
-        If the Gram matrix is singular (degenerate mask).
+        If the Gram matrix is numerically singular.
     """
     n = kv.n
-    if span_mask is None:
-        span_mask = np.ones(kv.nspans, dtype=bool)
-    else:
-        span_mask = np.asarray(span_mask, dtype=bool)
-        if span_mask.shape != (kv.nspans,):
-            raise ConfigError(
-                f"span mask must have length {kv.nspans}, got {span_mask.shape}"
-            )
-    spans = kv._span_starts[span_mask]
-    if not spans.size:
-        raise RankError("projection mask selects no spans")
-    # The (p+1)-point Gauss rule of every masked span, span-major.
+    spans = kv._span_starts
+    # The (p+1)-point Gauss rule of every span, span-major.
     xs, ws, _ = tensor_rules([kv.knots[spans[:, None] + [0, 1]]],
                              [np.arange(spans.size)], [kv.degree + 1])
     xs, ws = xs.ravel(), ws.ravel()
@@ -254,8 +241,6 @@ def least_squares_project(kv: KnotVector, target, span_mask=None) -> np.ndarray:
     np.add.at(rhs, idx, ws.reshape((-1, 1) + comp)
               * (N.reshape(N.shape + comp) * vals[:, None]))
     try:
-        # Cholesky doubles as the rank check: the Gram matrix of a basis
-        # restricted to the mask is PD iff every function has support there.
         c = sla.cho_factor(gram)
         sol = sla.cho_solve(c, rhs.reshape(n, -1))
     except np.linalg.LinAlgError as exc:

@@ -33,7 +33,8 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import _TRIPLET_BUDGET, element_batches, facet_rules, sum_blocks
+from .mesh import (_TRIPLET_BUDGET, element_batches, facet_rules, on_grid,
+                   sum_blocks)
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -147,7 +148,10 @@ def build_interface(solid, struct, axis, side, *, strip=None,
 
     The trace mesh comes from the solid side; every facet quadrature
     point is located in the structural mesh (possibly splitting one
-    facet across several partner elements).
+    facet across several partner elements) by the partner's `to_local`
+    and the mesh's affine `element_containing`. That inversion holds on
+    the net `build_mesh` makes (`on_grid`) with equal NURBS weights only;
+    any other partner map is a PairingError.
     """
     smesh = struct.mesh
     p_struct = max(d.degree for d in smesh.dirs)
@@ -160,21 +164,16 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     nq = w.size // nf
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = struct.to_local(phys)
+    if not on_grid(smesh) or any(np.ptp(d.kv.weights) for d in smesh.dirs
+                                 if d.kv.weights is not None):
+        raise PairingError(
+            f"the partner {smesh.model} map is not affine: pairing needs "
+            "the net build_mesh makes, with equal NURBS weights if any")
     try:
         belems = smesh.element_containing(inplane)
     except DomainError as exc:
         raise PairingError(
             f"interface point has no partner element: {exc}") from exc
-    err = np.linalg.norm(struct.to_global(inplane, offsets) - phys,
-                         axis=1).reshape(nf, nq)
-    box = phys.reshape(nf, nq, -1)
-    diam = np.maximum(np.linalg.norm(box.max(axis=1) - box.min(axis=1),
-                                     axis=1), 1e-30)
-    bad = np.nonzero((err > 1e-8 * diam[:, None]).any(axis=1))[0]
-    if bad.size:
-        raise PairingError(
-            f"interface point mismatch {err[bad[0]].max():.3e} on facet of "
-            f"element {elems[bad[0]]}")
     # One segment per facet and partner element: a stable sort keeps the
     # facet order, partners ascending in a facet and the point order.
     key = np.repeat(np.arange(nf), nq) * smesh.nelem + belems

@@ -13,7 +13,7 @@ from scipy.linalg import block_diag
 
 from .errors import ConfigError
 from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
-                   grid_nodes, parent_data, quadrature_data)
+                   on_grid, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -203,8 +203,8 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
 
 def stiffness_separable(mesh: Mesh, form):
     """Whole-mesh matrix of a stiffness ``form`` (as `stiffness_quadrature`
-    takes it), canonical CSR without exact zeros, if the nodes are bit for
-    bit the net `grid_nodes` gives and the Jacobian is positive; else None.
+    takes it), canonical CSR without exact zeros, if the mesh is `on_grid`
+    and the Jacobian is positive; else None.
 
     The map is x = origin + A y, y_k a function of t_k alone, so a jet in
     x combines jets in y (`_jet_map`), and P_ab in y is the Kronecker
@@ -213,8 +213,7 @@ def stiffness_separable(mesh: Mesh, form):
     """
     dim = mesh.dim
     A = np.eye(dim) if mesh.rotation is None else mesh.rotation
-    if (np.linalg.det(A) <= 0 or not np.array_equal(mesh.nodes, grid_nodes(
-            mesh.dirs, mesh.origin, mesh.rotation))):
+    if np.linalg.det(A) <= 0 or not on_grid(mesh):
         return None
     T, m = _jet_map(np.linalg.inv(A)), jets(dim)
     vals = []

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
-from .errors import ConfigError, ConvergenceError, DomainError, PairingError
+from .errors import ConfigError, DomainError, PairingError
 from .quadrature import tensor_rules
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
@@ -98,7 +98,6 @@ class Mesh:
     rotation: np.ndarray | None = None  # solids: local box -> global
     phi: float = 0.0       # beams: mid-line rotation angle
     z_mid: float = 0.0     # plates: transverse position of the mid-surface
-    _bboxes: np.ndarray | None = field(default=None, repr=False)
     _ien: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -230,92 +229,63 @@ class Mesh:
             [d.eval(i, param[:, k], nders) for k, (d, i)
              in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
 
-    def map_to_physical(self, e, parent):
-        """Map parent coordinates of an element to storage coordinates."""
-        param = self.parent_to_param(e, parent)
-        N, _, _ = self.shape_ders(e, param, nders=0)
-        return N @ self.nodes[self.element_nodes(e)]
+    def locate(self, x):
+        """Element and parent coordinates ``(e, xi)`` of a storage-coordinate
+        point; an ``(npts, dim_x)`` array gives an element array and
+        ``(npts, dim)`` parent points.
 
-    def jacobian(self, e, parent):
-        """d(storage x)/d(parent xi) and its determinant at parent points."""
-        param = self.parent_to_param(e, parent)
-        _, dN, _ = self.shape_ders(e, param, nders=1)
-        P = self.nodes[self.element_nodes(e)]
-        a, b = self._bounds(e)
-        J = (P.T @ dN) * (0.5 * (b - a))
-        det = np.linalg.det(J)
-        return J, det
-
-    def element_diameter(self, e):
-        P = self.nodes[self.element_nodes(e)]
-        return float(np.linalg.norm(P.max(axis=0) - P.min(axis=0)))
-
-    def inverse_map(self, e, x, tol_scale=1e-10):
-        """Newton inversion of the element map.
-
-        Returns ``(parent, inside)``; ``inside`` is False when the converged
-        point falls outside the parent box by more than 1e-8.
-
-        Raises
-        ------
-        ConvergenceError
-            If Newton does not reach the tolerance in 50 iterations.
+        Each point is paired with every element whose control-net bounding
+        box holds it to 1e-8, and all pairs run one batched, damped Newton
+        inversion of the element map: at most 50 steps from the element
+        centre, each halved until the residual drops or the scale is below
+        1e-3, converged at 1e-10 times the net's diameter. Pairs with a
+        singular Jacobian or no convergence drop out. The first element in
+        element order whose point lies in the parent box to 1e-8 wins;
+        PairingError if a point has none.
         """
         x = np.asarray(x, dtype=float)
-        diam = self.element_diameter(e)
-        tol = tol_scale * diam
-        xi = np.zeros(self.dim)
-        r = self.map_to_physical(e, xi[None, :])[0] - x
+        pts = x.reshape(-1, self.nodes.shape[1])
+        P = self.nodes[self.ien()]
+        lo, hi = P.min(axis=1), P.max(axis=1)
+        pad = 1e-8 * np.maximum(1.0, np.abs(pts).max(axis=1))[:, None, None]
+        q, e = np.nonzero(np.all((pts[:, None] >= lo - pad)
+                                 & (pts[:, None] <= hi + pad), axis=2))
+        tol = 1e-10 * np.linalg.norm(hi[e] - lo[e], axis=1)
+        a, b = self._bounds(e)
+
+        def residual(k, xi):
+            """Residuals and parent Jacobians of pairs ``k`` at ``xi``."""
+            N, dN, _ = self.shape_ders(e[k], self.parent_to_param(e[k], xi))
+            xk, J = element_map(P[e[k]], N[:, None], dN[:, None])
+            return xk[:, 0] - pts[q[k]], J[:, 0] * (0.5 * (b - a))[k, None]
+
+        xi = np.zeros((e.size, self.dim))
+        k = np.arange(e.size)
+        r, J = residual(k, xi)
+        done = np.zeros(e.size, dtype=bool)
         for _ in range(50):
-            if np.linalg.norm(r) <= tol:
+            rn = np.linalg.norm(r, axis=1)
+            done[k[rn <= tol[k]]] = True
+            go = ~(rn <= tol[k]) & (np.linalg.det(J) != 0)
+            k, r, J, rn = k[go], r[go], J[go], rn[go]
+            if not k.size:
                 break
-            J, _ = self.jacobian(e, xi[None, :])
-            try:
-                step = np.linalg.solve(J[0], r)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"singular jacobian: {exc}") from exc
-            scale = 1.0
-            for _ in range(12):
-                trial = xi - scale * step
-                r_new = self.map_to_physical(e, trial[None, :])[0] - x
-                if np.linalg.norm(r_new) < np.linalg.norm(r) or scale < 1e-3:
-                    break
-                scale *= 0.5
-            xi, r = trial, r_new
-        else:
-            raise ConvergenceError(
-                f"inverse map did not converge for element {e} at {x}"
-            )
-        inside = bool(np.all(np.abs(xi) <= 1.0 + 1e-8))
-        return xi, inside
-
-    def element_bboxes(self):
-        if self._bboxes is None:
-            P = self.nodes[self.ien()]
-            self._bboxes = np.stack([P.min(axis=1), P.max(axis=1)], axis=-1)
-        return self._bboxes
-
-    def locate(self, x):
-        """Find the element containing a storage-coordinate point.
-
-        Brute-force loop over candidate elements (bounding-box prefilter)
-        with early exit on the first inside signal.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        boxes = self.element_bboxes()
-        pad = 1e-8 * max(1.0, float(np.abs(x).max()))
-        cand = np.nonzero(
-            np.all((x >= boxes[:, :, 0] - pad) & (x <= boxes[:, :, 1] + pad),
-                   axis=1)
-        )[0]
-        for e in cand:
-            try:
-                xi, inside = self.inverse_map(e, x)
-            except ConvergenceError:
-                continue
-            if inside:
-                return int(e), xi
-        raise PairingError(f"no element contains point {x}")
+            step = np.linalg.solve(J, r[..., None])[..., 0]
+            x0, scale, todo = xi[k], np.ones(k.size), np.arange(k.size)
+            while todo.size:
+                xi[k[todo]] = x0[todo] - scale[todo, None] * step[todo]
+                r[todo], J[todo] = residual(k[todo], xi[k[todo]])
+                todo = todo[~((np.linalg.norm(r[todo], axis=1) < rn[todo])
+                              | (scale[todo] < 1e-3))]
+                scale[todo] *= 0.5
+        win = np.flatnonzero(done & np.all(np.abs(xi) <= 1.0 + 1e-8, axis=1))
+        found, first = np.unique(q[win], return_index=True)
+        if found.size < len(pts):
+            miss = np.setdiff1d(np.arange(len(pts)), found)[0]
+            raise PairingError(f"no element contains point {pts[miss]}")
+        hit = win[first]
+        return (e[hit], xi[hit]) if x.ndim == 2 else (int(e[hit[0]]),
+                                                      xi[hit[0]])
 
 
 def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
@@ -407,6 +377,13 @@ def grid_nodes(dirs, origin=None, rotation=None):
     return nodes if rotation is None else origin + nodes @ rotation.T
 
 
+def on_grid(mesh):
+    """Whether ``mesh.nodes`` are bit for bit the net `grid_nodes` gives
+    for the mesh's directions and placement."""
+    return np.array_equal(mesh.nodes, grid_nodes(mesh.dirs, mesh.origin,
+                                                  mesh.rotation))
+
+
 def _per_dir(value, dim, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(dim))
@@ -479,7 +456,7 @@ def _tensor_combine(uni, nders):
         for k in range(dim):
             # New direction slowest.
             out = (out[..., None, :] * uni[k][..., orders[k], :, None]
-                   ).reshape(lead + (-1,))
+                   ).reshape(lead + (out.shape[-1] * uni[k].shape[-1],))
         return out
 
     one = np.eye(dim, dtype=int)
@@ -555,15 +532,21 @@ def parent_data(mesh, e, parent, nders=1):
                  for a in quadrature_data(mesh, elems, rule, nders)[2:])
 
 
+def element_map(P, N, dN):
+    """Element maps at tabulated points: the points ``N @ P`` and the
+    parameter Jacobians ``P^T dN``, for element nodes ``P`` ``(E, nen,
+    dim_x)`` and shape tables ``N`` ``(E, nq, nen)`` and ``dN`` ``(E, nq,
+    nen, dim)``."""
+    return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
+
+
 def _element_data(mesh, e, param, wts, nders, shapes):
     """Physical quadrature data of an element array at parameter points
     ``param`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
     ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``."""
     N, dN, d2N = shapes
     P = mesh.nodes[mesh.element_nodes(e)]
-    PT = np.swapaxes(P, -1, -2)[:, None]  # (E, 1, dim_x, nen)
-    phys = N @ P
-    J = PT @ dN
+    phys, J = element_map(P, N, dN)
     det = np.linalg.det(J)
     bad = np.any(det <= 0, axis=-1)
     if bad.any():
@@ -576,7 +559,7 @@ def _element_data(mesh, e, param, wts, nders, shapes):
         # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
         # the last term vanishing on affine maps only.
         flat = d2N.shape[:-2] + (-1,)
-        d2x = PT @ d2N.reshape(flat)
+        d2x = np.swapaxes(P, -1, -2)[:, None] @ d2N.reshape(flat)
         d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
         Jinv = Jinv[..., None, :, :]
         d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
@@ -642,11 +625,12 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     at = np.repeat(elems, nq)
     N, dN, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent))
     # Facet-major: one (nq, nen) @ (nen, dim) product per facet.
-    P, fq = mesh.nodes[mesh.element_nodes(elems)], (len(elems), nq)
-    phys = (N.reshape(fq + (-1,)) @ P).reshape(-1, mesh.dim)
+    fq = (len(elems), nq)
+    phys, J = element_map(mesh.nodes[mesh.element_nodes(elems)],
+                          N.reshape(fq + (-1,)), dN.reshape(fq + dN.shape[1:]))
+    phys = phys.reshape(-1, mesh.dim)
     a, b = mesh._bounds(elems)
-    J = (np.swapaxes(P, -1, -2)[:, None] @ dN.reshape(fq + dN.shape[1:])
-         * (0.5 * (b - a))[:, None, None, :]).reshape(-1, mesh.dim, mesh.dim)
+    J = (J * (0.5 * (b - a))[:, None, None, :]).reshape(-1, mesh.dim, mesh.dim)
     if mesh.dim == 3:
         nvec = np.cross(J[:, :, free[0]], J[:, :, free[1]])
     else:

@@ -154,7 +154,7 @@ class System:
         cons = np.flatnonzero(~free)
         return cons, self._fixed[cons], free
 
-    def resolve_alpha(self, alpha="auto", seed=0):
+    def resolve_alpha(self, alpha="auto"):
         """One stabilization alpha per coupling, as `solve` uses them.
 
         ``alpha`` is a number, one number per coupling, or ``"auto"``:
@@ -183,8 +183,8 @@ class System:
             H = sum(h for _, _, h in coupling_mats)[order][:, order]
             alphas = [estimate_alpha(
                 Kbulk[solid_free][:, solid_free],
-                Kbulk[struct_free][:, struct_free].toarray(), H,
-                seed=seed)] * len(self.couplings)
+                Kbulk[struct_free][:, struct_free].toarray(),
+                H)] * len(self.couplings)
         if not all(0.0 < a < np.inf for a in alphas):
             raise ConfigError(f"stabilization alpha must be finite and "
                               f"positive, got {alphas} (degenerate interface?)")
@@ -202,11 +202,11 @@ class System:
 
     # Solve ---------------------------------------------------------------
 
-    def solve(self, alpha="auto", seed=0) -> Solution:
+    def solve(self, alpha="auto") -> Solution:
         """K = bulk + the sum over couplings of Kn + Kn^T + alpha Kst;
         right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
         residual (free DOFs) and the reactions (constrained ones)."""
-        alphas = self.resolve_alpha(alpha, seed)
+        alphas = self.resolve_alpha(alpha)
         Kbulk, coupling_mats = self._assembled()
         self._parts = None
         free = self._free()[2]
@@ -273,10 +273,10 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
     if n == 0:
         return np.zeros(0)
     try:
-        name, pos, bands = _band_order(K, free, points)
+        name, pos, pc, bands = _band_order(K, free, points)
         u = bands[name]
         # Row and column place of every entry, -1 off the free block.
-        pr, pc = np.repeat(pos, np.diff(K.indptr)), np.take(pos, K.indices)
+        pr = np.repeat(pos, np.diff(K.indptr))
         kept = (pr >= 0) & (pc >= 0)
         up = np.flatnonzero(kept & (pc >= pr))
         ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
@@ -296,11 +296,12 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
 
 
 def _band_order(K: sp.csr_matrix, free, points=None):
-    """``(name, pos, bands)``: the order of the ``free`` DOFs with the
-    smaller upper band, each DOF's place in it (-1 if not free) and each
-    candidate's band. The candidates are reverse Cuthill-McKee on K, the
-    other DOFs dropped, and a stable sort of ``points`` (one per DOF)
-    along the longest axis of the free ones' bounding box; RCM wins ties."""
+    """``(name, pos, cols, bands)``: the order of the ``free`` DOFs with
+    the smaller upper band, each DOF's place in it (-1 if not free), the
+    place of each stored entry's column in it and each candidate's band.
+    The candidates are reverse Cuthill-McKee on K, the other DOFs dropped,
+    and a stable sort of ``points`` (one per DOF) along the longest axis
+    of the free ones' bounding box; RCM wins ties."""
     idx = np.flatnonzero(free)
     rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
     orders = {"rcm": rcm[free[rcm]]}
@@ -310,11 +311,12 @@ def _band_order(K: sp.csr_matrix, free, points=None):
                                              kind="stable")]
     # A band in one pass over K: each nonempty row's furthest column place.
     rows = np.flatnonzero(np.diff(K.indptr))
-    places, bands = {}, {}
+    places, cols, bands = {}, {}, {}
     for name, perm in orders.items():
         pos = places[name] = np.full(K.shape[0], -1, dtype=K.indices.dtype)
         pos[perm] = np.arange(perm.size)
-        last = np.maximum.reduceat(np.take(pos, K.indices), K.indptr[rows])
+        cols[name] = np.take(pos, K.indices)
+        last = np.maximum.reduceat(cols[name], K.indptr[rows])
         bands[name] = int((last - pos[rows])[free[rows]].max(initial=0))
     name = min(bands, key=bands.get)
-    return name, places[name], bands
+    return name, places[name], cols[name], bands

@@ -18,7 +18,7 @@ from mdfem.errors import (
     PairingError,
     RankError,
 )
-from mdfem.mesh import build_mesh
+from mdfem.mesh import build_mesh, parent_data
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
@@ -100,7 +100,7 @@ class TestBuildInterface:
         for seg in op.segments:
             np.testing.assert_allclose(seg.normals[:, 0], 1.0, atol=1e-14)
             np.testing.assert_allclose(seg.normals[:, 1], 0.0, atol=1e-14)
-            phys = solid.mesh.map_to_physical(seg.s_elem, seg.s_parent)
+            phys = parent_data(solid.mesh, seg.s_elem, seg.s_parent)[3]
             np.testing.assert_allclose(phys[:, 0], 24.0, atol=1e-12)
             # section offsets are the y coordinates
             np.testing.assert_allclose(seg.offsets, phys[:, 1], atol=1e-14)
@@ -123,7 +123,7 @@ class TestBuildInterface:
         assert partners == [1, 3]  # right column of the 2x2 plate grid
         assert {len(seg.weights) for seg in op.segments} == {8}
         for seg in op.segments:
-            phys = solid.mesh.map_to_physical(seg.s_elem, seg.s_parent)
+            phys = parent_data(solid.mesh, seg.s_elem, seg.s_parent)[3]
             np.testing.assert_allclose(seg.offsets, phys[:, 2] - 0.5,
                                        atol=1e-14)
 
@@ -136,6 +136,35 @@ class TestBuildInterface:
         solid, _ = q4_bench_models()
         with pytest.raises(ConfigError, match="solid2d model has no section"):
             build_interface(solid, solid, axis=0, side=1)
+
+    @pytest.mark.parametrize("partner", ["curved plate", "weighted plate",
+                                         "curved beam"])
+    def test_non_affine_partner_rejected(self, partner):
+        # Each of these partners was paired 0.05-0.17 off without an error:
+        # the affine element lookup does not invert its map.
+        mat = Material(E=10.0, nu=0.3, thickness=1.0)
+        if partner == "curved beam":
+            solid, _ = q4_bench_models()
+            # The solid's end face lies at the beam's axis coordinate 12.
+            mesh = build_mesh("beam", "spline", 2, 4, ((0.0, 24.0),),
+                              origin=(12.0, 0.0))
+            mesh.nodes = mesh.nodes + 0.5 * np.sin(mesh.nodes / 4.0)
+            struct = BeamModel(mesh, mat)
+        else:
+            solid = SolidModel(
+                build_mesh("solid3d", "spline", 2, (2, 4, 1),
+                           ((0.0, 2.0), (0.0, 2.0), (0.0, 1.0))), mat)
+            weights = [np.array([1.0, 0.5, 2.0, 1.0, 1.0, 1.0]),
+                       np.array([1.0, 0.6, 1.5, 0.7, 1.0, 1.0])]
+            mesh = build_mesh(
+                "plate", "spline", 2, (4, 4), ((0.0, 4.0), (0.0, 2.0)),
+                z_mid=0.5, weights=weights if "weighted" in partner else None)
+            if "curved" in partner:
+                mesh.nodes = mesh.nodes + 0.15 * np.sin(2.0
+                                                        * mesh.nodes[:, ::-1])
+            struct = PlateModel(mesh, mat)
+        with pytest.raises(PairingError, match="not affine"):
+            build_interface(solid, struct, axis=0, side=1)
 
 
 def bending_state():

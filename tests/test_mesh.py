@@ -10,6 +10,7 @@ from mdfem.mesh import (
     SplineDir,
     build_mesh,
     bulk_points,
+    element_map,
     facet_rules,
 )
 from mdfem.structural import frame_transforms
@@ -29,6 +30,18 @@ def to_global(mesh, x_storage):
     if mesh.rotation is not None:
         return mesh.origin[None, :] + x @ mesh.rotation.T
     return x
+
+
+def map_at(mesh, e, parent):
+    """Storage points and parent Jacobians d(x)/d(xi) of element ``e`` (or
+    of ``e[i]`` at point ``i``) at parent points, by `element_map`."""
+    parent = np.atleast_2d(np.asarray(parent, dtype=float))
+    elems = np.broadcast_to(e, parent.shape[:1])
+    N, dN, _ = mesh.shape_ders(elems, mesh.parent_to_param(elems, parent))
+    x, J = element_map(mesh.nodes[mesh.element_nodes(elems)], N[:, None],
+                       dN[:, None])
+    a, b = mesh._bounds(elems)
+    return x[:, 0], J[:, 0] * (0.5 * (b - a))[:, None]
 
 
 def global_to_local(mesh, x_global):
@@ -84,28 +97,28 @@ def test_ien_stride_pattern():
 
 def test_map_affine_unit_square():
     m = build_mesh("solid2d", "spline", 1, (2, 2), [(0, 1), (0, 1)])
-    x = m.map_to_physical(0, np.array([[0.0, 0.0]]))
+    x, _ = map_at(m, 0, np.array([[0.0, 0.0]]))
     assert_allclose(x, [[0.25, 0.25]], atol=1e-14)
 
 
 def test_map_beam_param_stage():
     # length-48 line over 4 spans, parameterized over [0,4]
     m = build_mesh("beam", "spline", 3, 4, [(0, 48)])
-    x = m.map_to_physical(2, np.array([[0.0]]))
+    x, _ = map_at(m, 2, np.array([[0.0]]))
     assert_allclose(x, [[30.0]], atol=1e-12)
 
 
 def test_jacobian_q4_affine():
     m = build_mesh("solid2d", "lagrange", 1, (40, 10), [(0, 48), (-3, 3)])
-    _, det = m.jacobian(7, np.array([[0.1, -0.4], [0.9, 0.9]]))
-    assert_allclose(det, 0.18, rtol=1e-14)
+    _, J = map_at(m, 7, np.array([[0.1, -0.4], [0.9, 0.9]]))
+    assert_allclose(np.linalg.det(J), 0.18, rtol=1e-14)
 
 
 def test_greville_geometry_affine():
     m = build_mesh("solid2d", "spline", 3, (16, 4), [(0, 24), (-3, 3)])
     pts = np.random.default_rng(0).uniform(-1, 1, (20, 2))
     for e in [0, 5, 37, 63]:
-        _, det = m.jacobian(e, pts)
+        det = np.linalg.det(map_at(m, e, pts)[1])
         assert np.ptp(det) < 1e-12 * abs(det[0])
 
 
@@ -114,15 +127,15 @@ def test_jacobian_fd_after_perturbation():
     m.nodes[12] += np.array([0.11, -0.07])  # interior control point
     e = 4
     xi = np.array([[0.2, -0.3]])
-    J, det = m.jacobian(e, xi)
-    assert det[0] > 0
+    _, J = map_at(m, e, xi)
+    assert np.linalg.det(J[0]) > 0
     h = 1e-6
     for k in range(2):
         dp = xi.copy()
         dm = xi.copy()
         dp[0, k] += h
         dm[0, k] -= h
-        fd = (m.map_to_physical(e, dp) - m.map_to_physical(e, dm)) / (2 * h)
+        fd = (map_at(m, e, dp)[0] - map_at(m, e, dm)[0]) / (2 * h)
         assert_allclose(J[0][:, k], fd[0], rtol=1e-6, atol=1e-8)
 
 
@@ -130,31 +143,33 @@ def test_inverse_map_round_trip():
     m = build_mesh("solid2d", "spline", 2, (3, 3), [(0, 3), (0, 3)])
     m.nodes[12] += np.array([0.11, -0.07])
     target = np.array([0.3, -0.7])
-    x = m.map_to_physical(4, target[None, :])[0]
-    xi, inside = m.inverse_map(4, x)
-    assert inside
+    e, xi = m.locate(map_at(m, 4, target)[0][0])
+    assert e == 4
     assert_allclose(xi, target, atol=1e-10)
     # affine mesh: Newton equals the closed-form inverse
     ma = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 2), (0, 2)])
-    x = np.array([0.3, 0.15])
-    xi, inside = ma.inverse_map(0, x)
-    assert inside
+    e, xi = ma.locate(np.array([0.3, 0.15]))
+    assert e == 0
     assert_allclose(xi, [2 * 0.3 / 0.5 - 1, 2 * 0.15 / 0.5 - 1], atol=1e-12)
 
 
 def test_inverse_map_outside_signal():
-    m = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 2), (0, 2)])
-    elems, _, phys, _, normals, _ = facet_rules(m, 0, +1, 2)
-    probe = phys[0] + 1e-3 * normals[0]
-    xi, inside = m.inverse_map(elems[0], probe)
-    assert not inside
-    assert xi[0] > 1.0 + 1e-8
+    # Element 1's control net spans past its +x face, so a point just
+    # across that face is one of its candidates; Newton lands outside its
+    # parent box and the next element takes the point.
+    m = build_mesh("solid2d", "spline", 2, (4, 4), [(0, 2), (0, 2)])
+    probe = map_at(m, 1, [[1.0, 0.2]])[0][0] + [1e-3, 0.0]
+    P = m.nodes[m.element_nodes(1)]
+    assert np.all((P.min(axis=0) <= probe) & (probe <= P.max(axis=0)))
+    e, xi = m.locate(probe)
+    assert e == 2
+    assert -1.0 < xi[0] < -1.0 + 1e-2
 
 
 def test_locate_brute_force():
     m = build_mesh("solid2d", "spline", 3, (16, 4), [(0, 24), (-3, 3)])
     e, xi = m.locate(np.array([13.3, 2.2]))
-    x = m.map_to_physical(e, xi[None, :])[0]
+    x = map_at(m, e, xi)[0][0]
     assert_allclose(x, [13.3, 2.2], atol=1e-9)
     with pytest.raises(PairingError):
         m.locate(np.array([25.0, 0.0]))
@@ -163,12 +178,70 @@ def test_locate_brute_force():
 def test_interior_points_map_back_to_same_element():
     m = build_mesh("solid2d", "spline", 2, (4, 2), [(0, 8), (0, 4)])
     rng = np.random.default_rng(3)
-    for e in range(m.nelem):
-        xi = rng.uniform(-0.95, 0.95, (1, 2))
-        x = m.map_to_physical(e, xi)[0]
-        efound, xif = m.locate(x)
-        xf = m.map_to_physical(efound, xif[None, :])[0]
-        assert_allclose(xf, x, atol=1e-9)
+    xi = rng.uniform(-0.95, 0.95, (m.nelem, 2))
+    x = map_at(m, np.arange(m.nelem), xi)[0]
+    efound, xif = m.locate(x)
+    np.testing.assert_array_equal(efound, np.arange(m.nelem))
+    assert_allclose(map_at(m, efound, xif)[0], x, atol=1e-9)
+
+
+@st.composite
+def placed_nets(draw):
+    """Small 2D and 3D solids, straight or curved, as built, rotated or
+    reflected."""
+    dim = draw(st.integers(2, 3))
+    degree = draw(st.integers(1, 3))
+    nelems = draw(st.tuples(*[st.integers(1, 3)] * dim))
+    extents = [(lo, lo + ln) for lo, ln in draw(st.tuples(
+        *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 10.0))] * dim))]
+    placement = {}
+    kind = draw(st.sampled_from(["built", "rotated", "reflected"]))
+    if kind != "built":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        if (np.linalg.det(Q) > 0) != (kind == "rotated"):
+            Q[:, 0] *= -1.0
+        placement = {"origin": rng.uniform(-2.0, 2.0, dim), "rotation": Q}
+    m = build_mesh(f"solid{dim}d", "lagrange" if degree == 1 else "spline",
+                   degree, nelems, extents, **placement)
+    if draw(st.booleans()):
+        size = min(hi - lo for lo, hi in extents)
+        m.nodes = m.nodes + 0.02 * size * np.sin(m.nodes[:, ::-1] / size)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=placed_nets(), data=st.data())
+def test_batched_locate_finds_the_lowest_holding_element(m, data):
+    """Points at element corners, on faces and inside map back within
+    1e-9 from the lowest-index element whose parameter box holds them; an
+    array call equals one call per row bit for bit; a point outside the
+    net raises PairingError, alone or in an array."""
+    npts = data.draw(st.integers(1, 6))
+    elems = np.array(data.draw(st.lists(st.integers(0, m.nelem - 1),
+                                        min_size=npts, max_size=npts)))
+    coord = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    xi = np.array(data.draw(st.lists(st.tuples(*[coord] * m.dim),
+                                     min_size=npts, max_size=npts)))
+    x = map_at(m, elems, xi)[0]
+    e, xif = m.locate(x)
+    assert_allclose(map_at(m, e, xif)[0], x, rtol=0.0, atol=1e-9)
+    # The parameter map is a bijection, so the holders of a point are the
+    # elements whose parameter boxes hold its parameter t; the lowest
+    # index takes the lowest interval in every direction.
+    t = m.parent_to_param(elems, xi)
+    lowest = m.element_id([np.searchsorted(d.intervals()[:, 1], t[:, k])
+                           for k, d in enumerate(m.dirs)])
+    np.testing.assert_array_equal(e, lowest)
+    for i in range(npts):
+        ei, xii = m.locate(x[i])
+        assert ei == e[i]
+        np.testing.assert_array_equal(xii, xif[i])
+    outside = m.nodes.max(axis=0) + 1.0
+    with pytest.raises(PairingError):
+        m.locate(outside)
+    with pytest.raises(PairingError):
+        m.locate(np.vstack([x, outside]))
 
 
 def test_bulk_points_measure():
@@ -233,7 +306,7 @@ def test_rotated_solid_placement():
                    origin=[1.0, 2.0], rotation=Q)
     # the local point (8, 0) should land at origin + Q @ (8, 0)
     e, xi = m.locate(np.array([1.0, 2.0]) + Q @ np.array([8.0, 0.0]))
-    local = global_to_local(m, m.map_to_physical(e, xi[None, :]))[0]
+    local = global_to_local(m, map_at(m, e, xi)[0])[0]
     assert_allclose(local, [8.0, 0.0], atol=1e-9)
     # outward normal of the local +x face is the rotated x axis
     normals = facet_rules(m, 0, +1, 2)[4][:2]
@@ -253,8 +326,8 @@ def test_reflected_curved_placement_keeps_normals_outward(dim):
             elems, parent, _, _, normals, _ = facet_rules(m, axis, side, 3)
             nq = len(normals) // len(elems)
             for i, e in enumerate(elems):
-                J, det = m.jacobian(e, parent[i * nq:(i + 1) * nq])
-                assert (det < 0).all()
+                _, J = map_at(m, e, parent[i * nq:(i + 1) * nq])
+                assert (np.linalg.det(J) < 0).all()
                 grad = side * np.linalg.inv(J)[:, axis, :]
                 grad /= np.linalg.norm(grad, axis=1)[:, None]
                 assert_allclose(normals[i * nq:(i + 1) * nq], grad,

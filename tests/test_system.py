@@ -490,7 +490,8 @@ class TestBandOrder:
         sys, alpha = drawn_system(data)
         sol = sys.solve(alpha=alpha or "auto")
         K, free = sol.K, sol.free
-        name, pos, bands = _band_order(K, free, sys._dof_points())
+        name, pos, cols, bands = _band_order(K, free, sys._dof_points())
+        np.testing.assert_array_equal(cols, pos[K.indices])
         idx = np.flatnonzero(free)
         perm = np.empty(idx.size, dtype=int)
         perm[pos[idx]] = idx
@@ -509,7 +510,7 @@ class TestBandOrder:
         solid = SolidModel(build_mesh("solid3d", "spline", 2, nelems,
                                       extents), Material(E=1.0, nu=0.3))
         sys = System([solid])
-        name, _, bands = _band_order(sys.bulk_matrix(),
+        name, _, _, bands = _band_order(sys.bulk_matrix(),
                                      np.ones(sys.ndof, dtype=bool),
                                      sys._dof_points())
         assert name == "geometric"
