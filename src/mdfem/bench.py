@@ -22,7 +22,7 @@ from .bspline import least_squares_project
 from .coupling import build_interface
 from .elasticity import Material, SolidModel
 from .errors import ConfigError, DefinitenessError
-from .mesh import build_mesh
+from .mesh import build_mesh, on_grid
 from .nonconforming import NonconformingModel, OverlapRegion
 from .structural import BeamModel, PlateModel
 from .system import System
@@ -74,9 +74,14 @@ def sample_points(model, a_model, points):
 
     All points are located in one call and recovered in one call, each
     in its own element. Beams and plates are read on their mid-line or
-    mid-surface. Returns ``(u, s)`` with one row per point.
+    mid-surface. Returns ``(u, s)`` with one row per point. The points
+    are read through the affine `Mesh.element_containing`, so the net
+    must be `on_grid` (ConfigError otherwise).
     """
     mesh = model.mesh
+    if not on_grid(mesh):
+        raise ConfigError("sampling needs the net build_mesh makes: local "
+                          "coordinates do not invert a moved net")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     elems = mesh.element_containing(pts)
     parent = mesh.local_to_parent(elems, pts)

@@ -33,7 +33,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import (_TRIPLET_BUDGET, element_batches, facet_rules, on_grid,
+from .mesh import (_TRIPLET_BUDGET, affine, element_batches, facet_rules,
                    sum_blocks)
 
 
@@ -104,10 +104,13 @@ class CouplingOperator:
         without the alpha factor; the full Nitsche contribution is
         ``K^n + K^n.T + alpha * K^st``.
 
-        Each side is traced once over all points. The segment products
-        J^T T, J^T J and T^T T run over a batch axis of segments, one
-        batch per point count, and the segment blocks are summed by one
-        `sum_blocks` call per run of ``_TRIPLET_BUDGET`` entries.
+        Each side is traced once over all points. Only the element-local
+        columns nonzero in J or T at some point are kept: a solid's inner
+        node layers carry neither trace nor traction, and their products
+        are zero. The segment products J^T T, J^T J and T^T T run on the
+        kept columns over a batch axis of segments, one batch per point
+        count, and the segment blocks are summed by one `sum_blocks` call
+        per run of ``_TRIPLET_BUDGET`` entries.
         """
         solid, struct, p = self.solid, self.struct, self.points
         if offsets is None:
@@ -118,11 +121,13 @@ class CouplingOperator:
         J = np.concatenate([Ns, -Nb], axis=2)
         T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),
                       np.concatenate([Ss, Sb], axis=2))
+        live = np.flatnonzero(J.any((0, 1)) | T.any((0, 1)))
+        J, T, na = J[:, :, live], T[:, :, live], live.size
         first, counts = self.starts[:-1], np.diff(self.starts)
         dofs = np.concatenate([
             offsets[0] + solid.element_dofs(p.s_elem[first]),
-            offsets[1] + struct.element_dofs(p.b_elem[first])], axis=1)
-        na = dofs.shape[1]
+            offsets[1] + struct.element_dofs(p.b_elem[first])],
+            axis=1)[:, live]
         parts = []
         for run in element_batches(np.arange(counts.size), 3 * na * na):
             # Segments of one point count are one batch, in segment order.
@@ -150,8 +155,8 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     point is located in the structural mesh (possibly splitting one
     facet across several partner elements) by the partner's `to_local`
     and the mesh's affine `element_containing`. That inversion holds on
-    the net `build_mesh` makes (`on_grid`) with equal NURBS weights only;
-    any other partner map is a PairingError.
+    an `affine` partner mesh only; any other partner map is a
+    PairingError.
     """
     smesh = struct.mesh
     p_struct = max(d.degree for d in smesh.dirs)
@@ -164,8 +169,7 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     nq = w.size // nf
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = struct.to_local(phys)
-    if not on_grid(smesh) or any(np.ptp(d.kv.weights) for d in smesh.dirs
-                                 if d.kv.weights is not None):
+    if not affine(smesh):
         raise PairingError(
             f"the partner {smesh.model} map is not affine: pairing needs "
             "the net build_mesh makes, with equal NURBS weights if any")

@@ -238,10 +238,11 @@ class Mesh:
         box holds it to 1e-8, and all pairs run one batched, damped Newton
         inversion of the element map: at most 50 steps from the element
         centre, each halved until the residual drops or the scale is below
-        1e-3, converged at 1e-10 times the net's diameter. Pairs with a
-        singular Jacobian or no convergence drop out. The first element in
-        element order whose point lies in the parent box to 1e-8 wins;
-        PairingError if a point has none.
+        1e-3, converged at 1e-11 times the diagonal of the element's
+        control-net bounding box. Pairs with a singular Jacobian or no
+        convergence drop out. The first element in element order whose
+        point lies in the parent box to 1e-8 wins; PairingError if a point
+        has none.
         """
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, self.nodes.shape[1])
@@ -250,7 +251,7 @@ class Mesh:
         pad = 1e-8 * np.maximum(1.0, np.abs(pts).max(axis=1))[:, None, None]
         q, e = np.nonzero(np.all((pts[:, None] >= lo - pad)
                                  & (pts[:, None] <= hi + pad), axis=2))
-        tol = 1e-10 * np.linalg.norm(hi[e] - lo[e], axis=1)
+        tol = 1e-11 * np.linalg.norm(hi[e] - lo[e], axis=1)
         a, b = self._bounds(e)
 
         def residual(k, xi):
@@ -384,6 +385,14 @@ def on_grid(mesh):
                                                   mesh.rotation))
 
 
+def affine(mesh):
+    """Whether the affine `Mesh.element_containing` and
+    `Mesh.local_to_parent` invert the mesh's map: the net is `on_grid`
+    and its NURBS weights, if any, are equal."""
+    return on_grid(mesh) and not any(
+        np.ptp(d.kv.weights) for d in mesh.dirs if d.kv.weights is not None)
+
+
 def _per_dir(value, dim, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(dim))
@@ -482,6 +491,7 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     direction's basis is evaluated in one call at the Gauss points of all
     its element intervals, and the tables are combined per element.
     """
+    _require_nders(nders)
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
     elems = np.atleast_1d(e)
@@ -505,6 +515,7 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
     weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
     ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
     explicit rule are evaluated in one `Mesh.shape_ders` call."""
+    _require_nders(nders)
     if quadrature is None:
         return bulk_points(mesh, e, nders=nders)
     elems = np.atleast_1d(e)
@@ -518,6 +529,12 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
                          for s in shapes])
     return out if np.ndim(e) else tuple(
         None if a is None else a[0] for a in out)
+
+
+def _require_nders(nders):
+    if nders not in (1, 2):
+        raise ConfigError(f"nders must be 1 (shape gradients) or 2 (also "
+                          f"second derivatives), got {nders!r}")
 
 
 def parent_data(mesh, e, parent, nders=1):

@@ -16,12 +16,17 @@ the library classifies and cuts elements from per-direction covering
 flags instead. `b_matrix_solid` and `integrate_btcb` build the solid
 strain matrix by hand and integrate w B^T C B; the library states each
 model's kinematics as a table and integrates its stiffness form.
+`coupling_matrices` assembles a coupling interface's Nitsche blocks on
+every element-local column; `CouplingOperator.matrices` keeps only the
+columns live in the jump or the traction at some interface point.
 """
 import numpy as np
 
 from mdfem.bspline import _basis_ders, _rationalize
+from mdfem.coupling import _normal_matrices
 from mdfem.elasticity import integrate_atb
 from mdfem.errors import DomainError
+from mdfem.mesh import element_batches, sum_blocks
 from mdfem.quadrature import gauss_1d
 
 
@@ -211,3 +216,40 @@ def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over quadrature points of w * B^T C B (GEMM-shaped, batched as
     `elasticity.integrate_atb`)."""
     return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)
+
+
+def coupling_matrices(op, offsets=None, ndof=None, with_h=True):
+    """(K^n, K^st, H) of a `CouplingOperator` over all ``na`` stacked
+    element DOFs ``[solid | struct]`` of each segment, the columns that
+    are zero at every point included; H is None unless ``with_h``.
+    Arguments as `CouplingOperator.matrices`."""
+    solid, struct, p = op.solid, op.struct, op.points
+    if offsets is None:
+        offsets, ndof = (0, solid.ndof), solid.ndof + struct.ndof
+    rows = struct.solid_stress_rows
+    Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
+    Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
+    J = np.concatenate([Ns, -Nb], axis=2)
+    T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),
+                  np.concatenate([Ss, Sb], axis=2))
+    first, counts = op.starts[:-1], np.diff(op.starts)
+    dofs = np.concatenate([
+        offsets[0] + solid.element_dofs(p.s_elem[first]),
+        offsets[1] + struct.element_dofs(p.b_elem[first])], axis=1)
+    na = dofs.shape[1]
+    parts = []
+    for run in element_batches(np.arange(counts.size), 3 * na * na):
+        run = run[np.argsort(counts[run], kind="stable")]
+        cuts = np.flatnonzero(np.diff(counts[run], prepend=-1, append=-1))
+        blocks = [np.empty((run.size, na, na)) for _ in range(2 + with_h)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            q = first[run[a:b], None] + np.arange(counts[run[a]])
+            Jq, Tq, wq = J[q], T[q], p.weights[q]
+            integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
+            integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
+            if with_h:
+                integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
+        parts.append(sum_blocks((ndof, ndof), [dofs[run]],
+                                *([m] for m in blocks)))
+    out = tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
+    return out if with_h else out + (None,)

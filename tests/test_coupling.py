@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdfem import coupling
 from mdfem.bspline import least_squares_project
 from mdfem.coupling import (
     _normal_matrices,
     build_interface,
     estimate_alpha,
 )
-from mdfem.elasticity import Material, SolidModel
+from mdfem.elasticity import Material, SolidModel, integrate_atb
 from mdfem.errors import (
     ConfigError,
     ConvergenceError,
@@ -22,6 +25,7 @@ from mdfem.mesh import build_mesh, parent_data
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
+from oracles import coupling_matrices
 
 
 # Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
@@ -437,6 +441,116 @@ def test_system_assembles_the_lift_of_local_matrices(make):
                              shape=got.shape).toarray()
         assert got.has_canonical_format
         np.testing.assert_array_equal(got.toarray(), want)
+
+
+@st.composite
+def drawn_interfaces(draw):
+    """A solid face tied to a beam (2D) or a plate (3D) that continues
+    it on the ``side`` of direction 0; the partner's element count is
+    drawn apart from the solid's, so facets may split across partners."""
+    side = draw(st.sampled_from((-1, 1)))
+    mat = Material(E=1000.0, nu=0.3, thickness=2.0)
+    if draw(st.sampled_from((2, 3))) == 2:
+        basis, p = draw(st.sampled_from((("lagrange", 1), ("spline", 2),
+                                         ("spline", 3))))
+        extents = ((0.0, 6.0), (-1.0, 1.0))
+        if side < 0:
+            extents = ((4.0, 10.0), (-1.0, 1.0))
+        solid = SolidModel(build_mesh(
+            "solid2d", basis, p, (draw(st.integers(1, 3)),
+                                  draw(st.integers(1, 3))), extents), mat)
+        theory = draw(st.sampled_from(("euler_bernoulli", "timoshenko")))
+        q = draw(st.integers(2 if theory == "euler_bernoulli" else 1, 3))
+        struct = BeamModel(build_mesh(
+            "beam", "spline", q, draw(st.integers(1, 3)), ((0.0, 4.0),),
+            origin=(6.0 if side > 0 else 0.0, 0.0)), mat, theory)
+    else:
+        p = draw(st.integers(2, 3))
+        x0 = 0.0 if side > 0 else 3.0
+        solid = SolidModel(build_mesh(
+            "solid3d", "spline", p,
+            tuple(draw(st.integers(1, 2)) for _ in range(3)),
+            ((x0, x0 + 4.0), (0.0, 3.0), (0.0, 2.0))), mat)
+        theory = draw(st.sampled_from(("kirchhoff", "mindlin")))
+        q = draw(st.integers(2 if theory == "kirchhoff" else 1, 3))
+        xs = (4.0, 7.0) if side > 0 else (0.0, 3.0)
+        struct = PlateModel(build_mesh(
+            "plate", "spline", q, (draw(st.integers(1, 2)),
+                                   draw(st.integers(1, 4))),
+            (xs, (0.0, 3.0)), z_mid=1.0), mat, theory)
+    return build_interface(solid, struct, axis=0, side=side)
+
+
+def _numbering(op, numbering):
+    """`CouplingOperator.matrices` arguments: none for the local stacked
+    DOFs, else the offsets and size of a system holding the solid first
+    or the structure first."""
+    if numbering == "local":
+        return ()
+    models = [op.solid, op.struct]
+    sysm = System(models[::-1] if numbering == "struct-first" else models,
+                  [op])
+    return ((sysm.offsets[sysm.model_index(op.solid)],
+             sysm.offsets[sysm.model_index(op.struct)]), sysm.ndof)
+
+
+_NUMBERINGS = ("local", "solid-first", "struct-first")
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=drawn_interfaces(), numbering=st.sampled_from(_NUMBERINGS),
+       with_h=st.booleans())
+def test_live_columns_match_every_column(op, numbering, with_h):
+    """Only products with an all-zero column are skipped, but BLAS may
+    tile a narrower GEMM differently: seen here as 1.5e-16 of the
+    largest entry at most, on 3D faces with GEMM depths of 75 and up."""
+    args = _numbering(op, numbering)
+    got = op.matrices(*args, with_h=with_h)
+    want = coupling_matrices(op, *args, with_h=with_h)
+    assert (got[2] is None) is (want[2] is None) is (not with_h)
+    for g, w in zip(got[:2 + with_h], want):
+        w = w.toarray()
+        scale = np.abs(w).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(g.toarray(), w, rtol=0,
+                                   atol=1e-15 * scale)
+
+
+# Columns of each segment block of a tri-cubic solid face on a cubic
+# plate, all and kept: the embedded workload's faces (Kirchhoff, 192 + 16)
+# and plate3d's (Mindlin, 192 + 48). The solid's face node layer has a
+# trace and its first two layers a traction, so 96 solid columns are
+# live; every plate column is.
+_BENCH_FACES = {"kirchhoff": (208, 112), "mindlin": (240, 144)}
+
+
+@pytest.mark.parametrize("numbering", _NUMBERINGS)
+@pytest.mark.parametrize("theory", list(_BENCH_FACES))
+def test_benchmark_faces_keep_live_columns_bit_for_bit(theory, numbering,
+                                                       monkeypatch):
+    """On faces shaped like the benchmark's, both GEMM widths are
+    multiples of 16 and the blocks are bit-identical to the
+    every-column assembly."""
+    na, kept = _BENCH_FACES[theory]
+    op = _plate(theory)
+    assert (op.solid.element_dofs(0).size
+            + op.struct.element_dofs(0).size) == na
+    widths = set()
+
+    def recorded(A, B, w, out=None):
+        widths.update((A.shape[-1], B.shape[-1]))
+        return integrate_atb(A, B, w, out=out)
+    monkeypatch.setattr(coupling, "integrate_atb", recorded)
+    args = _numbering(op, numbering)
+    for with_h in (True, False):
+        got = op.matrices(*args, with_h=with_h)
+        want = coupling_matrices(op, *args, with_h=with_h)
+        assert (got[2] is None) is (want[2] is None) is (not with_h)
+        for g, w in zip(got[:2 + with_h], want):
+            assert g.nnz > 0
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(g, attr), getattr(w, attr))
+    assert widths == {kept}
 
 
 class TestEstimateAlpha:

@@ -12,6 +12,8 @@ from mdfem.mesh import (
     bulk_points,
     element_map,
     facet_rules,
+    parent_data,
+    quadrature_data,
 )
 from mdfem.structural import frame_transforms
 from oracles import (boundary_facets, element_interval, local_interval,
@@ -509,3 +511,13 @@ def test_weights_rejected_on_lagrange_meshes():
     with pytest.raises(ConfigError, match="weights"):
         build_mesh("solid2d", "lagrange", 1, (2, 2), [(0, 1), (0, 1)],
                    weights=[np.ones(3), np.ones(3)])
+
+
+@pytest.mark.parametrize("nders", [0, 3])
+def test_element_data_rejects_other_derivative_orders(nders):
+    mesh = build_mesh("solid2d", "spline", 2, (2, 2), [(0, 1), (0, 1)])
+    for call in (lambda: bulk_points(mesh, [0, 1], nders=nders),
+                 lambda: quadrature_data(mesh, [0, 1], nders=nders),
+                 lambda: parent_data(mesh, 0, [[0.0, 0.0]], nders=nders)):
+        with pytest.raises(ConfigError, match=f"1 .* or 2 .*got {nders}"):
+            call()

@@ -21,7 +21,7 @@ from mdfem import bench, coupling, system
 from mdfem.cli import main
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
-from mdfem.errors import ConvergenceError, DomainError
+from mdfem.errors import ConfigError, ConvergenceError, DomainError
 from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
@@ -314,3 +314,12 @@ def test_bench_all_hands_results_to_later_cases(tmp_path, monkeypatch):
     for name in ("config.json", "metrics.csv"):
         assert (tmp_path / "all" / "snk" / name).read_bytes() == (
             tmp_path / "one" / "snk" / name).read_bytes()
+
+
+def test_sample_points_rejects_a_moved_net():
+    """Moved nodes: the affine lookup would read another point."""
+    mesh = build_mesh("beam", "spline", 2, 4, ((0.0, 24.0),))
+    mesh.nodes = mesh.nodes + 0.5 * np.sin(mesh.nodes / 4.0)
+    model = BeamModel(mesh, MAT)
+    with pytest.raises(ConfigError, match="net build_mesh makes"):
+        bench.sample_points(model, np.zeros(model.ndof), [5.0])

@@ -557,3 +557,28 @@ def test_recover_prolongs_once(monkeypatch, make):
     parent = np.zeros((2, model.mesh.dim))
     model.recover(0, parent, np.array([0.1, -0.2]), a)
     assert len(calls) == 1
+
+
+def _moved_beam_mesh():
+    """A quadratic beam on [0, 24] whose nodes are moved off the grid:
+    the affine element lookup put point_load(5.0) at x = 5.348 here."""
+    mesh = beam_mesh(2, 4, 24.0)
+    mesh.nodes = mesh.nodes + 0.5 * np.sin(mesh.nodes / 4.0)
+    return mesh
+
+
+def _weighted_beam_mesh():
+    return beam_mesh(2, 4, 24.0, weights=[np.array([1.0, 0.6, 1.4, 1.0,
+                                                     0.8, 1.0])])
+
+
+@pytest.mark.parametrize("make", [_moved_beam_mesh, _weighted_beam_mesh],
+                         ids=["moved-net", "unequal-weights"])
+def test_point_load_rejects_a_map_it_cannot_invert(make):
+    mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
+    f = BeamModel(beam_mesh(2, 4, 24.0), mat).point_load(5.0, (0.0, 1.0, 0.0))
+    # The load's first moment places it: on the grid net at x = 5.
+    x = beam_mesh(2, 4, 24.0).nodes[:, 0]
+    assert f[1::3] @ x == pytest.approx(5.0, rel=1e-14)
+    with pytest.raises(ConfigError, match="affine beam map"):
+        BeamModel(make(), mat).point_load(5.0, (0.0, 1.0, 0.0))
