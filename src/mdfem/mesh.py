@@ -515,9 +515,9 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
     weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
     ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
     explicit rule are evaluated in one `Mesh.shape_ders` call."""
-    _require_nders(nders)
     if quadrature is None:
         return bulk_points(mesh, e, nders=nders)
+    _require_nders(nders)
     elems = np.atleast_1d(e)
     param = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
     wts = np.reshape(quadrature[1], param.shape[:2])
