@@ -22,7 +22,7 @@ from .bspline import least_squares_project
 from .coupling import build_interface
 from .elasticity import Material, SolidModel
 from .errors import ConfigError, DefinitenessError
-from .mesh import build_mesh, on_grid
+from .mesh import affine, build_mesh
 from .nonconforming import NonconformingModel, OverlapRegion
 from .structural import BeamModel, PlateModel
 from .system import System
@@ -75,13 +75,13 @@ def sample_points(model, a_model, points):
     All points are located in one call and recovered in one call, each
     in its own element. Beams and plates are read on their mid-line or
     mid-surface. Returns ``(u, s)`` with one row per point. The points
-    are read through the affine `Mesh.element_containing`, so the net
-    must be `on_grid` (ConfigError otherwise).
+    are read through the affine `Mesh.element_containing`, so the mesh
+    must be `affine` (ConfigError otherwise).
     """
     mesh = model.mesh
-    if not on_grid(mesh):
-        raise ConfigError("sampling needs the net build_mesh makes: local "
-                          "coordinates do not invert a moved net")
+    if not affine(mesh):
+        raise ConfigError("sampling needs an affine map: the net build_mesh "
+                          "makes, with equal NURBS weights if any")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     elems = mesh.element_containing(pts)
     parent = mesh.local_to_parent(elems, pts)
@@ -114,11 +114,11 @@ def _edge_exact_clamp(solid, consts):
         return np.concatenate([2 * ids, 2 * ids + 1]), np.concatenate([ux, uy])
     dy = mesh.dirs[1]
 
-    def trace(t):
-        ux, uy, *_ = timoshenko_exact(x_edge, dy.param_to_local(t), consts)
+    def trace(y):
+        ux, uy, *_ = timoshenko_exact(x_edge, y, consts)
         return np.stack([ux, uy], axis=-1)
 
-    coeffs = least_squares_project(dy.kv, trace)
+    coeffs = least_squares_project(dy, trace)
     ids = mesh.dirs[0].n * np.arange(dy.n)
     dofs = np.concatenate([2 * ids, 2 * ids + 1])
     return dofs, np.concatenate([coeffs[:, 0], coeffs[:, 1]])

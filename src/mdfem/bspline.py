@@ -1,7 +1,8 @@
 """B-spline and NURBS basis evaluation on open knot vectors.
 
-Univariate machinery shared by curve, surface and volume meshes: basis
-values with first and second derivatives on given knot spans, Greville
+Univariate machinery shared by curve, surface and volume meshes: one
+basis direction (`SplineDir`, knots in local coordinates) with basis
+values and first and second derivatives on given elements, Greville
 abscissae, and least-squares projection of boundary data onto a spline
 space.
 """
@@ -34,20 +35,11 @@ def make_open_knots(degree: int, breaks) -> np.ndarray:
 
 
 @dataclass
-class KnotVector:
-    """Open knot vector with degree and optional rational weights.
-
-    Attributes
-    ----------
-    knots : ndarray
-        Non-decreasing knot values, clamped (first and last knot repeated
-        ``degree + 1`` times).
-    degree : int
-        Polynomial degree p >= 0.
-    weights : ndarray or None
-        Positive NURBS weights, one per basis function. ``None`` means the
-        basis is polynomial (all weights one).
-    """
+class SplineDir:
+    """One basis direction: clamped, non-decreasing ``knots`` in local
+    coordinates (the first and last are ``lo`` and ``hi``), the
+    ``degree`` p >= 0 and optional positive NURBS ``weights``, one per
+    basis function (None: polynomial, all weights one)."""
 
     knots: np.ndarray
     degree: int
@@ -69,7 +61,7 @@ class KnotVector:
         ):
             raise ConfigError("knot vector must be open (clamped at both ends)")
         if self.knots[p] == self.knots[-p - 1]:
-            raise ConfigError("knot vector has an empty parameter domain")
+            raise ConfigError("knot vector has an empty domain")
         interior = self.knots[p + 1:-p - 1]
         if interior.size:
             _, counts = np.unique(interior, return_counts=True)
@@ -83,9 +75,8 @@ class KnotVector:
                 )
             if np.any(self.weights <= 0.0):
                 raise ConfigError("NURBS weights must be positive")
-        # Knot indices that open a non-empty span, in parameter order.
-        diffs = np.diff(self.knots)
-        self._span_starts = np.nonzero(diffs > 0.0)[0]
+        # Knot indices that open a non-empty span (an element), in order.
+        self._span_starts = np.nonzero(np.diff(self.knots) > 0.0)[0]
 
     @property
     def n(self) -> int:
@@ -93,13 +84,21 @@ class KnotVector:
         return self.knots.size - self.degree - 1
 
     @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
-
-    @property
-    def nspans(self) -> int:
+    def nelem(self) -> int:
         """Number of non-empty knot spans (elements)."""
         return self._span_starts.size
+
+    @property
+    def nloc(self) -> int:
+        return self.degree + 1
+
+    @property
+    def lo(self) -> float:
+        return float(self.knots[self.degree])
+
+    @property
+    def hi(self) -> float:
+        return float(self.knots[-self.degree - 1])
 
     def greville(self) -> np.ndarray:
         """Greville abscissae: moving average of ``degree`` consecutive knots."""
@@ -108,7 +107,29 @@ class KnotVector:
             # Midpoints of the spans; the averaging rule has no knots to average.
             return 0.5 * (self.knots[:-1] + self.knots[1:])
         window = self.knots[np.arange(1, p + 1) + np.arange(self.n)[:, None]]
-        return np.around(window.sum(axis=1) / p, decimals=15)
+        return window.sum(axis=1) / p
+
+    def indices(self, e):
+        """Basis functions of element e (one row per element of an array)."""
+        return self._span_starts[e][..., None] + np.arange(-self.degree, 1)
+
+    def eval(self, e, xs, nders):
+        """Basis derivatives at local coordinates, on element e's span or,
+        for an element array, on the span of ``e[i]`` at ``xs[i]``.
+
+        Uses the polynomial extension of the span, so Newton iterates that
+        step slightly outside the element remain well defined.
+        """
+        out = _basis_ders(self.knots, self.degree, xs, self._span_starts[e],
+                          nders)
+        if self.weights is not None:
+            out = _rationalize(out, self.weights[self.indices(e)], nders)
+        return out
+
+    def intervals(self):
+        """Local intervals ``(nelem, 2)`` of all elements."""
+        s = self._span_starts
+        return np.stack([self.knots[s], self.knots[s + 1]], axis=-1)
 
 
 def _basis_ders(knots: np.ndarray, degree: int, xs, span,
@@ -116,7 +137,7 @@ def _basis_ders(knots: np.ndarray, degree: int, xs, span,
     """Values and derivatives of the non-vanishing basis functions.
 
     Standard knot-insertion triangle evaluation, run for a batch of
-    parameter values at once (the points ride along as a trailing axis).
+    coordinates at once (the points ride along as a trailing axis).
     ``span`` is one knot span for all values or an array of one span per
     value. Returns a C-contiguous array of shape
     ``(len(xs), nders + 1, degree + 1)`` where ``[i, k]`` holds the k-th
@@ -198,42 +219,22 @@ def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     return out
 
 
-def least_squares_project(kv: KnotVector, target) -> np.ndarray:
-    """L2 projection of a scalar (or vector-valued) function onto the basis
-    over the whole knot domain.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    target : callable
-        Maps an array of parameter values to function values; the result may
-        have trailing component axes.
-
-    Returns
-    -------
-    coeffs : ndarray (n, ...)
-        Control values of the projection.
-
-    Raises
-    ------
-    RankError
-        If the Gram matrix is numerically singular.
-    """
-    n = kv.n
-    spans = kv._span_starts
-    # The (p+1)-point Gauss rule of every span, span-major.
-    xs, ws, _ = tensor_rules([kv.knots[spans[:, None] + [0, 1]]],
-                             [np.arange(spans.size)], [kv.degree + 1])
+def least_squares_project(d: SplineDir, target) -> np.ndarray:
+    """L2 projection onto the basis of ``d`` over its whole knot domain:
+    the control values ``(n, ...)`` of ``target``, which maps an array of
+    local coordinates to values with optional trailing component axes.
+    RankError if the Gram matrix is numerically singular."""
+    n = d.n
+    el = np.arange(d.nelem)
+    # The (p+1)-point Gauss rule of every element, element-major.
+    xs, ws, _ = tensor_rules([d.intervals()], [el], [d.nloc])
     xs, ws = xs.ravel(), ws.ravel()
-    at = np.repeat(spans, kv.degree + 1)
-    idx = at[:, None] + np.arange(-kv.degree, 1)
-    N = _basis_ders(kv.knots, kv.degree, xs, at, 0)
-    if kv.weights is not None:
-        N = _rationalize(N, kv.weights[idx], 0)
-    N = N[:, 0]
+    at = np.repeat(el, d.nloc)
+    idx = d.indices(at)
+    N = d.eval(at, xs, 0)[:, 0]
     vals = np.asarray(target(xs), dtype=float)
     comp = (1,) * (vals.ndim - 1)
-    # Point by point in span order, each entry w * (N_a N_b).
+    # Point by point in element order, each entry w * (N_a N_b).
     gram = np.zeros((n, n))
     np.add.at(gram, (idx[:, :, None], idx[:, None, :]),
               ws[:, None, None] * (N[:, :, None] * N[:, None, :]))

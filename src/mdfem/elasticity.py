@@ -253,7 +253,7 @@ def _band_1d(d, npts, nders):
     tab = d.eval(np.repeat(el, npts), t.ravel(), nders).reshape(
         w.shape + (nders + 1, -1))
     idx = d.indices(el)
-    x = d.node_coords()[idx]
+    x = d.greville()[idx]
     dy = np.einsum("eqa,ea->eq", tab[..., 1, :], x)
     if np.any(dy <= 0):
         return None
@@ -303,7 +303,7 @@ class Model:
     @property
     def parts(self):
         """``[(elements, rule)]``: the first on the standard Gauss rule
-        (None), any other on ``(param, wts)`` rows per element as
+        (None), any other on ``(local, wts)`` rows per element as
         `mesh.quadrature_data` takes them. Here one, every element."""
         return [(np.arange(self.mesh.nelem), None)]
 

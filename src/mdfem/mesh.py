@@ -6,8 +6,9 @@ open knots, with its nodes at the breaks. Geometry is carried by a full
 control net (initialised to the Greville points), so the same machinery
 serves straight boxes and perturbed patches.
 
-Coordinate stages: parent [-1,1]^d -> parameter (affine per element and
-direction) -> stored coordinates. Solid meshes store global coordinates
+Coordinate stages: parent [-1,1]^d -> local (affine per element and
+direction onto the knot spans, whose knots are local coordinates) ->
+stored coordinates. Solid meshes store global coordinates
 (any placement rotation applied at build time); beam meshes store the local
 axis coordinate with placement in ``origin``/``phi``; plate meshes store
 mid-surface coordinates with the transverse offset in ``z_mid``.
@@ -19,70 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import KnotVector, _basis_ders, _rationalize, make_open_knots
+from .bspline import SplineDir, make_open_knots
 from .errors import ConfigError, DomainError, PairingError
 from .quadrature import tensor_rules
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
-
-
-class SplineDir:
-    """One parametric direction carried by an open knot vector."""
-
-    def __init__(self, kv: KnotVector, lo: float, hi: float):
-        self.kv = kv
-        self.lo = float(lo)
-        self.hi = float(hi)
-        plo, phi = kv.domain
-        self._pscale = (self.hi - self.lo) / (phi - plo)
-        self._poff = plo
-
-    @property
-    def degree(self):
-        return self.kv.degree
-
-    @property
-    def nelem(self):
-        return self.kv.nspans
-
-    @property
-    def nloc(self):
-        return self.kv.degree + 1
-
-    @property
-    def n(self):
-        return self.kv.n
-
-    def param_to_local(self, x):
-        return self.lo + (x - self._poff) * self._pscale
-
-    def local_to_param(self, x):
-        return self._poff + (x - self.lo) / self._pscale
-
-    def node_coords(self):
-        return self.param_to_local(self.kv.greville())
-
-    def indices(self, e):
-        """Basis functions of element e (one row per element of an array)."""
-        return self.kv._span_starts[e][..., None] + np.arange(-self.degree, 1)
-
-    def eval(self, e, xs, nders):
-        """Basis derivatives at parameter values, on element e's span or,
-        for an element array, on the span of ``e[i]`` at ``xs[i]``.
-
-        Uses the polynomial extension of the span, so Newton iterates that
-        step slightly outside the element remain well defined.
-        """
-        out = _basis_ders(self.kv.knots, self.kv.degree, xs,
-                          self.kv._span_starts[e], nders)
-        if self.kv.weights is not None:
-            out = _rationalize(out, self.kv.weights[self.indices(e)], nders)
-        return out
-
-    def intervals(self):
-        """Parameter intervals ``(nelem, 2)`` of all elements."""
-        s = self.kv._span_starts
-        return np.stack([self.kv.knots[s], self.kv.knots[s + 1]], axis=-1)
 
 
 @dataclass
@@ -164,36 +106,31 @@ class Mesh:
         return self._ien
 
     def _bounds(self, e):
-        """Per-direction parameter intervals ``(a, b)`` of an element, each
+        """Per-direction local intervals ``(a, b)`` of an element, each
         ``(dim,)``; an element array gives ``(len(e), dim)`` arrays."""
         ab = np.stack([d.intervals()[i] for d, i
                        in zip(self.dirs, self.element_grid_index(e))], axis=-2)
         return ab[..., 0], ab[..., 1]
 
-    def parent_to_param(self, e, parent):
+    def parent_to_local(self, e, parent):
+        """Local coordinates of parent points in element ``e``, or in
+        ``e[i]`` for point ``i`` of an element array."""
         a, b = self._bounds(e)
         return 0.5 * (a + b) + 0.5 * (b - a) * np.atleast_2d(
             np.asarray(parent, dtype=float))
 
-    def param_to_parent(self, e, param):
-        a, b = self._bounds(e)
-        return (2.0 * np.atleast_2d(np.asarray(param, dtype=float))
-                - (a + b)) / (b - a)
-
     def local_to_parent(self, e, local):
         """Parent coordinates of local-box points in element ``e``, or in
         ``e[i]`` for point ``i`` of an element array."""
-        local = np.atleast_2d(np.asarray(local, dtype=float))
-        param = np.column_stack(
-            [d.local_to_param(local[:, k]) for k, d in enumerate(self.dirs)]
-        )
-        return self.param_to_parent(e, param)
+        a, b = self._bounds(e)
+        return (2.0 * np.atleast_2d(np.asarray(local, dtype=float))
+                - (a + b)) / (b - a)
 
     def element_containing(self, x_local):
         """Grid element index of a point given in local box coordinates, or
         one index per row of an ``(npts, dim)`` array.
 
-        Points up to 1e-10 of a direction's knot range outside the box are
+        Points up to 1e-10 of a direction's length outside the box are
         clamped onto it; a point on an interior element boundary belongs to
         the element on its upper side. Raises DomainError for any point
         further outside.
@@ -202,21 +139,18 @@ class Mesh:
         pts = np.atleast_2d(x)
         gi = []
         for k, d in enumerate(self.dirs):
-            t = d.local_to_param(pts[:, k])
-            lo, hi = d.kv.domain
-            pad = 1e-10 * max(abs(lo), abs(hi), 1.0)
-            bad = (t < lo - pad) | (t > hi + pad)
+            t, lo, hi = pts[:, k], d.lo, d.hi
+            bad = (t < lo - 1e-10 * (hi - lo)) | (t > hi + 1e-10 * (hi - lo))
             if bad.any():
-                raise DomainError(
-                    f"local coordinate {pts[bad, k][0]} outside direction "
-                    f"{k} range [{d.lo}, {d.hi}]")
+                raise DomainError(f"local coordinate {t[bad][0]} outside "
+                                  f"direction {k} range [{lo}, {hi}]")
             gi.append(np.searchsorted(d.intervals()[:, 0], np.clip(t, lo, hi),
                                       side="right") - 1)
         e = self.element_id(gi)
         return e if x.ndim == 2 else int(e[0])
 
-    def shape_ders(self, e, param, nders=1):
-        """Tensor-product shape values and parameter derivatives.
+    def shape_ders(self, e, local, nders=1):
+        """Tensor-product shape values and local-coordinate derivatives.
 
         Returns ``(N, dN, d2N)`` with shapes ``(nq, nen)``,
         ``(nq, nen, dim)`` and ``(nq, nen, dim, dim)`` (``d2N`` is None
@@ -224,9 +158,9 @@ class Mesh:
         ``e`` is one element for all points or an array of one element per
         point; each direction's basis is evaluated in one call.
         """
-        param = np.atleast_2d(np.asarray(param, dtype=float))
+        local = np.atleast_2d(np.asarray(local, dtype=float))
         return _tensor_combine(
-            [d.eval(i, param[:, k], nders) for k, (d, i)
+            [d.eval(i, local[:, k], nders) for k, (d, i)
              in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
 
     def locate(self, x):
@@ -256,7 +190,7 @@ class Mesh:
 
         def residual(k, xi):
             """Residuals and parent Jacobians of pairs ``k`` at ``xi``."""
-            N, dN, _ = self.shape_ders(e[k], self.parent_to_param(e[k], xi))
+            N, dN, _ = self.shape_ders(e[k], self.parent_to_local(e[k], xi))
             xk, J = element_map(P[e[k]], N[:, None], dN[:, None])
             return xk[:, 0] - pts[q[k]], J[:, 0] * (0.5 * (b - a))[k, None]
 
@@ -340,10 +274,9 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
             raise ConfigError("need at least one element per direction")
         if basis == "lagrange" and p != 1:
             raise ConfigError("lagrange meshes support degree 1 only")
-        knots = make_open_knots(p, np.linspace(0.0, ne, ne + 1))
-        w = None if weights is None else weights[k]
-        kv = KnotVector(knots, p, w)
-        dirs.append(SplineDir(kv, extents[k, 0], extents[k, 1]))
+        knots = make_open_knots(p, np.linspace(*extents[k], ne + 1))
+        dirs.append(SplineDir(knots, p,
+                              None if weights is None else weights[k]))
 
     ndglobal = 2 if model in ("solid2d", "beam") else 3
     if origin is not None:
@@ -373,7 +306,7 @@ def grid_nodes(dirs, origin=None, rotation=None):
     """The net `build_mesh` makes: the tensor grid of the directions'
     nodes, first direction fastest, placed at ``origin + rotation @ x``
     when a rotation is given."""
-    grids = np.meshgrid(*[d.node_coords() for d in dirs], indexing="ij")
+    grids = np.meshgrid(*[d.greville() for d in dirs], indexing="ij")
     nodes = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
     return nodes if rotation is None else origin + nodes @ rotation.T
 
@@ -390,7 +323,7 @@ def affine(mesh):
     `Mesh.local_to_parent` invert the mesh's map: the net is `on_grid`
     and its NURBS weights, if any, are equal."""
     return on_grid(mesh) and not any(
-        np.ptp(d.kv.weights) for d in mesh.dirs if d.kv.weights is not None)
+        np.ptp(d.weights) for d in mesh.dirs if d.weights is not None)
 
 
 def _per_dir(value, dim, cast):
@@ -485,7 +418,7 @@ def _tensor_combine(uni, nders):
 def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     """Quadrature data for one element or an element array.
 
-    Returns ``(param, weights, N, dNdx, d2Ndx2, phys)`` where weights
+    Returns ``(local, weights, N, dNdx, d2Ndx2, phys)`` where weights
     include the physical volume measure; an element array adds a leading
     element axis to each. ``d2Ndx2`` is None unless ``nders >= 2``. Each
     direction's basis is evaluated in one call at the Gauss points of all
@@ -495,7 +428,7 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
     elems = np.atleast_1d(e)
-    param, wts, rules = tensor_rules([d.intervals() for d in mesh.dirs],
+    local, wts, rules = tensor_rules([d.intervals() for d in mesh.dirs],
                                      mesh.element_grid_index(elems),
                                      _per_dir(npts, mesh.dim, int))
     uni = []
@@ -503,7 +436,7 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
         tab = d.eval(np.repeat(np.arange(d.nelem), x.shape[1]), x.ravel(),
                      nders)
         uni.append(tab.reshape(x.shape + tab.shape[1:])[at])
-    out = _element_data(mesh, elems, param, wts, nders,
+    out = _element_data(mesh, elems, local, wts, nders,
                         _tensor_combine(uni, nders))
     return out if np.ndim(e) else tuple(
         None if a is None else a[0] for a in out)
@@ -511,7 +444,7 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
 
 def quadrature_data(mesh, e, quadrature=None, nders=1):
     """`bulk_points` data of one element or an element array, on the
-    standard rule or on an explicit parameter-space rule ``(param,
+    standard rule or on an explicit local-coordinate rule ``(local,
     weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
     ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
     explicit rule are evaluated in one `Mesh.shape_ders` call."""
@@ -519,12 +452,12 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
         return bulk_points(mesh, e, nders=nders)
     _require_nders(nders)
     elems = np.atleast_1d(e)
-    param = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
-    wts = np.reshape(quadrature[1], param.shape[:2])
-    shapes = mesh.shape_ders(np.repeat(elems, param.shape[1]),
-                             param.reshape(-1, mesh.dim), nders)
-    out = _element_data(mesh, elems, param, wts, nders,
-                        [None if s is None else s.reshape(param.shape[:2]
+    local = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
+    wts = np.reshape(quadrature[1], local.shape[:2])
+    shapes = mesh.shape_ders(np.repeat(elems, local.shape[1]),
+                             local.reshape(-1, mesh.dim), nders)
+    out = _element_data(mesh, elems, local, wts, nders,
+                        [None if s is None else s.reshape(local.shape[:2]
                                                           + s.shape[1:])
                          for s in shapes])
     return out if np.ndim(e) else tuple(
@@ -543,7 +476,7 @@ def parent_data(mesh, e, parent, nders=1):
     point either way. Each point is an element of a one-point rule."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     elems = np.broadcast_to(e, parent.shape[:1])
-    rule = (mesh.parent_to_param(elems, parent)[:, None],
+    rule = (mesh.parent_to_local(elems, parent)[:, None],
             np.ones((len(elems), 1)))
     return tuple(None if a is None else a[:, 0]
                  for a in quadrature_data(mesh, elems, rule, nders)[2:])
@@ -551,15 +484,15 @@ def parent_data(mesh, e, parent, nders=1):
 
 def element_map(P, N, dN):
     """Element maps at tabulated points: the points ``N @ P`` and the
-    parameter Jacobians ``P^T dN``, for element nodes ``P`` ``(E, nen,
+    local Jacobians ``P^T dN``, for element nodes ``P`` ``(E, nen,
     dim_x)`` and shape tables ``N`` ``(E, nq, nen)`` and ``dN`` ``(E, nq,
     nen, dim)``."""
     return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
 
 
-def _element_data(mesh, e, param, wts, nders, shapes):
-    """Physical quadrature data of an element array at parameter points
-    ``param`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
+def _element_data(mesh, e, local, wts, nders, shapes):
+    """Physical quadrature data of an element array at local points
+    ``local`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
     ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``."""
     N, dN, d2N = shapes
     P = mesh.nodes[mesh.element_nodes(e)]
@@ -580,7 +513,7 @@ def _element_data(mesh, e, param, wts, nders, shapes):
         d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
         Jinv = Jinv[..., None, :, :]
         d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
-    return param, wts * det, N, dNdx, d2Ndx2, phys
+    return local, wts * det, N, dNdx, d2Ndx2, phys
 
 
 # Boundary faces -------------------------------------------------------
@@ -620,7 +553,7 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     clips = []
     for j, k in enumerate(free):
         d = mesh.dirs[k]
-        lo, hi = d.param_to_local(d.intervals()).T
+        lo, hi = d.intervals().T
         want = None if strip is None else strip[j]
         if want is None:
             clips.append(np.tile([-1.0, 1.0], (d.nelem, 1)))
@@ -640,7 +573,7 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     parent[..., free] = pts
     parent, wts = parent.reshape(-1, mesh.dim), wts.ravel()
     at = np.repeat(elems, nq)
-    N, dN, _ = mesh.shape_ders(at, mesh.parent_to_param(at, parent))
+    N, dN, _ = mesh.shape_ders(at, mesh.parent_to_local(at, parent))
     # Facet-major: one (nq, nen) @ (nen, dim) product per facet.
     fq = (len(elems), nq)
     phys, J = element_map(mesh.nodes[mesh.element_nodes(elems)],

@@ -62,7 +62,7 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
     every = np.ones(1, dtype=bool)
     some = np.ones(1, dtype=bool)
     for d, (lo, hi) in zip(mesh.dirs, region.bounds):
-        a, b = d.param_to_local(d.intervals()).T
+        a, b = d.intervals().T
         x = np.linspace(a, b, d.degree + 4, axis=-1)
         covered = (lo < x) & (x < hi)
         # New direction slowest, as in the element numbering.
@@ -72,9 +72,9 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
 
 
 def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int = 10):
-    """Fixed-shape cut rules of an element array, in parameter coordinates.
+    """Fixed-shape cut rules of an element array, in local coordinates.
 
-    Returns ``(param, wts)`` of shapes ``(E, ncut**dim, dim)`` and
+    Returns ``(local, wts)`` of shapes ``(E, ncut**dim, dim)`` and
     ``(E, ncut**dim)``: each element's ncut-point tensor Gauss rule, with
     weight 0 on every point the region covers. Weights stay
     pre-jacobian, so a row plugs directly into any
@@ -82,15 +82,14 @@ def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int = 10):
     an element whose surviving sliver no point resolves. As in
     `classify`, covering flags per direction combine by outer product.
     """
-    param, wts, rules = tensor_rules(
+    local, wts, rules = tensor_rules(
         [d.intervals() for d in mesh.dirs],
         mesh.element_grid_index(np.asarray(elems, dtype=int)),
         (int(ncut),) * mesh.dim)
     covered = True
-    for d, (lo, hi), (x, at) in zip(mesh.dirs, region.bounds, rules):
-        loc = d.param_to_local(x)
-        covered = covered & ((lo < loc) & (loc < hi))[at]
-    return param, np.where(covered, 0.0, wts)
+    for (lo, hi), (x, at) in zip(region.bounds, rules):
+        covered = covered & ((lo < x) & (x < hi))[at]
+    return local, np.where(covered, 0.0, wts)
 
 
 def _deactivate(mesh, labels, wts, threshold):
@@ -105,12 +104,11 @@ def _deactivate(mesh, labels, wts, threshold):
     """
     full = np.ones(1)
     for d in mesh.dirs:
-        a, b = d.param_to_local(d.intervals()).T
+        a, b = d.intervals().T
         full = np.multiply.outer(b - a, full).ravel()
     outside = np.where(labels == STANDARD, full, 0.0)
     cut = np.nonzero(labels == CUT)[0]
-    a, b = mesh._bounds(cut)
-    outside[cut] = wts.sum(axis=1) * (full[cut] / np.prod(b - a, axis=1))
+    outside[cut] = wts.sum(axis=1)
     ien = mesh.ien()
     support = np.zeros(mesh.nnodes)
     alive = np.zeros(mesh.nnodes)
@@ -156,7 +154,7 @@ class NonconformingModel:
         self.threshold = float(threshold)
         self.labels = classify(mesh, region)
         cut = np.nonzero(self.labels == CUT)[0]
-        param, wts = integrate_cut(mesh, cut, region, ncut=self.ncut)
+        local, wts = integrate_cut(mesh, cut, region, ncut=self.ncut)
         self.inactive_nodes, _ = _deactivate(mesh, self.labels, wts,
                                              self.threshold)
         nc = model.ncomp_node
@@ -165,7 +163,7 @@ class NonconformingModel:
         # A starved cut element (all-zero row) is demoted to void.
         keep = wts.any(axis=1)
         self.parts = [(np.nonzero(self.labels == STANDARD)[0], None),
-                      (cut[keep], (param[keep], wts[keep]))]
+                      (cut[keep], (local[keep], wts[keep]))]
 
     def __getattr__(self, name):
         # Private names are refused: a helper that the inner class's

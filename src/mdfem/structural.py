@@ -186,9 +186,7 @@ class BeamModel(Model):
         e = self.mesh.element_containing((x_local,))
         if self.part_index(e) < 0:
             raise ConfigError(f"point load on element {e}, void or demoted")
-        parent = self.mesh.local_to_parent(e, np.array([[x_local]]))
-        param = self.mesh.parent_to_param(e, parent)
-        N, _, _ = self.mesh.shape_ders(e, param, nders=0)
+        N, _, _ = self.mesh.shape_ders(e, [[x_local]], nders=0)
         f = np.zeros(self.ndof)
         fe = (N[0][:, None] * comp[None, :]).ravel()
         f[self.element_dofs(e)] += fe

@@ -6,10 +6,10 @@ library builds the rules of whole batches of boxes per direction
 `boundary_facets` enumerates the facets of a box face one element at a
 time, with their clipped parent intervals; `mesh.facet_rules` selects
 and clips a whole face per direction instead. `span_index`,
-`span_interval`, `element_interval` and `local_interval` read one
-element's interval at a time, where the library reads
-`SplineDir.intervals()`; `find_span` and `eval_basis` locate and
-evaluate the basis at one parameter value, where the library evaluates
+`span_interval` and `element_interval` read one element's interval at
+a time, where the library reads `SplineDir.intervals()`; `find_span`
+and `eval_basis` locate and evaluate the basis at one local coordinate,
+where the library evaluates
 whole batches on known spans (`SplineDir.eval`). `signed_distance` and
 `inside` test points against an `OverlapRegion` one point at a time;
 the library classifies and cuts elements from per-direction covering
@@ -75,25 +75,19 @@ def inside(region, pts):
     return signed_distance(region, pts) < 0.0
 
 
-def span_index(kv, element) -> int:
-    """Knot index of the span opening the given element of a knot vector."""
-    return int(kv._span_starts[element])
+def span_index(d, element) -> int:
+    """Knot index of the span opening the given element of a `SplineDir`."""
+    return int(d._span_starts[element])
 
 
-def span_interval(kv, span) -> tuple[float, float]:
-    """Parameter interval [t_i, t_{i+1}) of a knot span."""
-    return float(kv.knots[span]), float(kv.knots[span + 1])
+def span_interval(d, span) -> tuple[float, float]:
+    """Local interval [t_i, t_{i+1}) of a knot span."""
+    return float(d.knots[span]), float(d.knots[span + 1])
 
 
 def element_interval(d, e) -> tuple[float, float]:
-    """Parameter interval of element ``e`` of a `SplineDir`."""
-    return span_interval(d.kv, span_index(d.kv, e))
-
-
-def local_interval(d, e) -> tuple[float, float]:
-    """Local-coordinate interval of element ``e`` of a `SplineDir`."""
-    a, b = element_interval(d, e)
-    return d.param_to_local(a), d.param_to_local(b)
+    """Local interval of element ``e`` of a `SplineDir`."""
+    return span_interval(d, span_index(d, e))
 
 
 def boundary_facets(mesh, axis, side, strip=None):
@@ -113,7 +107,7 @@ def boundary_facets(mesh, axis, side, strip=None):
         clips = []
         keep = True
         for j, k in enumerate(free):
-            lo, hi = local_interval(mesh.dirs[k], gi[k][e])
+            lo, hi = element_interval(mesh.dirs[k], gi[k][e])
             want = None if strip is None else strip[j]
             if want is None:
                 clips.append((-1.0, 1.0))
@@ -132,7 +126,7 @@ def boundary_facets(mesh, axis, side, strip=None):
     return facets
 
 
-def find_span(kv, x: float) -> int:
+def find_span(d, x: float) -> int:
     """Locate the knot span containing x.
 
     Returns the unique index i with ``knots[i] <= x < knots[i+1]`` among the
@@ -142,28 +136,28 @@ def find_span(kv, x: float) -> int:
     Raises
     ------
     DomainError
-        If x lies outside the parameter domain.
+        If x lies outside the knot domain.
     """
-    lo, hi = kv.domain
+    lo, hi = d.lo, d.hi
     if x < lo or x > hi:
-        raise DomainError(f"parameter {x} outside domain [{lo}, {hi}]")
-    knots = kv.knots
-    high = knots.size - kv.degree - 1
+        raise DomainError(f"coordinate {x} outside domain [{lo}, {hi}]")
+    knots = d.knots
+    high = knots.size - d.degree - 1
     if x >= knots[high]:
         # Right endpoint: last non-empty span.
-        return int(kv._span_starts[-1])
+        return int(d._span_starts[-1])
     span = int(np.searchsorted(knots, x, side="right")) - 1
     return span
 
 
-def eval_basis(kv, x: float, nders: int = 0):
+def eval_basis(d, x: float, nders: int = 0):
     """Evaluate the non-vanishing (rational) basis functions at x.
 
     Parameters
     ----------
-    kv : KnotVector
+    d : SplineDir
     x : float
-        Parameter value inside the domain.
+        Local coordinate inside the domain.
     nders : int
         Highest derivative order requested (0, 1 or 2).
 
@@ -176,11 +170,11 @@ def eval_basis(kv, x: float, nders: int = 0):
     """
     if nders not in (0, 1, 2):
         raise DomainError(f"derivative order must be 0, 1 or 2, got {nders}")
-    span = find_span(kv, x)
-    ders = _basis_ders(kv.knots, kv.degree, x, span, nders)
-    indices = np.arange(span - kv.degree, span + 1)
-    if kv.weights is not None:
-        ders = _rationalize(ders, kv.weights[indices], nders)
+    span = find_span(d, x)
+    ders = _basis_ders(d.knots, d.degree, x, span, nders)
+    indices = np.arange(span - d.degree, span + 1)
+    if d.weights is not None:
+        ders = _rationalize(ders, d.weights[indices], nders)
     return ders[0], indices
 
 

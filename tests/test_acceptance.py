@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mdfem.bench import run_case
-from mdfem.bspline import KnotVector, least_squares_project, make_open_knots
+from mdfem.bspline import SplineDir, least_squares_project, make_open_knots
 from mdfem.coupling import build_interface
 from mdfem.elasticity import SolidModel
 from mdfem.mesh import build_mesh, parent_data
@@ -162,11 +162,10 @@ def _beam_patch(theory, phi, state):
     n0 = smesh.dirs[0].n
     face = n0 * np.arange(dy.n)
 
-    def clamp_trace(t):
-        y = dy.param_to_local(np.asarray(t, dtype=float))
+    def clamp_trace(y):
         return u_loc(0.0, y) @ Rg.T
 
-    coef = least_squares_project(dy.kv, clamp_trace)
+    coef = least_squares_project(dy, clamp_trace)
     sysm.fix(0, np.concatenate([2 * face, 2 * face + 1]),
              np.concatenate([coef[:, 0], coef[:, 1]]))
 
@@ -178,11 +177,10 @@ def _beam_patch(theory, phi, state):
     else:
         dx = bmesh.dirs[0]
 
-        def w_trace(t):
-            xb = dx.param_to_local(np.asarray(t, dtype=float))
+        def w_trace(xb):
             return u_loc(xb + 6.0, 0.0)[..., 1]
 
-        wcoef = least_squares_project(dx.kv, w_trace)
+        wcoef = least_squares_project(dx, w_trace)
         sysm.fix(1, [nb - 2, nb - 1], wcoef[-2:])
 
     sol = sysm.solve(alpha="auto")
@@ -244,8 +242,8 @@ def _plate_patch(theory, state):
     face = n0 * np.arange(n1 * n2)
     vals = np.zeros((n1 * n2, 3))
     if state == "rigid":
-        gy = smesh.dirs[1].param_to_local(smesh.dirs[1].kv.greville())
-        gz = smesh.dirs[2].param_to_local(smesh.dirs[2].kv.greville())
+        gy = smesh.dirs[1].greville()
+        gz = smesh.dirs[2].greville()
         for m in range(n1 * n2):
             vals[m] = u_solid(0.0, gy[m % n1], gz[m // n1] - 1.0)
     sysm.fix(0, np.concatenate([3 * face, 3 * face + 1, 3 * face + 2]),
@@ -254,7 +252,7 @@ def _plate_patch(theory, state):
     nx, ny = pmesh.dirs[0].n, pmesh.dirs[1].n
     if theory == "mindlin":
         col = (nx - 1) + nx * np.arange(ny)
-        gy = pmesh.dirs[1].param_to_local(pmesh.dirs[1].kv.greville())
+        gy = pmesh.dirs[1].greville()
         wv = np.array([w_fn(8.0, y) for y in gy])
         t1 = np.full(ny, -oy if state == "rigid" else -8.0 * kap)
         t2 = np.full(ny, ox if state == "rigid" else 0.0)
@@ -263,18 +261,16 @@ def _plate_patch(theory, state):
     else:
         # C1 edge data: last two control columns of the separable field
         # w = f(x) + g(y).
-        def fx_fn(t):
-            x = pmesh.dirs[0].param_to_local(np.asarray(t, dtype=float))
+        def fx_fn(x):
             if state == "rigid":
                 return c0 - oy * x
             return -0.5 * kap * x * x
 
-        def gy_fn(t):
-            y = pmesh.dirs[1].param_to_local(np.asarray(t, dtype=float))
+        def gy_fn(y):
             return ox * y if state == "rigid" else np.zeros_like(y)
 
-        fxc = least_squares_project(pmesh.dirs[0].kv, fx_fn)
-        gyc = least_squares_project(pmesh.dirs[1].kv, gy_fn)
+        fxc = least_squares_project(pmesh.dirs[0], fx_fn)
+        gyc = least_squares_project(pmesh.dirs[1], gy_fn)
         for i in (nx - 2, nx - 1):
             sysm.fix(1, i + nx * np.arange(ny), fxc[i] + gyc)
 
@@ -355,7 +351,7 @@ def test_07_embedded_patch_relocation(report):
 def test_08_basis_micro_suite(report):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    kv = KnotVector(make_open_knots(3, np.linspace(0.0, 4.0, 5)), 3)
+    kv = SplineDir(make_open_knots(3, np.linspace(0.0, 4.0, 5)), 3)
 
     pou = 0.0
     for x in rng.uniform(0.05, 3.95, 40):
@@ -374,7 +370,7 @@ def test_08_basis_micro_suite(report):
         fd = (hi[0] - lo[0]) / (2.0 * h)
         fd_dev = max(fd_dev, float(np.abs(fd - d[1]).max()))
 
-    kv1 = KnotVector(make_open_knots(2, np.array([0.0, 1.0])), 2)
+    kv1 = SplineDir(make_open_knots(2, np.array([0.0, 1.0])), 2)
     mid, _ = eval_basis(kv1, 0.5)
     bern_dev = float(np.abs(mid[0] - np.array([0.25, 0.5, 0.25])).max())
 

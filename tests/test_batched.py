@@ -428,7 +428,7 @@ def oracle_facet_load(model, axis, side, npts, load, strip=None):
     nq = len(w) // len(facets)
     for i, (e, _) in enumerate(facets):
         q = slice(i * nq, (i + 1) * nq)
-        N, _, _ = mesh.shape_ders(e, mesh.parent_to_param(e, parent[q]),
+        N, _, _ = mesh.shape_ders(e, mesh.parent_to_local(e, parent[q]),
                                   nders=0)
         out[model.element_dofs(e)] += load(w[q], N, phys[q]).ravel()
     return out

@@ -188,24 +188,21 @@ def bending_state():
     z = np.zeros(solid.ndof + beam.ndof)
 
     sm = solid.mesh
-    gx = sm.dirs[0].node_coords()
-    gy = sm.dirs[1].node_coords()
+    gx = sm.dirs[0].greville()
+    gy = sm.dirs[1].greville()
     # u_x = -kappa x y (tensor product of linears: Greville values exact)
     ux = -kappa * np.outer(gy, gx).ravel()
     # u_y = kappa x^2 / 2, constant in y (quadratic: L2 projection exact)
-    sx = 8.0 / sm.dirs[0].kv.nspans
-    cx = least_squares_project(sm.dirs[0].kv,
-                               lambda t: 0.5 * kappa * (sx * t) ** 2)
+    cx = least_squares_project(sm.dirs[0], lambda x: 0.5 * kappa * x ** 2)
     uy = np.tile(cx, gy.size)
     z[0:2 * solid.mesh.nnodes:2] = ux
     z[1:2 * solid.mesh.nnodes:2] = uy
 
     bm = beam.mesh
     off = solid.ndof
-    gxb = bm.dirs[0].node_coords()
-    sb = 8.0 / bm.dirs[0].kv.nspans
-    wb = least_squares_project(bm.dirs[0].kv,
-                               lambda t: 0.5 * kappa * (sb * t + 8.0) ** 2)
+    gxb = bm.dirs[0].greville()
+    wb = least_squares_project(bm.dirs[0],
+                               lambda x: 0.5 * kappa * (x + 8.0) ** 2)
     z[off + 1::3] = wb
     z[off + 2::3] = kappa * (gxb + 8.0)  # theta linear, Greville exact
     return solid, beam, z

@@ -16,8 +16,7 @@ from mdfem.mesh import (
     quadrature_data,
 )
 from mdfem.structural import frame_transforms
-from oracles import (boundary_facets, element_interval, local_interval,
-                     tensor_rule)
+from oracles import boundary_facets, element_interval, tensor_rule
 
 
 def to_global(mesh, x_storage):
@@ -39,7 +38,7 @@ def map_at(mesh, e, parent):
     of ``e[i]`` at point ``i``) at parent points, by `element_map`."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     elems = np.broadcast_to(e, parent.shape[:1])
-    N, dN, _ = mesh.shape_ders(elems, mesh.parent_to_param(elems, parent))
+    N, dN, _ = mesh.shape_ders(elems, mesh.parent_to_local(elems, parent))
     x, J = element_map(mesh.nodes[mesh.element_nodes(elems)], N[:, None],
                        dN[:, None])
     a, b = mesh._bounds(elems)
@@ -65,7 +64,7 @@ def test_build_spline_beam_counts():
     m = build_mesh("beam", "spline", 3, 4, [(0, 24)])
     assert m.nelem == 4
     assert m.nnodes == 7  # spans + degree
-    assert m.dirs[0].kv.domain == (0.0, 4.0)
+    assert (m.dirs[0].lo, m.dirs[0].hi) == (0.0, 24.0)
 
 
 def test_build_3d_counts():
@@ -216,7 +215,7 @@ def placed_nets(draw):
 @given(m=placed_nets(), data=st.data())
 def test_batched_locate_finds_the_lowest_holding_element(m, data):
     """Points at element corners, on faces and inside map back within
-    1e-9 from the lowest-index element whose parameter box holds them; an
+    1e-9 from the lowest-index element whose local box holds them; an
     array call equals one call per row bit for bit; a point outside the
     net raises PairingError, alone or in an array."""
     npts = data.draw(st.integers(1, 6))
@@ -228,12 +227,17 @@ def test_batched_locate_finds_the_lowest_holding_element(m, data):
     x = map_at(m, elems, xi)[0]
     e, xif = m.locate(x)
     assert_allclose(map_at(m, e, xif)[0], x, rtol=0.0, atol=1e-9)
-    # The parameter map is a bijection, so the holders of a point are the
-    # elements whose parameter boxes hold its parameter t; the lowest
-    # index takes the lowest interval in every direction.
-    t = m.parent_to_param(elems, xi)
-    lowest = m.element_id([np.searchsorted(d.intervals()[:, 1], t[:, k])
-                           for k, d in enumerate(m.dirs)])
+    # The local map is a bijection, so the holders of a point are the
+    # elements whose local boxes hold its local point t to 1e-8 in parent
+    # coordinates; the lowest index takes, in every direction, the lower
+    # neighbour where that one holds t (a point on a face is held by both).
+    t = m.parent_to_local(elems, xi)
+    lowest = []
+    for k, (d, i) in enumerate(zip(m.dirs, m.element_grid_index(elems))):
+        a, b = d.intervals()[i - 1].T
+        lowest.append(i - ((i > 0) & ((2.0 * t[:, k] - a - b) / (b - a)
+                                      <= 1.0 + 1e-8)))
+    lowest = m.element_id(lowest)
     np.testing.assert_array_equal(e, lowest)
     for i in range(npts):
         ei, xii = m.locate(x[i])
@@ -442,20 +446,36 @@ def test_lagrange_direction_is_the_hat_basis(ne, lo, length, data):
     d = build_mesh("beam", "lagrange", 1, ne, [(lo, hi)]).dirs[0]
     breaks = np.linspace(lo, hi, ne + 1)
     scale = max(abs(lo), abs(hi))
-    assert_allclose(d.node_coords(), breaks, rtol=0, atol=1e-14 * scale)
+    assert_allclose(d.greville(), breaks, rtol=0, atol=1e-14 * scale)
     e = data.draw(st.integers(0, ne - 1))
     u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
                                     max_size=8)))
     h = breaks[e + 1] - breaks[e]
     x = breaks[e] + u * h
-    got = d.eval(e, d.local_to_param(x), 1)
+    got = d.eval(e, x, 1)
     want = hat_functions(breaks, e, x)
     # Values carry the rounding of x relative to the element size.
     assert_allclose(got[:, 0], want[:, 0], rtol=0, atol=1e-14 * scale / h)
-    # Parameter derivatives, chained to local ones.
-    (ta, tb), (xa, xb) = element_interval(d, e), local_interval(d, e)
-    assert_allclose(got[:, 1] * (tb - ta) / (xb - xa), want[:, 1],
-                    rtol=1e-14)
+    assert_allclose(got[:, 1], want[:, 1], rtol=1e-14)
+
+
+@pytest.mark.parametrize("extent", [
+    (0.0, 400.0), (0.0, 29.97), (-3.0, 3.0), (1.1, 7.7), (0.0, 48.0),
+    (24.0, 48.0), (0.0, 320.0), (-0.5, 0.5), (0.0, 0.7), (12.5, 1000.0),
+    (-100.0, 3.3)])
+def test_element_containing_puts_a_break_in_the_element_above(extent):
+    """A node on an interior break belongs to the element above it, the
+    last node to the last element, and the element intervals are the
+    breaks bit for bit."""
+    for ne in range(1, 41):
+        mesh = build_mesh("beam", "lagrange", 1, ne, [extent])
+        breaks = np.linspace(*extent, ne + 1)
+        np.testing.assert_array_equal(
+            mesh.element_containing(mesh.nodes[:-1]), np.arange(ne))
+        assert mesh.element_containing(mesh.nodes[-1]) == ne - 1
+        np.testing.assert_array_equal(
+            mesh.dirs[0].intervals(),
+            np.column_stack([breaks[:-1], breaks[1:]]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,8 +519,8 @@ def test_one_basis_call_per_direction(model, basis, degree, monkeypatch):
     monkeypatch.setattr(SplineDir, "eval", counted)
     rng = np.random.default_rng(4)
     elems = rng.integers(0, m.nelem, 40)
-    param = m.parent_to_param(elems, rng.uniform(-1.0, 1.0, (40, dim)))
-    m.shape_ders(elems, param, nders=2)
+    local = m.parent_to_local(elems, rng.uniform(-1.0, 1.0, (40, dim)))
+    m.shape_ders(elems, local, nders=2)
     assert len(calls) == m.dim
     calls.clear()
     bulk_points(m, np.arange(m.nelem), nders=2)

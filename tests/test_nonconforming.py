@@ -25,8 +25,7 @@ from mdfem.nonconforming import (
 )
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
-from oracles import (element_interval, inside, local_interval,
-                     signed_distance, tensor_rule)
+from oracles import element_interval, inside, signed_distance, tensor_rule
 
 INF = float("inf")
 
@@ -111,7 +110,7 @@ def _element_samples(mesh, e):
     gi = mesh.element_grid_index(e)
     axes = []
     for d, i in zip(mesh.dirs, gi):
-        lo, hi = local_interval(d, i)
+        lo, hi = element_interval(d, i)
         inner = np.linspace(lo, hi, d.degree + 4)[1:-1]
         axes.append(np.concatenate([[lo, hi], inner]))
     grids = np.meshgrid(*axes, indexing="ij")
@@ -142,7 +141,7 @@ def meshes_and_regions(draw):
     for d, length in zip(mesh.dirs, lengths):
         # Sample abscissae and element boundaries hit the strict-inside
         # test at equality; infinite and outlying bounds cover the rest.
-        marks = np.concatenate([np.linspace(*local_interval(d, i),
+        marks = np.concatenate([np.linspace(*element_interval(d, i),
                                             d.degree + 4)
                                 for i in range(d.nelem)])
         ends = st.one_of(st.sampled_from(sorted(set(marks.tolist()))),
@@ -227,17 +226,15 @@ class TestIntegrateCut:
                                                               ncut):
         mesh, region = case
         elems = np.arange(mesh.nelem)[::-1]
-        param, wts = integrate_cut(mesh, elems, region, ncut)
+        local, wts = integrate_cut(mesh, elems, region, ncut)
         for row, e in enumerate(elems):
             pts, w = tensor_rule(
                 [element_interval(d, i)
                  for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
                 (ncut,) * mesh.dim)
-            locs = np.stack([d.param_to_local(pts[:, k])
-                             for k, d in enumerate(mesh.dirs)], axis=-1)
-            np.testing.assert_array_equal(param[row], pts)
+            np.testing.assert_array_equal(local[row], pts)
             np.testing.assert_array_equal(
-                wts[row], np.where(inside(region, locs), 0.0, w))
+                wts[row], np.where(inside(region, pts), 0.0, w))
 
     def test_unresolvable_sliver_raises(self):
         mesh = beam_mesh(nelems=1, degree=1, basis="lagrange", length=1.0)
@@ -554,14 +551,12 @@ def cut_models(draw):
 def oracle_cut_rule(mesh, e, region, ncut):
     """The ncut-point tensor rule of one element with its covered points
     dropped, or None where none survives."""
-    param, wts = tensor_rule(
+    local, wts = tensor_rule(
         [element_interval(d, i)
          for d, i in zip(mesh.dirs, mesh.element_grid_index(e))],
         (ncut,) * mesh.dim)
-    locs = np.stack([d.param_to_local(param[:, k])
-                     for k, d in enumerate(mesh.dirs)], axis=-1)
-    keep = ~inside(region, locs)
-    return (param[keep], wts[keep]) if keep.any() else None
+    keep = ~inside(region, local)
+    return (local[keep], wts[keep]) if keep.any() else None
 
 
 BODY = np.array([1.0, -2.0, 0.5])
@@ -581,12 +576,10 @@ def oracle_nonconforming(inner, region, ncut, threshold):
     for e in range(mesh.nelem):
         gi = mesh.element_grid_index(e)
         full = np.prod([hi - lo for d, i in zip(mesh.dirs, gi)
-                        for lo, hi in [local_interval(d, i)]])
+                        for lo, hi in [element_interval(d, i)]])
         out = full if labels[e] == STANDARD else 0.0
         if rules.get(e) is not None:
-            a, b = zip(*(element_interval(d, i)
-                         for d, i in zip(mesh.dirs, gi)))
-            out = rules[e][1].sum() * (full / np.prod(np.subtract(b, a)))
+            out = rules[e][1].sum()
         support[ien[e]] += full
         alive[ien[e]] += out
     inactive = np.nonzero(alive < threshold * support)[0]

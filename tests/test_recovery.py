@@ -22,10 +22,10 @@ from mdfem.cli import main
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, ConvergenceError, DomainError
-from mdfem.mesh import build_mesh
+from mdfem.mesh import build_mesh, parent_data
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
-from oracles import element_interval, local_interval
+from oracles import element_interval
 
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
 INF = float("inf")
@@ -33,8 +33,7 @@ INF = float("inf")
 
 def oracle_element(mesh, x):
     gi = []
-    for d, xk in zip(mesh.dirs, x):
-        t = d.local_to_param(xk)
+    for d, t in zip(mesh.dirs, x):
         lo, hi = element_interval(d, 0)[0], element_interval(d, d.nelem - 1)[1]
         t = min(max(t, lo), hi)
         gi.append(max(i for i in range(d.nelem)
@@ -59,7 +58,10 @@ def oracle_sample(model, a, pts):
 
 
 def _weights(nelems, degrees, rng):
-    return [rng.uniform(0.6, 1.4, n + p) for n, p in zip(nelems, degrees)]
+    """Equal weights other than one per direction: the rational path on a
+    map that stays affine (`sample_points` refuses unequal weights)."""
+    return [np.full(n + p, rng.uniform(0.6, 1.4))
+            for n, p in zip(nelems, degrees)]
 
 
 def _solid(dim, basis, rng):
@@ -114,7 +116,7 @@ def sample_set(mesh, rng, npts):
     cols = []
     for k, d in enumerate(mesh.dirs):
         lo, hi = mesh.box[k]
-        breaks = np.array([local_interval(d, i)[0] for i in range(d.nelem)]
+        breaks = np.array([element_interval(d, i)[0] for i in range(d.nelem)]
                           + [hi])
         pool = np.concatenate([rng.uniform(lo, hi, npts), breaks,
                                [lo - 1e-14 * (hi - lo), hi + 1e-14 * (hi - lo)]])
@@ -323,3 +325,17 @@ def test_sample_points_rejects_a_moved_net():
     model = BeamModel(mesh, MAT)
     with pytest.raises(ConfigError, match="net build_mesh makes"):
         bench.sample_points(model, np.zeros(model.ndof), [5.0])
+
+
+def test_sample_points_rejects_unequal_weights():
+    """Unequal NURBS weights on the built net: the affine lookup of local
+    (0.3, 0.6) would read the field at another point."""
+    mesh = build_mesh("solid2d", "spline", 2, (2, 2), ((0.0, 1.0),) * 2,
+                      weights=[[1.0, 0.6, 1.4, 1.0], [1.0, 1.3, 0.7, 1.0]])
+    x = np.array([[0.3, 0.6]])
+    e = mesh.element_containing(x)
+    read = parent_data(mesh, e, mesh.local_to_parent(e, x))[3]
+    assert np.abs(read - x).max() > 0.03
+    model = SolidModel(mesh, MAT)
+    with pytest.raises(ConfigError, match="equal NURBS weights"):
+        bench.sample_points(model, np.zeros(model.ndof), x)

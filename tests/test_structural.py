@@ -219,12 +219,10 @@ class TestBeamProlongation:
     def test_pure_bending_strain_profile(self):
         model = self.model()
         mesh = model.mesh
-        kv = mesh.dirs[0].kv
         kappa = 0.03
-        scale = 8.0 / kv.nspans  # local x per unit parameter
 
         theta = kappa * mesh.nodes[:, 0]
-        w = least_squares_project(kv, lambda t: 0.5 * kappa * (scale * t) ** 2)
+        w = least_squares_project(mesh.dirs[0], lambda x: 0.5 * kappa * x ** 2)
         a = np.zeros(model.ndof)
         a[1::3] = w
         a[2::3] = theta
@@ -334,8 +332,8 @@ class TestPlateSectionEnergy:
         rng = np.random.default_rng(seed)
         e = int(rng.integers(model.mesh.nelem))
         a = rng.standard_normal(len(model.element_dofs(e)))
-        param, w, *_ = bulk_points(model.mesh, e)
-        parent = model.mesh.param_to_parent(e, param)
+        local, w, *_ = bulk_points(model.mesh, e)
+        parent = model.mesh.local_to_parent(e, local)
         # Two Gauss points in z integrate the quadratic energy exactly.
         gz, wz = np.polynomial.legendre.leggauss(2)
         h, C = mat.thickness, model.constitutive()
@@ -431,7 +429,7 @@ class TestPlates:
         pts = np.array([[0.1, 0.7]])
         d, _ = model.recover(3, pts, np.array([0.0]), a)
         N, _, _ = model.mesh.shape_ders(
-            3, model.mesh.parent_to_param(3, pts), nders=0
+            3, model.mesh.parent_to_local(3, pts), nders=0
         )
         assert d[0, 0] == 0.0 and d[0, 1] == 0.0
         assert d[0, 2] == pytest.approx(N[0] @ a[model.element_dofs(3)])
