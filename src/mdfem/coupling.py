@@ -15,7 +15,7 @@ Each interface runs as one batch: all facet rules of the face are built
 in one call and split into segments by one stable sort, each side is
 traced once over all points, the segment products run over a segment
 batch axis, and the segment blocks are summed into CSR by one sparse
-product, in local or global numbering.
+product, in the global numbering of the system.
 """
 from __future__ import annotations
 
@@ -94,15 +94,12 @@ class CouplingOperator:
     def measure(self):
         return float(self.points.weights.sum())
 
-    def matrices(self, offsets=None, ndof=None, with_h=True):
-        """Assemble (K^n, K^st, H) as sparse matrices; H is None unless
-        ``with_h`` (only the alpha estimate reads it).
-
-        By default over the stacked local DOFs ``[solid | struct]``; with
-        the models' ``offsets = (solid, struct)`` in a global numbering of
-        ``ndof`` DOFs, straight in that numbering. K^st is returned
-        without the alpha factor; the full Nitsche contribution is
-        ``K^n + K^n.T + alpha * K^st``.
+    def matrices(self, offsets, ndof, with_h):
+        """Assemble (K^n, K^st, H) as sparse matrices in a global numbering
+        of ``ndof`` DOFs where the models' blocks start at ``offsets =
+        (solid, struct)``; H is None unless ``with_h`` (only the alpha
+        estimate reads it). K^st is returned without the alpha factor;
+        the full Nitsche contribution is ``K^n + K^n.T + alpha * K^st``.
 
         Each side is traced once over all points. Only the element-local
         columns nonzero in J or T at some point are kept: a solid's inner
@@ -113,8 +110,6 @@ class CouplingOperator:
         per run of ``_TRIPLET_BUDGET`` entries.
         """
         solid, struct, p = self.solid, self.struct, self.points
-        if offsets is None:
-            offsets, ndof = (0, solid.ndof), solid.ndof + struct.ndof
         rows = struct.solid_stress_rows
         Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
         Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
@@ -147,11 +142,12 @@ class CouplingOperator:
         return out if with_h else out + (None,)
 
 
-def build_interface(solid, struct, axis, side, *, strip=None,
-                    npts=None) -> CouplingOperator:
+def build_interface(solid, struct, axis, side, *,
+                    strip=None) -> CouplingOperator:
     """Pair the solid boundary face with the structural mesh.
 
-    The trace mesh comes from the solid side; every facet quadrature
+    The trace mesh comes from the solid side, on a Gauss rule of p_solid
+    + p_struct + 1 points per in-face direction; every facet quadrature
     point is located in the structural mesh (possibly splitting one
     facet across several partner elements) by the partner's `to_local`
     and the mesh's affine `element_containing`. That inversion holds on
@@ -160,9 +156,8 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     """
     smesh = struct.mesh
     p_struct = max(d.degree for d in smesh.dirs)
-    if npts is None:
-        npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
-                     for k in range(solid.mesh.dim) if k != axis)
+    npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
+                 for k in range(solid.mesh.dim) if k != axis)
     elems, parent, phys, w, normals, _ = facet_rules(
         solid.mesh, axis, side, npts, strip=strip)
     nf = len(elems)
@@ -191,7 +186,10 @@ def build_interface(solid, struct, axis, side, *, strip=None,
     return CouplingOperator(solid, struct, points, starts)
 
 
-def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
+_ALPHA_SEED, _ALPHA_TOL, _ALPHA_MAXITER = 0, 1e-8, 5000
+
+
+def estimate_alpha(K_solid, K_struct, H):
     """Stabilization parameter alpha = lambda_1 / 2.
 
     ``lambda_1`` is the largest eigenvalue of the generalized problem
@@ -205,18 +203,18 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
     where H is nonzero), from y = (H v)[I] for a random unit v: an
     iterate u = Z y with Z = K~^-1[I, I] (pseudo-inverse on the
     structural block) and y = H_II u, and the Rayleigh quotient
-    u.H_II u / u.y does not depend on the scaling of y. ``maxiter``
-    counts the products with H, the first one included.
+    u.H_II u / u.y does not depend on the scaling of y. It starts from
+    seed ``_ALPHA_SEED`` and stops when two quotients agree to relative
+    ``_ALPHA_TOL``; ``_ALPHA_MAXITER`` counts the products with H, the
+    first one included.
     """
     H = sp.csr_matrix(H)
     if H.nnz == 0 or np.abs(H.data).max() == 0.0:
         return 0.0
     Hscale = np.abs(H.data).max()
 
-    K_solid = sp.csr_matrix(K_solid)
-    K_struct = np.asarray(K_struct)
-    ns = K_solid.shape[0]
-    nb = K_struct.shape[0]
+    K_solid, K_struct = sp.csr_matrix(K_solid), np.asarray(K_struct)
+    ns, nb = K_solid.shape[0], K_struct.shape[0]
     if ns + nb != H.shape[0]:
         raise ConfigError("H size does not match the stiffness blocks")
 
@@ -238,8 +236,7 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
                     "the structural model or supply alpha explicitly"
                 )
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(ns + nb)
+    v = np.random.default_rng(_ALPHA_SEED).standard_normal(ns + nb)
     if nb and Qn.shape[1]:
         v[ns:] -= Qn @ (Qn.T @ v[ns:])
     v /= np.linalg.norm(v)
@@ -259,20 +256,19 @@ def estimate_alpha(K_solid, K_struct, H, *, seed=0, tol=1e-8, maxiter=5000):
     H_II = H[iface][:, iface].toarray()
     y = (H @ v)[iface]
     lam_old = np.nan  # no previous quotient: the first step cannot stop
-    for _ in range(maxiter - 1):
+    for _ in range(_ALPHA_MAXITER - 1):
         u = Z @ y
         uy = u @ y  # zero only where u is: Z is semi-definite
         if uy == 0.0:
             return 0.0
         y = H_II @ u
         lam = float(u @ y / uy)
-        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
+        if abs(lam - lam_old) <= _ALPHA_TOL * max(abs(lam), 1e-300):
             return lam / 2.0
         lam_old = lam
         yy = y @ y
         if yy == 0.0:
             return 0.0
         y /= np.sqrt(yy)
-    raise ConvergenceError(
-        f"stabilization eigenvalue stagnant after {maxiter} iterations"
-    )
+    raise ConvergenceError(f"stabilization eigenvalue stagnant after "
+                           f"{_ALPHA_MAXITER} iterations")

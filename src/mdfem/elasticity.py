@@ -350,16 +350,15 @@ class Model:
         np.add.at(out, self.element_dofs(live), fe[live])
         return out
 
-    def face_load(self, axis, side, values, npts=None, strip=None):
+    def face_load(self, axis, side, values, strip=None):
         """Consistent load of ``values`` per unit measure of a boundary face
-        (`mesh.facet_rules`, ``npts`` p + 1 by default), every facet on the
+        (`mesh.facet_rules` on p + 1 points), every facet on the
         standard-rule part: one value per nodal unknown, or a callable
         mapping points ``(nq, dim)`` to one such row per point. Summed
         facet by facet, in element order."""
         mesh = self.mesh
-        if npts is None:
-            npts = max(mesh.degrees) + 1
-        elems, _, phys, w, _, N = facet_rules(mesh, axis, side, npts, strip)
+        elems, _, phys, w, _, N = facet_rules(
+            mesh, axis, side, max(mesh.degrees) + 1, strip)
         bad = elems[self.part_index(elems) != 0]
         if bad.size:
             raise ConfigError(f"face load on element {bad[0]}, void or cut")
@@ -420,11 +419,10 @@ class SolidModel(Model):
         return self.element_sum(
             lambda el, rule: self.element_load(el, force, rule))
 
-    def traction_force(self, axis, side, traction, npts=None,
-                       strip=None) -> np.ndarray:
+    def traction_force(self, axis, side, traction, strip=None) -> np.ndarray:
         """Consistent nodal load for a traction on a boundary face, a
         constant vector or a callable of the points (`Model.face_load`)."""
-        return self.face_load(axis, side, traction, npts, strip)
+        return self.face_load(axis, side, traction, strip)
 
     def recover(self, e, parent, a_model):
         """Displacement and stress at parent points from model DOF values,

@@ -35,7 +35,6 @@ class Mesh:
     basis: str
     dirs: list
     nodes: np.ndarray  # (nnodes, dim) in storage coordinates
-    box: np.ndarray    # (dim, 2) local extents
     origin: np.ndarray | None = None
     rotation: np.ndarray | None = None  # solids: local box -> global
     phi: float = 0.0       # beams: mid-line rotation angle
@@ -45,6 +44,11 @@ class Mesh:
     @property
     def dim(self):
         return len(self.dirs)
+
+    @property
+    def box(self):
+        """``(dim, 2)`` local extents, the directions' knot ends."""
+        return np.array([(d.lo, d.hi) for d in self.dirs])
 
     @property
     def nelem_per_dir(self):
@@ -252,11 +256,9 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     if model not in MODEL_DIMS:
         raise ConfigError(f"unknown model kind {model!r}")
     dim = MODEL_DIMS[model]
-    if model == "plate":
-        dim = 2
-    degrees = _per_dir(degrees, dim, int)
-    nelems = _per_dir(nelems, dim, int)
-    extents = np.asarray(extents, dtype=float).reshape(dim, 2)
+    degrees = _per_dir(degrees, dim, "degrees")
+    nelems = _per_dir(nelems, dim, "nelems")
+    extents = _floats(extents, (dim, 2), "extents")
     if np.any(extents[:, 1] <= extents[:, 0]):
         raise ConfigError("extents must have positive length")
     if basis not in ("lagrange", "spline"):
@@ -264,6 +266,9 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     if basis == "lagrange" and weights is not None:
         raise ConfigError("weights apply to spline meshes only, not to "
                           "lagrange meshes")
+    if weights is not None and len(weights) != dim:
+        raise ConfigError(f"weights: expected {dim} per-direction arrays, "
+                          f"got {len(weights)}")
 
     dirs = []
     for k in range(dim):
@@ -280,11 +285,11 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
 
     ndglobal = 2 if model in ("solid2d", "beam") else 3
     if origin is not None:
-        origin = np.asarray(origin, dtype=float).reshape(ndglobal)
+        origin = _floats(origin, (ndglobal,), "origin")
     if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
         if model not in ("solid2d", "solid3d"):
             raise ConfigError("rotation applies to solid meshes only")
+        rotation = _floats(rotation, (dim, dim), "rotation")
     if model in ("solid2d", "solid3d"):
         if rotation is not None or origin is not None:
             if origin is None:
@@ -298,7 +303,7 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     return Mesh(
         model=model, basis=basis, dirs=dirs,
         nodes=grid_nodes(dirs, origin, rotation),
-        box=extents, origin=origin, rotation=rotation, phi=phi, z_mid=z_mid,
+        origin=origin, rotation=rotation, phi=phi, z_mid=z_mid,
     )
 
 
@@ -326,13 +331,23 @@ def affine(mesh):
         np.ptp(d.weights) for d in mesh.dirs if d.weights is not None)
 
 
-def _per_dir(value, dim, cast):
-    if np.isscalar(value):
-        return tuple(cast(value) for _ in range(dim))
-    out = tuple(cast(v) for v in value)
-    if len(out) != dim:
-        raise ConfigError(f"expected {dim} per-direction values, got {len(out)}")
-    return out
+def _per_dir(value, dim, name):
+    """One int per direction from a Python or numpy integer (no bool)."""
+    out = (value,) * dim if np.ndim(value) == 0 else tuple(value)
+    if len(out) != dim or not all(isinstance(v, (int, np.integer))
+                                  and not isinstance(v, bool) for v in out):
+        raise ConfigError(f"{name}: expected an integer or {dim} "
+                          f"per-direction integers, got {value!r}")
+    return tuple(int(v) for v in out)
+
+
+def _floats(value, shape, name):
+    """``value`` as finite floats of ``shape``, from as many values."""
+    out = np.asarray(value, dtype=float)
+    if out.size != np.prod(shape) or not np.isfinite(out).all():
+        raise ConfigError(f"{name}: expected {np.prod(shape)} finite "
+                          f"values, got {value!r}")
+    return out.reshape(shape)
 
 
 # Bulk quadrature ------------------------------------------------------
@@ -430,7 +445,7 @@ def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     elems = np.atleast_1d(e)
     local, wts, rules = tensor_rules([d.intervals() for d in mesh.dirs],
                                      mesh.element_grid_index(elems),
-                                     _per_dir(npts, mesh.dim, int))
+                                     _per_dir(npts, mesh.dim, "npts"))
     uni = []
     for d, (x, at) in zip(mesh.dirs, rules):
         tab = d.eval(np.repeat(np.arange(d.nelem), x.shape[1]), x.ravel(),
@@ -567,7 +582,7 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     if not elems.size:
         raise ConfigError("no facets found on requested face")
     pts, wts, _ = tensor_rules(clips, [gi[k][elems] for k in free],
-                               _per_dir(npts, len(free), int))
+                               _per_dir(npts, len(free), "npts"))
     nq = wts.shape[1]
     parent = np.full((len(elems), nq, mesh.dim), float(side))
     parent[..., free] = pts

@@ -15,7 +15,7 @@ global control points (`Model.to_global`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,12 +38,13 @@ class Solution:
     f: np.ndarray
     free: np.ndarray           # boolean mask of unconstrained DOFs
     residual: float
-    reactions: np.ndarray = field(default=None)
-    stats: dict = field(default_factory=dict)  # solve sizes, `_solve_spd`
+    reactions: np.ndarray
+    stats: dict                # solve sizes, `_solve_spd`
 
 
 class System:
-    """Coupled models sharing one global DOF space."""
+    """Coupled models sharing one global DOF space, their inactive DOFs
+    pinned to zero and one stabilization alpha for all couplings."""
 
     def __init__(self, models, couplings=()):
         models = list(models)
@@ -59,6 +60,8 @@ class System:
         self._fixed = np.full(self.ndof, np.nan)
         self._f = np.zeros(self.ndof)
         self._parts = None
+        for idx, m in enumerate(models):
+            self.fix(idx, np.asarray(m.inactive_dofs, int))
 
     @property
     def ndof(self):
@@ -132,49 +135,38 @@ class System:
         ``_TRIPLET_BUDGET`` entries."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
-    def _coupling_matrices(self, with_h=True):
+    def _coupling_matrices(self, with_h):
         """Each coupling's (K^n, K^st, H or None) in global numbering."""
         return [op.matrices((self.offsets[self.model_index(op.solid)],
                              self.offsets[self.model_index(op.struct)]),
                             self.ndof, with_h) for op in self.couplings]
 
-    def _assembled(self, with_h=False):
+    def _assembled(self, with_h):
         """``(Kbulk, coupling matrices)``, built once until `solve` uses
-        them, H only ``with_h``; pins inactive non-conforming DOFs first."""
+        them, H only ``with_h``."""
         if self._parts is None:
-            for idx, m in enumerate(self.models):
-                self.fix(idx, np.asarray(m.inactive_dofs, int))
             self._parts = (self.bulk_matrix(),
                            self._coupling_matrices(with_h))
         return self._parts
 
-    def _free(self):
-        """Constrained DOFs, their values and the mask of free DOFs."""
-        free = np.isnan(self._fixed)
-        cons = np.flatnonzero(~free)
-        return cons, self._fixed[cons], free
-
     def resolve_alpha(self, alpha="auto"):
-        """One stabilization alpha per coupling, as `solve` uses them.
+        """The stabilization alpha of every coupling, as `solve` uses it.
 
-        ``alpha`` is a number, one number per coupling, or ``"auto"``:
-        the spectral estimate `coupling.estimate_alpha` on the free DOFs,
+        ``alpha`` is one number for all couplings or ``"auto"``: the
+        spectral estimate `coupling.estimate_alpha` on the free DOFs,
         computed from the assembled bulk and coupling matrices without
         solving the system.
         """
-        if isinstance(alpha, (list, tuple)):
-            if len(alpha) != len(self.couplings):
-                raise ConfigError("need one alpha per coupling")
-            alphas = [float(a) for a in alpha]
-        elif np.isscalar(alpha) and not isinstance(alpha, str):
+        if np.isscalar(alpha) and not isinstance(alpha, str):
             alphas = [float(alpha)] * len(self.couplings)
-        elif alpha != "auto":
-            raise ConfigError(f"alpha must be 'auto' or numeric, got {alpha!r}")
+        elif not isinstance(alpha, str) or alpha != "auto":
+            raise ConfigError(f"alpha must be 'auto' or one number for "
+                              f"every coupling, got {alpha!r}")
         elif not self.couplings:
             return []
         else:
-            Kbulk, coupling_mats = self._assembled(with_h=True)
-            free = self._free()[2]
+            Kbulk, coupling_mats = self._assembled(True)
+            free = np.isnan(self._fixed)
             solid = np.repeat([m.mesh.model in ("solid2d", "solid3d")
                                for m in self.models], np.diff(self.offsets))
             solid_free = np.flatnonzero(free & solid)
@@ -207,15 +199,15 @@ class System:
         right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
         residual (free DOFs) and the reactions (constrained ones)."""
         alphas = self.resolve_alpha(alpha)
-        Kbulk, coupling_mats = self._assembled()
+        Kbulk, coupling_mats = self._assembled(False)
         self._parts = None
-        free = self._free()[2]
+        free = np.isnan(self._fixed)
         terms = [Kn + Kn.T + a_c * Kst
                  for (Kn, Kst, _), a_c in zip(coupling_mats, alphas)]
         K = (Kbulk + sum(terms[1:], terms[0])).tocsr() if terms else Kbulk
-        f, a, stats = self._f.copy(), np.where(free, 0.0, self._fixed), {}
+        f, a = self._f.copy(), np.where(free, 0.0, self._fixed)
         b = (f - K @ a)[free]
-        a[free] = _solve_spd(K, b, free, self._dof_points(), stats)
+        a[free], stats = _solve_spd(K, b, free, self._dof_points())
         r = K @ a - f
         residual = (float(np.linalg.norm(r[free]))
                     / max(float(np.linalg.norm(b)), 1e-300))
@@ -258,20 +250,18 @@ def _block_diag(parts) -> sp.csr_matrix:
         shape=(n[-1], n[-1]))
 
 
-def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
-               stats=None) -> np.ndarray:
-    """Direct solve of ``K[free][:, free] x = b`` (all DOFs by default),
-    K symmetric positive definite to round-off: one triangle is read.
-    Banded Cholesky at every size, in `_band_order`'s order, K's upper
-    triangle scattered into band storage; no free DOF gives an empty
-    vector. ``stats`` gets ndof, nnz, band, band_mb, ordering and the
-    candidates' bands. A DefinitenessError says the factorization broke
-    down, the observable symptom of an under-stabilized interface."""
-    free = np.ones(K.shape[0], bool) if free is None else free
+def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free, points):
+    """``(x, stats)`` of ``K[free][:, free] x = b``, K symmetric positive
+    definite to round-off: one triangle is read. Banded Cholesky at every
+    size, in `_band_order`'s order of ``points`` (one per DOF), K's upper
+    triangle scattered into band storage. ``stats`` holds ndof, nnz,
+    band, band_mb, ordering and the candidates' bands; no free DOF gives
+    empty ones. A DefinitenessError says the factorization broke down,
+    the observable symptom of an under-stabilized interface."""
     idx = np.flatnonzero(free)
-    n, stats = idx.size, {} if stats is None else stats
+    n = idx.size
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(0), {}
     try:
         name, pos, pc, bands = _band_order(K, free, points)
         u = bands[name]
@@ -281,13 +271,14 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
         up = np.flatnonzero(kept & (pc >= pr))
         ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
         ab.T.ravel()[pr[up] + u * (pc[up] + np.int64(1))] = K.data[up]
-        stats.update(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
+        stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
                      band_mb=ab.nbytes / 1e6, ordering=name,
                      **{f"{k}_band": v for k, v in bands.items()})
         cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=False)
         q, bp = pos[idx], np.empty(n)
         bp[q] = b
-        return sla.cho_solve_banded((cb, False), bp, overwrite_b=True)[q]
+        return sla.cho_solve_banded((cb, False), bp,
+                                    overwrite_b=True)[q], stats
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(
             "stiffness matrix is not positive definite; if this system is "
@@ -295,7 +286,7 @@ def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free=None, points=None,
         ) from exc
 
 
-def _band_order(K: sp.csr_matrix, free, points=None):
+def _band_order(K: sp.csr_matrix, free, points):
     """``(name, pos, cols, bands)``: the order of the ``free`` DOFs with
     the smaller upper band, each DOF's place in it (-1 if not free), the
     place of each stored entry's column in it and each candidate's band.
@@ -304,11 +295,10 @@ def _band_order(K: sp.csr_matrix, free, points=None):
     of the free ones' bounding box; RCM wins ties."""
     idx = np.flatnonzero(free)
     rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
-    orders = {"rcm": rcm[free[rcm]]}
-    if points is not None:
-        p = points[idx]
-        orders["geometric"] = idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
-                                             kind="stable")]
+    p = points[idx]
+    orders = {"rcm": rcm[free[rcm]],
+              "geometric": idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
+                                          kind="stable")]}
     # A band in one pass over K: each nonempty row's furthest column place.
     rows = np.flatnonzero(np.diff(K.indptr))
     places, cols, bands = {}, {}, {}

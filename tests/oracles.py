@@ -19,6 +19,9 @@ model's kinematics as a table and integrates its stiffness form.
 `coupling_matrices` assembles a coupling interface's Nitsche blocks on
 every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
+`local_matrices` asks the library for one interface's blocks over its
+stacked local DOFs ``[solid | struct]``, the numbering of a system that
+holds the solid and then the structure only.
 """
 import numpy as np
 
@@ -212,14 +215,24 @@ def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
     return integrate_atb(B, np.einsum("ab,...bj->...aj", C, B), w)
 
 
-def coupling_matrices(op, offsets=None, ndof=None, with_h=True):
+def local_numbering(op):
+    """`CouplingOperator.matrices`' ``(offsets, ndof)`` for the stacked
+    local DOFs ``[solid | struct]`` of one interface."""
+    return (0, op.solid.ndof), op.solid.ndof + op.struct.ndof
+
+
+def local_matrices(op, with_h=True):
+    """(K^n, K^st, H) of one interface over its stacked local DOFs
+    ``[solid | struct]``; H is None unless ``with_h``."""
+    return op.matrices(*local_numbering(op), with_h)
+
+
+def coupling_matrices(op, offsets, ndof, with_h):
     """(K^n, K^st, H) of a `CouplingOperator` over all ``na`` stacked
     element DOFs ``[solid | struct]`` of each segment, the columns that
     are zero at every point included; H is None unless ``with_h``.
     Arguments as `CouplingOperator.matrices`."""
     solid, struct, p = op.solid, op.struct, op.points
-    if offsets is None:
-        offsets, ndof = (0, solid.ndof), solid.ndof + struct.ndof
     rows = struct.solid_stress_rows
     Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
     Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)

@@ -19,7 +19,7 @@ from mdfem.elasticity import SolidModel
 from mdfem.mesh import build_mesh, parent_data
 from mdfem.structural import BeamModel, Material, PlateModel, frame_transforms
 from mdfem.system import System
-from oracles import eval_basis
+from oracles import eval_basis, local_matrices
 
 E_PATCH = 1000.0
 JUMP_TOL = 1e-9
@@ -117,7 +117,7 @@ def _voigt3_global(Rg, s_loc):
 
 
 def _jump_ratio(op, sol):
-    _, kst, _ = op.matrices()
+    _, kst, _ = local_matrices(op)
     a = sol.a
     return float(a @ (kst @ a)) / float(a @ a)
 

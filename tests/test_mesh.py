@@ -1,4 +1,6 @@
 """Mesh construction, mappings and facet quadrature."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,48 @@ def test_build_3d_counts():
 def test_degree_zero_rejected():
     with pytest.raises(ConfigError):
         build_mesh("solid2d", "spline", 0, (2, 2), [(0, 1), (0, 1)])
+
+
+_UNIT = [(0, 1), (0, 1)]
+_MALFORMED = {
+    "nelems-2.7": ("nelems", ("solid2d", "spline", 2, (2.7, 2), _UNIT), {}),
+    "degrees-2.5": ("degrees", ("solid2d", "spline", 2.5, (2, 2), _UNIT), {}),
+    "nelems-bool": ("nelems", ("solid2d", "lagrange", 1, (True, 2), _UNIT),
+                    {}),
+    "degrees-numpy-bool": ("degrees", ("beam", "lagrange", np.bool_(True),
+                                       2, [(0, 1)]), {}),
+    "nelems-3-of-2": ("nelems", ("solid2d", "spline", 2, (2, 2, 2), _UNIT),
+                      {}),
+    "nelems-str": ("nelems", ("beam", "spline", 2, "2", [(0, 1)]), {}),
+    "weights-1-of-2": ("weights", ("solid2d", "spline", 2, (2, 2), _UNIT),
+                       {"weights": [np.ones(4)]}),
+    "beam-origin-3": ("origin", ("beam", "lagrange", 1, 2, [(0, 1)]),
+                      {"origin": (0.0, 1.0, 2.0)}),
+    "rotation-3x3-on-2d": ("rotation", ("solid2d", "lagrange", 1, (2, 2),
+                                        _UNIT), {"rotation": np.eye(3)}),
+    "extents-inf": ("extents", ("solid2d", "lagrange", 1, (2, 2),
+                                [(0, np.inf), (0, 1)]), {}),
+    "extents-nan": ("extents", ("beam", "spline", 2, 3, [(np.nan, 1)]), {}),
+    "extents-2-of-3": ("extents", ("solid3d", "lagrange", 1, (2, 2, 2),
+                                   _UNIT), {}),
+}
+
+
+@pytest.mark.parametrize("name,args,kwargs", list(_MALFORMED.values()),
+                         ids=list(_MALFORMED))
+def test_build_mesh_rejects_malformed_inputs(name, args, kwargs):
+    """A non-integral size is not truncated, and no raw numpy error or
+    warning escapes: a ConfigError names the argument."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{name}"):
+            build_mesh(*args, **kwargs)
+
+
+def test_build_mesh_takes_numpy_integers():
+    m = build_mesh("solid2d", "spline", np.int32(2), (np.int64(3), 2), _UNIT)
+    assert m.nelem_per_dir == (3, 2) and m.degrees == (2, 2)
+    assert all(type(n) is int for n in m.nelem_per_dir + m.degrees)
 
 
 def test_ien_stride_pattern():

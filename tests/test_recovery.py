@@ -256,9 +256,11 @@ def test_interface_alpha_matches_full_space(make, rigid, monkeypatch):
     assert coupling.estimate_alpha(Ks, Kb, H) == pytest.approx(want,
                                                               rel=1e-12)
     # Same stopping test, same number of steps.
-    coupling.estimate_alpha(Ks, Kb, H, maxiter=steps)
+    monkeypatch.setattr(coupling, "_ALPHA_MAXITER", steps)
+    coupling.estimate_alpha(Ks, Kb, H)
+    monkeypatch.setattr(coupling, "_ALPHA_MAXITER", steps - 1)
     with pytest.raises(ConvergenceError):
-        coupling.estimate_alpha(Ks, Kb, H, maxiter=steps - 1)
+        coupling.estimate_alpha(Ks, Kb, H)
 
 
 def test_interface_inverse_in_column_chunks(monkeypatch):

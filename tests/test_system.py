@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdfem import coupling
+from mdfem import bench, coupling
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DefinitenessError
@@ -16,6 +16,7 @@ from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System, _band_order, _solve_spd
+from oracles import local_matrices
 
 
 def small_coupled():
@@ -75,7 +76,7 @@ class TestAssembly:
         sys.load(1, f)
         sol = sys.solve(alpha=alpha)
 
-        Kn, Kst, _ = op.matrices()
+        Kn, Kst, _ = local_matrices(op)
         manual = sys.bulk_matrix() + Kn + Kn.T + alpha * Kst
         diff = abs(sol.K - manual).max()
         assert diff <= 1e-12 * abs(manual).max()
@@ -84,6 +85,21 @@ class TestAssembly:
 
 
 class TestConstraints:
+    def test_inactive_dofs_are_pinned_at_construction(self):
+        # The sliver cantilever: beam DOF 0 (global 490) lies under the
+        # solid and is pinned to zero before any assembly, so another
+        # value for it is a conflict at `fix`, not at `solve`.
+        sys = bench.cantilever_system(
+            "spline", 3, (32, 4), 8, solid_span=(0.0, 29.97),
+            covered_to=29.97)["system"]
+        pinned = sys.global_dofs(1, sys.models[1].inactive_dofs)
+        assert 490 in pinned
+        np.testing.assert_array_equal(sys._fixed[pinned], 0.0)
+        sys.fix(1, [0], 0.0)
+        with pytest.raises(ConfigError, match="conflicting constraint on "
+                                              "DOF 490$"):
+            sys.fix(1, [0], 1.0)
+
     def test_conflicting_values_rejected(self):
         solid, beam, op = small_coupled()
         sys = System([solid, beam], [op])
@@ -110,10 +126,10 @@ class TestConstraints:
         with pytest.raises(ConfigError, match="conflicting constraint on "
                                               "DOF 5$"):
             sys.fix(0, [2, 5, 4, 5], values=[0.0, 1.0, 0.0, 2.0])
-        cons, vals, free = sys._free()
+        cons, vals = constrained(sys)
         np.testing.assert_array_equal(cons, [3, 5])
         np.testing.assert_array_equal(vals, [0.25, 1.0])
-        assert free.sum() == sys.ndof - 2
+        assert free_count(sys) == sys.ndof - 2
 
 
     def test_dofs_outside_the_model_rejected(self):
@@ -140,7 +156,7 @@ class TestConstraints:
             assert free_count(sys) == sys.ndof
             return
         sys.fix(idx, dofs, 0.25)
-        cons, vals, _ = sys._free()
+        cons, vals = constrained(sys)
         np.testing.assert_array_equal(cons, np.unique(sys.offsets[idx]
                                                       + np.array(dofs)))
         assert np.all(vals == 0.25)
@@ -188,7 +204,13 @@ def q4_and_beam():
 
 
 def free_count(sys):
-    return int(sys._free()[2].sum())
+    return int(np.isnan(sys._fixed).sum())
+
+
+def constrained(sys):
+    """The constrained DOFs of a system and their values."""
+    cons = np.flatnonzero(~np.isnan(sys._fixed))
+    return cons, sys._fixed[cons]
 
 
 class TestCoupledSolve:
@@ -208,7 +230,7 @@ class TestCoupledSolve:
         np.testing.assert_allclose(a_b[2::3], 0.0, atol=1e-9)
 
         # no jump energy, no stress anywhere
-        _, Kst, _ = op.matrices()
+        _, Kst, _ = local_matrices(op)
         jump = sol.a @ (Kst @ sol.a)
         assert jump <= 1e-9 * sol.alphas[0] * (sol.a @ sol.a)
         a_s = sys.model_part(sol.a, 0)
@@ -311,11 +333,17 @@ class TestStressBoundOnDemand:
         matrices = coupling.CouplingOperator.matrices
         monkeypatch.setattr(
             coupling.CouplingOperator, "matrices",
-            lambda op, offsets=None, ndof=None, with_h=True:
-            matrices(op, offsets, ndof))
+            lambda op, offsets, ndof, with_h: matrices(op, offsets, ndof,
+                                                       True))
         ref = self.loaded().solve(alpha=alpha)
         assert sol.alphas == ref.alphas
         np.testing.assert_array_equal(sol.a, ref.a)
+
+
+def solve_all(A, b):
+    """`_solve_spd` on every DOF of ``A``, all points at the origin."""
+    n = A.shape[0]
+    return _solve_spd(A, b, np.ones(n, bool), np.zeros((n, 3)))[0]
 
 
 class TestSpdSolver:
@@ -325,32 +353,31 @@ class TestSpdSolver:
         B = sp.random(n, n, density=0.01, random_state=rng, format="csr")
         A = (B @ B.T + sp.eye(n) * n).tocsr()
         b = rng.standard_normal(n)
-        x = _solve_spd(A, b)
+        x = solve_all(A, b)
         ref = np.linalg.solve(A.toarray(), b)
         np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
 
     def test_single_dof(self):
-        x = _solve_spd(sp.csr_matrix(np.array([[4.0]])), np.array([2.0]))
+        x = solve_all(sp.csr_matrix(np.array([[4.0]])), np.array([2.0]))
         np.testing.assert_allclose(x, [0.5])
 
     def test_empty_system(self):
-        x = _solve_spd(sp.csr_matrix((0, 0)), np.zeros(0))
+        x = solve_all(sp.csr_matrix((0, 0)), np.zeros(0))
         assert x.size == 0
 
     def test_indefinite_dense_path(self):
         A = sp.csr_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(DefinitenessError):
-            _solve_spd(A, np.ones(2))
+            solve_all(A, np.ones(2))
 
     def test_indefinite_banded_path(self):
         A = sp.eye(500, format="csr") * -1.0
         with pytest.raises(DefinitenessError):
-            _solve_spd(A, np.ones(500))
+            solve_all(A, np.ones(500))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 5), st.booleans(),
-           st.integers(0, 2**32 - 1))
-    def test_small_systems_match_dense_solve(self, n, ncons, points, seed):
+    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_small_systems_match_dense_solve(self, n, ncons, seed):
         # 1-60 free DOFs take the band order and banded Cholesky too.
         rng = np.random.default_rng(seed)
         size = n + ncons
@@ -358,15 +385,12 @@ class TestSpdSolver:
         A = (B @ B.T + sp.eye(size)).tocsr()
         free = rng.permutation(size) < n
         b = rng.standard_normal(n)
-        stats = {}
-        x = _solve_spd(A, b, free, rng.random((size, 3)) if points else None,
-                       stats)
+        x, stats = _solve_spd(A, b, free, rng.random((size, 3)))
         ref = np.linalg.solve(A.toarray()[np.ix_(free, free)], b)
         np.testing.assert_allclose(x, ref, rtol=1e-10,
                                    atol=1e-10 * abs(ref).max())
         assert stats["ndof"] == n
-        assert stats["ordering"] in (("rcm", "geometric") if points
-                                     else ("rcm",))
+        assert stats["ordering"] in ("rcm", "geometric")
 
 
 class TestSolveInputs:
@@ -386,8 +410,20 @@ class TestSolveInputs:
                                        [np.nan], [np.inf], (0.0,)])
     def test_bad_alpha_rejected(self, monkeypatch, alpha):
         sys = self.loaded(monkeypatch)
+        msg = ("one number for every coupling" if isinstance(
+            alpha, (list, tuple)) else "finite and positive")
         for call in (sys.solve, sys.resolve_alpha):
-            with pytest.raises(ConfigError, match="finite and positive"):
+            with pytest.raises(ConfigError, match=msg):
+                call(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [[2.0e3], (2.0e3,), [2.0e3, 2.0e3],
+                                       np.array([2.0e3]), "2e3"])
+    def test_one_alpha_for_all_couplings(self, monkeypatch, alpha):
+        # A sequence of alphas, one per coupling, is no longer read.
+        sys = self.loaded(monkeypatch)
+        for call in (sys.solve, sys.resolve_alpha):
+            with pytest.raises(ConfigError, match="'auto' or one number for "
+                                                  "every coupling, got"):
                 call(alpha=alpha)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -584,8 +620,7 @@ class TestSolveFromAssembled:
         assert 0 < abs(A - A.T).max() <= 1e-14 * abs(A).max()
         free = rng.random(n) < 0.8
         b = rng.standard_normal(free.sum())
-        stats = {}
-        x = _solve_spd(A, b, free, rng.random((n, 3)), stats)
+        x, stats = _solve_spd(A, b, free, rng.random((n, 3)))
         S = 0.5 * (A + A.T).toarray()
         ref = np.linalg.solve(S[np.ix_(free, free)], b)
         np.testing.assert_allclose(x, ref, rtol=1e-10,
@@ -597,8 +632,11 @@ class TestSolveFromAssembled:
         # An inexact solve (perturbed x) so the residual is not round-off.
         import mdfem.system as system
         real = system._solve_spd
-        monkeypatch.setattr(system, "_solve_spd", lambda *args: 1.001 * real(
-            *args))
+
+        def inexact(*args):
+            x, stats = real(*args)
+            return 1.001 * x, stats
+        monkeypatch.setattr(system, "_solve_spd", inexact)
         solid, beam, op = small_coupled()
         sys = System([solid, beam], [op])
         dofs = clamped_edge_dofs(solid)
