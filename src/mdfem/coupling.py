@@ -199,14 +199,19 @@ def estimate_alpha(K_solid, K_struct, H):
     are deflated through a small dense eigendecomposition, which is
     legitimate because the interface stress vanishes on them.
 
-    Power iteration on K~^-1 H, on the interface DOFs I only (the rows
-    where H is nonzero), from y = (H v)[I] for a random unit v: an
-    iterate u = Z y with Z = K~^-1[I, I] (pseudo-inverse on the
-    structural block) and y = H_II u, and the Rayleigh quotient
-    u.H_II u / u.y does not depend on the scaling of y. It starts from
-    seed ``_ALPHA_SEED`` and stops when two quotients agree to relative
-    ``_ALPHA_TOL``; ``_ALPHA_MAXITER`` counts the products with H, the
-    first one included.
+    lambda_1 is taken where power iteration on K~^-1 H would stop, in
+    closed form on the interface DOFs I (the rows where H is nonzero).
+    The iteration starts from y = (H v)[I] for a random unit v of seed
+    ``_ALPHA_SEED`` and steps u = Z y, y = H_II u with Z = K~^-1[I, I]
+    (pseudo-inverse on the structural block). With Z = L L^T, L^T H_II L
+    = V diag(mu) V^T and c = V^T L^T y, the Rayleigh quotient of step k
+    is lambda_k = sum c^2 mu^(2k+1) / sum c^2 mu^(2k), evaluated over a
+    block of steps at a time. alpha is lambda_k / 2 at the first k >= 1
+    where two quotients agree to relative ``_ALPHA_TOL``.
+    ``_ALPHA_MAXITER`` is the iteration's budget of products with H,
+    the first one included: a stop needs k < _ALPHA_MAXITER - 1, else
+    ConvergenceError. Without a component of c^2 > 0 and mu > 0 the
+    first iterate vanishes: alpha 0.
     """
     H = sp.csr_matrix(H)
     if H.nnz == 0 or np.abs(H.data).max() == 0.0:
@@ -228,13 +233,11 @@ def estimate_alpha(K_solid, K_struct, H):
         null = w <= 1e-10 * wmax
         Qn, Qp, wp = Q[:, null], Q[:, ~null], w[~null]
         # rigid modes must be invisible to the interface stress
-        for k in range(Qn.shape[1]):
-            z = np.concatenate([np.zeros(ns), Qn[:, k]])
-            if np.abs(H @ z).max() > 1e-8 * Hscale:
-                raise RankError(
-                    "stiffness kernel carries interface stress; constrain "
-                    "the structural model or supply alpha explicitly"
-                )
+        if np.abs(H[:, ns:] @ Qn).max(initial=0.0) > 1e-8 * Hscale:
+            raise RankError(
+                "stiffness kernel carries interface stress; constrain "
+                "the structural model or supply alpha explicitly"
+            )
 
     v = np.random.default_rng(_ALPHA_SEED).standard_normal(ns + nb)
     if nb and Qn.shape[1]:
@@ -255,20 +258,29 @@ def estimate_alpha(K_solid, K_struct, H):
         Z[Is.size:, Is.size:] = (Qp[Ib] / wp) @ Qp[Ib].T
     H_II = H[iface][:, iface].toarray()
     y = (H @ v)[iface]
-    lam_old = np.nan  # no previous quotient: the first step cannot stop
-    for _ in range(_ALPHA_MAXITER - 1):
-        u = Z @ y
-        uy = u @ y  # zero only where u is: Z is semi-definite
-        if uy == 0.0:
-            return 0.0
-        y = H_II @ u
-        lam = float(u @ y / uy)
-        if abs(lam - lam_old) <= _ALPHA_TOL * max(abs(lam), 1e-300):
-            return lam / 2.0
-        lam_old = lam
-        yy = y @ y
-        if yy == 0.0:
-            return 0.0
-        y /= np.sqrt(yy)
+    d, U = np.linalg.eigh(Z)
+    L = U * np.sqrt(np.clip(d, 0.0, None))  # Z is semi-definite
+    mu, V = np.linalg.eigh(L.T @ H_II @ L)
+    c2 = (V.T @ (L.T @ y)) ** 2
+    pos = (c2 > 0.0) & (mu > 0.0)
+    last = _ALPHA_MAXITER - 1  # a stop at step k needs k < last
+    if last > 0 and not pos.any():
+        return 0.0
+    if last > 1:
+        lam_old = c2 @ mu / c2.sum()  # step 0: no previous quotient
+        # From step 1 on, a component of mu <= 0 (zero but for round-off)
+        # weighs nothing. Weights are scaled by the largest mu left, so
+        # the sums cannot underflow.
+        top = mu[pos].max()
+        r, cw = mu[pos] / top, c2[pos]
+        for a in range(1, last, 256):
+            k = np.arange(a, min(a + 256, last))
+            E = np.exp(np.outer(2 * k, np.log(r)))
+            lam = top * (E @ (cw * r)) / (E @ cw)
+            prev = np.concatenate([[lam_old], lam[:-1]])
+            stop = np.flatnonzero(np.abs(lam - prev) <= _ALPHA_TOL * lam)
+            if stop.size:
+                return float(lam[stop[0]]) / 2.0
+            lam_old = lam[-1]
     raise ConvergenceError(f"stabilization eigenvalue stagnant after "
                            f"{_ALPHA_MAXITER} iterations")

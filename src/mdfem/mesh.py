@@ -302,9 +302,9 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
 
     return Mesh(
         model=model, basis=basis, dirs=dirs,
-        nodes=grid_nodes(dirs, origin, rotation),
-        origin=origin, rotation=rotation, phi=phi, z_mid=z_mid,
-    )
+        nodes=grid_nodes(dirs, origin, rotation), origin=origin,
+        rotation=rotation, phi=float(_floats(phi, (), "phi")),
+        z_mid=float(_floats(z_mid, (), "z_mid")))
 
 
 def grid_nodes(dirs, origin=None, rotation=None):
@@ -344,9 +344,10 @@ def _per_dir(value, dim, name):
 def _floats(value, shape, name):
     """``value`` as finite floats of ``shape``, from as many values."""
     out = np.asarray(value, dtype=float)
-    if out.size != np.prod(shape) or not np.isfinite(out).all():
-        raise ConfigError(f"{name}: expected {np.prod(shape)} finite "
-                          f"values, got {value!r}")
+    n = np.prod(shape, dtype=int)
+    if out.size != n or not np.isfinite(out).all():
+        raise ConfigError(f"{name}: expected {n} finite values, "
+                          f"got {value!r}")
     return out.reshape(shape)
 
 

@@ -158,7 +158,7 @@ class System:
         solving the system.
         """
         if np.isscalar(alpha) and not isinstance(alpha, str):
-            alphas = [float(alpha)] * len(self.couplings)
+            a = float(alpha)
         elif not isinstance(alpha, str) or alpha != "auto":
             raise ConfigError(f"alpha must be 'auto' or one number for "
                               f"every coupling, got {alpha!r}")
@@ -173,14 +173,13 @@ class System:
             struct_free = np.flatnonzero(free & ~solid)
             order = np.concatenate([solid_free, struct_free])
             H = sum(h for _, _, h in coupling_mats)[order][:, order]
-            alphas = [estimate_alpha(
-                Kbulk[solid_free][:, solid_free],
-                Kbulk[struct_free][:, struct_free].toarray(),
-                H)] * len(self.couplings)
-        if not all(0.0 < a < np.inf for a in alphas):
+            a = estimate_alpha(Kbulk[solid_free][:, solid_free],
+                               Kbulk[struct_free][:, struct_free].toarray(),
+                               H)
+        if not 0.0 < a < np.inf:
             raise ConfigError(f"stabilization alpha must be finite and "
-                              f"positive, got {alphas} (degenerate interface?)")
-        return alphas
+                              f"positive, got {a} (degenerate interface?)")
+        return [a] * len(self.couplings)
 
     def _dof_points(self):
         """Global (x, y, z) of each DOF's control point, at section offset

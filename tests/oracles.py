@@ -21,15 +21,20 @@ every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
 `local_matrices` asks the library for one interface's blocks over its
 stacked local DOFs ``[solid | struct]``, the numbering of a system that
-holds the solid and then the structure only.
+holds the solid and then the structure only. `power_iteration_alpha` is
+the stabilization estimate as a power iteration on the interface DOFs,
+one step per loop pass; `coupling.estimate_alpha` evaluates the
+quotients of those steps in closed form from one eigendecomposition.
 """
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from mdfem.bspline import _basis_ders, _rationalize
-from mdfem.coupling import _normal_matrices
+from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import integrate_atb
-from mdfem.errors import DomainError
-from mdfem.mesh import element_batches, sum_blocks
+from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
+from mdfem.mesh import _TRIPLET_BUDGET, element_batches, sum_blocks
 from mdfem.quadrature import gauss_1d
 
 
@@ -260,3 +265,82 @@ def coupling_matrices(op, offsets, ndof, with_h):
                                 *([m] for m in blocks)))
     out = tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
     return out if with_h else out + (None,)
+
+
+def power_iteration_alpha(K_solid, K_struct, H, maxiter, quotients=None):
+    """``(alpha, steps)`` of the power iteration on K~^-1 H over the
+    interface DOFs I (the rows where H is nonzero), from y = (H v)[I] for
+    a random unit v of seed `coupling._ALPHA_SEED`: an iterate u = Z y
+    with Z = K~^-1[I, I] (pseudo-inverse on the structural block) and
+    y = H_II u, and the Rayleigh quotient u.H_II u / u.y. It stops when
+    two quotients agree to relative `coupling._ALPHA_TOL`. ``steps``
+    counts the products with H, the first one included: the smallest
+    ``maxiter`` that returns this alpha. A ``maxiter`` too small for it
+    raises ConvergenceError. Each step's quotient is appended to the list
+    ``quotients``, if one is given."""
+    H = sp.csr_matrix(H)
+    if H.nnz == 0 or np.abs(H.data).max() == 0.0:
+        return 0.0, 0
+    Hscale = np.abs(H.data).max()
+
+    K_solid, K_struct = sp.csr_matrix(K_solid), np.asarray(K_struct)
+    ns, nb = K_solid.shape[0], K_struct.shape[0]
+    if ns + nb != H.shape[0]:
+        raise ConfigError("H size does not match the stiffness blocks")
+
+    lu = splu(K_solid.tocsc()) if ns else None
+
+    if nb:
+        w, Q = np.linalg.eigh(K_struct)
+        wmax = w.max() if w.size else 0.0
+        if wmax <= 0:
+            raise RankError("structural stiffness block is zero")
+        null = w <= 1e-10 * wmax
+        Qn, Qp, wp = Q[:, null], Q[:, ~null], w[~null]
+        # rigid modes must be invisible to the interface stress
+        for k in range(Qn.shape[1]):
+            z = np.concatenate([np.zeros(ns), Qn[:, k]])
+            if np.abs(H @ z).max() > 1e-8 * Hscale:
+                raise RankError(
+                    "stiffness kernel carries interface stress; constrain "
+                    "the structural model or supply alpha explicitly"
+                )
+
+    v = np.random.default_rng(_ALPHA_SEED).standard_normal(ns + nb)
+    if nb and Qn.shape[1]:
+        v[ns:] -= Qn @ (Qn.T @ v[ns:])
+    v /= np.linalg.norm(v)
+
+    iface = np.flatnonzero(abs(H) @ np.ones(ns + nb))
+    Is, Ib = iface[iface < ns], iface[iface >= ns] - ns
+    Z = np.zeros((iface.size, iface.size))
+    # Solid columns of Z in solves of at most _TRIPLET_BUDGET entries.
+    step = max(1, _TRIPLET_BUDGET // max(ns, 1))
+    for c in range(0, Is.size, step):
+        cols = Is[c:c + step]
+        E = np.zeros((ns, cols.size))
+        E[cols, np.arange(cols.size)] = 1.0
+        Z[:Is.size, c:c + cols.size] = lu.solve(E)[Is]
+    if Ib.size:
+        Z[Is.size:, Is.size:] = (Qp[Ib] / wp) @ Qp[Ib].T
+    H_II = H[iface][:, iface].toarray()
+    y = (H @ v)[iface]
+    lam_old = np.nan  # no previous quotient: the first step cannot stop
+    for k in range(maxiter - 1):
+        u = Z @ y
+        uy = u @ y  # zero only where u is: Z is semi-definite
+        if uy == 0.0:
+            return 0.0, k + 2
+        y = H_II @ u
+        lam = float(u @ y / uy)
+        if quotients is not None:
+            quotients.append(lam)
+        if abs(lam - lam_old) <= _ALPHA_TOL * max(abs(lam), 1e-300):
+            return lam / 2.0, k + 2
+        lam_old = lam
+        yy = y @ y
+        if yy == 0.0:
+            return 0.0, k + 2
+        y /= np.sqrt(yy)
+    raise ConvergenceError(f"stabilization eigenvalue stagnant after "
+                           f"{maxiter} iterations")

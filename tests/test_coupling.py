@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdfem import coupling
@@ -25,7 +25,8 @@ from mdfem.mesh import build_mesh, parent_data
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
-from oracles import coupling_matrices, local_matrices, local_numbering
+from oracles import (coupling_matrices, local_matrices, local_numbering,
+                     power_iteration_alpha)
 
 
 # Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
@@ -607,3 +608,76 @@ class TestEstimateAlpha:
             sp.csr_matrix(H.toarray()[np.ix_(free, free)]),
         )
         assert 2.4e7 <= alpha <= 9.4e7
+
+
+def alpha_inputs(ns, nb, nrigid, seed):
+    """``(K_solid, K_struct, H)`` of a small random system: an SPD solid
+    block, a PSD structural block with ``nrigid`` rigid modes, and a PSD
+    H that is zero off a random set of interface rows and does not see
+    the rigid modes."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((ns, ns))
+    Ks = A @ A.T + 0.1 * np.eye(ns)
+    Q = np.linalg.qr(rng.standard_normal((nb, nb)))[0]
+    w = np.concatenate([np.zeros(nrigid), rng.uniform(0.1, 10.0, nb - nrigid)])
+    Kb, Qn = (Q * w) @ Q.T, Q[:, :nrigid]
+    live = rng.random(ns + nb) < 0.7
+    live[rng.integers(ns)] = True
+    B = rng.standard_normal((rng.integers(1, ns + nb + 1), ns + nb)) * live
+    # Structural columns orthogonal to the rigid modes on the live rows.
+    S = ns + np.flatnonzero(live[ns:])
+    M = Qn[live[ns:]]
+    B[:, S] -= B[:, S] @ M @ np.linalg.pinv(M)
+    H = 10.0 ** rng.uniform(-3, 3) * B.T @ B
+    return sp.csr_matrix(Ks), Kb, sp.csr_matrix(H)
+
+
+def _step_budget(Ks, Kb, H, steps):
+    """The closed form stops at the oracle's step: a budget of ``steps``
+    products with H suffices and ``steps - 1`` does not."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(coupling, "_ALPHA_MAXITER", steps)
+        estimate_alpha(Ks, Kb, H)
+        m.setattr(coupling, "_ALPHA_MAXITER", steps - 1)
+        with pytest.raises(ConvergenceError):
+            estimate_alpha(Ks, Kb, H)
+
+
+class TestClosedFormAgainstPowerIteration:
+    @settings(max_examples=150, deadline=None)
+    @given(ns=st.integers(1, 11), nb=st.integers(0, 7),
+           nrigid=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_alpha_and_stopping_step(self, ns, nb, nrigid, seed):
+        assume(nrigid < max(nb, 1))
+        Ks, Kb, H = alpha_inputs(ns, nb, nrigid, seed)
+        lams = []
+        want, steps = power_iteration_alpha(Ks, Kb, H,
+                                            coupling._ALPHA_MAXITER, lams)
+        # The two computations round differently, so their relative
+        # changes between steps can differ by about 1e-15. A draw whose
+        # change at the stopping step or the step before lies that close
+        # to _ALPHA_TOL is a tie in the threshold, not a defect.
+        tests = [abs(b - a) / abs(b)
+                 for a, b in list(zip(lams[:-1], lams[1:]))[-2:]]
+        assume(all(abs(t / coupling._ALPHA_TOL - 1.0) > 1e-6
+                   for t in tests))
+        assert estimate_alpha(Ks, Kb, H) == pytest.approx(want, rel=1e-12)
+        _step_budget(Ks, Kb, H, steps)
+
+    def test_slow_convergence_over_many_step_blocks(self):
+        # lambda_2 / lambda_1 = 0.999 on five interface DOFs, of which two
+        # structural with K~ = diag(2, 1), and one rigid structural mode
+        # and one solid DOF off the interface (zero rows of H).
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        s = np.sqrt([1.0, 1.0, 1.0, 2.0, 1.0])
+        H_II = 1e6 * s[:, None] * ((Q * [1.0, 0.999, 0.5, 0.2, 0.1]) @ Q.T) * s
+        iface = [0, 1, 2, 4, 5]
+        H = np.zeros((7, 7))
+        H[np.ix_(iface, iface)] = H_II
+        Ks, Kb = sp.eye(4, format="csr"), np.diag([2.0, 1.0, 0.0])
+        want, steps = power_iteration_alpha(Ks, Kb, H, 5000)
+        assert steps > 1000
+        assert want == pytest.approx(0.5e6, rel=1e-5)
+        assert estimate_alpha(Ks, Kb, H) == pytest.approx(want, rel=1e-12)
+        _step_budget(Ks, Kb, H, steps)

@@ -416,6 +416,17 @@ class TestSolveInputs:
             with pytest.raises(ConfigError, match=msg):
                 call(alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_alpha_rejected_without_couplings(self, alpha):
+        beam = BeamModel(build_mesh("beam", "lagrange", 1, 4, ((0.0, 3.0),)),
+                         Material(E=200.0, nu=0.25, thickness=1.0))
+        sys = System([beam])
+        sys.fix(0, [0, 1, 2])
+        assert sys.resolve_alpha(1.0) == []
+        for call in (sys.solve, sys.resolve_alpha):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                call(alpha=alpha)
+
     @pytest.mark.parametrize("alpha", [[2.0e3], (2.0e3,), [2.0e3, 2.0e3],
                                        np.array([2.0e3]), "2e3"])
     def test_one_alpha_for_all_couplings(self, monkeypatch, alpha):
