@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .elasticity import integrate_atb
 from .errors import (
@@ -33,8 +32,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import (_TRIPLET_BUDGET, affine, element_batches, facet_rules,
-                   sum_blocks)
+from .mesh import affine, element_batches, facet_rules, sum_blocks
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -189,12 +187,14 @@ def build_interface(solid, struct, axis, side, *,
 _ALPHA_SEED, _ALPHA_TOL, _ALPHA_MAXITER = 0, 1e-8, 5000
 
 
-def estimate_alpha(K_solid, K_struct, H):
+def estimate_alpha(solve_solid, K_struct, H):
     """Stabilization parameter alpha = lambda_1 / 2.
 
     ``lambda_1`` is the largest eigenvalue of the generalized problem
     H v = lambda K~ v on the free DOFs, where K~ = diag(K_solid,
-    K_struct) is the uncoupled stiffness. The structural block may carry
+    K_struct) is the uncoupled stiffness. K_solid enters as its solve
+    (`system._factor_spd`), on runs of identity columns of at most
+    ``mesh._TRIPLET_BUDGET`` entries. The structural block may carry
     rigid modes (an unconstrained beam hanging off the interface); those
     are deflated through a small dense eigendecomposition, which is
     legitimate because the interface stress vanishes on them.
@@ -218,12 +218,9 @@ def estimate_alpha(K_solid, K_struct, H):
         return 0.0
     Hscale = np.abs(H.data).max()
 
-    K_solid, K_struct = sp.csr_matrix(K_solid), np.asarray(K_struct)
-    ns, nb = K_solid.shape[0], K_struct.shape[0]
-    if ns + nb != H.shape[0]:
+    ns, nb = H.shape[0] - len(K_struct), len(K_struct)
+    if ns < 0:
         raise ConfigError("H size does not match the stiffness blocks")
-
-    lu = splu(K_solid.tocsc()) if ns else None
 
     if nb:
         w, Q = np.linalg.eigh(K_struct)
@@ -247,13 +244,10 @@ def estimate_alpha(K_solid, K_struct, H):
     iface = np.flatnonzero(abs(H) @ np.ones(ns + nb))
     Is, Ib = iface[iface < ns], iface[iface >= ns] - ns
     Z = np.zeros((iface.size, iface.size))
-    # Solid columns of Z in solves of at most _TRIPLET_BUDGET entries.
-    step = max(1, _TRIPLET_BUDGET // max(ns, 1))
-    for c in range(0, Is.size, step):
-        cols = Is[c:c + step]
-        E = np.zeros((ns, cols.size))
-        E[cols, np.arange(cols.size)] = 1.0
-        Z[:Is.size, c:c + cols.size] = lu.solve(E)[Is]
+    for run in element_batches(np.arange(Is.size), max(ns, 1)):
+        E = np.zeros((ns, run.size))
+        E[Is[run], np.arange(run.size)] = 1.0
+        Z[:Is.size, run] = solve_solid(E)[Is]
     if Ib.size:
         Z[Is.size:, Is.size:] = (Qp[Ib] / wp) @ Qp[Ib].T
     H_II = H[iface][:, iface].toarray()

@@ -343,8 +343,11 @@ def _per_dir(value, dim, name):
 
 def _floats(value, shape, name):
     """``value`` as finite floats of ``shape``, from as many values."""
-    out = np.asarray(value, dtype=float)
     n = np.prod(shape, dtype=int)
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # not numbers: rejected below
+        out = np.array(np.nan)
     if out.size != n or not np.isfinite(out).all():
         raise ConfigError(f"{name}: expected {n} finite values, "
                           f"got {value!r}")

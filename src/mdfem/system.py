@@ -11,7 +11,8 @@ product (`mesh.sum_blocks`), as each coupling sums its segment blocks.
 The solve factors the assembled CSR matrix straight, with no symmetrize
 pass, by banded Cholesky at every size, in the smaller-band order of
 reverse Cuthill-McKee and a sort along the longest axis of the DOFs'
-global control points (`Model.to_global`).
+global control points (`Model.to_global`). That one factorization,
+`_factor_spd`, also gives the stabilization estimate its solid solve.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import mesh
 from .coupling import estimate_alpha
 from .elasticity import stiffness_separable
-from .errors import ConfigError, DefinitenessError
+from .errors import ConfigError, DefinitenessError, RankError
 
 
 @dataclass
@@ -39,7 +40,7 @@ class Solution:
     free: np.ndarray           # boolean mask of unconstrained DOFs
     residual: float
     reactions: np.ndarray
-    stats: dict                # solve sizes, `_solve_spd`
+    stats: dict                # solve sizes, `_factor_spd`
 
 
 class System:
@@ -155,7 +156,7 @@ class System:
         ``alpha`` is one number for all couplings or ``"auto"``: the
         spectral estimate `coupling.estimate_alpha` on the free DOFs,
         computed from the assembled bulk and coupling matrices without
-        solving the system.
+        solving the system; a solid left unclamped is a RankError.
         """
         if np.isscalar(alpha) and not isinstance(alpha, str):
             a = float(alpha)
@@ -167,13 +168,18 @@ class System:
         else:
             Kbulk, coupling_mats = self._assembled(True)
             free = np.isnan(self._fixed)
-            solid = np.repeat([m.mesh.model in ("solid2d", "solid3d")
-                               for m in self.models], np.diff(self.offsets))
-            solid_free = np.flatnonzero(free & solid)
+            solid = free & np.repeat([m.mesh.model in ("solid2d", "solid3d")
+                                      for m in self.models],
+                                     np.diff(self.offsets))
+            try:
+                solve_solid, _ = _factor_spd(Kbulk, solid, self._dof_points())
+            except (DefinitenessError, RankError) as exc:
+                raise RankError("solid stiffness is singular: clamp each "
+                                "solid, or give alpha as a number") from exc
             struct_free = np.flatnonzero(free & ~solid)
-            order = np.concatenate([solid_free, struct_free])
+            order = np.concatenate([np.flatnonzero(solid), struct_free])
             H = sum(h for _, _, h in coupling_mats)[order][:, order]
-            a = estimate_alpha(Kbulk[solid_free][:, solid_free],
+            a = estimate_alpha(solve_solid,
                                Kbulk[struct_free][:, struct_free].toarray(),
                                H)
         if not 0.0 < a < np.inf:
@@ -206,7 +212,8 @@ class System:
         K = (Kbulk + sum(terms[1:], terms[0])).tocsr() if terms else Kbulk
         f, a = self._f.copy(), np.where(free, 0.0, self._fixed)
         b = (f - K @ a)[free]
-        a[free], stats = _solve_spd(K, b, free, self._dof_points())
+        solve, stats = _factor_spd(K, free, self._dof_points())
+        a[free] = solve(b)
         r = K @ a - f
         residual = (float(np.linalg.norm(r[free]))
                     / max(float(np.linalg.norm(b)), 1e-300))
@@ -249,40 +256,48 @@ def _block_diag(parts) -> sp.csr_matrix:
         shape=(n[-1], n[-1]))
 
 
-def _solve_spd(K: sp.csr_matrix, b: np.ndarray, free, points):
-    """``(x, stats)`` of ``K[free][:, free] x = b``, K symmetric positive
+_PIVOT_TOL = 1e-10  # pivot^2 <= this * K_jj: round-off of K_jj, singular
+
+
+def _factor_spd(K: sp.csr_matrix, free, points):
+    """``(solve, stats)`` of ``K[free][:, free]``, K symmetric positive
     definite to round-off: one triangle is read. Banded Cholesky at every
     size, in `_band_order`'s order of ``points`` (one per DOF), K's upper
-    triangle scattered into band storage. ``stats`` holds ndof, nnz,
-    band, band_mb, ordering and the candidates' bands; no free DOF gives
-    empty ones. A DefinitenessError says the factorization broke down,
-    the observable symptom of an under-stabilized interface."""
+    triangle scattered into band storage; ``solve(b)`` solves for each
+    column of b. ``stats`` holds ndof, nnz, band, band_mb, ordering and
+    the candidates' bands; no free DOF gives empty ones. A breakdown (an
+    under-stabilized interface) is a DefinitenessError, a pivot fallen to
+    round-off of its diagonal entry (a rigid mode left free) a RankError."""
     idx = np.flatnonzero(free)
     n = idx.size
     if n == 0:
-        return np.zeros(0), {}
+        return lambda b: np.zeros(np.shape(b)), {}
+    name, pos, pc, bands = _band_order(K, free, points)
+    u = bands[name]
+    # Row and column place of every entry, -1 off the free block.
+    pr = np.repeat(pos, np.diff(K.indptr))
+    kept = (pr >= 0) & (pc >= 0)
+    up = np.flatnonzero(kept & (pc >= pr))
+    ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
+    ab.T.ravel()[pr[up] + u * (pc[up] + np.int64(1))] = K.data[up]
+    stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
+                 band_mb=ab.nbytes / 1e6, ordering=name,
+                 **{f"{k}_band": v for k, v in bands.items()})
+    diag = ab[u].copy()
     try:
-        name, pos, pc, bands = _band_order(K, free, points)
-        u = bands[name]
-        # Row and column place of every entry, -1 off the free block.
-        pr = np.repeat(pos, np.diff(K.indptr))
-        kept = (pr >= 0) & (pc >= 0)
-        up = np.flatnonzero(kept & (pc >= pr))
-        ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
-        ab.T.ravel()[pr[up] + u * (pc[up] + np.int64(1))] = K.data[up]
-        stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
-                     band_mb=ab.nbytes / 1e6, ordering=name,
-                     **{f"{k}_band": v for k, v in bands.items()})
         cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=False)
-        q, bp = pos[idx], np.empty(n)
-        bp[q] = b
-        return sla.cho_solve_banded((cb, False), bp,
-                                    overwrite_b=True)[q], stats
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(
             "stiffness matrix is not positive definite; if this system is "
             "Nitsche-coupled the stabilization alpha is likely too small"
         ) from exc
+    if np.any(cb[u] ** 2 <= _PIVOT_TOL * diag):
+        raise RankError("stiffness matrix is singular: a rigid mode is "
+                        "free; constrain every model")
+    q = pos[idx]
+    inv = np.argsort(q)  # b[inv] is b in the band order
+    return (lambda b: sla.cho_solve_banded((cb, False), b[inv],
+                                           overwrite_b=True)[q]), stats
 
 
 def _band_order(K: sp.csr_matrix, free, points):

@@ -21,7 +21,9 @@ every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
 `local_matrices` asks the library for one interface's blocks over its
 stacked local DOFs ``[solid | struct]``, the numbering of a system that
-holds the solid and then the structure only. `power_iteration_alpha` is
+holds the solid and then the structure only, and `solid_solve` for its
+solid block the solve `coupling.estimate_alpha` takes, by the library's
+own factorization. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
@@ -36,6 +38,7 @@ from mdfem.elasticity import integrate_atb
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
 from mdfem.mesh import _TRIPLET_BUDGET, element_batches, sum_blocks
 from mdfem.quadrature import gauss_1d
+from mdfem.system import _factor_spd
 
 
 def tensor_rule(intervals, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +233,14 @@ def local_matrices(op, with_h=True):
     """(K^n, K^st, H) of one interface over its stacked local DOFs
     ``[solid | struct]``; H is None unless ``with_h``."""
     return op.matrices(*local_numbering(op), with_h)
+
+
+def solid_solve(K):
+    """The solve `coupling.estimate_alpha` takes for the solid block
+    ``K``: the library's `system._factor_spd` on all of K."""
+    K = sp.csr_matrix(K)
+    n = K.shape[0]
+    return _factor_spd(K, np.ones(n, bool), np.zeros((n, 3)))[0]
 
 
 def coupling_matrices(op, offsets, ndof, with_h):

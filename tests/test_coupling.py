@@ -26,7 +26,7 @@ from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 from oracles import (coupling_matrices, local_matrices, local_numbering,
-                     power_iteration_alpha)
+                     power_iteration_alpha, solid_solve)
 
 
 # Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
@@ -561,11 +561,11 @@ class TestEstimateAlpha:
         lam = scipy.linalg.eigh(
             H, np.diag([2.0, 5.0, 3.0, 4.0]), eigvals_only=True
         ).max()
-        got = estimate_alpha(sp.csr_matrix(Ks), Kb, sp.csr_matrix(H))
+        got = estimate_alpha(solid_solve(Ks), Kb, sp.csr_matrix(H))
         assert got == pytest.approx(lam / 2.0, rel=1e-6)
 
     def test_zero_interface_is_degenerate(self):
-        got = estimate_alpha(sp.eye(3, format="csr"), np.eye(2),
+        got = estimate_alpha(solid_solve(sp.eye(3)), np.eye(2),
                              sp.csr_matrix((5, 5)))
         assert got == 0.0
 
@@ -573,7 +573,7 @@ class TestEstimateAlpha:
         Kb = np.diag([1.0, 0.0])  # second structural DOF is a rigid mode
         H = sp.eye(3, format="csr")
         with pytest.raises(RankError):
-            estimate_alpha(sp.eye(1, format="csr"), Kb, H)
+            estimate_alpha(solid_solve(sp.eye(1)), Kb, H)
 
     def test_stagnation_raises(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -581,7 +581,7 @@ class TestEstimateAlpha:
         H = sp.csr_matrix(M @ M.T)
         monkeypatch.setattr(coupling, "_ALPHA_MAXITER", 1)
         with pytest.raises(ConvergenceError):
-            estimate_alpha(sp.eye(2, format="csr"), np.eye(2), H)
+            estimate_alpha(solid_solve(sp.eye(2)), np.eye(2), H)
 
     def test_deflates_free_beam_modes(self, q4_interface):
         """The bench layout: clamped solid, beam held only by the interface."""
@@ -603,7 +603,7 @@ class TestEstimateAlpha:
         free = np.concatenate([free_s, solid.ndof + np.arange(beam.ndof)])
 
         alpha = estimate_alpha(
-            sp.csr_matrix(Ks[np.ix_(free_s, free_s)]),
+            solid_solve(Ks[np.ix_(free_s, free_s)]),
             Kb,
             sp.csr_matrix(H.toarray()[np.ix_(free, free)]),
         )
@@ -637,10 +637,10 @@ def _step_budget(Ks, Kb, H, steps):
     products with H suffices and ``steps - 1`` does not."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(coupling, "_ALPHA_MAXITER", steps)
-        estimate_alpha(Ks, Kb, H)
+        estimate_alpha(solid_solve(Ks), Kb, H)
         m.setattr(coupling, "_ALPHA_MAXITER", steps - 1)
         with pytest.raises(ConvergenceError):
-            estimate_alpha(Ks, Kb, H)
+            estimate_alpha(solid_solve(Ks), Kb, H)
 
 
 class TestClosedFormAgainstPowerIteration:
@@ -661,7 +661,8 @@ class TestClosedFormAgainstPowerIteration:
                  for a, b in list(zip(lams[:-1], lams[1:]))[-2:]]
         assume(all(abs(t / coupling._ALPHA_TOL - 1.0) > 1e-6
                    for t in tests))
-        assert estimate_alpha(Ks, Kb, H) == pytest.approx(want, rel=1e-12)
+        assert estimate_alpha(solid_solve(Ks), Kb, H) == pytest.approx(
+            want, rel=1e-12)
         _step_budget(Ks, Kb, H, steps)
 
     def test_slow_convergence_over_many_step_blocks(self):
@@ -679,5 +680,6 @@ class TestClosedFormAgainstPowerIteration:
         want, steps = power_iteration_alpha(Ks, Kb, H, 5000)
         assert steps > 1000
         assert want == pytest.approx(0.5e6, rel=1e-5)
-        assert estimate_alpha(Ks, Kb, H) == pytest.approx(want, rel=1e-12)
+        assert estimate_alpha(solid_solve(Ks), Kb, H) == pytest.approx(
+            want, rel=1e-12)
         _step_budget(Ks, Kb, H, steps)

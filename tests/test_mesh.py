@@ -105,12 +105,17 @@ _MALFORMED = {
     "extents-2-of-3": ("extents", ("solid3d", "lagrange", 1, (2, 2, 2),
                                    _UNIT), {}),
 }
-# A non-finite beam angle or plate mid-surface height.
+# A non-finite beam angle or plate mid-surface height, or values that are
+# not numbers.
 _MALFORMED.update({
     f"{name}-{bad}": (name, args, {name: bad})
     for name, args in [("phi", ("beam", "lagrange", 1, 4, [(0, 1)])),
                        ("z_mid", ("plate", "spline", 2, (2, 2), _UNIT))]
     for bad in (np.nan, np.inf, -np.inf)})
+_MALFORMED.update({
+    "phi-str": ("phi", ("beam", "lagrange", 1, 4, ((0, 1),)), {"phi": "abc"}),
+    "origin-str": ("origin", ("beam", "lagrange", 1, 4, ((0, 1),)),
+                   {"origin": ("a", "b")})})
 
 
 @pytest.mark.parametrize("name,args,kwargs", list(_MALFORMED.values()),

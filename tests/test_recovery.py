@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from mdfem import bench, coupling, system
+from mdfem import mesh as mesh_mod
 from mdfem.cli import main
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
@@ -209,18 +210,24 @@ def full_space_alpha(K_solid, K_struct, H, seed=0, tol=1e-8, maxiter=5000):
 
 
 def estimate_inputs(monkeypatch, sysm):
-    """The (K_solid, K_struct, H) a system hands to the estimator,
-    captured from `System.resolve_alpha`."""
+    """``(K_solid, solve_solid, K_struct, H)``: the solid block
+    `System.resolve_alpha` factors and what it hands to the estimator."""
     seen = []
+    factor = system._factor_spd
 
-    def capture(*a, **kw):
-        seen.append(a)
+    def factor_solid(K, free, points):
+        seen.append(K[free][:, free])
+        return factor(K, free, points)
+
+    def capture(*a):
+        seen.extend(a)
         return 1.0
 
     with monkeypatch.context() as m:
+        m.setattr(system, "_factor_spd", factor_solid)
         m.setattr(system, "estimate_alpha", capture)
         sysm.resolve_alpha("auto")
-    return seen[0]
+    return seen
 
 
 def _cantilever(*args):
@@ -248,28 +255,35 @@ def _euler_bernoulli_cantilever():
     (_euler_bernoulli_cantilever, 2),
 ], ids=["q4", "bicubic", "euler-bernoulli"])
 def test_interface_alpha_matches_full_space(make, rigid, monkeypatch):
-    Ks, Kb, H = estimate_inputs(monkeypatch, make())
+    Ks, solve, Kb, H = estimate_inputs(monkeypatch, make())
     # The free beam's rigid modes are deflated by both iterations.
     w = np.linalg.eigvalsh(Kb)
     assert np.sum(w <= 1e-10 * w.max()) == rigid
     want, steps = full_space_alpha(Ks, Kb, H)
-    assert coupling.estimate_alpha(Ks, Kb, H) == pytest.approx(want,
-                                                              rel=1e-12)
+    assert coupling.estimate_alpha(solve, Kb, H) == pytest.approx(want,
+                                                                 rel=1e-12)
     # Same stopping test, same number of steps.
     monkeypatch.setattr(coupling, "_ALPHA_MAXITER", steps)
-    coupling.estimate_alpha(Ks, Kb, H)
+    coupling.estimate_alpha(solve, Kb, H)
     monkeypatch.setattr(coupling, "_ALPHA_MAXITER", steps - 1)
     with pytest.raises(ConvergenceError):
-        coupling.estimate_alpha(Ks, Kb, H)
+        coupling.estimate_alpha(solve, Kb, H)
 
 
 def test_interface_inverse_in_column_chunks(monkeypatch):
-    Ks, Kb, H = estimate_inputs(monkeypatch,
-                                _cantilever("lagrange", 1, (8, 4), 5))
-    want = coupling.estimate_alpha(Ks, Kb, H)
-    monkeypatch.setattr(coupling, "_TRIPLET_BUDGET", 3 * Ks.shape[0])
-    assert coupling.estimate_alpha(Ks, Kb, H) == pytest.approx(want,
-                                                              rel=1e-13)
+    Ks, solve, Kb, H = estimate_inputs(monkeypatch,
+                                       _cantilever("lagrange", 1, (8, 4), 5))
+    want = coupling.estimate_alpha(solve, Kb, H)
+    widths = []
+
+    def counted(b):
+        widths.append(b.shape[1])
+        return solve(b)
+
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", 3 * Ks.shape[0])
+    assert coupling.estimate_alpha(counted, Kb, H) == pytest.approx(
+        want, rel=1e-13)
+    assert len(widths) > 1 and max(widths) == 3
 
 
 def test_alpha_command_does_not_solve(tmp_path, monkeypatch, capsys):

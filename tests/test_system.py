@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from mdfem import bench, coupling
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
-from mdfem.errors import ConfigError, DefinitenessError
+from mdfem.errors import ConfigError, DefinitenessError, RankError
 from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
-from mdfem.system import System, _band_order, _solve_spd
+from mdfem.system import System, _band_order, _factor_spd
 from oracles import local_matrices
 
 
@@ -341,9 +341,9 @@ class TestStressBoundOnDemand:
 
 
 def solve_all(A, b):
-    """`_solve_spd` on every DOF of ``A``, all points at the origin."""
+    """`_factor_spd` on every DOF of ``A``, all points at the origin."""
     n = A.shape[0]
-    return _solve_spd(A, b, np.ones(n, bool), np.zeros((n, 3)))[0]
+    return _factor_spd(A, np.ones(n, bool), np.zeros((n, 3)))[0](b)
 
 
 class TestSpdSolver:
@@ -376,16 +376,19 @@ class TestSpdSolver:
             solve_all(A, np.ones(500))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2**32 - 1))
-    def test_small_systems_match_dense_solve(self, n, ncons, seed):
-        # 1-60 free DOFs take the band order and banded Cholesky too.
+    @given(st.integers(1, 60), st.integers(0, 5), st.integers(0, 2**32 - 1),
+           st.sampled_from([(), (1,), (4,)]))
+    def test_small_systems_match_dense_solve(self, n, ncons, seed, ncols):
+        # 1-60 free DOFs take the band order and banded Cholesky too; a
+        # right-hand side is one vector or one per column.
         rng = np.random.default_rng(seed)
         size = n + ncons
         B = sp.random(size, size, density=0.2, random_state=rng)
         A = (B @ B.T + sp.eye(size)).tocsr()
         free = rng.permutation(size) < n
-        b = rng.standard_normal(n)
-        x, stats = _solve_spd(A, b, free, rng.random((size, 3)))
+        b = rng.standard_normal((n,) + ncols)
+        solve, stats = _factor_spd(A, free, rng.random((size, 3)))
+        x = solve(b)
         ref = np.linalg.solve(A.toarray()[np.ix_(free, free)], b)
         np.testing.assert_allclose(x, ref, rtol=1e-10,
                                    atol=1e-10 * abs(ref).max())
@@ -631,7 +634,8 @@ class TestSolveFromAssembled:
         assert 0 < abs(A - A.T).max() <= 1e-14 * abs(A).max()
         free = rng.random(n) < 0.8
         b = rng.standard_normal(free.sum())
-        x, stats = _solve_spd(A, b, free, rng.random((n, 3)))
+        solve, stats = _factor_spd(A, free, rng.random((n, 3)))
+        x = solve(b)
         S = 0.5 * (A + A.T).toarray()
         ref = np.linalg.solve(S[np.ix_(free, free)], b)
         np.testing.assert_allclose(x, ref, rtol=1e-10,
@@ -642,12 +646,12 @@ class TestSolveFromAssembled:
             self, monkeypatch):
         # An inexact solve (perturbed x) so the residual is not round-off.
         import mdfem.system as system
-        real = system._solve_spd
+        real = system._factor_spd
 
         def inexact(*args):
-            x, stats = real(*args)
-            return 1.001 * x, stats
-        monkeypatch.setattr(system, "_solve_spd", inexact)
+            solve, stats = real(*args)
+            return lambda b: 1.001 * solve(b), stats
+        monkeypatch.setattr(system, "_factor_spd", inexact)
         solid, beam, op = small_coupled()
         sys = System([solid, beam], [op])
         dofs = clamped_edge_dofs(solid)
@@ -665,3 +669,34 @@ class TestSolveFromAssembled:
         r[free] = 0.0
         np.testing.assert_allclose(sol.reactions, r, rtol=0,
                                    atol=1e-12 * abs(r).max())
+
+
+def keep_constraints(sysm, keep):
+    """Drop every constraint of ``sysm`` but those on the DOFs for which
+    ``keep(dofs)`` is true, with their values."""
+    fixed = np.flatnonzero(~np.isnan(sysm._fixed))
+    values = sysm._fixed[fixed]
+    sysm._fixed[:] = np.nan
+    kept = keep(fixed)
+    sysm.fix(0, fixed[kept], values[kept])
+
+
+class TestRigidModeLeftFree:
+    """A singular stiffness is a RankError, never a silent number."""
+
+    # The solid is model 0 at offset 0: its x DOFs have even numbers.
+    @pytest.mark.parametrize("keep", [lambda d: d < 0, lambda d: d % 2 == 0],
+                             ids=["unclamped", "clamped-in-x-only"])
+    def test_auto_alpha_of_a_singular_solid_block(self, keep):
+        sysm = bench.cantilever_system("lagrange", 1, (4, 2), 4)["system"]
+        keep_constraints(sysm, keep)
+        with pytest.raises(RankError, match="clamp each solid,"):
+            sysm.resolve_alpha("auto")
+
+    def test_floating_system_solve(self):
+        # The factorization runs through on round-off pivots: only the
+        # pivot test sees the rigid modes.
+        sysm = bench.cantilever_system("spline", 3, (16, 4), 4)["system"]
+        keep_constraints(sysm, lambda d: d < 0)
+        with pytest.raises(RankError, match="singular"):
+            sysm.solve(alpha=4.7128e7)
