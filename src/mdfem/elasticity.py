@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .errors import ConfigError
-from .mesh import (Mesh, bulk_points, element_batches, facet_rules,
-                   on_grid, parent_data, quadrature_data)
+from .mesh import (Mesh, _det_inv, bulk_points, element_batches,
+                   facet_rules, on_grid, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -212,13 +212,13 @@ def stiffness_separable(mesh: Mesh, form):
     B^(a_k) B^(b_k) dy_k. One GEMM per part with D gives the node blocks.
     """
     dim = mesh.dim
-    A = np.eye(dim) if mesh.rotation is None else mesh.rotation
-    if np.linalg.det(A) <= 0 or not on_grid(mesh):
+    det, G = _det_inv(np.eye(dim) if mesh.rotation is None else mesh.rotation)
+    if det <= 0 or not on_grid(mesh):
         return None
-    T, m = _jet_map(np.linalg.inv(A)), jets(dim)
+    T, m = _jet_map(G), jets(dim)
     vals = []
     for D, npts in form:
-        D = np.linalg.det(A) * np.einsum("ab,iajc,cd->ibjd", T, D, T)
+        D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
         nders, P = 2 if used[-1] > dim else 1, ()

@@ -509,29 +509,54 @@ def element_map(P, N, dN):
     return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
 
 
+def _det_inv(J):
+    """Determinants ``(...)`` and inverses ``(..., d, d)`` (the adjugate
+    over the determinant) of a stack of 1x1, 2x2 or 3x3 matrices. A
+    singular or non-finite one gives a zero or non-finite determinant and
+    no floating-point warning; callers test the determinant."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if J.shape[-1] == 1:
+            det, adj = J[..., 0, 0], np.ones_like(J)
+        elif J.shape[-1] == 2:
+            a, b, c, f = (J[..., i, j] for i in (0, 1) for j in (0, 1))
+            det = a * f - b * c
+            adj = np.stack([f, -b, -c, a], axis=-1).reshape(J.shape)
+        else:
+            # adj_ik = J_k+1,i+1 J_k+2,i+2 - J_k+1,i+2 J_k+2,i+1 (mod 3).
+            k1, k2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
+            adj = (J[..., k1, k1[:, None]] * J[..., k2, k2[:, None]]
+                   - J[..., k1, k2[:, None]] * J[..., k2, k1[:, None]])
+            det = (J[..., 0, :] * adj[..., 0]).sum(axis=-1)
+        return det, adj / det[..., None, None]
+
+
 def _element_data(mesh, e, local, wts, nders, shapes):
     """Physical quadrature data of an element array at local points
     ``local`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
-    ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``."""
+    ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``. A
+    Jacobian (`_det_inv`) that is not finite and positive is a
+    DomainError."""
     N, dN, d2N = shapes
     P = mesh.nodes[mesh.element_nodes(e)]
     phys, J = element_map(P, N, dN)
-    det = np.linalg.det(J)
-    bad = np.any(det <= 0, axis=-1)
+    det, Jinv = _det_inv(J)
+    bad = np.any(~(np.isfinite(det) & (det > 0)), axis=-1)
     if bad.any():
-        raise DomainError(f"non-positive jacobian in element {e[bad][0]}")
-    Jinv = np.linalg.inv(J)
+        raise DomainError(f"non-finite or non-positive jacobian in element "
+                          f"{e[bad][0]}")
     # dN/dx_i = sum_j dN/dxi_j (J^-1)_ji.
     dNdx = dN @ Jinv
     d2Ndx2 = None
     if nders >= 2:
         # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
-        # the last term vanishing on affine maps only.
-        flat = d2N.shape[:-2] + (-1,)
-        d2x = np.swapaxes(P, -1, -2)[:, None] @ d2N.reshape(flat)
-        d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
-        Jinv = Jinv[..., None, :, :]
-        d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
+        # the last term vanishing on affine maps only. One (nen, d^2) @
+        # (d^2, d^2) product per point applies J^-1 (x) J^-1, whose entry
+        # [(k, l), (i, j)] is (J^-1)_ki (J^-1)_lj.
+        d2N = d2N.reshape(dN.shape[:-1] + (-1,))
+        d2N = d2N - dNdx @ (np.swapaxes(P, -1, -2)[:, None] @ d2N)
+        JJ = Jinv[..., :, None, :, None] * Jinv[..., None, :, None, :]
+        d2Ndx2 = (d2N @ JJ.reshape(J.shape[:-2] + (d2N.shape[-1],) * 2)
+                  ).reshape(dN.shape + dN.shape[-1:])
     return local, wts * det, N, dNdx, d2Ndx2, phys
 
 
@@ -607,6 +632,6 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
         nvec = np.stack([t[:, 1], -t[:, 0]], axis=-1)
     measure = np.linalg.norm(nvec, axis=1)
     # Orient outward: the tangent product is det(J) J^-T (-1)^axis e_axis.
-    sign = np.where(np.linalg.det(J) * side * (-1) ** axis >= 0, 1.0, -1.0)
+    sign = np.where(_det_inv(J)[0] * side * (-1) ** axis >= 0, 1.0, -1.0)
     normals = nvec * (sign / np.maximum(measure, 1e-300))[:, None]
     return elems, parent, phys, wts * measure, normals, N

@@ -27,6 +27,10 @@ own factorization. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
+`element_data_reference` is `mesh._element_data` by LAPACK's stacked
+determinants and inverses, with the second derivatives by two d x d
+products per point and node; the library inverts the Jacobians in
+closed form and takes one ``(nen, d^2) @ (d^2, d^2)`` product per point.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +40,8 @@ from mdfem.bspline import _basis_ders, _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import integrate_atb
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
-from mdfem.mesh import _TRIPLET_BUDGET, element_batches, sum_blocks
+from mdfem.mesh import (_TRIPLET_BUDGET, element_batches, element_map,
+                        sum_blocks)
 from mdfem.quadrature import gauss_1d
 from mdfem.system import _factor_spd
 
@@ -187,6 +192,27 @@ def eval_basis(d, x: float, nders: int = 0):
     if d.weights is not None:
         ders = _rationalize(ders, d.weights[indices], nders)
     return ders[0], indices
+
+
+def element_data_reference(mesh, e, local, wts, nders, shapes):
+    """`mesh._element_data` (same arguments and outputs) by
+    `np.linalg.det` and `np.linalg.inv`, and the chain rule for the second
+    derivatives as J^-T (d2N/dxi2 - sum_m dN/dx_m d2x_m/dxi2) J^-1, one
+    pair of d x d products per point and node."""
+    N, dN, d2N = shapes
+    P = mesh.nodes[mesh.element_nodes(e)]
+    phys, J = element_map(P, N, dN)
+    det = np.linalg.det(J)
+    Jinv = np.linalg.inv(J)
+    dNdx = dN @ Jinv
+    d2Ndx2 = None
+    if nders >= 2:
+        flat = d2N.shape[:-2] + (-1,)
+        d2x = np.swapaxes(P, -1, -2)[:, None] @ d2N.reshape(flat)
+        d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
+        Jinv = Jinv[..., None, :, :]
+        d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
+    return local, wts * det, N, dNdx, d2Ndx2, phys
 
 
 def b_matrix_solid(dNdx: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Mesh construction, mappings and facet quadrature."""
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mdfem.errors import ConfigError, PairingError
+from mdfem.elasticity import Material, SolidModel
+from mdfem.errors import ConfigError, DomainError, PairingError
 from mdfem.mesh import (
+    MODEL_DIMS,
     SplineDir,
+    _det_inv,
+    _element_data,
     build_mesh,
     bulk_points,
     element_map,
@@ -18,7 +23,9 @@ from mdfem.mesh import (
     quadrature_data,
 )
 from mdfem.structural import frame_transforms
-from oracles import boundary_facets, element_interval, tensor_rule
+from mdfem.system import System
+from oracles import (boundary_facets, element_data_reference,
+                     element_interval, tensor_rule)
 
 
 def to_global(mesh, x_storage):
@@ -241,6 +248,14 @@ def test_interior_points_map_back_to_same_element():
     assert_allclose(map_at(m, efound, xif)[0], x, atol=1e-9)
 
 
+def orthogonal(rng, shape, det):
+    """Random orthogonal matrices of ``shape`` (a stack of d x d) with
+    determinant ``det``: +1 for rotations, -1 for reflections."""
+    Q = np.linalg.qr(rng.standard_normal(shape))[0]
+    Q[..., 0] *= np.sign(det * np.linalg.det(Q))[..., None]
+    return Q
+
+
 @st.composite
 def placed_nets(draw):
     """Small 2D and 3D solids, straight or curved, as built, rotated or
@@ -254,9 +269,7 @@ def placed_nets(draw):
     kind = draw(st.sampled_from(["built", "rotated", "reflected"]))
     if kind != "built":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        if (np.linalg.det(Q) > 0) != (kind == "rotated"):
-            Q[:, 0] *= -1.0
+        Q = orthogonal(rng, (dim, dim), 1.0 if kind == "rotated" else -1.0)
         placement = {"origin": rng.uniform(-2.0, 2.0, dim), "rotation": Q}
     m = build_mesh(f"solid{dim}d", "lagrange" if degree == 1 else "spline",
                    degree, nelems, extents, **placement)
@@ -596,3 +609,101 @@ def test_element_data_rejects_other_derivative_orders(nders):
                  lambda: parent_data(mesh, 0, [[0.0, 0.0]], nders=nders)):
         with pytest.raises(ConfigError, match=f"1 .* or 2 .*got {nders}"):
             call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(0, 6),
+       det=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
+def test_det_inv_matches_lapack(dim, n, det, seed):
+    """Rotations and reflections, sheared by I + S (|S| < 1) and scaled
+    by 1e-3 to 1e3, in a ``(2, n)`` stack or (n = 0) alone."""
+    rng = np.random.default_rng(seed)
+    shape = (2, max(n, 1), dim, dim)
+    shear = np.eye(dim) + rng.uniform(-0.3, 0.3, shape)
+    J = (10.0 ** rng.uniform(-3.0, 3.0, shape[:2]))[..., None, None] * (
+        orthogonal(rng, shape, det) @ shear)
+    if n == 0:
+        J = J[0, 0]
+    got_det, got_inv = _det_inv(J)
+    ref_det, ref_inv = np.linalg.det(J), np.linalg.inv(J)
+    assert got_det.shape == ref_det.shape and got_inv.shape == J.shape
+    assert (np.abs(got_det - ref_det) <= 1e-12 * np.abs(ref_det)).all()
+    assert (np.abs(got_inv - ref_inv).max(axis=(-2, -1))
+            <= 1e-12 * np.abs(ref_inv).max(axis=(-2, -1))).all()
+
+
+@st.composite
+def mapped_meshes(draw):
+    """Beams, plates and 2D and 3D solids of degree 1-3: straight or
+    curved, NURBS-weighted or not, solids rotated or not."""
+    model = draw(st.sampled_from(sorted(MODEL_DIMS)))
+    dim = MODEL_DIMS[model]
+    degree = draw(st.integers(1, 3))
+    nelems = draw(st.tuples(*[st.integers(1, 3)] * dim))
+    extents = [(lo, lo + ln) for lo, ln in draw(st.tuples(
+        *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 10.0))] * dim))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kwargs = {}
+    if degree > 1 and draw(st.booleans()):
+        kwargs["weights"] = [rng.uniform(0.5, 1.5, ne + degree)
+                             for ne in nelems]
+    if model.startswith("solid") and draw(st.booleans()):
+        kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
+                      rotation=orthogonal(rng, (dim, dim), 1.0))
+    m = build_mesh(model, "lagrange" if degree == 1 else "spline", degree,
+                   nelems, extents, **kwargs)
+    if draw(st.booleans()):
+        size = min(hi - lo for lo, hi in extents)
+        m.nodes = m.nodes + 0.02 * size * np.sin(m.nodes[:, ::-1] / size)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=mapped_meshes(), data=st.data())
+def test_element_data_matches_the_lapack_chain_rule(m, data):
+    """Every `_element_data` output of `bulk_points` and `parent_data`
+    with second derivatives is within 1e-12 of its largest entry of the
+    reference by LAPACK inverses and two d x d products per point and
+    node."""
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _element_data(*args)))
+        return calls[-1][1]
+
+    npts = data.draw(st.integers(1, 5))
+    elems = np.array(data.draw(st.lists(st.integers(0, m.nelem - 1),
+                                        min_size=npts, max_size=npts)))
+    parent = np.array(data.draw(st.lists(
+        st.tuples(*[st.floats(-1.0, 1.0)] * m.dim),
+        min_size=npts, max_size=npts)))
+    with mock.patch("mdfem.mesh._element_data", spy):
+        bulk_points(m, np.arange(m.nelem), nders=2)
+        parent_data(m, elems, parent, nders=2)
+    assert len(calls) == 2
+    for args, out in calls:
+        for got, want in zip(out, element_data_reference(*args)):
+            assert_allclose(got, want, rtol=0.0,
+                            atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "zero-area"])
+def test_non_finite_or_flat_jacobian_is_a_domain_error(bad):
+    """A NaN or infinite control point, or a net flattened onto a line,
+    raises DomainError from the quadrature data and from the solve, with
+    no floating-point warning on the way."""
+    m = build_mesh("solid2d", "spline", 2, (3, 3), [(0, 3), (0, 3)])
+    clamped = np.flatnonzero(m.nodes[:, 0] == 0.0)
+    if bad == "zero-area":
+        m.nodes[:, 1] = 0.0
+    else:
+        m.nodes[5, 0] = float(bad)
+    system = System([SolidModel(m, Material(E=1.0, nu=0.3))])
+    system.fix(0, np.concatenate([2 * clamped, 2 * clamped + 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-positive jacobian in "
+                                              "element 0"):
+            bulk_points(m, np.arange(m.nelem), nders=2)
+        with pytest.raises(DomainError, match="non-positive jacobian"):
+            system.solve()
