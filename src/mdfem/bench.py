@@ -30,13 +30,16 @@ from .system import System
 # End-loaded cantilever: geometry, material and load of the 2D cases.
 CANTILEVER = {"E": 3.0e7, "nu": 0.3, "D": 6.0, "L": 48.0, "P": 1000.0}
 
-# Cantilever plate: a 3D solid strip continued by a plate model.
+# Cantilever plate: a 3D solid strip continued by a plate model, tied
+# with a fixed stabilization.
 PLATE3D = {"E": 1000.0, "nu": 0.3, "length": 320.0, "width": 25.0,
-           "thickness": 20.0, "edge_load": 10.0}
+           "thickness": 20.0, "edge_load": 10.0, "alpha": 5.0e3}
 
-# Clamped square plate with an embedded solid patch under gravity.
+# Clamped square plate with an embedded solid patch under gravity: the
+# fixed stabilization and the x shift of the relocated rerun.
 SQUARE_PLATE = {"E": 1000.0, "nu": 0.3, "span": 400.0, "thickness": 20.0,
-                "patch": 100.0, "pressure": 10.0}
+                "patch": 100.0, "pressure": 10.0, "alpha": 1.0e6,
+                "shift": 20.0}
 
 
 def timoshenko_exact(x, y, consts=None):
@@ -124,7 +127,7 @@ def _edge_exact_clamp(solid, consts):
     return dofs, np.concatenate([coeffs[:, 0], coeffs[:, 1]])
 
 
-def centerline_profile(solid, struct, a_s, a_b, consts, nsample=97):
+def centerline_profile(solid, struct, a_s, a_b, consts, nsample):
     """Sampled u_y along y = 0: arrays ``(x, computed, exact)``.
 
     Points left of the solid's right face are read from the solid,
@@ -142,8 +145,10 @@ def centerline_profile(solid, struct, a_s, a_b, consts, nsample=97):
     return xs, uy, ref
 
 
-def _region_disp_error(solid, a_s, consts, nx=21, ny=7):
-    """Relative L2 error of the displacement vector over the solid box."""
+def _region_disp_error(solid, a_s, consts):
+    """Relative L2 error of the displacement vector over the solid box,
+    sampled on a 21 x 7 grid."""
+    nx, ny = 21, 7
     (x0, x1), (y0, y1) = solid.mesh.box
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
@@ -157,17 +162,18 @@ def _region_disp_error(solid, a_s, consts, nx=21, ny=7):
     return float(np.sqrt(num / den))
 
 
-def _line_stress_error(solid, a_s, consts, x, row, ny=33):
+def _line_stress_error(solid, a_s, consts, x, row):
     """Relative L2 error of Voigt stress ``row`` along the vertical line
-    at ``x``: the bending stress (0) or the shear (2)."""
-    ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], ny)
+    at ``x``, sampled at 33 points: the bending stress (0) or the shear
+    (2)."""
+    ys = np.linspace(-0.5 * consts["D"], 0.5 * consts["D"], 33)
     vals = sample_points(solid, a_s,
-                         np.column_stack([np.full(ny, x), ys]))[1][:, row]
+                         np.column_stack([np.full_like(ys, x), ys]))[1][:, row]
     ref = timoshenko_exact(x, ys, consts)[2 + row]
     return _rel_l2(vals - ref, ref, ys)
 
 
-def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample=97):
+def _cantilever_metrics(sysm, sol, solid, struct, consts, nsample):
     a_s = sysm.model_part(sol.a, 0)
     a_b = sysm.model_part(sol.a, 1)
     tip = sample_points(struct, a_b, [struct.mesh.box[0, 1]])[0][0, 1]
@@ -243,8 +249,8 @@ def run_cantilever(basis, degree, solid_nelems, beam_nelems, *,
     return (metrics, state) if return_state else metrics
 
 
-def _case_timo_q4_conforming(alpha=4.7128e7):
-    return run_cantilever("lagrange", 1, (40, 10), 29, alpha=alpha)
+def _case_timo_q4_conforming():
+    return run_cantilever("lagrange", 1, (40, 10), 29, alpha=4.7128e7)
 
 
 def _case_timo_q4_alpha_auto():
@@ -258,8 +264,8 @@ def _case_timo_q4_alpha_auto():
     return metrics
 
 
-def _case_timo_spline_conforming(nu=0.3, alpha=5.5e9):
-    return run_cantilever("spline", 3, (16, 4), 4, nu=nu, alpha=alpha)
+def _case_timo_spline_conforming():
+    return run_cantilever("spline", 3, (16, 4), 4, alpha=5.5e9)
 
 
 def _case_timo_spline_shear_study():
@@ -269,7 +275,7 @@ def _case_timo_spline_shear_study():
     solid side inherits a boundary-layer error; switching off nu removes
     most of the model mismatch and the profile error must drop.
     """
-    with_nu = _case_timo_spline_conforming(nu=0.3)
+    with_nu = _case_timo_spline_conforming()
     without = run_cantilever("spline", 3, (16, 4), 4, nu=0.0, alpha="auto")
     return {
         "interface_sxy_rel_l2_nu03": with_nu["interface_sxy_rel_l2"],
@@ -305,7 +311,7 @@ def _case_timo_spline_refinement():
     }
 
 
-def _case_timo_nonconforming(l_c=29.97, alpha=1.0e10):
+def _case_timo_nonconforming():
     """Solid overlapping the beam mesh, cut close to an element boundary.
 
     The cut leaves a sliver of the beam element left of l_c; the overlap
@@ -314,7 +320,8 @@ def _case_timo_nonconforming(l_c=29.97, alpha=1.0e10):
     conforming twin re-meshes the beam to start exactly at l_c on the
     same solid mesh.
     """
-    metrics = run_cantilever("spline", 3, (32, 4), 8, alpha=alpha,
+    l_c = 29.97
+    metrics = run_cantilever("spline", 3, (32, 4), 8, alpha=1.0e10,
                               solid_span=(0.0, l_c), covered_to=l_c)
     twin = run_cantilever("spline", 3, (32, 4), 8, alpha="auto",
                            solid_span=(0.0, l_c), beam_span=(l_c, 48.0))
@@ -328,8 +335,7 @@ def _case_timo_nonconforming(l_c=29.97, alpha=1.0e10):
 # Plane frame ----------------------------------------------------------
 
 
-def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
-                E=3.0e6, P=1.0, alpha=1.0e7):
+def _case_frame(P=1.0):
     """L-frame: beam column and beam span tied to a solid joint panel.
 
     The vertical member runs up global y, turns through a continuum
@@ -337,9 +343,10 @@ def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
     vertical point load. The reference solution solves the same L-shaped
     body as a single continuum with the region outside the members
     deactivated. E is sized so the fixed stabilization sits within the
-    spectral estimate's validity band.
+    spectral estimate's validity band. ``P`` scales the load.
     """
-    mat = Material(E=E, nu=0.3, thickness=depth)
+    depth, column, joint_top, span_end = 3.0, 37.5, 49.5, 48.0
+    mat = Material(E=3.0e6, nu=0.3, thickness=depth)
     half = 0.5 * depth
     y_span = joint_top - half
 
@@ -359,7 +366,7 @@ def _case_frame(depth=3.0, column=37.5, joint_top=49.5, span_end=48.0,
                                       strip=((joint_top - depth, joint_top),)))
     sysm.fix(1, [0, 1, 2])
     sysm.load(2, span.point_load(span_end, (0.0, -P, 0.0)))
-    sol = sysm.solve(alpha=alpha)
+    sol = sysm.solve(alpha=1.0e7)
     tip = sample_points(span, sysm.model_part(sol.a, 2), [span_end])[0][0]
     drift = sample_points(col, sysm.model_part(sol.a, 1), [column])[0][0]
 
@@ -428,7 +435,7 @@ def _case_plate3d_reference():
             "_solve": sol.stats}
 
 
-def _run_plate3d_mda(theory, alpha):
+def _run_plate3d_mda(theory):
     c = PLATE3D
     solid, mat = _plate3d_solid(0.5 * c["length"], (32, 4, 5))
     pmesh = build_mesh("plate", "spline", 3, (16, 2),
@@ -439,15 +446,15 @@ def _run_plate3d_mda(theory, alpha):
     sysm.add_coupling(build_interface(solid, plate, axis=0, side=1))
     sysm.fix(0, _face_dofs(solid.mesh, 3))
     sysm.load(1, plate.edge_load(0, 1, -c["edge_load"]))
-    sol = sysm.solve(alpha=alpha)
+    sol = sysm.solve(alpha=c["alpha"])
     tip = sample_points(plate, sysm.model_part(sol.a, 1),
                         (c["length"], 0.5 * c["width"]))[0][0]
     return {"alpha": float(sol.alphas[0]), "tip_uz": float(tip[2]),
             "residual": float(sol.residual), "_solve": sol.stats}
 
 
-def _case_plate3d_conforming(theory="mindlin", alpha=5.0e3, ref_tip=None):
-    metrics = _run_plate3d_mda(theory, alpha)
+def _case_plate3d_conforming(theory, ref_tip=None):
+    metrics = _run_plate3d_mda(theory)
     if ref_tip is None:
         ref_tip = _case_plate3d_reference()["tip_uz"]
     metrics["reference_tip_uz"] = float(ref_tip)
@@ -457,9 +464,9 @@ def _case_plate3d_conforming(theory="mindlin", alpha=5.0e3, ref_tip=None):
     return metrics
 
 
-def _case_plate3d_nonconforming(l_c=175.0, alpha=5.0e3, conforming_tip=None):
+def _case_plate3d_nonconforming(conforming_tip=None):
     """Solid extended past the plate's element boundary at x = 170."""
-    c = PLATE3D
+    c, l_c = PLATE3D, 175.0
     solid, mat = _plate3d_solid(l_c, (32, 4, 5))
     pmesh = build_mesh("plate", "spline", 3, (32, 2),
                        ((0.0, c["length"]), (0.0, c["width"])),
@@ -471,11 +478,11 @@ def _case_plate3d_nonconforming(l_c=175.0, alpha=5.0e3, conforming_tip=None):
     sysm.add_coupling(build_interface(solid, wrap, axis=0, side=1))
     sysm.fix(0, _face_dofs(solid.mesh, 3))
     sysm.load(1, wrap.edge_load(0, 1, -c["edge_load"]))
-    sol = sysm.solve(alpha=alpha)
+    sol = sysm.solve(alpha=c["alpha"])
     tip = sample_points(wrap, sysm.model_part(sol.a, 1),
                         (c["length"], 0.5 * c["width"]))[0][0]
     if conforming_tip is None:
-        conforming_tip = _run_plate3d_mda("mindlin", alpha)["tip_uz"]
+        conforming_tip = _run_plate3d_mda("mindlin")["tip_uz"]
     return {
         "alpha": float(sol.alphas[0]),
         "tip_uz": float(tip[2]),
@@ -498,7 +505,7 @@ def _clamped_rows(mesh):
     return (gi0 + n0 * gi1)[edge].ravel()
 
 
-def _case_square_plate(alpha=1.0e6, shift=20.0):
+def _case_square_plate():
     """Kirchhoff plate under gravity with a solid patch glued into it.
 
     The patch region of the plate is deactivated and replaced by a 3D
@@ -538,15 +545,15 @@ def _case_square_plate(alpha=1.0e6, shift=20.0):
         sysm.load(1, wrap.pressure_load(-c["pressure"]))
         sysm.load(0, solid.body_force(
             (0.0, 0.0, -c["pressure"] / c["thickness"])))
-        sol = sysm.solve(alpha=alpha)
+        sol = sysm.solve(alpha=c["alpha"])
         u = sample_points(solid, sysm.model_part(sol.a, 0),
                           (center[0], center[1], 0.5 * c["thickness"]))[0][0]
         return float(u[2]), sol
 
     w_0, sol_0 = embedded(lo)
-    w_shift, sol_shift = embedded(lo + shift)
+    w_shift, sol_shift = embedded(lo + c["shift"])
     return {
-        "alpha": alpha,
+        "alpha": c["alpha"],
         "center_w_plate": float(w_plate),
         "center_uz_embedded": w_0,
         "center_rel_diff": abs(w_0 - w_plate) / abs(w_plate),
@@ -564,9 +571,6 @@ def _case_square_plate(alpha=1.0e6, shift=20.0):
 class BenchCase:
     """A runnable configuration with the bounds its metrics must meet."""
 
-    name: str
-    summary: str
-    alpha_policy: str
     runner: Callable[..., dict]
     expected: dict
     # Runner parameter -> (earlier case, metric) it can take from that
@@ -574,103 +578,42 @@ class BenchCase:
     inputs: dict = field(default_factory=dict)
 
 
-CASES: dict[str, BenchCase] = {}
-
-
-def _register(name, summary, alpha_policy, runner, expected, inputs=None):
-    CASES[name] = BenchCase(name, summary, alpha_policy, runner, expected,
-                            inputs or {})
-
-
-_register(
-    "timo-q4-conforming",
-    "40x10 Q4 solid half + 29 linear shear-flexible beam elements",
-    "fixed 4.7128e7",
-    _case_timo_q4_conforming,
-    {"tip_rel_err": (0.0, 0.015), "centerline_uy_rel_l2": (0.0, 0.02)},
-)
-_register(
-    "timo-q4-alpha-auto",
-    "same split, stabilization from the spectral estimate",
-    "auto",
-    _case_timo_q4_alpha_auto,
-    {"alpha": (2.4e7, 9.4e7), "tip_rel_err": (0.0, 0.015),
-     "understabilized_fails": (1.0, 1.0)},
-)
-_register(
-    "timo-spline-conforming",
-    "16x4 bi-cubic solid half + 4 cubic beam elements",
-    "fixed 5.5e9",
-    _case_timo_spline_conforming,
-    {"tip_rel_err": (0.0, 0.015), "centerline_uy_rel_l2": (0.0, 0.02),
-     "sxx_line_rel_l2": (0.0, 0.03)},
-)
-_register(
-    "timo-spline-shear-study",
-    "interface shear profile mismatch, nu = 0.3 against nu = 0",
-    "fixed 5.5e9 / auto",
-    _case_timo_spline_shear_study,
-    {"mismatch_ratio": (0.0, 0.999)},
-)
-_register(
-    "timo-spline-refinement",
-    "displacement error under two knot-span halvings",
-    "fixed 5.5e9",
-    _case_timo_spline_refinement,
-    {"ratio_10": (0.0, 0.999), "ratio_21": (0.0, 0.999)},
-)
-_register(
-    "timo-nonconforming-29.97",
-    "32x4 cubic solid overlapping an 8-element cubic beam",
-    "fixed 1e10 (spectral estimate undefined across the sliver)",
-    _case_timo_nonconforming,
-    {"tip_vs_conforming_rel": (0.0, 0.01)},
-)
-_register(
-    "frame",
-    "beam column + beam span tied to a solid joint, continuum reference",
-    "fixed 1e7",
-    _case_frame,
-    {"tip_vs_reference_rel": (0.0, 0.03)},
-)
-_register(
-    "plate3d-reference",
-    "full 64x4x5 tri-cubic continuum cantilever plate",
-    "none (single model)",
-    _case_plate3d_reference,
-    {},
-)
-_register(
-    "plate3d-conforming-mindlin",
-    "32x4x5 tri-cubic solid + 16x2 cubic shear-flexible plate",
-    "fixed 5e3",
-    partial(_case_plate3d_conforming, theory="mindlin"),
-    {"tip_vs_reference_rel": (0.0, 0.05)},
-    {"ref_tip": ("plate3d-reference", "tip_uz")},
-)
-_register(
-    "plate3d-conforming-kirchhoff",
-    "32x4x5 tri-cubic solid + 16x2 cubic rotation-free plate",
-    "fixed 5e3",
-    partial(_case_plate3d_conforming, theory="kirchhoff"),
-    {"tip_vs_reference_rel": (0.0, 0.05)},
-    {"ref_tip": ("plate3d-reference", "tip_uz")},
-)
-_register(
-    "plate3d-nonconforming",
-    "solid to x = 175 overlapping a 32x2 cubic plate of the full span",
-    "fixed 5e3",
-    _case_plate3d_nonconforming,
-    {"tip_vs_conforming_rel": (0.0, 0.03)},
-    {"conforming_tip": ("plate3d-conforming-mindlin", "tip_uz")},
-)
-_register(
-    "square-plate-embedded",
-    "clamped square plate under gravity with an embedded solid patch",
-    "fixed 1e6",
-    _case_square_plate,
-    {"center_rel_diff": (0.0, 0.03), "shifted_rel_diff": (0.0, 0.05)},
-)
+CASES: dict[str, BenchCase] = {
+    "timo-q4-conforming": BenchCase(
+        _case_timo_q4_conforming,
+        {"tip_rel_err": (0.0, 0.015), "centerline_uy_rel_l2": (0.0, 0.02)}),
+    "timo-q4-alpha-auto": BenchCase(
+        _case_timo_q4_alpha_auto,
+        {"alpha": (2.4e7, 9.4e7), "tip_rel_err": (0.0, 0.015),
+         "understabilized_fails": (1.0, 1.0)}),
+    "timo-spline-conforming": BenchCase(
+        _case_timo_spline_conforming,
+        {"tip_rel_err": (0.0, 0.015), "centerline_uy_rel_l2": (0.0, 0.02),
+         "sxx_line_rel_l2": (0.0, 0.03)}),
+    "timo-spline-shear-study": BenchCase(
+        _case_timo_spline_shear_study, {"mismatch_ratio": (0.0, 0.999)}),
+    "timo-spline-refinement": BenchCase(
+        _case_timo_spline_refinement,
+        {"ratio_10": (0.0, 0.999), "ratio_21": (0.0, 0.999)}),
+    "timo-nonconforming-29.97": BenchCase(
+        _case_timo_nonconforming, {"tip_vs_conforming_rel": (0.0, 0.01)}),
+    "frame": BenchCase(_case_frame, {"tip_vs_reference_rel": (0.0, 0.03)}),
+    "plate3d-reference": BenchCase(_case_plate3d_reference, {}),
+    "plate3d-conforming-mindlin": BenchCase(
+        partial(_case_plate3d_conforming, theory="mindlin"),
+        {"tip_vs_reference_rel": (0.0, 0.05)},
+        {"ref_tip": ("plate3d-reference", "tip_uz")}),
+    "plate3d-conforming-kirchhoff": BenchCase(
+        partial(_case_plate3d_conforming, theory="kirchhoff"),
+        {"tip_vs_reference_rel": (0.0, 0.05)},
+        {"ref_tip": ("plate3d-reference", "tip_uz")}),
+    "plate3d-nonconforming": BenchCase(
+        _case_plate3d_nonconforming, {"tip_vs_conforming_rel": (0.0, 0.03)},
+        {"conforming_tip": ("plate3d-conforming-mindlin", "tip_uz")}),
+    "square-plate-embedded": BenchCase(
+        _case_square_plate,
+        {"center_rel_diff": (0.0, 0.03), "shifted_rel_diff": (0.0, 0.05)}),
+}
 
 
 def case_names():

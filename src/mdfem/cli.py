@@ -186,24 +186,24 @@ def _validate_cantilever(cfg):
 
 
 def check_overrides(case, overrides):
-    """``overrides`` of bench case ``case``'s runner keywords: ``alpha`` of
-    the kind of ``coupling.alpha``, every other one (all default to a
-    float or None) a finite number. Raises ConfigError naming
+    """``overrides`` of bench case ``case``'s runner parameters, each a
+    finite number (stored as a float). The keywords a `partial`
+    registration fixes and the inputs a case takes from earlier cases
+    (`BenchCase.inputs`) are not parameters; of the registered cases only
+    ``frame`` takes one, its load factor ``P``. Raises ConfigError naming
     ``overrides.<key>`` and listing the case's parameters."""
-    runner = bench.get_case(case).runner
-    # Keywords a `partial` registration fixes are not parameters.
-    params = [name for name in inspect.signature(runner).parameters
-              if name not in getattr(runner, "keywords", {})]
+    entry = bench.get_case(case)
+    fixed = {**getattr(entry.runner, "keywords", {}), **entry.inputs}
+    params = [name for name in inspect.signature(entry.runner).parameters
+              if name not in fixed]
     listed = f"(case {case!r} takes: {', '.join(params) or 'nothing'})"
     out = {}
     for key, value in overrides.items():
         path = f"overrides.{key}"
-        kind, _, rule = (_SCHEMA["coupling.alpha"] if key == "alpha"
-                         else ("number", None, None))
         try:
             if key not in params:
                 _fail(path, "unknown parameter")
-            out[key] = check_value(path, value, kind, rule)
+            out[key] = check_value(path, value, "number", None)
         except ConfigError as exc:
             raise ConfigError(f"{exc} {listed}") from None
     return out

@@ -5,7 +5,9 @@ Voigt order is fixed program-wide: [xx, yy, xy] in 2D and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,14 +34,18 @@ class Material:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.E <= 0:
-            raise ConfigError(f"Young's modulus must be positive, got {self.E}")
+        for name in ("E", "nu", "k_shear", "thickness", "width"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"material {name} must be a finite number, "
+                                  f"got {value!r}")
+            if name != "nu" and not value > 0:
+                raise ConfigError(f"material {name} must be positive, "
+                                  f"got {value}")
         if not -1.0 < self.nu < 0.5:
-            raise ConfigError(f"Poisson ratio must be in (-1, 0.5), got {self.nu}")
-        if self.thickness <= 0 or self.width <= 0:
-            raise ConfigError("section dimensions must be positive")
-        if self.k_shear <= 0:
-            raise ConfigError("shear correction factor must be positive")
+            raise ConfigError(f"material nu must be in (-1, 0.5), "
+                              f"got {self.nu}")
 
     @property
     def G(self):
@@ -52,10 +58,6 @@ class Material:
     @property
     def inertia(self):
         return self.width * self.thickness**3 / 12.0
-
-    @property
-    def plate_rigidity(self):
-        return self.E * self.thickness**3 / (12.0 * (1.0 - self.nu**2))
 
 
 def constitutive_solid(material: Material, dim: int) -> np.ndarray:

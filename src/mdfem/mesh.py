@@ -137,14 +137,15 @@ class Mesh:
         Points up to 1e-10 of a direction's length outside the box are
         clamped onto it; a point on an interior element boundary belongs to
         the element on its upper side. Raises DomainError for any point
-        further outside.
+        further outside, and for a NaN coordinate.
         """
         x = np.asarray(x_local, dtype=float)
         pts = np.atleast_2d(x)
         gi = []
         for k, d in enumerate(self.dirs):
             t, lo, hi = pts[:, k], d.lo, d.hi
-            bad = (t < lo - 1e-10 * (hi - lo)) | (t > hi + 1e-10 * (hi - lo))
+            tol = 1e-10 * (hi - lo)
+            bad = ~((t >= lo - tol) & (t <= hi + tol))  # NaN too
             if bad.any():
                 raise DomainError(f"local coordinate {t[bad][0]} outside "
                                   f"direction {k} range [{lo}, {hi}]")

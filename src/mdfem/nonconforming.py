@@ -12,6 +12,8 @@ any model.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 from .errors import (
@@ -34,9 +36,14 @@ class OverlapRegion:
     """
 
     def __init__(self, bounds):
-        arr = np.atleast_2d(np.asarray(bounds, dtype=float))
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ConfigError("region bounds must be (lo, hi) pairs")
+        try:
+            arr = np.atleast_2d(np.asarray(bounds, dtype=float))
+        except (TypeError, ValueError):
+            arr = None
+        if (arr is None or arr.ndim != 2 or arr.shape[1] != 2
+                or np.isnan(arr).any()):
+            raise ConfigError(f"region bounds must be (lo, hi) pairs of "
+                              f"numbers, got {bounds!r}")
         self.bounds = tuple((float(lo), float(hi)) for lo, hi in arr)
         for lo, hi in self.bounds:
             if not lo < hi:
@@ -147,6 +154,13 @@ class NonconformingModel:
 
     def __init__(self, model, region: OverlapRegion, *,
                  threshold: float = 0.01, ncut: int = 10):
+        if (isinstance(ncut, bool) or not isinstance(ncut, Integral)
+                or ncut < 1):
+            raise ConfigError(f"ncut must be an integer >= 1, got {ncut!r}")
+        if (isinstance(threshold, bool) or not isinstance(threshold, Real)
+                or not 0.0 < threshold <= 1.0):
+            raise ConfigError(
+                f"threshold must be in (0, 1], got {threshold!r}")
         self._model = model
         mesh = model.mesh
         self.region = region

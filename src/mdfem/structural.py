@@ -104,19 +104,6 @@ class BeamModel(Model):
         self.kinematics = KINEMATICS[theory] if self.ncomp_node == 1 else \
             tuple(np.einsum("psck,cd->psdk", t, r) for t in KINEMATICS[theory])
 
-    # section shortcuts
-    @property
-    def EI(self):
-        return self.material.E * self.material.inertia
-
-    @property
-    def EA(self):
-        return self.material.E * self.material.area
-
-    @property
-    def kGA(self):
-        return self.material.k_shear * self.material.G * self.material.area
-
     @property
     def solid_stress_rows(self):
         return None  # couples against the full 2D Voigt stress

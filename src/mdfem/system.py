@@ -47,13 +47,13 @@ class System:
     """Coupled models sharing one global DOF space, their inactive DOFs
     pinned to zero and one stabilization alpha for all couplings."""
 
-    def __init__(self, models, couplings=()):
+    def __init__(self, models):
         models = list(models)
         for i, m in enumerate(models):
             if any(m is other for other in models[:i]):
                 raise ConfigError("each model may appear only once")
         self.models = models
-        self.couplings = list(couplings)
+        self.couplings = []
         self.offsets = np.concatenate(
             [[0], np.cumsum([m.ndof for m in models])]
         ).astype(int)
@@ -82,8 +82,15 @@ class System:
         return self.models[idx]
 
     def global_dofs(self, idx, local_dofs):
-        local = np.asarray(local_dofs, dtype=int)
+        local = np.asarray(local_dofs)
         n = self._model(idx).ndof
+        if not np.issubdtype(local.dtype, np.integer):
+            bad = [v for v in local.ravel().tolist()
+                   if isinstance(v, bool) or not isinstance(v, int)]
+            if bad:
+                raise ConfigError(f"model {idx}: local DOF {bad[0]!r} is not "
+                                  "an integer")
+        local = local.astype(int)
         bad = local[(local < 0) | (local >= n)]
         if bad.size:
             raise ConfigError(f"model {idx}: local DOF {bad[0]} outside "

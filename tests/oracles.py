@@ -14,8 +14,10 @@ whole batches on known spans (`SplineDir.eval`). `signed_distance` and
 `inside` test points against an `OverlapRegion` one point at a time;
 the library classifies and cuts elements from per-direction covering
 flags instead. `b_matrix_solid` and `integrate_btcb` build the solid
-strain matrix by hand and integrate w B^T C B; the library states each
-model's kinematics as a table and integrates its stiffness form.
+strain matrix by hand and integrate w B^T C B, and `section_rigidities`
+gives a beam section's EA, EI and kGA from its `Material`; the library
+states each model's kinematics as a table and integrates its stiffness
+form over the section.
 `coupling_matrices` assembles a coupling interface's Nitsche blocks on
 every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
@@ -241,6 +243,13 @@ def b_matrix_solid(dNdx: np.ndarray) -> np.ndarray:
     B[:, 5, 0::3] = dz
     B[:, 5, 2::3] = dx
     return B
+
+
+def section_rigidities(material):
+    """Axial, bending and shear rigidity ``(EA, EI, kGA)`` of a beam
+    section."""
+    m = material
+    return m.E * m.area, m.E * m.inertia, m.k_shear * m.G * m.area
 
 
 def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
-                     integrate_btcb, tensor_rule)
+                     integrate_btcb, section_rigidities, tensor_rule)
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
@@ -47,22 +47,23 @@ def oracle_solid(model, e):
 
 def oracle_beam(model, e):
     mesh = model.mesh
+    EA, EI, kGA = section_rigidities(model.material)
     if model.theory == "euler_bernoulli":
         _, w, _, _, d2, _ = oracle_points(mesh, e, nders=2)
         return integrate_btcb(d2[:, :, 0, 0][:, None, :],
-                              np.array([[model.EI]]), w)
+                              np.array([[EI]]), w)
     _, w, N, dNdx, _, _ = oracle_points(mesh, e)
     nq, nen = N.shape
     Bab = np.zeros((nq, 2, 3 * nen))
     Bab[:, 0, 0::3] = dNdx[:, :, 0]
     Bab[:, 1, 2::3] = dNdx[:, :, 0]
-    K = integrate_btcb(Bab, np.diag([model.EA, model.EI]), w)
+    K = integrate_btcb(Bab, np.diag([EA, EI]), w)
     if mesh.dirs[0].degree == 1:
         _, w, N, dNdx, _, _ = oracle_points(mesh, e, npts=1)
     Bs = np.zeros((len(w), 1, 3 * nen))
     Bs[:, 0, 1::3] = dNdx[:, :, 0]
     Bs[:, 0, 2::3] = -N
-    K += integrate_btcb(Bs, np.array([[model.kGA]]), w)
+    K += integrate_btcb(Bs, np.array([[kGA]]), w)
     R = np.kron(np.eye(nen), frame_transforms(model.phi)[2])
     return R.T @ K @ R
 

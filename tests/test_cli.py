@@ -97,9 +97,23 @@ class TestConfigValidation:
 
     def test_bench_overrides_take_the_kind_of_their_default(self):
         cfg = validate_config({"type": "bench", "case": "frame",
-                               "overrides": {"P": 2, "alpha": "auto"}})
-        assert cfg["overrides"] == {"P": 2.0, "alpha": "auto"}
+                               "overrides": {"P": 2}})
+        assert cfg["overrides"] == {"P": 2.0}
         assert type(cfg["overrides"]["P"]) is float
+
+    def test_only_the_frame_load_is_an_override(self):
+        """Fixed setup values are constants of their case, and inputs a
+        case takes from earlier cases are not overrides."""
+        from mdfem.bench import case_names
+
+        takes = {}
+        for name in case_names():
+            with pytest.raises(ConfigError) as exc:
+                validate_config({"type": "bench", "case": name,
+                                 "overrides": {"?": 1.0}})
+            takes[name] = str(exc.value).partition("takes: ")[2]
+        assert takes.pop("frame") == "P)"
+        assert set(takes.values()) == {"nothing)"}
 
     def test_empty_output_name_is_rejected(self):
         # Skipping a file takes null; "" is no file name.
@@ -321,16 +335,20 @@ class TestMain:
     @pytest.mark.parametrize("case, overrides, message", [
         ("frame", {"bogus": 1}, "overrides.bogus: unknown parameter"),
         ("frame", {"nu": "abc"}, "overrides.nu: unknown parameter"),
-        ("timo-spline-conforming", {"nu": "abc"},
-         "overrides.nu: expected a number"),
-        ("frame", {"alpha": "fast"}, "overrides.alpha: expected a number"),
+        ("timo-spline-conforming", {"nu": 0.0},
+         "overrides.nu: unknown parameter"),
+        ("frame", {"alpha": 1.0e7}, "overrides.alpha: unknown parameter"),
         ("plate3d-conforming-mindlin", {"theory": "kirchhoff"},
          "overrides.theory: unknown parameter"),
         ("frame", {"P": math.nan}, "overrides.P: must be finite"),
-        ("frame", {"E": math.inf}, "overrides.E: must be finite"),
-        ("frame", {"alpha": -math.inf}, "overrides.alpha: must be finite"),
-        ("frame", {"alpha": -1}, "overrides.alpha: must be > 0"),
-        ("timo-q4-conforming", {"alpha": 0}, "overrides.alpha: must be > 0"),
+        ("frame", {"E": 3.0e6}, "overrides.E: unknown parameter"),
+        ("plate3d-conforming-mindlin", {"ref_tip": -0.5},
+         "overrides.ref_tip: unknown parameter"),
+        ("plate3d-nonconforming", {"conforming_tip": -0.5},
+         "overrides.conforming_tip: unknown parameter"),
+        ("timo-q4-conforming", {"alpha": 0}, "overrides.alpha: unknown "
+                                             "parameter"),
+        ("frame", {"P": "fast"}, "overrides.P: expected a number"),
     ])
     def test_bad_bench_override_exits_1(self, tmp_path, capsys, case,
                                         overrides, message):

@@ -430,7 +430,8 @@ def test_system_assembles_the_lift_of_local_matrices(make):
     global map of the stacked local DOFs [solid | struct] is not
     monotone. The global coupling matrices are the lifted local ones."""
     op = make()
-    sysm = System([op.struct, op.solid], [op])
+    sysm = System([op.struct, op.solid])
+    sysm.add_coupling(op)
     ns, nb = op.solid.ndof, op.struct.ndof
     gmap = np.concatenate([nb + np.arange(ns), np.arange(nb)])
     for got, local in zip(sysm._coupling_matrices(True)[0],
@@ -486,8 +487,7 @@ def _numbering(op, numbering):
     if numbering == "local":
         return local_numbering(op)
     models = [op.solid, op.struct]
-    sysm = System(models[::-1] if numbering == "struct-first" else models,
-                  [op])
+    sysm = System(models[::-1] if numbering == "struct-first" else models)
     return ((sysm.offsets[sysm.model_index(op.solid)],
              sysm.offsets[sysm.model_index(op.struct)]), sysm.ndof)
 

@@ -52,6 +52,26 @@ class TestMaterial:
         with pytest.raises(ConfigError):
             Material(**kwargs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["E", "nu", "k_shear", "thickness",
+                                      "width"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "3e7",
+                                       None, True])
+    def test_non_finite_or_non_number_is_named(self, name, value):
+        # NaN and inf pass every comparison test below, and would fail
+        # only in scipy's solve; a string would fail them with a bare
+        # TypeError.
+        kwargs = {"E": 3.0e7, "nu": 0.3, name: value}
+        with pytest.raises(ConfigError, match=rf"^material {name} must be "
+                                              r"a finite number, got "):
+            Material(**kwargs)
+
+    @pytest.mark.parametrize("name", ["E", "k_shear", "thickness", "width"])
+    def test_non_positive_is_named(self, name):
+        with pytest.raises(ConfigError, match=rf"^material {name} must be "
+                                              r"positive, got -1"):
+            Material(**{"E": 3.0e7, "nu": 0.3, name: -1})
+
 
 class TestConstitutive:
     def test_plane_stress_nu_zero(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mdfem.bench import sample_points
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DomainError, PairingError
 from mdfem.mesh import (
@@ -544,6 +545,24 @@ def test_element_containing_puts_a_break_in_the_element_above(extent):
         np.testing.assert_array_equal(
             mesh.dirs[0].intervals(),
             np.column_stack([breaks[:-1], breaks[1:]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points, k", [
+    ([np.nan, 0.5], 0), ([0.5, np.nan], 1), ([[1.0, 1.0], [2.0, np.nan]], 1)])
+def test_element_containing_rejects_a_nan_coordinate(points, k):
+    """NaN fails the range test like a point outside the box. Every
+    comparison with NaN is false, so a test for "below lo or above hi"
+    would pass it on to an element (7 for [nan, 0.5] here), and sampling
+    would fail later on a misleading jacobian error."""
+    mesh = build_mesh("solid2d", "lagrange", 1, (4, 2),
+                      ((0.0, 4.0), (0.0, 1.0)))
+    msg = rf"^local coordinate nan outside direction {k} range"
+    with pytest.raises(DomainError, match=msg):
+        mesh.element_containing(points)
+    model = SolidModel(mesh, Material(E=1.0, nu=0.3))
+    with pytest.raises(DomainError, match=msg):
+        sample_points(model, np.zeros(model.ndof), points)
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,6 +63,16 @@ class TestOverlapRegion:
         with pytest.raises(ConfigError):
             OverlapRegion(((2.0, 1.0),))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds", [
+        "abc", (("a", 1.0),), ((0.0, None),), ((0.0, 1.0), (0.0,)),
+        ((0.0, 1.0, 2.0),)])
+    def test_non_numeric_bounds_rejected(self, bounds):
+        # numpy cannot read "abc" or ("a", 1.0) as floats, and reads None
+        # as NaN, which no interval test catches by name.
+        with pytest.raises(ConfigError, match="^region bounds must be"):
+            OverlapRegion(bounds)
+
 
 class TestClassify:
     def test_region_covering_nothing(self):
@@ -363,6 +373,32 @@ class TestCutRuleReuse:
 
 
 class TestNonconformingModel:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ncut": 0}, "ncut must be an integer >= 1, got 0"),
+        ({"ncut": 2.7}, "ncut must be an integer >= 1, got 2.7"),
+        ({"ncut": True}, "ncut must be an integer >= 1, got True"),
+        ({"ncut": "10"}, "ncut must be an integer >= 1, got '10'"),
+        ({"threshold": np.nan}, "threshold must be in (0, 1], got nan"),
+        ({"threshold": 0.0}, "threshold must be in (0, 1], got 0.0"),
+        ({"threshold": 1.5}, "threshold must be in (0, 1], got 1.5"),
+        ({"threshold": "0.01"}, "threshold must be in (0, 1], got '0.01'"),
+    ])
+    def test_bad_cut_settings_rejected(self, kwargs, message):
+        # int() would run ncut=2.7 as 2, ncut=0 would fail deep in the
+        # Gauss rule, and threshold=nan would pin no node and surface as a
+        # DegenerateCutError.
+        beam, region = _sliver_beam()
+        with pytest.raises(ConfigError) as exc:
+            NonconformingModel(beam, region, **kwargs)
+        assert str(exc.value) == message
+
+    def test_cut_settings_at_their_limits_run(self):
+        beam, _ = _sliver_beam()
+        nc = NonconformingModel(beam, OverlapRegion(((-INF, -1.0),)),
+                                ncut=np.int64(1), threshold=1.0)
+        assert (nc.ncut, nc.threshold) == (1, 1.0)
+
     def test_sliver_bench_wiring(self):
         nc = sliver_beam_model()
         np.testing.assert_array_equal(nc.inactive_nodes, [0, 1])
@@ -383,7 +419,10 @@ class TestNonconformingModel:
         inner = nc._model
         assert nc.mesh is inner.mesh
         assert nc.ndof == inner.ndof
-        assert nc.EI == inner.EI
+        # A property of the inner class runs with the wrapper as self.
+        assert nc.solid_stress_rows is None
+        plate = NonconformingModel(*_cut_plate_model())
+        assert plate.solid_stress_rows == (0, 1, 3, 4, 5)
         np.testing.assert_array_equal(nc.element_dofs(3),
                                       inner.element_dofs(3))
 
@@ -438,8 +477,8 @@ class TestNonconformingModel:
             BeamModel(build_mesh("beam", "lagrange", 1, 8, ((0.0, 24.0),),
                                  origin=(24.0, 0.0)), mat),
             OverlapRegion(((-INF, 6.0),)))
-        sys_nc = System([solid, beam_nc],
-                        [build_interface(solid, beam_nc, axis=0, side=1)])
+        sys_nc = System([solid, beam_nc])
+        sys_nc.add_coupling(build_interface(solid, beam_nc, axis=0, side=1))
         sys_nc.fix(0, fixed)
         sys_nc.load(1, beam_nc.point_load(24.0, (0.0, -10.0, 0.0)))
         a_nc = sys_nc.solve(alpha=alpha).a
@@ -447,8 +486,8 @@ class TestNonconformingModel:
         beam_c = BeamModel(
             build_mesh("beam", "lagrange", 1, 6, ((0.0, 18.0),),
                        origin=(30.0, 0.0)), mat)
-        sys_c = System([solid, beam_c],
-                       [build_interface(solid, beam_c, axis=0, side=1)])
+        sys_c = System([solid, beam_c])
+        sys_c.add_coupling(build_interface(solid, beam_c, axis=0, side=1))
         sys_c.fix(0, fixed)
         sys_c.load(1, beam_c.point_load(18.0, (0.0, -10.0, 0.0)))
         a_c = sys_c.solve(alpha=alpha).a
@@ -473,8 +512,8 @@ class TestNonconformingModel:
             BeamModel(build_mesh("beam", "lagrange", 1, 8, ((0.0, 24.0),),
                                  origin=(24.0, 0.0)), mat),
             OverlapRegion(((-INF, 5.97),)))
-        sys = System([solid, beam],
-                     [build_interface(solid, beam, axis=0, side=1)])
+        sys = System([solid, beam])
+        sys.add_coupling(build_interface(solid, beam, axis=0, side=1))
         clamp = np.nonzero(np.abs(solid.mesh.nodes[:, 0]) < 1e-12)[0]
         sys.fix(0, np.concatenate([2 * clamp, 2 * clamp + 1]))
         sys.load(1, beam.point_load(24.0, (0.0, -1000.0, 0.0)))

@@ -318,11 +318,10 @@ def test_bench_all_hands_results_to_later_cases(tmp_path, monkeypatch):
             ref = source()["tip"]
         return {"ref": ref, "ratio": ref / 5.0}
 
-    cases = {}
-    monkeypatch.setattr(bench, "CASES", cases)
-    bench._register("src", "", "", source, {"tip": (0.0, 3.0)})
-    bench._register("snk", "", "", sink, {"ratio": (0.0, 1.0)},
-                    {"ref": ("src", "tip")})
+    monkeypatch.setattr(bench, "CASES", {
+        "src": bench.BenchCase(source, {"tip": (0.0, 3.0)}),
+        "snk": bench.BenchCase(sink, {"ratio": (0.0, 1.0)},
+                               {"ref": ("src", "tip")})})
     assert main(["bench", "all", "--out-dir", str(tmp_path / "all"),
                  "--quiet"]) == 0
     assert runs == ["source", "sink+ref"]

@@ -35,6 +35,14 @@ def small_coupled():
     return solid, beam, op
 
 
+def coupled(models, *ops):
+    """A `System` over ``models`` with the couplings ``ops`` added."""
+    sysm = System(models)
+    for op in ops:
+        sysm.add_coupling(op)
+    return sysm
+
+
 def clamped_edge_dofs(solid, value=0.0):
     nodes = np.nonzero(np.abs(solid.mesh.nodes[:, 0]) < 1e-12)[0]
     return np.concatenate([2 * nodes, 2 * nodes + 1])
@@ -43,7 +51,7 @@ def clamped_edge_dofs(solid, value=0.0):
 class TestAssembly:
     def test_dof_partition(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         assert sys.ndof == solid.ndof + beam.ndof
         ids = np.arange(sys.ndof)
         np.testing.assert_array_equal(sys.model_part(ids, 0),
@@ -69,7 +77,7 @@ class TestAssembly:
     def test_assembled_matrix_matches_manual_sum(self):
         solid, beam, op = small_coupled()
         alpha = 5.0e3
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, clamped_edge_dofs(solid))
         f = np.zeros(beam.ndof)
         f[-2] = -1.0
@@ -102,26 +110,26 @@ class TestConstraints:
 
     def test_conflicting_values_rejected(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, [0, 1], values=0.5)
         with pytest.raises(ConfigError):
             sys.fix(0, [1], values=-0.5)
 
     def test_nonfinite_value_rejected(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         with pytest.raises(ConfigError):
             sys.fix(0, [0], values=np.nan)
 
     def test_repeated_identical_fix_is_fine(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, [0], values=0.25)
         sys.fix(0, [0], values=0.25)
 
     def test_same_dof_twice_in_one_call(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, [3, 5, 3], values=[0.25, 1.0, 0.25])
         with pytest.raises(ConfigError, match="conflicting constraint on "
                                               "DOF 5$"):
@@ -140,6 +148,33 @@ class TestConstraints:
             with pytest.raises(ConfigError, match=r"model 0: local DOF "
                                                   r"-?\d+ outside \[0, 18\)"):
                 sys.fix(0, dofs, 0.5)
+        assert free_count(sys) == sys.ndof
+
+    @pytest.mark.parametrize("dofs, shown", [
+        ([0.5, 1.9], "0.5"),
+        (np.array([2.0, 3.0]), "2.0"),
+        (["a", "b"], "'a'"),
+        ([True, False], "True"),
+        ([0, None], "None"),
+        (np.array([1, "x"], dtype=object), "'x'"),
+    ])
+    def test_non_integer_dofs_rejected(self, dofs, shown):
+        # An int conversion would pin DOFs 0 and 1 for [0.5, 1.9] and for
+        # [True, False], and fail on a string with numpy's bare error.
+        sys = q4_and_beam()
+        with pytest.raises(ConfigError, match=rf"^model 1: local DOF "
+                                              rf"{re.escape(shown)} is not "
+                                              rf"an integer$"):
+            sys.fix(1, dofs, 0.5)
+        assert free_count(sys) == sys.ndof
+
+    def test_empty_and_boxed_integer_dofs_are_valid(self):
+        sys = q4_and_beam()
+        sys.fix(0, [], 0.5)
+        np.testing.assert_array_equal(sys.global_dofs(1, []), [])
+        np.testing.assert_array_equal(
+            sys.global_dofs(1, np.array([0, 2], dtype=object)),
+            sys.global_dofs(1, [0, 2]))
         assert free_count(sys) == sys.ndof
 
     @settings(max_examples=60, deadline=None)
@@ -216,7 +251,7 @@ def constrained(sys):
 class TestCoupledSolve:
     def test_rigid_translation_passes_through_interface(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         dofs = clamped_edge_dofs(solid)
         vals = np.where(dofs % 2 == 0, 0.01, -0.02)
         sys.fix(0, dofs, values=vals)
@@ -245,12 +280,12 @@ class TestCoupledSolve:
         f = np.zeros(beam.ndof)
         f[-2] = -1.0
 
-        sys1 = System([solid, beam], [op])
+        sys1 = coupled([solid, beam], op)
         sys1.fix(0, clamped_edge_dofs(solid))
         sys1.load(1, f)
         a1 = sys1.solve(alpha=alpha).a
 
-        sys2 = System([beam, solid], [op])
+        sys2 = coupled([beam, solid], op)
         sys2.fix(1, clamped_edge_dofs(solid))
         sys2.load(0, f)
         sol2 = sys2.solve(alpha=alpha)
@@ -265,13 +300,13 @@ class TestCoupledSolve:
         f = np.zeros(beam.ndof)
         f[-2] = -1.0
 
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, clamped_edge_dofs(solid))
         sys.load(1, f)
         sol = sys.solve(alpha="auto")
         assert sol.residual <= 1e-10
 
-        weak = System([solid, beam], [op])
+        weak = coupled([solid, beam], op)
         weak.fix(0, clamped_edge_dofs(solid))
         weak.load(1, f)
         with pytest.raises(DefinitenessError):
@@ -303,7 +338,7 @@ class TestStressBoundOnDemand:
 
     def loaded(self):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, clamped_edge_dofs(solid))
         sys.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
         return sys
@@ -402,7 +437,7 @@ class TestSolveInputs:
 
     def loaded(self, monkeypatch=None):
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         sys.fix(0, clamped_edge_dofs(solid))
         if monkeypatch is not None:
             monkeypatch.setattr(System, "bulk_matrix",
@@ -513,8 +548,8 @@ def drawn_system(data):
             "plate", "spline", 2, (data.draw(st.integers(1, 8)), 2),
             ((10.0, 30.0), (0.0, 5.0)), z_mid=1.0), mat,
             theory=data.draw(st.sampled_from(["mindlin", "kirchhoff"])))
-        sys = System([solid, plate],
-                     [build_interface(solid, plate, axis=0, side=1)])
+        sys = coupled([solid, plate],
+                      build_interface(solid, plate, axis=0, side=1))
         n0 = solid.mesh.dirs[0].n
         first = np.flatnonzero(np.arange(solid.mesh.nnodes) % n0 == 0)
         sys.fix(0, (first[:, None] * 3 + np.arange(3)).ravel())
@@ -527,7 +562,7 @@ def drawn_system(data):
         BeamModel(build_mesh("beam", "lagrange", 1, 8, ((0.0, 24.0),),
                              origin=(24.0, 0.0)), mat),
         OverlapRegion(((-np.inf, data.draw(st.floats(3.5, 8.5))),)))
-    sys = System([solid, beam], [build_interface(solid, beam, axis=0, side=1)])
+    sys = coupled([solid, beam], build_interface(solid, beam, axis=0, side=1))
     sys.fix(0, clamped_edge_dofs(solid))
     assert len(beam.inactive_dofs)
     return sys, 1.0e6
@@ -603,8 +638,8 @@ class TestBandOrder:
                                       ((0.0, 24.0), (-3.0, 3.0))), mat)
         beam = BeamModel(build_mesh("beam", "lagrange", 1, 29, ((0.0, 24.0),),
                                     origin=(24.0, 0.0)), mat)
-        sys = System([solid, beam],
-                     [build_interface(solid, beam, axis=0, side=1)])
+        sys = coupled([solid, beam],
+                      build_interface(solid, beam, axis=0, side=1))
         sys.fix(0, clamped_edge_dofs(solid))
         sys.load(1, beam.point_load(24.0, (0.0, -1000.0, 0.0)))
         small = System([beam])
@@ -653,7 +688,7 @@ class TestSolveFromAssembled:
             return lambda b: 1.001 * solve(b), stats
         monkeypatch.setattr(system, "_factor_spd", inexact)
         solid, beam, op = small_coupled()
-        sys = System([solid, beam], [op])
+        sys = coupled([solid, beam], op)
         dofs = clamped_edge_dofs(solid)
         sys.fix(0, dofs, np.where(dofs % 2 == 0, 0.01, -0.02))
         sys.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
