@@ -45,6 +45,9 @@ class SplineDir:
     degree: int
     weights: np.ndarray | None = None
     _span_starts: np.ndarray = field(init=False, repr=False)
+    _ends: np.ndarray = field(init=False, repr=False)
+    _mid: np.ndarray = field(init=False, repr=False)
+    _taylor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
@@ -77,6 +80,9 @@ class SplineDir:
                 raise ConfigError("NURBS weights must be positive")
         # Knot indices that open a non-empty span (an element), in order.
         self._span_starts = np.nonzero(np.diff(self.knots) > 0.0)[0]
+        self._ends, self._taylor = _taylor_tables(self.knots, p,
+                                                  self._span_starts)
+        self._mid = 0.5 * (self._ends[:self.nelem] + self._ends[self.nelem:])
 
     @property
     def n(self) -> int:
@@ -114,14 +120,28 @@ class SplineDir:
         return self._span_starts[e][..., None] + np.arange(-self.degree, 1)
 
     def eval(self, e, xs, nders):
-        """Basis derivatives at local coordinates, on element e's span or,
-        for an element array, on the span of ``e[i]`` at ``xs[i]``.
+        """Basis derivatives of order <= ``nders`` (at most 2) at local
+        coordinates, on element e's span or, for an element array, on the
+        span of ``e[i]`` at ``xs[i]``: ``(len(xs), nders + 1, degree +
+        1)``, row k the k-th derivatives of the element's functions.
 
-        Uses the polynomial extension of the span, so Newton iterates that
-        step slightly outside the element remain well defined.
+        Horner steps on the span's Taylor polynomials about its nearer
+        end (`_taylor_tables`), so Newton iterates that step slightly
+        outside the element remain well defined (the polynomial extension
+        of the span).
         """
-        out = _basis_ders(self.knots, self.degree, xs, self._span_starts[e],
-                          nders)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        e = np.reshape(e, -1)
+        # The table about the nearer end, and the power-m coefficients of
+        # the derivatives up to nders, one row per point.
+        k = e + self.nelem * (xs > self._mid[e])
+        u = (xs - self._ends[k])[:, None]
+        T = self._taylor[:, :, :(nders + 1) * (self.degree + 1)]
+        out = np.take(T[-1], k, axis=0)
+        for m in range(self.degree - 1, -1, -1):
+            out *= u
+            out += np.take(T[m], k, axis=0)
+        out = out.reshape(xs.size, nders + 1, self.degree + 1)
         if self.weights is not None:
             out = _rationalize(out, self.weights[self.indices(e)], nders)
         return out
@@ -132,77 +152,53 @@ class SplineDir:
         return np.stack([self.knots[s], self.knots[s + 1]], axis=-1)
 
 
-def _basis_ders(knots: np.ndarray, degree: int, xs, span,
-                nders: int) -> np.ndarray:
-    """Values and derivatives of the non-vanishing basis functions.
-
-    Standard knot-insertion triangle evaluation, run for a batch of
-    coordinates at once (the points ride along as a trailing axis).
-    ``span`` is one knot span for all values or an array of one span per
-    value. Returns a C-contiguous array of shape
-    ``(len(xs), nders + 1, degree + 1)`` where ``[i, k]`` holds the k-th
-    derivatives of functions ``span[i] - degree .. span[i]`` at ``xs[i]``.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    m = xs.size
+def _taylor_tables(knots, degree, starts):
+    """Taylor polynomials of the non-vanishing basis functions of each
+    span ``starts[e]`` (knot indices), about each of its two ends: ``(c,
+    taylor)``, with ``c[e]`` the lower end of span e and ``c[e + nelem]``
+    the upper one, and ``taylor[m, i, k * (degree + 1) + j]`` the
+    coefficient of (x - c[i])^m in the k-th derivative (k <= 2) of the
+    span's j-th function (``starts[e] - degree + j``). Built by the
+    Cox-de Boor recursion on coefficient arrays, all spans at once, with
+    0/0 == 0. A factor x - t that vanishes at an end stays an exact zero
+    there, so a function or derivative that vanishes at an end evaluates
+    to exactly zero on it, as the knot-insertion triangle gives it."""
     p = degree
-    ne = min(nders, p)
-    left = np.empty((p, m))
-    right = np.empty((p, m))
-    ndu = np.empty((p + 1, p + 1, m))
-    a = np.empty((2, p + 1, m))
-    ders = np.zeros((m, nders + 1, p + 1))
-
-    ndu[0, 0] = 1.0
-    for j in range(p):
-        left[j] = xs - knots[span - j]
-        right[j] = knots[span + 1 + j] - xs
-        saved = 0.0
-        for r in range(j + 1):
-            # Lower triangle: inverse knot differences.
-            ndu[j + 1, r] = 1.0 / (right[r] + left[j - r])
-            temp = ndu[r, j] * ndu[j + 1, r]
-            # Upper triangle: basis values.
-            ndu[r, j + 1] = saved + right[r] * temp
-            saved = left[j - r] * temp
-        ndu[j + 1, j + 1] = saved
-
-    ders[:, 0, :] = ndu[:, p].T
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, ne + 1):
-            d = np.zeros(m)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] * ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for ij in range(j1, j2 + 1):
-                a[s2, ij] = (a[s1, ij] - a[s1, ij - 1]) * ndu[pk + 1, rk + ij]
-                d += a[s2, ij] * ndu[rk + ij, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] * ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[:, k, r] = d
-            s1, s2 = s2, s1
-
-    # Multiply by the correct factors p! / (p - k)!
-    r = p
-    for k in range(1, ne + 1):
-        ders[:, k, :] *= r
-        r *= p - k
-    return ders
+    c = np.concatenate([knots[starts], knots[starts + 1]])
+    # The span's knots t_{s-p} .. t_{s+p+1} less c: w[:, p + r] = t_{s+r} - c.
+    w = knots[np.concatenate([starts, starts])[:, None]
+              + np.arange(-p, p + 2)] - c[:, None]
+    # P[m, i, j]: the coefficient of u^m, u = x - c[i], of the j-th
+    # function at degree q, on knots t_{s-q+j} .. t_{s+j+1}.
+    P = np.zeros((p + 1, c.size, p + 1))
+    P[0, :, 0] = 1.0
+    for q in range(1, p + 1):
+        # N_{i,q} = (x - t_i) a_{i} + (t_{i+q+1} - x) a_{i+1}, i = s - q + j,
+        # with a_i = N_{i,q-1} / (t_{i+q} - t_i) (j - 1 at degree q - 1).
+        lo, hi = w[:, p - q + 1:p + 1], w[:, p + 1:p + q + 1]
+        a = P[:q, :, :q] / np.where(hi > lo, hi - lo, np.inf)
+        new = np.zeros((q + 1, c.size, q + 1))
+        new[:q, :, 1:] = -lo * a
+        new[:q, :, :-1] += hi * a
+        new[1:, :, 1:] += a
+        new[1:, :, :-1] -= a
+        P[:q + 1, :, :q + 1] = new
+    # d^k/du^k sum_m P_m u^m = sum_m P_{m+k} (m + k)! / m! u^m.
+    taylor = np.zeros((p + 1, c.size, 3, p + 1))
+    m = np.arange(1.0, p + 1)[:, None, None]
+    taylor[:, :, 0] = P
+    taylor[:p, :, 1] = P[1:] * m
+    taylor[:p - 1, :, 2] = P[2:] * (m[:-1] * m[1:])
+    return c, taylor.reshape(p + 1, c.size, -1)
 
 
 def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
     """Convert polynomial basis derivatives to rational ones (quotient rule).
 
-    ``ders`` is a batch ``(npts, nders + 1, nloc)`` as returned by
-    :func:`_basis_ders`; ``w`` holds the weights of the ``nloc`` functions,
-    shared by all points ``(nloc,)`` or per point ``(npts, nloc)``.
+    ``ders`` is a batch ``(npts, nders + 1, nloc)`` of polynomial basis
+    derivatives (`SplineDir.eval` before the weights); ``w`` holds the
+    weights of the ``nloc`` functions, shared by all points ``(nloc,)``
+    or per point ``(npts, nloc)``.
     """
     num = ders * w[..., None, :]  # rows: w_i N_i and derivatives
     W = num.sum(axis=2)  # weight function W and derivatives

@@ -203,37 +203,67 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def stiffness_separable(mesh: Mesh, form):
-    """Whole-mesh matrix of a stiffness ``form`` (as `stiffness_quadrature`
-    takes it), canonical CSR without exact zeros, if the mesh is `on_grid`
-    and the Jacobian is positive; else None.
+def _grid_jacobian(mesh):
+    """``(det, G)`` of the map x = origin + A y of a mesh that is `on_grid`
+    (A its rotation, the identity if none; G = A^-1), or None if it is not
+    or det <= 0: then only quadrature applies."""
+    det, G = _det_inv(np.eye(mesh.dim) if mesh.rotation is None
+                      else mesh.rotation)
+    return (det, G) if det > 0 and on_grid(mesh) else None
+
+
+def stiffness_separable(mesh: Mesh, form, boxes):
+    """Matrix of a stiffness ``form`` (as `stiffness_quadrature` takes it)
+    over the element ``boxes`` of `Mesh.element_boxes`, canonical CSR
+    without exact zeros, if `_grid_jacobian` applies; else None.
 
     The map is x = origin + A y, y_k a function of t_k alone, so a jet in
-    x combines jets in y (`_jet_map`), and P_ab in y is the Kronecker
-    product over directions (first fastest) of the 1D band matrices int
-    B^(a_k) B^(b_k) dy_k. One GEMM per part with D gives the node blocks.
+    x combines jets in y (`_jet_map`), and P_ab in y over a box is the
+    Kronecker product over directions (first fastest) of the 1D band
+    matrices int B^(a_k) B^(b_k) dy_k over the box's elements, on the
+    functions they support (`_band_1d`). Each direction's Gauss tables are
+    evaluated once per part (`_tables_1d`); one GEMM per part and box with
+    D gives the node blocks, and the boxes' matrices are summed.
     """
-    dim = mesh.dim
-    det, G = _det_inv(np.eye(dim) if mesh.rotation is None else mesh.rotation)
-    if det <= 0 or not on_grid(mesh):
+    grid = _grid_jacobian(mesh)
+    if grid is None:
         return None
-    T, m = _jet_map(G), jets(dim)
-    vals = []
+    det, G = grid
+    T, m = _jet_map(G), jets(mesh.dim)
+    parts = []
     for D, npts in form:
         D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
-        nders, P = 2 if used[-1] > dim else 1, ()
-        for k, d in enumerate(mesh.dirs):
-            band = _band_1d(d, npts or d.degree + 1, nders)
-            if band is None:
+        nders = 2 if used[-1] > mesh.dim else 1
+        mats = []
+        for d in mesh.dirs:
+            tab = _tables_1d(d, npts or d.degree + 1, nders)
+            if tab is None:
                 return None
-            band = *band[:2], band[2][:, m[a, k], m[b, k]]
-            P = _kron_csr(*band, *P) if P else band
-        vals.append(P[2] @ D[:, a, :, b].reshape(a.size, -1))
-    nc = form[0][0].shape[0]
-    K = sp.bsr_matrix((sum(vals[1:], vals[0]).reshape(-1, nc, nc), P[1],
-                       P[0]), shape=(mesh.nnodes * nc,) * 2).tocsr()
+            idx, wdy, tab = tab
+            mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab, tab)))
+        parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
+    nc, Ks = form[0][0].shape[0], []
+    for box in boxes:
+        vals = []
+        for mats, ma, mb, Dab in parts:
+            P, nodes, n = (), np.zeros(1, dtype=int), 1
+            for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
+                                                         box)):
+                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask)
+                band = ptr, col, val[:, ma[:, k], mb[:, k]]
+                P = _kron_csr(*band, *P, n) if P else band
+                nodes = (n * live[:, None] + nodes).ravel()
+                n *= d.n
+            vals.append(P[2] @ Dab)
+        # The box's rows are the mesh nodes ``nodes``; other rows are empty.
+        ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
+        ptr[nodes + 1] = np.diff(P[0])
+        Ks.append(sp.bsr_matrix(
+            (sum(vals[1:], vals[0]).reshape(-1, nc, nc), P[1],
+             np.cumsum(ptr)), shape=(mesh.nnodes * nc,) * 2).tocsr())
+    K = sum(Ks[1:], Ks[0]) if Ks else sp.csr_matrix((mesh.nnodes * nc,) * 2)
     K.eliminate_zeros()
     return K
 
@@ -246,11 +276,13 @@ def _jet_map(G):
     return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
 
 
-def _band_1d(d, npts, nders):
-    """The 1D matrices int B^(a) B^(b) dy (a, b <= nders, y local) of one
-    direction on its ``npts``-point Gauss rule, as CSR ``(indptr, indices,
-    values (nnz, nders + 1, nders + 1))``; None where dy/dt <= 0."""
-    el, p = np.arange(d.nelem), d.degree
+def _tables_1d(d, npts, nders):
+    """Gauss tables of direction ``d`` on its ``npts``-point rule: ``(idx,
+    wdy, tab)``, the functions of each element ``(nelem, p + 1)``, the
+    weights times dy/dt ``(nelem, npts)`` and the basis derivatives of
+    order <= ``nders`` in y (local), ``(nelem, npts, nders + 1, p + 1)``;
+    None where dy/dt <= 0."""
+    el = np.arange(d.nelem)
     t, w, _ = tensor_rules([d.intervals()], [el], [npts])
     tab = d.eval(np.repeat(el, npts), t.ravel(), nders).reshape(
         w.shape + (nders + 1, -1))
@@ -265,21 +297,57 @@ def _band_1d(d, npts, nders):
             "eqa,ea->eq", tab[..., 2, :], x) / dy)[..., None]
         tab[..., 2, :] /= (dy * dy)[..., None]
     tab[..., 1, :] /= dy[..., None]
-    band = np.zeros((d.n, 2 * p + 1, nders + 1, nders + 1))  # [i, j - i + p]
+    return idx, w * dy, tab
+
+
+def _band_1d(n, idx, mats, mask):
+    """The 1D matrix of element matrices ``mats`` ``(nelem, p + 1, p + 1,
+    ...)`` on functions ``idx`` (`_tables_1d`) of a direction with ``n``
+    functions, summed over the elements ``mask``: ``((indptr, indices,
+    values), live)``, CSR whose rows are the functions ``live`` those
+    elements support (sorted) and whose columns are all ``n``."""
+    idx, p = idx[mask], idx.shape[1] - 1
+    band = np.zeros((n, 2 * p + 1) + mats.shape[3:])  # [i, j - i + p]
     # Element e holds the consecutive functions idx[e] = s_e + (0 .. p).
     loc = np.arange(p + 1)
-    np.add.at(band, (idx[:, :, None], p + loc - loc[:, None]),
-              np.einsum("eq,eqai,eqbj->eijab", w * dy, tab, tab))
+    np.add.at(band, (idx[:, :, None], p + loc - loc[:, None]), mats[mask])
+    live = np.zeros(n, dtype=bool)
+    live[idx] = True
     i, s = np.indices(band.shape[:2])
-    keep = (0 <= i + s - p) & (i + s - p < d.n)
-    return (np.concatenate(([0], np.cumsum(keep.sum(1)))), (i + s - p)[keep],
-            band[keep])
+    j = i + s - p
+    keep = (0 <= j) & (j < n)
+    keep[keep] = live[i[keep]] & live[j[keep]]
+    return ((np.concatenate(([0], np.cumsum(keep.sum(1)[live]))), j[keep],
+             band[keep]), np.flatnonzero(live))
 
 
-def _kron_csr(pa, ca, va, pb, cb, vb):
-    """Kronecker product ``(indptr, indices, values)`` of square CSR
-    matrices a and b, b fastest, whose values carry a trailing axis
-    (multiplied entry by entry); sorted rows stay sorted."""
+def load_separable(mesh: Mesh, boxes):
+    """int N dx of every node over the element ``boxes`` of
+    `Mesh.element_boxes`, on the standard Gauss rule, if `_grid_jacobian`
+    applies; else None. Over a box it is the outer product over directions
+    of int B dy over the box's elements (`_tables_1d`), times det A."""
+    grid = _grid_jacobian(mesh)
+    if grid is None:
+        return None
+    tabs = [_tables_1d(d, d.degree + 1, 1) for d in mesh.dirs]
+    if any(t is None for t in tabs):
+        return None
+    out = np.zeros(mesh.nnodes)
+    for box in boxes:
+        f = np.full(1, grid[0])
+        for d, (idx, wdy, tab), mask in zip(mesh.dirs, tabs, box):
+            g = np.zeros(d.n)
+            np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", wdy[mask],
+                                              tab[mask, :, 0]))
+            f = np.multiply.outer(g, f).ravel()  # new direction slowest
+        out += f
+    return out
+
+
+def _kron_csr(pa, ca, va, pb, cb, vb, nb):
+    """Kronecker product ``(indptr, indices, values)`` of CSR matrices a
+    and b, b fastest, whose values carry a trailing axis (multiplied entry
+    by entry), b having ``nb`` columns; sorted rows stay sorted."""
     la, lb = np.diff(pa), np.diff(pb)
     rowlen = np.outer(la, lb).ravel()
     ptr = np.concatenate(([0], np.cumsum(rowlen)))
@@ -289,7 +357,7 @@ def _kron_csr(pa, ca, va, pb, cb, vb):
     ea, eb = pa[ia] + q, pb[ib] + s
     vals = np.take(va, ea, axis=0)
     vals *= np.take(vb, eb, axis=0)
-    return ptr, ca[ea] * lb.size + cb[eb], vals
+    return ptr, ca[ea] * nb + cb[eb], vals
 
 
 class Model:
@@ -340,17 +408,27 @@ class Model:
             np.asarray(values, dtype=float), self.ncomp_node)).reshape(
                 w.shape[:-1] + (-1,))
 
-    def element_sum(self, kernel):
-        """The load of element rows ``kernel(elements, rule)`` over
-        `batches`, summed once in element order."""
+    def element_sum(self, values, kernel):
+        """The load of constant ``values`` (one per nodal unknown) per unit
+        measure over `parts`. The standard-rule part comes from 1D
+        integrals over its grid boxes (`load_separable`) where the mesh
+        allows it; every other part, and every part of any other mesh,
+        from the element rows ``kernel(elements, rule)`` over `batches`,
+        summed once in element order."""
         mesh = self.mesh
-        fe = np.zeros((mesh.nelem, mesh.nen * self.ncomp_node))
-        for el, rule in self.batches(mesh.nen):
-            fe[el] = kernel(el, rule)
-        live = np.sort(np.concatenate([el for el, _ in self.parts]))
-        out = np.zeros(self.ndof)
-        np.add.at(out, self.element_dofs(live), fe[live])
-        return out
+        values = np.reshape(np.asarray(values, dtype=float), self.ncomp_node)
+        N = load_separable(mesh, mesh.element_boxes(self.parts[0][0]))
+        out = np.zeros((mesh.nnodes, self.ncomp_node))
+        if N is not None:
+            out += np.multiply.outer(N, values)
+        rows = [(el, kernel(el, rule)) for el, rule in self.batches(mesh.nen)
+                if N is None or rule is not None]
+        if rows:
+            el, fe = (np.concatenate(r) for r in zip(*rows))
+            order = np.argsort(el, kind="stable")
+            np.add.at(out.reshape(-1), self.element_dofs(el[order]),
+                      fe[order])
+        return out.reshape(-1)
 
     def face_load(self, axis, side, values, strip=None):
         """Consistent load of ``values`` per unit measure of a boundary face
@@ -419,7 +497,7 @@ class SolidModel(Model):
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
         return self.element_sum(
-            lambda el, rule: self.element_load(el, force, rule))
+            force, lambda el, rule: self.element_load(el, force, rule))
 
     def traction_force(self, axis, side, traction, strip=None) -> np.ndarray:
         """Consistent nodal load for a traction on a boundary face, a

@@ -82,6 +82,16 @@ class Mesh:
                                  order="F")
         return e if np.ndim(e) else int(e)
 
+    def element_boxes(self, elems):
+        """``elems`` as disjoint grid boxes: tuples of per-direction element
+        masks, each box the elements of their outer product. Slices along
+        the slowest direction that select the same elements share a box,
+        so the whole mesh is one box and an outer-product cut of it (as
+        `nonconforming.classify` labels) at most ``dim``."""
+        sel = np.zeros(self.nelem, dtype=bool)
+        sel[elems] = True
+        return _boxes(sel.reshape(self.nelem_per_dir, order="F"))
+
     def element_nodes(self, e):
         """Global node indices of an element (first direction fastest), or
         a ``(len(e), nen)`` table for an element array."""
@@ -226,6 +236,20 @@ class Mesh:
         hit = win[first]
         return (e[hit], xi[hit]) if x.ndim == 2 else (int(e[hit[0]]),
                                                       xi[hit[0]])
+
+
+def _boxes(sel):
+    """`Mesh.element_boxes` of a boolean element grid ``sel``."""
+    if sel.ndim == 0:
+        return [()] if sel else []
+    cols = sel.reshape(-1, sel.shape[-1])
+    todo, out = cols.any(axis=0), []
+    while todo.any():
+        j = int(np.argmax(todo))
+        same = todo & (cols == cols[:, j:j + 1]).all(axis=0)
+        todo &= ~same
+        out += [box + (same,) for box in _boxes(sel[..., j])]
+    return out
 
 
 def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,

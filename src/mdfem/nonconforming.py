@@ -78,7 +78,7 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
     return np.where(every, VOID, np.where(some, CUT, STANDARD))
 
 
-def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int = 10):
+def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int):
     """Fixed-shape cut rules of an element array, in local coordinates.
 
     Returns ``(local, wts)`` of shapes ``(E, ncut**dim, dim)`` and
@@ -88,7 +88,11 @@ def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int = 10):
     ``element_stiffness(e, quadrature=...)`` kernel; an all-zero row is
     an element whose surviving sliver no point resolves. As in
     `classify`, covering flags per direction combine by outer product.
+    ``ncut`` is an integer >= 1 (a bool is not), else a ConfigError.
     """
+    if (isinstance(ncut, bool) or not isinstance(ncut, Integral)
+            or ncut < 1):
+        raise ConfigError(f"ncut must be an integer >= 1, got {ncut!r}")
     local, wts, rules = tensor_rules(
         [d.intervals() for d in mesh.dirs],
         mesh.element_grid_index(np.asarray(elems, dtype=int)),
@@ -149,14 +153,14 @@ class NonconformingModel:
     elements are in none. Basis functions with (almost) no support left
     are listed in `inactive_dofs`, which the assembler pins. The inner
     model's methods and properties run with the wrapper as ``self``, so
-    its stiffness and loads integrate the wrapper's `parts`.
+    its stiffness and loads integrate the wrapper's `parts`: on the net
+    `build_mesh` makes, the STANDARD part from 1D tables over at most
+    ``dim`` grid boxes (`Mesh.element_boxes`), and only the live CUT rows
+    by quadrature.
     """
 
     def __init__(self, model, region: OverlapRegion, *,
                  threshold: float = 0.01, ncut: int = 10):
-        if (isinstance(ncut, bool) or not isinstance(ncut, Integral)
-                or ncut < 1):
-            raise ConfigError(f"ncut must be an integer >= 1, got {ncut!r}")
         if (isinstance(threshold, bool) or not isinstance(threshold, Real)
                 or not 0.0 < threshold <= 1.0):
             raise ConfigError(
@@ -164,11 +168,11 @@ class NonconformingModel:
         self._model = model
         mesh = model.mesh
         self.region = region
-        self.ncut = int(ncut)
         self.threshold = float(threshold)
         self.labels = classify(mesh, region)
         cut = np.nonzero(self.labels == CUT)[0]
-        local, wts = integrate_cut(mesh, cut, region, ncut=self.ncut)
+        local, wts = integrate_cut(mesh, cut, region, ncut)
+        self.ncut = int(ncut)
         self.inactive_nodes, _ = _deactivate(mesh, self.labels, wts,
                                              self.threshold)
         nc = model.ncomp_node

@@ -260,6 +260,7 @@ class PlateModel(Model):
     def pressure_load(self, p: float) -> np.ndarray:
         """Consistent load for a uniform transverse pressure on w DOFs."""
         return self.element_sum(
+            p * np.eye(self.ncomp_node)[0],
             lambda el, rule: self.pressure_element(el, p, rule))
 
     def edge_load(self, axis, side, q: float) -> np.ndarray:

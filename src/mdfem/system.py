@@ -3,11 +3,12 @@ bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. Every model gives its stiffness form
-(`stiffness_form`) over its element `parts`; one part, the whole net
-`build_mesh` makes, gives the matrix from 1D matrices
-(`elasticity.stiffness_separable`), else the parts' batches of element
-matrices (`elasticity.stiffness_quadrature`) are summed by a sparse
-product (`mesh.sum_blocks`), as each coupling sums its segment blocks.
+(`stiffness_form`) over its element `parts`. On the net `build_mesh`
+makes, the standard-rule part, split into grid boxes, gives its matrix
+from 1D matrices (`elasticity.stiffness_separable`); the explicit-rule
+(cut) parts, and every part of any other net, give batches of element
+matrices (`elasticity.stiffness_quadrature`) summed by a sparse product
+(`mesh.sum_blocks`), as each coupling sums its segment blocks.
 The solve factors the assembled CSR matrix straight, with no symmetrize
 pass, by banded Cholesky at every size, in the smaller-band order of
 reverse Cuthill-McKee and a sort along the longest axis of the DOFs'
@@ -82,8 +83,12 @@ class System:
         return self.models[idx]
 
     def global_dofs(self, idx, local_dofs):
-        local = np.asarray(local_dofs)
         n = self._model(idx).ndof
+        try:
+            local = np.asarray(local_dofs)
+        except ValueError:  # ragged nesting
+            raise ConfigError(f"model {idx}: local DOFs {local_dofs!r} are "
+                              "not an array of integers") from None
         if not np.issubdtype(local.dtype, np.integer):
             bad = [v for v in local.ravel().tolist()
                    if isinstance(v, bool) or not isinstance(v, int)]
@@ -110,10 +115,15 @@ class System:
         it was first given, by an earlier call or earlier in this one;
         another value for it is a conflict."""
         dofs = self.global_dofs(idx, local_dofs).ravel()
-        values = np.broadcast_to(np.asarray(values, dtype=float),
-                                 dofs.shape).ravel()
+        try:
+            values = np.broadcast_to(np.asarray(values, dtype=float),
+                                     dofs.shape).ravel()
+        except (TypeError, ValueError):
+            raise ConfigError(f"model {idx}: Dirichlet values are one number "
+                              f"or one per DOF ({dofs.size}), got "
+                              f"{values!r}") from None
         if not np.all(np.isfinite(values)):
-            raise ConfigError("Dirichlet values must be finite")
+            raise ConfigError(f"model {idx}: Dirichlet values must be finite")
         ref = self._fixed[dofs]
         _, first, inv = np.unique(dofs, return_index=True, return_inverse=True)
         unset = np.isnan(ref)
@@ -124,8 +134,13 @@ class System:
         self._fixed[dofs] = values
 
     def load(self, idx, f_local):
-        f_local = np.asarray(f_local, dtype=float)
         n = self._model(idx).ndof
+        try:
+            f_local = np.asarray(f_local, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"model {idx}: a load is {n} finite values, "
+                              "got something other than an array of numbers"
+                              ) from None
         if f_local.shape != (n,) or not np.isfinite(f_local).all():
             raise ConfigError(f"model {idx}: a load is {n} finite values, "
                               f"got shape {f_local.shape}")
@@ -137,10 +152,10 @@ class System:
         """K~ = sum of each model's own stiffness, no coupling terms: one
         canonical CSR matrix per model, placed on the diagonal once.
 
-        A model whose one part is the whole mesh on the standard rule is
-        tried on `stiffness_separable` first; else the element matrices
-        of its `Model.batches` are summed by `mesh.add_blocks` every
-        ``_TRIPLET_BUDGET`` entries."""
+        Each model's standard-rule part goes box by box on
+        `stiffness_separable` where its mesh allows it, and the other
+        parts (all parts elsewhere) as element matrices of its
+        `Model.batches` (`_model_matrix`)."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
     def _coupling_matrices(self, with_h):
@@ -230,15 +245,21 @@ class System:
 
 
 def _model_matrix(m) -> sp.csr_matrix:
-    """One model's stiffness matrix in its own DOF numbering."""
-    (elems, rule), *rest = m.parts
-    whole = not rest and rule is None and len(elems) == m.mesh.nelem
-    K = stiffness_separable(m.mesh, m.stiffness_form()) if whole else None
-    if K is not None:
-        return K
-    K = sp.csr_matrix((m.ndof, m.ndof))
+    """One model's stiffness matrix in its own DOF numbering. The
+    standard-rule part (the first of `Model.parts`) goes box by box
+    (`Mesh.element_boxes`) on `stiffness_separable` where the mesh allows
+    it, so only explicit-rule (cut) rows take element matrices; on any
+    other mesh every part does. Element matrices of `Model.batches` are
+    summed by `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
+    K = stiffness_separable(m.mesh, m.stiffness_form(),
+                            m.mesh.element_boxes(m.parts[0][0]))
+    separable = K is not None
+    if not separable:
+        K = sp.csr_matrix((m.ndof, m.ndof))
     dofs, mats, budget = [], [], 0
     for elems, rule in m.batches(m.mesh.nen * m.ncomp_node):
+        if separable and rule is None:
+            continue
         dofs.append(m.element_dofs(elems))
         mats.append(m.element_stiffness(elems, rule))
         budget += mats[-1].size

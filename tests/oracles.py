@@ -10,14 +10,16 @@ and clips a whole face per direction instead. `span_index`,
 a time, where the library reads `SplineDir.intervals()`; `find_span`
 and `eval_basis` locate and evaluate the basis at one local coordinate,
 where the library evaluates
-whole batches on known spans (`SplineDir.eval`). `signed_distance` and
-`inside` test points against an `OverlapRegion` one point at a time;
-the library classifies and cuts elements from per-direction covering
-flags instead. `b_matrix_solid` and `integrate_btcb` build the solid
-strain matrix by hand and integrate w B^T C B, and `section_rigidities`
-gives a beam section's EA, EI and kGA from its `Material`; the library
-states each model's kinematics as a table and integrates its stiffness
-form over the section.
+whole batches on known spans (`SplineDir.eval`). `basis_ders` runs the
+knot-insertion triangle (Piegl and Tiller) as O(p^2) array steps per
+batch; `SplineDir.eval` takes Horner steps on per-span Taylor tables.
+`signed_distance` and `inside` test points against an `OverlapRegion`
+one point at a time; the library classifies and cuts elements from
+per-direction covering flags instead. `b_matrix_solid` and
+`integrate_btcb` build the solid strain matrix by hand and integrate
+w B^T C B, and `section_rigidities` gives a beam section's EA, EI and
+kGA from its `Material`; the library states each model's kinematics as
+a table and integrates its stiffness form over the section.
 `coupling_matrices` assembles a coupling interface's Nitsche blocks on
 every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
@@ -38,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from mdfem.bspline import _basis_ders, _rationalize
+from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import integrate_atb
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
@@ -168,6 +170,71 @@ def find_span(d, x: float) -> int:
     return span
 
 
+def basis_ders(knots, degree, xs, span, nders):
+    """Values and derivatives of the non-vanishing basis functions, no
+    NURBS weights: the reference `SplineDir.eval` is held to.
+
+    Standard knot-insertion triangle evaluation, run for a batch of
+    coordinates at once (the points ride along as a trailing axis).
+    ``span`` is one knot span for all values or an array of one span per
+    value. Returns a C-contiguous array of shape
+    ``(len(xs), nders + 1, degree + 1)`` where ``[i, k]`` holds the k-th
+    derivatives of functions ``span[i] - degree .. span[i]`` at ``xs[i]``.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    m = xs.size
+    p = degree
+    ne = min(nders, p)
+    left = np.empty((p, m))
+    right = np.empty((p, m))
+    ndu = np.empty((p + 1, p + 1, m))
+    a = np.empty((2, p + 1, m))
+    ders = np.zeros((m, nders + 1, p + 1))
+
+    ndu[0, 0] = 1.0
+    for j in range(p):
+        left[j] = xs - knots[span - j]
+        right[j] = knots[span + 1 + j] - xs
+        saved = 0.0
+        for r in range(j + 1):
+            # Lower triangle: inverse knot differences.
+            ndu[j + 1, r] = 1.0 / (right[r] + left[j - r])
+            temp = ndu[r, j] * ndu[j + 1, r]
+            # Upper triangle: basis values.
+            ndu[r, j + 1] = saved + right[r] * temp
+            saved = left[j - r] * temp
+        ndu[j + 1, j + 1] = saved
+
+    ders[:, 0, :] = ndu[:, p].T
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, ne + 1):
+            d = np.zeros(m)
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] * ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for ij in range(j1, j2 + 1):
+                a[s2, ij] = (a[s1, ij] - a[s1, ij - 1]) * ndu[pk + 1, rk + ij]
+                d += a[s2, ij] * ndu[rk + ij, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] * ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[:, k, r] = d
+            s1, s2 = s2, s1
+
+    # Multiply by the correct factors p! / (p - k)!
+    r = p
+    for k in range(1, ne + 1):
+        ders[:, k, :] *= r
+        r *= p - k
+    return ders
+
+
 def eval_basis(d, x: float, nders: int = 0):
     """Evaluate the non-vanishing (rational) basis functions at x.
 
@@ -189,7 +256,7 @@ def eval_basis(d, x: float, nders: int = 0):
     if nders not in (0, 1, 2):
         raise DomainError(f"derivative order must be 0, 1 or 2, got {nders}")
     span = find_span(d, x)
-    ders = _basis_ders(d.knots, d.degree, x, span, nders)
+    ders = basis_ders(d.knots, d.degree, x, span, nders)
     indices = np.arange(span - d.degree, span + 1)
     if d.weights is not None:
         ders = _rationalize(ders, d.weights[indices], nders)

@@ -9,18 +9,19 @@ largest entry.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdfem import elasticity
 from mdfem import mesh as mesh_mod
 from mdfem import structural
 from mdfem.elasticity import Material, SolidModel, constitutive_solid
-from mdfem.errors import DomainError
+from mdfem.errors import (DegenerateCutError, DomainError,
+                          OverDeactivationError)
 from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
-from mdfem.system import System
+from mdfem.system import System, _model_matrix
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
                      integrate_btcb, section_rigidities, tensor_rule)
 
@@ -356,6 +357,133 @@ def test_separable_bulk_matches_quadrature(model):
     ref = ref.toarray()
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
+
+
+def dense_load(model, values):
+    """Per-element sum of the consistent load of constant ``values`` per
+    unit measure over every element in a part, on its own rule row."""
+    f = np.zeros(model.ndof)
+    for elems, rule in model.parts:
+        for i, e in enumerate(elems.tolist()):
+            quad = None if rule is None else (rule[0][i], rule[1][i])
+            f[model.element_dofs(e)] += model.element_load(e, values, quad)
+    return f
+
+
+@st.composite
+def overlap_boxes(draw, mesh):
+    """An `OverlapRegion` over ``mesh``'s local box, or None for the plain
+    model. Per direction: the whole line, a half line or an interval in
+    the box, a sliver cover that leaves 1e-7 of an element uncovered, or
+    an interval beside the box (the region then covers nothing)."""
+    if draw(st.integers(0, 3)) == 0:
+        return None
+    bounds = []
+    for d in mesh.dirs:
+        lo, hi = d.lo, d.hi
+        x = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+        ends = d.intervals()[draw(st.integers(0, d.nelem - 1))]
+        kind = draw(st.sampled_from(
+            ["all", "below", "above", "inside", "sliver", "beside"]))
+        bounds.append({
+            "all": (-INF, INF),
+            "below": (-INF, max(x[1], lo + 1e-3 * (hi - lo))),
+            "above": (min(x[0], hi - 1e-3 * (hi - lo)), INF),
+            "inside": (x[0], max(x[1], x[0] + 1e-3 * (hi - lo))),
+            "sliver": (-INF, ends[1] - 1e-7 * (ends[1] - ends[0])),
+            "beside": (hi + 1.0, hi + 2.0),
+        }[kind])
+    return OverlapRegion(bounds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(separable_solids().map(lambda m: SolidModel(m, MAT)),
+                 separable_structures()), st.data())
+def test_box_path_matches_per_element_quadrature(model, data):
+    """Bulk matrix and constant loads of a plain or overlapped model on
+    the net `build_mesh` makes, its standard-rule part summed over grid
+    boxes from 1D tables, against the per-element quadrature sum: within
+    1e-13 of the largest entry, also where only one side stores an entry
+    (Q4 Kronecker products give exact zeros where quadrature leaves
+    round-off)."""
+    region = data.draw(overlap_boxes(model.mesh))
+    if region is not None:
+        try:
+            model = NonconformingModel(model, region)
+        except (OverDeactivationError, DegenerateCutError):
+            assume(False)
+    K = _model_matrix(model)
+    assert K.has_canonical_format and not (K.data == 0).any()
+    ref = dense_bulk(System([model]))
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+    if model.mesh.model == "beam":
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-2.0, 2.0, model.ncomp_node)
+    if model.mesh.model == "plate":
+        p = values[0]
+        f, values = model.pressure_load(p), p * np.eye(model.ncomp_node)[0]
+    else:
+        f = model.body_force(values)
+    ref = dense_load(model, values)
+    np.testing.assert_allclose(f, ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
+def spy_element_load(monkeypatch):
+    """Record the elements of every `Model.element_load` call and whether
+    it had an explicit rule."""
+    calls = []
+    kernel = elasticity.Model.element_load
+
+    def spy(self, e, values, quadrature=None):
+        calls.append((np.array(e), quadrature is not None))
+        return kernel(self, e, values, quadrature)
+
+    monkeypatch.setattr(elasticity.Model, "element_load", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["solid", "mindlin"])
+def test_overlapped_model_sends_only_cut_rows_to_quadrature(monkeypatch,
+                                                            kind):
+    """On the net `build_mesh` makes, only live CUT rows take element
+    matrices and element loads; on a perturbed net every part does."""
+    if kind == "solid":
+        mesh = build_mesh("solid2d", "spline", 2, (6, 5),
+                          ((0.0, 6.0), (0.0, 5.0)))
+        inner = SolidModel(mesh, MAT)
+    else:
+        mesh = build_mesh("plate", "spline", (3, 2), (6, 5),
+                          ((0.0, 6.0), (0.0, 5.0)))
+        inner = PlateModel(mesh, MAT, kind)
+    nc = NonconformingModel(inner, OverlapRegion(((1.5, 3.7), (-INF, 2.4))))
+    (std, _), (cut, _) = nc.parts
+    assert std.size and cut.size
+
+    def assemble():
+        stiffness = spy_quadrature(monkeypatch)
+        loads = spy_element_load(monkeypatch)
+        System([nc]).bulk_matrix()
+        if kind == "solid":
+            nc.body_force((1.0, -2.0))
+        else:
+            nc.pressure_load(-2.0)
+        monkeypatch.undo()
+        return stiffness, loads
+
+    stiffness, loads = assemble()
+    assert len(stiffness) == 1
+    np.testing.assert_array_equal(stiffness[0], cut)
+    assert len(loads) == 1 and loads[0][1]
+    np.testing.assert_array_equal(loads[0][0], cut)
+
+    mesh.nodes[9] += (0.02, -0.01)
+    stiffness, loads = assemble()
+    for calls in (stiffness, [e for e, _ in loads]):
+        np.testing.assert_array_equal(np.sort(np.concatenate(calls)),
+                                      np.sort(np.concatenate([std, cut])))
 
 
 def test_perturbed_net_takes_the_quadrature_path(monkeypatch):

@@ -630,6 +630,41 @@ def test_element_data_rejects_other_derivative_orders(nders):
             call()
 
 
+@settings(max_examples=100, deadline=None)
+@given(nelems=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       kind=st.sampled_from(["any", "outside a product", "all", "none"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_element_boxes_partition_the_elements(nelems, kind, seed):
+    """`Mesh.element_boxes` splits an element set into disjoint boxes,
+    products of per-direction masks, that cover it exactly: one for the
+    whole mesh, none for no element, and at most ``dim`` for the
+    elements outside a product of per-direction sets (the STANDARD part
+    `nonconforming.classify` leaves)."""
+    dim = len(nelems)
+    mesh = build_mesh({1: "beam", 2: "plate", 3: "solid3d"}[dim], "lagrange",
+                      1, nelems, [(0.0, 1.0)] * dim)
+    rng = np.random.default_rng(seed)
+    sel = {"any": rng.random(mesh.nelem) < 0.5,
+           "all": np.ones(mesh.nelem, bool),
+           "none": np.zeros(mesh.nelem, bool)}.get(kind)
+    if sel is None:
+        inside = np.ones(1, bool)
+        for n in nelems:  # new direction slowest
+            inside = np.logical_and.outer(rng.random(n) < 0.6, inside).ravel()
+        sel = ~inside
+    boxes = mesh.element_boxes(np.flatnonzero(sel))
+    cover = np.zeros(mesh.nelem, int)
+    for box in boxes:
+        assert len(box) == dim and all(m.any() for m in box)
+        inbox = np.ones(mesh.nelem_per_dir, bool)
+        for k, m in enumerate(box):
+            inbox &= m.reshape([-1 if j == k else 1 for j in range(dim)])
+        cover += inbox.ravel(order="F")
+    np.testing.assert_array_equal(cover, sel)
+    limit = {"all": 1, "none": 0, "outside a product": dim}.get(kind)
+    assert limit is None or len(boxes) <= limit
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 3), n=st.integers(0, 6),
        det=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))

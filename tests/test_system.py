@@ -168,6 +168,37 @@ class TestConstraints:
             sys.fix(1, dofs, 0.5)
         assert free_count(sys) == sys.ndof
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, n: s.load(0, ["a"] * n),
+         "model 0: a load is 30 finite values, got something other than "
+         "an array of numbers"),
+        (lambda s, n: s.load(0, [[0.0] * (n - 1), [1.0]]),
+         "model 0: a load is 30 finite values, got something other than "
+         "an array of numbers"),
+        (lambda s, n: s.fix(0, [0], "x"),
+         "model 0: Dirichlet values are one number or one per DOF (1), "
+         "got 'x'"),
+        (lambda s, n: s.fix(0, [0], [1.0, 2.0]),
+         "model 0: Dirichlet values are one number or one per DOF (1), "
+         "got [1.0, 2.0]"),
+        (lambda s, n: s.fix(0, [[0, 1], [2]]),
+         "model 0: local DOFs [[0, 1], [2]] are not an array of integers"),
+        (lambda s, n: s.fix(0, [0], np.nan),
+         "model 0: Dirichlet values must be finite"),
+    ])
+    def test_unreadable_loads_and_values_are_named(self, call, message):
+        # numpy's bare errors before: "could not convert string to float",
+        # an inhomogeneous shape and a failed broadcast.
+        sys = bench.cantilever_system("lagrange", 1, (4, 2), 4)["system"]
+        n = sys.models[0].ndof
+        fixed, f = sys._fixed.copy(), sys._f.copy()
+        with pytest.raises(ConfigError) as exc:
+            call(sys, n)
+        assert str(exc.value) == message
+        np.testing.assert_array_equal(sys._fixed, fixed)
+        np.testing.assert_array_equal(sys._f, f)
+
     def test_empty_and_boxed_integer_dofs_are_valid(self):
         sys = q4_and_beam()
         sys.fix(0, [], 0.5)
