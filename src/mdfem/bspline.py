@@ -34,6 +34,32 @@ def make_open_knots(degree: int, breaks) -> np.ndarray:
     )
 
 
+def _check_knots(k, p):
+    """Raise ConfigError unless ``k`` is a knot vector of degree ``p``:
+    finite, non-decreasing, clamped at both ends (within `np.allclose`'s
+    tolerance), with a non-empty domain and no interior knot repeated
+    more than ``max(p, 1)`` times."""
+    if p < 0:
+        raise ConfigError(f"degree must be non-negative, got {p}")
+    if k.ndim != 1 or k.size < 2 * (p + 1):
+        raise ConfigError("knot vector too short for degree")
+    # NaN fails `>=`, and so does an infinite knot next to another.
+    if not np.all(np.diff(k) >= 0.0):
+        raise ConfigError("knot vector must be finite and non-decreasing")
+    # np.allclose's test (|a - b| <= 1e-8 + 1e-5 |b|) on the innermost
+    # end knots: on sorted knots it is the furthest from its end.
+    lo, hi = k[0], k[-1]
+    if not (abs(k[p] - lo) <= 1e-8 + 1e-5 * abs(lo)
+            and abs(k[-p - 1] - hi) <= 1e-8 + 1e-5 * abs(hi)):
+        raise ConfigError("knot vector must be open (clamped at both ends)")
+    if k[p] == k[-p - 1]:
+        raise ConfigError("knot vector has an empty domain")
+    # Sorted interior knots: m + 1 equal ones start m places apart.
+    interior, m = k[p + 1:-p - 1], max(p, 1)
+    if np.any(interior[m:] == interior[:-m]):
+        raise ConfigError("interior knot multiplicity exceeds degree")
+
+
 @dataclass
 class SplineDir:
     """One basis direction: clamped, non-decreasing ``knots`` in local
@@ -51,25 +77,8 @@ class SplineDir:
 
     def __post_init__(self):
         self.knots = np.asarray(self.knots, dtype=float)
+        _check_knots(self.knots, self.degree)
         p = self.degree
-        if p < 0:
-            raise ConfigError(f"degree must be non-negative, got {p}")
-        if self.knots.ndim != 1 or self.knots.size < 2 * (p + 1):
-            raise ConfigError("knot vector too short for degree")
-        if np.any(np.diff(self.knots) < 0):
-            raise ConfigError("knot vector must be non-decreasing")
-        if not (
-            np.allclose(self.knots[: p + 1], self.knots[0])
-            and np.allclose(self.knots[-(p + 1):], self.knots[-1])
-        ):
-            raise ConfigError("knot vector must be open (clamped at both ends)")
-        if self.knots[p] == self.knots[-p - 1]:
-            raise ConfigError("knot vector has an empty domain")
-        interior = self.knots[p + 1:-p - 1]
-        if interior.size:
-            _, counts = np.unique(interior, return_counts=True)
-            if np.any(counts > max(p, 1)):
-                raise ConfigError("interior knot multiplicity exceeds degree")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.n,):

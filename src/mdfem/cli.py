@@ -37,6 +37,7 @@ Exit codes: 0 success and all bands met, 2 band violated, 1 error.
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import math
@@ -115,6 +116,11 @@ def check_value(path, value, kind, rule):
     if kind == "file":
         if value is not None and (not isinstance(value, str) or not value):
             _fail(path, "expected a file name or null")
+        # A name, not a path: it cannot leave or walk the output directory.
+        if value is not None and (value in (".", "..")
+                                  or set(value) & set("/\\\0")):
+            _fail(path, "expected a bare file name (no '/', '\\' or NUL, "
+                  "not '.' or '..')")
         return value
     if kind == "cells":
         if (not isinstance(value, list) or len(value) != 2
@@ -182,6 +188,14 @@ def _validate_cantilever(cfg):
               f"(solid.span[1] = {solid['span'][1]:g})")
     if not beam["span"][0] <= coupling["l_c"] < beam["span"][1]:
         _fail("beam.span", "must reach the interface at l_c")
+    # Each artifact gets its own file: none overwrites another.
+    taken = {"config.json": "the effective config"}
+    for path in (p for p, row in _SCHEMA.items() if row[0] == "file"):
+        name = out["outputs"][path.split(".")[1]]
+        if name in taken:
+            _fail(path, f"{name!r} is already the name of {taken[name]}")
+        if name is not None:
+            taken[name] = path
     return out
 
 
@@ -259,13 +273,27 @@ def _fmt(v):
     return str(v)
 
 
+def _format_block(block, sep):
+    """Text lines of a 2D numeric array, its values ``sep``-separated:
+    floats as ``%.17g`` (the digits `_fmt` writes), integers as ``%d``.
+    One row template, repeated per row, formats the block in one call."""
+    fmt = "%.17g" if block.dtype.kind == "f" else "%d"
+    row = sep.join([fmt] * block.shape[1]) + "\n"
+    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def write_csv(path, header, rows):
-    """Comma-separated values, header row, 17 significant digits, LF."""
+    """Comma-separated values, header row, 17 significant digits, LF.
+    ``rows`` is a 2D integer or float array, or rows of numbers and
+    strings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "fiu":
+            fh.write(_format_block(rows, ","))
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def von_mises(stress):
@@ -310,27 +338,20 @@ def write_vtk(path, title, points, cells, cell_type, displacement,
         points = np.hstack([points, pad])
         disp = np.hstack([disp, np.zeros_like(pad)])
     cells = np.asarray(cells, dtype=int)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {points.shape[0]} double",
-    ]
-    lines += [" ".join(_fmt(c) for c in p) for p in points]
     nc, npc = cells.shape
-    lines.append(f"CELLS {nc} {nc * (npc + 1)}")
-    lines += [f"{npc} " + " ".join(str(c) for c in row) for row in cells]
-    lines.append(f"CELL_TYPES {nc}")
-    lines += [str(cell_type)] * nc
-    lines.append(f"POINT_DATA {points.shape[0]}")
-    lines.append("VECTORS displacement double")
-    lines += [" ".join(_fmt(c) for c in row) for row in disp]
-    lines.append("SCALARS von_mises double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [_fmt(v) for v in von_mises_values]
+    vm = np.asarray(von_mises_values, dtype=float).reshape(-1, 1)
+    header = ("# vtk DataFile Version 3.0", title, "ASCII",
+              "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double")
+    parts = ["\n".join(header) + "\n", _format_block(points, " "),
+             f"CELLS {nc} {nc * (npc + 1)}\n",
+             _format_block(np.column_stack([np.full(nc, npc), cells]), " "),
+             f"CELL_TYPES {nc}\n", f"{cell_type}\n" * nc,
+             f"POINT_DATA {len(points)}\nVECTORS displacement double\n",
+             _format_block(disp, " "),
+             "SCALARS von_mises double 1\nLOOKUP_TABLE default\n",
+             _format_block(vm, " ")]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(parts)
 
 
 # Reports ---------------------------------------------------------------
@@ -481,7 +502,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    # One parser per process: `parse_args` leaves it unchanged.
     parser = _Parser(prog="mdfem",
                      description="Mixed-dimensional coupled analyses.")
     sub = parser.add_subparsers(dest="command", required=True)

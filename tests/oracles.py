@@ -35,7 +35,14 @@ quotients of those steps in closed form from one eigendecomposition.
 determinants and inverses, with the second derivatives by two d x d
 products per point and node; the library inverts the Jacobians in
 closed form and takes one ``(nen, d^2) @ (d^2, d^2)`` product per point.
+`csv_text` and `vtk_text` are the CLI's artifacts formatted one value
+per Python call (`fmt_value`) and assembled line by line; the writers
+(`cli.write_csv`, `cli.write_vtk`) format each numeric block with one
+``%`` call and must write the same bytes.
 """
+import csv
+import io
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -457,3 +464,55 @@ def power_iteration_alpha(K_solid, K_struct, H, maxiter, quotients=None):
         y /= np.sqrt(yy)
     raise ConvergenceError(f"stabilization eigenvalue stagnant after "
                            f"{maxiter} iterations")
+
+
+def fmt_value(v) -> str:
+    """One CSV or VTK value: integers in full, floats to 17 significant
+    digits."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return str(v)
+
+
+def csv_text(header, rows) -> str:
+    """`cli.write_csv`'s file contents, one `fmt_value` call per value."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_value(v) for v in row])
+    return out.getvalue()
+
+
+def vtk_text(title, points, cells, cell_type, displacement,
+             von_mises_values) -> str:
+    """`cli.write_vtk`'s file contents, assembled line by line."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    disp = np.atleast_2d(np.asarray(displacement, dtype=float))
+    if points.shape[1] < 3:
+        pad = np.zeros((points.shape[0], 3 - points.shape[1]))
+        points = np.hstack([points, pad])
+        disp = np.hstack([disp, np.zeros_like(pad)])
+    cells = np.asarray(cells, dtype=int)
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {points.shape[0]} double",
+    ]
+    lines += [" ".join(fmt_value(c) for c in p) for p in points]
+    nc, npc = cells.shape
+    lines.append(f"CELLS {nc} {nc * (npc + 1)}")
+    lines += [f"{npc} " + " ".join(str(c) for c in row) for row in cells]
+    lines.append(f"CELL_TYPES {nc}")
+    lines += [str(cell_type)] * nc
+    lines.append(f"POINT_DATA {points.shape[0]}")
+    lines.append("VECTORS displacement double")
+    lines += [" ".join(fmt_value(c) for c in row) for row in disp]
+    lines.append("SCALARS von_mises double 1")
+    lines.append("LOOKUP_TABLE default")
+    lines += [fmt_value(v) for v in von_mises_values]
+    return "\n".join(lines) + "\n"

@@ -7,11 +7,12 @@ closed-form Bernstein values, and against finite differences.
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mdfem.bspline import (
     SplineDir,
+    _check_knots,
     _rationalize,
     least_squares_project,
     make_open_knots,
@@ -355,6 +356,79 @@ class TestKnotVectorValidation:
         kv = SplineDir(make_open_knots(3, np.linspace(0, 4, 5)), 3)
         assert kv.n == 4 + 3
         assert kv.nelem == 4
+
+
+def _reference_knot_error(knots, p):
+    """`_check_knots` on non-decreasing knots by whole-array numpy
+    calls (`np.allclose` on each clamped end, `np.unique` counts of the
+    interior knots): the first one violated, or None."""
+    if not (np.allclose(knots[:p + 1], knots[0])
+            and np.allclose(knots[-p - 1:], knots[-1])):
+        return "open"
+    if knots[p] == knots[-p - 1]:
+        return "empty domain"
+    interior = knots[p + 1:-p - 1]
+    if interior.size and np.unique(interior, return_counts=True)[1].max() > (
+            max(p, 1)):
+        return "multiplicity"
+    return None
+
+
+@st.composite
+def _near_clamped_knots(draw):
+    """Non-decreasing knots of degree p whose end runs lie inside, on or
+    just past `np.allclose`'s tolerance of their end knot, with repeated
+    interior knots."""
+    p = draw(st.integers(0, 4))
+    scale = draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e5, 1e300]))
+    lo = draw(st.floats(-1.0, 1.0)) * scale
+    hi = lo + draw(st.sampled_from([0.0, 1e-9, 1.0]) | st.floats(0.0, 2.0)) * (
+        scale)
+    steps = st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]) | (
+        st.floats(0.0, 3.0))
+
+    def near(end, sign):
+        return end + sign * draw(steps) * (1e-8 + 1e-5 * abs(end))
+
+    inner = draw(st.lists(st.floats(min(lo, hi), max(lo, hi)), max_size=6))
+    inner += draw(st.lists(st.sampled_from(inner), max_size=4)) if inner else []
+    knots = np.sort([lo, hi, *inner, *[near(lo, 1.0) for _ in range(p)],
+                     *[near(hi, -1.0) for _ in range(p)]])
+    return knots, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_near_clamped_knots())
+@example(drawn=(np.array([0.0, 1e-8, 1.0, 1.0]), 1))  # on the tolerance
+@example(drawn=(np.array([-1.0, -1.0, -1e-8, 0.0]), 1))
+@example(drawn=(np.array([0.0, 1.0000001e-8, 1.0, 1.0]), 1))  # past it
+def test_knot_checks_match_the_whole_array_form(drawn):
+    """The clamped-end check compares only the innermost end knots, and
+    the multiplicity check compares sorted knots m places apart; on
+    non-decreasing knots both accept and reject what `np.allclose` and
+    `np.unique` do."""
+    knots, p = drawn
+    try:
+        _check_knots(knots, p)
+        got = None
+    except ConfigError as exc:
+        got = next(w for w in ("open", "empty domain", "multiplicity")
+                   if w in str(exc))
+    assert got == _reference_knot_error(knots, p)
+
+
+@pytest.mark.parametrize("knots, p", [
+    ([0.0, 0.0, np.nan, 1.0, 1.0], 1),
+    ([np.nan, 0.0, 1.0, 1.0], 1),
+    ([0.0, 0.0, 1.0, np.inf, np.inf], 1),
+    ([-np.inf, -np.inf, 0.0, 1.0, 1.0], 1),
+    ([0.0, 1.0, np.inf], 0),
+    ([-np.inf, 0.0, 1.0], 0),
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_knots_are_rejected(knots, p):
+    with pytest.raises(ConfigError):
+        SplineDir(np.array(knots), p)
 
 
 class TestLeastSquaresProject:

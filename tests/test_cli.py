@@ -25,6 +25,7 @@ from mdfem.cli import (
     write_vtk,
 )
 from mdfem.errors import ConfigError
+from oracles import csv_text, vtk_text
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -120,6 +121,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError,
                            match=r"outputs\.vtk: expected a file name or null"):
             validate_config({"type": "cantilever", "outputs": {"vtk": ""}})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["../escaped.vtk", "sub/solid.vtk",
+                                      "/abs.vtk", "a\\b.vtk", ".", "..",
+                                      "nul\0.vtk"])
+    def test_output_names_are_bare_file_names(self, tmp_path, capsys, name):
+        path = _write(tmp_path, "cfg.json",
+                      {"type": "cantilever", "outputs": {"vtk": name}})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out-dir", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: outputs.vtk: expected a bare file name")
+        assert not out.exists() and not (tmp_path / "escaped.vtk").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("outputs, message", [
+        ({"vtk": "config.json"},
+         "outputs.vtk: 'config.json' is already the name of the effective "
+         "config"),
+        ({"centerline_csv": "report.txt"},
+         "outputs.report: 'report.txt' is already the name of "
+         "outputs.centerline_csv"),
+        ({"vtk": "out.txt", "report": "out.txt"},
+         "outputs.report: 'out.txt' is already the name of outputs.vtk"),
+        ({"centerline_csv": "solid.vtk", "report": None},
+         "outputs.vtk: 'solid.vtk' is already the name of "
+         "outputs.centerline_csv"),
+    ])
+    def test_output_names_differ(self, tmp_path, capsys, outputs, message):
+        path = _write(tmp_path, "cfg.json",
+                      {"type": "cantilever", "outputs": outputs})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out-dir", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_effective_config_revalidates_to_itself(self):
         cfg = validate_config({"type": "cantilever",
@@ -236,6 +272,67 @@ class TestWriters:
                                       np.broadcast_to(corners, cells.shape
                                                       + (dim,)))
         assert u.shape == pts.shape and not vm.any()
+
+
+# Floats the writers must spell as `f"{x:.17g}"` does: random bit
+# patterns (NaN payloads of either sign among them), the infinities,
+# signed zeros, subnormals and the ends of the range.
+_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64)))
+_FLOATS = _BITS | st.floats() | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+
+
+def _block(draw, rows, cols, values=_FLOATS, dtype=float):
+    return np.array(draw(st.lists(values, min_size=rows * cols,
+                                  max_size=rows * cols)),
+                    dtype=dtype).reshape(rows, cols)
+
+
+@st.composite
+def _vtk_grids(draw):
+    """`write_vtk` arguments of a 2D or 3D grid with 0 to 5 points and 0
+    to 3 cells."""
+    dim, n, nc = (draw(st.sampled_from((2, 3))), draw(st.integers(0, 5)),
+                  draw(st.integers(0, 3)))
+    return (draw(st.text(st.characters(exclude_categories=("Cs",)),
+                         max_size=8)),
+            _block(draw, n, dim),
+            _block(draw, nc, 2**dim, st.integers(0, 2**62), int),
+            {2: 9, 3: 12}[dim], _block(draw, n, dim),
+            _block(draw, n, 1).ravel())
+
+
+@st.composite
+def _csv_tables(draw):
+    """`write_csv` arguments: a float or an integer array of 0 to 5 rows,
+    or rows mixing names, integers and floats."""
+    ncol = draw(st.integers(1, 4))
+    header = tuple(f"c{i}" for i in range(ncol))
+    nrow = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("float", "int", "mixed")))
+    if kind == "float":
+        return header, _block(draw, nrow, ncol)
+    if kind == "int":
+        return header, _block(draw, nrow, ncol,
+                              st.integers(-2**63, 2**63 - 1), np.int64)
+    cells = st.text(max_size=4) | st.integers(-10**20, 10**20) | _FLOATS
+    return header, [tuple(draw(st.lists(cells, min_size=ncol,
+                                        max_size=ncol)))
+                    for _ in range(nrow)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_vtk_grids(), table=_csv_tables())
+def test_writers_match_the_per_value_oracle(grid, table):
+    """The block writers write the bytes of one `_fmt` call per value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        vtk, csv_path = pathlib.Path(tmp, "f.vtk"), pathlib.Path(tmp, "f.csv")
+        write_vtk(vtk, *grid)
+        write_csv(csv_path, *table)
+        assert vtk.read_bytes() == vtk_text(*grid).encode("utf-8")
+        assert csv_path.read_bytes() == csv_text(*table).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +534,8 @@ def _valid_value(kind, rule):
     if kind == "choice":
         return st.sampled_from(rule)
     if kind == "file":
-        return st.none() | st.text(min_size=1, max_size=8)
+        return st.none() | st.text(min_size=1, max_size=8).filter(
+            lambda s: s not in (".", "..") and not set(s) & set("/\\\0"))
     if kind == "cells":
         return st.lists(st.integers(1, 50), min_size=2, max_size=2)
     if kind in ("span", "band"):
@@ -460,7 +558,8 @@ def _broken_value(kind, rule):
     if kind == "choice":
         return objects | st.sampled_from(["nope", 1, None, True])
     if kind == "file":
-        return objects | st.sampled_from([3, "", True, ["a"]])
+        return objects | st.sampled_from([3, "", True, ["a"], ".", "..",
+                                          "../a", "a/b", "a\\b", "a\0"])
     if kind == "cells":
         return objects | st.sampled_from(
             [[1], [0, 1], [1, True], [1.0, 2], "2x2", [1, 2, 3]])
@@ -507,6 +606,12 @@ def _valid_configs(draw):
         coupling["l_c"] = hi
     beam["span"] = [hi - draw(st.floats(0.0, 10.0)),
                     hi + draw(st.floats(1e-3, 50.0))]
+    # Output names must differ: "<key>.<name>" is unique per key and
+    # never a default name or config.json.
+    outputs = cfg.get("outputs", {})
+    for key in ("centerline_csv", "vtk", "report"):
+        if outputs.get(key) is not None:
+            outputs[key] = f"{key}.{outputs[key]}"
     return cfg
 
 
