@@ -63,22 +63,24 @@ def _check_knots(k, p):
 @dataclass
 class SplineDir:
     """One basis direction: clamped, non-decreasing ``knots`` in local
-    coordinates (the first and last are ``lo`` and ``hi``), the
-    ``degree`` p >= 0 and optional positive NURBS ``weights``, one per
-    basis function (None: polynomial, all weights one)."""
+    coordinates (end runs snapped to the first and last, ``lo`` and
+    ``hi``), the ``degree`` p >= 0 and optional positive NURBS
+    ``weights``, one per basis function (None: polynomial, all one)."""
 
     knots: np.ndarray
     degree: int
     weights: np.ndarray | None = None
     _span_starts: np.ndarray = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)
+    _width: np.ndarray = field(init=False, repr=False)
     _mid: np.ndarray = field(init=False, repr=False)
     _taylor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.knots = np.asarray(self.knots, dtype=float)
-        _check_knots(self.knots, self.degree)
-        p = self.degree
+        p, k = self.degree, np.asarray(self.knots, dtype=float)
+        _check_knots(k, p)
+        self.knots = np.concatenate([np.full(p + 1, k[0]), k[p + 1:-p - 1],
+                                     np.full(p + 1, k[-1])])
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.n,):
@@ -89,8 +91,11 @@ class SplineDir:
                 raise ConfigError("NURBS weights must be positive")
         # Knot indices that open a non-empty span (an element), in order.
         self._span_starts = np.nonzero(np.diff(self.knots) > 0.0)[0]
-        self._ends, self._taylor = _taylor_tables(self.knots, p,
-                                                  self._span_starts)
+        with np.errstate(all="ignore"):
+            self._ends, self._width, self._taylor = _taylor_tables(
+                self.knots, p, self._span_starts)
+        if not np.isfinite(self._taylor).all():
+            raise ConfigError("basis derivatives overflow on a knot span")
         self._mid = 0.5 * (self._ends[:self.nelem] + self._ends[self.nelem:])
 
     @property
@@ -144,7 +149,7 @@ class SplineDir:
         # The table about the nearer end, and the power-m coefficients of
         # the derivatives up to nders, one row per point.
         k = e + self.nelem * (xs > self._mid[e])
-        u = (xs - self._ends[k])[:, None]
+        u = ((xs - self._ends[k]) / self._width[k])[:, None]
         T = self._taylor[:, :, :(nders + 1) * (self.degree + 1)]
         out = np.take(T[-1], k, axis=0)
         for m in range(self.degree - 1, -1, -1):
@@ -164,20 +169,22 @@ class SplineDir:
 def _taylor_tables(knots, degree, starts):
     """Taylor polynomials of the non-vanishing basis functions of each
     span ``starts[e]`` (knot indices), about each of its two ends: ``(c,
-    taylor)``, with ``c[e]`` the lower end of span e and ``c[e + nelem]``
-    the upper one, and ``taylor[m, i, k * (degree + 1) + j]`` the
-    coefficient of (x - c[i])^m in the k-th derivative (k <= 2) of the
-    span's j-th function (``starts[e] - degree + j``). Built by the
+    h, taylor)``, with ``c[e]`` the lower end of span e and ``c[e +
+    nelem]`` the upper one, ``h[i]`` the width of c[i]'s span and
+    ``taylor[m, i, k * (degree + 1) + j]`` the coefficient of ((x - c[i])
+    / h[i])^m, in the span's own scale, in the k-th derivative (k <= 2) of
+    the span's j-th function (``starts[e] - degree + j``). Built by the
     Cox-de Boor recursion on coefficient arrays, all spans at once, with
     0/0 == 0. A factor x - t that vanishes at an end stays an exact zero
     there, so a function or derivative that vanishes at an end evaluates
     to exactly zero on it, as the knot-insertion triangle gives it."""
     p = degree
     c = np.concatenate([knots[starts], knots[starts + 1]])
+    h = np.tile(knots[starts + 1] - knots[starts], 2)[:, None]
     # The span's knots t_{s-p} .. t_{s+p+1} less c: w[:, p + r] = t_{s+r} - c.
     w = knots[np.concatenate([starts, starts])[:, None]
               + np.arange(-p, p + 2)] - c[:, None]
-    # P[m, i, j]: the coefficient of u^m, u = x - c[i], of the j-th
+    # P[m, i, j]: the coefficient of u^m, u = (x - c[i]) / h[i], of the j-th
     # function at degree q, on knots t_{s-q+j} .. t_{s+j+1}.
     P = np.zeros((p + 1, c.size, p + 1))
     P[0, :, 0] = 1.0
@@ -189,16 +196,16 @@ def _taylor_tables(knots, degree, starts):
         new = np.zeros((q + 1, c.size, q + 1))
         new[:q, :, 1:] = -lo * a
         new[:q, :, :-1] += hi * a
-        new[1:, :, 1:] += a
-        new[1:, :, :-1] -= a
+        new[1:, :, 1:] += h * a
+        new[1:, :, :-1] -= h * a
         P[:q + 1, :, :q + 1] = new
-    # d^k/du^k sum_m P_m u^m = sum_m P_{m+k} (m + k)! / m! u^m.
+    # d^k/dx^k sum_m P_m u^m = h^-k sum_m P_{m+k} (m + k)! / m! u^m.
     taylor = np.zeros((p + 1, c.size, 3, p + 1))
     m = np.arange(1.0, p + 1)[:, None, None]
     taylor[:, :, 0] = P
-    taylor[:p, :, 1] = P[1:] * m
-    taylor[:p - 1, :, 2] = P[2:] * (m[:-1] * m[1:])
-    return c, taylor.reshape(p + 1, c.size, -1)
+    taylor[:p, :, 1] = P[1:] * m / h
+    taylor[:p - 1, :, 2] = P[2:] * (m[:-1] * m[1:]) / h ** 2
+    return c, h[:, 0], taylor.reshape(p + 1, c.size, -1)
 
 
 def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:

@@ -9,10 +9,10 @@ from 1D matrices (`elasticity.stiffness_separable`); the explicit-rule
 (cut) parts, and every part of any other net, give batches of element
 matrices (`elasticity.stiffness_quadrature`) summed by a sparse product
 (`mesh.sum_blocks`), as each coupling sums its segment blocks.
-The solve factors the assembled CSR matrix straight, with no symmetrize
-pass, by banded Cholesky at every size, in the smaller-band order of
-reverse Cuthill-McKee and a sort along the longest axis of the DOFs'
-global control points (`Model.to_global`). That one factorization,
+The solve stores the assembled matrix's upper triangle, with no symmetrize
+pass, as the lower band of banded Cholesky at every size, in the smaller-
+band order of reverse Cuthill-McKee and a sort along the longest axis of
+the DOFs' global control points (`Model.to_global`). That factorization,
 `_factor_spd`, also gives the stabilization estimate its solid solve.
 """
 from __future__ import annotations
@@ -271,16 +271,19 @@ def _model_matrix(m) -> sp.csr_matrix:
 
 def _block_diag(parts) -> sp.csr_matrix:
     """Square CSR matrices along the diagonal of one, canonical where
-    each part is."""
+    each part is, its indices int32 where the sizes allow (no conversion)."""
     if len(parts) < 2:
         return parts[0] if parts else sp.csr_matrix((0, 0))
     n = np.cumsum([0] + [p.shape[0] for p in parts])
     nnz = np.cumsum([0] + [p.nnz for p in parts])
+    itype = np.int32 if max(n[-1], nnz[-1]) < 2**31 else np.int64
+    n, nnz = n.astype(itype), nnz.astype(itype)
     return sp.csr_matrix(
         (np.concatenate([p.data for p in parts]),
-         np.concatenate([p.indices + o for p, o in zip(parts, n)]),
-         np.concatenate([[0]] + [p.indptr[1:] + z
-                                 for p, z in zip(parts, nnz)])),
+         np.concatenate([np.add(p.indices, o, dtype=itype)
+                         for p, o in zip(parts, n)]),
+         np.concatenate([nnz[:1]] + [np.add(p.indptr[1:], z, dtype=itype)
+                                     for p, z in zip(parts, nnz)])),
         shape=(n[-1], n[-1]))
 
 
@@ -289,9 +292,9 @@ _PIVOT_TOL = 1e-10  # pivot^2 <= this * K_jj: round-off of K_jj, singular
 
 def _factor_spd(K: sp.csr_matrix, free, points):
     """``(solve, stats)`` of ``K[free][:, free]``, K symmetric positive
-    definite to round-off: one triangle is read. Banded Cholesky at every
-    size, in `_band_order`'s order of ``points`` (one per DOF), K's upper
-    triangle scattered into band storage; ``solve(b)`` solves for each
+    definite to round-off: in `_band_order`'s order of ``points`` (one per
+    DOF), its upper triangle is read, stored as the lower band and factored
+    by lower banded Cholesky at every size; ``solve(b)`` solves for each
     column of b. ``stats`` holds ndof, nnz, band, band_mb, ordering and
     the candidates' bands; no free DOF gives empty ones. A breakdown (an
     under-stabilized interface) is a DefinitenessError, a pivot fallen to
@@ -306,25 +309,25 @@ def _factor_spd(K: sp.csr_matrix, free, points):
     pr = np.repeat(pos, np.diff(K.indptr))
     kept = (pr >= 0) & (pc >= 0)
     up = np.flatnonzero(kept & (pc >= pr))
-    ab = np.zeros((u + 1, n), order="F")  # ab[u + r - c, c] = K_rc
-    ab.T.ravel()[pr[up] + u * (pc[up] + np.int64(1))] = K.data[up]
+    ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc, row-contiguous
+    ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[up]
     stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
                  band_mb=ab.nbytes / 1e6, ordering=name,
                  **{f"{k}_band": v for k, v in bands.items()})
-    diag = ab[u].copy()
+    diag = ab[0].copy()
     try:
-        cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=False)
+        cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(
             "stiffness matrix is not positive definite; if this system is "
             "Nitsche-coupled the stabilization alpha is likely too small"
         ) from exc
-    if np.any(cb[u] ** 2 <= _PIVOT_TOL * diag):
+    if np.any(cb[0] ** 2 <= _PIVOT_TOL * diag):
         raise RankError("stiffness matrix is singular: a rigid mode is "
                         "free; constrain every model")
     q = pos[idx]
     inv = np.argsort(q)  # b[inv] is b in the band order
-    return (lambda b: sla.cho_solve_banded((cb, False), b[inv],
+    return (lambda b: sla.cho_solve_banded((cb, True), b[inv],
                                            overwrite_b=True)[q]), stats
 
 

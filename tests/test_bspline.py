@@ -402,11 +402,14 @@ def _near_clamped_knots(draw):
 @example(drawn=(np.array([0.0, 1e-8, 1.0, 1.0]), 1))  # on the tolerance
 @example(drawn=(np.array([-1.0, -1.0, -1e-8, 0.0]), 1))
 @example(drawn=(np.array([0.0, 1.0000001e-8, 1.0, 1.0]), 1))  # past it
+@example(drawn=(np.array([0.0, 1e-9, 1e-9, 0.5, 1.0, 1.0, 1.0]), 2))
+@example(drawn=(np.array([-5e-9, 0.0, 1e-21, 5e-9]), 1))
 def test_knot_checks_match_the_whole_array_form(drawn):
     """The clamped-end check compares only the innermost end knots, and
     the multiplicity check compares sorted knots m places apart; on
     non-decreasing knots both accept and reject what `np.allclose` and
-    `np.unique` do."""
+    `np.unique` do. A vector they accept builds a basis on its snapped
+    end runs (`check_snapped_basis`)."""
     knots, p = drawn
     try:
         _check_knots(knots, p)
@@ -415,6 +418,65 @@ def test_knot_checks_match_the_whole_array_form(drawn):
         got = next(w for w in ("open", "empty domain", "multiplicity")
                    if w in str(exc))
     assert got == _reference_knot_error(knots, p)
+    if got is None:
+        check_snapped_basis(knots, p)
+
+
+def check_snapped_basis(knots, p):
+    """``SplineDir(knots, p)`` has its end runs set to the end knots, a
+    non-empty domain, every element's functions in ``[0, n)`` and unit
+    sums of its functions at both ends and the middle of each element;
+    or, where a span is so short that 1 / width^2 overflows, ConfigError."""
+    try:
+        kv = SplineDir(knots, p)
+    except ConfigError as exc:
+        assert "overflow" in str(exc)
+        widths = np.diff(knots)
+        assert widths[widths > 0].min() < 1e-150
+        return
+    assert np.array_equal(kv.knots[p + 1:-p - 1], knots[p + 1:-p - 1])
+    assert (kv.knots[:p + 1] == knots[0]).all()
+    assert (kv.knots[-p - 1:] == knots[-1]).all()
+    assert kv.lo == knots[0] < kv.hi == knots[-1]
+    e = np.arange(kv.nelem)
+    idx = kv.indices(e)
+    assert idx.min() >= 0 and idx.max() < kv.n
+    ends = kv.intervals()
+    for x in (ends[:, 0], ends.mean(axis=1), ends[:, 1]):
+        assert_allclose(kv.eval(e, x, 0)[:, 0].sum(axis=1), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("knots, p, nelem", [
+    # A span inside the end run gave functions [-2, -1, 0] (wrapping to
+    # the last ones), and one of width 1e-21 a raw IndexError.
+    ([0.0, 1e-9, 1e-9, 0.5, 1.0, 1.0, 1.0], 2, 2),
+    ([-5e-9, 0.0, 1e-21, 5e-9], 1, 1),
+], ids=["span-inside-end-run", "end-runs-span-the-domain"])
+def test_near_clamped_end_runs_are_snapped(knots, p, nelem):
+    check_snapped_basis(np.array(knots), p)
+    assert SplineDir(np.array(knots), p).nelem == nelem
+
+
+@pytest.mark.parametrize("knots, p", [
+    ([0.0] * 5 + [1e300] * 5, 4),
+    ([0.0] * 3 + [1e100] + [2e300] * 3, 2),
+    ([0.0] * 4 + [1e-120] + [1.0] * 4, 3),
+], ids=["wide", "wide-beside-narrow", "narrow-beside-wide"])
+def test_basis_tables_keep_each_spans_scale(knots, p):
+    # Tables in powers of x - end, not of (x - end) / width, underflowed
+    # on the wide spans ((1 - x / L)^4 read 1 at the middle) and
+    # overflowed to NaN on the narrow one.
+    kv = SplineDir(np.array(knots), p)
+    check_snapped_basis(kv.knots, p)
+    for e, (a, b) in enumerate(kv.intervals()):
+        x = a + 0.3 * (b - a)
+        assert_allclose(kv.eval(e, x, 0)[0, 0], eval_basis(kv, x)[0][0],
+                        rtol=1e-12)
+
+
+def test_span_whose_derivatives_overflow_is_rejected():
+    with pytest.raises(ConfigError, match="overflow"):
+        SplineDir(np.array([0.0] * 3 + [1e-200] + [1.0] * 3), 2)
 
 
 @pytest.mark.parametrize("knots, p", [

@@ -15,7 +15,7 @@ from mdfem.errors import ConfigError, DefinitenessError, RankError
 from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
-from mdfem.system import System, _band_order, _factor_spd
+from mdfem.system import System, _band_order, _block_diag, _factor_spd
 from oracles import local_matrices
 
 
@@ -460,6 +460,87 @@ class TestSpdSolver:
                                    atol=1e-10 * abs(ref).max())
         assert stats["ndof"] == n
         assert stats["ordering"] in ("rcm", "geometric")
+
+
+class TestLowerBandStorage:
+    """`_factor_spd` stores the upper triangle (in its band order) as the
+    lower band: the other triangle is never read, and the pivot tests
+    read the factor's diagonal from the band's first row."""
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_only_the_upper_triangle_is_read(self, n):
+        rng = np.random.default_rng(n)
+        B = sp.random(n, n, density=3.0 / n, random_state=rng, format="csr")
+        A = (B @ B.T + sp.eye(n) * 4.0).tocsr()
+        A.sort_indices()  # RCM follows the stored order; COO keeps it sorted
+        free = rng.random(n) < 0.9
+        points = rng.random((n, 3))
+        pos = _band_order(A, free, points)[1]
+        # Garbage in the strict lower triangle of the band order, on A's
+        # pattern, so the order is the same.
+        K = A.tocoo(copy=True)
+        lower = pos[K.row] > pos[K.col]
+        K.data[lower] = rng.standard_normal(lower.sum()) * 1e3
+        K = K.tocsr()
+        assert abs(K - K.T).max() > 1.0
+        np.testing.assert_array_equal(_band_order(K, free, points)[1], pos)
+        b = rng.standard_normal(free.sum())
+        x = _factor_spd(K, free, points)[0](b)
+        ref = np.linalg.solve(A.toarray()[np.ix_(free, free)], b)
+        np.testing.assert_allclose(x, ref, rtol=0,
+                                   atol=1e-10 * abs(ref).max())
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_round_off_pivot_is_a_rank_error(self, n):
+        # The free-free 1D Laplacian, shifted by 1e-12: positive definite,
+        # but its last pivot is round-off of the diagonal.
+        main = np.full(n, 2.0 + 1e-12)
+        main[[0, -1]] = 1.0 + 1e-12
+        K = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1],
+                     format="csr")
+        with pytest.raises(RankError, match="singular"):
+            solve_all(K, np.ones(n))
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_negative_definite_is_a_definiteness_error(self, n):
+        rng = np.random.default_rng(n)
+        B = sp.random(n, n, density=0.1, random_state=rng, format="csr")
+        K = (-(B @ B.T) - sp.eye(n)).tocsr()
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            solve_all(K, np.ones(n))
+
+
+def _random_csr(n, seed):
+    return sp.random(n, n, density=0.3, random_state=seed, format="csr")
+
+
+class TestBlockDiag:
+    @pytest.mark.parametrize("sizes", [[5], [4, 6], [3, 0, 7], [0, 2, 5],
+                                       [6, 1, 4]])
+    def test_matches_scipy_bit_for_bit(self, sizes):
+        parts = [_random_csr(n, seed) for seed, n in enumerate(sizes)]
+        got = _block_diag(parts)
+        ref = sp.block_diag(parts, format="csr")
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_int32_parts_give_int32(self):
+        parts = [_random_csr(n, n) for n in (3, 4, 5)]
+        assert all(p.indices.dtype == np.int32 for p in parts)
+        got = _block_diag(parts)
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+
+    def test_int64_part_is_placed_right(self):
+        parts = [_random_csr(n, n) for n in (3, 4, 5)]
+        wide = parts[1].copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        got = _block_diag([parts[0], wide, parts[2]])
+        np.testing.assert_array_equal(
+            got.toarray(), sp.block_diag(parts).toarray())
 
 
 class TestSolveInputs:
