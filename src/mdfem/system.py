@@ -2,18 +2,14 @@
 bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
-component-minor inside each block. Every model gives its stiffness form
-(`stiffness_form`) over its element `parts`. On the net `build_mesh`
-makes, the standard-rule part, split into grid boxes, gives its matrix
-from 1D matrices (`elasticity.stiffness_separable`); the explicit-rule
-(cut) parts, and every part of any other net, give batches of element
-matrices (`elasticity.stiffness_quadrature`) summed by a sparse product
-(`mesh.sum_blocks`), as each coupling sums its segment blocks.
-The solve stores the assembled matrix's upper triangle, with no symmetrize
-pass, as the lower band of banded Cholesky at every size, in the smaller-
-band order of reverse Cuthill-McKee and a sort along the longest axis of
-the DOFs' global control points (`Model.to_global`). That factorization,
-`_factor_spd`, also gives the stabilization estimate its solid solve.
+component-minor inside each block. Each model's matrix comes from its
+stiffness form over its `parts` (`_model_matrix`). The solve stores the
+assembled matrix's upper triangle, with no symmetrize pass, as the lower
+band of banded Cholesky, in the smaller-band order of reverse Cuthill-
+McKee and a sort along the longest axis of the DOFs' global control
+points (`Model.to_global`). While it factors, K is the one global matrix
+alive, and beyond K and the band it holds O(`_BLOCK`) entries and O(n)
+vectors. `_factor_spd` also gives the stabilization estimate its solve.
 """
 from __future__ import annotations
 
@@ -55,9 +51,7 @@ class System:
                 raise ConfigError("each model may appear only once")
         self.models = models
         self.couplings = []
-        self.offsets = np.concatenate(
-            [[0], np.cumsum([m.ndof for m in models])]
-        ).astype(int)
+        self.offsets = np.cumsum([0] + [m.ndof for m in models])
         # Prescribed value of each DOF; NaN where the DOF is free.
         self._fixed = np.full(self.ndof, np.nan)
         self._f = np.zeros(self.ndof)
@@ -149,13 +143,7 @@ class System:
     # Assembly ----------------------------------------------------------
 
     def bulk_matrix(self) -> sp.csr_matrix:
-        """K~ = sum of each model's own stiffness, no coupling terms: one
-        canonical CSR matrix per model, placed on the diagonal once.
-
-        Each model's standard-rule part goes box by box on
-        `stiffness_separable` where its mesh allows it, and the other
-        parts (all parts elsewhere) as element matrices of its
-        `Model.batches` (`_model_matrix`)."""
+        """K~: each model's `_model_matrix` on the diagonal, no coupling."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
     def _coupling_matrices(self, with_h):
@@ -201,9 +189,8 @@ class System:
             struct_free = np.flatnonzero(free & ~solid)
             order = np.concatenate([np.flatnonzero(solid), struct_free])
             H = sum(h for _, _, h in coupling_mats)[order][:, order]
-            a = estimate_alpha(solve_solid,
-                               Kbulk[struct_free][:, struct_free].toarray(),
-                               H)
+            a = estimate_alpha(
+                solve_solid, Kbulk[struct_free][:, struct_free].toarray(), H)
         if not 0.0 < a < np.inf:
             raise ConfigError(f"stabilization alpha must be finite and "
                               f"positive, got {a} (degenerate interface?)")
@@ -226,12 +213,13 @@ class System:
         right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
         residual (free DOFs) and the reactions (constrained ones)."""
         alphas = self.resolve_alpha(alpha)
-        Kbulk, coupling_mats = self._assembled(False)
+        K, coupling_mats = self._assembled(False)
         self._parts = None
+        if coupling_mats:  # rebinding K frees the bulk matrix
+            K = (K + sum(Kn + Kn.T + a_c * Kst for (Kn, Kst, _), a_c
+                         in zip(coupling_mats, alphas))).tocsr()
+        del coupling_mats  # K is the one global matrix left to factor
         free = np.isnan(self._fixed)
-        terms = [Kn + Kn.T + a_c * Kst
-                 for (Kn, Kst, _), a_c in zip(coupling_mats, alphas)]
-        K = (Kbulk + sum(terms[1:], terms[0])).tocsr() if terms else Kbulk
         f, a = self._f.copy(), np.where(free, 0.0, self._fixed)
         b = (f - K @ a)[free]
         solve, stats = _factor_spd(K, free, self._dof_points())
@@ -288,32 +276,34 @@ def _block_diag(parts) -> sp.csr_matrix:
 
 
 _PIVOT_TOL = 1e-10  # pivot^2 <= this * K_jj: round-off of K_jj, singular
+_BLOCK = 2**16  # stored entries per row block of K's passes
 
 
 def _factor_spd(K: sp.csr_matrix, free, points):
-    """``(solve, stats)`` of ``K[free][:, free]``, K symmetric positive
-    definite to round-off: in `_band_order`'s order of ``points`` (one per
-    DOF), its upper triangle is read, stored as the lower band and factored
-    by lower banded Cholesky at every size; ``solve(b)`` solves for each
-    column of b. ``stats`` holds ndof, nnz, band, band_mb, ordering and
-    the candidates' bands; no free DOF gives empty ones. A breakdown (an
-    under-stabilized interface) is a DefinitenessError, a pivot fallen to
-    round-off of its diagonal entry (a rigid mode left free) a RankError."""
-    idx = np.flatnonzero(free)
-    n = idx.size
+    """``(solve, stats)`` of ``K[free][:, free]``, K (or its canonical copy)
+    symmetric positive definite to round-off: in `_band_order`'s order of
+    ``points`` (one per DOF), its upper triangle is read a row block at a
+    time (`_row_blocks`: O(n + ``_BLOCK``) memory beyond K and the band)
+    into the lower band of banded Cholesky; ``solve(b)`` solves for each
+    column of b. ``stats``: ndof, nnz, band, band_mb, ordering, each
+    candidate's band; empty with no free DOF. A breakdown (alpha too small)
+    is a DefinitenessError, a round-off pivot (a free rigid mode) RankError."""
+    n = int(np.count_nonzero(free))
     if n == 0:
         return lambda b: np.zeros(np.shape(b)), {}
-    name, pos, pc, bands = _band_order(K, free, points)
-    u = bands[name]
-    # Row and column place of every entry, -1 off the free block.
-    pr = np.repeat(pos, np.diff(K.indptr))
-    kept = (pr >= 0) & (pc >= 0)
-    up = np.flatnonzero(kept & (pc >= pr))
+    K = K if K.has_canonical_format else K.copy()
+    K.sum_duplicates()  # in place on the copy, a no-op on canonical K
+    name, pos, bands = _band_order(K, free, points)
+    u, nnz = bands[name], 0
     ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc, row-contiguous
-    ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[up]
-    stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
-                 band_mb=ab.nbytes / 1e6, ordering=name,
-                 **{f"{k}_band": v for k, v in bands.items()})
+    for rows, ptr, ents in _row_blocks(K):
+        pr = np.repeat(pos[rows], np.diff(ptr))  # -1 off the free block
+        pc = np.take(pos, K.indices[ents])
+        nnz += int(np.count_nonzero((pr >= 0) & (pc >= 0)))
+        up = np.flatnonzero((pr >= 0) & (pc >= pr))  # so pc >= 0 too
+        ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[ents][up]
+    stats = dict(ndof=n, nnz=nnz, band=u, band_mb=ab.nbytes / 1e6,
+                 ordering=name, **{f"{k}_band": v for k, v in bands.items()})
     diag = ab[0].copy()
     try:
         cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True)
@@ -325,33 +315,43 @@ def _factor_spd(K: sp.csr_matrix, free, points):
     if np.any(cb[0] ** 2 <= _PIVOT_TOL * diag):
         raise RankError("stiffness matrix is singular: a rigid mode is "
                         "free; constrain every model")
-    q = pos[idx]
+    q = pos[free]
     inv = np.argsort(q)  # b[inv] is b in the band order
     return (lambda b: sla.cho_solve_banded((cb, True), b[inv],
                                            overwrite_b=True)[q]), stats
 
 
 def _band_order(K: sp.csr_matrix, free, points):
-    """``(name, pos, cols, bands)``: the order of the ``free`` DOFs with
-    the smaller upper band, each DOF's place in it (-1 if not free), the
-    place of each stored entry's column in it and each candidate's band.
-    The candidates are reverse Cuthill-McKee on K, the other DOFs dropped,
-    and a stable sort of ``points`` (one per DOF) along the longest axis
-    of the free ones' bounding box; RCM wins ties."""
+    """``(name, pos, bands)``: the order of the ``free`` DOFs with the
+    smaller upper band, each DOF's place in it (-1 if not free) and each
+    candidate's band, measured a row block at a time (`_row_blocks`): RCM
+    on K, the other DOFs dropped, or a stable sort of ``points`` (one per
+    DOF) along the free ones' longest axis; RCM wins ties."""
     idx = np.flatnonzero(free)
     rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
     p = points[idx]
     orders = {"rcm": rcm[free[rcm]],
               "geometric": idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
                                           kind="stable")]}
-    # A band in one pass over K: each nonempty row's furthest column place.
-    rows = np.flatnonzero(np.diff(K.indptr))
-    places, cols, bands = {}, {}, {}
+    places, bands = {}, {}
     for name, perm in orders.items():
         pos = places[name] = np.full(K.shape[0], -1, dtype=K.indices.dtype)
         pos[perm] = np.arange(perm.size)
-        cols[name] = np.take(pos, K.indices)
-        last = np.maximum.reduceat(cols[name], K.indptr[rows])
-        bands[name] = int((last - pos[rows])[free[rows]].max(initial=0))
+        top = []  # each nonempty free row's furthest column place - its own
+        for rows, ptr, ents in _row_blocks(K):
+            nz = np.flatnonzero(np.diff(ptr))
+            last = np.maximum.reduceat(np.take(pos, K.indices[ents]), ptr[nz])
+            top.append((last - pos[rows][nz])[free[rows][nz]])
+        bands[name] = int(np.concatenate(top).max(initial=0))
     name = min(bands, key=bands.get)
-    return name, places[name], cols[name], bands
+    return name, places[name], bands
+
+
+def _row_blocks(K: sp.csr_matrix):
+    """``(rows, ptr, entries)`` of each row block, started at the row of every
+    ``_BLOCK``-th entry (< ``_BLOCK`` entries + a row); ``ptr`` from 0."""
+    ptr = K.indptr
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], _BLOCK), "right") - 1
+    rows = np.unique(np.r_[0, cuts, K.shape[0]])
+    for r0, r1 in zip(rows[:-1], rows[1:]):
+        yield slice(r0, r1), ptr[r0:r1 + 1] - ptr[r0], slice(ptr[r0], ptr[r1])

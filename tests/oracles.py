@@ -27,7 +27,11 @@ columns live in the jump or the traction at some interface point.
 stacked local DOFs ``[solid | struct]``, the numbering of a system that
 holds the solid and then the structure only, and `solid_solve` for its
 solid block the solve `coupling.estimate_alpha` takes, by the library's
-own factorization. `power_iteration_alpha` is
+own factorization. `band_order` and `band_fill` are
+`system._band_order` and the band fill of `system._factor_spd` on
+whole arrays of K's stored entries, a column place per entry; the
+library reads K one row block at a time and must give the same order,
+bands, band storage and stats bit for bit. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
@@ -45,6 +49,7 @@ import io
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from mdfem.bspline import _rationalize
@@ -350,6 +355,45 @@ def solid_solve(K):
     K = sp.csr_matrix(K)
     n = K.shape[0]
     return _factor_spd(K, np.ones(n, bool), np.zeros((n, 3)))[0]
+
+
+def band_order(K, free, points):
+    """``(name, pos, cols, bands)`` as `system._band_order` gives
+    ``(name, pos, bands)``, each band in one pass over all of K; ``cols``
+    is the place of each stored entry's column in the chosen order."""
+    idx = np.flatnonzero(free)
+    rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
+    p = points[idx]
+    orders = {"rcm": rcm[free[rcm]],
+              "geometric": idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
+                                          kind="stable")]}
+    rows = np.flatnonzero(np.diff(K.indptr))
+    places, cols, bands = {}, {}, {}
+    for name, perm in orders.items():
+        pos = places[name] = np.full(K.shape[0], -1, dtype=K.indices.dtype)
+        pos[perm] = np.arange(perm.size)
+        cols[name] = np.take(pos, K.indices)
+        last = np.maximum.reduceat(cols[name], K.indptr[rows])
+        bands[name] = int((last - pos[rows])[free[rows]].max(initial=0))
+    name = min(bands, key=bands.get)
+    return name, places[name], cols[name], bands
+
+
+def band_fill(K, free, points):
+    """``(ab, stats)``: the lower band `system._factor_spd` hands to
+    ``cholesky_banded`` and its stats, filled from whole-K arrays of row
+    and column places in `band_order`'s order."""
+    name, pos, pc, bands = band_order(K, free, points)
+    n, u = int(np.count_nonzero(free)), bands[name]
+    pr = np.repeat(pos, np.diff(K.indptr))
+    kept = (pr >= 0) & (pc >= 0)
+    up = np.flatnonzero(kept & (pc >= pr))
+    ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc
+    ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[up]
+    stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
+                 band_mb=ab.nbytes / 1e6, ordering=name,
+                 **{f"{k}_band": v for k, v in bands.items()})
+    return ab, stats
 
 
 def coupling_matrices(op, offsets, ndof, with_h):

@@ -1,14 +1,17 @@
 """Assembly, constraints, and the global solve path."""
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdfem import bench, coupling
+from mdfem import bench, coupling, system
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DefinitenessError, RankError
@@ -16,7 +19,7 @@ from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System, _band_order, _block_diag, _factor_spd
-from oracles import local_matrices
+from oracles import band_fill, band_order, local_matrices
 
 
 def small_coupled():
@@ -687,8 +690,7 @@ class TestBandOrder:
         sys, alpha = drawn_system(data)
         sol = sys.solve(alpha=alpha or "auto")
         K, free = sol.K, sol.free
-        name, pos, cols, bands = _band_order(K, free, sys._dof_points())
-        np.testing.assert_array_equal(cols, pos[K.indices])
+        name, pos, bands = _band_order(K, free, sys._dof_points())
         idx = np.flatnonzero(free)
         perm = np.empty(idx.size, dtype=int)
         perm[pos[idx]] = idx
@@ -707,7 +709,7 @@ class TestBandOrder:
         solid = SolidModel(build_mesh("solid3d", "spline", 2, nelems,
                                       extents), Material(E=1.0, nu=0.3))
         sys = System([solid])
-        name, _, _, bands = _band_order(sys.bulk_matrix(),
+        name, _, bands = _band_order(sys.bulk_matrix(),
                                      np.ones(sys.ndof, dtype=bool),
                                      sys._dof_points())
         assert name == "geometric"
@@ -767,6 +769,195 @@ class TestBandOrder:
             assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
         # The 87-DOF beam alone takes the banded path as well.
         assert s["ndof"] == 87 and s["band"] < 87
+
+
+def factored_band(K, free, points, block):
+    """``((name, pos, bands), ab, stats)`` of `_band_order` and
+    `_factor_spd` with row blocks of ``block`` entries, ``ab`` as handed
+    to ``cholesky_banded``."""
+    handed = []
+    real = sla.cholesky_banded
+
+    def spy(ab, **kwargs):
+        handed.append(ab.copy(order="F"))
+        return real(ab, **kwargs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(system, "_BLOCK", block)
+        m.setattr(sla, "cholesky_banded", spy)
+        name, pos, order_bands = _band_order(K, free, points)
+        stats = _factor_spd(K, free, points)[1]
+    return (name, pos, order_bands), handed[-1], stats
+
+
+def assert_blocked_equals_whole(K, free, points, block):
+    """The row-blocked passes give the whole-array oracle's order, bands,
+    stats and band storage bit for bit."""
+    order, ab, stats = factored_band(K, free, points, block)
+    name, pos, _, bands = band_order(K, free, points)
+    assert order[0] == name and order[2] == bands
+    np.testing.assert_array_equal(order[1], pos)
+    ref_ab, ref_stats = band_fill(K, free, points)
+    assert stats == ref_stats
+    assert ab.shape == ref_ab.shape and ab.flags.f_contiguous
+    assert ab.tobytes() == ref_ab.tobytes()
+
+
+def spd_with_empty_rows(size, density, free_frac, empty_frac, seed):
+    """``(K, free)``: ``B B^T + I`` with some constrained DOFs' rows and
+    columns emptied, so its free block stays positive definite."""
+    rng = np.random.default_rng(seed)
+    B = sp.random(size, size, density=density, random_state=rng)
+    free = rng.random(size) < free_frac
+    free[rng.integers(size)] = True
+    keep = free | (rng.random(size) >= empty_frac)
+    D = sp.diags(keep.astype(float))
+    K = (D @ (B @ B.T + sp.eye(size)) @ D).tocsr()
+    K.eliminate_zeros()
+    K.sort_indices()
+    return K, free
+
+
+class TestBlockedBandPasses:
+    """`_band_order` and the band fill read K one row block at a time, a
+    block started at the row of every ``_BLOCK``-th stored entry; any
+    block size gives what one pass over all of K gives."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_drawn_systems(self, block, data):
+        sys, alpha = drawn_system(data)
+        sol = sys.solve(alpha=alpha or "auto")
+        assert_blocked_equals_whole(sol.K, sol.free, sys._dof_points(),
+                                    block)
+
+    # Rows longer than a block, empty (constrained) rows and constrained
+    # rows at block edges: with a block of 1 every nonempty row starts a
+    # block.
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 90), st.floats(0.0, 0.3), st.floats(0.3, 1.0),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(90, 0.3, 0.5, 0.5, 1)
+    @example(40, 0.0, 0.5, 1.0, 2)
+    def test_random_spd(self, block, size, density, free_frac, empty_frac,
+                        seed):
+        K, free = spd_with_empty_rows(size, density, free_frac, empty_frac,
+                                      seed)
+        points = np.random.default_rng(seed).random((size, 3))
+        assert_blocked_equals_whole(K, free, points, block)
+
+    def test_row_blocks_partition_the_rows(self, monkeypatch):
+        # Rows of 0, 3, 9, 0, 2, 2, 5 entries; entries 0, 4, 8, ..., 20
+        # lie in rows 1, 2, 2, 4, 6, 6, so blocks start at rows 1, 2, 4, 6.
+        lengths = [0, 3, 9, 0, 2, 2, 5]
+        n = len(lengths)
+        K = sp.csr_matrix((np.ones(sum(lengths)),
+                           np.concatenate([np.arange(k) % n
+                                           for k in lengths]),
+                           np.cumsum([0] + lengths)), shape=(n, 9))
+        monkeypatch.setattr(system, "_BLOCK", 4)
+        blocks = list(system._row_blocks(K))
+        assert [(r.start, r.stop, e.start, e.stop)
+                for r, _, e in blocks] == [(0, 1, 0, 0), (1, 2, 0, 3),
+                                           (2, 4, 3, 12), (4, 6, 12, 16),
+                                           (6, 7, 16, 21)]
+        for r, ptr, e in blocks:
+            np.testing.assert_array_equal(ptr, K.indptr[r.start:r.stop + 1]
+                                          - e.start)
+
+
+class TestFactorInBoundedMemory:
+    def test_peak_beyond_inputs_and_band_is_o_of_block(self, monkeypatch):
+        # Whole-K index arrays took about 25 B per stored entry.
+        monkeypatch.setattr(system, "_BLOCK", 2**10)
+        n, half = 4000, 10
+        K = sp.diags([np.full(n, 4.0 * half)]
+                     + [-np.ones(n - k) for k in range(1, half + 1)] * 2,
+                     [0] + list(range(1, half + 1))
+                     + list(range(-1, -half - 1, -1)), format="csr")
+        assert K.nnz >= 16 * system._BLOCK
+        free = np.arange(n) % 9 != 4
+        points = np.random.default_rng(0).random((n, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve, stats = _factor_spd(K, free, points)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ab_nbytes = stats["band_mb"] * 1e6
+        assert peak <= ab_nbytes + 128 * n + 64 * system._BLOCK
+        b = np.ones(stats["ndof"])
+        np.testing.assert_allclose(K[free][:, free] @ solve(b), b,
+                                   rtol=1e-12)
+
+    def test_bulk_matrix_freed_before_factoring(self, monkeypatch):
+        refs, alive = [], []
+        bulk = System.bulk_matrix
+
+        def bulk_spy(sysm):
+            K = bulk(sysm)
+            refs.append(weakref.ref(K))
+            return K
+        factor = system._factor_spd
+
+        def factor_spy(K, free, points):
+            alive.append([r() is not None for r in refs])
+            return factor(K, free, points)
+        monkeypatch.setattr(System, "bulk_matrix", bulk_spy)
+        monkeypatch.setattr(system, "_factor_spd", factor_spy)
+        solid, beam, op = small_coupled()
+        sysm = coupled([solid, beam], op)
+        sysm.fix(0, clamped_edge_dofs(solid))
+        sysm.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
+        sysm.solve(alpha=5.0e3)
+        assert alive == [[False]]
+
+
+def split_entries(A, reverse):
+    """A's CSR arrays with each diagonal entry stored as two halves (the
+    second at the row's end), or with each row's entries reversed."""
+    data, indices = [], []
+    for i in range(A.shape[0]):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]].copy()
+        if reverse:
+            cols, vals = cols[::-1], vals[::-1]
+        else:
+            vals[cols == i] *= 0.5
+            cols, vals = np.append(cols, i), np.append(vals, 0.5 * A[i, i])
+        indices.append(cols)
+        data.append(vals)
+    indptr = np.cumsum([0] + [c.size for c in indices])
+    K = sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                       indptr), shape=A.shape)
+    assert not K.has_canonical_format
+    return K
+
+
+class TestNonCanonicalInput:
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["duplicates", "unsorted"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factored_as_the_canonical_form(self, reverse, seed):
+        rng = np.random.default_rng(seed)
+        n = 12
+        B = sp.random(n, n, density=0.2, random_state=rng)
+        A = (B @ B.T + 12.0 * sp.eye(n)).tocsr()
+        A.sort_indices()
+        assert A.has_canonical_format
+        free = np.ones(n, bool)
+        points = rng.random((n, 3))
+        K = split_entries(A, reverse)
+        ref = factored_band(A, free, points, system._BLOCK)
+        got = factored_band(K, free, points, system._BLOCK)
+        assert got[2] == ref[2]
+        assert got[1].tobytes() == ref[1].tobytes()
+        b = rng.standard_normal(n)
+        np.testing.assert_allclose(_factor_spd(K, free, points)[0](b),
+                                   np.linalg.solve(A.toarray(), b),
+                                   rtol=1e-12, atol=0)
 
 
 class TestSolveFromAssembled:
