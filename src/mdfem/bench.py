@@ -22,7 +22,7 @@ from .bspline import least_squares_project
 from .coupling import build_interface
 from .elasticity import Material, SolidModel
 from .errors import ConfigError, DefinitenessError
-from .mesh import affine, build_mesh
+from .mesh import build_mesh
 from .nonconforming import NonconformingModel, OverlapRegion
 from .structural import BeamModel, PlateModel
 from .system import System
@@ -73,21 +73,16 @@ def timoshenko_exact(x, y, consts=None):
 
 
 def sample_points(model, a_model, points):
-    """Displacement and stress of a model at local-coordinate points.
+    """Displacement and stress of a model at box-coordinate points.
 
-    All points are located in one call and recovered in one call, each
-    in its own element. Beams and plates are read on their mid-line or
-    mid-surface. Returns ``(u, s)`` with one row per point. The points
-    are read through the affine `Mesh.element_containing`, so the mesh
-    must be `affine` (ConfigError otherwise).
+    All points are located in one call (`Mesh.locate`) and recovered in
+    one call, each in its own element. Beams and plates are read on
+    their mid-line or mid-surface. Returns ``(u, s)`` with one row per
+    point.
     """
     mesh = model.mesh
-    if not affine(mesh):
-        raise ConfigError("sampling needs an affine map: the net build_mesh "
-                          "makes, with equal NURBS weights if any")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    elems = mesh.element_containing(pts)
-    parent = mesh.local_to_parent(elems, pts)
+    elems, parent = mesh.locate(pts)
     if mesh.model in ("beam", "plate"):
         return model.recover(elems, parent, np.zeros(len(pts)), a_model)
     return model.recover(elems, parent, a_model)

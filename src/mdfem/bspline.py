@@ -140,9 +140,9 @@ class SplineDir:
         1)``, row k the k-th derivatives of the element's functions.
 
         Horner steps on the span's Taylor polynomials about its nearer
-        end (`_taylor_tables`), so Newton iterates that step slightly
-        outside the element remain well defined (the polynomial extension
-        of the span).
+        end (`_taylor_tables`), so points that round slightly outside the
+        element remain well defined (the polynomial extension of the
+        span).
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         e = np.reshape(e, -1)

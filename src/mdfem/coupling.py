@@ -32,7 +32,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import affine, element_batches, facet_rules, sum_blocks
+from .mesh import element_batches, facet_rules, sum_blocks
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -148,8 +148,7 @@ def build_interface(solid, struct, axis, side, *,
     + p_struct + 1 points per in-face direction; every facet quadrature
     point is located in the structural mesh (possibly splitting one
     facet across several partner elements) by the partner's `to_local`
-    and the mesh's affine `element_containing`. That inversion holds on
-    an `affine` partner mesh only; any other partner map is a
+    and `Mesh.locate`; a point outside the partner mesh is a
     PairingError.
     """
     smesh = struct.mesh
@@ -162,12 +161,8 @@ def build_interface(solid, struct, axis, side, *,
     nq = w.size // nf
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = struct.to_local(phys)
-    if not affine(smesh):
-        raise PairingError(
-            f"the partner {smesh.model} map is not affine: pairing needs "
-            "the net build_mesh makes, with equal NURBS weights if any")
     try:
-        belems = smesh.element_containing(inplane)
+        belems, bparent = smesh.locate(inplane)
     except DomainError as exc:
         raise PairingError(
             f"interface point has no partner element: {exc}") from exc
@@ -178,8 +173,7 @@ def build_interface(solid, struct, axis, side, *,
     starts = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     points = Segment(
         s_elem=np.repeat(elems, nq)[order],
-        s_parent=parent[order], b_elem=belems[order],
-        b_parent=smesh.local_to_parent(belems, inplane)[order],
+        s_parent=parent[order], b_elem=belems[order], b_parent=bparent[order],
         offsets=offsets[order], normals=normals[order], weights=w[order])
     return CouplingOperator(solid, struct, points, starts)
 

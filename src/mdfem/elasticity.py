@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .errors import ConfigError
-from .mesh import (Mesh, _det_inv, bulk_points, element_batches,
-                   facet_rules, on_grid, parent_data, quadrature_data)
+from .mesh import (Mesh, bulk_points, direction_tables, element_batches,
+                   facet_rules, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -203,19 +203,10 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _grid_jacobian(mesh):
-    """``(det, G)`` of the map x = origin + A y of a mesh that is `on_grid`
-    (A its rotation, the identity if none; G = A^-1), or None if it is not
-    or det <= 0: then only quadrature applies."""
-    det, G = _det_inv(np.eye(mesh.dim) if mesh.rotation is None
-                      else mesh.rotation)
-    return (det, G) if det > 0 and on_grid(mesh) else None
-
-
 def stiffness_separable(mesh: Mesh, form, boxes):
     """Matrix of a stiffness ``form`` (as `stiffness_quadrature` takes it)
     over the element ``boxes`` of `Mesh.element_boxes`, canonical CSR
-    without exact zeros, if `_grid_jacobian` applies; else None.
+    without exact zeros.
 
     The map is x = origin + A y, y_k a function of t_k alone, so a jet in
     x combines jets in y (`_jet_map`), and P_ab in y over a box is the
@@ -225,10 +216,7 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     evaluated once per part (`_tables_1d`); one GEMM per part and box with
     D gives the node blocks, and the boxes' matrices are summed.
     """
-    grid = _grid_jacobian(mesh)
-    if grid is None:
-        return None
-    det, G = grid
+    _, _, G, det = mesh.placement
     T, m = _jet_map(G), jets(mesh.dim)
     parts = []
     for D, npts in form:
@@ -238,10 +226,7 @@ def stiffness_separable(mesh: Mesh, form, boxes):
         nders = 2 if used[-1] > mesh.dim else 1
         mats = []
         for d in mesh.dirs:
-            tab = _tables_1d(d, npts or d.degree + 1, nders)
-            if tab is None:
-                return None
-            idx, wdy, tab = tab
+            idx, wdy, tab = _tables_1d(d, npts or d.degree + 1, nders)
             mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab, tab)))
         parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
     nc, Ks = form[0][0].shape[0], []
@@ -280,24 +265,12 @@ def _tables_1d(d, npts, nders):
     """Gauss tables of direction ``d`` on its ``npts``-point rule: ``(idx,
     wdy, tab)``, the functions of each element ``(nelem, p + 1)``, the
     weights times dy/dt ``(nelem, npts)`` and the basis derivatives of
-    order <= ``nders`` in y (local), ``(nelem, npts, nders + 1, p + 1)``;
-    None where dy/dt <= 0."""
+    order <= ``nders`` in y (`mesh.direction_tables`), ``(nelem, npts,
+    nders + 1, p + 1)``."""
     el = np.arange(d.nelem)
     t, w, _ = tensor_rules([d.intervals()], [el], [npts])
-    tab = d.eval(np.repeat(el, npts), t.ravel(), nders).reshape(
-        w.shape + (nders + 1, -1))
-    idx = d.indices(el)
-    x = d.greville()[idx]
-    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], x)
-    if np.any(dy <= 0):
-        return None
-    if nders == 2:
-        # d2N/dy2 = (d2N/dt2 - dN/dt d2y/dt2 / dy/dt) / (dy/dt)^2
-        tab[..., 2, :] -= tab[..., 1, :] * (np.einsum(
-            "eqa,ea->eq", tab[..., 2, :], x) / dy)[..., None]
-        tab[..., 2, :] /= (dy * dy)[..., None]
-    tab[..., 1, :] /= dy[..., None]
-    return idx, w * dy, tab
+    tab, _, dy = direction_tables(d, el, t[..., 0], nders)
+    return d.indices(el), w * dy, tab
 
 
 def _band_1d(n, idx, mats, mask):
@@ -323,18 +296,13 @@ def _band_1d(n, idx, mats, mask):
 
 def load_separable(mesh: Mesh, boxes):
     """int N dx of every node over the element ``boxes`` of
-    `Mesh.element_boxes`, on the standard Gauss rule, if `_grid_jacobian`
-    applies; else None. Over a box it is the outer product over directions
-    of int B dy over the box's elements (`_tables_1d`), times det A."""
-    grid = _grid_jacobian(mesh)
-    if grid is None:
-        return None
+    `Mesh.element_boxes`, on the standard Gauss rule. Over a box it is the
+    outer product over directions of int B dy over the box's elements
+    (`_tables_1d`), times det A."""
     tabs = [_tables_1d(d, d.degree + 1, 1) for d in mesh.dirs]
-    if any(t is None for t in tabs):
-        return None
     out = np.zeros(mesh.nnodes)
     for box in boxes:
-        f = np.full(1, grid[0])
+        f = np.full(1, mesh.placement[3])
         for d, (idx, wdy, tab), mask in zip(mesh.dirs, tabs, box):
             g = np.zeros(d.n)
             np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", wdy[mask],
@@ -388,16 +356,14 @@ class Model:
         return at[elems]
 
     def batches(self, width):
-        """``(elements, rule)`` of `parts` in `mesh.element_batches` runs
-        of ``width * max(width, nq * dim)`` entries an element, nq its
-        rule's points (the standard rule: nen), a rule cut to its rows."""
-        mesh = self.mesh
-        for elems, rule in self.parts:
-            nq = mesh.nen if rule is None else rule[1].shape[1]
-            for rows in element_batches(np.arange(len(elems)),
-                                        width * max(width, nq * mesh.dim)):
-                yield elems[rows], None if rule is None else tuple(
-                    r[rows] for r in rule)
+        """``(elements, rule)`` of the explicit-rule `parts` (all but the
+        first, which `stiffness_separable` and `load_separable` integrate)
+        in `mesh.element_batches` runs of ``width * max(width, nq * dim)``
+        entries an element, nq its rule's points, a rule cut to its rows."""
+        for elems, (local, wts) in self.parts[1:]:
+            for rows in element_batches(np.arange(len(elems)), width * max(
+                    width, wts.shape[1] * self.mesh.dim)):
+                yield elems[rows], (local[rows], wts[rows])
 
     def element_load(self, e, values, quadrature=None):
         """Consistent load of constant ``values`` (one per nodal unknown)
@@ -411,18 +377,15 @@ class Model:
     def element_sum(self, values, kernel):
         """The load of constant ``values`` (one per nodal unknown) per unit
         measure over `parts`. The standard-rule part comes from 1D
-        integrals over its grid boxes (`load_separable`) where the mesh
-        allows it; every other part, and every part of any other mesh,
+        integrals over its grid boxes (`load_separable`), every other part
         from the element rows ``kernel(elements, rule)`` over `batches`,
         summed once in element order."""
         mesh = self.mesh
         values = np.reshape(np.asarray(values, dtype=float), self.ncomp_node)
-        N = load_separable(mesh, mesh.element_boxes(self.parts[0][0]))
         out = np.zeros((mesh.nnodes, self.ncomp_node))
-        if N is not None:
-            out += np.multiply.outer(N, values)
-        rows = [(el, kernel(el, rule)) for el, rule in self.batches(mesh.nen)
-                if N is None or rule is not None]
+        out += np.multiply.outer(
+            load_separable(mesh, mesh.element_boxes(self.parts[0][0])), values)
+        rows = [(el, kernel(el, rule)) for el, rule in self.batches(mesh.nen)]
         if rows:
             el, fe = (np.concatenate(r) for r in zip(*rows))
             order = np.argsort(el, kind="stable")

@@ -2,16 +2,19 @@
 
 A mesh is a tensor product of univariate directions, each a B-spline/NURBS
 knot vector; a 2-noded Lagrange subdivision is the degree-1 B-spline on
-open knots, with its nodes at the breaks. Geometry is carried by a full
-control net (initialised to the Greville points), so the same machinery
-serves straight boxes and perturbed patches.
+open knots, with its nodes at the breaks. Geometry is the grid of the
+directions' Greville abscissae g: direction k maps its local (knot)
+coordinate t_k to the box coordinate y_k = Y_k(t_k) = sum_a B_a(t_k) g_a,
+the identity on a polynomial direction and a monotone 1D map on a
+NURBS-weighted one, and a placement puts the box at x = origin + A y.
+Nothing else is expressible: no curved or perturbed net.
 
-Coordinate stages: parent [-1,1]^d -> local (affine per element and
-direction onto the knot spans, whose knots are local coordinates) ->
-stored coordinates. Solid meshes store global coordinates
-(any placement rotation applied at build time); beam meshes store the local
-axis coordinate with placement in ``origin``/``phi``; plate meshes store
-mid-surface coordinates with the transverse offset in ``z_mid``.
+Coordinate stages: parent [-1,1]^d -> local (linear per element and
+direction onto the knot spans) -> box y -> stored coordinates. Solid
+meshes store global coordinates (A is the placement rotation, the
+identity if none); beam meshes store the local axis coordinate with
+placement in ``origin``/``phi``; plate meshes store mid-surface
+coordinates with the transverse offset in ``z_mid``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bspline import SplineDir, make_open_knots
-from .errors import ConfigError, DomainError, PairingError
+from .errors import ConfigError, DomainError
 from .quadrature import tensor_rules
 
 MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
@@ -29,17 +32,27 @@ MODEL_DIMS = {"solid2d": 2, "solid3d": 3, "beam": 1, "plate": 2}
 
 @dataclass
 class Mesh:
-    """Tensor-product mesh with a full control net."""
+    """Tensor-product mesh: its directions and their placement."""
 
     model: str
     basis: str
     dirs: list
-    nodes: np.ndarray  # (nnodes, dim) in storage coordinates
     origin: np.ndarray | None = None
     rotation: np.ndarray | None = None  # solids: local box -> global
     phi: float = 0.0       # beams: mid-line rotation angle
     z_mid: float = 0.0     # plates: transverse position of the mid-surface
     _ien: np.ndarray | None = field(default=None, repr=False)
+    _nodes: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        """``placement``: ``(c, A, G, det A)`` of x = c + A y, G = A^-1."""
+        A = np.eye(self.dim) if self.rotation is None else self.rotation
+        det, G = _det_inv(A)
+        if not (np.isfinite(det) and det > 0 and np.isfinite(G).all()):
+            raise ConfigError(f"rotation: expected a finite, positive "
+                              f"determinant, got {det} for {A.tolist()}")
+        self.placement = (np.zeros(self.dim) if self.rotation is None
+                          else self.origin), A, G, float(det)
 
     @property
     def dim(self):
@@ -60,7 +73,20 @@ class Mesh:
 
     @property
     def nnodes(self):
-        return self.nodes.shape[0]
+        return int(np.prod([d.n for d in self.dirs]))
+
+    @property
+    def nodes(self):
+        """``(nnodes, dim)`` storage coordinates of the control points: the
+        grid of the directions' Greville abscissae, first direction
+        fastest, placed; built once (read-only)."""
+        if self._nodes is None:
+            c, A, _, _ = self.placement
+            grids = np.meshgrid(*[d.greville() for d in self.dirs],
+                                indexing="ij")
+            self._nodes = c + np.stack([g.T.ravel() for g in grids], -1) @ A.T
+            self._nodes.flags.writeable = False
+        return self._nodes
 
     @property
     def nen(self):
@@ -134,15 +160,15 @@ class Mesh:
             np.asarray(parent, dtype=float))
 
     def local_to_parent(self, e, local):
-        """Parent coordinates of local-box points in element ``e``, or in
+        """Parent coordinates of local points in element ``e``, or in
         ``e[i]`` for point ``i`` of an element array."""
         a, b = self._bounds(e)
         return (2.0 * np.atleast_2d(np.asarray(local, dtype=float))
                 - (a + b)) / (b - a)
 
     def element_containing(self, x_local):
-        """Grid element index of a point given in local box coordinates, or
-        one index per row of an ``(npts, dim)`` array.
+        """Grid element index of a point given in local (knot) coordinates,
+        or one index per row of an ``(npts, dim)`` array.
 
         Points up to 1e-10 of a direction's length outside the box are
         clamped onto it; a point on an interior element boundary belongs to
@@ -178,64 +204,43 @@ class Mesh:
             [d.eval(i, local[:, k], nders) for k, (d, i)
              in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
 
-    def locate(self, x):
-        """Element and parent coordinates ``(e, xi)`` of a storage-coordinate
-        point; an ``(npts, dim_x)`` array gives an element array and
-        ``(npts, dim)`` parent points.
+    def locate(self, y):
+        """Element and parent coordinates ``(e, xi)`` of a point in box
+        coordinates y (a placed solid passes ``G (x - origin)``); an
+        ``(npts, dim)`` array gives an element array and ``(npts, dim)``
+        parent points. Each y_k = Y_k(t_k) is inverted on its own
+        (`_box_to_local`), then `element_containing` and `local_to_parent`
+        apply with their rules: an interior break goes to the element
+        above it, a point outside the box is a DomainError."""
+        y = np.asarray(y, dtype=float)
+        t = np.stack([_box_to_local(d, yk) for d, yk
+                      in zip(self.dirs, np.atleast_2d(y).T)], axis=-1)
+        e = self.element_containing(t)
+        xi = self.local_to_parent(e, t)
+        return (e, xi) if y.ndim == 2 else (int(e[0]), xi[0])
 
-        Each point is paired with every element whose control-net bounding
-        box holds it to 1e-8, and all pairs run one batched, damped Newton
-        inversion of the element map: at most 50 steps from the element
-        centre, each halved until the residual drops or the scale is below
-        1e-3, converged at 1e-11 times the diagonal of the element's
-        control-net bounding box. Pairs with a singular Jacobian or no
-        convergence drop out. The first element in element order whose
-        point lies in the parent box to 1e-8 wins; PairingError if a point
-        has none.
-        """
-        x = np.asarray(x, dtype=float)
-        pts = x.reshape(-1, self.nodes.shape[1])
-        P = self.nodes[self.ien()]
-        lo, hi = P.min(axis=1), P.max(axis=1)
-        pad = 1e-8 * np.maximum(1.0, np.abs(pts).max(axis=1))[:, None, None]
-        q, e = np.nonzero(np.all((pts[:, None] >= lo - pad)
-                                 & (pts[:, None] <= hi + pad), axis=2))
-        tol = 1e-11 * np.linalg.norm(hi[e] - lo[e], axis=1)
-        a, b = self._bounds(e)
 
-        def residual(k, xi):
-            """Residuals and parent Jacobians of pairs ``k`` at ``xi``."""
-            N, dN, _ = self.shape_ders(e[k], self.parent_to_local(e[k], xi))
-            xk, J = element_map(P[e[k]], N[:, None], dN[:, None])
-            return xk[:, 0] - pts[q[k]], J[:, 0] * (0.5 * (b - a))[k, None]
+def _box_to_local(d, y):
+    """Local coordinates t with Y(t) = y in direction ``d``: y itself on a
+    polynomial direction and outside the box. On a weighted one Y
+    increases: the element is the last whose lower end maps to y or below,
+    and bisection of its interval keeps Y(a) <= y < Y(b) until a and b are
+    round-off apart."""
+    if d.weights is None:
+        return y
+    t, inside, ends = y.copy(), (y >= d.lo) & (y <= d.hi), d.intervals()
 
-        xi = np.zeros((e.size, self.dim))
-        k = np.arange(e.size)
-        r, J = residual(k, xi)
-        done = np.zeros(e.size, dtype=bool)
-        for _ in range(50):
-            rn = np.linalg.norm(r, axis=1)
-            done[k[rn <= tol[k]]] = True
-            go = ~(rn <= tol[k]) & (np.linalg.det(J) != 0)
-            k, r, J, rn = k[go], r[go], J[go], rn[go]
-            if not k.size:
-                break
-            step = np.linalg.solve(J, r[..., None])[..., 0]
-            x0, scale, todo = xi[k], np.ones(k.size), np.arange(k.size)
-            while todo.size:
-                xi[k[todo]] = x0[todo] - scale[todo, None] * step[todo]
-                r[todo], J[todo] = residual(k[todo], xi[k[todo]])
-                todo = todo[~((np.linalg.norm(r[todo], axis=1) < rn[todo])
-                              | (scale[todo] < 1e-3))]
-                scale[todo] *= 0.5
-        win = np.flatnonzero(done & np.all(np.abs(xi) <= 1.0 + 1e-8, axis=1))
-        found, first = np.unique(q[win], return_index=True)
-        if found.size < len(pts):
-            miss = np.setdiff1d(np.arange(len(pts)), found)[0]
-            raise PairingError(f"no element contains point {pts[miss]}")
-        hit = win[first]
-        return (e[hit], xi[hit]) if x.ndim == 2 else (int(e[hit[0]]),
-                                                      xi[hit[0]])
+    def Y(el, t):
+        return direction_tables(d, el, t[:, None], 1)[1][:, 0]
+
+    el = np.maximum(np.searchsorted(Y(np.arange(d.nelem), ends[:, 0]),
+                                    y[inside], side="right") - 1, 0)
+    a, b = ends[el].T
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        a, b = np.where(Y(el, m) <= y[inside], (m, b), (a, m))
+    t[inside] = a
+    return t
 
 
 def _boxes(sel):
@@ -272,8 +277,9 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     extents : sequence of (lo, hi)
         Local coordinate range per direction. Beams use the local axis
         range, plates the mid-surface rectangle.
-    origin, rotation : placement of solid meshes (global = origin + R @ local)
-        or, for beams, the global position of the local origin.
+    origin, rotation : placement of solid meshes (global = origin + R @ local,
+        R of finite, positive determinant) or, for beams, the global
+        position of the local origin.
     phi : beam mid-line rotation angle.
     z_mid : transverse position of a plate mid-surface.
     weights : per-direction NURBS weight arrays (optional, spline only).
@@ -308,52 +314,23 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         dirs.append(SplineDir(knots, p,
                               None if weights is None else weights[k]))
 
-    ndglobal = 2 if model in ("solid2d", "beam") else 3
+    solid = model.startswith("solid")
     if origin is not None:
-        origin = _floats(origin, (ndglobal,), "origin")
+        origin = _floats(origin, (2 if model in ("solid2d", "beam") else 3,),
+                         "origin")
     if rotation is not None:
-        if model not in ("solid2d", "solid3d"):
+        if not solid:
             raise ConfigError("rotation applies to solid meshes only")
         rotation = _floats(rotation, (dim, dim), "rotation")
-    if model in ("solid2d", "solid3d"):
-        if rotation is not None or origin is not None:
-            if origin is None:
-                origin = np.zeros(dim)
-            if rotation is None:
-                rotation = np.eye(dim)
-    elif model == "beam":
-        if origin is None:
-            origin = np.zeros(2)
+    if solid and (rotation is not None or origin is not None):
+        origin = np.zeros(dim) if origin is None else origin
+        rotation = np.eye(dim) if rotation is None else rotation
+    elif model == "beam" and origin is None:
+        origin = np.zeros(2)
 
-    return Mesh(
-        model=model, basis=basis, dirs=dirs,
-        nodes=grid_nodes(dirs, origin, rotation), origin=origin,
-        rotation=rotation, phi=float(_floats(phi, (), "phi")),
-        z_mid=float(_floats(z_mid, (), "z_mid")))
-
-
-def grid_nodes(dirs, origin=None, rotation=None):
-    """The net `build_mesh` makes: the tensor grid of the directions'
-    nodes, first direction fastest, placed at ``origin + rotation @ x``
-    when a rotation is given."""
-    grids = np.meshgrid(*[d.greville() for d in dirs], indexing="ij")
-    nodes = np.stack([np.transpose(g).ravel() for g in grids], axis=-1)
-    return nodes if rotation is None else origin + nodes @ rotation.T
-
-
-def on_grid(mesh):
-    """Whether ``mesh.nodes`` are bit for bit the net `grid_nodes` gives
-    for the mesh's directions and placement."""
-    return np.array_equal(mesh.nodes, grid_nodes(mesh.dirs, mesh.origin,
-                                                  mesh.rotation))
-
-
-def affine(mesh):
-    """Whether the affine `Mesh.element_containing` and
-    `Mesh.local_to_parent` invert the mesh's map: the net is `on_grid`
-    and its NURBS weights, if any, are equal."""
-    return on_grid(mesh) and not any(
-        np.ptp(d.weights) for d in mesh.dirs if d.weights is not None)
+    return Mesh(model=model, basis=basis, dirs=dirs, origin=origin,
+                rotation=rotation, phi=float(_floats(phi, (), "phi")),
+                z_mid=float(_floats(z_mid, (), "z_mid")))
 
 
 def _per_dir(value, dim, name):
@@ -459,31 +436,51 @@ def _tensor_combine(uni, nders):
     return N, dN, d2N
 
 
+def direction_tables(d, el, t, nders):
+    """Direction ``d`` at local points ``t`` ``(E, Q)`` of its elements
+    ``el`` ``(E,)``: ``(tab, Y, dY)``, the basis derivatives of order <=
+    ``nders`` (1 or 2) in y ``(E, Q, nders + 1, p + 1)``, y = Y(t) (t
+    where unweighted) and dy/dt ``(E, Q)``, from Y = sum_a B_a g_a over
+    the Greville abscissae g; d2N/dy2 = (d2N/dt2 - dN/dt d2y/dt2 / dy/dt)
+    / (dy/dt)^2. A dy/dt not finite and positive is a DomainError."""
+    if nders not in (1, 2):
+        raise ConfigError(f"nders must be 1 (shape gradients) or 2 (also "
+                          f"second derivatives), got {nders!r}")
+    tab = d.eval(np.repeat(el, t.shape[1]), t.ravel(), nders).reshape(
+        t.shape + (nders + 1, d.nloc))
+    x = d.greville()[d.indices(el)]
+    Y = t if d.weights is None else np.einsum("eqa,ea->eq", tab[..., 0, :], x)
+    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], x)
+    bad = ~(np.isfinite(dy) & (dy > 0)).all(axis=1)
+    if bad.any():
+        raise DomainError(f"non-finite or non-positive jacobian in element "
+                          f"{el[bad][0]} of a direction")
+    if nders == 2:
+        tab[..., 2, :] -= tab[..., 1, :] * (np.einsum(
+            "eqa,ea->eq", tab[..., 2, :], x) / dy)[..., None]
+        tab[..., 2, :] /= (dy * dy)[..., None]
+    tab[..., 1, :] /= dy[..., None]
+    return tab, Y, dy
+
+
 def bulk_points(mesh: Mesh, e, npts=None, nders=1):
     """Quadrature data for one element or an element array.
 
     Returns ``(local, weights, N, dNdx, d2Ndx2, phys)`` where weights
     include the physical volume measure; an element array adds a leading
     element axis to each. ``d2Ndx2`` is None unless ``nders >= 2``. Each
-    direction's basis is evaluated in one call at the Gauss points of all
-    its element intervals, and the tables are combined per element.
+    direction is tabulated in one call at the Gauss points of all its
+    element intervals (`direction_tables`), and the tables are combined
+    per element.
     """
-    _require_nders(nders)
-    if npts is None:
-        npts = tuple(d.degree + 1 for d in mesh.dirs)
     elems = np.atleast_1d(e)
-    local, wts, rules = tensor_rules([d.intervals() for d in mesh.dirs],
-                                     mesh.element_grid_index(elems),
-                                     _per_dir(npts, mesh.dim, "npts"))
-    uni = []
-    for d, (x, at) in zip(mesh.dirs, rules):
-        tab = d.eval(np.repeat(np.arange(d.nelem), x.shape[1]), x.ravel(),
-                     nders)
-        uni.append(tab.reshape(x.shape + tab.shape[1:])[at])
-    out = _element_data(mesh, elems, local, wts, nders,
-                        _tensor_combine(uni, nders))
-    return out if np.ndim(e) else tuple(
-        None if a is None else a[0] for a in out)
+    local, wts, rules = tensor_rules(
+        [d.intervals() for d in mesh.dirs], mesh.element_grid_index(elems),
+        [p + 1 for p in mesh.degrees] if npts is None
+        else _per_dir(npts, mesh.dim, "npts"))
+    return _element_data(mesh, e, local, wts, [
+        [a[at] for a in direction_tables(d, np.arange(d.nelem), x, nders)]
+        for d, (x, at) in zip(mesh.dirs, rules)])
 
 
 def quadrature_data(mesh, e, quadrature=None, nders=1):
@@ -491,27 +488,14 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
     standard rule or on an explicit local-coordinate rule ``(local,
     weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
     ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
-    explicit rule are evaluated in one `Mesh.shape_ders` call."""
+    explicit rule are tabulated in one call per direction."""
     if quadrature is None:
         return bulk_points(mesh, e, nders=nders)
-    _require_nders(nders)
     elems = np.atleast_1d(e)
     local = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
     wts = np.reshape(quadrature[1], local.shape[:2])
-    shapes = mesh.shape_ders(np.repeat(elems, local.shape[1]),
-                             local.reshape(-1, mesh.dim), nders)
-    out = _element_data(mesh, elems, local, wts, nders,
-                        [None if s is None else s.reshape(local.shape[:2]
-                                                          + s.shape[1:])
-                         for s in shapes])
-    return out if np.ndim(e) else tuple(
-        None if a is None else a[0] for a in out)
-
-
-def _require_nders(nders):
-    if nders not in (1, 2):
-        raise ConfigError(f"nders must be 1 (shape gradients) or 2 (also "
-                          f"second derivatives), got {nders!r}")
+    return _element_data(mesh, e, local, wts,
+                         _point_tables(mesh, elems, local, nders))
 
 
 def parent_data(mesh, e, parent, nders=1):
@@ -526,63 +510,45 @@ def parent_data(mesh, e, parent, nders=1):
                  for a in quadrature_data(mesh, elems, rule, nders)[2:])
 
 
-def element_map(P, N, dN):
-    """Element maps at tabulated points: the points ``N @ P`` and the
-    local Jacobians ``P^T dN``, for element nodes ``P`` ``(E, nen,
-    dim_x)`` and shape tables ``N`` ``(E, nq, nen)`` and ``dN`` ``(E, nq,
-    nen, dim)``."""
-    return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
+def _point_tables(mesh, e, local, nders):
+    """`direction_tables` at local points ``(E, Q, dim)`` of elements
+    ``e``."""
+    return [direction_tables(d, i, local[..., k], nders) for k, (d, i)
+            in enumerate(zip(mesh.dirs, mesh.element_grid_index(e)))]
 
 
 def _det_inv(J):
     """Determinants ``(...)`` and inverses ``(..., d, d)`` (the adjugate
-    over the determinant) of a stack of 1x1, 2x2 or 3x3 matrices. A
-    singular or non-finite one gives a zero or non-finite determinant and
-    no floating-point warning; callers test the determinant."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if J.shape[-1] == 1:
-            det, adj = J[..., 0, 0], np.ones_like(J)
-        elif J.shape[-1] == 2:
-            a, b, c, f = (J[..., i, j] for i in (0, 1) for j in (0, 1))
-            det = a * f - b * c
-            adj = np.stack([f, -b, -c, a], axis=-1).reshape(J.shape)
-        else:
-            # adj_ik = J_k+1,i+1 J_k+2,i+2 - J_k+1,i+2 J_k+2,i+1 (mod 3).
-            k1, k2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
-            adj = (J[..., k1, k1[:, None]] * J[..., k2, k2[:, None]]
-                   - J[..., k1, k2[:, None]] * J[..., k2, k1[:, None]])
-            det = (J[..., 0, :] * adj[..., 0]).sum(axis=-1)
-        return det, adj / det[..., None, None]
+    over the determinant) of a stack of 1x1, 2x2 or 3x3 matrices, each
+    taken as the 3x3 block-diagonal matrix diag(J, I). A singular or
+    non-finite one gives a zero or non-finite determinant and no
+    floating-point warning; callers test the determinant."""
+    d = J.shape[-1]
+    P = np.broadcast_to(np.eye(3), J.shape[:-2] + (3, 3)).copy()
+    P[..., :d, :d] = J
+    # adj_ik = P_k+1,i+1 P_k+2,i+2 - P_k+1,i+2 P_k+2,i+1 (mod 3).
+    k1, k2 = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
+    with np.errstate(all="ignore"):
+        adj = (P[..., k1, k1[:, None]] * P[..., k2, k2[:, None]]
+               - P[..., k1, k2[:, None]] * P[..., k2, k1[:, None]])
+        det = (P[..., 0, :] * adj[..., 0]).sum(axis=-1)
+        return det, (adj / det[..., None, None])[..., :d, :d]
 
 
-def _element_data(mesh, e, local, wts, nders, shapes):
-    """Physical quadrature data of an element array at local points
-    ``local`` ``(E, nq, dim)`` with weights ``(E, nq)`` and tabulated
-    ``shapes = (N, dN, d2N)``, each with leading axes ``(E, nq)``. A
-    Jacobian (`_det_inv`) that is not finite and positive is a
-    DomainError."""
-    N, dN, d2N = shapes
-    P = mesh.nodes[mesh.element_nodes(e)]
-    phys, J = element_map(P, N, dN)
-    det, Jinv = _det_inv(J)
-    bad = np.any(~(np.isfinite(det) & (det > 0)), axis=-1)
-    if bad.any():
-        raise DomainError(f"non-finite or non-positive jacobian in element "
-                          f"{e[bad][0]}")
-    # dN/dx_i = sum_j dN/dxi_j (J^-1)_ji.
-    dNdx = dN @ Jinv
-    d2Ndx2 = None
-    if nders >= 2:
-        # Chain rule: d2N/dxi2 = J^T (d2N/dx2) J + sum_m dN/dx_m d2x_m/dxi2,
-        # the last term vanishing on affine maps only. One (nen, d^2) @
-        # (d^2, d^2) product per point applies J^-1 (x) J^-1, whose entry
-        # [(k, l), (i, j)] is (J^-1)_ki (J^-1)_lj.
-        d2N = d2N.reshape(dN.shape[:-1] + (-1,))
-        d2N = d2N - dNdx @ (np.swapaxes(P, -1, -2)[:, None] @ d2N)
-        JJ = Jinv[..., :, None, :, None] * Jinv[..., None, :, None, :]
-        d2Ndx2 = (d2N @ JJ.reshape(J.shape[:-2] + (d2N.shape[-1],) * 2)
-                  ).reshape(dN.shape + dN.shape[-1:])
-    return local, wts * det, N, dNdx, d2Ndx2, phys
+def _element_data(mesh, e, local, wts, tables):
+    """Physical quadrature data of elements ``e`` (the element axis
+    dropped for one) at local points ``(E, nq, dim)`` with weights ``(E,
+    nq)``, from each direction's `direction_tables`. x = c + A y has the
+    Jacobian A diag(dy/dt): d/dx = G^T d/dy, measure det A prod dy/dt."""
+    c, A, G, det = mesh.placement
+    tabs, Y, dY = zip(*tables)
+    N, dN, d2N = _tensor_combine(tabs, tabs[0].shape[-2] - 1)
+    # d2N/dx_i dx_j = sum_kl G_ki d2N/dy_k dy_l G_lj.
+    out = (local, wts * (det * np.prod(dY, axis=0)), N, dN @ G,
+           None if d2N is None else G.T @ d2N @ G,
+           c + np.stack(Y, axis=-1) @ A.T)
+    return out if np.ndim(e) else tuple(
+        None if a is None else a[0] for a in out)
 
 
 # Boundary faces -------------------------------------------------------
@@ -604,8 +570,10 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     phys, weights, normals, N)``: the element of each facet, in element
     order, and the points of each facet in turn; weights carry the
     surface measure, normals are unit outward vectors in storage
-    coordinates, ``N`` holds the shape values. All points are mapped in
-    one `Mesh.shape_ders` call.
+    coordinates, ``N`` holds the shape values. All points are tabulated
+    in one call per direction. The outward normal is side G^T e_axis,
+    normalised, and the measure det A |G^T e_axis| prod dy_k/dt_k over
+    the free directions k.
     """
     if mesh.dim == 1:
         raise ConfigError("a beam mesh has no faces")
@@ -627,9 +595,10 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
         if want is None:
             clips.append(np.tile([-1.0, 1.0], (d.nelem, 1)))
             continue
+        want = _box_to_local(d, np.asarray(want, dtype=float))
         clo, chi = np.maximum(lo, want[0]), np.minimum(hi, want[1])
         keep &= (chi - clo > 1e-12 * (hi - lo))[gi[k]]
-        # local -> parent on this axis (affine)
+        # local -> parent on this axis
         clips.append(np.stack([2 * clo - lo - hi, 2 * chi - lo - hi],
                               axis=-1) / (hi - lo)[:, None])
     elems = np.flatnonzero(keep)
@@ -637,26 +606,16 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
         raise ConfigError("no facets found on requested face")
     pts, wts, _ = tensor_rules(clips, [gi[k][elems] for k in free],
                                _per_dir(npts, len(free), "npts"))
-    nq = wts.shape[1]
-    parent = np.full((len(elems), nq, mesh.dim), float(side))
+    parent = np.full(wts.shape + (mesh.dim,), float(side))
     parent[..., free] = pts
-    parent, wts = parent.reshape(-1, mesh.dim), wts.ravel()
-    at = np.repeat(elems, nq)
-    N, dN, _ = mesh.shape_ders(at, mesh.parent_to_local(at, parent))
-    # Facet-major: one (nq, nen) @ (nen, dim) product per facet.
-    fq = (len(elems), nq)
-    phys, J = element_map(mesh.nodes[mesh.element_nodes(elems)],
-                          N.reshape(fq + (-1,)), dN.reshape(fq + dN.shape[1:]))
-    phys = phys.reshape(-1, mesh.dim)
     a, b = mesh._bounds(elems)
-    J = (J * (0.5 * (b - a))[:, None, None, :]).reshape(-1, mesh.dim, mesh.dim)
-    if mesh.dim == 3:
-        nvec = np.cross(J[:, :, free[0]], J[:, :, free[1]])
-    else:
-        t = J[:, :, free[0]]
-        nvec = np.stack([t[:, 1], -t[:, 0]], axis=-1)
-    measure = np.linalg.norm(nvec, axis=1)
-    # Orient outward: the tangent product is det(J) J^-T (-1)^axis e_axis.
-    sign = np.where(_det_inv(J)[0] * side * (-1) ** axis >= 0, 1.0, -1.0)
-    normals = nvec * (sign / np.maximum(measure, 1e-300))[:, None]
-    return elems, parent, phys, wts * measure, normals, N
+    mid, h = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
+    tabs, Y, dY = zip(*_point_tables(mesh, elems, mid + h * parent, 1))
+    c, A, G, det = mesh.placement
+    wts = wts * det * np.linalg.norm(G[axis]) * np.prod(
+        [dY[k] * h[..., k] for k in free], axis=0)
+    phys = c + np.stack(Y, axis=-1) @ A.T
+    return (elems, parent.reshape(-1, mesh.dim), phys.reshape(-1, mesh.dim),
+            wts.ravel(), np.tile(side * G[axis] / np.linalg.norm(G[axis]),
+                                 (wts.size, 1)),
+            _tensor_combine(tabs, 0)[0].reshape(wts.size, -1))

@@ -153,10 +153,9 @@ class NonconformingModel:
     elements are in none. Basis functions with (almost) no support left
     are listed in `inactive_dofs`, which the assembler pins. The inner
     model's methods and properties run with the wrapper as ``self``, so
-    its stiffness and loads integrate the wrapper's `parts`: on the net
-    `build_mesh` makes, the STANDARD part from 1D tables over at most
-    ``dim`` grid boxes (`Mesh.element_boxes`), and only the live CUT rows
-    by quadrature.
+    its stiffness and loads integrate the wrapper's `parts`: the STANDARD
+    part from 1D tables over at most ``dim`` grid boxes
+    (`Mesh.element_boxes`), and only the live CUT rows by quadrature.
     """
 
     def __init__(self, model, region: OverlapRegion, *,

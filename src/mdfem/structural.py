@@ -18,7 +18,7 @@ from .elasticity import (Material, Model, constitutive_solid, interpolate,
                          kinematics, recover_values, section_form,
                          stiffness_quadrature)
 from .errors import ConfigError, DomainError
-from .mesh import Mesh, affine
+from .mesh import Mesh, parent_data
 
 # Rows: displacement (ux, uy) or (u1, u2, u3), then Voigt strain (xx, yy,
 # xy), for Mindlin (xx, yy, xy, yz, xz). Terms: (component, derivative
@@ -158,22 +158,18 @@ class BeamModel(Model):
         return self.R_v.T @ Nb, self.T_inv @ self.constitutive() @ Bb
 
     def point_load(self, x_local, components) -> np.ndarray:
-        """Consistent nodal load for a point force at local coordinate x,
-        on an `affine` beam mesh (ConfigError otherwise).
+        """Consistent nodal load for a point force at local coordinate x
+        (`Mesh.locate`).
 
         ``components`` are given on the nodal unknowns: (w,) for
         Euler-Bernoulli, (f_u, f_w, m) for Timoshenko; for a rotated
         frame member they are interpreted in global axes.
         """
         comp = np.asarray(components, dtype=float).reshape(self.ncomp_node)
-        if not affine(self.mesh):
-            raise ConfigError(
-                "point load needs an affine beam map to place x: the net "
-                "build_mesh makes, with equal NURBS weights if any")
-        e = self.mesh.element_containing((x_local,))
+        e, xi = self.mesh.locate((x_local,))
         if self.part_index(e) < 0:
             raise ConfigError(f"point load on element {e}, void or demoted")
-        N, _, _ = self.mesh.shape_ders(e, [[x_local]], nders=0)
+        N = parent_data(self.mesh, e, xi)[0]
         f = np.zeros(self.ndof)
         fe = (N[0][:, None] * comp[None, :]).ravel()
         f[self.element_dofs(e)] += fe

@@ -235,19 +235,13 @@ class System:
 def _model_matrix(m) -> sp.csr_matrix:
     """One model's stiffness matrix in its own DOF numbering. The
     standard-rule part (the first of `Model.parts`) goes box by box
-    (`Mesh.element_boxes`) on `stiffness_separable` where the mesh allows
-    it, so only explicit-rule (cut) rows take element matrices; on any
-    other mesh every part does. Element matrices of `Model.batches` are
-    summed by `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
+    (`Mesh.element_boxes`) on `stiffness_separable`, so only explicit-rule
+    (cut) rows take element matrices. Element matrices of `Model.batches`
+    are summed by `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
     K = stiffness_separable(m.mesh, m.stiffness_form(),
                             m.mesh.element_boxes(m.parts[0][0]))
-    separable = K is not None
-    if not separable:
-        K = sp.csr_matrix((m.ndof, m.ndof))
     dofs, mats, budget = [], [], 0
     for elems, rule in m.batches(m.mesh.nen * m.ncomp_node):
-        if separable and rule is None:
-            continue
         dofs.append(m.element_dofs(elems))
         mats.append(m.element_stiffness(elems, rule))
         budget += mats[-1].size

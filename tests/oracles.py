@@ -35,10 +35,17 @@ bands, band storage and stats bit for bit. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
-`element_data_reference` is `mesh._element_data` by LAPACK's stacked
-determinants and inverses, with the second derivatives by two d x d
-products per point and node; the library inverts the Jacobians in
-closed form and takes one ``(nen, d^2) @ (d^2, d^2)`` product per point.
+`element_data_reference` is `mesh._element_data` by the general
+isoparametric map of the control net (`element_map`: the points
+``N @ P`` and the Jacobians ``P^T dN`` of the tensor-product shape
+functions), LAPACK's stacked determinants and inverses and the chain
+rule for the second derivatives, two d x d products per point and node;
+the library maps each direction's 1D table on its own and places the
+box once.
+`locate_point` finds one box point's element and parent coordinates a
+direction at a time, inverting a weighted direction's map y = Y(t) by
+`scipy.optimize.brentq` on `eval_basis`; `Mesh.locate` bisects each
+weighted direction's element interval on whole point arrays.
 `csv_text` and `vtk_text` are the CLI's artifacts formatted one value
 per Python call (`fmt_value`) and assembled line by line; the writers
 (`cli.write_csv`, `cli.write_vtk`) format each numeric block with one
@@ -49,6 +56,7 @@ import io
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import brentq
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -56,8 +64,7 @@ from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import integrate_atb
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
-from mdfem.mesh import (_TRIPLET_BUDGET, element_batches, element_map,
-                        sum_blocks)
+from mdfem.mesh import _TRIPLET_BUDGET, element_batches, sum_blocks
 from mdfem.quadrature import gauss_1d
 from mdfem.system import _factor_spd
 
@@ -127,9 +134,10 @@ def boundary_facets(mesh, axis, side, strip=None):
     in element order, one element at a time.
 
     ``strip`` optionally restricts the face in the *local box* coordinates
-    of the free axes: one ``(lo, hi)`` pair or ``None`` per free axis.
-    Facets that do not intersect the strip are dropped; ``clips`` holds
-    one parent interval ``(lo, hi)`` per free axis.
+    of the free axes: one ``(lo, hi)`` pair or ``None`` per free axis,
+    taken to local coordinates by `box_to_local`. Facets that do not
+    intersect the strip are dropped; ``clips`` holds one parent interval
+    ``(lo, hi)`` per free axis.
     """
     free = [k for k in range(mesh.dim) if k != axis]
     boundary_e = mesh.dirs[axis].nelem - 1 if side > 0 else 0
@@ -144,6 +152,7 @@ def boundary_facets(mesh, axis, side, strip=None):
             if want is None:
                 clips.append((-1.0, 1.0))
                 continue
+            want = [box_to_local(mesh.dirs[k], v) for v in want]
             clo, chi = max(lo, want[0]), min(hi, want[1])
             if chi - clo <= 1e-12 * (hi - lo):
                 keep = False
@@ -275,12 +284,52 @@ def eval_basis(d, x: float, nders: int = 0):
     return ders[0], indices
 
 
-def element_data_reference(mesh, e, local, wts, nders, shapes):
-    """`mesh._element_data` (same arguments and outputs) by
-    `np.linalg.det` and `np.linalg.inv`, and the chain rule for the second
-    derivatives as J^-T (d2N/dxi2 - sum_m dN/dx_m d2x_m/dxi2) J^-1, one
-    pair of d x d products per point and node."""
-    N, dN, d2N = shapes
+def element_map(P, N, dN):
+    """Element maps at tabulated points: the points ``N @ P`` and the
+    local Jacobians ``P^T dN``, for element nodes ``P`` ``(E, nen,
+    dim_x)`` and shape tables ``N`` ``(E, nq, nen)`` and ``dN`` ``(E, nq,
+    nen, dim)``."""
+    return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
+
+
+def box_to_local(d, y):
+    """The local coordinate t of box coordinate ``y`` in direction ``d``:
+    y itself on a polynomial direction or outside the box, else the root
+    of Y(t) = sum_a R_a(t) g_a = y (g the Greville abscissae)."""
+    if d.weights is None or not d.lo <= y <= d.hi:
+        return y
+
+    def gap(s):
+        ders, idx = eval_basis(d, s)
+        return ders[0] @ d.greville()[idx] - y
+    return brentq(gap, d.lo, d.hi, xtol=1e-15 * (d.hi - d.lo), rtol=1e-15)
+
+
+def locate_point(mesh, y):
+    """``(e, xi)`` of one point ``y`` in local box coordinates: per
+    direction t = `box_to_local`; the element is the last whose interval
+    starts at or below t clamped to the box (an interior knot belongs to
+    the element it opens), and xi the parent coordinates of the unclamped
+    t."""
+    t = np.array([box_to_local(d, v) for d, v in zip(mesh.dirs, y)])
+    gi = [max(i for i in range(d.nelem)
+              if element_interval(d, i)[0] <= min(max(tk, d.lo), d.hi))
+          for d, tk in zip(mesh.dirs, t)]
+    e = mesh.element_id(gi)
+    return e, mesh.local_to_parent(e, t[None, :])[0]
+
+
+def element_data_reference(mesh, e, local, wts, nders):
+    """`mesh._element_data` outputs for elements ``e`` at local points
+    ``local`` ``(E, nq, dim)`` with weights ``(E, nq)``: the map of the
+    control net ``mesh.nodes`` through `element_map`, `np.linalg.det`
+    and `np.linalg.inv`, and the chain rule for the second derivatives
+    as J^-T (d2N/dxi2 - sum_m dN/dx_m d2x_m/dxi2) J^-1, one pair of d x d
+    products per point and node."""
+    E, nq, dim = local.shape
+    shapes = mesh.shape_ders(np.repeat(e, nq), local.reshape(-1, dim), nders)
+    N, dN, d2N = (None if a is None else a.reshape((E, nq) + a.shape[1:])
+                  for a in shapes)
     P = mesh.nodes[mesh.element_nodes(e)]
     phys, J = element_map(P, N, dN)
     det = np.linalg.det(J)

@@ -2,7 +2,7 @@
 
 The oracles below loop one element at a time the way the kernels did
 before batching: a tensor Gauss rule per element, shapes from
-``Mesh.shape_ders`` at every tensor point, and ``B^T C B`` products of
+``quadrature_data`` on that explicit rule, and ``B^T C B`` products of
 hand-built B matrices. The library integrates each model's stiffness
 form in tensor form instead, so every kernel must match to 1e-13 of the
 largest entry.
@@ -16,8 +16,7 @@ from mdfem import elasticity
 from mdfem import mesh as mesh_mod
 from mdfem import structural
 from mdfem.elasticity import Material, SolidModel, constitutive_solid
-from mdfem.errors import (DegenerateCutError, DomainError,
-                          OverDeactivationError)
+from mdfem.errors import DegenerateCutError, OverDeactivationError
 from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
 from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
@@ -97,15 +96,20 @@ def oracle_plate(model, e):
 
 
 def curve(mesh, seed):
-    """Smooth perturbation x + a sin(W x + phi) of the control net, small
-    enough to keep every element jacobian positive."""
+    """``mesh`` rebuilt as a NURBS-weighted grid (same model, degrees,
+    elements and box; beam angle, plate height kept), a solid also moved
+    and rotated: each direction's map y(t) is then not affine, so dy/dt
+    varies over an element and second derivatives carry d2y/dt2."""
     rng = np.random.default_rng(seed)
-    dim = mesh.nodes.shape[1]
-    a = rng.uniform(-0.1, 0.1, dim)
-    W = rng.uniform(-1.5, 1.5, (dim, dim))
-    phi = rng.uniform(0.0, 2.0 * np.pi, dim)
-    mesh.nodes = mesh.nodes + a * np.sin(mesh.nodes @ W.T + phi)
-    return mesh
+    kwargs = {"weights": [rng.uniform(0.5, 1.5, d.n) for d in mesh.dirs]}
+    if mesh.model.startswith("solid"):
+        Q = np.linalg.qr(rng.standard_normal((mesh.dim,) * 2))[0]
+        Q[:, 0] *= np.sign(np.linalg.det(Q))
+        kwargs.update(origin=rng.uniform(-2.0, 2.0, mesh.dim), rotation=Q)
+    else:
+        kwargs.update(origin=mesh.origin, phi=mesh.phi, z_mid=mesh.z_mid)
+    return build_mesh(mesh.model, "spline", mesh.degrees, mesh.nelem_per_dir,
+                      mesh.box, **kwargs)
 
 
 @st.composite
@@ -126,7 +130,7 @@ def solid_models(draw):
                       else "spline", degrees, nelems, [(0.0, 1.0)] * dim,
                       weights=weights)
     if draw(st.booleans()):
-        curve(mesh, seed)
+        mesh = curve(mesh, seed)
     nu = draw(st.floats(0.0, 0.45))
     return SolidModel(mesh, Material(E=draw(st.floats(1.0, 1e6)), nu=nu))
 
@@ -155,14 +159,14 @@ def structural_models(draw):
                           degree, draw(st.integers(1, 6)), ((0.0, 2.0),),
                           phi=phi)
         if draw(st.booleans()):
-            curve(mesh, seed)
+            mesh = curve(mesh, seed)
         return BeamModel(mesh, MAT, kind)
     degree = draw(st.integers(2 if kind == "kirchhoff" else 1, 3))
     mesh = build_mesh("plate", "spline", degree,
                       tuple(draw(st.integers(1, 4)) for _ in range(2)),
                       ((0.0, 1.0), (0.0, 1.5)))
     if draw(st.booleans()):
-        curve(mesh, seed)
+        mesh = curve(mesh, seed)
     return PlateModel(mesh, MAT, kind)
 
 
@@ -240,8 +244,6 @@ def test_bulk_matrix_matches_dense_scatter():
 
 def test_bulk_matrix_flushes_within_budget(monkeypatch):
     system = nonconforming_system()
-    # A perturbed net keeps the solid on the batched quadrature path.
-    system.models[0].mesh.nodes[7] += (0.05, -0.03)
     ref = system.bulk_matrix().toarray()
     flushes = []
     flush = mesh_mod.add_blocks
@@ -250,9 +252,9 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
         flushes.append(sum(Ke.size for Ke in mats))
         return flush(K, dofs, mats)
 
-    # Room for one solid or two structural element matrices: batches
-    # shrink to one or two elements and flush every few batches.
-    budget = 400
+    # Room for one cut plate element matrix (144 entries): batches shrink
+    # to one element and flush every second batch.
+    budget = 200
     monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", budget)
     monkeypatch.setattr(mesh_mod, "add_blocks", counted)
     K = system.bulk_matrix()
@@ -448,8 +450,7 @@ def spy_element_load(monkeypatch):
 @pytest.mark.parametrize("kind", ["solid", "mindlin"])
 def test_overlapped_model_sends_only_cut_rows_to_quadrature(monkeypatch,
                                                             kind):
-    """On the net `build_mesh` makes, only live CUT rows take element
-    matrices and element loads; on a perturbed net every part does."""
+    """Only live CUT rows take element matrices and element loads."""
     if kind == "solid":
         mesh = build_mesh("solid2d", "spline", 2, (6, 5),
                           ((0.0, 6.0), (0.0, 5.0)))
@@ -478,57 +479,6 @@ def test_overlapped_model_sends_only_cut_rows_to_quadrature(monkeypatch,
     np.testing.assert_array_equal(stiffness[0], cut)
     assert len(loads) == 1 and loads[0][1]
     np.testing.assert_array_equal(loads[0][0], cut)
-
-    mesh.nodes[9] += (0.02, -0.01)
-    stiffness, loads = assemble()
-    for calls in (stiffness, [e for e, _ in loads]):
-        np.testing.assert_array_equal(np.sort(np.concatenate(calls)),
-                                      np.sort(np.concatenate([std, cut])))
-
-
-def test_perturbed_net_takes_the_quadrature_path(monkeypatch):
-    mesh = build_mesh("solid3d", "spline", (2, 1, 3), (3, 2, 2),
-                      ((0.0, 3.0), (0.0, 1.0), (0.0, 2.0)))
-    mesh.nodes[13] += (0.02, -0.01, 0.03)
-    calls = spy_quadrature(monkeypatch)
-    system = System([SolidModel(mesh, MAT)])
-    K = system.bulk_matrix()
-    assert len(calls) == 1 and len(calls[0]) == mesh.nelem
-    ref = dense_bulk(system)
-    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
-                               atol=1e-13 * np.abs(ref).max())
-
-
-@pytest.mark.parametrize("kind", ["timoshenko", "euler_bernoulli",
-                                  "mindlin", "kirchhoff"])
-def test_perturbed_structure_takes_the_quadrature_path(monkeypatch, kind):
-    if kind in ("timoshenko", "euler_bernoulli"):
-        mesh = build_mesh("beam", "spline", 3, 5, ((0.0, 4.0),), phi=0.3)
-        mesh.nodes[4] += 0.02
-        model = BeamModel(mesh, MAT, kind)
-    else:
-        mesh = build_mesh("plate", "spline", 2, (3, 2),
-                          ((0.0, 3.0), (0.0, 2.0)))
-        mesh.nodes[6] += (0.02, -0.01)
-        model = PlateModel(mesh, MAT, kind)
-    calls = spy_quadrature(monkeypatch)
-    system = System([model])
-    K = system.bulk_matrix()
-    assert len(calls) == 1 and len(calls[0]) == mesh.nelem
-    ref = dense_bulk(system)
-    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
-                               atol=1e-13 * np.abs(ref).max())
-
-
-def test_reflecting_rotation_raises_as_the_quadrature_path():
-    mesh = build_mesh("solid2d", "spline", 2, (3, 2),
-                      ((0.0, 3.0), (0.0, 1.0)), rotation=np.diag([1.0, -1.0]))
-    with pytest.raises(DomainError) as quadrature:
-        elasticity.stiffness_quadrature(mesh, np.arange(mesh.nelem),
-                                        SolidModel(mesh, MAT).stiffness_form())
-    with pytest.raises(DomainError, match="non-positive jacobian") as bulk:
-        System([SolidModel(mesh, MAT)]).bulk_matrix()
-    assert str(bulk.value) == str(quadrature.value)
 
 
 def test_bulk_matrix_of_separable_solid_and_beam_is_int32_canonical():
@@ -608,20 +558,21 @@ def test_edge_load_equals_per_facet_loop(kind, degree, nelems, axis, side,
 
 
 def test_facet_loads_evaluate_shapes_once(monkeypatch):
-    """The facet rule's shape values feed the load: one evaluation each."""
+    """The facet rule's shape values feed the load: one basis evaluation
+    per direction each."""
     solid = SolidModel(build_mesh("solid3d", "spline", 2, (2, 1, 1),
                                   [(0.0, 1.0)] * 3), MAT)
     plate = PlateModel(build_mesh("plate", "spline", 2, (2, 2),
                                   ((0.0, 1.0), (0.0, 1.5))), MAT, "mindlin")
     calls = []
-    shape_ders = mesh_mod.Mesh.shape_ders
+    evaluate = mesh_mod.SplineDir.eval
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return shape_ders(self, *args, **kwargs)
+        return evaluate(self, *args, **kwargs)
 
-    monkeypatch.setattr(mesh_mod.Mesh, "shape_ders", counted)
+    monkeypatch.setattr(mesh_mod.SplineDir, "eval", counted)
     solid.traction_force(0, 1, (1.0, 0.0, 0.0))
-    assert len(calls) == 1
+    assert len(calls) == 3
     plate.edge_load(1, -1, 2.0)
-    assert len(calls) == 2
+    assert len(calls) == 5

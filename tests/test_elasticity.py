@@ -11,7 +11,7 @@ from mdfem.elasticity import (
     solid_kinematics,
 )
 from mdfem.errors import ConfigError
-from mdfem.mesh import Mesh, build_mesh, bulk_points
+from mdfem.mesh import SplineDir, build_mesh, bulk_points
 from oracles import b_matrix_solid
 
 
@@ -263,19 +263,20 @@ class TestLoads:
 
 
 def test_recover_evaluates_shapes_once(monkeypatch):
-    """Displacement and stress come from one shape evaluation."""
+    """Displacement and stress come from one basis evaluation per
+    direction."""
     mesh = build_mesh("solid3d", "spline", 2, (2, 1, 1),
                       ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0)))
     solid = SolidModel(mesh, Material(E=1.0, nu=0.3))
     calls = []
-    shape_ders = Mesh.shape_ders
+    evaluate = SplineDir.eval
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return shape_ders(self, *args, **kwargs)
+        return evaluate(self, *args, **kwargs)
 
-    monkeypatch.setattr(Mesh, "shape_ders", counted)
+    monkeypatch.setattr(SplineDir, "eval", counted)
     a = np.random.default_rng(0).standard_normal(solid.ndof)
     u, s = solid.recover(1, np.zeros((3, 3)), a)
-    assert len(calls) == 1
+    assert len(calls) == 3
     assert u.shape == (3, 3) and s.shape == (3, 6)
