@@ -13,9 +13,9 @@ T``, the penalty block ``K^st = int J^T J`` and the stress-bound matrix
 
 Each interface runs as one batch: all facet rules of the face are built
 in one call and split into segments by one stable sort, each side is
-traced once over all points, the segment products run over a segment
-batch axis, and the segment blocks are summed into CSR by one sparse
-product, in the global numbering of the system.
+traced once over all points and the segment products run over a segment
+batch axis. The interface hands its segment blocks, on their global
+DOFs, to `System`, which sums the blocks of every coupling into CSR.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import element_batches, facet_rules, sum_blocks
+from .mesh import element_batches, facet_rules
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -92,52 +92,48 @@ class CouplingOperator:
     def measure(self):
         return float(self.points.weights.sum())
 
-    def matrices(self, offsets, ndof, with_h):
-        """Assemble (K^n, K^st, H) as sparse matrices in a global numbering
-        of ``ndof`` DOFs where the models' blocks start at ``offsets =
-        (solid, struct)``; H is None unless ``with_h`` (only the alpha
-        estimate reads it). K^st is returned without the alpha factor;
-        the full Nitsche contribution is ``K^n + K^n.T + alpha * K^st``.
+    def matrices(self, offsets, with_h):
+        """Segment blocks ``(dofs, K^n, K^st, H)``: ``dofs`` ``(S, na)``
+        on the global DOFs of models starting at ``offsets = (solid,
+        struct)`` and each block ``(S, na, na)``, the S segments in order
+        of point count; H is None unless ``with_h`` (only the alpha
+        estimate reads it). A segment's Nitsche term is ``K^n + K^n.T +
+        alpha * K^st``; `System` sums them into CSR.
 
         Each side is traced once over all points. Only the element-local
         columns nonzero in J or T at some point are kept: a solid's inner
         node layers carry neither trace nor traction, and their products
         are zero. The segment products J^T T, J^T J and T^T T run on the
         kept columns over a batch axis of segments, one batch per point
-        count, and the segment blocks are summed by one `sum_blocks` call
-        per run of ``_TRIPLET_BUDGET`` entries.
+        count.
         """
         solid, struct, p = self.solid, self.struct, self.points
         rows = struct.solid_stress_rows
         Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
         Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
         J = np.concatenate([Ns, -Nb], axis=2)
+        del Ns  # a view of the solid's whole interpolation table
         T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),
                       np.concatenate([Ss, Sb], axis=2))
         live = np.flatnonzero(J.any((0, 1)) | T.any((0, 1)))
         J, T, na = J[:, :, live], T[:, :, live], live.size
-        first, counts = self.starts[:-1], np.diff(self.starts)
+        # Segments of one point count are one batch, in segment order.
+        order = np.argsort(np.diff(self.starts), kind="stable")
+        first, counts = self.starts[order], np.diff(self.starts)[order]
         dofs = np.concatenate([
             offsets[0] + solid.element_dofs(p.s_elem[first]),
             offsets[1] + struct.element_dofs(p.b_elem[first])],
             axis=1)[:, live]
-        parts = []
-        for run in element_batches(np.arange(counts.size), 3 * na * na):
-            # Segments of one point count are one batch, in segment order.
-            run = run[np.argsort(counts[run], kind="stable")]
-            cuts = np.flatnonzero(np.diff(counts[run], prepend=-1, append=-1))
-            blocks = [np.empty((run.size, na, na)) for _ in range(2 + with_h)]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                q = first[run[a:b], None] + np.arange(counts[run[a]])
-                Jq, Tq, wq = J[q], T[q], p.weights[q]
-                integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
-                integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
-                if with_h:
-                    integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
-            parts.append(sum_blocks((ndof, ndof), [dofs[run]],
-                                    *([m] for m in blocks)))
-        out = tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
-        return out if with_h else out + (None,)
+        cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1))
+        blocks = [np.empty((order.size, na, na)) for _ in range(2 + with_h)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            q = first[a:b, None] + np.arange(counts[a])
+            Jq, Tq, wq = J[q], T[q], p.weights[q]
+            integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
+            integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
+            if with_h:
+                integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
+        return (dofs, *blocks) if with_h else (dofs, *blocks, None)
 
 
 def build_interface(solid, struct, axis, side, *,

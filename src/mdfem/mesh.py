@@ -371,35 +371,25 @@ def element_batches(elems, entries):
 
 
 def add_blocks(K, dofs, mats):
-    """``K`` plus element matrices ``mats[b]`` on element DOFs ``dofs[b]``
-    (`sum_blocks` of one value list)."""
-    return K + sum_blocks(K.shape, dofs, mats)[0] if dofs else K
-
-
-def sum_blocks(shape, dofs, *values):
-    """Sparse sums of element blocks, one per value list: the blocks
-    ``values[k][b]`` on element DOFs ``dofs[b]``, summed in element order
-    without sorting triplets, as the product S X of the stacked element
-    rows X and the 0/1 matrix S sending each element row to its global
-    row. All sums are built on one S and one X index set; entries that
-    sum to exactly zero are not stored. Indices are int32 where ``shape``
-    allows."""
-    itype = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    """``K`` plus the element blocks ``mats[b]`` on element DOFs
+    ``dofs[b]``, summed in element order without sorting triplets: the
+    product S X of the stacked element rows X and the 0/1 matrix S sending
+    each element row to its global row. Entries that sum to exactly zero
+    are not stored; indices are int32 where K's shape allows."""
+    if not dofs:
+        return K
+    itype = np.int32 if max(K.shape) <= np.iinfo(np.int32).max else np.int64
     dofs = [d.astype(itype) for d in dofs]
     rows = _flat(dofs)
     cols = _flat([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:])
                   for d in dofs])
     lens = np.repeat([d.shape[1] for d in dofs], [d.size for d in dofs])
-    indptr = np.concatenate(([0], np.cumsum(lens)))
     S = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                      shape=(shape[0], rows.size))
-    out = []
-    for mats in values:
-        X = sp.csr_matrix((_flat(mats), cols, indptr),
-                          shape=(rows.size, shape[1]))
-        out.append(S @ X)
-        out[-1].sort_indices()
-    return out
+                      shape=(K.shape[0], rows.size))
+    X = S @ sp.csr_matrix((_flat(mats), cols, np.concatenate(
+        ([0], np.cumsum(lens)))), shape=(rows.size, K.shape[1]))
+    X.sort_indices()
+    return K + X
 
 
 def _flat(arrays):
@@ -543,9 +533,12 @@ def _element_data(mesh, e, local, wts, tables):
     c, A, G, det = mesh.placement
     tabs, Y, dY = zip(*tables)
     N, dN, d2N = _tensor_combine(tabs, tabs[0].shape[-2] - 1)
-    # d2N/dx_i dx_j = sum_kl G_ki d2N/dy_k dy_l G_lj.
-    out = (local, wts * (det * np.prod(dY, axis=0)), N, dN @ G,
-           None if d2N is None else G.T @ d2N @ G,
+
+    def right(M):  # M G, one GEMM over the stacked rows of M
+        return (M.reshape(-1, G.shape[0]) @ G).reshape(M.shape)
+    # d2N/dx2 = G^T d2N/dy2 G = (d2N/dy2 G)^T G, as d2N/dy2 is symmetric.
+    out = (local, wts * (det * np.prod(dY, axis=0)), N, right(dN),
+           None if d2N is None else right(right(d2N).swapaxes(-1, -2)),
            c + np.stack(Y, axis=-1) @ A.T)
     return out if np.ndim(e) else tuple(
         None if a is None else a[0] for a in out)

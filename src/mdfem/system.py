@@ -3,7 +3,10 @@ bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. Each model's matrix comes from its
-stiffness form over its `parts` (`_model_matrix`). The solve stores the
+stiffness form over its `parts` (`_model_matrix`); each coupling's
+segment blocks, Kn + Kn^T + alpha Kst folded per segment (`_nitsche`),
+and H for the alpha estimate are summed in one sparse pass (`_add_runs`,
+also the flush rule of the models' cut rows). The solve stores the
 assembled matrix's upper triangle, with no symmetrize pass, as the lower
 band of banded Cholesky, in the smaller-band order of reverse Cuthill-
 McKee and a sort along the longest axis of the DOFs' global control
@@ -146,19 +149,12 @@ class System:
         """K~: each model's `_model_matrix` on the diagonal, no coupling."""
         return _block_diag([_model_matrix(m) for m in self.models])
 
-    def _coupling_matrices(self, with_h):
-        """Each coupling's (K^n, K^st, H or None) in global numbering."""
-        return [op.matrices((self.offsets[self.model_index(op.solid)],
+    def _coupling_blocks(self, with_h):
+        """Each coupling's segment blocks (`CouplingOperator.matrices`),
+        made one coupling at a time as they are read."""
+        return (op.matrices((self.offsets[self.model_index(op.solid)],
                              self.offsets[self.model_index(op.struct)]),
-                            self.ndof, with_h) for op in self.couplings]
-
-    def _assembled(self, with_h):
-        """``(Kbulk, coupling matrices)``, built once until `solve` uses
-        them, H only ``with_h``."""
-        if self._parts is None:
-            self._parts = (self.bulk_matrix(),
-                           self._coupling_matrices(with_h))
-        return self._parts
+                            with_h) for op in self.couplings)
 
     def resolve_alpha(self, alpha="auto"):
         """The stabilization alpha of every coupling, as `solve` uses it.
@@ -176,7 +172,10 @@ class System:
         elif not self.couplings:
             return []
         else:
-            Kbulk, coupling_mats = self._assembled(True)
+            if self._parts is None:  # kept for the solve that follows
+                self._parts = (self.bulk_matrix(),
+                               list(self._coupling_blocks(True)))
+            Kbulk, blocks = self._parts
             free = np.isnan(self._fixed)
             solid = free & np.repeat([m.mesh.model in ("solid2d", "solid3d")
                                       for m in self.models],
@@ -188,7 +187,8 @@ class System:
                                 "solid, or give alpha as a number") from exc
             struct_free = np.flatnonzero(free & ~solid)
             order = np.concatenate([np.flatnonzero(solid), struct_free])
-            H = sum(h for _, _, h in coupling_mats)[order][:, order]
+            H = _add_runs(sp.csr_matrix(Kbulk.shape), (
+                (d, h) for d, _, _, h in blocks))[order][:, order]
             a = estimate_alpha(
                 solve_solid, Kbulk[struct_free][:, struct_free].toarray(), H)
         if not 0.0 < a < np.inf:
@@ -213,12 +213,12 @@ class System:
         right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
         residual (free DOFs) and the reactions (constrained ones)."""
         alphas = self.resolve_alpha(alpha)
-        K, coupling_mats = self._assembled(False)
+        K, blocks = self._parts or (self.bulk_matrix(),
+                                    self._coupling_blocks(False))
         self._parts = None
-        if coupling_mats:  # rebinding K frees the bulk matrix
-            K = (K + sum(Kn + Kn.T + a_c * Kst for (Kn, Kst, _), a_c
-                         in zip(coupling_mats, alphas))).tocsr()
-        del coupling_mats  # K is the one global matrix left to factor
+        C = _add_runs(sp.csr_matrix(K.shape), _nitsche(blocks, alphas))
+        del blocks  # freed before the one sum with the bulk matrix
+        K = K + C if C.nnz else K  # the one global matrix left to factor
         free = np.isnan(self._fixed)
         f, a = self._f.copy(), np.where(free, 0.0, self._fixed)
         b = (f - K @ a)[free]
@@ -236,18 +236,35 @@ def _model_matrix(m) -> sp.csr_matrix:
     """One model's stiffness matrix in its own DOF numbering. The
     standard-rule part (the first of `Model.parts`) goes box by box
     (`Mesh.element_boxes`) on `stiffness_separable`, so only explicit-rule
-    (cut) rows take element matrices. Element matrices of `Model.batches`
-    are summed by `mesh.add_blocks` every ``_TRIPLET_BUDGET`` entries."""
+    (cut) rows take element matrices, over `Model.batches` (`_add_runs`)."""
     K = stiffness_separable(m.mesh, m.stiffness_form(),
                             m.mesh.element_boxes(m.parts[0][0]))
-    dofs, mats, budget = [], [], 0
-    for elems, rule in m.batches(m.mesh.nen * m.ncomp_node):
-        dofs.append(m.element_dofs(elems))
-        mats.append(m.element_stiffness(elems, rule))
-        budget += mats[-1].size
-        if budget >= mesh._TRIPLET_BUDGET:
-            K = mesh.add_blocks(K, dofs, mats)
-            dofs, mats, budget = [], [], 0
+    return _add_runs(K, ((m.element_dofs(elems), m.element_stiffness(
+        elems, rule)) for elems, rule in m.batches(m.mesh.nen * m.ncomp_node)))
+
+
+def _nitsche(blocks, alphas):
+    """Each coupling's ``(dofs, Kn + Kn^T + alpha Kst)``, in Kst's place."""
+    for (dofs, Kn, Kst, _), alpha in zip(blocks, alphas):
+        Kst *= alpha
+        Kst += Kn
+        yield dofs, np.add(Kst, Kn.transpose(0, 2, 1), out=Kst)
+
+
+def _add_runs(K, blocks):
+    """``K`` plus each ``(dofs, mats)`` of ``blocks``: one `mesh.add_blocks`
+    call per run of ``_TRIPLET_BUDGET`` entries (under twice that)."""
+    dofs, mats, size = [], [], 0
+    for d, b in blocks:
+        entries = max(1, b[:1].size)
+        for dr, br in zip(mesh.element_batches(d, entries),
+                          mesh.element_batches(b, entries)):
+            dofs.append(dr)
+            mats.append(br)
+            size += br.size
+            if size >= mesh._TRIPLET_BUDGET:
+                K = mesh.add_blocks(K, dofs, mats)
+                dofs, mats, size = [], [], 0
     return mesh.add_blocks(K, dofs, mats)
 
 

@@ -23,9 +23,11 @@ a table and integrates its stiffness form over the section.
 `coupling_matrices` assembles a coupling interface's Nitsche blocks on
 every element-local column; `CouplingOperator.matrices` keeps only the
 columns live in the jump or the traction at some interface point.
-`local_matrices` asks the library for one interface's blocks over its
-stacked local DOFs ``[solid | struct]``, the numbering of a system that
-holds the solid and then the structure only, and `solid_solve` for its
+`lifted` sums the library's segment blocks of one interface into CSR
+by `mesh.add_blocks`, as `coupling_matrices` does its own, and
+`local_matrices` lifts them over the interface's stacked local DOFs
+``[solid | struct]``, the numbering of a system that holds the solid
+and then the structure only, and `solid_solve` for its
 solid block the solve `coupling.estimate_alpha` takes, by the library's
 own factorization. `band_order` and `band_fill` are
 `system._band_order` and the band fill of `system._factor_spd` on
@@ -64,7 +66,7 @@ from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import integrate_atb
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
-from mdfem.mesh import _TRIPLET_BUDGET, element_batches, sum_blocks
+from mdfem.mesh import _TRIPLET_BUDGET, add_blocks, element_batches
 from mdfem.quadrature import gauss_1d
 from mdfem.system import _factor_spd
 
@@ -302,6 +304,12 @@ def box_to_local(d, y):
     def gap(s):
         ders, idx = eval_basis(d, s)
         return ders[0] @ d.greville()[idx] - y
+    # Y(lo) and Y(hi) are lo and hi to round-off only: a y at an end that
+    # Y rounds past has no sign change to bracket, and the end is its root.
+    if gap(d.hi) <= 0.0:
+        return d.hi
+    if gap(d.lo) >= 0.0:
+        return d.lo
     return brentq(gap, d.lo, d.hi, xtol=1e-15 * (d.hi - d.lo), rtol=1e-15)
 
 
@@ -387,15 +395,25 @@ def integrate_btcb(B: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def local_numbering(op):
-    """`CouplingOperator.matrices`' ``(offsets, ndof)`` for the stacked
-    local DOFs ``[solid | struct]`` of one interface."""
+    """`CouplingOperator.matrices`' offsets and the size ``(offsets,
+    ndof)`` of the stacked local DOFs ``[solid | struct]`` of one
+    interface."""
     return (0, op.solid.ndof), op.solid.ndof + op.struct.ndof
+
+
+def lifted(op, offsets, ndof, with_h):
+    """(K^n, K^st, H) of one interface: `CouplingOperator.matrices`'
+    segment blocks at ``offsets`` summed into CSR of ``ndof`` DOFs by one
+    `add_blocks` call each; H is None unless ``with_h``."""
+    dofs, *blocks = op.matrices(offsets, with_h)
+    return tuple(None if m is None else add_blocks(
+        sp.csr_matrix((ndof, ndof)), [dofs], [m]) for m in blocks)
 
 
 def local_matrices(op, with_h=True):
     """(K^n, K^st, H) of one interface over its stacked local DOFs
     ``[solid | struct]``; H is None unless ``with_h``."""
-    return op.matrices(*local_numbering(op), with_h)
+    return lifted(op, *local_numbering(op), with_h)
 
 
 def solid_solve(K):
@@ -474,8 +492,8 @@ def coupling_matrices(op, offsets, ndof, with_h):
             integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
             if with_h:
                 integrate_atb(Tq, Tq, wq, out=blocks[2][a:b])
-        parts.append(sum_blocks((ndof, ndof), [dofs[run]],
-                                *([m] for m in blocks)))
+        parts.append([add_blocks(sp.csr_matrix((ndof, ndof)), [dofs[run]],
+                                 [m]) for m in blocks])
     out = tuple(sum(ps[1:], ps[0]) for ps in zip(*parts))
     return out if with_h else out + (None,)
 

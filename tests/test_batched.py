@@ -9,6 +9,7 @@ largest entry.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -354,9 +355,9 @@ def test_separable_bulk_matches_quadrature(model):
     assert K.indices.dtype == np.int32 and K.has_canonical_format
     assert not (K.data == 0).any()
     e = np.arange(model.mesh.nelem)
-    ref = mesh_mod.sum_blocks(K.shape, [model.element_dofs(e)],
-                              model.element_stiffness(e))[0]
-    ref = ref.toarray()
+    ref = mesh_mod.add_blocks(sp.csr_matrix(K.shape),
+                              [model.element_dofs(e)],
+                              [model.element_stiffness(e)]).toarray()
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
 

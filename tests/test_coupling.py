@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdfem import coupling
+from mdfem import system as system_mod
 from mdfem.bspline import least_squares_project
 from mdfem.coupling import (
     _normal_matrices,
@@ -21,12 +22,13 @@ from mdfem.errors import (
     PairingError,
     RankError,
 )
-from mdfem.mesh import build_mesh, parent_data
+from mdfem.mesh import add_blocks, build_mesh, parent_data
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
-from oracles import (coupling_matrices, local_matrices, local_numbering,
-                     locate_point, power_iteration_alpha, solid_solve)
+from oracles import (coupling_matrices, lifted, local_matrices,
+                     local_numbering, locate_point, power_iteration_alpha,
+                     solid_solve)
 
 
 # Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
@@ -423,24 +425,60 @@ def test_one_trace_per_side_per_assembly(make, monkeypatch):
     assert calls == {"solid": 1, "struct": 1}
 
 
+def stubbed_solve(sysm, alpha):
+    """``(K, H)`` of ``sysm.solve(alpha)``: the coupled matrix it factors
+    and the H the alpha estimate reads (None for a fixed alpha), with
+    the factorization stubbed to zero solves and the estimate to 7.0."""
+    seen = {"H": None}
+
+    def estimate(solve_solid, K_struct, H):
+        seen["H"] = H
+        return 7.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system_mod, "_factor_spd", lambda K, free, points: (
+            lambda b: np.zeros(np.shape(b)), {}))
+        mp.setattr(system_mod, "estimate_alpha", estimate)
+        return sysm.solve(alpha).K, seen["H"]
+
+
+def lift(M, gmap, n):
+    """Sparse ``M`` with its rows and columns renumbered by ``gmap``."""
+    c = sp.coo_matrix(M)
+    return sp.csr_matrix((c.data, (gmap[c.row], gmap[c.col])), shape=(n, n))
+
+
 @pytest.mark.parametrize("make", [_split_facets, _nonconforming_partner],
                          ids=["split-facets", "nonconforming"])
 def test_system_assembles_the_lift_of_local_matrices(make):
     """Structural model first: the solid block sits after it, so the
     global map of the stacked local DOFs [solid | struct] is not
-    monotone. The global coupling matrices are the lifted local ones."""
+    monotone. The segment blocks at the system's offsets are the local
+    ones on mapped DOFs, and the H the alpha estimate reads and the
+    coupled K are the lifted local sums, bit for bit."""
     op = make()
     sysm = System([op.struct, op.solid])
     sysm.add_coupling(op)
     ns, nb = op.solid.ndof, op.struct.ndof
+    n = ns + nb
     gmap = np.concatenate([nb + np.arange(ns), np.arange(nb)])
-    for got, local in zip(sysm._coupling_matrices(True)[0],
-                          local_matrices(op)):
-        c = local.tocoo()
-        want = sp.coo_matrix((c.data, (gmap[c.row], gmap[c.col])),
-                             shape=got.shape).toarray()
-        assert got.has_canonical_format
-        np.testing.assert_array_equal(got.toarray(), want)
+    got = op.matrices((nb, 0), True)
+    local = op.matrices((0, ns), True)
+    np.testing.assert_array_equal(got[0], gmap[local[0]])
+    for g, w in zip(got[1:], local[1:]):
+        np.testing.assert_array_equal(g, w)
+    bulk = sysm.bulk_matrix()
+    K, H = stubbed_solve(sysm, "auto")
+    # The estimate reads the free DOFs, solid first: [solid | struct].
+    free = np.isnan(sysm._fixed)
+    order = np.concatenate([nb + np.flatnonzero(free[nb:]),
+                            np.flatnonzero(free[:nb])])
+    want = lift(local_matrices(op)[2], gmap, n)[order][:, order]
+    assert K.has_canonical_format
+    np.testing.assert_array_equal(H.toarray(), want.toarray())
+    C = add_blocks(sp.csr_matrix((n, n)),
+                   *zip(*system_mod._nitsche([local], [7.0])))
+    np.testing.assert_array_equal(K.toarray(),
+                                  (bulk + lift(C, gmap, n)).toarray())
 
 
 @st.composite
@@ -481,15 +519,21 @@ def drawn_interfaces(draw):
     return build_interface(solid, struct, axis=0, side=side)
 
 
+def _system_numbering(sysm, op):
+    """`CouplingOperator.matrices`' offsets in ``sysm`` and its size."""
+    return ((sysm.offsets[sysm.model_index(op.solid)],
+             sysm.offsets[sysm.model_index(op.struct)]), sysm.ndof)
+
+
 def _numbering(op, numbering):
-    """`CouplingOperator.matrices`' offsets and size: of the local stacked
-    DOFs, or of a system holding the solid first or the structure first."""
+    """`CouplingOperator.matrices`' offsets and the system size: of the
+    local stacked DOFs, or of a system holding the solid first or the
+    structure first."""
     if numbering == "local":
         return local_numbering(op)
     models = [op.solid, op.struct]
-    sysm = System(models[::-1] if numbering == "struct-first" else models)
-    return ((sysm.offsets[sysm.model_index(op.solid)],
-             sysm.offsets[sysm.model_index(op.struct)]), sysm.ndof)
+    return _system_numbering(System(
+        models[::-1] if numbering == "struct-first" else models), op)
 
 
 _NUMBERINGS = ("local", "solid-first", "struct-first")
@@ -503,7 +547,7 @@ def test_live_columns_match_every_column(op, numbering, with_h):
     tile a narrower GEMM differently: seen here as 1.5e-16 of the
     largest entry at most, on 3D faces with GEMM depths of 75 and up."""
     args = _numbering(op, numbering)
-    got = op.matrices(*args, with_h)
+    got = lifted(op, *args, with_h)
     want = coupling_matrices(op, *args, with_h)
     assert (got[2] is None) is (want[2] is None) is (not with_h)
     for g, w in zip(got[:2 + with_h], want):
@@ -512,6 +556,42 @@ def test_live_columns_match_every_column(op, numbering, with_h):
         assert scale > 0.0
         np.testing.assert_allclose(g.toarray(), w, rtol=0,
                                    atol=1e-15 * scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(drawn_interfaces(), min_size=1, max_size=4),
+       struct_first=st.lists(st.booleans(), min_size=4, max_size=4),
+       alpha=st.sampled_from((3.0e2, "auto")))
+def test_system_sums_every_coupling(ops, struct_first, alpha):
+    """1-4 couplings, each pair with its solid or its structure first:
+    the coupled K is the bulk plus each coupling's Kn + Kn^T + alpha Kst,
+    and the H the alpha estimate reads the sum of each coupling's H, the
+    terms lifted from the every-column oracle (`coupling_matrices`). The
+    live columns, the per-segment sum and the order of the sums differ
+    by round-off: 1.8e-16 of the largest entry at most in 150 draws."""
+    models = []
+    for op, flip in zip(ops, struct_first):
+        models += [op.struct, op.solid] if flip else [op.solid, op.struct]
+    sysm = System(models)
+    for op in ops:
+        sysm.add_coupling(op)
+    bulk = sysm.bulk_matrix()
+    K, H = stubbed_solve(sysm, alpha)
+    a = 7.0 if alpha == "auto" else alpha
+    terms = [coupling_matrices(op, *_system_numbering(sysm, op), True)
+             for op in ops]
+    want = bulk + sum(Kn + Kn.T + a * Kst for Kn, Kst, _ in terms)
+    np.testing.assert_allclose(K.toarray(), want.toarray(), rtol=0,
+                               atol=1e-15 * np.abs(want).max())
+    if alpha != "auto":
+        assert H is None
+        return
+    solid = np.repeat([m.mesh.model.startswith("solid") for m in models],
+                      np.diff(sysm.offsets))
+    order = np.concatenate([np.flatnonzero(solid), np.flatnonzero(~solid)])
+    want = sum(h for _, _, h in terms)[order][:, order]
+    np.testing.assert_allclose(H.toarray(), want.toarray(), rtol=0,
+                               atol=1e-15 * np.abs(want).max())
 
 
 # Columns of each segment block of a tri-cubic solid face on a cubic
@@ -547,7 +627,7 @@ def test_benchmark_faces_keep_live_columns_bit_for_bit(theory, numbering,
     monkeypatch.setattr(coupling, "integrate_atb", recorded)
     args = _numbering(op, numbering)
     for with_h in (True, False):
-        got = op.matrices(*args, with_h)
+        got = lifted(op, *args, with_h)
         want = coupling_matrices(op, *args, with_h)
         assert (got[2] is None) is (want[2] is None) is (not with_h)
         for g, w in zip(got[:2 + with_h], want):

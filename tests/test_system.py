@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdfem import bench, coupling, system
+from mdfem import mesh as mesh_mod
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConfigError, DefinitenessError, RankError
@@ -93,6 +94,19 @@ class TestAssembly:
         assert diff <= 1e-12 * abs(manual).max()
         asym = abs(sol.K - sol.K.T).max()
         assert asym <= 1e-12 * abs(sol.K).max()
+
+    def test_fixed_alpha_solve_after_estimate_reads_every_coupling(self):
+        # The estimate keeps its blocks for the next solve; a solve with a
+        # fixed alpha after it, and another after that, sum every coupling.
+        solid, beam, op = small_coupled()
+        sys = coupled([solid, beam], op)
+        sys.fix(0, clamped_edge_dofs(solid))
+        Kn, Kst, _ = local_matrices(op)
+        manual = sys.bulk_matrix() + Kn + Kn.T + 5.0e3 * Kst
+        sys.resolve_alpha("auto")
+        for _ in range(2):
+            K = sys.solve(alpha=5.0e3).K
+            assert abs(K - manual).max() <= 1e-12 * abs(manual).max()
 
 
 class TestConstraints:
@@ -378,18 +392,26 @@ class TestStressBoundOnDemand:
         return sys
 
     def spy(self, monkeypatch):
-        """Value lists per `sum_blocks` call of the coupling assembly."""
+        """Segment products per `CouplingOperator.matrices` call."""
         counts = []
-        real = coupling.sum_blocks
+        matrices = coupling.CouplingOperator.matrices
+        product = coupling.integrate_atb
 
-        def counted(shape, dofs, *values):
-            counts.append(len(values))
-            return real(shape, dofs, *values)
+        def counted_matrices(op, offsets, with_h):
+            counts.append(0)
+            return matrices(op, offsets, with_h)
 
-        monkeypatch.setattr(coupling, "sum_blocks", counted)
+        def counted_product(*args, **kwargs):
+            counts[-1] += 1
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(coupling.CouplingOperator, "matrices",
+                            counted_matrices)
+        monkeypatch.setattr(coupling, "integrate_atb", counted_product)
         return counts
 
     def test_fixed_alpha_makes_no_h_product(self, monkeypatch):
+        # The interface's segments share one point count: one batch.
         counts = self.spy(monkeypatch)
         self.loaded().solve(alpha=2.0e3)
         assert counts == [2]
@@ -402,11 +424,46 @@ class TestStressBoundOnDemand:
         matrices = coupling.CouplingOperator.matrices
         monkeypatch.setattr(
             coupling.CouplingOperator, "matrices",
-            lambda op, offsets, ndof, with_h: matrices(op, offsets, ndof,
-                                                       True))
+            lambda op, offsets, with_h: matrices(op, offsets, True))
         ref = self.loaded().solve(alpha=alpha)
         assert sol.alphas == ref.alphas
         np.testing.assert_array_equal(sol.a, ref.a)
+
+
+def test_nitsche_sum_flushes_within_budget(monkeypatch):
+    """Two couplings of twelve segments between them: with room for about
+    one segment block, the blocks go to CSR in runs that each hold less
+    than twice the budget, and K is the one-run sum to round-off."""
+    mat = Material(E=200.0, nu=0.25, thickness=1.0)
+    solid = SolidModel(build_mesh("solid2d", "spline", 2, (4, 6),
+                                  ((0.0, 3.0), (-0.5, 0.5))), mat)
+    beams = [BeamModel(build_mesh("beam", "spline", 2, 3, ((0.0, 2.0),),
+                                  origin=(x0, 0.0)), mat)
+             for x0 in (3.0, -2.0)]
+    ops = [build_interface(solid, beams[0], axis=0, side=1),
+           build_interface(solid, beams[1], axis=0, side=-1)]
+    sysm = coupled([solid] + beams, *ops)
+    sysm.fix(0, clamped_edge_dofs(solid))
+    ref = sysm.solve(alpha=1.0e3).K.toarray()
+    flushes = []
+    flush = mesh_mod.add_blocks
+
+    def counted(K, dofs, mats):
+        if dofs:  # the bulk's models have no element-matrix rows
+            flushes.append(sum(m.size for m in mats))
+        return flush(K, dofs, mats)
+
+    block = ops[0].matrices((0, solid.ndof), False)[1][0].size
+    budget = int(1.5 * block)
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", budget)
+    monkeypatch.setattr(mesh_mod, "add_blocks", counted)
+    K = sysm.solve(alpha=1.0e3).K
+    assert sum(len(op.segments) for op in ops) == 12
+    assert len(flushes) >= 5
+    assert max(flushes) < 2 * budget
+    assert K.has_canonical_format
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
 
 
 def solve_all(A, b):
