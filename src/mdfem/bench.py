@@ -309,9 +309,10 @@ def _case_timo_spline_refinement():
 def _case_timo_nonconforming():
     """Solid overlapping the beam mesh, cut close to an element boundary.
 
-    The cut leaves a sliver of the beam element left of l_c; the overlap
-    guard deactivates the starved control points, which also makes the
-    spectral stabilization estimate unavailable, so alpha is fixed. The
+    The cut at l_c leaves an uncovered sliver of one beam element that no
+    cut rule point sees: that element reads VOID and the control points
+    left without support are pinned, which also makes the spectral
+    stabilization estimate unavailable, so alpha is fixed. The
     conforming twin re-meshes the beam to start exactly at l_c on the
     same solid mesh.
     """

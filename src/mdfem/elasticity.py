@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .errors import ConfigError
-from .mesh import (Mesh, bulk_points, direction_tables, element_batches,
-                   facet_rules, parent_data, quadrature_data)
+from .mesh import (Mesh, direction_tables, element_batches, facet_rules,
+                   gauss_rule, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -181,9 +181,8 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
     for D, npts in form:
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         nders = 2 if used[-1] > mesh.dim else 1
-        _, w, *shapes, _ = (bulk_points(mesh, e, npts, nders)
-                            if quadrature is None else
-                            quadrature_data(mesh, e, quadrature, nders))
+        _, w, *shapes, _ = quadrature_data(mesh, e, gauss_rule(
+            mesh, e, npts) if quadrature is None else quadrature, nders)
         J = np.stack(list(_jet(shapes, used, mesh.dim).values()))
         *lead, _, nen = J.shape[1:]
         wJ = J * w[..., None]

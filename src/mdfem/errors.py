@@ -29,9 +29,5 @@ class DefinitenessError(MdfemError):
     """The constrained system matrix is not positive definite."""
 
 
-class DegenerateCutError(MdfemError):
-    """A cut element retained no quadrature points outside the overlap region."""
-
-
 class OverDeactivationError(MdfemError):
     """Every basis function of a cut element was deactivated."""

@@ -453,37 +453,31 @@ def direction_tables(d, el, t, nders):
     return tab, Y, dy
 
 
-def bulk_points(mesh: Mesh, e, npts=None, nders=1):
-    """Quadrature data for one element or an element array.
-
-    Returns ``(local, weights, N, dNdx, d2Ndx2, phys)`` where weights
-    include the physical volume measure; an element array adds a leading
-    element axis to each. ``d2Ndx2`` is None unless ``nders >= 2``. Each
-    direction is tabulated in one call at the Gauss points of all its
-    element intervals (`direction_tables`), and the tables are combined
-    per element.
-    """
-    elems = np.atleast_1d(e)
-    local, wts, rules = tensor_rules(
-        [d.intervals() for d in mesh.dirs], mesh.element_grid_index(elems),
+def gauss_rule(mesh: Mesh, e, npts):
+    """The tensor Gauss rule ``(local, weights)`` of one element or an
+    element array, ``(E, nq, dim)`` and ``(E, nq)``, with ``npts`` points
+    per direction (one count or one per direction; None: p + 1)."""
+    return tensor_rules(
+        [d.intervals() for d in mesh.dirs],
+        mesh.element_grid_index(np.atleast_1d(e)),
         [p + 1 for p in mesh.degrees] if npts is None
-        else _per_dir(npts, mesh.dim, "npts"))
-    return _element_data(mesh, e, local, wts, [
-        [a[at] for a in direction_tables(d, np.arange(d.nelem), x, nders)]
-        for d, (x, at) in zip(mesh.dirs, rules)])
+        else _per_dir(npts, mesh.dim, "npts"))[:2]
 
 
 def quadrature_data(mesh, e, quadrature=None, nders=1):
-    """`bulk_points` data of one element or an element array, on the
-    standard rule or on an explicit local-coordinate rule ``(local,
-    weights)``: ``(E, nq, dim)`` and ``(E, nq)`` for an element array,
-    ``(nq, dim)`` and ``(nq,)`` for one element. All points of an
-    explicit rule are tabulated in one call per direction."""
-    if quadrature is None:
-        return bulk_points(mesh, e, nders=nders)
+    """Quadrature data ``(local, weights, N, dNdx, d2Ndx2, phys)`` of one
+    element or an element array, on its `gauss_rule` (None) or on an
+    explicit local-coordinate rule ``(local, weights)``: ``(E, nq, dim)``
+    and ``(E, nq)`` for an element array, ``(nq, dim)`` and ``(nq,)`` for
+    one element. Weights include the physical volume measure, an element
+    array adds a leading element axis to each output, and ``d2Ndx2`` is
+    None unless ``nders >= 2``. All points are tabulated in one call per
+    direction."""
     elems = np.atleast_1d(e)
-    local = np.reshape(quadrature[0], (len(elems), -1, mesh.dim))
-    wts = np.reshape(quadrature[1], local.shape[:2])
+    local, wts = (gauss_rule(mesh, e, None) if quadrature is None
+                  else quadrature)
+    local = np.reshape(local, (len(elems), -1, mesh.dim))
+    wts = np.reshape(wts, local.shape[:2])
     return _element_data(mesh, e, local, wts,
                          _point_tables(mesh, elems, local, nders))
 

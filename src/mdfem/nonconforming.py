@@ -1,13 +1,14 @@
 """Overlapping-domain machinery for embedded solid regions.
 
 When a solid mesh overlaps part of a structural model, the covered part of
-the structure must not contribute stiffness. Elements fully covered are
-dropped, elements crossed by the region boundary are integrated with a
-Gauss rule whose covered points weigh zero, and basis functions with
-(almost) no support left are pinned to zero. `NonconformingModel` states
-that as its `parts`, the element lists each stiffness and load of the
-wrapped model integrates, so assembly, loads and coupling treat it as
-any model.
+the structure must not contribute stiffness. Elements are labelled by
+exact interval arithmetic: those inside the region are dropped (VOID),
+those it overlaps in part (CUT) are integrated with a Gauss rule whose
+covered points weigh zero, and a CUT element no point of that rule
+survives on is dropped too. Basis functions with (almost) no support left
+are pinned to zero. `NonconformingModel` states that as its `parts`, the
+element lists each stiffness and load of the wrapped model integrates, so
+assembly, loads and coupling treat it as any model.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateCutError,
-    OverDeactivationError,
-)
+from .errors import ConfigError, OverDeactivationError
 from .quadrature import tensor_rules
 
 STANDARD, CUT, VOID = 0, 1, 2
@@ -57,11 +54,12 @@ class OverlapRegion:
 def classify(mesh, region: OverlapRegion) -> np.ndarray:
     """Label every element STANDARD, CUT, or VOID against the region.
 
-    Each element is sampled at its corners plus a (p+2)-per-direction
-    interior grid: VOID if every sample is covered, CUT if some is. A box
-    covers a point iff it covers each coordinate, so the labels follow
-    from covering flags per direction and element interval, combined by
-    outer product.
+    By exact interval arithmetic per direction: element interval [a, b]
+    is covered when the closed region holds it (lo <= a, b <= hi) and
+    overlapped when the two share positive length (min(b, hi) > max(a,
+    lo)). A box holds (overlaps) an element iff it does so in each
+    direction, so the labels follow by outer product: VOID if covered,
+    CUT if overlapped, STANDARD otherwise.
     """
     if region.dim != mesh.dim:
         raise ConfigError(
@@ -70,11 +68,10 @@ def classify(mesh, region: OverlapRegion) -> np.ndarray:
     some = np.ones(1, dtype=bool)
     for d, (lo, hi) in zip(mesh.dirs, region.bounds):
         a, b = d.intervals().T
-        x = np.linspace(a, b, d.degree + 4, axis=-1)
-        covered = (lo < x) & (x < hi)
         # New direction slowest, as in the element numbering.
-        every = np.logical_and.outer(covered.all(axis=1), every).ravel()
-        some = np.logical_and.outer(covered.any(axis=1), some).ravel()
+        every = np.logical_and.outer((lo <= a) & (b <= hi), every).ravel()
+        some = np.logical_and.outer(
+            np.minimum(b, hi) > np.maximum(a, lo), some).ravel()
     return np.where(every, VOID, np.where(some, CUT, STANDARD))
 
 
@@ -104,15 +101,9 @@ def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int):
 
 
 def _deactivate(mesh, labels, wts, threshold):
-    """Pinned nodes and starved elements of a cut, ``(inactive, starved)``.
-
-    A node is pinned (``inactive``, sorted) when its support fraction
+    """Pinned nodes of a cut, sorted: those whose support fraction
     surviving the cut rule weights ``wts`` (one `integrate_cut` row per
-    CUT element, in element order) is below ``threshold``. A cut element
-    whose row is all zero is starved: its sliver is below the rule
-    resolution, and it behaves as void, which is safe only when every
-    active node on it keeps support on some other live element.
-    """
+    CUT element, in element order) is below ``threshold``."""
     full = np.ones(1)
     for d in mesh.dirs:
         a, b = d.intervals().T
@@ -131,31 +122,22 @@ def _deactivate(mesh, labels, wts, threshold):
         raise OverDeactivationError(
             f"every basis function of cut element {dead[0]} was deactivated; "
             "the region almost certainly covers more than intended")
-    starved = cut[~wts.any(axis=1)]
-    live = labels != VOID
-    live[starved] = False
-    held = pinned.copy()
-    held[ien[live]] = True
-    orphans = starved[~held[ien[starved]].all(axis=1)]
-    if orphans.size:
-        raise DegenerateCutError(
-            f"cut element {orphans[0]} has no surviving quadrature points "
-            "but still carries active basis functions supported nowhere "
-            "else; increase the cut rule or the deactivation threshold")
-    return np.nonzero(pinned)[0], starved
+    return np.nonzero(pinned)[0]
 
 
 class NonconformingModel:
     """Structural model with the part covered by a solid region removed.
 
     Its `parts` are the STANDARD elements on the standard rule, then the
-    live CUT elements on their `integrate_cut` rows; VOID and demoted
-    elements are in none. Basis functions with (almost) no support left
-    are listed in `inactive_dofs`, which the assembler pins. The inner
-    model's methods and properties run with the wrapper as ``self``, so
-    its stiffness and loads integrate the wrapper's `parts`: the STANDARD
-    part from 1D tables over at most ``dim`` grid boxes
-    (`Mesh.element_boxes`), and only the live CUT rows by quadrature.
+    CUT elements on their `integrate_cut` rows; VOID elements are in
+    none. A CUT element whose row is all zero (a sliver below the rule
+    resolution) is relabelled VOID once the pinned nodes are known.
+    Basis functions with (almost) no support left are listed in
+    `inactive_dofs`, which the assembler pins. The inner model's methods
+    and properties run with the wrapper as ``self``, so its stiffness and
+    loads integrate the wrapper's `parts`: the STANDARD part from 1D
+    tables over at most ``dim`` grid boxes (`Mesh.element_boxes`), and
+    only the CUT rows by quadrature.
     """
 
     def __init__(self, model, region: OverlapRegion, *,
@@ -172,13 +154,13 @@ class NonconformingModel:
         cut = np.nonzero(self.labels == CUT)[0]
         local, wts = integrate_cut(mesh, cut, region, ncut)
         self.ncut = int(ncut)
-        self.inactive_nodes, _ = _deactivate(mesh, self.labels, wts,
-                                             self.threshold)
+        self.inactive_nodes = _deactivate(mesh, self.labels, wts,
+                                          self.threshold)
         nc = model.ncomp_node
         self.inactive_dofs = (self.inactive_nodes[:, None] * nc
                               + np.arange(nc)).ravel()
-        # A starved cut element (all-zero row) is demoted to void.
         keep = wts.any(axis=1)
+        self.labels[cut[~keep]] = VOID
         self.parts = [(np.nonzero(self.labels == STANDARD)[0], None),
                       (cut[keep], (local[keep], wts[keep]))]
 

@@ -168,7 +168,7 @@ class BeamModel(Model):
         comp = np.asarray(components, dtype=float).reshape(self.ncomp_node)
         e, xi = self.mesh.locate((x_local,))
         if self.part_index(e) < 0:
-            raise ConfigError(f"point load on element {e}, void or demoted")
+            raise ConfigError(f"point load on element {e}, void")
         N = parent_data(self.mesh, e, xi)[0]
         f = np.zeros(self.ndof)
         fe = (N[0][:, None] * comp[None, :]).ravel()

@@ -17,9 +17,10 @@ from mdfem import elasticity
 from mdfem import mesh as mesh_mod
 from mdfem import structural
 from mdfem.elasticity import Material, SolidModel, constitutive_solid
-from mdfem.errors import DegenerateCutError, OverDeactivationError
-from mdfem.mesh import build_mesh, bulk_points, facet_rules, quadrature_data
-from mdfem.nonconforming import CUT, VOID, NonconformingModel, OverlapRegion
+from mdfem.errors import OverDeactivationError
+from mdfem.mesh import build_mesh, facet_rules, gauss_rule, quadrature_data
+from mdfem.nonconforming import (CUT, VOID, NonconformingModel, OverlapRegion,
+                                 classify)
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System, _model_matrix
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
@@ -186,17 +187,23 @@ def test_structural_kernels_equal_per_element_oracle(model):
 @given(model=st.sampled_from(["solid2d", "solid3d", "beam", "plate"]),
        degree=st.integers(1, 3), nders=st.integers(1, 2),
        one_point=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_bulk_points_batch_equals_per_element_rule(model, degree, nders,
-                                                   one_point, seed):
+def test_quadrature_data_batch_equals_per_element_rule(model, degree, nders,
+                                                       one_point, seed):
+    """`quadrature_data` on the standard rule (None) or on a one-point
+    `gauss_rule`, for an element array and for one element, equals it on
+    the oracle's per-element tensor rule, bit for bit."""
     dim = {"beam": 1, "plate": 2, "solid2d": 2, "solid3d": 3}[model]
     m = curve(build_mesh(model, "spline", degree, 2, [(0.0, 1.0)] * dim),
               seed)
     npts = 1 if one_point else None
     elems = np.arange(m.nelem)[::-1]
-    batch = bulk_points(m, elems, npts=npts, nders=nders)
+
+    def rule(e):
+        return None if npts is None else gauss_rule(m, e, npts)
+    batch = quadrature_data(m, elems, rule(elems), nders)
     for row, e in enumerate(elems):
         for a, b, c in zip(batch, oracle_points(m, e, npts, nders),
-                           bulk_points(m, int(e), npts, nders)):
+                           quadrature_data(m, int(e), rule(int(e)), nders)):
             if b is None:
                 assert a is None and c is None
                 continue
@@ -226,11 +233,17 @@ def nonconforming_system():
     plate = PlateModel(build_mesh("plate", "spline", (3, 2), (6, 5),
                                   ((0.0, 6.0), (0.0, 5.0))), MAT, "kirchhoff")
     cut = NonconformingModel(plate, OverlapRegion(((1.5, 3.7), (-INF, 2.4))))
-    # A demoted (starved) cut element and VOID elements: in no part.
-    dead = sliver.part_index(np.arange(sliver.mesh.nelem)) < 0
-    assert (dead & (sliver.labels == CUT)).any()
-    assert (sliver.labels == VOID).any() and dead[sliver.labels == VOID].all()
-    assert (cut.labels == CUT).any() and (cut.labels == VOID).any()
+    # The sliver's starved cut element 1 reads VOID, as do the covered
+    # elements: an element is in no part iff it is VOID, and the cut
+    # part is every CUT element.
+    assert list(classify(beam.mesh, sliver.region)[:2]) == [VOID, CUT]
+    assert list(sliver.labels[:2]) == [VOID, VOID]
+    for m in (sliver, cut):
+        np.testing.assert_array_equal(
+            m.part_index(np.arange(m.mesh.nelem)) < 0, m.labels == VOID)
+        np.testing.assert_array_equal(m.parts[1][0],
+                                      np.flatnonzero(m.labels == CUT))
+    assert (cut.labels == CUT).sum() == 7 and (cut.labels == VOID).any()
     return System([solid, sliver, cut])
 
 
@@ -250,18 +263,16 @@ def test_bulk_matrix_flushes_within_budget(monkeypatch):
     flush = mesh_mod.add_blocks
 
     def counted(K, dofs, mats):
-        flushes.append(sum(Ke.size for Ke in mats))
+        if dofs:
+            flushes.append(sum(Ke.size for Ke in mats))
         return flush(K, dofs, mats)
 
-    # Room for one cut plate element matrix (144 entries): batches shrink
-    # to one element and flush every second batch.
-    budget = 200
-    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", budget)
+    # Below one cut plate element matrix (144 entries): each of the 7 cut
+    # elements is a batch of its own, flushed on its own.
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", 100)
     monkeypatch.setattr(mesh_mod, "add_blocks", counted)
     K = system.bulk_matrix()
-    assert len(flushes) > 5
-    # A flush holds at most one batch beyond the budget.
-    assert max(flushes) < 2 * budget
+    assert flushes == [144] * 7
     assert K.has_canonical_format
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
@@ -413,7 +424,7 @@ def test_box_path_matches_per_element_quadrature(model, data):
     if region is not None:
         try:
             model = NonconformingModel(model, region)
-        except (OverDeactivationError, DegenerateCutError):
+        except OverDeactivationError:
             assume(False)
     K = _model_matrix(model)
     assert K.has_canonical_format and not (K.data == 0).any()

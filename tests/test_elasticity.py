@@ -11,7 +11,7 @@ from mdfem.elasticity import (
     solid_kinematics,
 )
 from mdfem.errors import ConfigError
-from mdfem.mesh import SplineDir, build_mesh, bulk_points
+from mdfem.mesh import SplineDir, build_mesh, quadrature_data
 from oracles import b_matrix_solid
 
 
@@ -175,7 +175,7 @@ class TestStiffness:
         K = stiffness_solid(mesh, 0, mat)
         rng = np.random.default_rng(11)
         a = rng.standard_normal(K.shape[0])
-        _, w, _, dNdx, _, _ = bulk_points(mesh, 0, nders=1)
+        _, w, _, dNdx, _, _ = quadrature_data(mesh, 0, nders=1)
         eps = b_matrix_solid(dNdx) @ a
         C = constitutive_solid(mat, 2)
         energy = np.sum(w * np.einsum("qa,ab,qb->q", eps, C, eps))

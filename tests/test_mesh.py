@@ -17,7 +17,6 @@ from mdfem.mesh import (
     _det_inv,
     _element_data,
     build_mesh,
-    bulk_points,
     direction_tables,
     facet_rules,
     parent_data,
@@ -339,11 +338,11 @@ def test_nodes_are_derived_and_read_only():
         m.nodes[4] += (0.1, 0.0)
 
 
-def test_bulk_points_measure():
+def test_quadrature_data_measure():
     m = build_mesh("solid2d", "spline", 3, (16, 4), [(0, 24), (-3, 3)])
     total = 0.0
     for e in range(m.nelem):
-        _, w, N, dNdx, _, phys = bulk_points(m, e)
+        _, w, N, dNdx, _, phys = quadrature_data(m, e)
         total += w.sum()
         assert_allclose(N.sum(axis=1), 1.0, atol=1e-12)
         assert_allclose(dNdx.sum(axis=1), 0.0, atol=1e-10)
@@ -364,7 +363,7 @@ def test_linear_fields_have_zero_hessian_on_curved_maps(model, degree, seed):
                       rotation=orthogonal(rng, (3, 3), 1.0))
     m = build_mesh(model, "spline", degree, 3, [(0.0, 1.0)] * dim, **kwargs)
     for e in range(m.nelem):
-        _, _, _, _, d2Ndx2, _ = bulk_points(m, e, nders=2)
+        _, _, _, _, d2Ndx2, _ = quadrature_data(m, e, nders=2)
         P = m.nodes[m.element_nodes(e)]
         # The map reproduces each coordinate field and the constant one.
         assert np.abs(np.einsum("qnij,nm->qmij", d2Ndx2, P)).max() <= 1e-10
@@ -659,7 +658,7 @@ def test_one_basis_call_per_direction(model, basis, degree, monkeypatch):
     m.shape_ders(elems, local, nders=2)
     assert len(calls) == m.dim
     calls.clear()
-    bulk_points(m, np.arange(m.nelem), nders=2)
+    quadrature_data(m, np.arange(m.nelem), nders=2)
     assert len(calls) == m.dim
 
 
@@ -672,8 +671,7 @@ def test_weights_rejected_on_lagrange_meshes():
 @pytest.mark.parametrize("nders", [0, 3])
 def test_element_data_rejects_other_derivative_orders(nders):
     mesh = build_mesh("solid2d", "spline", 2, (2, 2), [(0, 1), (0, 1)])
-    for call in (lambda: bulk_points(mesh, [0, 1], nders=nders),
-                 lambda: quadrature_data(mesh, [0, 1], nders=nders),
+    for call in (lambda: quadrature_data(mesh, [0, 1], nders=nders),
                  lambda: parent_data(mesh, 0, [[0.0, 0.0]], nders=nders)):
         with pytest.raises(ConfigError, match=f"1 .* or 2 .*got {nders}"):
             call()
@@ -760,7 +758,7 @@ def mapped_meshes(draw):
 @settings(max_examples=60, deadline=None)
 @given(m=mapped_meshes(), data=st.data())
 def test_element_data_matches_the_lapack_chain_rule(m, data):
-    """Every `_element_data` output of `bulk_points` and `parent_data`
+    """Every `_element_data` output of `quadrature_data` and `parent_data`
     with second derivatives is within 1e-12 of its largest entry of the
     reference by the control net's map, LAPACK inverses and two d x d
     products per point and node."""
@@ -777,7 +775,7 @@ def test_element_data_matches_the_lapack_chain_rule(m, data):
         st.tuples(*[st.floats(-1.0, 1.0)] * m.dim),
         min_size=npts, max_size=npts)))
     with mock.patch("mdfem.mesh._element_data", spy):
-        bulk_points(m, np.arange(m.nelem), nders=2)
+        quadrature_data(m, np.arange(m.nelem), nders=2)
         parent_data(m, elems, parent, nders=2)
     assert len(calls) == 2
     for (_, e, local, wts, _), out in calls:

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from mdfem import nonconforming
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
-from mdfem.errors import (
-    ConfigError,
-    DegenerateCutError,
-    OverDeactivationError,
-    RankError,
-)
+from mdfem.errors import ConfigError, OverDeactivationError, RankError
 from mdfem.mesh import build_mesh, quadrature_data
 from mdfem.nonconforming import (
     CUT,
@@ -35,7 +30,7 @@ def deactivate_dofs(mesh, labels, region):
     cut rule (10 points) pins for ``region``."""
     cut = np.nonzero(labels == CUT)[0]
     return nonconforming._deactivate(
-        mesh, labels, integrate_cut(mesh, cut, region, 10)[1], 0.01)[0]
+        mesh, labels, integrate_cut(mesh, cut, region, 10)[1], 0.01)
 
 
 def beam_mesh(nelems=8, degree=3, basis="spline", length=24.0):
@@ -115,23 +110,20 @@ class TestClassify:
         assert (labels == CUT).sum() == 20
 
 
-def _element_samples(mesh, e):
-    """Corners plus a (p+2)-per-direction interior grid, in local coords."""
-    gi = mesh.element_grid_index(e)
-    axes = []
-    for d, i in zip(mesh.dirs, gi):
-        lo, hi = element_interval(d, i)
-        inner = np.linspace(lo, hi, d.degree + 4)[1:-1]
-        axes.append(np.concatenate([[lo, hi], inner]))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _classify_by_sampling(mesh, region):
+def _classify_exact(mesh, region):
+    """Labels from each element's box and the region's, one element at a
+    time: VOID where the closed region holds the box, CUT where their
+    intersection has positive measure (every side of positive length; a
+    product of the lengths can underflow), STANDARD otherwise."""
     labels = np.empty(mesh.nelem, dtype=int)
     for e in range(mesh.nelem):
-        ins = inside(region, _element_samples(mesh, e))
-        labels[e] = VOID if ins.all() else CUT if ins.any() else STANDARD
+        box = [element_interval(d, i)
+               for d, i in zip(mesh.dirs, mesh.element_grid_index(e))]
+        pairs = list(zip(box, region.bounds))
+        sides = [min(b, hi) - max(a, lo) for (a, b), (lo, hi) in pairs]
+        labels[e] = (VOID if all(lo <= a and b <= hi
+                                 for (a, b), (lo, hi) in pairs)
+                     else CUT if min(sides) > 0 else STANDARD)
     return labels
 
 
@@ -149,15 +141,25 @@ def meshes_and_regions(draw):
                       [(0.0, length) for length in lengths])
     bounds = []
     for d, length in zip(mesh.dirs, lengths):
-        # Sample abscissae and element boundaries hit the strict-inside
-        # test at equality; infinite and outlying bounds cover the rest.
-        marks = np.concatenate([np.linspace(*element_interval(d, i),
-                                            d.degree + 4)
-                                for i in range(d.nelem)])
-        ends = st.one_of(st.sampled_from(sorted(set(marks.tolist()))),
-                         st.floats(-1.0, length + 1.0))
-        lo = draw(st.one_of(st.just(-INF), ends))
-        hi = draw(st.one_of(st.just(INF), ends))
+        breaks = [element_interval(d, i)[0] for i in range(d.nelem)] + [
+            element_interval(d, d.nelem - 1)[1]]
+        a, b = element_interval(d, draw(st.integers(0, d.nelem - 1)))
+        if draw(st.integers(0, 3)) == 0:
+            # Inside one element, between its first two points of the
+            # (p + 4)-point grid a sampled classification would see.
+            w = (b - a) / (d.degree + 3)
+            lo, hi = sorted(a + w * draw(st.floats(0.01, 0.99))
+                            for _ in range(2))
+        else:
+            # Bounds on element breaks, just off them (slivers),
+            # anywhere, and infinite.
+            ends = st.one_of(
+                st.sampled_from(breaks),
+                st.sampled_from([x + s * 1e-7 * (b - a) for x in breaks
+                                 for s in (-1, 1)]),
+                st.floats(-1.0, length + 1.0))
+            lo = draw(st.one_of(st.just(-INF), ends))
+            hi = draw(st.one_of(st.just(INF), ends))
         assume(lo < hi)
         bounds.append((lo, hi))
     return mesh, OverlapRegion(bounds)
@@ -166,18 +168,50 @@ def meshes_and_regions(draw):
 class TestSeparableClassify:
     @settings(max_examples=150, deadline=None)
     @given(meshes_and_regions())
-    def test_matches_per_element_sampling(self, case):
+    def test_matches_exact_box_intersection(self, case):
         mesh, region = case
         np.testing.assert_array_equal(classify(mesh, region),
-                                      _classify_by_sampling(mesh, region))
+                                      _classify_exact(mesh, region))
+
+    def test_region_inside_one_element_cuts_it(self):
+        """A region between the points a (p + 4)-point sample grid sees
+        still cuts the element: it loses the covered stiffness."""
+        mesh = build_mesh("plate", "spline", 3, 1,
+                          ((0.0, 100.0), (0.0, 100.0)), z_mid=0.0)
+        plate = PlateModel(mesh, Material(E=30.0, nu=0.3, thickness=0.2),
+                           "kirchhoff")
+        nc = NonconformingModel(plate, OverlapRegion(((1.0, 15.0),) * 2))
+        assert list(nc.labels) == [CUT] and nc.inactive_dofs.size == 0
+        K = System([plate]).bulk_matrix().toarray()
+        K_nc = System([nc]).bulk_matrix().toarray()
+        assert np.abs(K - K_nc).max() > 1e-3 * np.abs(K).max()
+
+    @pytest.mark.parametrize("hi", [1.0, 1.5])
+    def test_region_to_the_mesh_end_voids_everything(self, hi):
+        """A region holding the whole one-element beam, whether its bound
+        sits on the mesh end or beyond it, leaves every DOF pinned."""
+        beam = BeamModel(beam_mesh(nelems=1, degree=1, basis="lagrange",
+                                   length=1.0),
+                         Material(E=3.0e7, nu=0.3, thickness=6.0))
+        nc = NonconformingModel(beam, OverlapRegion(((-INF, hi),)))
+        assert list(nc.labels) == [VOID]
+        np.testing.assert_array_equal(nc.inactive_dofs, np.arange(beam.ndof))
+        assert [len(el) for el, _ in nc.parts] == [0, 0]
 
 
 class TestDeactivate:
     def test_sliver_bench_control_points(self):
         mesh = beam_mesh()
         region = OverlapRegion(((-INF, 5.97),))
-        inactive = deactivate_dofs(mesh, classify(mesh, region), region)
+        labels = classify(mesh, region)
+        assert list(labels[:3]) == [VOID, CUT, STANDARD]
+        inactive = deactivate_dofs(mesh, labels, region)
         np.testing.assert_array_equal(inactive, [0, 1])
+        # The model pins the same nodes, and its starved cut element 1
+        # (no point of the 10-point rule survives) reads VOID.
+        nc = sliver_beam_model()
+        np.testing.assert_array_equal(nc.inactive_nodes, inactive)
+        assert list(nc.labels[:3]) == [VOID, VOID, STANDARD]
 
     def test_farthest_node_of_sliver_element_goes_inactive(self):
         mesh = beam_mesh(nelems=2, degree=1, basis="lagrange", length=2.0)
@@ -190,6 +224,13 @@ class TestDeactivate:
         region = OverlapRegion(((-INF, 0.7),))
         inactive = deactivate_dofs(mesh, classify(mesh, region), region)
         assert inactive.size == 0
+        # Points of the cut rule survive on element 0: it stays CUT, on
+        # its own rule row.
+        nc = NonconformingModel(
+            BeamModel(mesh, Material(E=3.0e7, nu=0.3, thickness=6.0)), region)
+        assert list(nc.labels) == [CUT, STANDARD]
+        assert nc.inactive_dofs.size == 0
+        np.testing.assert_array_equal(nc.part_index([0, 1]), [1, 0])
 
     def test_over_deactivation_detected(self):
         mesh = beam_mesh(nelems=1, degree=1, basis="lagrange", length=1.0)
@@ -328,7 +369,7 @@ class TestCutRuleReuse:
 
         monkeypatch.setattr(nonconforming, "integrate_cut", counted)
         nc = NonconformingModel(inner, region)
-        cut = np.nonzero(nc.labels == CUT)[0]
+        cut = np.flatnonzero(classify(mesh, region) == CUT)
         assert cut.size and len(rule_calls) == 1
         np.testing.assert_array_equal(rule_calls[0], cut)
 
@@ -341,6 +382,12 @@ class TestCutRuleReuse:
         param, wts = direct(mesh, cut, region, 10)
         keep = wts.any(axis=1)
         live_cut = cut[keep]
+        # The model's CUT labels are the live rows; a starved one reads
+        # VOID, as the sliver beam's one cut element does.
+        np.testing.assert_array_equal(np.flatnonzero(nc.labels == CUT),
+                                      live_cut)
+        assert (nc.labels[cut[~keep]] == VOID).all()
+        assert keep.all() if build is _cut_plate_model else not keep.any()
         # One kernel call each covering every live cut element.
         expected = [("element_stiffness", live_cut)] if live_cut.size else []
         if plate and live_cut.size:
@@ -361,10 +408,10 @@ class TestCutRuleReuse:
         np.testing.assert_array_equal(rule[1], wts[keep])
         # Batched rows equal the per-element kernels on the same rule row;
         # only cut rows are batched (the STANDARD part is assembled from
-        # 1D tables), and VOID and demoted elements are in no part.
+        # 1D tables), and VOID elements are in no part.
         K = {int(e): Ke for el, q in nc.batches(mesh.nen * inner.ncomp_node)
              for e, Ke in zip(el, nc.element_stiffness(el, q))}
-        dead = set(np.nonzero(nc.labels == VOID)[0]) | set(cut[~keep])
+        dead = set(np.flatnonzero(nc.labels == VOID))
         f_ref = np.zeros(inner.ndof)
         for e in range(mesh.nelem):
             if e in dead:
@@ -403,8 +450,8 @@ class TestNonconformingModel:
     ])
     def test_bad_cut_settings_rejected(self, kwargs, message):
         # int() would run ncut=2.7 as 2, ncut=0 would fail deep in the
-        # Gauss rule, and threshold=nan would pin no node and surface as a
-        # DegenerateCutError.
+        # Gauss rule, and threshold=nan would pin no node, leaving the
+        # nodes of a starved element free with no stiffness.
         beam, region = _sliver_beam()
         with pytest.raises(ConfigError) as exc:
             NonconformingModel(beam, region, **kwargs)
@@ -420,8 +467,10 @@ class TestNonconformingModel:
         nc = sliver_beam_model()
         np.testing.assert_array_equal(nc.inactive_nodes, [0, 1])
         np.testing.assert_array_equal(nc.inactive_dofs, [0, 1, 2, 3, 4, 5])
-        # Element 0 is void, element 1 a starved (demoted) cut: no part.
-        assert list(nc.labels[:2]) == [VOID, CUT]
+        # Element 0 is covered and element 1 a starved cut (an uncovered
+        # sliver no rule point sees): both VOID, in no part.
+        assert list(nc.labels[:2]) == [VOID, VOID]
+        assert classify(nc.mesh, nc.region)[1] == CUT
         np.testing.assert_array_equal(nc.part_index(np.arange(8)),
                                       [-1, -1, 0, 0, 0, 0, 0, 0])
         ref = np.zeros((nc.ndof, nc.ndof))
@@ -447,7 +496,7 @@ class TestNonconformingModel:
         mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
         beam = BeamModel(beam_mesh(), mat)
         nc = NonconformingModel(beam, OverlapRegion(((-INF, 4.5),)))
-        # The cut element 1 is resolvable: not demoted, on its own rule.
+        # The cut element 1 is resolvable: it stays CUT, on its own rule.
         (_, _), (cut, rule) = nc.parts
         np.testing.assert_array_equal(cut, np.nonzero(nc.labels == CUT)[0])
         np.testing.assert_array_equal(cut, [1])
@@ -535,7 +584,7 @@ class TestNonconformingModel:
         sys.fix(0, np.concatenate([2 * clamp, 2 * clamp + 1]))
         sys.load(1, beam.point_load(24.0, (0.0, -1000.0, 0.0)))
         # auto stabilization is undefined here: the interface lies inside
-        # the starved cut element, so a kink mode carries interface stress
+        # the starved element (VOID), so a kink mode carries interface stress
         # with no stiffness behind it and the estimator must refuse
         with pytest.raises(RankError):
             sys.solve(alpha="auto")
@@ -619,11 +668,12 @@ BODY = np.array([1.0, -2.0, 0.5])
 
 
 def oracle_nonconforming(inner, region, ncut, threshold):
-    """Labels, pinned DOFs, demoted elements, dense bulk matrix and the
-    pressure load (plates) or body force `BODY` (solids), one element at a
-    time on filtered rules; raises what the model must raise."""
+    """Labels, pinned DOFs, dense bulk matrix and the pressure load
+    (plates) or body force `BODY` (solids), one element at a time on
+    filtered rules; raises what the model must raise. A cut element no
+    rule point survives on is VOID once the pinned nodes are known."""
     mesh = inner.mesh
-    labels = _classify_by_sampling(mesh, region)
+    labels = _classify_exact(mesh, region)
     rules = {e: oracle_cut_rule(mesh, e, region, ncut)
              for e in np.nonzero(labels == CUT)[0].tolist()}
     ien = mesh.ien()
@@ -642,13 +692,8 @@ def oracle_nonconforming(inner, region, ncut, threshold):
     for e in rules:
         if set(ien[e]) <= set(inactive.tolist()):
             raise OverDeactivationError(e)
-    starved = sorted(e for e, rule in rules.items() if rule is None)
-    live = [e for e in range(mesh.nelem)
-            if labels[e] != VOID and e not in starved]
-    held = set(inactive.tolist()) | {n for e in live for n in ien[e]}
-    for e in starved:
-        if not set(ien[e]) <= held:
-            raise DegenerateCutError(e)
+    labels[[e for e, rule in rules.items() if rule is None]] = VOID
+    live = [e for e in range(mesh.nelem) if labels[e] != VOID]
     K = np.zeros((inner.ndof, inner.ndof))
     f = np.zeros(inner.ndof)
     for e in live:
@@ -661,7 +706,7 @@ def oracle_nonconforming(inner, region, ncut, threshold):
             f[d] += np.einsum("q,qn,c->nc", w, N, BODY[:mesh.dim]).ravel()
     nc = inner.ncomp_node
     dofs = (inactive[:, None] * nc + np.arange(nc)).ravel()
-    return labels, dofs, frozenset(starved), K, f
+    return labels, dofs, K, f
 
 
 class TestBatchedCutOracle:
@@ -670,9 +715,9 @@ class TestBatchedCutOracle:
     def test_matches_per_element_filtered_rules(self, case):
         inner, region, ncut, threshold = case
         try:
-            labels, dofs, demoted, K, f = oracle_nonconforming(
+            labels, dofs, K, f = oracle_nonconforming(
                 inner, region, ncut, threshold)
-        except (OverDeactivationError, DegenerateCutError) as exc:
+        except OverDeactivationError as exc:
             with pytest.raises(type(exc)):
                 NonconformingModel(inner, region, threshold=threshold,
                                    ncut=ncut)
@@ -681,9 +726,8 @@ class TestBatchedCutOracle:
                                 ncut=ncut)
         np.testing.assert_array_equal(nc.labels, labels)
         np.testing.assert_array_equal(nc.inactive_dofs, dofs)
-        dead = nc.part_index(np.arange(inner.mesh.nelem)) < 0
-        assert dead[labels == VOID].all()
-        assert set(np.nonzero(dead & (labels == CUT))[0].tolist()) == demoted
+        np.testing.assert_array_equal(
+            nc.part_index(np.arange(inner.mesh.nelem)) < 0, labels == VOID)
         scale = max(np.abs(K).max(), 1e-300)
         np.testing.assert_allclose(System([nc]).bulk_matrix().toarray(), K,
                                    rtol=0, atol=1e-13 * scale)
@@ -747,9 +791,9 @@ class TestLoadsOverParts:
 
     def test_point_load_on_dead_element_raises(self):
         nc = sliver_beam_model()
-        # Element 0 (x in [0, 3]) is VOID, element 1 a demoted cut.
+        # Elements 0 (x in [0, 3], covered) and 1 (starved) are VOID.
         for x in (1.0, 4.5):
-            with pytest.raises(ConfigError, match="void or demoted"):
+            with pytest.raises(ConfigError, match="void$"):
                 nc.point_load(x, (0.0, -1.0, 0.0))
         for x in (6.0, 24.0):
             np.testing.assert_array_equal(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mdfem.bspline import least_squares_project
 from mdfem.elasticity import Material
 from mdfem.errors import ConfigError, DomainError
-from mdfem.mesh import build_mesh, bulk_points
+from mdfem.mesh import build_mesh, quadrature_data
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from oracles import section_rigidities
 
@@ -337,7 +337,7 @@ class TestPlateSectionEnergy:
         rng = np.random.default_rng(seed)
         e = int(rng.integers(model.mesh.nelem))
         a = rng.standard_normal(len(model.element_dofs(e)))
-        local, w, *_ = bulk_points(model.mesh, e)
+        local, w, *_ = quadrature_data(model.mesh, e)
         parent = model.mesh.local_to_parent(e, local)
         # Two Gauss points in z integrate the quadratic energy exactly.
         gz, wz = np.polynomial.legendre.leggauss(2)
