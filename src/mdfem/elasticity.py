@@ -203,9 +203,9 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
 
 
 def stiffness_separable(mesh: Mesh, form, boxes):
-    """Matrix of a stiffness ``form`` (as `stiffness_quadrature` takes it)
-    over the element ``boxes`` of `Mesh.element_boxes`, canonical CSR
-    without exact zeros.
+    """Matrices of a stiffness ``form`` (as `stiffness_quadrature` takes
+    it) over the element ``boxes`` of `Mesh.element_boxes`: one canonical
+    BSR of node blocks per box, on all the mesh's DOFs.
 
     The map is x = origin + A y, y_k a function of t_k alone, so a jet in
     x combines jets in y (`_jet_map`), and P_ab in y over a box is the
@@ -213,7 +213,7 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     matrices int B^(a_k) B^(b_k) dy_k over the box's elements, on the
     functions they support (`_band_1d`). Each direction's Gauss tables are
     evaluated once per part (`_tables_1d`); one GEMM per part and box with
-    D gives the node blocks, and the boxes' matrices are summed.
+    D gives the node blocks.
     """
     _, _, G, det = mesh.placement
     T, m = _jet_map(G), jets(mesh.dim)
@@ -246,10 +246,8 @@ def stiffness_separable(mesh: Mesh, form, boxes):
         ptr[nodes + 1] = np.diff(P[0])
         Ks.append(sp.bsr_matrix(
             (sum(vals[1:], vals[0]).reshape(-1, nc, nc), P[1],
-             np.cumsum(ptr)), shape=(mesh.nnodes * nc,) * 2).tocsr())
-    K = sum(Ks[1:], Ks[0]) if Ks else sp.csr_matrix((mesh.nnodes * nc,) * 2)
-    K.eliminate_zeros()
-    return K
+             np.cumsum(ptr)), shape=(mesh.nnodes * nc,) * 2))
+    return Ks
 
 
 def _jet_map(G):

@@ -389,7 +389,7 @@ def add_blocks(K, dofs, mats):
     X = S @ sp.csr_matrix((_flat(mats), cols, np.concatenate(
         ([0], np.cumsum(lens)))), shape=(rows.size, K.shape[1]))
     X.sort_indices()
-    return K + X
+    return K + X if K.nnz else X
 
 
 def _flat(arrays):

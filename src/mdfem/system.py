@@ -2,21 +2,27 @@
 bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 
 DOF layout is block-wise per model in construction order, node-major and
-component-minor inside each block. Each model's matrix comes from its
-stiffness form over its `parts` (`_model_matrix`); each coupling's
-segment blocks, Kn + Kn^T + alpha Kst folded per segment (`_nitsche`),
-and H for the alpha estimate are summed in one sparse pass (`_add_runs`,
-also the flush rule of the models' cut rows). The solve stores the
-assembled matrix's upper triangle, with no symmetrize pass, as the lower
-band of banded Cholesky, in the smaller-band order of reverse Cuthill-
-McKee and a sort along the longest axis of the DOFs' global control
-points (`Model.to_global`). While it factors, K is the one global matrix
-alive, and beyond K and the band it holds O(`_BLOCK`) entries and O(n)
-vectors. `_factor_spd` also gives the stabilization estimate its solve.
+component-minor inside each block. The solve factors the pieces assembly
+makes (`Pieces`) and forms no global matrix: each model's node-block
+(BSR) matrix per grid box (`elasticity.stiffness_separable`) and CSR of
+its cut rows (one CSR in all with one DOF a node), and one coupling CSR
+of each coupling's segment blocks, Kn + Kn^T + alpha Kst folded per
+segment (`_nitsche`). The cut rows, the coupling and H for the alpha
+estimate are each summed in one sparse pass (`_add_runs`). The order is
+chosen on the node graph (`_node_graph`): the smaller-band one of
+reverse Cuthill-McKee and a sort along the longest axis of the nodes'
+global control points (`Model.to_global`), each node's free DOFs in
+consecutive places. The pieces' upper triangles are added, with no
+symmetrize pass, into the lower band of banded Cholesky (`_fill`).
+Beyond the pieces and the band the solve holds the node graph,
+O(`_BLOCK`) entries and O(n) vectors. `_factor_spd` also gives the
+stabilization estimate its solve. `Solution.K`, and with it the ``nnz``
+of `Solution.stats`, is assembled from the pieces when first read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,7 +32,50 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import mesh
 from .coupling import estimate_alpha
 from .elasticity import stiffness_separable
-from .errors import ConfigError, DefinitenessError, RankError
+from .errors import ConfigError, DefinitenessError, MdfemError, RankError
+
+
+@dataclass
+class Pieces:
+    """A symmetric matrix as the canonical sparse pieces that sum to it:
+    ``models[i]``, model i's pieces in its own DOF numbering, placed at
+    ``offsets[i]``, then the ``coupling`` pieces on all DOFs. ``starts``
+    is the first DOF of each node, then the size. Entries are summed in
+    that order, by the band fill as by `tocsr`."""
+
+    models: list
+    offsets: np.ndarray
+    coupling: list
+    starts: np.ndarray
+
+    def parts(self):
+        """``(offset, piece)`` in summation order."""
+        return [(int(o), p) for o, ps in zip(self.offsets, self.models)
+                for p in ps] + [(0, p) for p in self.coupling]
+
+    def dot(self, x):
+        """K x, piece by piece."""
+        y = np.zeros_like(x)
+        for o, p in self.parts():
+            y[o:o + p.shape[0]] += p @ x[o:o + p.shape[0]]
+        return y
+
+    def dense(self, dofs):
+        """``K[dofs][:, dofs]`` as an array, ``dofs`` ascending."""
+        out = np.zeros((dofs.size,) * 2)
+        for o, p in self.parts():
+            sel = (dofs >= o) & (dofs < o + p.shape[0])
+            if sel.any():
+                loc = dofs[sel] - o
+                out[np.ix_(sel, sel)] += p.tocsr()[loc][:, loc].toarray()
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        """Canonical CSR without exact zeros: the models' sums on the
+        diagonal (`_block_diag`), plus each coupling piece."""
+        K = _block_diag([_csr_sum(ps, n) for ps, n in
+                         zip(self.models, np.diff(self.offsets))])
+        return sum(self.coupling, K)
 
 
 @dataclass
@@ -35,12 +84,27 @@ class Solution:
 
     a: np.ndarray
     alphas: list
-    K: sp.csr_matrix           # assembled matrix before constraint elimination
+    pieces: Pieces             # the matrix before constraint elimination
     f: np.ndarray
     free: np.ndarray           # boolean mask of unconstrained DOFs
     residual: float
     reactions: np.ndarray
-    stats: dict                # solve sizes, `_factor_spd`
+    sizes: dict                # solve sizes, `_factor_spd`
+
+    @cached_property
+    def K(self) -> sp.csr_matrix:
+        """The assembled matrix before constraint elimination."""
+        return self.pieces.tocsr()
+
+    @cached_property
+    def stats(self) -> dict:
+        """`sizes` and ``nnz``, the stored nonzeros of K's free block, for
+        which K is assembled; empty with no free DOF."""
+        if not self.sizes:
+            return {}
+        rows = np.repeat(self.free, np.diff(self.K.indptr))
+        nnz = np.count_nonzero(rows & self.free[self.K.indices])
+        return dict(self.sizes, nnz=int(nnz))
 
 
 class System:
@@ -147,7 +211,14 @@ class System:
 
     def bulk_matrix(self) -> sp.csr_matrix:
         """K~: each model's `_model_matrix` on the diagonal, no coupling."""
-        return _block_diag([_model_matrix(m) for m in self.models])
+        return self._bulk().tocsr()
+
+    def _bulk(self) -> Pieces:
+        """K~ as each model's pieces (`_model_pieces`)."""
+        starts = [o + m.ncomp_node * np.arange(m.mesh.nnodes)
+                  for o, m in zip(self.offsets, self.models)]
+        return Pieces([_model_pieces(m) for m in self.models], self.offsets,
+                      [], np.concatenate(starts + [self.offsets[-1:]]))
 
     def _coupling_blocks(self, with_h):
         """Each coupling's segment blocks (`CouplingOperator.matrices`),
@@ -173,24 +244,22 @@ class System:
             return []
         else:
             if self._parts is None:  # kept for the solve that follows
-                self._parts = (self.bulk_matrix(),
-                               list(self._coupling_blocks(True)))
-            Kbulk, blocks = self._parts
+                self._parts = (self._bulk(), list(self._coupling_blocks(True)))
+            bulk, blocks = self._parts
             free = np.isnan(self._fixed)
             solid = free & np.repeat([m.mesh.model in ("solid2d", "solid3d")
                                       for m in self.models],
                                      np.diff(self.offsets))
             try:
-                solve_solid, _ = _factor_spd(Kbulk, solid, self._dof_points())
+                solve_solid, _ = _factor_spd(bulk, solid, self._dof_points())
             except (DefinitenessError, RankError) as exc:
                 raise RankError("solid stiffness is singular: clamp each "
                                 "solid, or give alpha as a number") from exc
             struct_free = np.flatnonzero(free & ~solid)
             order = np.concatenate([np.flatnonzero(solid), struct_free])
-            H = _add_runs(sp.csr_matrix(Kbulk.shape), (
+            H = _add_runs(sp.csr_matrix((self.ndof,) * 2), (
                 (d, h) for d, _, _, h in blocks))[order][:, order]
-            a = estimate_alpha(
-                solve_solid, Kbulk[struct_free][:, struct_free].toarray(), H)
+            a = estimate_alpha(solve_solid, bulk.dense(struct_free), H)
         if not 0.0 < a < np.inf:
             raise ConfigError(f"stabilization alpha must be finite and "
                               f"positive, got {a} (degenerate interface?)")
@@ -213,34 +282,55 @@ class System:
         right-hand side ``(f - K a_c)[free]``; ``K a - f`` gives the
         residual (free DOFs) and the reactions (constrained ones)."""
         alphas = self.resolve_alpha(alpha)
-        K, blocks = self._parts or (self.bulk_matrix(),
+        K, blocks = self._parts or (self._bulk(),
                                     self._coupling_blocks(False))
         self._parts = None
-        C = _add_runs(sp.csr_matrix(K.shape), _nitsche(blocks, alphas))
-        del blocks  # freed before the one sum with the bulk matrix
-        K = K + C if C.nnz else K  # the one global matrix left to factor
+        C = _add_runs(sp.csr_matrix((self.ndof,) * 2),
+                      _nitsche(blocks, alphas))
+        del blocks  # freed before the factorization
+        K = replace(K, coupling=[C] if C.nnz else [])
         free = np.isnan(self._fixed)
         f, a = self._f.copy(), np.where(free, 0.0, self._fixed)
-        b = (f - K @ a)[free]
+        b = (f - K.dot(a))[free] if a.any() else f[free]
         solve, stats = _factor_spd(K, free, self._dof_points())
         a[free] = solve(b)
-        r = K @ a - f
+        r = K.dot(a) - f
         residual = (float(np.linalg.norm(r[free]))
                     / max(float(np.linalg.norm(b)), 1e-300))
         r[free] = 0.0
-        return Solution(a=a, alphas=alphas, K=K, f=f, free=free,
-                        residual=residual, reactions=r, stats=stats)
+        return Solution(a=a, alphas=alphas, pieces=K, f=f, free=free,
+                        residual=residual, reactions=r, sizes=stats)
+
+
+def _model_pieces(m) -> list:
+    """One model's stiffness as pieces in its own DOF numbering: the
+    standard-rule part (the first of `Model.parts`) box by box
+    (`Mesh.element_boxes`) as node-block BSR from `stiffness_separable`,
+    then, if it has any, the explicit-rule (cut) rows summed over
+    `Model.batches` into CSR (`_add_runs`). With one DOF a node a block is
+    an entry, and the pieces are summed into one CSR (`_csr_sum`)."""
+    ps = stiffness_separable(m.mesh, m.stiffness_form(),
+                             m.mesh.element_boxes(m.parts[0][0]))
+    cut = _add_runs(sp.csr_matrix((m.ndof,) * 2), ((m.element_dofs(
+        elems), m.element_stiffness(elems, rule)) for elems, rule in
+        m.batches(m.mesh.nen * m.ncomp_node)))
+    ps += [cut] if cut.nnz else []
+    return [_csr_sum(ps, m.ndof)] if m.ncomp_node == 1 and len(ps) > 1 else ps
 
 
 def _model_matrix(m) -> sp.csr_matrix:
-    """One model's stiffness matrix in its own DOF numbering. The
-    standard-rule part (the first of `Model.parts`) goes box by box
-    (`Mesh.element_boxes`) on `stiffness_separable`, so only explicit-rule
-    (cut) rows take element matrices, over `Model.batches` (`_add_runs`)."""
-    K = stiffness_separable(m.mesh, m.stiffness_form(),
-                            m.mesh.element_boxes(m.parts[0][0]))
-    return _add_runs(K, ((m.element_dofs(elems), m.element_stiffness(
-        elems, rule)) for elems, rule in m.batches(m.mesh.nen * m.ncomp_node)))
+    """One model's stiffness matrix in its own DOF numbering."""
+    return _csr_sum(_model_pieces(m), m.ndof)
+
+
+def _csr_sum(parts, n) -> sp.csr_matrix:
+    """The n x n sparse ``parts`` summed in order, as canonical CSR
+    without exact zeros."""
+    if not parts:
+        return sp.csr_matrix((n, n))
+    K = sum(parts[1:], parts[0].tocsr(copy=True))
+    K.eliminate_zeros()
+    return K
 
 
 def _nitsche(blocks, alphas):
@@ -287,34 +377,44 @@ def _block_diag(parts) -> sp.csr_matrix:
 
 
 _PIVOT_TOL = 1e-10  # pivot^2 <= this * K_jj: round-off of K_jj, singular
-_BLOCK = 2**16  # stored entries per row block of K's passes
+_BLOCK = 2**16  # stored entries per row block of the passes
 
 
-def _factor_spd(K: sp.csr_matrix, free, points):
-    """``(solve, stats)`` of ``K[free][:, free]``, K (or its canonical copy)
-    symmetric positive definite to round-off: in `_band_order`'s order of
-    ``points`` (one per DOF), its upper triangle is read a row block at a
-    time (`_row_blocks`: O(n + ``_BLOCK``) memory beyond K and the band)
-    into the lower band of banded Cholesky; ``solve(b)`` solves for each
-    column of b. ``stats``: ndof, nnz, band, band_mb, ordering, each
-    candidate's band; empty with no free DOF. A breakdown (alpha too small)
-    is a DefinitenessError, a round-off pivot (a free rigid mode) RankError."""
+def _pieces(K) -> Pieces:
+    """K as `Pieces`: a sparse matrix is one piece, canonical (or its
+    canonical copy), each DOF a node."""
+    if isinstance(K, Pieces):
+        return K
+    K = sp.csr_matrix(K)
+    if not K.has_canonical_format:
+        K = K.copy()
+        K.sum_duplicates()
+    n = K.shape[0]
+    return Pieces([[K]], np.array([0, n]), [], np.arange(n + 1))
+
+
+def _factor_spd(K, free, points):
+    """``(solve, stats)`` of ``K[free][:, free]``, K `Pieces` (or a sparse
+    matrix, `_pieces`) symmetric positive definite to round-off: in
+    `_band_order`'s order of ``points`` (one per DOF), each piece's upper
+    triangle is added a row block at a time (`_fill`: O(n + ``_BLOCK``)
+    memory beyond the pieces, the node graph and the band) into the lower
+    band of banded Cholesky. ``solve(b)`` solves for each column of b.
+    ``stats``: ndof, nodes (of the node graph), band, band_mb, ordering,
+    each candidate's band; empty with no free DOF. A breakdown (alpha too
+    small) is a DefinitenessError, a round-off pivot (a free rigid mode)
+    RankError."""
     n = int(np.count_nonzero(free))
     if n == 0:
         return lambda b: np.zeros(np.shape(b)), {}
-    K = K if K.has_canonical_format else K.copy()
-    K.sum_duplicates()  # in place on the copy, a no-op on canonical K
+    K = _pieces(K)
     name, pos, bands = _band_order(K, free, points)
-    u, nnz = bands[name], 0
+    u = bands[name]
     ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc, row-contiguous
-    for rows, ptr, ents in _row_blocks(K):
-        pr = np.repeat(pos[rows], np.diff(ptr))  # -1 off the free block
-        pc = np.take(pos, K.indices[ents])
-        nnz += int(np.count_nonzero((pr >= 0) & (pc >= 0)))
-        up = np.flatnonzero((pr >= 0) & (pc >= pr))  # so pc >= 0 too
-        ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[ents][up]
-    stats = dict(ndof=n, nnz=nnz, band=u, band_mb=ab.nbytes / 1e6,
-                 ordering=name, **{f"{k}_band": v for k, v in bands.items()})
+    _fill(ab.T.reshape(-1), K, pos, u)
+    stats = dict(ndof=n, nodes=K.starts.size - 1, band=u,
+                 band_mb=ab.nbytes / 1e6, ordering=name,
+                 **{f"{k}_band": v for k, v in bands.items()})
     diag = ab[0].copy()
     try:
         cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True)
@@ -328,41 +428,165 @@ def _factor_spd(K: sp.csr_matrix, free, points):
                         "free; constrain every model")
     q = pos[free]
     inv = np.argsort(q)  # b[inv] is b in the band order
-    return (lambda b: sla.cho_solve_banded((cb, True), b[inv],
-                                           overwrite_b=True)[q]), stats
+    # The band was checked finite, and so is its factor and b[inv].
+    return (lambda b: sla.cho_solve_banded(
+        (cb, True), b[inv], overwrite_b=True, check_finite=False)[q]), stats
 
 
-def _band_order(K: sp.csr_matrix, free, points):
+def _fill(flat, K: Pieces, pos, u):
+    """Add the upper triangle of K in the DOF places ``pos`` (-1 off the
+    free block) into the lower band ``flat`` of width ``u`` (the transpose
+    of ``ab``, raveled), a row block of each piece at a time
+    (`_row_blocks`): blocks of wholly free nodes above the diagonal whole,
+    diagonal ones their upper triangle (the first piece's stored, as the
+    band is empty before it), those of partly free nodes entry by entry.
+    An entry outside the band (a pair the node graph lacks) raises before
+    it is added."""
+    big, u64 = np.iinfo(pos.dtype).max, np.int64(u)
+    for i, (o, p) in enumerate(K.parts()):
+        R = _blocksize(p)
+        at = pos[o:o + p.shape[0]].reshape(-1, R)  # each block row's places
+        full, some = at[:, 0] >= 0, at[:, 0] >= 0
+        for k in range(1, R):  # column by column: axis-1 reductions are slow
+            full &= at[:, k] >= 0
+            some |= at[:, k] >= 0
+        # A block (r, c) lies wholly above the diagonal iff cf[c] > rf[r],
+        # and is a diagonal one iff cf[c] == rf[r].
+        rf, cf = (np.where(full, at[:, 0], x) for x in (big, -1))
+        part = bool(np.any(some & ~full))
+        off = (np.arange(R) + u64 * np.arange(R)[:, None]).ravel()
+        tri = np.flatnonzero(np.triu(np.ones((R, R), bool)))
+        vals = p.data.reshape(-1, R * R)
+        for rows, ptr, ents in _row_blocks(p):
+            br = np.repeat(np.arange(rows.start, rows.stop), np.diff(ptr))
+            bc, v = p.indices[ents], vals[ents]
+            r, c = rf[br], cf[bc]
+            w, d = np.flatnonzero(c > r), np.flatnonzero(c == r)
+            rw, cw = r[w], c[w]
+            _add(flat, u, (cw + u64 * rw)[:, None] + off, cw - rw + R - 1,
+                 np.take(v, w, axis=0), i == 0)
+            _add(flat, u, (r[d] * (u64 + 1))[:, None] + off[tri],
+                 np.full(d.size, R - 1), np.take(v, d, axis=0)[:, tri],
+                 i == 0)
+            if part:
+                e = np.flatnonzero(some[br] & some[bc] & ((r == big)
+                                                          | (c < 0)))
+                pr, pc = at[br[e]][:, :, None], at[bc[e]][:, None, :]
+                up = (pr >= 0) & (pc >= pr)
+                _add(flat, u, (pc + u64 * pr)[up], (pc - pr)[up],
+                     np.take(v, e, axis=0).reshape(-1, R, R)[up], i == 0)
+
+
+def _add(flat, u, idx, span, vals, store):
+    """``flat[idx] += vals`` (``idx`` unique), or with ``store`` where flat
+    is zero ``flat[idx] = vals + 0.0`` (no -0.0), unless an entry's place
+    ``span`` beyond its row's exceeds the band ``u``."""
+    if span.max(initial=0) > u:
+        raise MdfemError("stiffness entry outside the band: a node pair is "
+                         "missing from the node graph")
+    if store:
+        flat[idx] = vals + 0.0
+    else:
+        flat[idx] += vals
+
+
+def _band_order(K, free, points):
     """``(name, pos, bands)``: the order of the ``free`` DOFs with the
     smaller upper band, each DOF's place in it (-1 if not free) and each
-    candidate's band, measured a row block at a time (`_row_blocks`): RCM
-    on K, the other DOFs dropped, or a stable sort of ``points`` (one per
-    DOF) along the free ones' longest axis; RCM wins ties."""
-    idx = np.flatnonzero(free)
-    rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
-    p = points[idx]
-    orders = {"rcm": rcm[free[rcm]],
-              "geometric": idx[np.argsort(p[:, np.argmax(np.ptp(p, 0))],
-                                          kind="stable")]}
-    places, bands = {}, {}
-    for name, perm in orders.items():
-        pos = places[name] = np.full(K.shape[0], -1, dtype=K.indices.dtype)
-        pos[perm] = np.arange(perm.size)
-        top = []  # each nonempty free row's furthest column place - its own
-        for rows, ptr, ents in _row_blocks(K):
-            nz = np.flatnonzero(np.diff(ptr))
-            last = np.maximum.reduceat(np.take(pos, K.indices[ents]), ptr[nz])
-            top.append((last - pos[rows][nz])[free[rows][nz]])
-        bands[name] = int(np.concatenate(top).max(initial=0))
+    candidate's band. Both order the nodes of K's node graph
+    (`_node_graph`) that have a free DOF and give each node's free DOFs
+    consecutive places: RCM on the graph, or a stable sort of the nodes'
+    points (each its first DOF's of ``points``) along their longest axis;
+    RCM wins ties. A band is max(first_j + nfree_j - 1 - first_i) over the
+    graph's node pairs, both measured in one pass, a row block at a time
+    (`_row_blocks`)."""
+    K = _pieces(K)
+    G, starts = _node_graph(K), K.starts
+    nfree = np.diff(np.r_[0, np.cumsum(free, dtype=G.indices.dtype)][starts])
+    live = nfree > 0
+    idx = np.flatnonzero(live)
+    rcm = reverse_cuthill_mckee(G, symmetric_mode=True)
+    p = points[starts[idx]]
+    names = ("rcm", "geometric")
+    first = np.full((2, nfree.size), -1, dtype=nfree.dtype)
+    for f, perm in zip(first, (rcm[live[rcm]], idx[np.argsort(
+            p[:, np.argmax(np.ptp(p, 0))], kind="stable")])):
+        f[perm] = np.cumsum(nfree[perm]) - nfree[perm]
+    last = first + nfree - 1  # -2 where a node has no free DOF
+    top = np.zeros(2, dtype=nfree.dtype)  # furthest place - first, by row
+    for rows, ptr, ents in _row_blocks(G):
+        nz = np.flatnonzero(np.diff(ptr))
+        end = np.maximum.reduceat(np.take(last, G.indices[ents], axis=1),
+                                  ptr[nz], axis=1)
+        top = np.maximum(top, (end - first[:, rows][:, nz])[
+            :, live[rows][nz]].max(1, initial=0))
+    bands = dict(zip(names, top.tolist()))
     name = min(bands, key=bands.get)
-    return name, places[name], bands
+    node = np.repeat(np.arange(nfree.size, dtype=nfree.dtype), nfree)
+    pos = np.full(free.size, -1, dtype=nfree.dtype)
+    pos[free] = (first[names.index(name)] - (np.cumsum(nfree) - nfree))[node]
+    pos[free] += np.arange(node.size, dtype=nfree.dtype)
+    return name, pos, bands
 
 
-def _row_blocks(K: sp.csr_matrix):
-    """``(rows, ptr, entries)`` of each row block, started at the row of every
-    ``_BLOCK``-th entry (< ``_BLOCK`` entries + a row); ``ptr`` from 0."""
-    ptr = K.indptr
-    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], _BLOCK), "right") - 1
-    rows = np.unique(np.r_[0, cuts, K.shape[0]])
+def _node_graph(K: Pieces) -> sp.csr_matrix:
+    """The node pairs of K's pieces, canonical CSR: a piece whose block
+    rows are nodes lends its block pattern at its first node (the indices
+    uncopied if it starts at node 0), any other maps each stored entry to
+    its nodes."""
+    starts = K.starts
+    N, size = starts.size - 1, np.diff(starts)
+    itype = np.int32 if starts[-1] < 2**31 else np.int64
+    lent, keys = {}, []
+    for o, p in K.parts():
+        R, n0 = _blocksize(p), int(np.searchsorted(starts, o))
+        nb, sz = p.indptr.size - 1, size[n0:n0 + p.indptr.size - 1]
+        if starts[n0] == o and sz.size == nb and np.all(sz == R):
+            lent.setdefault(n0, []).append(p)
+        else:  # entry (a, b) of block (i, j) is DOF pair (R i + a, R j + b)
+            node = np.repeat(np.arange(N, dtype=np.int64), size)[o:]
+            k = np.arange(R)
+            i = R * np.repeat(np.arange(nb), np.diff(p.indptr))
+            key = (node[i[:, None, None] + k[:, None]] * N
+                   + node[(R * p.indices)[:, None, None] + k]).ravel()
+            # A sorted CSR row's entries in one node are neighbours.
+            keys.append(key[np.r_[True, key[1:] != key[:-1]]])
+    lens, idx = np.zeros(N, itype), []
+    for n0, ps in sorted(lent.items()):
+        g = sum(sp.csr_matrix((np.ones(q.indices.size, bool), q.indices,
+                               q.indptr), shape=(q.indptr.size - 1,) * 2)
+                for q in ps) if ps[1:] else ps[0]
+        lens[n0:n0 + g.indptr.size - 1] = np.diff(g.indptr)
+        idx.append(g.indices if n0 == 0 else np.add(g.indices, n0,
+                                                       dtype=itype))
+    idx = np.concatenate(idx) if idx[1:] else idx[0] if idx else lens[:0]
+    G = sp.csr_matrix((np.ones(idx.size, bool), idx, np.concatenate(
+        ([0], np.cumsum(lens, dtype=itype)))), shape=(N, N))
+    if keys:  # the other pieces' node pairs, sorted and unique
+        key = np.sort(np.concatenate(keys))  # np.unique is far slower
+        r, c = np.divmod(key[np.r_[True, key[1:] != key[:-1]]], N)
+        G = G + sp.csr_matrix((np.ones(r.size, bool), c.astype(itype),
+                               np.searchsorted(r, np.arange(N + 1))),
+                              shape=(N, N))
+    return G
+
+
+def _blocksize(p):
+    """The rows of one block of a sparse piece: BSR's, 1 for CSR."""
+    return p.blocksize[0] if p.format == "bsr" else 1
+
+
+def _row_blocks(p):
+    """``(rows, ptr, entries)`` of each row block of piece ``p`` (block
+    rows and stored blocks of BSR), started at the row of every
+    ``_BLOCK // R**2``-th stored R x R block (< ``_BLOCK`` entries + a
+    row; all rows in one if that is all); ``ptr`` from 0."""
+    ptr = p.indptr
+    step = max(1, _BLOCK // _blocksize(p) ** 2)
+    if ptr[-1] <= step:
+        yield slice(0, ptr.size - 1), ptr - ptr[0], slice(ptr[0], ptr[-1])
+        return
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], step), "right") - 1
+    rows = np.unique(np.r_[0, cuts, ptr.size - 1])
     for r0, r1 in zip(rows[:-1], rows[1:]):
         yield slice(r0, r1), ptr[r0:r1 + 1] - ptr[r0], slice(ptr[r0], ptr[r1])

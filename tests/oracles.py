@@ -29,11 +29,15 @@ by `mesh.add_blocks`, as `coupling_matrices` does its own, and
 ``[solid | struct]``, the numbering of a system that holds the solid
 and then the structure only, and `solid_solve` for its
 solid block the solve `coupling.estimate_alpha` takes, by the library's
-own factorization. `band_order` and `band_fill` are
-`system._band_order` and the band fill of `system._factor_spd` on
-whole arrays of K's stored entries, a column place per entry; the
-library reads K one row block at a time and must give the same order,
-bands, band storage and stats bit for bit. `power_iteration_alpha` is
+own factorization. `band_order` is `system._band_order` on a plain
+sparse K, each DOF a node, from whole arrays of K's stored entries, a
+column place per entry. `band_fill` fills the lower band of given
+places and width from the assembled K's stored entries; the library
+adds its pieces' node blocks into the band a row block at a time and
+must give the same band bit for bit. `node_graph` pairs the nodes of
+every stored entry of `system.Pieces` one entry at a time, where the
+library lends each node-block piece's block pattern, and `node_band`
+measures an order of it node pair by node pair. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
@@ -426,8 +430,9 @@ def solid_solve(K):
 
 def band_order(K, free, points):
     """``(name, pos, cols, bands)`` as `system._band_order` gives
-    ``(name, pos, bands)``, each band in one pass over all of K; ``cols``
-    is the place of each stored entry's column in the chosen order."""
+    ``(name, pos, bands)`` for a plain sparse K (each DOF a node), each
+    band in one pass over all of K; ``cols`` is the place of each stored
+    entry's column in the chosen order."""
     idx = np.flatnonzero(free)
     rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
     p = points[idx]
@@ -446,21 +451,60 @@ def band_order(K, free, points):
     return name, places[name], cols[name], bands
 
 
-def band_fill(K, free, points):
-    """``(ab, stats)``: the lower band `system._factor_spd` hands to
-    ``cholesky_banded`` and its stats, filled from whole-K arrays of row
-    and column places in `band_order`'s order."""
-    name, pos, pc, bands = band_order(K, free, points)
-    n, u = int(np.count_nonzero(free)), bands[name]
+def band_fill(K, free, pos, u):
+    """``(ab, nnz)``: the lower band of width ``u`` that
+    `system._factor_spd` hands to ``cholesky_banded`` for the free block
+    of the assembled K in the DOF places ``pos`` (-1 where not free),
+    filled from whole-K arrays of row and column places, and the stored
+    nonzeros of that block. An entry outside the band fails."""
+    n = int(np.count_nonzero(free))
     pr = np.repeat(pos, np.diff(K.indptr))
+    pc = pos[K.indices]
     kept = (pr >= 0) & (pc >= 0)
     up = np.flatnonzero(kept & (pc >= pr))
+    assert (pc[up] - pr[up]).max(initial=0) <= u
     ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc
     ab.T.ravel()[pc[up] + np.int64(u) * pr[up]] = K.data[up]
-    stats = dict(ndof=n, nnz=int(np.count_nonzero(kept)), band=u,
-                 band_mb=ab.nbytes / 1e6, ordering=name,
-                 **{f"{k}_band": v for k, v in bands.items()})
-    return ab, stats
+    return ab, int(np.count_nonzero(K.data[kept]))
+
+
+def node_graph(pieces):
+    """``(G, node)``: the node pairs of every stored entry of
+    `system.Pieces` (each entry of a node block, zero or not), as CSR,
+    and the node of each DOF."""
+    starts = pieces.starts
+    node = np.searchsorted(starts, np.arange(starts[-1]), "right") - 1
+    rows, cols = [], []
+    for o, p in pieces.parts():
+        c = p.tocoo()
+        rows.append(node[o + c.row])
+        cols.append(node[o + c.col])
+    N = starts.size - 1
+    G = sp.coo_matrix((np.ones(sum(r.size for r in rows)),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N)).tocsr()
+    G.sum_duplicates()
+    return G, node
+
+
+def node_band(G, node, free, order):
+    """``(band, perm)`` of a node ``order``: each node of it with a free
+    DOF gets its free DOFs' places in turn (``perm``, the free DOFs in
+    place order), and the band is max(first_j + nfree_j - 1 - first_i)
+    over G's node pairs, one pair at a time."""
+    nfree = np.bincount(node[free], minlength=G.shape[0])
+    order = [i for i in order if nfree[i]]
+    first, at = {}, 0
+    for i in order:
+        first[i], at = at, at + nfree[i]
+    band = 0
+    for i, j in zip(*G.nonzero()):
+        if i in first and j in first:
+            band = max(band, first[j] + nfree[j] - 1 - first[i])
+    dofs = np.flatnonzero(free)
+    perm = np.concatenate([dofs[node[dofs] == i] for i in order]
+                          or [np.zeros(0, int)])
+    return band, perm
 
 
 def coupling_matrices(op, offsets, ndof, with_h):

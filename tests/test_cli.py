@@ -364,7 +364,7 @@ class TestMain:
         sizes = dict(re.findall(r"^  solve\.(\w+) = (\S+)$",
                                 (out / "report.txt").read_text(), re.M))
         assert sorted(sizes) == ["band", "band_mb", "geometric_band", "ndof",
-                                 "nnz", "ordering", "rcm_band"]
+                                 "nnz", "nodes", "ordering", "rcm_band"]
         band, rcm = int(sizes["band"]), int(sizes["rcm_band"])
         assert band == min(rcm, int(sizes["geometric_band"]))
         assert sizes["ordering"] == ("rcm" if band == rcm else "geometric")

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdfem import bench, coupling, system
@@ -19,8 +19,11 @@ from mdfem.errors import ConfigError, DefinitenessError, RankError
 from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
-from mdfem.system import System, _band_order, _block_diag, _factor_spd
-from oracles import band_fill, band_order, local_matrices
+from mdfem.errors import MdfemError
+from mdfem.system import (Pieces, System, _band_order, _block_diag,
+                          _factor_spd)
+from oracles import (band_fill, band_order, local_matrices, node_band,
+                     node_graph)
 
 
 def small_coupled():
@@ -675,7 +678,23 @@ def band_oracle(K, perm):
 
 def drawn_system(data):
     """A random clamped and loaded system of one of five kinds, with a
-    fixed alpha for its couplings."""
+    fixed alpha for its couplings, and some more DOFs fixed (`fix_some`),
+    so that some nodes are partly fixed."""
+    sys, alpha = _drawn_system(data)
+    fix_some(sys, data)
+    return sys, alpha
+
+
+def fix_some(sys, data):
+    """Fix up to eight drawn DOFs of ``sys`` to zero, each model's apart."""
+    dofs = data.draw(st.lists(st.integers(0, sys.ndof - 1), max_size=8))
+    for dof in dofs:
+        idx = int(np.searchsorted(sys.offsets, dof, "right")) - 1
+        sys.fix(idx, [dof - sys.offsets[idx]])
+    assume(np.isnan(sys._fixed).any())
+
+
+def _drawn_system(data):
     mat = Material(E=1000.0, nu=0.3, thickness=2.0)
     kind = data.draw(st.sampled_from(
         ["solid2d", "solid3d", "beam", "solid_plate", "nonconforming"]))
@@ -744,18 +763,25 @@ class TestBandOrder:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_chosen_band_never_exceeds_rcm(self, data):
+        # The order is chosen on the node graph: its band covers the DOF
+        # band of the assembled K, and RCM's is that of scipy's RCM on
+        # the node graph, expanded to each node's free DOFs.
         sys, alpha = drawn_system(data)
         sol = sys.solve(alpha=alpha or "auto")
         K, free = sol.K, sol.free
-        name, pos, bands = _band_order(K, free, sys._dof_points())
+        name, pos, bands = _band_order(sol.pieces, free, sys._dof_points())
         idx = np.flatnonzero(free)
         perm = np.empty(idx.size, dtype=int)
         perm[pos[idx]] = idx
         assert np.all(pos[~free] == -1)
-        assert band_oracle(K, perm) == bands[name] <= bands["rcm"]
+        assert band_oracle(K, perm) <= bands[name] <= bands["rcm"]
         assert name == min(("rcm", "geometric"), key=bands.get)
-        rcm = reverse_cuthill_mckee(K, symmetric_mode=True)
-        assert band_oracle(K, rcm[free[rcm]]) == bands["rcm"]
+        G, node = node_graph(sol.pieces)
+        band, rcm = node_band(G, node, free,
+                              reverse_cuthill_mckee(G, symmetric_mode=True))
+        assert band == bands["rcm"] >= band_oracle(K, rcm)
+        if name == "rcm":
+            np.testing.assert_array_equal(perm, rcm)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_long_bar_takes_the_geometric_order(self, axis):
@@ -820,18 +846,25 @@ class TestBandOrder:
             Kff = sol.K[sol.free][:, sol.free]
             assert s["ndof"] == sol.free.sum() == Kff.shape[0]
             assert s["nnz"] == Kff.nnz
+            assert s["nodes"] == sol.pieces.starts.size - 1
             assert s["band"] == min(s["rcm_band"], s["geometric_band"])
             assert s["ordering"] == ("rcm" if s["band"] == s["rcm_band"]
                                      else "geometric")
             assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
+            if sol.stats["nodes"] == 481:
+                # RCM on the Q4 cantilever's 481 nodes (band 41 when it
+                # ordered K's DOFs). K stores exact zeros on one side of
+                # the diagonal only: nnz counts both triangles of K.
+                assert (s["ordering"], s["band"]) == ("rcm", 30)
+                assert abs(Kff - Kff.T).nnz > 0
         # The 87-DOF beam alone takes the banded path as well.
         assert s["ndof"] == 87 and s["band"] < 87
 
 
 def factored_band(K, free, points, block):
     """``((name, pos, bands), ab, stats)`` of `_band_order` and
-    `_factor_spd` with row blocks of ``block`` entries, ``ab`` as handed
-    to ``cholesky_banded``."""
+    `_factor_spd` (K a sparse matrix or `Pieces`) with row blocks of
+    ``block`` entries, ``ab`` as handed to ``cholesky_banded``."""
     handed = []
     real = sla.cholesky_banded
 
@@ -846,17 +879,32 @@ def factored_band(K, free, points, block):
     return (name, pos, order_bands), handed[-1], stats
 
 
+def assert_band_of_assembled(K, free, order, ab, stats):
+    """The band handed to ``cholesky_banded`` is the whole-array fill of
+    the assembled ``K`` in the library's places, bit for bit, as wide as
+    the chosen candidate's band; the stats describe it. Returns the stored
+    nonzeros of K's free block."""
+    name, pos, bands = order
+    ref_ab, nnz = band_fill(K, free, pos, bands[name])
+    assert ab.shape == ref_ab.shape and ab.flags.f_contiguous
+    assert ab.tobytes() == ref_ab.tobytes()
+    assert stats == dict(ndof=int(free.sum()), nodes=stats["nodes"],
+                         band=bands[name], band_mb=ab.nbytes / 1e6,
+                         ordering=name, rcm_band=bands["rcm"],
+                         geometric_band=bands["geometric"])
+    return nnz
+
+
 def assert_blocked_equals_whole(K, free, points, block):
-    """The row-blocked passes give the whole-array oracle's order, bands,
-    stats and band storage bit for bit."""
+    """On a plain sparse K (each DOF a node) the row-blocked passes give
+    the whole-array oracle's order, bands, stats and band storage bit for
+    bit."""
     order, ab, stats = factored_band(K, free, points, block)
     name, pos, _, bands = band_order(K, free, points)
     assert order[0] == name and order[2] == bands
     np.testing.assert_array_equal(order[1], pos)
-    ref_ab, ref_stats = band_fill(K, free, points)
-    assert stats == ref_stats
-    assert ab.shape == ref_ab.shape and ab.flags.f_contiguous
-    assert ab.tobytes() == ref_ab.tobytes()
+    assert stats["nodes"] == K.shape[0]
+    assert_band_of_assembled(K, free, order, ab, stats)
 
 
 def spd_with_empty_rows(size, density, free_frac, empty_frac, seed):
@@ -875,18 +923,27 @@ def spd_with_empty_rows(size, density, free_frac, empty_frac, seed):
 
 
 class TestBlockedBandPasses:
-    """`_band_order` and the band fill read K one row block at a time, a
-    block started at the row of every ``_BLOCK``-th stored entry; any
-    block size gives what one pass over all of K gives."""
+    """`_band_order` and the band fill read the node graph and each piece
+    one row block at a time, a block started at the row of every
+    ``_BLOCK``-th stored entry; any block size gives what one pass over
+    all of the assembled K gives."""
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_drawn_systems(self, block, data):
+        # The pieces' band is the assembled K's, filled in the library's
+        # order, bit for bit, at least as wide as K's own band there.
         sys, alpha = drawn_system(data)
         sol = sys.solve(alpha=alpha or "auto")
-        assert_blocked_equals_whole(sol.K, sol.free, sys._dof_points(),
-                                    block)
+        order, ab, stats = factored_band(sol.pieces, sol.free,
+                                         sys._dof_points(), block)
+        nnz = assert_band_of_assembled(sol.K, sol.free, order, ab, stats)
+        assert sol.stats == dict(stats, nnz=nnz)
+        assert nnz == sol.K[sol.free][:, sol.free].nnz
+        name, pos, bands = order
+        idx = np.flatnonzero(sol.free)
+        assert band_oracle(sol.K, idx[np.argsort(pos[idx])]) <= bands[name]
 
     # Rows longer than a block, empty (constrained) rows and constrained
     # rows at block edges: with a block of 1 every nonempty row starts a
@@ -949,27 +1006,98 @@ class TestFactorInBoundedMemory:
         np.testing.assert_allclose(K[free][:, free] @ solve(b), b,
                                    rtol=1e-12)
 
-    def test_bulk_matrix_freed_before_factoring(self, monkeypatch):
-        refs, alive = [], []
-        bulk = System.bulk_matrix
+    def test_peak_beyond_pieces_and_band_is_o_of_block(self, monkeypatch):
+        # The same band matrix as node blocks of two DOFs, a second block
+        # piece on the first half of the nodes, so that pieces meet there,
+        # and a CSR coupling piece: beyond the pieces and the band, the
+        # node graph, the order and the fill stay within the same bound.
+        monkeypatch.setattr(system, "_BLOCK", 2**10)
+        n, half = 4000, 10
+        A = sp.diags([np.full(n, 4.0 * half)]
+                     + [-np.ones(n - k) for k in range(1, half + 1)] * 2,
+                     [0] + list(range(1, half + 1))
+                     + list(range(-1, -half - 1, -1)), format="csr")
+        B = sp.bsr_matrix(sp.diags(np.where(np.arange(n) < n // 2, 1.0,
+                                            0.0)) @ A, blocksize=(2, 2))
+        B = B.T @ B
+        c = np.arange(0, n, 400)
+        C = sp.csr_matrix((np.ones(c.size), (c, c[::-1])), shape=(n, n))
+        C = (C + C.T + 2.0 * sp.eye(n, format="csr")).tocsr()
+        K = Pieces([[A.tobsr(blocksize=(2, 2)), B.tobsr(blocksize=(2, 2))]],
+                   np.array([0, n]), [C], np.arange(0, n + 1, 2))
+        assert A.nnz >= 16 * system._BLOCK
+        free = np.arange(n) % 9 != 4
+        points = np.random.default_rng(0).random((n, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve, stats = _factor_spd(K, free, points)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ab_nbytes = stats["band_mb"] * 1e6
+        assert peak <= ab_nbytes + 128 * n + 64 * system._BLOCK
+        Kff = K.tocsr()[free][:, free]
+        b = np.ones(stats["ndof"])
+        np.testing.assert_allclose(Kff @ solve(b), b, rtol=1e-12)
 
-        def bulk_spy(sysm):
-            K = bulk(sysm)
-            refs.append(weakref.ref(K))
-            return K
+    def test_bulk_matrix_freed_before_factoring(self, monkeypatch):
+        # No global matrix is assembled on the solve path: it factors the
+        # node-block matrices `stiffness_separable` made and the one
+        # coupling CSR, converts no BSR to CSR, and has freed the segment
+        # blocks of the coupling before it factors.
+        made, blocks, seen = [], [], []
+        separable = system.stiffness_separable
+
+        def separable_spy(*args):
+            made.extend(separable(*args))
+            return made[-1:]
+        matrices = coupling.CouplingOperator.matrices
+
+        def matrices_spy(op, offsets, with_h):
+            out = matrices(op, offsets, with_h)
+            blocks.append(weakref.ref(out[2]))
+            return out
         factor = system._factor_spd
 
         def factor_spy(K, free, points):
-            alive.append([r() is not None for r in refs])
+            seen.append(([p for _, p in K.parts()],
+                         [b() is None for b in blocks]))
             return factor(K, free, points)
-        monkeypatch.setattr(System, "bulk_matrix", bulk_spy)
+
+        def fail(*args):
+            pytest.fail("a global matrix was assembled")
+        monkeypatch.setattr(system, "stiffness_separable", separable_spy)
+        monkeypatch.setattr(coupling.CouplingOperator, "matrices",
+                            matrices_spy)
         monkeypatch.setattr(system, "_factor_spd", factor_spy)
+        monkeypatch.setattr(sp.bsr_matrix, "tocsr", fail)
+        monkeypatch.setattr(Pieces, "tocsr", fail)
         solid, beam, op = small_coupled()
         sysm = coupled([solid, beam], op)
         sysm.fix(0, clamped_edge_dofs(solid))
         sysm.load(1, beam.point_load(3.0, (0.0, -1.0, 0.0)))
         sysm.solve(alpha=5.0e3)
-        assert alive == [[False]]
+        [(parts, freed)] = seen
+        assert freed == [True] and len(made) == 2
+        assert len(parts) == 3 and all(p is q for p, q in zip(parts, made))
+        assert parts[2].format == "csr" and parts[2].shape == (sysm.ndof,) * 2
+
+    def test_pair_missing_from_the_graph_raises(self, monkeypatch):
+        # A node graph of the diagonal alone: the band is too narrow for
+        # the pieces, and the fill stops before it adds any entry there.
+        sysm = bench.cantilever_system("lagrange", 1, (4, 2), 4)["system"]
+        sol = sysm.solve()
+        monkeypatch.setattr(system, "_node_graph", lambda K: sp.eye(
+            K.starts.size - 1, format="csr"))
+        added = []
+        add = system._add
+        monkeypatch.setattr(system, "_add", lambda flat, u, idx, span, *a: (
+            added.append(bool(span.max(initial=0) <= u)), add(
+                flat, u, idx, span, *a)))
+        with pytest.raises(MdfemError, match="missing from the node graph"):
+            _factor_spd(sol.pieces, sol.free, sysm._dof_points())
+        assert added[-1] is False and all(added[:-1])
 
 
 def split_entries(A, reverse):
@@ -1064,6 +1192,44 @@ class TestSolveFromAssembled:
         r[free] = 0.0
         np.testing.assert_allclose(sol.reactions, r, rtol=0,
                                    atol=1e-12 * abs(r).max())
+
+
+class TestPartlyFixedNodes:
+    """Nodes with some DOFs fixed keep their free DOFs in consecutive band
+    places; the solve is the dense solve of the free block."""
+
+    def assert_dense(self, sysm):
+        sol = sysm.solve()
+        free, K = sol.free, sol.K.toarray()
+        nc = sysm.models[0].ncomp_node
+        nfree = free.reshape(-1, nc).sum(1)
+        assert ((nfree > 0) & (nfree < nc)).any()
+        ref = np.linalg.solve(K[np.ix_(free, free)], sol.f[free])
+        np.testing.assert_allclose(sol.a[free], ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_mindlin_plate_with_only_w_fixed_along_an_edge(self):
+        # Clamped at x = 0, and w alone fixed along x = 4.
+        plate = PlateModel(build_mesh("plate", "spline", 2, (6, 3),
+                                      ((0.0, 4.0), (0.0, 2.0))),
+                           Material(E=1000.0, nu=0.3, thickness=0.2),
+                           theory="mindlin")
+        sysm = System([plate])
+        x = plate.mesh.nodes[:, 0]
+        sysm.fix(0, (3 * np.flatnonzero(x == 0.0)[:, None]
+                     + np.arange(3)).ravel())
+        sysm.fix(0, 3 * np.flatnonzero(x == 4.0))
+        sysm.load(0, plate.pressure_load(-1.0))
+        self.assert_dense(sysm)
+
+    def test_timoshenko_beam_with_one_component_fixed_at_a_node(self):
+        # Clamped at its first node, w alone fixed at its last.
+        beam = BeamModel(build_mesh("beam", "spline", 2, 8, ((0.0, 6.0),)),
+                         Material(E=1000.0, nu=0.3, thickness=0.5))
+        sysm = System([beam])
+        sysm.fix(0, [0, 1, 2, beam.ndof - 2])
+        sysm.load(0, beam.point_load(2.5, (0.0, -1.0, 0.0)))
+        self.assert_dense(sysm)
 
 
 def keep_constraints(sysm, keep):
