@@ -203,17 +203,19 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
 
 
 def stiffness_separable(mesh: Mesh, form, boxes):
-    """Matrices of a stiffness ``form`` (as `stiffness_quadrature` takes
-    it) over the element ``boxes`` of `Mesh.element_boxes`: one canonical
-    BSR of node blocks per box, on all the mesh's DOFs.
+    """Upper triangles U of the matrices U + U^T - diag(U) of a stiffness
+    ``form`` (as `stiffness_quadrature` takes it) over the element
+    ``boxes`` of `Mesh.element_boxes`: one canonical BSR per box on all
+    the mesh's DOFs, of node blocks (i, j), j >= i, diagonal ones upper.
 
     The map is x = origin + A y, y_k a function of t_k alone, so a jet in
     x combines jets in y (`_jet_map`), and P_ab in y over a box is the
     Kronecker product over directions (first fastest) of the 1D band
     matrices int B^(a_k) B^(b_k) dy_k over the box's elements, on the
-    functions they support (`_band_1d`). Each direction's Gauss tables are
-    evaluated once per part (`_tables_1d`); one GEMM per part and box with
-    D gives the node blocks.
+    functions they support (`_band_1d`), upper with the slowest direction
+    A: strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
+    tables are evaluated once per part and direction (`_tables_1d`); one
+    GEMM per part and box with D gives the node blocks.
     """
     _, _, G, det = mesh.placement
     T, m = _jet_map(G), jets(mesh.dim)
@@ -229,24 +231,31 @@ def stiffness_separable(mesh: Mesh, form, boxes):
             mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab, tab)))
         parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
     nc, Ks = form[0][0].shape[0], []
+    lo, one = np.tril_indices(nc, -1), (np.arange(2), np.zeros(1, int),
+                                        np.ones((1, 1)))  # 1 x 1 identity
     for box in boxes:
         vals = []
         for mats, ma, mb, Dab in parts:
-            P, nodes, n = (), np.zeros(1, dtype=int), 1
+            P, nodes, n = one, np.zeros(1, dtype=int), 1
             for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
                                                          box)):
                 (ptr, col, val), live = _band_1d(d.n, idx, mk, mask)
-                band = ptr, col, val[:, ma[:, k], mb[:, k]]
-                P = _kron_csr(*band, *P, n) if P else band
+                last = k == mesh.dim - 1
+                sa = _upper_starts(ptr, col, live) if last else ptr[:-1]
+                sb = _upper_starts(P[0], P[1], nodes) if last else P[0][:-1]
+                P = _kron_csr(ptr, sa, col, val[:, ma[:, k], mb[:, k]],
+                              P[0], sb, *P[1:], n)
                 nodes = (n * live[:, None] + nodes).ravel()
                 n *= d.n
             vals.append(P[2] @ Dab)
-        # The box's rows are the mesh nodes ``nodes``; other rows are empty.
+        # The box's rows are the mesh nodes ``nodes``, each led by its
+        # diagonal block; other rows are empty.
+        blocks = sum(vals[1:], vals[0]).reshape(-1, nc, nc)
+        blocks[P[0][:-1, None], lo[0], lo[1]] = 0.0
         ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
         ptr[nodes + 1] = np.diff(P[0])
-        Ks.append(sp.bsr_matrix(
-            (sum(vals[1:], vals[0]).reshape(-1, nc, nc), P[1],
-             np.cumsum(ptr)), shape=(mesh.nnodes * nc,) * 2))
+        Ks.append(sp.bsr_matrix((blocks, P[1], np.cumsum(ptr)),
+                                shape=(mesh.nnodes * nc,) * 2))
     return Ks
 
 
@@ -309,20 +318,34 @@ def load_separable(mesh: Mesh, boxes):
     return out
 
 
-def _kron_csr(pa, ca, va, pb, cb, vb, nb):
+def _upper_starts(ptr, col, rows):
+    """The first entry of each sorted CSR row at or right of its diagonal,
+    row i being ``rows[i]``."""
+    r = np.repeat(np.arange(rows.size), np.diff(ptr))
+    return ptr[:-1] + np.bincount(r[col < rows[r]], minlength=rows.size)
+
+
+def _kron_csr(pa, sa, ca, va, pb, sb, cb, vb, nb):
     """Kronecker product ``(indptr, indices, values)`` of CSR matrices a
     and b, b fastest, whose values carry a trailing axis (multiplied entry
-    by entry), b having ``nb`` columns; sorted rows stay sorted."""
-    la, lb = np.diff(pa), np.diff(pb)
-    rowlen = np.outer(la, lb).ravel()
-    ptr = np.concatenate(([0], np.cumsum(rowlen)))
-    r = np.repeat(np.arange(rowlen.size), rowlen)
-    ia, ib = np.divmod(r, lb.size)
-    q, s = np.divmod(np.arange(ptr[-1]) - ptr[r], lb[ib])
-    ea, eb = pa[ia] + q, pb[ib] + s
-    vals = np.take(va, ea, axis=0)
+    by entry), b having ``nb`` columns; sorted rows stay sorted. Row (i, k)
+    is a's entry ``sa[i]`` times b's row k from entry ``sb[k]``, then a's
+    later entries of row i times b's whole row k, each a run of b entries:
+    the full product with the rows' starts, the upper triangle with the
+    diagonals' (`_upper_starts`)."""
+    la, lb = pa[1:] - sa, np.diff(pb)
+    ptr = np.concatenate(([0], np.cumsum((np.outer(la, lb) - (sb - pb[:-1])
+                                          ).ravel())))
+    nrun = np.repeat(la, lb.size)  # runs of row (i, k), in row order
+    t = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
+    k = np.repeat(np.tile(np.arange(lb.size), la.size), nrun)
+    ea = np.repeat(sa, lb.size * la) + t
+    start = np.where(t == 0, sb[k], pb[k])
+    n = pb[k + 1] - start
+    eb = np.arange(ptr[-1]) - np.repeat(np.cumsum(n) - n - start, n)
+    vals = np.repeat(va[ea], n, axis=0)
     vals *= np.take(vb, eb, axis=0)
-    return ptr, ca[ea] * nb + cb[eb], vals
+    return ptr, np.repeat(ca[ea] * nb, n) + cb[eb], vals
 
 
 class Model:

@@ -7,17 +7,17 @@ makes (`Pieces`) and forms no global matrix: each model's node-block
 (BSR) matrix per grid box (`elasticity.stiffness_separable`) and CSR of
 its cut rows (one CSR in all with one DOF a node), and one coupling CSR
 of each coupling's segment blocks, Kn + Kn^T + alpha Kst folded per
-segment (`_nitsche`). The cut rows, the coupling and H for the alpha
-estimate are each summed in one sparse pass (`_add_runs`). The order is
-chosen on the node graph (`_node_graph`): the smaller-band one of
+segment (`_nitsche`). Each piece stores only U, its entries with column
+>= row (`_upper`; H for the alpha estimate stays whole), and K is
+U + U^T - diag(U); each sparse sum is one pass (`_add_runs`). The order
+is chosen on the node graph (`_node_graph`): the smaller-band one of
 reverse Cuthill-McKee and a sort along the longest axis of the nodes'
 global control points (`Model.to_global`), each node's free DOFs in
-consecutive places. The pieces' upper triangles are added, with no
-symmetrize pass, into the lower band of banded Cholesky (`_fill`).
-Beyond the pieces and the band the solve holds the node graph,
-O(`_BLOCK`) entries and O(n) vectors. `_factor_spd` also gives the
-stabilization estimate its solve. `Solution.K`, and with it the ``nnz``
-of `Solution.stats`, is assembled from the pieces when first read.
+consecutive places. Each stored entry is added at its (min, max) place
+into the lower band of banded Cholesky (`_fill`), which also gives the
+``nnz`` of `Solution.stats`. Beyond the pieces and the band the solve
+holds the node graph, O(`_BLOCK`) entries and O(n) vectors; it also
+solves for the alpha estimate. `Solution.K` is built when first read.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from .errors import ConfigError, DefinitenessError, MdfemError, RankError
 
 @dataclass
 class Pieces:
-    """A symmetric matrix as the canonical sparse pieces that sum to it:
-    ``models[i]``, model i's pieces in its own DOF numbering, placed at
+    """U + U^T - diag(U), U the canonical upper-triangle pieces that sum
+    to it: ``models[i]``, model i's pieces in its own DOF numbering, at
     ``offsets[i]``, then the ``coupling`` pieces on all DOFs. ``starts``
     is the first DOF of each node, then the size. Entries are summed in
     that order, by the band fill as by `tocsr`."""
@@ -54,10 +54,11 @@ class Pieces:
                 for p in ps] + [(0, p) for p in self.coupling]
 
     def dot(self, x):
-        """K x, piece by piece."""
+        """K x = U x + U^T x - diag(U) x, piece by piece."""
         y = np.zeros_like(x)
         for o, p in self.parts():
-            y[o:o + p.shape[0]] += p @ x[o:o + p.shape[0]]
+            xp = x[o:o + p.shape[0]]
+            y[o:o + p.shape[0]] += p @ xp + p.T @ xp - p.diagonal() * xp
         return y
 
     def dense(self, dofs):
@@ -68,14 +69,14 @@ class Pieces:
             if sel.any():
                 loc = dofs[sel] - o
                 out[np.ix_(sel, sel)] += p.tocsr()[loc][:, loc].toarray()
-        return out
+        return out + np.triu(out, 1).T
 
     def tocsr(self) -> sp.csr_matrix:
-        """Canonical CSR without exact zeros: the models' sums on the
-        diagonal (`_block_diag`), plus each coupling piece."""
-        K = _block_diag([_csr_sum(ps, n) for ps, n in
-                         zip(self.models, np.diff(self.offsets))])
-        return sum(self.coupling, K)
+        """U + U^T - diag(U) as canonical CSR without exact zeros, U the
+        models' sums on the diagonal (`_block_diag`) plus the coupling."""
+        U = sum(self.coupling, _block_diag([_csr_sum(ps, n) for ps, n in zip(
+            self.models, np.diff(self.offsets))]))
+        return U + U.T - sp.diags(U.diagonal(), format="csr")
 
 
 @dataclass
@@ -89,22 +90,12 @@ class Solution:
     free: np.ndarray           # boolean mask of unconstrained DOFs
     residual: float
     reactions: np.ndarray
-    sizes: dict                # solve sizes, `_factor_spd`
+    stats: dict                # solve sizes, `_factor_spd`
 
     @cached_property
     def K(self) -> sp.csr_matrix:
         """The assembled matrix before constraint elimination."""
         return self.pieces.tocsr()
-
-    @cached_property
-    def stats(self) -> dict:
-        """`sizes` and ``nnz``, the stored nonzeros of K's free block, for
-        which K is assembled; empty with no free DOF."""
-        if not self.sizes:
-            return {}
-        rows = np.repeat(self.free, np.diff(self.K.indptr))
-        nnz = np.count_nonzero(rows & self.free[self.K.indices])
-        return dict(self.sizes, nnz=int(nnz))
 
 
 class System:
@@ -294,12 +285,13 @@ class System:
         b = (f - K.dot(a))[free] if a.any() else f[free]
         solve, stats = _factor_spd(K, free, self._dof_points())
         a[free] = solve(b)
+        del solve  # the factor, freed before the product
         r = K.dot(a) - f
         residual = (float(np.linalg.norm(r[free]))
                     / max(float(np.linalg.norm(b)), 1e-300))
         r[free] = 0.0
         return Solution(a=a, alphas=alphas, pieces=K, f=f, free=free,
-                        residual=residual, reactions=r, sizes=stats)
+                        residual=residual, reactions=r, stats=stats)
 
 
 def _model_pieces(m) -> list:
@@ -307,11 +299,11 @@ def _model_pieces(m) -> list:
     standard-rule part (the first of `Model.parts`) box by box
     (`Mesh.element_boxes`) as node-block BSR from `stiffness_separable`,
     then, if it has any, the explicit-rule (cut) rows summed over
-    `Model.batches` into CSR (`_add_runs`). With one DOF a node a block is
-    an entry, and the pieces are summed into one CSR (`_csr_sum`)."""
+    `Model.batches` into CSR (`_add_runs`), all upper. With one DOF a node
+    a block is an entry, and the pieces are summed into one CSR."""
     ps = stiffness_separable(m.mesh, m.stiffness_form(),
                              m.mesh.element_boxes(m.parts[0][0]))
-    cut = _add_runs(sp.csr_matrix((m.ndof,) * 2), ((m.element_dofs(
+    cut = _add_runs(sp.csr_matrix((m.ndof,) * 2), (_upper(m.element_dofs(
         elems), m.element_stiffness(elems, rule)) for elems, rule in
         m.batches(m.mesh.nen * m.ncomp_node)))
     ps += [cut] if cut.nnz else []
@@ -320,7 +312,7 @@ def _model_pieces(m) -> list:
 
 def _model_matrix(m) -> sp.csr_matrix:
     """One model's stiffness matrix in its own DOF numbering."""
-    return _csr_sum(_model_pieces(m), m.ndof)
+    return System([m]).bulk_matrix()
 
 
 def _csr_sum(parts, n) -> sp.csr_matrix:
@@ -334,11 +326,18 @@ def _csr_sum(parts, n) -> sp.csr_matrix:
 
 
 def _nitsche(blocks, alphas):
-    """Each coupling's ``(dofs, Kn + Kn^T + alpha Kst)``, in Kst's place."""
+    """Each coupling's `_upper` ``(dofs, Kn + Kn^T + alpha Kst)``."""
     for (dofs, Kn, Kst, _), alpha in zip(blocks, alphas):
         Kst *= alpha
         Kst += Kn
-        yield dofs, np.add(Kst, Kn.transpose(0, 2, 1), out=Kst)
+        yield _upper(dofs, np.add(Kst, Kn.transpose(0, 2, 1), out=Kst))
+
+
+def _upper(dofs, mats):
+    """``(dofs, mats)``, each block's entries below the diagonal of its
+    DOFs zeroed in place, which `mesh.add_blocks` does not store."""
+    np.copyto(mats, 0.0, where=dofs[..., None, :] < dofs[..., :, None])
+    return dofs, mats
 
 
 def _add_runs(K, blocks):
@@ -381,13 +380,14 @@ _BLOCK = 2**16  # stored entries per row block of the passes
 
 
 def _pieces(K) -> Pieces:
-    """K as `Pieces`: a sparse matrix is one piece, canonical (or its
-    canonical copy), each DOF a node."""
+    """K as `Pieces`: a sparse matrix is one piece, the canonical CSR of
+    its upper triangle (K if it is one), each DOF a node."""
     if isinstance(K, Pieces):
         return K
     K = sp.csr_matrix(K)
-    if not K.has_canonical_format:
-        K = K.copy()
+    rows = np.flatnonzero(np.diff(K.indptr))
+    if not K.has_canonical_format or np.any(K.indices[K.indptr[rows]] < rows):
+        K = sp.triu(K, format="csr")
         K.sum_duplicates()
     n = K.shape[0]
     return Pieces([[K]], np.array([0, n]), [], np.arange(n + 1))
@@ -395,15 +395,15 @@ def _pieces(K) -> Pieces:
 
 def _factor_spd(K, free, points):
     """``(solve, stats)`` of ``K[free][:, free]``, K `Pieces` (or a sparse
-    matrix, `_pieces`) symmetric positive definite to round-off: in
-    `_band_order`'s order of ``points`` (one per DOF), each piece's upper
-    triangle is added a row block at a time (`_fill`: O(n + ``_BLOCK``)
-    memory beyond the pieces, the node graph and the band) into the lower
-    band of banded Cholesky. ``solve(b)`` solves for each column of b.
-    ``stats``: ndof, nodes (of the node graph), band, band_mb, ordering,
-    each candidate's band; empty with no free DOF. A breakdown (alpha too
-    small) is a DefinitenessError, a round-off pivot (a free rigid mode)
-    RankError."""
+    matrix by its upper triangle, `_pieces`) positive definite to
+    round-off: in `_band_order`'s order of ``points`` (one per DOF), each
+    piece's stored entries are added a row block at a time (`_fill`:
+    O(n + ``_BLOCK``) memory beyond the pieces, the node graph and the
+    band) into the lower band of banded Cholesky. ``solve(b)`` solves for
+    each column of b. ``stats``: ndof, nnz (counted on the band), nodes
+    (of the node graph), band, band_mb, ordering, each candidate's band;
+    empty with no free DOF. A breakdown (alpha too small) is a
+    DefinitenessError, a round-off pivot of either sign RankError."""
     n = int(np.count_nonzero(free))
     if n == 0:
         return lambda b: np.zeros(np.shape(b)), {}
@@ -412,18 +412,25 @@ def _factor_spd(K, free, points):
     u = bands[name]
     ab = np.zeros((u + 1, n), order="F")  # ab[c - r, r] = K_rc, row-contiguous
     _fill(ab.T.reshape(-1), K, pos, u)
-    stats = dict(ndof=n, nodes=K.starts.size - 1, band=u,
+    # Bits, as the band holds no -0.0 (`_add`); both triangles.
+    nnz = 2 * np.count_nonzero(ab.view(np.int64)) - np.count_nonzero(ab[0])
+    stats = dict(ndof=n, nnz=nnz, nodes=K.starts.size - 1, band=u,
                  band_mb=ab.nbytes / 1e6, ordering=name,
                  **{f"{k}_band": v for k, v in bands.items()})
     diag = ab[0].copy()
     try:
         cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True)
+        rank = np.any(cb[0] ** 2 <= _PIVOT_TOL * diag)
     except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(
-            "stiffness matrix is not positive definite; if this system is "
-            "Nitsche-coupled the stabilization alpha is likely too small"
-        ) from exc
-    if np.any(cb[0] ** 2 <= _PIVOT_TOL * diag):
+        # The pivot it broke on is the band's first not above 0.
+        j = np.argmax(ab[0] <= 0.0)
+        if not 0.0 >= ab[0, j] >= -_PIVOT_TOL * diag[j]:
+            raise DefinitenessError(
+                "stiffness matrix is not positive definite; if this system "
+                "is Nitsche-coupled the stabilization alpha is likely too "
+                "small") from exc
+        rank = True
+    if rank:
         raise RankError("stiffness matrix is singular: a rigid mode is "
                         "free; constrain every model")
     q = pos[free]
@@ -434,14 +441,14 @@ def _factor_spd(K, free, points):
 
 
 def _fill(flat, K: Pieces, pos, u):
-    """Add the upper triangle of K in the DOF places ``pos`` (-1 off the
-    free block) into the lower band ``flat`` of width ``u`` (the transpose
-    of ``ab``, raveled), a row block of each piece at a time
-    (`_row_blocks`): blocks of wholly free nodes above the diagonal whole,
-    diagonal ones their upper triangle (the first piece's stored, as the
-    band is empty before it), those of partly free nodes entry by entry.
-    An entry outside the band (a pair the node graph lacks) raises before
-    it is added."""
+    """Add each stored entry of K in the DOF places ``pos`` (-1 off the
+    free block) at its (min, max) place into the lower band ``flat`` of
+    width ``u`` (``ab`` transposed, raveled), a row block of each piece at
+    a time (`_row_blocks`): blocks of wholly free nodes off the diagonal
+    whole (transposed if the band order flips them), diagonal ones their
+    upper triangle (the first piece's stored, as the band is empty before
+    it), those of partly free nodes entry by entry. An entry outside the
+    band (a pair the node graph lacks) raises before it is added."""
     big, u64 = np.iinfo(pos.dtype).max, np.int64(u)
     for i, (o, p) in enumerate(K.parts()):
         R = _blocksize(p)
@@ -450,42 +457,49 @@ def _fill(flat, K: Pieces, pos, u):
         for k in range(1, R):  # column by column: axis-1 reductions are slow
             full &= at[:, k] >= 0
             some |= at[:, k] >= 0
-        # A block (r, c) lies wholly above the diagonal iff cf[c] > rf[r],
-        # and is a diagonal one iff cf[c] == rf[r].
-        rf, cf = (np.where(full, at[:, 0], x) for x in (big, -1))
+        # Block (r, c) lies above the band's diagonal iff lo[c] > hi[r],
+        # below it iff lo[r] > hi[c], on it iff lo[r] == hi[c].
+        lo, hi = (np.where(full, at[:, 0], x) for x in (-1, big))
         part = bool(np.any(some & ~full))
-        off = (np.arange(R) + u64 * np.arange(R)[:, None]).ravel()
+        off = np.arange(R) + u64 * np.arange(R)[:, None]  # [a, b]: b + u a
         tri = np.flatnonzero(np.triu(np.ones((R, R), bool)))
         vals = p.data.reshape(-1, R * R)
         for rows, ptr, ents in _row_blocks(p):
-            br = np.repeat(np.arange(rows.start, rows.stop), np.diff(ptr))
-            bc, v = p.indices[ents], vals[ents]
-            r, c = rf[br], cf[bc]
-            w, d = np.flatnonzero(c > r), np.flatnonzero(c == r)
-            rw, cw = r[w], c[w]
-            _add(flat, u, (cw + u64 * rw)[:, None] + off, cw - rw + R - 1,
-                 np.take(v, w, axis=0), i == 0)
-            _add(flat, u, (r[d] * (u64 + 1))[:, None] + off[tri],
+            bc, v, n = p.indices[ents], vals[ents], np.diff(ptr)
+            lr, hr, lc, hc = (np.repeat(lo[rows], n), np.repeat(hi[rows], n),
+                              lo[bc], hi[bc])
+            for w, a, b, flip in ((np.flatnonzero(lc > hr), lr, lc, False),
+                                  (np.flatnonzero(lr > hc), lc, lr, True)):
+                a, b = a[w], b[w]  # the band's row and column node places
+                _add(flat, u, (b + u64 * a)[:, None, None] + off,
+                     b - a + R - 1, v.reshape(-1, R, R).transpose(0, 2, 1)[w]
+                     if flip else np.take(v, w, axis=0).reshape(-1, R, R),
+                     i == 0)
+            d = np.flatnonzero(lr == hc)
+            _add(flat, u, (lr[d] * (u64 + 1))[:, None] + off.ravel()[tri],
                  np.full(d.size, R - 1), np.take(v, d, axis=0)[:, tri],
                  i == 0)
             if part:
-                e = np.flatnonzero(some[br] & some[bc] & ((r == big)
-                                                          | (c < 0)))
+                br = np.repeat(np.arange(rows.start, rows.stop), n)
+                e = np.flatnonzero(some[br] & some[bc] & ((lr < 0)
+                                                          | (lc < 0)))
                 pr, pc = at[br[e]][:, :, None], at[bc[e]][:, None, :]
-                up = (pr >= 0) & (pc >= pr)
-                _add(flat, u, (pc + u64 * pr)[up], (pc - pr)[up],
-                     np.take(v, e, axis=0).reshape(-1, R, R)[up], i == 0)
+                keep = (np.minimum(pr, pc) >= 0) & (
+                    (br[e] != bc[e])[:, None, None] | (pc >= pr))
+                lp, hp = np.minimum(pr, pc)[keep], np.maximum(pr, pc)[keep]
+                _add(flat, u, hp + u64 * lp, hp - lp,
+                     np.take(v, e, axis=0).reshape(-1, R, R)[keep], i == 0)
 
 
 def _add(flat, u, idx, span, vals, store):
     """``flat[idx] += vals`` (``idx`` unique), or with ``store`` where flat
-    is zero ``flat[idx] = vals + 0.0`` (no -0.0), unless an entry's place
-    ``span`` beyond its row's exceeds the band ``u``."""
+    is zero ``flat[idx] = vals + 0.0`` (no -0.0; ``vals`` is a copy),
+    unless an entry's place ``span`` beyond its row's exceeds ``u``."""
     if span.max(initial=0) > u:
         raise MdfemError("stiffness entry outside the band: a node pair is "
                          "missing from the node graph")
     if store:
-        flat[idx] = vals + 0.0
+        flat[idx] = np.add(vals, 0.0, out=vals)
     else:
         flat[idx] += vals
 
@@ -498,14 +512,14 @@ def _band_order(K, free, points):
     consecutive places: RCM on the graph, or a stable sort of the nodes'
     points (each its first DOF's of ``points``) along their longest axis;
     RCM wins ties. A band is max(first_j + nfree_j - 1 - first_i) over the
-    graph's node pairs, both measured in one pass, a row block at a time
-    (`_row_blocks`)."""
+    graph's node pairs and their mirrors, both measured in one pass over
+    the upper graph, a row block at a time (`_row_blocks`)."""
     K = _pieces(K)
     G, starts = _node_graph(K), K.starts
     nfree = np.diff(np.r_[0, np.cumsum(free, dtype=G.indices.dtype)][starts])
     live = nfree > 0
     idx = np.flatnonzero(live)
-    rcm = reverse_cuthill_mckee(G, symmetric_mode=True)
+    rcm = reverse_cuthill_mckee(G + G.T, symmetric_mode=True)
     p = points[starts[idx]]
     names = ("rcm", "geometric")
     first = np.full((2, nfree.size), -1, dtype=nfree.dtype)
@@ -513,13 +527,16 @@ def _band_order(K, free, points):
             p[:, np.argmax(np.ptp(p, 0))], kind="stable")])):
         f[perm] = np.cumsum(nfree[perm]) - nfree[perm]
     last = first + nfree - 1  # -2 where a node has no free DOF
+    low = np.where(live, first, nfree.sum())  # past every place if not
     top = np.zeros(2, dtype=nfree.dtype)  # furthest place - first, by row
     for rows, ptr, ents in _row_blocks(G):
         nz = np.flatnonzero(np.diff(ptr))
-        end = np.maximum.reduceat(np.take(last, G.indices[ents], axis=1),
-                                  ptr[nz], axis=1)
-        top = np.maximum(top, (end - first[:, rows][:, nz])[
-            :, live[rows][nz]].max(1, initial=0))
+        r, j, at = rows.start + nz, G.indices[ents], ptr[nz]
+        # Pair (r, j) spans first_r .. last_j or first_j .. last_r.
+        out = np.maximum(np.maximum.reduceat(np.take(
+            last, j, axis=1), at, axis=1) - first[:, r], last[:, r]
+            - np.minimum.reduceat(np.take(low, j, axis=1), at, axis=1))
+        top = np.maximum(top, out[:, live[r]].max(1, initial=0))
     bands = dict(zip(names, top.tolist()))
     name = min(bands, key=bands.get)
     node = np.repeat(np.arange(nfree.size, dtype=nfree.dtype), nfree)
@@ -533,7 +550,7 @@ def _node_graph(K: Pieces) -> sp.csr_matrix:
     """The node pairs of K's pieces, canonical CSR: a piece whose block
     rows are nodes lends its block pattern at its first node (the indices
     uncopied if it starts at node 0), any other maps each stored entry to
-    its nodes."""
+    its nodes. The pieces being upper triangles, so is the graph."""
     starts = K.starts
     N, size = starts.size - 1, np.diff(starts)
     itype = np.int32 if starts[-1] < 2**31 else np.int64

@@ -68,7 +68,8 @@ from scipy.sparse.linalg import splu
 
 from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
-from mdfem.elasticity import integrate_atb
+from mdfem.elasticity import (_band_1d, _jet_map, _tables_1d, integrate_atb,
+                              jets)
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
 from mdfem.mesh import _TRIPLET_BUDGET, add_blocks, element_batches
 from mdfem.quadrature import gauss_1d
@@ -428,6 +429,69 @@ def solid_solve(K):
     return _factor_spd(K, np.ones(n, bool), np.zeros((n, 3)))[0]
 
 
+def kron_csr(pa, ca, va, pb, cb, vb, nb):
+    """Kronecker product ``(indptr, indices, values)`` of CSR matrices a
+    and b, b fastest, whose values carry a trailing axis (multiplied entry
+    by entry), b having ``nb`` columns: every entry, rows sorted."""
+    la, lb = np.diff(pa), np.diff(pb)
+    rowlen = np.outer(la, lb).ravel()
+    ptr = np.concatenate(([0], np.cumsum(rowlen)))
+    r = np.repeat(np.arange(rowlen.size), rowlen)
+    ia, ib = np.divmod(r, lb.size)
+    q, s = np.divmod(np.arange(ptr[-1]) - ptr[r], lb[ib])
+    ea, eb = pa[ia] + q, pb[ib] + s
+    vals = np.take(va, ea, axis=0)
+    vals *= np.take(vb, eb, axis=0)
+    return ptr, ca[ea] * nb + cb[eb], vals
+
+
+def separable_full(mesh, form, boxes, upper=False):
+    """`elasticity.stiffness_separable` with both triangles: per box the
+    whole Kronecker product (`kron_csr`) of the library's 1D band
+    matrices times D, as canonical BSR of node blocks. With ``upper``
+    only the product's entries on node pairs (i, j), j >= i, are
+    multiplied by D, and the diagonal blocks' strictly lower parts are
+    zeroed: its upper blocks, as BLAS computes them on those rows."""
+    _, _, G, det = mesh.placement
+    T, m = _jet_map(G), jets(mesh.dim)
+    parts = []
+    for D, npts in form:
+        D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
+        used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
+        a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
+        nders = 2 if used[-1] > mesh.dim else 1
+        mats = []
+        for d in mesh.dirs:
+            idx, wdy, tab = _tables_1d(d, npts or d.degree + 1, nders)
+            mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab,
+                                        tab)))
+        parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
+    nc, Ks = form[0][0].shape[0], []
+    for box in boxes:
+        vals = []
+        for mats, ma, mb, Dab in parts:
+            P, nodes, n = (), np.zeros(1, dtype=int), 1
+            for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
+                                                         box)):
+                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask)
+                band = ptr, col, val[:, ma[:, k], mb[:, k]]
+                P = kron_csr(*band, *P, n) if P else band
+                nodes = (n * live[:, None] + nodes).ravel()
+                n *= d.n
+            rows = np.repeat(nodes, np.diff(P[0]))
+            keep = P[1] >= rows if upper else np.ones(rows.size, bool)
+            vals.append(P[2][keep] @ Dab)
+        blocks = sum(vals[1:], vals[0]).reshape(-1, nc, nc)
+        if upper:
+            diag = P[1][keep] == rows[keep]
+            blocks[diag] = np.triu(blocks[diag])
+        ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
+        ptr[nodes + 1] = np.add.reduceat(keep, P[0][:-1])
+        Ks.append(sp.bsr_matrix((blocks, P[1][keep], np.cumsum(ptr)),
+                                shape=(mesh.nnodes * nc,) * 2))
+    return Ks
+
+
 def band_order(K, free, points):
     """``(name, pos, cols, bands)`` as `system._band_order` gives
     ``(name, pos, bands)`` for a plain sparse K (each DOF a node), each
@@ -470,8 +534,8 @@ def band_fill(K, free, pos, u):
 
 def node_graph(pieces):
     """``(G, node)``: the node pairs of every stored entry of
-    `system.Pieces` (each entry of a node block, zero or not), as CSR,
-    and the node of each DOF."""
+    `system.Pieces` (each entry of a node block, zero or not) and their
+    mirrors, as CSR, and the node of each DOF."""
     starts = pieces.starts
     node = np.searchsorted(starts, np.arange(starts[-1]), "right") - 1
     rows, cols = [], []
@@ -480,8 +544,8 @@ def node_graph(pieces):
         rows.append(node[o + c.row])
         cols.append(node[o + c.col])
     N = starts.size - 1
-    G = sp.coo_matrix((np.ones(sum(r.size for r in rows)),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    rows, cols = np.concatenate(rows + cols), np.concatenate(cols + rows)
+    G = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                       shape=(N, N)).tocsr()
     G.sum_duplicates()
     return G, node

@@ -24,7 +24,8 @@ from mdfem.nonconforming import (CUT, VOID, NonconformingModel, OverlapRegion,
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System, _model_matrix
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
-                     integrate_btcb, section_rigidities, tensor_rule)
+                     integrate_btcb, section_rigidities, separable_full,
+                     tensor_rule)
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
@@ -408,6 +409,46 @@ def overlap_boxes(draw, mesh):
             "beside": (hi + 1.0, hi + 2.0),
         }[kind])
     return OverlapRegion(bounds)
+
+
+@st.composite
+def outer_product_cuts(draw, mesh):
+    """`Mesh.element_boxes` of an outer-product cut of ``mesh``'s
+    elements (a nonempty drawn set per direction), or of the rest of the
+    mesh (up to one box a direction), as `nonconforming.classify` labels
+    them."""
+    sel = np.ones(1, dtype=bool)
+    for d in mesh.dirs:  # new direction slowest, as elements are numbered
+        mask = np.array(draw(st.lists(st.booleans(), min_size=d.nelem,
+                                      max_size=d.nelem)))
+        mask[draw(st.integers(0, d.nelem - 1))] = True
+        sel = np.multiply.outer(mask, sel).ravel()
+    if draw(st.booleans()) and not sel.all():
+        sel = ~sel
+    return mesh.element_boxes(np.flatnonzero(sel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(separable_solids().map(lambda m: SolidModel(m, MAT)),
+                 separable_structures()), st.data())
+def test_separable_blocks_are_the_full_products_upper_blocks(model, data):
+    """Each box's node blocks of `stiffness_separable` are the upper
+    blocks (i, j), j >= i, of the whole Kronecker product
+    (`oracles.separable_full`), bit for bit, the diagonal blocks'
+    strictly lower parts zero. The full product's blocks agree to
+    round-off (a GEMV on more rows may round its dot products apart)."""
+    mesh, form = model.mesh, model.stiffness_form()
+    boxes = data.draw(outer_product_cuts(mesh))
+    for K, ref, full in zip(elasticity.stiffness_separable(mesh, form, boxes),
+                            separable_full(mesh, form, boxes, upper=True),
+                            separable_full(mesh, form, boxes), strict=True):
+        for name in ("indptr", "indices"):
+            np.testing.assert_array_equal(getattr(K, name), getattr(ref, name))
+        assert K.data.tobytes() == ref.data.tobytes()
+        rows = np.repeat(np.arange(mesh.nnodes), np.diff(K.indptr))
+        assert not np.tril(K.data[K.indices == rows], -1).any()
+        np.testing.assert_allclose(K.toarray(), sp.triu(full).toarray(),
+                                   rtol=0, atol=1e-15 * abs(full).max())
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdfem import cli
+from mdfem import cli, system
 from mdfem.cli import (
     _SCHEMA,
     dump_config,
@@ -373,6 +373,24 @@ class TestMain:
         case = tmp_path / "timo-q4-conforming"
         assert "  solve.ordering = " in (case / "report.txt").read_text()
         assert "solve" not in (case / "metrics.csv").read_text()
+
+    @pytest.mark.parametrize("args", [
+        ["run", str(path)] for path in sorted(CONFIGS.glob("*.json"))]
+        + [["bench", "frame"]], ids=lambda a: pathlib.Path(a[-1]).stem)
+    def test_no_solve_assembles_the_matrix(self, args, tmp_path,
+                                           monkeypatch):
+        # The report's nnz is counted on the band: writing it assembles
+        # no K from the pieces.
+        calls, tocsr = [], system.Pieces.tocsr
+
+        def spy(pieces):
+            calls.append(pieces)
+            return tocsr(pieces)
+        monkeypatch.setattr(system.Pieces, "tocsr", spy)
+        assert main(args + ["--out-dir", str(tmp_path), "--quiet"]) == 0
+        assert "  solve.nnz = " in "".join(
+            p.read_text() for p in tmp_path.rglob("report.txt"))
+        assert calls == []
 
     def test_run_is_deterministic_byte_for_byte(self, q4_run, tmp_path):
         _, first = q4_run

@@ -453,8 +453,10 @@ def test_system_assembles_the_lift_of_local_matrices(make):
     """Structural model first: the solid block sits after it, so the
     global map of the stacked local DOFs [solid | struct] is not
     monotone. The segment blocks at the system's offsets are the local
-    ones on mapped DOFs, and the H the alpha estimate reads and the
-    coupled K are the lifted local sums, bit for bit."""
+    ones on mapped DOFs, and the H the alpha estimate reads is the lifted
+    local sum, bit for bit. The coupled K is U + U^T - diag(U), U the
+    bulk's upper triangle plus the blocks' entries upper in the mapped
+    DOFs, bit for bit, and the lifted local sum to round-off."""
     op = make()
     sysm = System([op.struct, op.solid])
     sysm.add_coupling(op)
@@ -475,10 +477,17 @@ def test_system_assembles_the_lift_of_local_matrices(make):
     want = lift(local_matrices(op)[2], gmap, n)[order][:, order]
     assert K.has_canonical_format
     np.testing.assert_array_equal(H.toarray(), want.toarray())
+    C = add_blocks(sp.csr_matrix((n, n)), *zip(*system_mod._nitsche(
+        [(got[0],) + tuple(w.copy() for w in local[1:])], [7.0])))
+    U = sp.triu(bulk) + C
+    np.testing.assert_array_equal(K.toarray(), (U + U.T).toarray()
+                                  - np.diag(U.diagonal()))
     C = add_blocks(sp.csr_matrix((n, n)),
                    *zip(*system_mod._nitsche([local], [7.0])))
-    np.testing.assert_array_equal(K.toarray(),
-                                  (bulk + lift(C, gmap, n)).toarray())
+    C = C + sp.triu(C, 1).T
+    ref = (bulk + lift(C, gmap, n)).toarray()
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-15 * abs(ref).max())
 
 
 @st.composite

@@ -23,7 +23,7 @@ from mdfem.errors import MdfemError
 from mdfem.system import (Pieces, System, _band_order, _block_diag,
                           _factor_spd)
 from oracles import (band_fill, band_order, local_matrices, node_band,
-                     node_graph)
+                     node_graph, separable_full)
 
 
 def small_coupled():
@@ -526,9 +526,10 @@ class TestSpdSolver:
 
 
 class TestLowerBandStorage:
-    """`_factor_spd` stores the upper triangle (in its band order) as the
-    lower band: the other triangle is never read, and the pivot tests
-    read the factor's diagonal from the band's first row."""
+    """`_factor_spd` reads a sparse matrix by its upper triangle in DOF
+    numbering and stores it as the lower band of its band order: the
+    other triangle is never read, and the pivot tests read the factor's
+    diagonal from the band's first row."""
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_only_the_upper_triangle_is_read(self, n):
@@ -539,10 +540,10 @@ class TestLowerBandStorage:
         free = rng.random(n) < 0.9
         points = rng.random((n, 3))
         pos = _band_order(A, free, points)[1]
-        # Garbage in the strict lower triangle of the band order, on A's
-        # pattern, so the order is the same.
+        # Garbage in the strict lower triangle, on A's pattern, so the
+        # order is the same.
         K = A.tocoo(copy=True)
-        lower = pos[K.row] > pos[K.col]
+        lower = K.row > K.col
         K.data[lower] = rng.standard_normal(lower.sum()) * 1e3
         K = K.tocsr()
         assert abs(K - K.T).max() > 1.0
@@ -559,6 +560,17 @@ class TestLowerBandStorage:
         # but its last pivot is round-off of the diagonal.
         main = np.full(n, 2.0 + 1e-12)
         main[[0, -1]] = 1.0 + 1e-12
+        K = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1],
+                     format="csr")
+        with pytest.raises(RankError, match="singular"):
+            solve_all(K, np.ones(n))
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_round_off_breakdown_is_a_rank_error(self, n):
+        # Shifted by -1e-13 instead, the factorization breaks down on that
+        # round-off pivot: a rank defect, not an indefinite K.
+        main = np.full(n, 2.0 - 1e-13)
+        main[[0, -1]] = 1.0 - 1e-13
         K = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1],
                      format="csr")
         with pytest.raises(RankError, match="singular"):
@@ -853,10 +865,10 @@ class TestBandOrder:
             assert s["band_mb"] == (s["band"] + 1) * s["ndof"] * 8 / 1e6
             if sol.stats["nodes"] == 481:
                 # RCM on the Q4 cantilever's 481 nodes (band 41 when it
-                # ordered K's DOFs). K stores exact zeros on one side of
-                # the diagonal only: nnz counts both triangles of K.
+                # ordered K's DOFs). K is U + U^T - diag(U), symmetric bit
+                # for bit: nnz, counted on the band, is both triangles'.
                 assert (s["ordering"], s["band"]) == ("rcm", 30)
-                assert abs(Kff - Kff.T).nnz > 0
+                assert abs(Kff - Kff.T).nnz == 0
         # The 87-DOF beam alone takes the banded path as well.
         assert s["ndof"] == 87 and s["band"] < 87
 
@@ -888,7 +900,7 @@ def assert_band_of_assembled(K, free, order, ab, stats):
     ref_ab, nnz = band_fill(K, free, pos, bands[name])
     assert ab.shape == ref_ab.shape and ab.flags.f_contiguous
     assert ab.tobytes() == ref_ab.tobytes()
-    assert stats == dict(ndof=int(free.sum()), nodes=stats["nodes"],
+    assert stats == dict(ndof=int(free.sum()), nnz=nnz, nodes=stats["nodes"],
                          band=bands[name], band_mb=ab.nbytes / 1e6,
                          ordering=name, rcm_band=bands["rcm"],
                          geometric_band=bands["geometric"])
@@ -920,6 +932,36 @@ def spd_with_empty_rows(size, density, free_frac, empty_frac, seed):
     K.eliminate_zeros()
     K.sort_indices()
     return K, free
+
+
+def full_matrix(sysm, alphas):
+    """``sysm``'s matrix at the couplings' ``alphas`` as assembled with
+    both triangles stored: each model's pieces whole (the box products by
+    `oracles.separable_full`, the cut rows' element blocks whole) summed
+    on the diagonal, plus the couplings' whole segment blocks."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(system, "stiffness_separable", separable_full)
+        m.setattr(system, "_upper", lambda dofs, mats: (dofs, mats))
+        bulk = sysm._bulk()
+        C = system._add_runs(sp.csr_matrix((sysm.ndof,) * 2),
+                             system._nitsche(sysm._coupling_blocks(False),
+                                             alphas))
+    return _block_diag([system._csr_sum(ps, n) for ps, n in zip(
+        bulk.models, np.diff(bulk.offsets))]) + C
+
+
+class TestUpperStorage:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matrix_is_the_sum_of_the_whole_pieces(self, data):
+        # U + U^T - diag(U) of the stored upper triangles is the matrix
+        # the pieces' both triangles sum to, up to the round-off by which
+        # that one is not symmetric; K is symmetric bit for bit.
+        sys, alpha = drawn_system(data)
+        sol = sys.solve(alpha=alpha or "auto")
+        ref = full_matrix(sys, sol.alphas)
+        assert abs(sol.K - ref).max() <= 1e-15 * abs(ref).max()
+        assert abs(sol.K - sol.K.T).nnz == 0
 
 
 class TestBlockedBandPasses:
@@ -993,10 +1035,11 @@ class TestFactorInBoundedMemory:
         assert K.nnz >= 16 * system._BLOCK
         free = np.arange(n) % 9 != 4
         points = np.random.default_rng(0).random((n, 3))
+        U = sp.triu(K, format="csr")
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            solve, stats = _factor_spd(K, free, points)
+            solve, stats = _factor_spd(U, free, points)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1009,8 +1052,9 @@ class TestFactorInBoundedMemory:
     def test_peak_beyond_pieces_and_band_is_o_of_block(self, monkeypatch):
         # The same band matrix as node blocks of two DOFs, a second block
         # piece on the first half of the nodes, so that pieces meet there,
-        # and a CSR coupling piece: beyond the pieces and the band, the
-        # node graph, the order and the fill stay within the same bound.
+        # and a CSR coupling piece, each stored as its upper triangle:
+        # beyond the pieces and the band, the node graph, the order and
+        # the fill stay within the same bound.
         monkeypatch.setattr(system, "_BLOCK", 2**10)
         n, half = 4000, 10
         A = sp.diags([np.full(n, 4.0 * half)]
@@ -1023,8 +1067,9 @@ class TestFactorInBoundedMemory:
         c = np.arange(0, n, 400)
         C = sp.csr_matrix((np.ones(c.size), (c, c[::-1])), shape=(n, n))
         C = (C + C.T + 2.0 * sp.eye(n, format="csr")).tocsr()
-        K = Pieces([[A.tobsr(blocksize=(2, 2)), B.tobsr(blocksize=(2, 2))]],
-                   np.array([0, n]), [C], np.arange(0, n + 1, 2))
+        K = Pieces([[sp.triu(X).tobsr(blocksize=(2, 2)) for X in (A, B)]],
+                   np.array([0, n]), [sp.triu(C, format="csr")],
+                   np.arange(0, n + 1, 2))
         assert A.nnz >= 16 * system._BLOCK
         free = np.arange(n) % 9 != 4
         points = np.random.default_rng(0).random((n, 3))
@@ -1255,9 +1300,86 @@ class TestRigidModeLeftFree:
             sysm.resolve_alpha("auto")
 
     def test_floating_system_solve(self):
-        # The factorization runs through on round-off pivots: only the
-        # pivot test sees the rigid modes.
+        # The factorization breaks down on a round-off pivot (with the
+        # band of U + U^T - diag(U); the full K's ran through on one).
         sysm = bench.cantilever_system("spline", 3, (16, 4), 4)["system"]
         keep_constraints(sysm, lambda d: d < 0)
         with pytest.raises(RankError, match="singular"):
             sysm.solve(alpha=4.7128e7)
+
+
+def reversed_system(sysm):
+    """`System` of ``sysm``'s models in reverse order, with its couplings,
+    constraints and loads."""
+    n = len(sysm.models)
+    rev = System(sysm.models[::-1])
+    for op in sysm.couplings:
+        rev.add_coupling(op)
+    for i in range(n):
+        fixed = sysm.model_part(sysm._fixed, i)
+        dofs = np.flatnonzero(~np.isnan(fixed))
+        rev.fix(n - 1 - i, dofs, fixed[dofs])
+        rev.load(n - 1 - i, sysm.model_part(sysm._f, i))
+    return rev
+
+
+def solid_plate_system():
+    """A clamped quadratic solid continued by a Mindlin plate, loaded at
+    the plate's free edge (the plate3d workload, smaller)."""
+    mat = Material(E=1000.0, nu=0.3, thickness=4.0)
+    solid = SolidModel(build_mesh("solid3d", "spline", 2, (4, 2, 2),
+                                  ((0.0, 8.0), (0.0, 5.0), (0.0, 4.0))), mat)
+    plate = PlateModel(build_mesh("plate", "spline", 2, (4, 2),
+                                  ((8.0, 16.0), (0.0, 5.0)), z_mid=2.0),
+                       mat, theory="mindlin")
+    sysm = coupled([solid, plate], build_interface(solid, plate, axis=0,
+                                                   side=1))
+    face = np.flatnonzero(np.arange(solid.mesh.nnodes)
+                          % solid.mesh.dirs[0].n == 0)
+    sysm.fix(0, (3 * face[:, None] + np.arange(3)).ravel())
+    sysm.load(1, plate.edge_load(0, 1, -1.0))
+    return sysm
+
+
+def embedded_system():
+    """A clamped Kirchhoff plate under pressure, overlapped by a solid
+    patch tied to it on four faces (the embedded workload, smaller)."""
+    mat = Material(E=1000.0, nu=0.3, thickness=4.0)
+    plate = PlateModel(build_mesh("plate", "spline", 2, (6, 6),
+                                  ((0.0, 60.0), (0.0, 60.0)), z_mid=2.0),
+                       mat, theory="kirchhoff")
+    box = ((22.0, 38.0), (25.0, 41.0))
+    wrap = NonconformingModel(plate, OverlapRegion(box))
+    solid = SolidModel(build_mesh("solid3d", "spline", 2, (2, 2, 1),
+                                  box + ((0.0, 4.0),)), mat)
+    sysm = coupled([solid, wrap], *(
+        build_interface(solid, wrap, axis=axis, side=side)
+        for axis in (0, 1) for side in (-1, 1)))
+    n = plate.mesh.dirs[0].n
+    i, j = np.divmod(np.arange(plate.mesh.nnodes), n)
+    sysm.fix(1, np.flatnonzero((np.minimum(i, j) == 0)
+                               | (np.maximum(i, j) == n - 1)))
+    sysm.load(1, wrap.pressure_load(-1.0))
+    return sysm
+
+
+class TestModelOrder:
+    """Model order changes the DOF numbering, so which entry of each
+    coupling pair is stored (the upper triangle flips), but not the
+    solution beyond round-off."""
+
+    @pytest.mark.parametrize("make, alpha", [
+        (solid_plate_system, 5.0e3), (embedded_system, 1.0e6),
+        (lambda: bench.cantilever_system("lagrange", 1, (8, 2), 6)["system"],
+         "auto")], ids=["solid-plate", "embedded", "q4-timoshenko"])
+    def test_reversed_models_give_the_permuted_solution(self, make, alpha):
+        sysm = make()
+        rev = reversed_system(sysm)
+        a, b = sysm.solve(alpha=alpha), rev.solve(alpha=alpha)
+        n = len(sysm.models)
+        got = np.concatenate([rev.model_part(b.a, n - 1 - i)
+                              for i in range(n)])
+        assert np.abs(a.a).max() > 0.0
+        np.testing.assert_allclose(got, a.a, rtol=0,
+                                   atol=1e-9 * np.abs(a.a).max())
+        np.testing.assert_allclose(b.alphas, a.alphas, rtol=1e-9)
