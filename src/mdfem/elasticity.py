@@ -319,8 +319,7 @@ def load_separable(mesh: Mesh, boxes):
 
 
 def _upper_starts(ptr, col, rows):
-    """The first entry of each sorted CSR row at or right of its diagonal,
-    row i being ``rows[i]``."""
+    """Each sorted CSR row's first entry at or past its diagonal ``rows``."""
     r = np.repeat(np.arange(rows.size), np.diff(ptr))
     return ptr[:-1] + np.bincount(r[col < rows[r]], minlength=rows.size)
 
@@ -334,8 +333,7 @@ def _kron_csr(pa, sa, ca, va, pb, sb, cb, vb, nb):
     the full product with the rows' starts, the upper triangle with the
     diagonals' (`_upper_starts`)."""
     la, lb = pa[1:] - sa, np.diff(pb)
-    ptr = np.concatenate(([0], np.cumsum((np.outer(la, lb) - (sb - pb[:-1])
-                                          ).ravel())))
+    ptr = np.r_[0, np.cumsum((np.outer(la, lb) - (sb - pb[:-1])).ravel())]
     nrun = np.repeat(la, lb.size)  # runs of row (i, k), in row order
     t = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
     k = np.repeat(np.tile(np.arange(lb.size), la.size), nrun)

@@ -336,7 +336,9 @@ def _nitsche(blocks, alphas):
 def _upper(dofs, mats):
     """``(dofs, mats)``, each block's entries below the diagonal of its
     DOFs zeroed in place, which `mesh.add_blocks` does not store."""
-    np.copyto(mats, 0.0, where=dofs[..., None, :] < dofs[..., :, None])
+    up = np.all(dofs[..., 1:] > dofs[..., :-1])  # ascending: one triangle
+    np.copyto(mats, 0.0, where=np.tri(dofs.shape[-1], k=-1, dtype=bool)
+              if up else dofs[..., None, :] < dofs[..., :, None])
     return dofs, mats
 
 
