@@ -231,27 +231,26 @@ def stiffness_separable(mesh: Mesh, form, boxes):
             mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab, tab)))
         parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
     nc, Ks = form[0][0].shape[0], []
-    lo, one = np.tril_indices(nc, -1), (np.arange(2), np.zeros(1, int),
-                                        np.ones((1, 1)))  # 1 x 1 identity
     for box in boxes:
-        vals = []
+        vals, sb = [], None  # the last product's b starts, every part's
         for mats, ma, mb, Dab in parts:
-            P, nodes, n = one, np.zeros(1, dtype=int), 1
+            P, nodes, n = (), np.zeros(1, dtype=int), 1
             for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
                                                          box)):
-                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask)
                 last = k == mesh.dim - 1
-                sa = _upper_starts(ptr, col, live) if last else ptr[:-1]
-                sb = _upper_starts(P[0], P[1], nodes) if last else P[0][:-1]
-                P = _kron_csr(ptr, sa, col, val[:, ma[:, k], mb[:, k]],
-                              P[0], sb, *P[1:], n)
+                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask, last)
+                band = ptr, col, val[:, ma[:, k], mb[:, k]]
+                if P and last and sb is None:
+                    sb = _upper_starts(P[0], P[1], nodes)
+                P = _kron_csr(*band, P[0], sb if last else P[0][:-1],
+                              *P[1:], n) if P else band
                 nodes = (n * live[:, None] + nodes).ravel()
                 n *= d.n
             vals.append(P[2] @ Dab)
         # The box's rows are the mesh nodes ``nodes``, each led by its
         # diagonal block; other rows are empty.
         blocks = sum(vals[1:], vals[0]).reshape(-1, nc, nc)
-        blocks[P[0][:-1, None], lo[0], lo[1]] = 0.0
+        blocks[P[0][:-1]] = np.triu(blocks[P[0][:-1]])
         ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
         ptr[nodes + 1] = np.diff(P[0])
         Ks.append(sp.bsr_matrix((blocks, P[1], np.cumsum(ptr)),
@@ -279,12 +278,12 @@ def _tables_1d(d, npts, nders):
     return d.indices(el), w * dy, tab
 
 
-def _band_1d(n, idx, mats, mask):
-    """The 1D matrix of element matrices ``mats`` ``(nelem, p + 1, p + 1,
-    ...)`` on functions ``idx`` (`_tables_1d`) of a direction with ``n``
-    functions, summed over the elements ``mask``: ``((indptr, indices,
-    values), live)``, CSR whose rows are the functions ``live`` those
-    elements support (sorted) and whose columns are all ``n``."""
+def _band_1d(n, idx, mats, mask, upper):
+    """The 1D matrix (if ``upper`` its upper triangle) of element matrices
+    ``mats`` ``(nelem, p + 1, p + 1, ...)`` on functions ``idx``
+    (`_tables_1d`) of a direction with ``n`` functions, summed over the
+    elements ``mask``: ``((indptr, indices, values), live)``, CSR whose
+    rows are the functions ``live`` those elements support (sorted)."""
     idx, p = idx[mask], idx.shape[1] - 1
     band = np.zeros((n, 2 * p + 1) + mats.shape[3:])  # [i, j - i + p]
     # Element e holds the consecutive functions idx[e] = s_e + (0 .. p).
@@ -294,7 +293,7 @@ def _band_1d(n, idx, mats, mask):
     live[idx] = True
     i, s = np.indices(band.shape[:2])
     j = i + s - p
-    keep = (0 <= j) & (j < n)
+    keep = (j >= (i if upper else 0)) & (j < n)
     keep[keep] = live[i[keep]] & live[j[keep]]
     return ((np.concatenate(([0], np.cumsum(keep.sum(1)[live]))), j[keep],
              band[keep]), np.flatnonzero(live))
@@ -324,20 +323,19 @@ def _upper_starts(ptr, col, rows):
     return ptr[:-1] + np.bincount(r[col < rows[r]], minlength=rows.size)
 
 
-def _kron_csr(pa, sa, ca, va, pb, sb, cb, vb, nb):
-    """Kronecker product ``(indptr, indices, values)`` of CSR matrices a
-    and b, b fastest, whose values carry a trailing axis (multiplied entry
-    by entry), b having ``nb`` columns; sorted rows stay sorted. Row (i, k)
-    is a's entry ``sa[i]`` times b's row k from entry ``sb[k]``, then a's
-    later entries of row i times b's whole row k, each a run of b entries:
-    the full product with the rows' starts, the upper triangle with the
-    diagonals' (`_upper_starts`)."""
-    la, lb = pa[1:] - sa, np.diff(pb)
+def _kron_csr(pa, ca, va, pb, sb, cb, vb, nb):
+    """Kronecker product ``(indptr, indices, values)`` of CSR a and b, b
+    fastest, values with a trailing axis (multiplied entry by entry), b of
+    ``nb`` columns; sorted rows stay sorted. Row (i, k) is a's first entry
+    of row i times b's row k from entry ``sb[k]``, then a's later ones
+    times b's whole row k: the full product with b's row starts, the upper
+    triangle with a upper (rows led by the diagonal) and b's diagonals."""
+    la, lb = np.diff(pa), np.diff(pb)
     ptr = np.r_[0, np.cumsum((np.outer(la, lb) - (sb - pb[:-1])).ravel())]
     nrun = np.repeat(la, lb.size)  # runs of row (i, k), in row order
     t = np.arange(nrun.sum()) - np.repeat(np.cumsum(nrun) - nrun, nrun)
     k = np.repeat(np.tile(np.arange(lb.size), la.size), nrun)
-    ea = np.repeat(sa, lb.size * la) + t
+    ea = np.repeat(pa[:-1], lb.size * la) + t
     start = np.where(t == 0, sb[k], pb[k])
     n = pb[k + 1] - start
     eb = np.arange(ptr[-1]) - np.repeat(np.cumsum(n) - n - start, n)

@@ -54,11 +54,17 @@ class Pieces:
                 for p in ps] + [(0, p) for p in self.coupling]
 
     def dot(self, x):
-        """K x = U x + U^T x - diag(U) x, piece by piece."""
+        """K x = U x + U^T x - diag(U) x, piece by piece, U^T x a row block
+        at a time (`_row_blocks`), so what is copied is a row block."""
         y = np.zeros_like(x)
         for o, p in self.parts():
-            xp = x[o:o + p.shape[0]]
-            y[o:o + p.shape[0]] += p @ xp + p.T @ xp - p.diagonal() * xp
+            R, xp, yp = _blocksize(p), x[o:o + p.shape[0]], y[o:o + p.shape[0]]
+            yp += p @ xp - p.diagonal() * xp
+            for rows, ptr, ents in _row_blocks(p):
+                xr = xp[R * rows.start:R * rows.stop]
+                yp += (p if xr.size == xp.size else type(p)((
+                    p.data[ents], p.indices[ents], ptr), shape=(
+                        xr.size, xp.size))).T @ xr
         return y
 
     def dense(self, dofs):
@@ -201,7 +207,8 @@ class System:
     # Assembly ----------------------------------------------------------
 
     def bulk_matrix(self) -> sp.csr_matrix:
-        """K~: each model's `_model_matrix` on the diagonal, no coupling."""
+        """K~ = U + U^T - diag(U), U the upper pieces of `_bulk`: each
+        model's stiffness on the diagonal, no coupling."""
         return self._bulk().tocsr()
 
     def _bulk(self) -> Pieces:
@@ -310,11 +317,6 @@ def _model_pieces(m) -> list:
     return [_csr_sum(ps, m.ndof)] if m.ncomp_node == 1 and len(ps) > 1 else ps
 
 
-def _model_matrix(m) -> sp.csr_matrix:
-    """One model's stiffness matrix in its own DOF numbering."""
-    return System([m]).bulk_matrix()
-
-
 def _csr_sum(parts, n) -> sp.csr_matrix:
     """The n x n sparse ``parts`` summed in order, as canonical CSR
     without exact zeros."""
@@ -397,15 +399,16 @@ def _pieces(K) -> Pieces:
 
 def _factor_spd(K, free, points):
     """``(solve, stats)`` of ``K[free][:, free]``, K `Pieces` (or a sparse
-    matrix by its upper triangle, `_pieces`) positive definite to
-    round-off: in `_band_order`'s order of ``points`` (one per DOF), each
-    piece's stored entries are added a row block at a time (`_fill`:
-    O(n + ``_BLOCK``) memory beyond the pieces, the node graph and the
-    band) into the lower band of banded Cholesky. ``solve(b)`` solves for
-    each column of b. ``stats``: ndof, nnz (counted on the band), nodes
-    (of the node graph), band, band_mb, ordering, each candidate's band;
-    empty with no free DOF. A breakdown (alpha too small) is a
-    DefinitenessError, a round-off pivot of either sign RankError."""
+    matrix by its upper triangle, `_pieces`, which first copies a matrix
+    not upper and canonical) positive definite to round-off: in
+    `_band_order`'s order of ``points`` (one per DOF), each piece's stored
+    entries are added a row block at a time (`_fill`: O(n + ``_BLOCK``)
+    memory beyond the pieces, the node graph and the band) into the lower
+    band of banded Cholesky. ``solve(b)`` solves for each column of b.
+    ``stats``: ndof, nnz (counted on the band), nodes (of the node graph),
+    band, band_mb, ordering, each candidate's band; empty with no free
+    DOF. A breakdown (alpha too small) is a DefinitenessError, a round-off
+    pivot of either sign RankError."""
     n = int(np.count_nonzero(free))
     if n == 0:
         return lambda b: np.zeros(np.shape(b)), {}
@@ -470,12 +473,11 @@ def _fill(flat, K: Pieces, pos, u):
             bc, v, n = p.indices[ents], vals[ents], np.diff(ptr)
             lr, hr, lc, hc = (np.repeat(lo[rows], n), np.repeat(hi[rows], n),
                               lo[bc], hi[bc])
-            for w, a, b, flip in ((np.flatnonzero(lc > hr), lr, lc, False),
-                                  (np.flatnonzero(lr > hc), lc, lr, True)):
+            for w, a, b, at_ab in ((np.flatnonzero(lc > hr), lr, lc, off),
+                                   (np.flatnonzero(lr > hc), lc, lr, off.T)):
                 a, b = a[w], b[w]  # the band's row and column node places
-                _add(flat, u, (b + u64 * a)[:, None, None] + off,
-                     b - a + R - 1, v.reshape(-1, R, R).transpose(0, 2, 1)[w]
-                     if flip else np.take(v, w, axis=0).reshape(-1, R, R),
+                _add(flat, u, (b + u64 * a)[:, None, None] + at_ab,
+                     b - a + R - 1, np.take(v, w, axis=0).reshape(-1, R, R),
                      i == 0)
             d = np.flatnonzero(lr == hc)
             _add(flat, u, (lr[d] * (u64 + 1))[:, None] + off.ravel()[tri],

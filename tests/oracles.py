@@ -473,7 +473,8 @@ def separable_full(mesh, form, boxes, upper=False):
             P, nodes, n = (), np.zeros(1, dtype=int), 1
             for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
                                                          box)):
-                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask)
+                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask,
+                                                   False)
                 band = ptr, col, val[:, ma[:, k], mb[:, k]]
                 P = kron_csr(*band, *P, n) if P else band
                 nodes = (n * live[:, None] + nodes).ravel()

@@ -22,7 +22,7 @@ from mdfem.mesh import build_mesh, facet_rules, gauss_rule, quadrature_data
 from mdfem.nonconforming import (CUT, VOID, NonconformingModel, OverlapRegion,
                                  classify)
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
-from mdfem.system import System, _model_matrix
+from mdfem.system import System
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
                      integrate_btcb, section_rigidities, separable_full,
                      tensor_rule)
@@ -467,7 +467,7 @@ def test_box_path_matches_per_element_quadrature(model, data):
             model = NonconformingModel(model, region)
         except OverDeactivationError:
             assume(False)
-    K = _model_matrix(model)
+    K = System([model]).bulk_matrix()
     assert K.has_canonical_format and not (K.data == 0).any()
     ref = dense_bulk(System([model]))
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,

@@ -1025,7 +1025,10 @@ class TestBlockedBandPasses:
 
 class TestFactorInBoundedMemory:
     def test_peak_beyond_inputs_and_band_is_o_of_block(self, monkeypatch):
-        # Whole-K index arrays took about 25 B per stored entry.
+        # Whole-K index arrays took about 25 B per stored entry. A plain
+        # matrix is read by its upper triangle: a whole K is first copied
+        # to it (`sp.triu`, through a COO copy of 16 B per stored entry),
+        # beyond which the bound is the same.
         monkeypatch.setattr(system, "_BLOCK", 2**10)
         n, half = 4000, 10
         K = sp.diags([np.full(n, 4.0 * half)]
@@ -1035,19 +1038,19 @@ class TestFactorInBoundedMemory:
         assert K.nnz >= 16 * system._BLOCK
         free = np.arange(n) % 9 != 4
         points = np.random.default_rng(0).random((n, 3))
-        U = sp.triu(K, format="csr")
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solve, stats = _factor_spd(U, free, points)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        ab_nbytes = stats["band_mb"] * 1e6
-        assert peak <= ab_nbytes + 128 * n + 64 * system._BLOCK
-        b = np.ones(stats["ndof"])
-        np.testing.assert_allclose(K[free][:, free] @ solve(b), b,
-                                   rtol=1e-12)
+        for U, copy in ((sp.triu(K, format="csr"), 0), (K, 16 * K.nnz)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solve, stats = _factor_spd(U, free, points)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            ab_nbytes = stats["band_mb"] * 1e6
+            assert peak <= ab_nbytes + 128 * n + 64 * system._BLOCK + copy
+            b = np.ones(stats["ndof"])
+            np.testing.assert_allclose(K[free][:, free] @ solve(b), b,
+                                       rtol=1e-12)
 
     def test_peak_beyond_pieces_and_band_is_o_of_block(self, monkeypatch):
         # The same band matrix as node blocks of two DOFs, a second block
@@ -1085,6 +1088,32 @@ class TestFactorInBoundedMemory:
         Kff = K.tocsr()[free][:, free]
         b = np.ones(stats["ndof"])
         np.testing.assert_allclose(Kff @ solve(b), b, rtol=1e-12)
+
+    def test_product_copies_no_piece_whole(self, monkeypatch):
+        # K x reads each upper piece as U and U^T; U^T x goes a row block
+        # at a time, so beyond x and K x the product holds O(n) vectors
+        # and O(_BLOCK) entries, not a transposed copy of a piece.
+        monkeypatch.setattr(system, "_BLOCK", 2**10)
+        n, half = 4000, 40
+        A = sp.diags([np.full(n, 4.0 * half)] + [-np.arange(
+            1.0, n - k + 1) / n for k in range(1, half + 1)],
+            [0] + list(range(1, half + 1)), format="csr")
+        K = Pieces([[A.tobsr(blocksize=(2, 2))]], np.array([0, n]), [],
+                   np.arange(0, n + 1, 2))
+        x = np.random.default_rng(0).random(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = K.dot(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        bound = 128 * n + 64 * system._BLOCK
+        assert K.models[0][0].data.nbytes > bound  # a copy would show
+        assert peak <= bound
+        full = A + A.T - sp.diags(A.diagonal())
+        np.testing.assert_allclose(y, full @ x, rtol=0,
+                                   atol=1e-14 * (abs(full) @ x).max())
 
     def test_bulk_matrix_freed_before_factoring(self, monkeypatch):
         # No global matrix is assembled on the solve path: it factors the
