@@ -3,16 +3,16 @@
 The interface is the trace mesh of the solid's boundary face: each solid
 facet carries a Gauss rule, and every quadrature point is resolved into
 local coordinates of both the solid element and the partner structural
-element. There each model's ``trace`` gives its displacement and stress
-interpolation ``(N, S)``. Over the stacked element DOFs ``[solid |
+element. There the partner's ``trace`` and the solid's face rule give
+the interpolations ``(N, S)``. Over the stacked element DOFs ``[solid |
 struct]`` of one segment (the points of one facet in one partner
 element), the jump operator ``J = [N_s, -N_b]`` and the summed traction
 ``T = n . [S_s, S_b]`` give the consistency block ``K^n = -1/2 int J^T
 T``, the penalty block ``K^st = int J^T J`` and the stress-bound matrix
 ``H = int T^T T`` used by the eigenvalue stabilization estimator.
 
-Each interface runs as one batch: all facet rules of the face are built
-in one call and split into segments by one stable sort, each side is
+Each interface runs as one batch: one call builds the face's rules and
+tables, one stable sort splits its points into segments, the partner is
 traced once over all points and the segment products run over a segment
 batch axis. The interface hands its segment blocks, on their global
 DOFs, to `System`, which sums the blocks of every coupling into CSR.
@@ -32,7 +32,7 @@ from .errors import (
     PairingError,
     RankError,
 )
-from .mesh import element_batches, facet_rules
+from .mesh import element_batches, facet_rules, live_shapes
 
 
 # Voigt row of stress component (i, j): (xx, yy, xy) in 2D, (xx, yy, zz,
@@ -76,11 +76,12 @@ class CouplingOperator:
 
     ``points`` holds every quadrature point of the interface, segment by
     segment: segment ``i`` is points ``starts[i]:starts[i + 1]``.
-    ``segments`` views the same arrays one segment at a time.
-    """
+    ``segments`` views them a segment at a time, ``tables`` the solid's
+    basis tables at the same points (`mesh.facet_rules`)."""
 
-    def __init__(self, solid, struct, points, starts):
+    def __init__(self, solid, struct, points, starts, tables):
         self.solid, self.struct, self.starts = solid, struct, starts
+        self.tables = tables
         self.points = p = points
         self.segments = [
             Segment(int(p.s_elem[a]), p.s_parent[a:b], int(p.b_elem[a]),
@@ -100,35 +101,52 @@ class CouplingOperator:
         estimate reads it). A segment's Nitsche term is ``K^n + K^n.T +
         alpha * K^st``; `System` sums them into CSR.
 
-        Each side is traced once over all points. Only the element-local
-        columns nonzero in J or T at some point are kept: a solid's inner
-        node layers carry neither trace nor traction, and their products
-        are zero. The segment products J^T T, J^T J and T^T T run on the
-        kept columns over a batch axis of segments, one batch per point
-        count.
+        The partner is traced once over all points, the solid's N, dN/dx
+        and traction (n C E) dN/dx come from ``tables`` on the nodes
+        nonzero on the face (`mesh.live_shapes`). J and T hold only the
+        element-local columns nonzero at some point (a solid's inner node
+        layers carry neither trace nor traction); the products J^T T, J^T
+        J and T^T T run on them over a batch axis of segments, one batch
+        per point count, a view where its points are consecutive.
         """
         solid, struct, p = self.solid, self.struct, self.points
         rows = struct.solid_stress_rows
-        Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
+        nmat = _normal_matrices(p.normals, rows)
+        nodes, N, dN = live_shapes(solid.mesh, self.tables)
+        nq, nn, d = dN.shape
+        # n . C B = (n C E) dN/dx: M[q, i, m, c] weighs du_c/dx_m in t_i.
+        E = solid.kinematics[1][0, :, :, 1:d + 1].swapaxes(1, 2)
+        M = (nmat @ (solid.C if rows is None else solid.C[rows, :])
+             @ E.reshape(-1, d * d)).reshape(nq, d, d, d)
+        Ts = (dN[:, None] @ M).reshape(nq, d, nn * d)
         Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
-        J = np.concatenate([Ns, -Nb], axis=2)
-        del Ns  # a view of the solid's whole interpolation table
-        T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),
-                      np.concatenate([Ss, Sb], axis=2))
-        live = np.flatnonzero(J.any((0, 1)) | T.any((0, 1)))
-        J, T, na = J[:, :, live], T[:, :, live], live.size
+        Tb = nmat @ Sb
+        del Sb
+        live = np.flatnonzero(np.repeat(N.any(0), d) | Ts.any((0, 1)))
+        live_b = np.flatnonzero(Nb.any((0, 1)) | Tb.any((0, 1)))
+        ns, na = live.size, live.size + live_b.size
+        J, T = np.zeros((nq, d, na)), np.empty((nq, d, na))
+        J[:, live % d, np.arange(ns)] = N[:, live // d]
+        np.negative(Nb[:, :, live_b], out=J[:, :, ns:])
+        np.take(Ts, live, axis=2, out=T[:, :, :ns], mode="clip")
+        np.take(Tb, live_b, axis=2, out=T[:, :, ns:], mode="clip")
+        del Nb, Tb, Ts  # J and T hold all the segments read
         # Segments of one point count are one batch, in segment order.
         order = np.argsort(np.diff(self.starts), kind="stable")
         first, counts = self.starts[order], np.diff(self.starts)[order]
+        cols = (nodes[:, None] * d + np.arange(d)).ravel()[live]
         dofs = np.concatenate([
-            offsets[0] + solid.element_dofs(p.s_elem[first]),
-            offsets[1] + struct.element_dofs(p.b_elem[first])],
-            axis=1)[:, live]
+            offsets[0] + solid.element_dofs(p.s_elem[first])[:, cols],
+            offsets[1] + struct.element_dofs(p.b_elem[first])[:, live_b]],
+            axis=1)
         cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1))
         blocks = [np.empty((order.size, na, na)) for _ in range(2 + with_h)]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            q = first[a:b, None] + np.arange(counts[a])
-            Jq, Tq, wq = J[q], T[q], p.weights[q]
+            q = (first[a:b, None] + np.arange(counts[a])).ravel()
+            if np.all(np.diff(q) == 1):  # consecutive points: views
+                q = slice(q[0], q[-1] + 1)
+            Jq, Tq, wq = (x[q].reshape((b - a, counts[a]) + x.shape[1:])
+                          for x in (J, T, p.weights))
             integrate_atb(Jq, Tq, -0.5 * wq, out=blocks[0][a:b])
             integrate_atb(Jq, Jq, wq, out=blocks[1][a:b])
             if with_h:
@@ -151,10 +169,9 @@ def build_interface(solid, struct, axis, side, *,
     p_struct = max(d.degree for d in smesh.dirs)
     npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
                  for k in range(solid.mesh.dim) if k != axis)
-    elems, parent, phys, w, normals, _ = facet_rules(
+    elems, parent, phys, w, normals, tabs = facet_rules(
         solid.mesh, axis, side, npts, strip=strip)
-    nf = len(elems)
-    nq = w.size // nf
+    nq = w.size // len(elems)
     # Every interface point is located in the structural mesh at once.
     inplane, offsets = struct.to_local(phys)
     try:
@@ -164,14 +181,15 @@ def build_interface(solid, struct, axis, side, *,
             f"interface point has no partner element: {exc}") from exc
     # One segment per facet and partner element: a stable sort keeps the
     # facet order, partners ascending in a facet and the point order.
-    key = np.repeat(np.arange(nf), nq) * smesh.nelem + belems
+    key = np.arange(w.size) // nq * smesh.nelem + belems
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     points = Segment(
         s_elem=np.repeat(elems, nq)[order],
         s_parent=parent[order], b_elem=belems[order], b_parent=bparent[order],
         offsets=offsets[order], normals=normals[order], weights=w[order])
-    return CouplingOperator(solid, struct, points, starts)
+    return CouplingOperator(solid, struct, points, starts,
+                            [t[order] for t in tabs])
 
 
 _ALPHA_SEED, _ALPHA_TOL, _ALPHA_MAXITER = 0, 1e-8, 5000

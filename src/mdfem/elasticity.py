@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 
 from .errors import ConfigError
 from .mesh import (Mesh, direction_tables, element_batches, facet_rules,
-                   gauss_rule, parent_data, quadrature_data)
+                   gauss_rule, live_shapes, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -416,8 +416,9 @@ class Model:
         mapping points ``(nq, dim)`` to one such row per point. Summed
         facet by facet, in element order."""
         mesh = self.mesh
-        elems, _, phys, w, _, N = facet_rules(
+        elems, _, phys, w, _, tabs = facet_rules(
             mesh, axis, side, max(mesh.degrees) + 1, strip)
+        nodes, N, _ = live_shapes(mesh, tabs)
         bad = elems[self.part_index(elems) != 0]
         if bad.size:
             raise ConfigError(f"face load on element {bad[0]}, void or cut")
@@ -427,7 +428,8 @@ class Model:
         fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
                        N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))
         out = np.zeros(self.ndof)
-        np.add.at(out, self.element_dofs(elems), fe.reshape(len(elems), -1))
+        dofs = self.element_dofs(elems).reshape(fe.shape[0], -1, fe.shape[2])
+        np.add.at(out, dofs[:, nodes], fe)
         return out
 
     def to_global(self, stored, offsets):
@@ -462,16 +464,15 @@ class SolidModel(Model):
         return stiffness_quadrature(self.mesh, e, self.stiffness_form(),
                                     quadrature)
 
-    def trace(self, e, parent, rows=None):
+    def trace(self, e, parent):
         """Displacement and stress interpolation at parent points of
         element ``e``, or of ``e[i]`` at point ``i`` for an element array.
 
         Returns ``(N, S)`` of shapes ``(nq, ncomp, ndof_e)`` and
-        ``(nq, nvoigt, ndof_e)`` with ``S = C B``; ``rows`` selects stress
-        components.
+        ``(nq, nvoigt, ndof_e)`` with ``S = C B``.
         """
         N, B = interpolate(self.mesh, e, parent, self.kinematics)
-        return N, (self.C if rows is None else self.C[rows, :]) @ B
+        return N, self.C @ B
 
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""

@@ -384,8 +384,9 @@ def add_blocks(K, dofs, mats):
     cols = _flat([np.broadcast_to(d[:, None, :], d.shape + d.shape[-1:])
                   for d in dofs])
     lens = np.repeat([d.shape[1] for d in dofs], [d.size for d in dofs])
-    S = sp.csr_matrix((np.ones(rows.size), (rows, np.arange(rows.size))),
-                      shape=(K.shape[0], rows.size))
+    ends = np.cumsum(np.bincount(rows, minlength=K.shape[0]))
+    S = sp.csr_matrix((np.ones(rows.size), np.argsort(rows, kind="stable"),
+                       np.r_[0, ends]), shape=(K.shape[0], rows.size))
     X = S @ sp.csr_matrix((_flat(mats), cols, np.concatenate(
         ([0], np.cumsum(lens)))), shape=(rows.size, K.shape[1]))
     X.sort_indices()
@@ -554,13 +555,14 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
 
     ``npts`` is either one count shared by every in-facet direction or a
     sequence with one count per direction. Returns ``(elems, parent,
-    phys, weights, normals, N)``: the element of each facet, in element
-    order, and the points of each facet in turn; weights carry the
-    surface measure, normals are unit outward vectors in storage
-    coordinates, ``N`` holds the shape values. All points are tabulated
-    in one call per direction. The outward normal is side G^T e_axis,
-    normalised, and the measure det A |G^T e_axis| prod dy_k/dt_k over
-    the free directions k.
+    phys, weights, normals, tabs)``: the element of each facet, in
+    element order, and the points of each facet in turn; weights carry
+    the surface measure, normals are unit outward vectors in storage
+    coordinates, ``tabs[k]`` ``(npoints, 2, p_k + 1)`` holds direction k's
+    basis values and y-derivatives (`live_shapes`). All points are
+    tabulated in one call per direction. The outward normal is side G^T
+    e_axis, normalised, and the measure det A |G^T e_axis| prod dy_k/dt_k
+    over the free directions k.
     """
     if mesh.dim == 1:
         raise ConfigError("a beam mesh has no faces")
@@ -605,4 +607,17 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     return (elems, parent.reshape(-1, mesh.dim), phys.reshape(-1, mesh.dim),
             wts.ravel(), np.tile(side * G[axis] / np.linalg.norm(G[axis]),
                                  (wts.size, 1)),
-            _tensor_combine(tabs, 0)[0].reshape(wts.size, -1))
+            [t.reshape(wts.size, 2, -1) for t in tabs])
+
+
+def live_shapes(mesh, tabs):
+    """``(nodes, N, dNdx)``: `parent_data`'s N and dN/dx from per-point
+    direction tables ``tabs`` (`facet_rules`) on the local ``nodes``
+    (ascending) whose function in each direction has a nonzero value or
+    derivative at some point, so every node with N or dN/dx nonzero."""
+    keep = [np.flatnonzero(t.any(axis=(0, 1))) for t in tabs]
+    nodes = np.ravel_multi_index(np.ix_(*keep), [t.shape[-1] for t in tabs],
+                                 order="F").ravel(order="F")
+    N, dN, _ = _tensor_combine([t[..., k] for t, k in zip(tabs, keep)], 1)
+    G = mesh.placement[2]
+    return nodes, N, (dN.reshape(-1, G.shape[0]) @ G).reshape(dN.shape)

@@ -69,7 +69,7 @@ from scipy.sparse.linalg import splu
 from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import (_band_1d, _jet_map, _tables_1d, integrate_atb,
-                              jets)
+                              interpolate, jets)
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
 from mdfem.mesh import _TRIPLET_BUDGET, add_blocks, element_batches
 from mdfem.quadrature import gauss_1d
@@ -572,6 +572,14 @@ def node_band(G, node, free, order):
     return band, perm
 
 
+def solid_trace(solid, e, parent, rows):
+    """The solid side of an interface the way `SolidModel.trace` builds
+    it, over all element DOFs: ``(N, C[rows] B)``, every Voigt row when
+    ``rows`` (a partner's `solid_stress_rows`) is None."""
+    N, B = interpolate(solid.mesh, e, parent, solid.kinematics)
+    return N, (solid.C if rows is None else solid.C[rows, :]) @ B
+
+
 def coupling_matrices(op, offsets, ndof, with_h):
     """(K^n, K^st, H) of a `CouplingOperator` over all ``na`` stacked
     element DOFs ``[solid | struct]`` of each segment, the columns that
@@ -579,7 +587,7 @@ def coupling_matrices(op, offsets, ndof, with_h):
     Arguments as `CouplingOperator.matrices`."""
     solid, struct, p = op.solid, op.struct, op.points
     rows = struct.solid_stress_rows
-    Ns, Ss = solid.trace(p.s_elem, p.s_parent, rows=rows)
+    Ns, Ss = solid_trace(solid, p.s_elem, p.s_parent, rows)
     Nb, Sb = struct.trace(p.b_elem, p.b_parent, p.offsets)
     J = np.concatenate([Ns, -Nb], axis=2)
     T = np.einsum("qdr,qrj->qdj", _normal_matrices(p.normals, rows),

@@ -1,4 +1,6 @@
 """Interface pairing, Nitsche blocks, and the stabilization estimator."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from mdfem import coupling
 from mdfem import system as system_mod
-from mdfem.bspline import least_squares_project
+from mdfem.bspline import SplineDir, least_squares_project
 from mdfem.coupling import (
     _normal_matrices,
     build_interface,
@@ -28,7 +30,7 @@ from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 from oracles import (coupling_matrices, lifted, local_matrices,
                      local_numbering, locate_point, power_iteration_alpha,
-                     solid_solve)
+                     solid_solve, solid_trace)
 
 
 # Voigt rows a plate model carries, by name: 'kirchhoff' keeps (xx, yy,
@@ -296,7 +298,7 @@ def twelve_block_matrices(op):
         w = seg.weights
         sd = solid.element_dofs(seg.s_elem)
         bd = ns + struct.element_dofs(seg.b_elem)
-        Ns, Ss = solid.trace(seg.s_elem, seg.s_parent, rows=reduced)
+        Ns, Ss = solid_trace(solid, seg.s_elem, seg.s_parent, reduced)
         Nb, Sb = struct.trace(seg.b_elem, seg.b_parent, seg.offsets)
         nmat = np.stack([normal_matrix(v, reduced) for v in seg.normals])
         Ts = np.einsum("qdr,qrj->qdj", nmat, Ss)
@@ -413,7 +415,19 @@ def test_split_facets_pair_with_several_partners():
                          ids=["timoshenko-rotated", "split-facets",
                               "nonconforming"])
 def test_one_trace_per_side_per_assembly(make, monkeypatch):
+    """The solid's one evaluation is the face rule's: `build_interface`
+    evaluates each solid direction once and keeps the tables. Each
+    `matrices` call traces the partner once and neither traces nor
+    evaluates the solid."""
+    evaluated, evaluate = [], SplineDir.eval
+
+    def counted_eval(self, *args, **kwargs):
+        evaluated.append(id(self))
+        return evaluate(self, *args, **kwargs)
+    monkeypatch.setattr(SplineDir, "eval", counted_eval)
     op = make()
+    dirs = [id(d) for d in op.solid.mesh.dirs]
+    assert [d for d in evaluated if d in dirs] == dirs
     assert len(op.segments) > 1
     calls = {"solid": 0, "struct": 0}
     for side, model in (("solid", op.solid), ("struct", op.struct)):
@@ -421,8 +435,11 @@ def test_one_trace_per_side_per_assembly(make, monkeypatch):
             calls[_side] += 1
             return _trace(*args, **kwargs)
         monkeypatch.setattr(model, "trace", counted)
-    local_matrices(op)
-    assert calls == {"solid": 1, "struct": 1}
+    for with_h in (True, False):
+        evaluated.clear()
+        op.matrices((0, op.solid.ndof), with_h)
+        assert not [d for d in evaluated if d in dirs]
+    assert calls == {"solid": 0, "struct": 2}
 
 
 def stubbed_solve(sysm, alpha):
@@ -494,7 +511,9 @@ def test_system_assembles_the_lift_of_local_matrices(make):
 def drawn_interfaces(draw):
     """A solid face tied to a beam (2D) or a plate (3D) that continues
     it on the ``side`` of direction 0; the partner's element count is
-    drawn apart from the solid's, so facets may split across partners."""
+    drawn apart from the solid's, so facets may split across partners.
+    The 2D pair is placed at a drawn angle, so its face normal need not
+    lie along an axis."""
     side = draw(st.sampled_from((-1, 1)))
     mat = Material(E=1000.0, nu=0.3, thickness=2.0)
     if draw(st.sampled_from((2, 3))) == 2:
@@ -503,14 +522,19 @@ def drawn_interfaces(draw):
         extents = ((0.0, 6.0), (-1.0, 1.0))
         if side < 0:
             extents = ((4.0, 10.0), (-1.0, 1.0))
+        theta = draw(st.floats(-np.pi, np.pi))
+        R = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
         solid = SolidModel(build_mesh(
             "solid2d", basis, p, (draw(st.integers(1, 3)),
-                                  draw(st.integers(1, 3))), extents), mat)
+                                  draw(st.integers(1, 3))), extents,
+            rotation=R), mat)
         theory = draw(st.sampled_from(("euler_bernoulli", "timoshenko")))
         q = draw(st.integers(2 if theory == "euler_bernoulli" else 1, 3))
         struct = BeamModel(build_mesh(
             "beam", "spline", q, draw(st.integers(1, 3)), ((0.0, 4.0),),
-            origin=(6.0 if side > 0 else 0.0, 0.0)), mat, theory)
+            origin=R @ (6.0 if side > 0 else 0.0, 0.0), phi=theta), mat,
+            theory)
     else:
         p = draw(st.integers(2, 3))
         x0 = 0.0 if side > 0 else 3.0
@@ -553,8 +577,9 @@ _NUMBERINGS = ("local", "solid-first", "struct-first")
        with_h=st.booleans())
 def test_live_columns_match_every_column(op, numbering, with_h):
     """Only products with an all-zero column are skipped, but BLAS may
-    tile a narrower GEMM differently: seen here as 1.5e-16 of the
-    largest entry at most, on 3D faces with GEMM depths of 75 and up."""
+    tile a narrower GEMM differently, and off the axes the solid
+    traction (n C E) dN/dx reassociates n (C B): 5.3e-16 of the largest
+    entry at most in 1,000 draws, on a 2D face placed at an angle."""
     args = _numbering(op, numbering)
     got = lifted(op, *args, with_h)
     want = coupling_matrices(op, *args, with_h)
@@ -576,8 +601,9 @@ def test_system_sums_every_coupling(ops, struct_first, alpha):
     the coupled K is the bulk plus each coupling's Kn + Kn^T + alpha Kst,
     and the H the alpha estimate reads the sum of each coupling's H, the
     terms lifted from the every-column oracle (`coupling_matrices`). The
-    live columns, the per-segment sum and the order of the sums differ
-    by round-off: 1.8e-16 of the largest entry at most in 150 draws."""
+    live columns, the traction's association, the per-segment sum and
+    the order of the sums differ by round-off: 3.5e-16 of the largest
+    entry at most in 300 draws."""
     models = []
     for op, flip in zip(ops, struct_first):
         models += [op.struct, op.solid] if flip else [op.solid, op.struct]
@@ -649,6 +675,30 @@ def test_benchmark_faces_keep_live_columns_bit_for_bit(theory, numbering,
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(g, attr), getattr(w, attr))
     assert widths == {kept}
+
+
+@pytest.mark.parametrize("with_h", [True, False])
+def test_plate3d_face_assembly_transients_stay_under_6_mb(with_h):
+    """The plate3d workload's face, a 24x2x3 tri-cubic solid on a 16x2
+    cubic Mindlin plate (294 points, 6 segments of 120 live columns):
+    the traced peak inside `matrices` stays at most 6 MB above entry,
+    the blocks it returns (1.4 MB, 2.1 MB with H) included. Measured
+    4.7 and 5.1 MB; tracing the solid over all 64 nodes of its elements
+    took 11.1 and 11.8 MB."""
+    mat = Material(E=1000.0, nu=0.3, thickness=20.0)
+    solid = SolidModel(build_mesh("solid3d", "spline", 3, (24, 2, 3), (
+        (0.0, 160.0), (0.0, 25.0), (0.0, 20.0))), mat)
+    plate = PlateModel(build_mesh("plate", "spline", 3, (16, 2), (
+        (160.0, 320.0), (0.0, 25.0)), z_mid=10.0), mat, "mindlin")
+    op = build_interface(solid, plate, axis=0, side=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op.matrices((0, solid.ndof), with_h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 class TestEstimateAlpha:
