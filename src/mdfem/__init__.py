@@ -1,7 +1,7 @@
 """Mixed-dimensional finite elements.
 
 Couples 2D/3D elastic continua with beam and plate models through Nitsche
-interface terms, on Lagrange or B-spline/NURBS bases, conforming or not.
+interface terms, on Lagrange or B-spline bases, conforming or not.
 """
 
 __version__ = "0.1.0"

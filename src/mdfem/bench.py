@@ -73,7 +73,7 @@ def timoshenko_exact(x, y, consts=None):
 
 
 def sample_points(model, a_model, points):
-    """Displacement and stress of a model at box-coordinate points.
+    """Displacement and stress of a model at local-coordinate points.
 
     All points are located in one call (`Mesh.locate`) and recovered in
     one call, each in its own element. Beams and plates are read on

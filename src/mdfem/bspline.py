@@ -1,4 +1,4 @@
-"""B-spline and NURBS basis evaluation on open knot vectors.
+"""B-spline basis evaluation on open knot vectors.
 
 Univariate machinery shared by curve, surface and volume meshes: one
 basis direction (`SplineDir`, knots in local coordinates) with basis
@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigError, DomainError, RankError
+from .errors import ConfigError, RankError
 from .quadrature import tensor_rules
-
-#: Denominators smaller than this are treated as zero (0/0 == 0 convention).
-DENOM_GUARD = 1e-14
 
 
 def make_open_knots(degree: int, breaks) -> np.ndarray:
@@ -64,12 +61,10 @@ def _check_knots(k, p):
 class SplineDir:
     """One basis direction: clamped, non-decreasing ``knots`` in local
     coordinates (end runs snapped to the first and last, ``lo`` and
-    ``hi``), the ``degree`` p >= 0 and optional positive NURBS
-    ``weights``, one per basis function (None: polynomial, all one)."""
+    ``hi``) and the ``degree`` p >= 0."""
 
     knots: np.ndarray
     degree: int
-    weights: np.ndarray | None = None
     _span_starts: np.ndarray = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)
     _width: np.ndarray = field(init=False, repr=False)
@@ -81,14 +76,6 @@ class SplineDir:
         _check_knots(k, p)
         self.knots = np.concatenate([np.full(p + 1, k[0]), k[p + 1:-p - 1],
                                      np.full(p + 1, k[-1])])
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (self.n,):
-                raise ConfigError(
-                    f"need {self.n} weights, got {self.weights.shape}"
-                )
-            if np.any(self.weights <= 0.0):
-                raise ConfigError("NURBS weights must be positive")
         # Knot indices that open a non-empty span (an element), in order.
         self._span_starts = np.nonzero(np.diff(self.knots) > 0.0)[0]
         with np.errstate(all="ignore"):
@@ -155,10 +142,7 @@ class SplineDir:
         for m in range(self.degree - 1, -1, -1):
             out *= u
             out += np.take(T[m], k, axis=0)
-        out = out.reshape(xs.size, nders + 1, self.degree + 1)
-        if self.weights is not None:
-            out = _rationalize(out, self.weights[self.indices(e)], nders)
-        return out
+        return out.reshape(xs.size, nders + 1, self.degree + 1)
 
     def intervals(self):
         """Local intervals ``(nelem, 2)`` of all elements."""
@@ -206,29 +190,6 @@ def _taylor_tables(knots, degree, starts):
     taylor[:p, :, 1] = P[1:] * m / h
     taylor[:p - 1, :, 2] = P[2:] * (m[:-1] * m[1:]) / h ** 2
     return c, h[:, 0], taylor.reshape(p + 1, c.size, -1)
-
-
-def _rationalize(ders: np.ndarray, w: np.ndarray, nders: int) -> np.ndarray:
-    """Convert polynomial basis derivatives to rational ones (quotient rule).
-
-    ``ders`` is a batch ``(npts, nders + 1, nloc)`` of polynomial basis
-    derivatives (`SplineDir.eval` before the weights); ``w`` holds the
-    weights of the ``nloc`` functions, shared by all points ``(nloc,)``
-    or per point ``(npts, nloc)``.
-    """
-    num = ders * w[..., None, :]  # rows: w_i N_i and derivatives
-    W = num.sum(axis=2)  # weight function W and derivatives
-    if np.any(np.abs(W[:, 0]) < DENOM_GUARD):
-        raise DomainError("rational weight function vanished")
-    W0 = W[:, 0, None]
-    out = np.empty_like(num)
-    out[:, 0] = num[:, 0] / W0
-    if nders >= 1:
-        out[:, 1] = (num[:, 1] - out[:, 0] * W[:, 1, None]) / W0
-    if nders >= 2:
-        out[:, 2] = (num[:, 2] - 2.0 * out[:, 1] * W[:, 1, None]
-                     - out[:, 0] * W[:, 2, None]) / W0
-    return out
 
 
 def least_squares_project(d: SplineDir, target) -> np.ndarray:

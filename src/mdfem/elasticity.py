@@ -208,10 +208,10 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     ``boxes`` of `Mesh.element_boxes`: one canonical BSR per box on all
     the mesh's DOFs, of node blocks (i, j), j >= i, diagonal ones upper.
 
-    The map is x = origin + A y, y_k a function of t_k alone, so a jet in
-    x combines jets in y (`_jet_map`), and P_ab in y over a box is the
+    The map is x = origin + A t, so a jet in x combines jets in the local
+    coordinates t (`_jet_map`), and P_ab in t over a box is the
     Kronecker product over directions (first fastest) of the 1D band
-    matrices int B^(a_k) B^(b_k) dy_k over the box's elements, on the
+    matrices int B^(a_k) B^(b_k) dt_k over the box's elements, on the
     functions they support (`_band_1d`), upper with the slowest direction
     A: strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
     tables are evaluated once per part and direction (`_tables_1d`); one
@@ -227,8 +227,8 @@ def stiffness_separable(mesh: Mesh, form, boxes):
         nders = 2 if used[-1] > mesh.dim else 1
         mats = []
         for d in mesh.dirs:
-            idx, wdy, tab = _tables_1d(d, npts or d.degree + 1, nders)
-            mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab, tab)))
+            idx, w, tab = _tables_1d(d, npts or d.degree + 1, nders)
+            mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", w, tab, tab)))
         parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
     nc, Ks = form[0][0].shape[0], []
     for box in boxes:
@@ -259,8 +259,8 @@ def stiffness_separable(mesh: Mesh, form, boxes):
 
 
 def _jet_map(G):
-    """T with d^a/dx = sum_b T[a, b] d^b/dy (`jets` order) for y = G x + c:
-    d/dx_k = sum_m G_mk d/dy_m, and d2/dx_k dx_l the product of two."""
+    """T with d^a/dx = sum_b T[a, b] d^b/dt (`jets` order) for t = G x + c:
+    d/dx_k = sum_m G_mk d/dt_m, and d2/dx_k dx_l the product of two."""
     k, l = _PAIRS[len(G)]
     Q = G[k][:, k] * G[l][:, l] + G[l][:, k] * G[k][:, l]
     return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
@@ -268,14 +268,13 @@ def _jet_map(G):
 
 def _tables_1d(d, npts, nders):
     """Gauss tables of direction ``d`` on its ``npts``-point rule: ``(idx,
-    wdy, tab)``, the functions of each element ``(nelem, p + 1)``, the
-    weights times dy/dt ``(nelem, npts)`` and the basis derivatives of
-    order <= ``nders`` in y (`mesh.direction_tables`), ``(nelem, npts,
-    nders + 1, p + 1)``."""
+    w, tab)``, the functions of each element ``(nelem, p + 1)``, the
+    weights ``(nelem, npts)`` and the basis derivatives of order <=
+    ``nders`` (`mesh.direction_tables`), ``(nelem, npts, nders + 1, p +
+    1)``."""
     el = np.arange(d.nelem)
     t, w, _ = tensor_rules([d.intervals()], [el], [npts])
-    tab, _, dy = direction_tables(d, el, t[..., 0], nders)
-    return d.indices(el), w * dy, tab
+    return d.indices(el), w, direction_tables(d, el, t[..., 0], nders)
 
 
 def _band_1d(n, idx, mats, mask, upper):
@@ -302,15 +301,15 @@ def _band_1d(n, idx, mats, mask, upper):
 def load_separable(mesh: Mesh, boxes):
     """int N dx of every node over the element ``boxes`` of
     `Mesh.element_boxes`, on the standard Gauss rule. Over a box it is the
-    outer product over directions of int B dy over the box's elements
+    outer product over directions of int B dt over the box's elements
     (`_tables_1d`), times det A."""
     tabs = [_tables_1d(d, d.degree + 1, 1) for d in mesh.dirs]
     out = np.zeros(mesh.nnodes)
     for box in boxes:
         f = np.full(1, mesh.placement[3])
-        for d, (idx, wdy, tab), mask in zip(mesh.dirs, tabs, box):
+        for d, (idx, w, tab), mask in zip(mesh.dirs, tabs, box):
             g = np.zeros(d.n)
-            np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", wdy[mask],
+            np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", w[mask],
                                               tab[mask, :, 0]))
             f = np.multiply.outer(g, f).ravel()  # new direction slowest
         out += f

@@ -1,20 +1,19 @@
 """Tensor-product meshes for solids, beams and plates.
 
-A mesh is a tensor product of univariate directions, each a B-spline/NURBS
+A mesh is a tensor product of univariate directions, each a B-spline
 knot vector; a 2-noded Lagrange subdivision is the degree-1 B-spline on
-open knots, with its nodes at the breaks. Geometry is the grid of the
-directions' Greville abscissae g: direction k maps its local (knot)
-coordinate t_k to the box coordinate y_k = Y_k(t_k) = sum_a B_a(t_k) g_a,
-the identity on a polynomial direction and a monotone 1D map on a
-NURBS-weighted one, and a placement puts the box at x = origin + A y.
-Nothing else is expressible: no curved or perturbed net.
+open knots, with its nodes at the breaks. Geometry is affine: the control
+points are the grid of the directions' Greville abscissae, which the
+basis maps to the local (knot) coordinate t itself, and a placement puts
+the box at x = origin + A t. Nothing else is expressible: no curved or
+perturbed net, so every element's Jacobian is A.
 
 Coordinate stages: parent [-1,1]^d -> local (linear per element and
-direction onto the knot spans) -> box y -> stored coordinates. Solid
-meshes store global coordinates (A is the placement rotation, the
-identity if none); beam meshes store the local axis coordinate with
-placement in ``origin``/``phi``; plate meshes store mid-surface
-coordinates with the transverse offset in ``z_mid``.
+direction onto the knot spans) -> stored coordinates. Solid meshes
+store global coordinates (A is the placement rotation, the identity if
+none); beam meshes store the local axis coordinate with placement in
+``origin``/``phi``; plate meshes store mid-surface coordinates with the
+transverse offset in ``z_mid``.
 """
 from __future__ import annotations
 
@@ -173,10 +172,14 @@ class Mesh:
         Points up to 1e-10 of a direction's length outside the box are
         clamped onto it; a point on an interior element boundary belongs to
         the element on its upper side. Raises DomainError for any point
-        further outside, and for a NaN coordinate.
+        further outside, for a NaN coordinate, and unless each point has
+        ``dim`` coordinates (a scalar is one point of a beam).
         """
         x = np.asarray(x_local, dtype=float)
         pts = np.atleast_2d(x)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DomainError(f"expected points of {self.dim} local "
+                              f"coordinates each, got shape {x.shape}")
         gi = []
         for k, d in enumerate(self.dirs):
             t, lo, hi = pts[:, k], d.lo, d.hi
@@ -204,43 +207,16 @@ class Mesh:
             [d.eval(i, local[:, k], nders) for k, (d, i)
              in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
 
-    def locate(self, y):
-        """Element and parent coordinates ``(e, xi)`` of a point in box
-        coordinates y (a placed solid passes ``G (x - origin)``); an
+    def locate(self, x_local):
+        """Element and parent coordinates ``(e, xi)`` of a point in local
+        coordinates (a placed solid passes ``G (x - origin)``); an
         ``(npts, dim)`` array gives an element array and ``(npts, dim)``
-        parent points. Each y_k = Y_k(t_k) is inverted on its own
-        (`_box_to_local`), then `element_containing` and `local_to_parent`
-        apply with their rules: an interior break goes to the element
-        above it, a point outside the box is a DomainError."""
-        y = np.asarray(y, dtype=float)
-        t = np.stack([_box_to_local(d, yk) for d, yk
-                      in zip(self.dirs, np.atleast_2d(y).T)], axis=-1)
-        e = self.element_containing(t)
-        xi = self.local_to_parent(e, t)
-        return (e, xi) if y.ndim == 2 else (int(e[0]), xi[0])
-
-
-def _box_to_local(d, y):
-    """Local coordinates t with Y(t) = y in direction ``d``: y itself on a
-    polynomial direction and outside the box. On a weighted one Y
-    increases: the element is the last whose lower end maps to y or below,
-    and bisection of its interval keeps Y(a) <= y < Y(b) until a and b are
-    round-off apart."""
-    if d.weights is None:
-        return y
-    t, inside, ends = y.copy(), (y >= d.lo) & (y <= d.hi), d.intervals()
-
-    def Y(el, t):
-        return direction_tables(d, el, t[:, None], 1)[1][:, 0]
-
-    el = np.maximum(np.searchsorted(Y(np.arange(d.nelem), ends[:, 0]),
-                                    y[inside], side="right") - 1, 0)
-    a, b = ends[el].T
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        a, b = np.where(Y(el, m) <= y[inside], (m, b), (a, m))
-    t[inside] = a
-    return t
+        parent points. `element_containing`'s rules apply: an interior
+        break goes to the element above it, a point outside the box or of
+        the wrong dimension is a DomainError."""
+        e = self.element_containing(x_local)
+        xi = self.local_to_parent(e, x_local)
+        return (e, xi) if np.ndim(e) else (e, xi[0])
 
 
 def _boxes(sel):
@@ -258,7 +234,7 @@ def _boxes(sel):
 
 
 def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
-               rotation=None, phi=0.0, z_mid=0.0, weights=None) -> Mesh:
+               rotation=None, phi=0.0, z_mid=0.0) -> Mesh:
     """Construct a tensor-product mesh.
 
     Parameters
@@ -282,7 +258,6 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         position of the local origin.
     phi : beam mid-line rotation angle.
     z_mid : transverse position of a plate mid-surface.
-    weights : per-direction NURBS weight arrays (optional, spline only).
     """
     if model not in MODEL_DIMS:
         raise ConfigError(f"unknown model kind {model!r}")
@@ -294,12 +269,6 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         raise ConfigError("extents must have positive length")
     if basis not in ("lagrange", "spline"):
         raise ConfigError(f"unknown basis kind {basis!r}")
-    if basis == "lagrange" and weights is not None:
-        raise ConfigError("weights apply to spline meshes only, not to "
-                          "lagrange meshes")
-    if weights is not None and len(weights) != dim:
-        raise ConfigError(f"weights: expected {dim} per-direction arrays, "
-                          f"got {len(weights)}")
 
     dirs = []
     for k in range(dim):
@@ -311,8 +280,7 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         if basis == "lagrange" and p != 1:
             raise ConfigError("lagrange meshes support degree 1 only")
         knots = make_open_knots(p, np.linspace(*extents[k], ne + 1))
-        dirs.append(SplineDir(knots, p,
-                              None if weights is None else weights[k]))
+        dirs.append(SplineDir(knots, p))
 
     solid = model.startswith("solid")
     if origin is not None:
@@ -428,30 +396,14 @@ def _tensor_combine(uni, nders):
 
 
 def direction_tables(d, el, t, nders):
-    """Direction ``d`` at local points ``t`` ``(E, Q)`` of its elements
-    ``el`` ``(E,)``: ``(tab, Y, dY)``, the basis derivatives of order <=
-    ``nders`` (1 or 2) in y ``(E, Q, nders + 1, p + 1)``, y = Y(t) (t
-    where unweighted) and dy/dt ``(E, Q)``, from Y = sum_a B_a g_a over
-    the Greville abscissae g; d2N/dy2 = (d2N/dt2 - dN/dt d2y/dt2 / dy/dt)
-    / (dy/dt)^2. A dy/dt not finite and positive is a DomainError."""
+    """Direction ``d``'s basis derivatives of order <= ``nders`` (1 or 2)
+    at local points ``t`` ``(E, Q)`` of its elements ``el`` ``(E,)``:
+    ``(E, Q, nders + 1, p + 1)``."""
     if nders not in (1, 2):
         raise ConfigError(f"nders must be 1 (shape gradients) or 2 (also "
                           f"second derivatives), got {nders!r}")
-    tab = d.eval(np.repeat(el, t.shape[1]), t.ravel(), nders).reshape(
+    return d.eval(np.repeat(el, t.shape[1]), t.ravel(), nders).reshape(
         t.shape + (nders + 1, d.nloc))
-    x = d.greville()[d.indices(el)]
-    Y = t if d.weights is None else np.einsum("eqa,ea->eq", tab[..., 0, :], x)
-    dy = np.einsum("eqa,ea->eq", tab[..., 1, :], x)
-    bad = ~(np.isfinite(dy) & (dy > 0)).all(axis=1)
-    if bad.any():
-        raise DomainError(f"non-finite or non-positive jacobian in element "
-                          f"{el[bad][0]} of a direction")
-    if nders == 2:
-        tab[..., 2, :] -= tab[..., 1, :] * (np.einsum(
-            "eqa,ea->eq", tab[..., 2, :], x) / dy)[..., None]
-        tab[..., 2, :] /= (dy * dy)[..., None]
-    tab[..., 1, :] /= dy[..., None]
-    return tab, Y, dy
 
 
 def gauss_rule(mesh: Mesh, e, npts):
@@ -523,18 +475,17 @@ def _det_inv(J):
 def _element_data(mesh, e, local, wts, tables):
     """Physical quadrature data of elements ``e`` (the element axis
     dropped for one) at local points ``(E, nq, dim)`` with weights ``(E,
-    nq)``, from each direction's `direction_tables`. x = c + A y has the
-    Jacobian A diag(dy/dt): d/dx = G^T d/dy, measure det A prod dy/dt."""
+    nq)``, from each direction's `direction_tables`. x = c + A t has the
+    Jacobian A: d/dx = G^T d/dt, measure det A."""
     c, A, G, det = mesh.placement
-    tabs, Y, dY = zip(*tables)
-    N, dN, d2N = _tensor_combine(tabs, tabs[0].shape[-2] - 1)
+    N, dN, d2N = _tensor_combine(tables, tables[0].shape[-2] - 1)
 
     def right(M):  # M G, one GEMM over the stacked rows of M
         return (M.reshape(-1, G.shape[0]) @ G).reshape(M.shape)
-    # d2N/dx2 = G^T d2N/dy2 G = (d2N/dy2 G)^T G, as d2N/dy2 is symmetric.
-    out = (local, wts * (det * np.prod(dY, axis=0)), N, right(dN),
+    # d2N/dx2 = G^T d2N/dt2 G = (d2N/dt2 G)^T G, as d2N/dt2 is symmetric.
+    out = (local, wts * det, N, right(dN),
            None if d2N is None else right(right(d2N).swapaxes(-1, -2)),
-           c + np.stack(Y, axis=-1) @ A.T)
+           c + local @ A.T)
     return out if np.ndim(e) else tuple(
         None if a is None else a[0] for a in out)
 
@@ -548,7 +499,7 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     The face is ``side`` (-1 or +1, in parent coordinates) of direction
     ``axis``; its facets are the elements whose ``axis`` index is the
     first or last one. ``strip`` optionally restricts the face in the
-    *local box* coordinates of the free axes: a sequence with one ``(lo,
+    local coordinates of the free axes: a sequence with one ``(lo,
     hi)`` pair or ``None`` per free axis. Facets that do not intersect
     the strip are dropped; partially covered facets get rules on their
     clipped parent intervals.
@@ -559,10 +510,10 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     element order, and the points of each facet in turn; weights carry
     the surface measure, normals are unit outward vectors in storage
     coordinates, ``tabs[k]`` ``(npoints, 2, p_k + 1)`` holds direction k's
-    basis values and y-derivatives (`live_shapes`). All points are
+    basis values and local derivatives (`live_shapes`). All points are
     tabulated in one call per direction. The outward normal is side G^T
-    e_axis, normalised, and the measure det A |G^T e_axis| prod dy_k/dt_k
-    over the free directions k.
+    e_axis, normalised, and the measure det A |G^T e_axis| prod h_k over
+    the free directions k, h_k the half-width of the element.
     """
     if mesh.dim == 1:
         raise ConfigError("a beam mesh has no faces")
@@ -584,7 +535,6 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
         if want is None:
             clips.append(np.tile([-1.0, 1.0], (d.nelem, 1)))
             continue
-        want = _box_to_local(d, np.asarray(want, dtype=float))
         clo, chi = np.maximum(lo, want[0]), np.minimum(hi, want[1])
         keep &= (chi - clo > 1e-12 * (hi - lo))[gi[k]]
         # local -> parent on this axis
@@ -599,11 +549,11 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
     parent[..., free] = pts
     a, b = mesh._bounds(elems)
     mid, h = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
-    tabs, Y, dY = zip(*_point_tables(mesh, elems, mid + h * parent, 1))
+    local = mid + h * parent
+    tabs = _point_tables(mesh, elems, local, 1)
     c, A, G, det = mesh.placement
-    wts = wts * det * np.linalg.norm(G[axis]) * np.prod(
-        [dY[k] * h[..., k] for k in free], axis=0)
-    phys = c + np.stack(Y, axis=-1) @ A.T
+    wts = wts * det * np.linalg.norm(G[axis]) * np.prod(h[..., free], -1)
+    phys = c + local @ A.T
     return (elems, parent.reshape(-1, mesh.dim), phys.reshape(-1, mesh.dim),
             wts.ravel(), np.tile(side * G[axis] / np.linalg.norm(G[axis]),
                                  (wts.size, 1)),

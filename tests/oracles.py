@@ -48,10 +48,9 @@ functions), LAPACK's stacked determinants and inverses and the chain
 rule for the second derivatives, two d x d products per point and node;
 the library maps each direction's 1D table on its own and places the
 box once.
-`locate_point` finds one box point's element and parent coordinates a
-direction at a time, inverting a weighted direction's map y = Y(t) by
-`scipy.optimize.brentq` on `eval_basis`; `Mesh.locate` bisects each
-weighted direction's element interval on whole point arrays.
+`locate_point` finds one point's element and parent coordinates a
+direction at a time by a scan of the element intervals; `Mesh.locate`
+searches whole point arrays.
 `csv_text` and `vtk_text` are the CLI's artifacts formatted one value
 per Python call (`fmt_value`) and assembled line by line; the writers
 (`cli.write_csv`, `cli.write_vtk`) format each numeric block with one
@@ -62,11 +61,9 @@ import io
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from mdfem.bspline import _rationalize
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
 from mdfem.elasticity import (_band_1d, _jet_map, _tables_1d, integrate_atb,
                               interpolate, jets)
@@ -140,11 +137,10 @@ def boundary_facets(mesh, axis, side, strip=None):
     """Facets ``(elem, clips)`` of box face ``side`` of direction ``axis``,
     in element order, one element at a time.
 
-    ``strip`` optionally restricts the face in the *local box* coordinates
-    of the free axes: one ``(lo, hi)`` pair or ``None`` per free axis,
-    taken to local coordinates by `box_to_local`. Facets that do not
-    intersect the strip are dropped; ``clips`` holds one parent interval
-    ``(lo, hi)`` per free axis.
+    ``strip`` optionally restricts the face in the local coordinates of
+    the free axes: one ``(lo, hi)`` pair or ``None`` per free axis. Facets
+    that do not intersect the strip are dropped; ``clips`` holds one
+    parent interval ``(lo, hi)`` per free axis.
     """
     free = [k for k in range(mesh.dim) if k != axis]
     boundary_e = mesh.dirs[axis].nelem - 1 if side > 0 else 0
@@ -159,7 +155,6 @@ def boundary_facets(mesh, axis, side, strip=None):
             if want is None:
                 clips.append((-1.0, 1.0))
                 continue
-            want = [box_to_local(mesh.dirs[k], v) for v in want]
             clo, chi = max(lo, want[0]), min(hi, want[1])
             if chi - clo <= 1e-12 * (hi - lo):
                 keep = False
@@ -199,8 +194,8 @@ def find_span(d, x: float) -> int:
 
 
 def basis_ders(knots, degree, xs, span, nders):
-    """Values and derivatives of the non-vanishing basis functions, no
-    NURBS weights: the reference `SplineDir.eval` is held to.
+    """Values and derivatives of the non-vanishing basis functions: the
+    reference `SplineDir.eval` is held to.
 
     Standard knot-insertion triangle evaluation, run for a batch of
     coordinates at once (the points ride along as a trailing axis).
@@ -264,7 +259,7 @@ def basis_ders(knots, degree, xs, span, nders):
 
 
 def eval_basis(d, x: float, nders: int = 0):
-    """Evaluate the non-vanishing (rational) basis functions at x.
+    """Evaluate the non-vanishing basis functions at x.
 
     Parameters
     ----------
@@ -285,10 +280,7 @@ def eval_basis(d, x: float, nders: int = 0):
         raise DomainError(f"derivative order must be 0, 1 or 2, got {nders}")
     span = find_span(d, x)
     ders = basis_ders(d.knots, d.degree, x, span, nders)
-    indices = np.arange(span - d.degree, span + 1)
-    if d.weights is not None:
-        ders = _rationalize(ders, d.weights[indices], nders)
-    return ders[0], indices
+    return ders[0], np.arange(span - d.degree, span + 1)
 
 
 def element_map(P, N, dN):
@@ -299,32 +291,12 @@ def element_map(P, N, dN):
     return N @ P, np.swapaxes(P, -1, -2)[:, None] @ dN
 
 
-def box_to_local(d, y):
-    """The local coordinate t of box coordinate ``y`` in direction ``d``:
-    y itself on a polynomial direction or outside the box, else the root
-    of Y(t) = sum_a R_a(t) g_a = y (g the Greville abscissae)."""
-    if d.weights is None or not d.lo <= y <= d.hi:
-        return y
-
-    def gap(s):
-        ders, idx = eval_basis(d, s)
-        return ders[0] @ d.greville()[idx] - y
-    # Y(lo) and Y(hi) are lo and hi to round-off only: a y at an end that
-    # Y rounds past has no sign change to bracket, and the end is its root.
-    if gap(d.hi) <= 0.0:
-        return d.hi
-    if gap(d.lo) >= 0.0:
-        return d.lo
-    return brentq(gap, d.lo, d.hi, xtol=1e-15 * (d.hi - d.lo), rtol=1e-15)
-
-
-def locate_point(mesh, y):
-    """``(e, xi)`` of one point ``y`` in local box coordinates: per
-    direction t = `box_to_local`; the element is the last whose interval
-    starts at or below t clamped to the box (an interior knot belongs to
-    the element it opens), and xi the parent coordinates of the unclamped
-    t."""
-    t = np.array([box_to_local(d, v) for d, v in zip(mesh.dirs, y)])
+def locate_point(mesh, t):
+    """``(e, xi)`` of one point ``t`` in local coordinates: per direction
+    the element is the last whose interval starts at or below t clamped
+    to the box (an interior knot belongs to the element it opens), and xi
+    the parent coordinates of the unclamped t."""
+    t = np.asarray(t, dtype=float)
     gi = [max(i for i in range(d.nelem)
               if element_interval(d, i)[0] <= min(max(tk, d.lo), d.hi))
           for d, tk in zip(mesh.dirs, t)]

@@ -383,7 +383,7 @@ def test_08_basis_micro_suite(report):
         e = int(rng.integers(mesh.nelem))
         xi = rng.uniform(-0.95, 0.95, 2)
         phys = parent_data(mesh, e, xi)[3][0]
-        # locate takes box coordinates: R^T (x - origin), R orthogonal.
+        # locate takes local coordinates: R^T (x - origin), R orthogonal.
         e2, xi2 = mesh.locate((phys - mesh.origin) @ mesh.rotation)
         assert e2 == e
         rt_dev = max(rt_dev, float(np.abs(xi2 - xi).max()))

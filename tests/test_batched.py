@@ -98,13 +98,12 @@ def oracle_plate(model, e):
     return integrate_btcb(Bb, D_b, w) + integrate_btcb(Bs, D_s, w)
 
 
-def curve(mesh, seed):
-    """``mesh`` rebuilt as a NURBS-weighted grid (same model, degrees,
-    elements and box; beam angle, plate height kept), a solid also moved
-    and rotated: each direction's map y(t) is then not affine, so dy/dt
-    varies over an element and second derivatives carry d2y/dt2."""
+def place(mesh, seed):
+    """``mesh`` rebuilt as a spline grid (same model, degrees, elements and
+    box; beam angle, plate height kept), a solid moved and rotated at
+    random."""
     rng = np.random.default_rng(seed)
-    kwargs = {"weights": [rng.uniform(0.5, 1.5, d.n) for d in mesh.dirs]}
+    kwargs = {}
     if mesh.model.startswith("solid"):
         Q = np.linalg.qr(rng.standard_normal((mesh.dim,) * 2))[0]
         Q[:, 0] *= np.sign(np.linalg.det(Q))
@@ -118,22 +117,16 @@ def curve(mesh, seed):
 @st.composite
 def solid_models(draw):
     dim = draw(st.sampled_from([2, 3]))
-    basis = draw(st.sampled_from(["lagrange", "spline", "nurbs"]))
+    lagrange = draw(st.booleans())
     nelems = tuple(draw(st.integers(1, 3)) for _ in range(dim))
     top = 3 if dim == 2 else 2
-    degrees = (1,) * dim if basis == "lagrange" else tuple(
+    degrees = (1,) * dim if lagrange else tuple(
         draw(st.integers(1, top)) for _ in range(dim))
     seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    weights = None
-    if basis == "nurbs":
-        weights = [rng.uniform(0.6, 1.4, n + p)
-                   for n, p in zip(nelems, degrees)]
-    mesh = build_mesh(f"solid{dim}d", "lagrange" if basis == "lagrange"
-                      else "spline", degrees, nelems, [(0.0, 1.0)] * dim,
-                      weights=weights)
+    mesh = build_mesh(f"solid{dim}d", "lagrange" if lagrange else "spline",
+                      degrees, nelems, [(0.0, 1.0)] * dim)
     if draw(st.booleans()):
-        mesh = curve(mesh, seed)
+        mesh = place(mesh, seed)
     nu = draw(st.floats(0.0, 0.45))
     return SolidModel(mesh, Material(E=draw(st.floats(1.0, 1e6)), nu=nu))
 
@@ -162,14 +155,14 @@ def structural_models(draw):
                           degree, draw(st.integers(1, 6)), ((0.0, 2.0),),
                           phi=phi)
         if draw(st.booleans()):
-            mesh = curve(mesh, seed)
+            mesh = place(mesh, seed)
         return BeamModel(mesh, MAT, kind)
     degree = draw(st.integers(2 if kind == "kirchhoff" else 1, 3))
     mesh = build_mesh("plate", "spline", degree,
                       tuple(draw(st.integers(1, 4)) for _ in range(2)),
                       ((0.0, 1.0), (0.0, 1.5)))
     if draw(st.booleans()):
-        mesh = curve(mesh, seed)
+        mesh = place(mesh, seed)
     return PlateModel(mesh, MAT, kind)
 
 
@@ -194,7 +187,7 @@ def test_quadrature_data_batch_equals_per_element_rule(model, degree, nders,
     `gauss_rule`, for an element array and for one element, equals it on
     the oracle's per-element tensor rule, bit for bit."""
     dim = {"beam": 1, "plate": 2, "solid2d": 2, "solid3d": 3}[model]
-    m = curve(build_mesh(model, "spline", degree, 2, [(0.0, 1.0)] * dim),
+    m = place(build_mesh(model, "spline", degree, 2, [(0.0, 1.0)] * dim),
               seed)
     npts = 1 if one_point else None
     elems = np.arange(m.nelem)[::-1]
@@ -305,8 +298,8 @@ def random_rotation(rng, dim):
 @st.composite
 def separable_solids(draw):
     """Solid meshes as `build_mesh` makes them: 2D and 3D, Lagrange or
-    spline of degree 1-4 per direction, optional NURBS weights and
-    optional placement by origin and rotation."""
+    spline of degree 1-4 per direction and optional placement by origin
+    and rotation."""
     dim = draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lagrange = draw(st.booleans())
@@ -315,9 +308,6 @@ def separable_solids(draw):
     lo = rng.uniform(-2.0, 2.0, dim)
     extents = np.stack([lo, lo + rng.uniform(0.3, 3.0, dim)], axis=-1)
     kw = {}
-    if not lagrange and draw(st.booleans()):
-        kw["weights"] = [rng.uniform(0.5, 2.0, n + p)
-                         for n, p in zip(nelems, degrees)]
     if draw(st.booleans()):
         kw["origin"] = rng.uniform(-5.0, 5.0, dim)
         kw["rotation"] = random_rotation(rng, dim)
@@ -330,7 +320,7 @@ def separable_structures(draw):
     """Beams and plates on the net `build_mesh` makes: Euler-Bernoulli,
     Timoshenko (degree 1 with its one-point shear rule, and higher),
     Kirchhoff and Mindlin; Lagrange or spline of degree up to 4 per
-    direction, optional NURBS weights; beams placed at a frame angle."""
+    direction; beams placed at a frame angle."""
     kind = draw(st.sampled_from(
         ["timoshenko", "euler_bernoulli", "mindlin", "kirchhoff"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -344,9 +334,6 @@ def separable_structures(draw):
     lo = rng.uniform(-2.0, 2.0, dim)
     extents = np.stack([lo, lo + rng.uniform(0.3, 3.0, dim)], axis=-1)
     kw = {}
-    if not lagrange and draw(st.booleans()):
-        kw["weights"] = [rng.uniform(0.5, 2.0, n + p)
-                         for n, p in zip(nelems, degrees)]
     if beam:
         kw["phi"] = draw(st.sampled_from([0.0, 0.3, -1.1]))
         kw["origin"] = rng.uniform(-5.0, 5.0, 2)
@@ -595,7 +582,7 @@ def test_traction_force_equals_per_facet_loop(model, data):
 def test_edge_load_equals_per_facet_loop(kind, degree, nelems, axis, side,
                                          seed):
     degree = max(degree, 2) if kind == "kirchhoff" else degree
-    mesh = curve(build_mesh("plate", "lagrange" if degree == 1 else "spline",
+    mesh = place(build_mesh("plate", "lagrange" if degree == 1 else "spline",
                             degree, nelems, ((0.0, 1.0), (0.0, 1.5))), seed)
     model = PlateModel(mesh, MAT, kind)
     q = -2.5

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from mdfem.bspline import (
     SplineDir,
     _check_knots,
-    _rationalize,
     least_squares_project,
     make_open_knots,
 )
@@ -49,15 +48,11 @@ def naive_bspline(knots, p, i, x):
     return out
 
 
-def random_kv(seed, degree=3, nbreaks=5, rational=False):
+def random_kv(seed, degree=3, nbreaks=5):
     rng = np.random.default_rng(seed)
     breaks = np.sort(rng.uniform(0.0, 10.0, nbreaks))
     breaks[0], breaks[-1] = 0.0, 10.0
-    knots = make_open_knots(degree, breaks)
-    weights = None
-    if rational:
-        weights = rng.uniform(0.5, 2.0, knots.size - degree - 1)
-    return SplineDir(knots, degree, weights)
+    return SplineDir(make_open_knots(degree, breaks), degree)
 
 
 def oracle_project(kv, target):
@@ -125,7 +120,7 @@ class TestEvalBasis:
 
     def test_partition_of_unity_and_derivative_sums(self):
         for seed in range(5):
-            kv = random_kv(seed, degree=2 + seed % 3, rational=seed % 2 == 1)
+            kv = random_kv(seed, degree=2 + seed % 3)
             for x in np.linspace(0.0, 10.0, 17):
                 ders, _ = eval_basis(kv, x, nders=2)
                 assert_allclose(ders[0].sum(), 1.0, atol=1e-12)
@@ -156,18 +151,6 @@ class TestEvalBasis:
             assert_allclose(ders[1], fd1, rtol=1e-5, atol=1e-5)
             assert_allclose(ders[2], fd2, rtol=1e-3, atol=1e-3)
 
-    def test_rational_finite_difference(self):
-        kv = random_kv(11, degree=2, rational=True)
-        h = 1e-6
-        x = 4.2
-        d0m, _ = eval_basis(kv, x - h)
-        d0p, _ = eval_basis(kv, x + h)
-        ders, _ = eval_basis(kv, x, nders=2)
-        assert_allclose(ders[1], (d0p[0] - d0m[0]) / (2 * h), rtol=1e-5, atol=1e-6)
-        assert_allclose(
-            ders[2], (d0p[0] - 2 * ders[0] + d0m[0]) / h**2, rtol=1e-3, atol=1e-3
-        )
-
     def test_derivative_order_cap(self):
         kv = random_kv(0)
         with pytest.raises(DomainError):
@@ -178,16 +161,6 @@ class TestEvalBasis:
         ders, _ = eval_basis(kv, 0.5, nders=2)
         assert_allclose(ders[0], [1.0])
         assert_allclose(ders[1:], 0.0)
-
-    def test_quarter_circle_nurbs(self):
-        # Quadratic rational arc: exact circle x^2 + y^2 = 1.
-        kv = SplineDir(
-            np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), 2,
-            weights=np.array([1.0, np.sqrt(0.5), 1.0]),
-        )
-        ctrl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        xy = evaluate_spline(kv, ctrl, np.linspace(0, 1, 31))[:, 0]
-        assert_allclose(np.hypot(xy[:, 0], xy[:, 1]), 1.0, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,16 +182,15 @@ def test_partition_of_unity_property(degree, t, seed):
 @given(
     degree=st.integers(1, 4),
     nbreaks=st.integers(2, 6),
-    rational=st.booleans(),
     nders=st.integers(0, 2),
     seed=st.integers(0, 1000),
     data=st.data(),
 )
-def test_batched_basis_equals_stacked_single_points(degree, nbreaks, rational,
-                                                    nders, seed, data):
+def test_batched_basis_equals_stacked_single_points(degree, nbreaks, nders,
+                                                    seed, data):
     """One call over a batch of points equals one call per point, bit for
     bit, including points just outside the span (Newton iterates)."""
-    kv = random_kv(seed, degree=degree, nbreaks=nbreaks, rational=rational)
+    kv = random_kv(seed, degree=degree, nbreaks=nbreaks)
     e = data.draw(st.integers(0, kv.nelem - 1))
     span = span_index(kv, e)
     a, b = span_interval(kv, span)
@@ -243,18 +215,17 @@ def test_batched_basis_equals_stacked_single_points(degree, nbreaks, rational,
     degree=st.integers(0, 4),
     nbreaks=st.integers(2, 7),
     repeat=st.booleans(),
-    rational=st.booleans(),
     nders=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_eval_matches_the_knot_insertion_triangle(degree, nbreaks, repeat,
-                                                 rational, nders, seed, data):
+                                                 nders, seed, data):
     """`SplineDir.eval` (Horner steps on per-span Taylor tables) against
-    the knot-insertion triangle of `oracles.basis_ders`, with the same
-    quotient rule for NURBS weights: each derivative order within 1e-13
-    of its largest entry, on every span at once and at points up to 5 %
-    of the span outside it (the polynomial extension). At the span ends
+    the knot-insertion triangle of `oracles.basis_ders`: each derivative
+    order within 1e-13 of its largest entry, on every span at once and at
+    points up to 5 % of the span outside it (the polynomial extension).
+    At the span ends
     the entries the triangle gives as exact zeros are exact zeros: the
     coupling keeps only columns with a nonzero entry."""
     rng = np.random.default_rng(seed)
@@ -264,10 +235,7 @@ def test_eval_matches_the_knot_insertion_triangle(degree, nbreaks, repeat,
         k = rng.integers(1, nbreaks - 1)
         breaks = np.sort(np.concatenate(
             [breaks, np.full(rng.integers(1, degree), breaks[k])]))
-    weights = None
-    if rational:
-        weights = rng.uniform(0.5, 2.0, breaks.size + degree - 1)
-    kv = SplineDir(make_open_knots(degree, breaks), degree, weights)
+    kv = SplineDir(make_open_knots(degree, breaks), degree)
     npts = data.draw(st.integers(1, 12))
     e = rng.integers(0, kv.nelem, npts)
     a, b = kv.intervals()[e].T
@@ -279,8 +247,6 @@ def test_eval_matches_the_knot_insertion_triangle(degree, nbreaks, repeat,
     assert got.flags.c_contiguous
     span = kv.indices(e)[:, -1]
     want = basis_ders(kv.knots, degree, xs, span, nders)
-    if rational:
-        want = _rationalize(want, kv.weights[kv.indices(e)], nders)
     for k in range(nders + 1):
         scale = np.abs(want[:, k]).max()
         np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
@@ -330,7 +296,7 @@ class TestGreville:
 
 
 class TestKnotVectorValidation:
-    """`SplineDir` rejects knot vectors and weights it cannot carry."""
+    """`SplineDir` rejects knot vectors it cannot carry."""
 
     def test_not_clamped(self):
         with pytest.raises(ConfigError):
@@ -343,13 +309,6 @@ class TestKnotVectorValidation:
     def test_excess_multiplicity(self):
         with pytest.raises(ConfigError):
             SplineDir(np.array([0, 0, 1, 1, 2, 2], dtype=float), 1)
-
-    def test_bad_weights(self):
-        knots = make_open_knots(2, [0.0, 1.0])
-        with pytest.raises(ConfigError):
-            SplineDir(knots, 2, weights=np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            SplineDir(knots, 2, weights=np.array([1.0, 1.0]))
 
     def test_count_rule(self):
         # functions = spans + degree for simple interior knots
@@ -540,11 +499,10 @@ class TestLeastSquaresProject:
 
 class TestBatchedProjection:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(2, 8), st.booleans(),
-           st.integers(0, 2**32 - 1), st.integers(0, 2))
-    def test_equals_per_span_loop(self, degree, nbreaks, rational, seed,
-                                  ncomp):
-        kv = random_kv(seed, degree, nbreaks, rational)
+    @given(st.integers(1, 4), st.integers(2, 8), st.integers(0, 2**32 - 1),
+           st.integers(0, 2))
+    def test_equals_per_span_loop(self, degree, nbreaks, seed, ncomp):
+        kv = random_kv(seed, degree, nbreaks)
         c = np.random.default_rng(seed).standard_normal((4, max(ncomp, 1)))
 
         def target(y):
@@ -565,6 +523,6 @@ class TestBatchedProjection:
             return direct(*args)
 
         monkeypatch.setattr(SplineDir, "eval", counted)
-        kv = random_kv(3, degree=3, nbreaks=7, rational=True)
+        kv = random_kv(3, degree=3, nbreaks=7)
         least_squares_project(kv, lambda y: y * y)
         assert len(calls) == 1 and len(calls[0][2]) == 4 * kv.nelem

@@ -29,7 +29,7 @@ from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 from oracles import (coupling_matrices, lifted, local_matrices,
-                     local_numbering, locate_point, power_iteration_alpha,
+                     local_numbering, power_iteration_alpha,
                      solid_solve, solid_trace)
 
 
@@ -145,35 +145,6 @@ class TestBuildInterface:
         solid, _ = q4_bench_models()
         with pytest.raises(ConfigError, match="solid2d model has no section"):
             build_interface(solid, solid, axis=0, side=1)
-
-    def test_weighted_plate_partner_pairs_per_point(self):
-        """On a NURBS-weighted plate, whose directions map t to y by
-        curved 1D maps, every interface point pairs with the element and
-        parent point of the per-point oracle (a root finder per
-        direction), to 1e-10, and that point is the solid's."""
-        mat = Material(E=10.0, nu=0.3, thickness=1.0)
-        solid = SolidModel(
-            build_mesh("solid3d", "spline", 2, (2, 4, 1),
-                       ((0.0, 2.0), (0.0, 2.0), (0.0, 1.0))), mat)
-        weights = [np.array([1.0, 0.5, 2.0, 1.0, 1.0, 1.0]),
-                   np.array([1.0, 0.6, 1.5, 0.7, 1.0, 1.0])]
-        mesh = build_mesh("plate", "spline", 2, (4, 4),
-                          ((0.0, 4.0), (0.0, 2.0)), z_mid=0.5,
-                          weights=weights)
-        op = build_interface(solid, PlateModel(mesh, mat), axis=0, side=1)
-        p = op.points
-        phys = parent_data(solid.mesh, p.s_elem, p.s_parent)[3]
-        np.testing.assert_allclose(parent_data(mesh, p.b_elem,
-                                               p.b_parent)[3],
-                                   phys[:, :2], rtol=0, atol=1e-12)
-        for q, y in enumerate(phys[:, :2]):
-            e, xi = locate_point(mesh, y)
-            assert p.b_elem[q] == e
-            np.testing.assert_allclose(p.b_parent[q], xi, rtol=0,
-                                       atol=1e-10)
-        # The maps are curved: t = y would pair other points.
-        assert np.abs(mesh.local_to_parent(p.b_elem, phys[:, :2])
-                      - p.b_parent).max() > 1e-2
 
 
 def bending_state():

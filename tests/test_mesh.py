@@ -1,4 +1,5 @@
 """Mesh construction, mappings and facet quadrature."""
+import re
 import warnings
 from unittest import mock
 
@@ -17,7 +18,6 @@ from mdfem.mesh import (
     _det_inv,
     _element_data,
     build_mesh,
-    direction_tables,
     facet_rules,
     parent_data,
     quadrature_data,
@@ -100,8 +100,6 @@ _MALFORMED = {
     "nelems-3-of-2": ("nelems", ("solid2d", "spline", 2, (2, 2, 2), _UNIT),
                       {}),
     "nelems-str": ("nelems", ("beam", "spline", 2, "2", [(0, 1)]), {}),
-    "weights-1-of-2": ("weights", ("solid2d", "spline", 2, (2, 2), _UNIT),
-                       {"weights": [np.ones(4)]}),
     "beam-origin-3": ("origin", ("beam", "lagrange", 1, 2, [(0, 1)]),
                       {"origin": (0.0, 1.0, 2.0)}),
     "rotation-3x3-on-2d": ("rotation", ("solid2d", "lagrange", 1, (2, 2),
@@ -193,18 +191,13 @@ def test_greville_geometry_affine():
 
 
 def test_inverse_map_round_trip():
-    weights = [np.array([1.0, 0.6, 1.4, 1.0, 0.8]),
-               np.array([1.2, 0.7, 1.0, 1.3, 1.0])]
-    m = build_mesh("solid2d", "spline", 2, (3, 3), [(0, 3), (0, 3)],
-                   weights=weights)
+    m = build_mesh("solid2d", "spline", 2, (3, 3), [(0, 3), (0, 3)])
     target = np.array([0.3, -0.7])
     x = map_at(m, 4, target)[0][0]
-    # The weighted map is not the identity: t differs from y.
-    assert np.abs(m.parent_to_local(4, target)[0] - x).max() > 1e-2
     e, xi = m.locate(x)
     assert e == 4
     assert_allclose(xi, target, atol=1e-10)
-    # Polynomial directions: the closed-form inverse.
+    # The closed-form inverse.
     ma = build_mesh("solid2d", "lagrange", 1, (4, 4), [(0, 2), (0, 2)])
     e, xi = ma.locate(np.array([0.3, 0.15]))
     assert e == 0
@@ -253,8 +246,8 @@ def orthogonal(rng, shape, det):
 
 @st.composite
 def located_meshes(draw):
-    """Beams, plates and 2D and 3D solids of degree 1-4, NURBS-weighted or
-    not, solids placed (moved and rotated) or not."""
+    """Beams, plates and 2D and 3D solids of degree 1-4, solids placed
+    (moved and rotated) or not."""
     model = draw(st.sampled_from(sorted(MODEL_DIMS)))
     dim = MODEL_DIMS[model]
     degree = draw(st.integers(1, 4))
@@ -263,22 +256,19 @@ def located_meshes(draw):
         *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 10.0))] * dim))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kwargs = {}
-    if draw(st.booleans()):
-        kwargs["weights"] = [rng.uniform(0.5, 1.5, ne + degree)
-                             for ne in nelems]
     if model.startswith("solid") and draw(st.booleans()):
         kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
                       rotation=orthogonal(rng, (dim, dim), 1.0))
-    return build_mesh(model, "spline" if kwargs.get("weights") or degree > 1
-                      else "lagrange", degree, nelems, extents, **kwargs)
+    return build_mesh(model, "spline" if degree > 1 else "lagrange", degree,
+                      nelems, extents, **kwargs)
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=located_meshes(), data=st.data())
 def test_locate_inverts_the_map(m, data):
-    """The box point of (e, xi) locates to e and xi within 1e-10 inside
+    """The local point of (e, xi) locates to e and xi within 1e-10 inside
     the element, and to a point mapping back within 1e-10 on its faces; a
-    box point on an interior break goes to the element above it; an
+    point on an interior break goes to the element above it; an
     array call equals one call per row bit for bit; a point outside the
     box is a DomainError, alone or in an array."""
     npts = data.draw(st.integers(1, 6))
@@ -300,15 +290,13 @@ def test_locate_inverts_the_map(m, data):
         ei, xii = m.locate(y[i])
         assert ei == e[i]
         np.testing.assert_array_equal(xii, xif[i])
-    # A break in y: the knot itself on a polynomial direction, Y of the
-    # knot on the element above it on a weighted one.
+    # An interior knot goes to the element above it.
     k = data.draw(st.integers(0, m.dim - 1))
     d = m.dirs[k]
     if d.nelem > 1:
         i = data.draw(st.integers(1, d.nelem - 1))
-        t = d.intervals()[i:i + 1, :1]
         yb = y[:1].copy()
-        yb[0, k] = direction_tables(d, np.array([i]), t, 1)[1][0, 0]
+        yb[0, k] = d.intervals()[i, 0]
         eb, xib = m.locate(yb)
         assert m.element_grid_index(eb)[k] == i
         assert abs(xib[0, k] + 1.0) <= 1e-10
@@ -352,12 +340,11 @@ def test_quadrature_data_measure():
 @settings(max_examples=25, deadline=None)
 @given(model=st.sampled_from(("beam", "plate", "solid3d")),
        degree=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
-def test_linear_fields_have_zero_hessian_on_curved_maps(model, degree, seed):
+def test_linear_fields_have_zero_hessian_on_placed_maps(model, degree, seed):
     dim = {"beam": 1, "plate": 2, "solid3d": 3}[model]
-    # NURBS weights make each direction's map y(t) curved; the solid is
-    # also rotated.
+    # The solid is moved and rotated.
     rng = np.random.default_rng(seed)
-    kwargs = {"weights": [rng.uniform(0.5, 1.5, 3 + degree)] * dim}
+    kwargs = {}
     if model == "solid3d":
         kwargs.update(origin=rng.uniform(-2.0, 2.0, 3),
                       rotation=orthogonal(rng, (3, 3), 1.0))
@@ -383,13 +370,8 @@ def test_facet_strip_clipping():
     m = build_mesh("solid2d", "lagrange", 1, (4, 8), [(0, 4), (0, 8)])
     total = facet_rules(m, 0, +1, 3, strip=[(2.5, 5.5)])[3].sum()
     assert_allclose(total, 3.0, rtol=1e-12)
-    # A strip is in box coordinates, also where a weighted direction's
-    # map y(t) is curved: the facets cover y in [0.5, 1.5] (its rational
-    # measure integrates to round-off on 16 points).
-    weights = [np.array([1.0, 0.5, 2.0, 1.0, 1.0, 1.0]),
-               np.array([1.0, 0.6, 1.5, 0.7, 1.0, 1.0])]
-    m = build_mesh("solid2d", "spline", 2, (4, 4), [(0, 4), (0, 2)],
-                   weights=weights)
+    # On a spline mesh too, the facets cover the strip's local [0.5, 1.5].
+    m = build_mesh("solid2d", "spline", 2, (4, 4), [(0, 4), (0, 2)])
     _, _, phys, w, _, _ = facet_rules(m, 0, +1, 16, strip=[(0.5, 1.5)])
     assert_allclose(w.sum(), 1.0, rtol=1e-13)
     assert 0.5 < phys[:, 1].min() < 0.51 and 1.49 < phys[:, 1].max() < 1.5
@@ -438,8 +420,7 @@ def test_reflecting_or_singular_rotation_is_rejected_at_build(dim):
 
 @st.composite
 def face_meshes(draw):
-    """Small 2D and 3D solids (placed or not) and plates, NURBS-weighted
-    or not."""
+    """Small 2D and 3D solids (placed or not) and plates."""
     model = draw(st.sampled_from(("solid2d", "solid3d", "plate")))
     dim = 3 if model == "solid3d" else 2
     degree = draw(st.integers(1, 3))
@@ -448,14 +429,11 @@ def face_meshes(draw):
         *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 20.0))] * dim))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kwargs = {}
-    if draw(st.booleans()):
-        kwargs["weights"] = [rng.uniform(0.5, 1.5, ne + degree)
-                             for ne in nelems]
     if model != "plate" and draw(st.booleans()):
         kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
                       rotation=orthogonal(rng, (dim, dim), 1.0))
-    return build_mesh(model, "spline" if kwargs.get("weights") or degree > 1
-                      else "lagrange", degree, nelems, extents, **kwargs)
+    return build_mesh(model, "spline" if degree > 1 else "lagrange", degree,
+                      nelems, extents, **kwargs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -463,9 +441,7 @@ def face_meshes(draw):
 def test_facet_rules_equal_per_facet_enumeration(m, data):
     """The face's facets are the reference enumeration's, and each facet's
     parent points are the tensor rule on its clipped intervals, placed on
-    the face, bit for bit (to 1e-12 where a weighted direction takes the
-    strip to local coordinates by another root finder). Points, normals
-    and weights match the map of
+    the face, bit for bit. Points, normals and weights match the map of
     the control net (`element_map`) to 1e-12: the normal is side J^-T
     e_axis normalised, the measure |det J| |J^-T e_axis| per unit of the
     rule's parent weight."""
@@ -499,11 +475,7 @@ def test_facet_rules_equal_per_facet_enumeration(m, data):
         want = np.full((nq, m.dim), float(side))
         pts, wts = tensor_rule(clips, npts)
         want[:, free] = pts
-        if strip is not None and any(m.dirs[k].weights is not None
-                                     for k in free):
-            assert_allclose(parent[q], want, rtol=0.0, atol=1e-12)
-        else:
-            np.testing.assert_array_equal(parent[q], want)
+        np.testing.assert_array_equal(parent[q], want)
         x, J = map_at(m, e, parent[q])
         assert_allclose(phys[q], x, rtol=0.0, atol=1e-12 * scale)
         grad = side * np.linalg.inv(J)[:, axis, :]
@@ -613,18 +585,39 @@ def test_element_containing_rejects_a_nan_coordinate(points, k):
         sample_points(model, np.zeros(model.ndof), points)
 
 
+@pytest.mark.parametrize("points, shape", [
+    ([[0.5, 0.5, 7.0]], "(1, 3)"), ([[0.5]], "(1, 1)"),
+    ([0.5, 0.5, 0.5], "(3,)"), (0.5, "()"),
+    (np.full((2, 2, 2), 0.5), "(2, 2, 2)")])
+def test_locate_rejects_points_of_another_dimension(points, shape):
+    """A point must carry one local coordinate per mesh direction: a third
+    coordinate on a 2D mesh is not dropped, and a missing one is not an
+    IndexError; the message names both sizes."""
+    mesh = build_mesh("solid2d", "spline", 2, (2, 2), [(0, 1), (0, 1)])
+    msg = (r"^expected points of 2 local coordinates each, got shape "
+           + re.escape(shape) + "$")
+    for call in (mesh.locate, mesh.element_containing):
+        with pytest.raises(DomainError, match=msg):
+            call(points)
+
+
+def test_locate_takes_a_beam_point_as_a_scalar_or_a_tuple():
+    mesh = build_mesh("beam", "spline", 2, 4, [(0.0, 8.0)])
+    for point in (5.0, (5.0,), np.array([5.0])):
+        e, xi = mesh.locate(point)
+        assert e == 2 and isinstance(e, int)
+        assert_allclose(xi, [0.0], atol=1e-15)
+
+
 @settings(max_examples=60, deadline=None)
-@given(basis=st.sampled_from(("lagrange", "spline", "nurbs")),
+@given(basis=st.sampled_from(("lagrange", "spline")),
        degree=st.integers(1, 4), ne=st.integers(1, 8), nders=st.integers(0, 2),
        npts=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_direction_element_array_equals_per_element_calls(
         basis, degree, ne, nders, npts, seed):
     rng = np.random.default_rng(seed)
     degree = 1 if basis == "lagrange" else degree
-    weights = ([rng.uniform(0.5, 1.5, ne + degree)] if basis == "nurbs"
-               else None)
-    d = build_mesh("beam", "lagrange" if basis == "lagrange" else "spline",
-                   degree, ne, [(-1.0, 2.0)], weights=weights).dirs[0]
+    d = build_mesh("beam", basis, degree, ne, [(-1.0, 2.0)]).dirs[0]
     e = rng.integers(0, ne, npts)
     a, b = d.intervals()[e].T
     # Includes values just outside the span (Newton iterates).
@@ -660,12 +653,6 @@ def test_one_basis_call_per_direction(model, basis, degree, monkeypatch):
     calls.clear()
     quadrature_data(m, np.arange(m.nelem), nders=2)
     assert len(calls) == m.dim
-
-
-def test_weights_rejected_on_lagrange_meshes():
-    with pytest.raises(ConfigError, match="weights"):
-        build_mesh("solid2d", "lagrange", 1, (2, 2), [(0, 1), (0, 1)],
-                   weights=[np.ones(3), np.ones(3)])
 
 
 @pytest.mark.parametrize("nders", [0, 3])
@@ -735,8 +722,8 @@ def test_det_inv_matches_lapack(dim, n, det, seed):
 
 @st.composite
 def mapped_meshes(draw):
-    """Beams, plates and 2D and 3D solids of degree 1-3, NURBS-weighted or
-    not, solids rotated or not."""
+    """Beams, plates and 2D and 3D solids of degree 1-3, solids rotated or
+    not."""
     model = draw(st.sampled_from(sorted(MODEL_DIMS)))
     dim = MODEL_DIMS[model]
     degree = draw(st.integers(1, 3))
@@ -745,9 +732,6 @@ def mapped_meshes(draw):
         *[st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 10.0))] * dim))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kwargs = {}
-    if degree > 1 and draw(st.booleans()):
-        kwargs["weights"] = [rng.uniform(0.5, 1.5, ne + degree)
-                             for ne in nelems]
     if model.startswith("solid") and draw(st.booleans()):
         kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
                       rotation=orthogonal(rng, (dim, dim), 1.0))

@@ -601,19 +601,19 @@ MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
 
 # kind -> (mesh model, allowed bases, degree range, model factory)
 KINDS = {
-    "timoshenko-linear": ("beam", ("lagrange", "spline", "nurbs"), (1, 1),
+    "timoshenko-linear": ("beam", ("lagrange", "spline"), (1, 1),
                           lambda m: BeamModel(m, MAT)),
-    "timoshenko-cubic": ("beam", ("spline", "nurbs"), (3, 3),
+    "timoshenko-cubic": ("beam", ("spline",), (3, 3),
                          lambda m: BeamModel(m, MAT)),
-    "euler-bernoulli": ("beam", ("spline", "nurbs"), (2, 3),
+    "euler-bernoulli": ("beam", ("spline",), (2, 3),
                         lambda m: BeamModel(m, MAT, "euler_bernoulli")),
-    "mindlin": ("plate", ("lagrange", "spline", "nurbs"), (1, 3),
+    "mindlin": ("plate", ("lagrange", "spline"), (1, 3),
                 lambda m: PlateModel(m, MAT, "mindlin")),
-    "kirchhoff": ("plate", ("spline", "nurbs"), (2, 3),
+    "kirchhoff": ("plate", ("spline",), (2, 3),
                   lambda m: PlateModel(m, MAT, "kirchhoff")),
-    "solid2d": ("solid2d", ("lagrange", "spline", "nurbs"), (1, 3),
+    "solid2d": ("solid2d", ("lagrange", "spline"), (1, 3),
                 lambda m: SolidModel(m, MAT)),
-    "solid3d": ("solid3d", ("lagrange", "spline", "nurbs"), (1, 2),
+    "solid3d": ("solid3d", ("lagrange", "spline"), (1, 2),
                 lambda m: SolidModel(m, MAT)),
 }
 
@@ -629,15 +629,8 @@ def cut_models(draw):
                            min_size=dim, max_size=dim))
     lengths = draw(st.lists(st.floats(0.5, 4.0), min_size=dim,
                             max_size=dim))
-    weights = None
-    if basis == "nurbs":
-        weights = [np.array(draw(st.lists(st.floats(0.5, 2.0),
-                                          min_size=n + degree,
-                                          max_size=n + degree)))
-                   for n in nelems]
-    mesh = build_mesh(model, "lagrange" if basis == "lagrange" else "spline",
-                      degree, nelems, [(0.0, h) for h in lengths],
-                      weights=weights)
+    mesh = build_mesh(model, basis, degree, nelems,
+                      [(0.0, h) for h in lengths])
     bounds = []
     for n, h in zip(nelems, lengths):
         # Ends just off an element boundary leave slivers no rule sees.

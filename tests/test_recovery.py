@@ -2,9 +2,8 @@
 per-point and full-space oracles kept in this file.
 
 `oracle_sample` locates one point at a time (`oracles.locate_point`: a
-root finder per weighted direction, then a scan of the element intervals
-in parameter space, a value on an interior knot belonging to the element
-it opens) and recovers it through the scalar-element API. `full_space_alpha` is the power iteration on
+scan of the element intervals, a value on an interior knot belonging to
+the element it opens) and recovers it through the scalar-element API. `full_space_alpha` is the power iteration on
 K~^-1 H over all free DOFs, one sparse solve per step.
 """
 import json
@@ -23,7 +22,7 @@ from mdfem.cli import main
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
 from mdfem.errors import ConvergenceError, DomainError
-from mdfem.mesh import build_mesh, parent_data
+from mdfem.mesh import build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from oracles import element_interval, locate_point
@@ -47,20 +46,12 @@ def oracle_sample(model, a, pts):
     return np.array(us), np.array(ss)
 
 
-def _weights(nelems, degrees, rng):
-    """Unequal weights: each direction's map y(t) is curved."""
-    return [rng.uniform(0.6, 1.4, n + p) for n, p in zip(nelems, degrees)]
-
-
 def _solid(dim, basis, rng):
     nelems = tuple(rng.integers(1, 4, dim))
     degrees = (1,) * dim if basis == "lagrange" else tuple(
         rng.integers(1, 4 if dim == 2 else 3, dim))
-    weights = _weights(nelems, degrees, rng) if basis == "nurbs" else None
     extents = [(-1.0, 2.0), (0.5, 1.5), (0.0, 0.7)][:dim]
-    mesh = build_mesh(f"solid{dim}d", "lagrange" if basis == "lagrange"
-                      else "spline", degrees, nelems, extents,
-                      weights=weights)
+    mesh = build_mesh(f"solid{dim}d", basis, degrees, nelems, extents)
     return SolidModel(mesh, MAT)
 
 
@@ -71,29 +62,25 @@ def _beam(theory, basis, phi, rng):
     return BeamModel(mesh, MAT, theory=theory)
 
 
-def _plate(theory, rng, weighted=False):
+def _plate(theory, rng):
     degree = int(rng.integers(2, 4))
     nelems = tuple(rng.integers(1, 4, 2))
-    weights = _weights(nelems, (degree,) * 2, rng) if weighted else None
     mesh = build_mesh("plate", "spline", degree, nelems,
-                      ((0.0, 2.0), (1.0, 2.5)), z_mid=0.3, weights=weights)
+                      ((0.0, 2.0), (1.0, 2.5)), z_mid=0.3)
     return PlateModel(mesh, MAT, theory=theory)
 
 
 MODELS = {
     "solid2d-lagrange": lambda rng: _solid(2, "lagrange", rng),
     "solid2d-spline": lambda rng: _solid(2, "spline", rng),
-    "solid2d-nurbs": lambda rng: _solid(2, "nurbs", rng),
     "solid3d-lagrange": lambda rng: _solid(3, "lagrange", rng),
     "solid3d-spline": lambda rng: _solid(3, "spline", rng),
-    "solid3d-nurbs": lambda rng: _solid(3, "nurbs", rng),
     "timoshenko": lambda rng: _beam("timoshenko", "lagrange", 0.0, rng),
     "timoshenko-rotated": lambda rng: _beam("timoshenko", "spline", 0.7, rng),
     "euler-bernoulli": lambda rng: _beam("euler_bernoulli", "spline", 0.0,
                                          rng),
     "mindlin": lambda rng: _plate("mindlin", rng),
     "kirchhoff": lambda rng: _plate("kirchhoff", rng),
-    "kirchhoff-nurbs": lambda rng: _plate("kirchhoff", rng, weighted=True),
     "nonconforming-plate": lambda rng: NonconformingModel(
         _plate("mindlin", rng), OverlapRegion(((-INF, 0.9), (-INF, INF)))),
     "nonconforming-beam": lambda rng: NonconformingModel(
@@ -127,12 +114,6 @@ def test_sample_points_matches_per_point_oracle(kind, seed, npts):
     pts = sample_set(model.mesh, rng, npts)
     u, s = bench.sample_points(model, a, pts)
     want_u, want_s = oracle_sample(model, a, pts)
-    if "nurbs" in kind:
-        # Two root finders: t, and so the values, agree to round-off.
-        for got, want in ((u, want_u), (s, want_s)):
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=1e-10 * np.abs(want).max())
-        return
     np.testing.assert_array_equal(u, want_u)
     np.testing.assert_array_equal(s, want_s)
 
@@ -327,20 +308,3 @@ def test_bench_all_hands_results_to_later_cases(tmp_path, monkeypatch):
     for name in ("config.json", "metrics.csv"):
         assert (tmp_path / "all" / "snk" / name).read_bytes() == (
             tmp_path / "one" / "snk" / name).read_bytes()
-
-
-def test_sample_points_reads_weighted_meshes_at_their_points():
-    """Unequal NURBS weights: local (0.3, 0.6) is read where the map puts
-    it, not at the parameter t = (0.3, 0.6), which the map moves by more
-    than 0.03."""
-    mesh = build_mesh("solid2d", "spline", 2, (2, 2), ((0.0, 1.0),) * 2,
-                      weights=[[1.0, 0.6, 1.4, 1.0], [1.0, 1.3, 0.7, 1.0]])
-    x = np.array([[0.3, 0.6]])
-    e = mesh.element_containing(x)
-    assert np.abs(parent_data(mesh, e, mesh.local_to_parent(e, x))[3]
-                  - x).max() > 0.03
-    model = SolidModel(mesh, MAT)
-    # The field u = y: nodal values are the Greville abscissae.
-    a = mesh.nodes.ravel()
-    u, _ = bench.sample_points(model, a, x)
-    np.testing.assert_allclose(u, x, rtol=0, atol=1e-12)

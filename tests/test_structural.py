@@ -563,14 +563,13 @@ def test_recover_prolongs_once(monkeypatch, make):
     assert len(calls) == 1
 
 
-def test_point_load_is_placed_by_a_weighted_map():
-    """The load's first moment places it: sum_a f_a g_a = Y(t) = x, at
-    x = 5 on the grid net and on a NURBS-weighted beam, where the
-    parameter t of x = 5 is not 5."""
+def test_point_load_is_placed_by_its_first_moment():
+    """The load's first moment places it: sum_a f_a g_a = x, at x = 5 on
+    a grid net and on a placed one (moved and turned)."""
     mat = Material(E=3.0e7, nu=0.3, thickness=6.0)
-    weights = [np.array([1.0, 0.6, 1.4, 1.0, 0.8, 1.0])]
     for mesh in (beam_mesh(2, 4, 24.0), beam_mesh(2, 4, 24.0,
-                                                  weights=weights)):
+                                                  origin=(1.0, -2.0),
+                                                  phi=0.4)):
         f = BeamModel(mesh, mat).point_load(5.0, (0.0, 1.0, 0.0))
         assert f[1::3] @ mesh.nodes[:, 0] == pytest.approx(5.0, rel=1e-12)
         assert f[1::3].sum() == pytest.approx(1.0, rel=1e-14)
