@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from .errors import ConfigError
-from .mesh import (Mesh, direction_tables, element_batches, facet_rules,
-                   gauss_rule, live_shapes, parent_data, quadrature_data)
+from .mesh import (Mesh, direction_tables, facet_rules, gauss_rule,
+                   live_shapes, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -204,9 +204,9 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
 
 def stiffness_separable(mesh: Mesh, form, boxes):
     """Upper triangles U of the matrices U + U^T - diag(U) of a stiffness
-    ``form`` (as `stiffness_quadrature` takes it) over the element
-    ``boxes`` of `Mesh.element_boxes`: one canonical BSR per box on all
-    the mesh's DOFs, of node blocks (i, j), j >= i, diagonal ones upper.
+    ``form`` (as `part_form` gives it) over the element ``boxes`` of
+    `Mesh.element_boxes`: one canonical BSR per box on all the mesh's
+    DOFs, of node blocks (i, j), j >= i, diagonal ones upper.
 
     The map is x = origin + A t, so a jet in x combines jets in the local
     coordinates t (`_jet_map`), and P_ab in t over a box is the
@@ -214,42 +214,39 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     matrices int B^(a_k) B^(b_k) dt_k over the box's elements, on the
     functions they support (`_band_1d`), upper with the slowest direction
     A: strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
-    tables are evaluated once per part and direction (`_tables_1d`); one
-    GEMM per part and box with D gives the node blocks.
+    tables are evaluated once per part and direction (`_tables_1d`). The
+    parts share the band pattern, so their jet pairs (a, b) ride side by
+    side on the values' trailing axis: one product per box, and one GEMM
+    with the parts' D stacked gives the node blocks.
     """
     _, _, G, det = mesh.placement
     T, m = _jet_map(G), jets(mesh.dim)
-    parts = []
-    for D, npts in form:
+    idx, mats, Dab = [None] * mesh.dim, [[] for _ in mesh.dirs], []
+    for D, npts, cover in form:
         D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
         nders = 2 if used[-1] > mesh.dim else 1
-        mats = []
-        for d in mesh.dirs:
-            idx, w, tab = _tables_1d(d, npts or d.degree + 1, nders)
-            mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", w, tab, tab)))
-        parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
+        for k, (d, c) in enumerate(zip(mesh.dirs,
+                                       cover or (None,) * mesh.dim)):
+            idx[k], w, tab = _tables_1d(d, npts or d.degree + 1, nders, c)
+            mats[k].append(np.einsum("eq,eqai,eqbj->eijab", w, tab, tab)[
+                ..., m[a, k], m[b, k]])
+        Dab.append(D[:, a, :, b].reshape(a.size, -1))
+    mats, Dab = [np.concatenate(mk, axis=-1) for mk in mats], np.vstack(Dab)
     nc, Ks = form[0][0].shape[0], []
     for box in boxes:
-        vals, sb = [], None  # the last product's b starts, every part's
-        for mats, ma, mb, Dab in parts:
-            P, nodes, n = (), np.zeros(1, dtype=int), 1
-            for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
-                                                         box)):
-                last = k == mesh.dim - 1
-                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask, last)
-                band = ptr, col, val[:, ma[:, k], mb[:, k]]
-                if P and last and sb is None:
-                    sb = _upper_starts(P[0], P[1], nodes)
-                P = _kron_csr(*band, P[0], sb if last else P[0][:-1],
-                              *P[1:], n) if P else band
-                nodes = (n * live[:, None] + nodes).ravel()
-                n *= d.n
-            vals.append(P[2] @ Dab)
+        P, nodes, n = (), np.zeros(1, dtype=int), 1
+        for k, (d, mk, mask) in enumerate(zip(mesh.dirs, mats, box)):
+            last = k == mesh.dim - 1
+            band, live = _band_1d(d.n, idx[k], mk, mask, last)
+            P = _kron_csr(*band, P[0], _upper_starts(P[0], P[1], nodes)
+                          if last else P[0][:-1], *P[1:], n) if P else band
+            nodes = (n * live[:, None] + nodes).ravel()
+            n *= d.n
         # The box's rows are the mesh nodes ``nodes``, each led by its
         # diagonal block; other rows are empty.
-        blocks = sum(vals[1:], vals[0]).reshape(-1, nc, nc)
+        blocks = (P[2] @ Dab).reshape(-1, nc, nc)
         blocks[P[0][:-1]] = np.triu(blocks[P[0][:-1]])
         ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
         ptr[nodes + 1] = np.diff(P[0])
@@ -266,14 +263,16 @@ def _jet_map(G):
     return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
 
 
-def _tables_1d(d, npts, nders):
+def _tables_1d(d, npts, nders, cover):
     """Gauss tables of direction ``d`` on its ``npts``-point rule: ``(idx,
     w, tab)``, the functions of each element ``(nelem, p + 1)``, the
-    weights ``(nelem, npts)`` and the basis derivatives of order <=
-    ``nders`` (`mesh.direction_tables`), ``(nelem, npts, nders + 1, p +
-    1)``."""
+    weights ``(nelem, npts)``, zero at points outside ``cover`` (lo, hi)
+    if given, and the basis derivatives of order <= ``nders``
+    (`mesh.direction_tables`), ``(nelem, npts, nders + 1, p + 1)``."""
     el = np.arange(d.nelem)
     t, w, _ = tensor_rules([d.intervals()], [el], [npts])
+    if cover is not None:
+        w = np.where((cover[0] < t[..., 0]) & (t[..., 0] < cover[1]), w, 0.0)
     return d.indices(el), w, direction_tables(d, el, t[..., 0], nders)
 
 
@@ -298,22 +297,38 @@ def _band_1d(n, idx, mats, mask, upper):
              band[keep]), np.flatnonzero(live))
 
 
-def load_separable(mesh: Mesh, boxes):
-    """int N dx of every node over the element ``boxes`` of
-    `Mesh.element_boxes`, on the standard Gauss rule. Over a box it is the
-    outer product over directions of int B dt over the box's elements
-    (`_tables_1d`), times det A."""
-    tabs = [_tables_1d(d, d.degree + 1, 1) for d in mesh.dirs]
+def load_separable(mesh: Mesh, form, boxes):
+    """int s N dx of every node over the element ``boxes`` of
+    `Mesh.element_boxes`, summed over the parts of ``form`` (`part_form`,
+    a number s for D). Over a box it is the outer product over directions
+    of int B dt over the box's elements (`_tables_1d`), times s det A."""
     out = np.zeros(mesh.nnodes)
-    for box in boxes:
-        f = np.full(1, mesh.placement[3])
-        for d, (idx, w, tab), mask in zip(mesh.dirs, tabs, box):
-            g = np.zeros(d.n)
-            np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", w[mask],
-                                              tab[mask, :, 0]))
-            f = np.multiply.outer(g, f).ravel()  # new direction slowest
-        out += f
+    for s, npts, cover in form:
+        tabs = [_tables_1d(d, npts or d.degree + 1, 1, c) for d, c in
+                zip(mesh.dirs, cover or (None,) * mesh.dim)]
+        for box in boxes:
+            f = np.full(1, s * mesh.placement[3])
+            for d, (idx, w, tab), mask in zip(mesh.dirs, tabs, box):
+                g = np.zeros(d.n)
+                np.add.at(g, idx[mask], np.einsum("eq,eqi->ei", w[mask],
+                                                  tab[mask, :, 0]))
+                f = np.multiply.outer(g, f).ravel()  # new direction slowest
+            out += f
     return out
+
+
+def part_form(form, rule):
+    """A model's stiffness ``form`` on a `Model.parts` entry of ``rule``
+    as ``(D, npts, cover)`` parts, each on its npts-point rule with zero
+    weight outside the box ``cover`` (None: all kept). The standard rule
+    (None) keeps the form's parts. The cut rule ``(npts, bounds)`` of
+    `integrate_cut` weighs a point prod_k w_k - prod_k w_k c_k, c_k = 1
+    where ``bounds`` covers it in direction k: the summed D on the
+    npts-point rule, and -D on that rule with cover ``bounds``."""
+    if rule is None:
+        return [(D, npts, None) for D, npts in form]
+    D = sum(D for D, _ in form)
+    return [(D, rule[0], None), (-D, *rule)]
 
 
 def _upper_starts(ptr, col, rows):
@@ -356,8 +371,8 @@ class Model:
     @property
     def parts(self):
         """``[(elements, rule)]``: the first on the standard Gauss rule
-        (None), any other on ``(local, wts)`` rows per element as
-        `mesh.quadrature_data` takes them. Here one, every element."""
+        (None), any other on a cut rule (`part_form`). Here one, every
+        element."""
         return [(np.arange(self.mesh.nelem), None)]
 
     def element_dofs(self, e):
@@ -370,16 +385,6 @@ class Model:
             at[el] = i
         return at[elems]
 
-    def batches(self, width):
-        """``(elements, rule)`` of the explicit-rule `parts` (all but the
-        first, which `stiffness_separable` and `load_separable` integrate)
-        in `mesh.element_batches` runs of ``width * max(width, nq * dim)``
-        entries an element, nq its rule's points, a rule cut to its rows."""
-        for elems, (local, wts) in self.parts[1:]:
-            for rows in element_batches(np.arange(len(elems)), width * max(
-                    width, wts.shape[1] * self.mesh.dim)):
-                yield elems[rows], (local[rows], wts[rows])
-
     def element_load(self, e, values, quadrature=None):
         """Consistent load of constant ``values`` (one per nodal unknown)
         per unit measure of element ``e``, or one row per element of an
@@ -389,24 +394,16 @@ class Model:
             np.asarray(values, dtype=float), self.ncomp_node)).reshape(
                 w.shape[:-1] + (-1,))
 
-    def element_sum(self, values, kernel):
+    def element_sum(self, values):
         """The load of constant ``values`` (one per nodal unknown) per unit
-        measure over `parts`. The standard-rule part comes from 1D
-        integrals over its grid boxes (`load_separable`), every other part
-        from the element rows ``kernel(elements, rule)`` over `batches`,
-        summed once in element order."""
+        measure over `parts`, each from 1D integrals over its grid boxes
+        (`load_separable` of its `part_form`)."""
         mesh = self.mesh
-        values = np.reshape(np.asarray(values, dtype=float), self.ncomp_node)
-        out = np.zeros((mesh.nnodes, self.ncomp_node))
-        out += np.multiply.outer(
-            load_separable(mesh, mesh.element_boxes(self.parts[0][0])), values)
-        rows = [(el, kernel(el, rule)) for el, rule in self.batches(mesh.nen)]
-        if rows:
-            el, fe = (np.concatenate(r) for r in zip(*rows))
-            order = np.argsort(el, kind="stable")
-            np.add.at(out.reshape(-1), self.element_dofs(el[order]),
-                      fe[order])
-        return out.reshape(-1)
+        f = sum((load_separable(mesh, part_form([(1.0, None)], rule),
+                                mesh.element_boxes(el))
+                 for el, rule in self.parts if el.size), np.zeros(mesh.nnodes))
+        return np.multiply.outer(f, np.reshape(np.asarray(
+            values, dtype=float), self.ncomp_node)).reshape(-1)
 
     def face_load(self, axis, side, values, strip=None):
         """Consistent load of ``values`` per unit measure of a boundary face
@@ -475,8 +472,7 @@ class SolidModel(Model):
 
     def body_force(self, force) -> np.ndarray:
         """Consistent nodal load for a constant body force vector."""
-        return self.element_sum(
-            force, lambda el, rule: self.element_load(el, force, rule))
+        return self.element_sum(force)
 
     def traction_force(self, axis, side, traction, strip=None) -> np.ndarray:
         """Consistent nodal load for a traction on a boundary face, a

@@ -8,7 +8,9 @@ covered points weigh zero, and a CUT element no point of that rule
 survives on is dropped too. Basis functions with (almost) no support left
 are pinned to zero. `NonconformingModel` states that as its `parts`, the
 element lists each stiffness and load of the wrapped model integrates, so
-assembly, loads and coupling treat it as any model.
+assembly, loads and coupling treat it as any model. The region is a box,
+so the cut rule factors per direction, and CUT elements too are
+integrated from 1D tables: the full rule minus its covered points.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ def integrate_cut(mesh, elems, region: OverlapRegion, ncut: int):
     Returns ``(local, wts)`` of shapes ``(E, ncut**dim, dim)`` and
     ``(E, ncut**dim)``: each element's ncut-point tensor Gauss rule, with
     weight 0 on every point the region covers. Weights stay
-    pre-jacobian, so a row plugs directly into any
-    ``element_stiffness(e, quadrature=...)`` kernel; an all-zero row is
-    an element whose surviving sliver no point resolves. As in
-    `classify`, covering flags per direction combine by outer product.
+    pre-jacobian (`mesh.quadrature_data`); an all-zero row is an element
+    whose surviving sliver no point resolves. As in `classify`, covering
+    flags per direction combine by outer product. Assembly integrates
+    the same rule from 1D tables (`elasticity.part_form`).
     ``ncut`` is an integer >= 1 (a bool is not), else a ConfigError.
     """
     if (isinstance(ncut, bool) or not isinstance(ncut, Integral)
@@ -129,15 +131,15 @@ class NonconformingModel:
     """Structural model with the part covered by a solid region removed.
 
     Its `parts` are the STANDARD elements on the standard rule, then the
-    CUT elements on their `integrate_cut` rows; VOID elements are in
-    none. A CUT element whose row is all zero (a sliver below the rule
-    resolution) is relabelled VOID once the pinned nodes are known.
-    Basis functions with (almost) no support left are listed in
-    `inactive_dofs`, which the assembler pins. The inner model's methods
-    and properties run with the wrapper as ``self``, so its stiffness and
-    loads integrate the wrapper's `parts`: the STANDARD part from 1D
-    tables over at most ``dim`` grid boxes (`Mesh.element_boxes`), and
-    only the CUT rows by quadrature.
+    CUT elements on the `integrate_cut` rule, ``(ncut, region.bounds)``;
+    VOID elements are in none. A CUT element whose `integrate_cut` row is
+    all zero (a sliver below the rule resolution) is relabelled VOID once
+    the pinned nodes are known. Basis functions with (almost) no support
+    left are listed in `inactive_dofs`, which the assembler pins. The
+    inner model's methods and properties run with the wrapper as
+    ``self``, so its stiffness and loads integrate the wrapper's `parts`,
+    each from 1D tables over at most ``dim`` grid boxes
+    (`Mesh.element_boxes`).
     """
 
     def __init__(self, model, region: OverlapRegion, *,
@@ -152,7 +154,7 @@ class NonconformingModel:
         self.threshold = float(threshold)
         self.labels = classify(mesh, region)
         cut = np.nonzero(self.labels == CUT)[0]
-        local, wts = integrate_cut(mesh, cut, region, ncut)
+        _, wts = integrate_cut(mesh, cut, region, ncut)
         self.ncut = int(ncut)
         self.inactive_nodes = _deactivate(mesh, self.labels, wts,
                                           self.threshold)
@@ -162,7 +164,7 @@ class NonconformingModel:
         keep = wts.any(axis=1)
         self.labels[cut[~keep]] = VOID
         self.parts = [(np.nonzero(self.labels == STANDARD)[0], None),
-                      (cut[keep], (local[keep], wts[keep]))]
+                      (cut[keep], (self.ncut, region.bounds))]
 
     def __getattr__(self, name):
         # Private names are refused: a helper that the inner class's
@@ -176,4 +178,7 @@ class NonconformingModel:
 
     def pressure_load(self, p: float) -> np.ndarray:
         """The inner model's pressure load over the live parts."""
-        return type(self._model).pressure_load(self, p)
+        inner = type(self._model)
+        if not hasattr(inner, "pressure_load"):
+            raise ConfigError(f"a {inner.__name__} takes no pressure load")
+        return inner.pressure_load(self, p)

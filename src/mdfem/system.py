@@ -4,8 +4,8 @@ bulk + Nitsche terms, Dirichlet elimination, direct solve and reactions.
 DOF layout is block-wise per model in construction order, node-major and
 component-minor inside each block. The solve factors the pieces assembly
 makes (`Pieces`) and forms no global matrix: each model's node-block
-(BSR) matrix per grid box (`elasticity.stiffness_separable`) and CSR of
-its cut rows (one CSR in all with one DOF a node), and one coupling CSR
+(BSR) matrix per grid box (`elasticity.stiffness_separable`) of each of
+its parts (one CSR in all with one DOF a node), and one coupling CSR
 of each coupling's segment blocks, Kn + Kn^T + alpha Kst folded per
 segment (`_nitsche`). Each piece stores only U, its entries with column
 >= row (`_upper`; H for the alpha estimate stays whole), and K is
@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import mesh
 from .coupling import estimate_alpha
-from .elasticity import stiffness_separable
+from .elasticity import part_form, stiffness_separable
 from .errors import ConfigError, DefinitenessError, MdfemError, RankError
 
 
@@ -302,18 +302,13 @@ class System:
 
 
 def _model_pieces(m) -> list:
-    """One model's stiffness as pieces in its own DOF numbering: the
-    standard-rule part (the first of `Model.parts`) box by box
-    (`Mesh.element_boxes`) as node-block BSR from `stiffness_separable`,
-    then, if it has any, the explicit-rule (cut) rows summed over
-    `Model.batches` into CSR (`_add_runs`), all upper. With one DOF a node
+    """One model's stiffness as pieces in its own DOF numbering: each of
+    `Model.parts` box by box (`Mesh.element_boxes`) as upper node-block
+    BSR from `stiffness_separable` of its `part_form`. With one DOF a node
     a block is an entry, and the pieces are summed into one CSR."""
-    ps = stiffness_separable(m.mesh, m.stiffness_form(),
-                             m.mesh.element_boxes(m.parts[0][0]))
-    cut = _add_runs(sp.csr_matrix((m.ndof,) * 2), (_upper(m.element_dofs(
-        elems), m.element_stiffness(elems, rule)) for elems, rule in
-        m.batches(m.mesh.nen * m.ncomp_node)))
-    ps += [cut] if cut.nnz else []
+    form = m.stiffness_form()
+    ps = [K for el, rule in m.parts if el.size for K in stiffness_separable(
+        m.mesh, part_form(form, rule), m.mesh.element_boxes(el))]
     return [_csr_sum(ps, m.ndof)] if m.ncomp_node == 1 and len(ps) > 1 else ps
 
 

@@ -423,25 +423,29 @@ def separable_full(mesh, form, boxes, upper=False):
     matrices times D, as canonical BSR of node blocks. With ``upper``
     only the product's entries on node pairs (i, j), j >= i, are
     multiplied by D, and the diagonal blocks' strictly lower parts are
-    zeroed: its upper blocks, as BLAS computes them on those rows."""
+    zeroed: its upper blocks, as BLAS computes them on those rows. Each
+    part's product is built on its own; one GEMM takes them side by side
+    against the parts' D stacked, as the library's does."""
     _, _, G, det = mesh.placement
     T, m = _jet_map(G), jets(mesh.dim)
     parts = []
-    for D, npts in form:
+    for D, npts, cover in form:
         D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
         nders = 2 if used[-1] > mesh.dim else 1
         mats = []
-        for d in mesh.dirs:
-            idx, wdy, tab = _tables_1d(d, npts or d.degree + 1, nders)
+        for k, d in enumerate(mesh.dirs):
+            idx, wdy, tab = _tables_1d(d, npts or d.degree + 1, nders,
+                                       None if cover is None else cover[k])
             mats.append((idx, np.einsum("eq,eqai,eqbj->eijab", wdy, tab,
                                         tab)))
         parts.append((mats, m[a], m[b], D[:, a, :, b].reshape(a.size, -1)))
     nc, Ks = form[0][0].shape[0], []
+    Dab = np.vstack([part[3] for part in parts])
     for box in boxes:
         vals = []
-        for mats, ma, mb, Dab in parts:
+        for mats, ma, mb, _ in parts:
             P, nodes, n = (), np.zeros(1, dtype=int), 1
             for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
                                                          box)):
@@ -453,8 +457,8 @@ def separable_full(mesh, form, boxes, upper=False):
                 n *= d.n
             rows = np.repeat(nodes, np.diff(P[0]))
             keep = P[1] >= rows if upper else np.ones(rows.size, bool)
-            vals.append(P[2][keep] @ Dab)
-        blocks = sum(vals[1:], vals[0]).reshape(-1, nc, nc)
+            vals.append(P[2][keep])
+        blocks = (np.concatenate(vals, axis=1) @ Dab).reshape(-1, nc, nc)
         if upper:
             diag = P[1][keep] == rows[keep]
             blocks[diag] = np.triu(blocks[diag])

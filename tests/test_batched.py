@@ -20,7 +20,7 @@ from mdfem.elasticity import Material, SolidModel, constitutive_solid
 from mdfem.errors import OverDeactivationError
 from mdfem.mesh import build_mesh, facet_rules, gauss_rule, quadrature_data
 from mdfem.nonconforming import (CUT, VOID, NonconformingModel, OverlapRegion,
-                                 classify)
+                                 classify, integrate_cut)
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
@@ -205,16 +205,25 @@ def test_quadrature_data_batch_equals_per_element_rule(model, degree, nders,
             np.testing.assert_array_equal(c, b)
 
 
+def element_rules(model):
+    """``(e, quadrature)`` of every element in a part of ``model``: None
+    on the standard rule, its `integrate_cut` row on a cut rule ``(npts,
+    bounds)``."""
+    for elems, rule in model.parts:
+        rows = None if rule is None else integrate_cut(
+            model.mesh, elems, OverlapRegion(rule[1]), rule[0])
+        for i, e in enumerate(elems.tolist()):
+            yield e, None if rows is None else (rows[0][i], rows[1][i])
+
+
 def dense_bulk(system):
     """Per-element scatter into a dense K of the element matrix of every
     element in a part of its model, on its own row of the part's rule."""
     K = np.zeros((system.ndof, system.ndof))
     for m, off in zip(system.models, system.offsets):
-        for elems, rule in m.parts:
-            for i, e in enumerate(elems.tolist()):
-                quad = None if rule is None else (rule[0][i], rule[1][i])
-                d = off + m.element_dofs(e)
-                K[np.ix_(d, d)] += m.element_stiffness(e, quad)
+        for e, quad in element_rules(m):
+            d = off + m.element_dofs(e)
+            K[np.ix_(d, d)] += m.element_stiffness(e, quad)
     return K
 
 
@@ -246,28 +255,6 @@ def test_bulk_matrix_matches_dense_scatter():
     K = system.bulk_matrix()
     assert K.indices.dtype == np.int32 and K.has_canonical_format
     ref = dense_bulk(system)
-    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
-                               atol=1e-13 * np.abs(ref).max())
-
-
-def test_bulk_matrix_flushes_within_budget(monkeypatch):
-    system = nonconforming_system()
-    ref = system.bulk_matrix().toarray()
-    flushes = []
-    flush = mesh_mod.add_blocks
-
-    def counted(K, dofs, mats):
-        if dofs:
-            flushes.append(sum(Ke.size for Ke in mats))
-        return flush(K, dofs, mats)
-
-    # Below one cut plate element matrix (144 entries): each of the 7 cut
-    # elements is a batch of its own, flushed on its own.
-    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", 100)
-    monkeypatch.setattr(mesh_mod, "add_blocks", counted)
-    K = system.bulk_matrix()
-    assert flushes == [144] * 7
-    assert K.has_canonical_format
     np.testing.assert_allclose(K.toarray(), ref, rtol=0,
                                atol=1e-13 * np.abs(ref).max())
 
@@ -365,10 +352,8 @@ def dense_load(model, values):
     """Per-element sum of the consistent load of constant ``values`` per
     unit measure over every element in a part, on its own rule row."""
     f = np.zeros(model.ndof)
-    for elems, rule in model.parts:
-        for i, e in enumerate(elems.tolist()):
-            quad = None if rule is None else (rule[0][i], rule[1][i])
-            f[model.element_dofs(e)] += model.element_load(e, values, quad)
+    for e, quad in element_rules(model):
+        f[model.element_dofs(e)] += model.element_load(e, values, quad)
     return f
 
 
@@ -422,20 +407,31 @@ def test_separable_blocks_are_the_full_products_upper_blocks(model, data):
     """Each box's node blocks of `stiffness_separable` are the upper
     blocks (i, j), j >= i, of the whole Kronecker product
     (`oracles.separable_full`), bit for bit, the diagonal blocks'
-    strictly lower parts zero. The full product's blocks agree to
-    round-off (a GEMV on more rows may round its dot products apart)."""
-    mesh, form = model.mesh, model.stiffness_form()
+    strictly lower parts zero, on the standard rule or a cut rule. The
+    full product's blocks agree to round-off (a GEMV on more rows may
+    round its dot products apart) of the largest entry of a part's
+    product: every part of a model's form is positive semidefinite, so
+    that bounds the sum on the standard rule, and a cut part's terms
+    cancel down to what they leave uncovered."""
+    mesh = model.mesh
+    region = data.draw(overlap_boxes(mesh))
+    form = elasticity.part_form(model.stiffness_form(), None if region is None
+                                else (data.draw(st.integers(1, 6)),
+                                      region.bounds))
     boxes = data.draw(outer_product_cuts(mesh))
-    for K, ref, full in zip(elasticity.stiffness_separable(mesh, form, boxes),
-                            separable_full(mesh, form, boxes, upper=True),
-                            separable_full(mesh, form, boxes), strict=True):
+    terms = [separable_full(mesh, [part], boxes) for part in form]
+    for i, (K, ref, full) in enumerate(zip(
+            elasticity.stiffness_separable(mesh, form, boxes),
+            separable_full(mesh, form, boxes, upper=True),
+            separable_full(mesh, form, boxes), strict=True)):
         for name in ("indptr", "indices"):
             np.testing.assert_array_equal(getattr(K, name), getattr(ref, name))
         assert K.data.tobytes() == ref.data.tobytes()
         rows = np.repeat(np.arange(mesh.nnodes), np.diff(K.indptr))
         assert not np.tril(K.data[K.indices == rows], -1).any()
+        scale = max(abs(term[i]).max() for term in terms)
         np.testing.assert_allclose(K.toarray(), sp.triu(full).toarray(),
-                                   rtol=0, atol=1e-15 * abs(full).max())
+                                   rtol=0, atol=1e-15 * scale)
 
 
 @settings(max_examples=80, deadline=None)
@@ -488,9 +484,11 @@ def spy_element_load(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["solid", "mindlin"])
-def test_overlapped_model_sends_only_cut_rows_to_quadrature(monkeypatch,
-                                                            kind):
-    """Only live CUT rows take element matrices and element loads."""
+def test_overlapped_model_sends_nothing_to_quadrature(monkeypatch, kind):
+    """CUT elements are integrated from 1D tables as the STANDARD ones
+    are: no element matrix, no element load and no element block sum,
+    not even with a triplet budget below one element matrix (144
+    entries), yet the per-element sums on each part's rule rows."""
     if kind == "solid":
         mesh = build_mesh("solid2d", "spline", 2, (6, 5),
                           ((0.0, 6.0), (0.0, 5.0)))
@@ -502,23 +500,23 @@ def test_overlapped_model_sends_only_cut_rows_to_quadrature(monkeypatch,
     nc = NonconformingModel(inner, OverlapRegion(((1.5, 3.7), (-INF, 2.4))))
     (std, _), (cut, _) = nc.parts
     assert std.size and cut.size
+    values = (1.0, -2.0) if kind == "solid" else (-2.0, 0.0, 0.0)
 
-    def assemble():
-        stiffness = spy_quadrature(monkeypatch)
-        loads = spy_element_load(monkeypatch)
-        System([nc]).bulk_matrix()
-        if kind == "solid":
-            nc.body_force((1.0, -2.0))
-        else:
-            nc.pressure_load(-2.0)
-        monkeypatch.undo()
-        return stiffness, loads
-
-    stiffness, loads = assemble()
-    assert len(stiffness) == 1
-    np.testing.assert_array_equal(stiffness[0], cut)
-    assert len(loads) == 1 and loads[0][1]
-    np.testing.assert_array_equal(loads[0][0], cut)
+    stiffness = spy_quadrature(monkeypatch)
+    loads = spy_element_load(monkeypatch)
+    flushes = []
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", 100)
+    monkeypatch.setattr(mesh_mod, "add_blocks",
+                        lambda *args: flushes.append(args))
+    K = System([nc]).bulk_matrix()
+    f = nc.body_force(values) if kind == "solid" else nc.pressure_load(-2.0)
+    monkeypatch.undo()
+    assert stiffness == [] and loads == [] and flushes == []
+    ref = dense_bulk(System([nc]))
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+    ref = dense_load(nc, values)
+    np.testing.assert_allclose(f, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_bulk_matrix_of_separable_solid_and_beam_is_int32_canonical():

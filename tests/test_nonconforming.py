@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from mdfem import nonconforming
 from mdfem.coupling import build_interface
-from mdfem.elasticity import Material, SolidModel
+from mdfem.elasticity import (Material, SolidModel, load_separable,
+                              part_form, stiffness_quadrature,
+                              stiffness_separable)
 from mdfem.errors import ConfigError, OverDeactivationError, RankError
 from mdfem.mesh import build_mesh, quadrature_data
 from mdfem.nonconforming import (
@@ -21,6 +23,7 @@ from mdfem.nonconforming import (
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
 from oracles import element_interval, inside, signed_distance, tensor_rule
+from test_metamorphic import models
 
 INF = float("inf")
 
@@ -345,7 +348,9 @@ class TestCutRuleReuse:
     @pytest.mark.parametrize("build", [_cut_plate_model, _sliver_beam])
     def test_one_cut_rule_per_cut_element(self, build, monkeypatch):
         """One `integrate_cut` call builds one rule row per cut element,
-        and one kernel call covers every live cut element."""
+        and no kernel takes a rule row: assembly and loads integrate the
+        cut rule from 1D tables, to round-off of the per-element sums on
+        those rows."""
         inner, region = build()
         mesh = inner.mesh
         rule_calls, kernel_calls = [], []
@@ -377,8 +382,10 @@ class TestCutRuleReuse:
         plate = isinstance(inner, PlateModel)
         if plate:
             spy("pressure_element", 1)
-        System([nc]).bulk_matrix()
+        K = System([nc]).bulk_matrix().toarray()
         f = nc.pressure_load(-2.0) if plate else None
+        assert kernel_calls == []
+        monkeypatch.undo()
         param, wts = direct(mesh, cut, region, 10)
         keep = wts.any(axis=1)
         live_cut = cut[keep]
@@ -388,50 +395,35 @@ class TestCutRuleReuse:
                                       live_cut)
         assert (nc.labels[cut[~keep]] == VOID).all()
         assert keep.all() if build is _cut_plate_model else not keep.any()
-        # One kernel call each covering every live cut element.
-        expected = [("element_stiffness", live_cut)] if live_cut.size else []
-        if plate and live_cut.size:
-            expected.append(("pressure_element", live_cut))
-        assert [c[0] for c in kernel_calls] == [c[0] for c in expected]
-        for (_, got), (_, want) in zip(kernel_calls, expected):
-            np.testing.assert_array_equal(got, want)
-        monkeypatch.undo()
 
         # STANDARD elements on the standard rule, then the live cut
-        # elements on their `integrate_cut` rows.
+        # elements on the `integrate_cut` rule; VOID elements are in no
+        # part.
         (std, none), (el, rule) = nc.parts
-        assert none is None
+        assert none is None and rule == (10, region.bounds)
         np.testing.assert_array_equal(std,
                                       np.flatnonzero(nc.labels == STANDARD))
         np.testing.assert_array_equal(el, live_cut)
-        np.testing.assert_array_equal(rule[0], param[keep])
-        np.testing.assert_array_equal(rule[1], wts[keep])
-        # Batched rows equal the per-element kernels on the same rule row;
-        # only cut rows are batched (the STANDARD part is assembled from
-        # 1D tables), and VOID elements are in no part.
-        K = {int(e): Ke for el, q in nc.batches(mesh.nen * inner.ncomp_node)
-             for e, Ke in zip(el, nc.element_stiffness(el, q))}
         dead = set(np.flatnonzero(nc.labels == VOID))
+        K_ref = np.zeros_like(K)
         f_ref = np.zeros(inner.ndof)
         for e in range(mesh.nelem):
             if e in dead:
-                assert nc.part_index(e) < 0 and e not in K
+                assert nc.part_index(e) < 0
                 continue
             quad = None
             if nc.labels[e] == CUT:
                 i = np.searchsorted(cut, e)
                 quad = (param[i], wts[i])
-            Ke = inner.element_stiffness(e, quadrature=quad)
-            if quad is None:
-                assert e not in K
-            else:
-                np.testing.assert_array_equal(K[e], Ke)
+            d = inner.element_dofs(e)
+            K_ref[np.ix_(d, d)] += inner.element_stiffness(e, quadrature=quad)
             if plate:
-                f_ref[inner.element_dofs(e)] += inner.pressure_element(
-                    e, -2.0, quad)
+                f_ref[d] += inner.pressure_element(e, -2.0, quad)
+        # Summed from 1D integrals over grid boxes, not element by
+        # element: equal to round-off.
+        np.testing.assert_allclose(K, K_ref, rtol=0,
+                                   atol=1e-13 * np.abs(K_ref).max())
         if plate:
-            # The STANDARD rows are summed from 1D integrals over grid
-            # boxes, not element by element: equal to round-off.
             np.testing.assert_allclose(f, f_ref, rtol=0,
                                        atol=1e-13 * np.abs(f_ref).max())
 
@@ -480,6 +472,12 @@ class TestNonconformingModel:
         np.testing.assert_allclose(System([nc]).bulk_matrix().toarray(), ref,
                                    rtol=0, atol=1e-13 * np.abs(ref).max())
 
+    def test_pressure_load_on_a_beam_is_a_config_error(self):
+        nc = sliver_beam_model()
+        with pytest.raises(ConfigError, match="a BeamModel takes no "
+                           "pressure load"):
+            nc.pressure_load(-2.0)
+
     def test_delegation(self):
         nc = sliver_beam_model()
         inner = nc._model
@@ -500,7 +498,8 @@ class TestNonconformingModel:
         (_, _), (cut, rule) = nc.parts
         np.testing.assert_array_equal(cut, np.nonzero(nc.labels == CUT)[0])
         np.testing.assert_array_equal(cut, [1])
-        K = nc.element_stiffness(cut, rule)[0]
+        K = nc.element_stiffness(cut, integrate_cut(
+            beam.mesh, cut, OverlapRegion(rule[1]), rule[0]))[0]
         np.testing.assert_allclose(K, K.T, atol=1e-12 * np.abs(K).max())
         full = beam.element_stiffness(1)
         assert 0 < np.abs(K).max() < np.abs(full).max()
@@ -792,3 +791,85 @@ class TestLoadsOverParts:
             np.testing.assert_array_equal(
                 nc.point_load(x, (0.0, -1.0, 0.0)),
                 nc._model.point_load(x, (0.0, -1.0, 0.0)))
+
+
+# The Kronecker cut assembly against per-element quadrature ---------------
+
+@st.composite
+def kronecker_cut_cases(draw):
+    """A model of every kind (`test_metamorphic.models`: degree 1-4), the
+    overlap region drawn per direction, and ncut 1-10. Per direction the
+    region lies beside the mesh (it then covers nothing), holds the whole
+    line, is a half line or an interval inside the mesh, has both bounds
+    on element breaks, or leaves a sliver of 1e-3 to 1e-9 of an element
+    uncovered."""
+    model = draw(models())
+    bounds = []
+    for d in model.mesh.dirs:
+        h, n = d.hi, d.nelem
+        breaks = np.linspace(0.0, h, n + 1).tolist()
+        x = sorted(draw(st.floats(0.0, h)) for _ in range(2))
+        at = draw(st.integers(0, n - 1))
+        sliver = 10.0 ** -draw(st.integers(3, 9)) * h / n
+        how = draw(st.sampled_from(["beside", "all", "below", "above",
+                                    "inside", "breaks", "sliver"]))
+        bounds.append({
+            "beside": (h + 0.5, h + 1.0),
+            "all": (-INF, INF),
+            "below": (-INF, max(x[1], 1e-3 * h)),
+            "above": (min(x[0], h - 1e-3 * h), INF),
+            "inside": (x[0], max(x[1], x[0] + 1e-3 * h)),
+            "breaks": (breaks[at], breaks[at + 1]),
+            "sliver": (-INF, breaks[at + 1] - sliver),
+        }[how])
+    return model, OverlapRegion(bounds), draw(st.integers(1, 10))
+
+
+def kronecker_oracle(inner, region, ncut, values):
+    """Dense bulk matrix and load of constant ``values`` of the overlapped
+    ``inner``: the STANDARD elements over their grid boxes as the plain
+    model assembles them (`stiffness_separable`, `load_separable`), plus
+    every CUT element's `stiffness_quadrature` matrix and element load on
+    its `integrate_cut` row."""
+    mesh = inner.mesh
+    labels = classify(mesh, region)
+    boxes = mesh.element_boxes(np.flatnonzero(labels == STANDARD))
+    form = inner.stiffness_form()
+    U = sum((p.toarray() for p in stiffness_separable(
+        mesh, part_form(form, None), boxes)), np.zeros((inner.ndof,) * 2))
+    K = U + U.T - np.diag(np.diag(U))
+    f = np.multiply.outer(load_separable(mesh, [(1.0, None, None)], boxes),
+                          values).ravel()
+    cut = np.flatnonzero(labels == CUT)
+    if cut.size:
+        rows = integrate_cut(mesh, cut, region, ncut)
+        dofs = inner.element_dofs(cut)
+        for d, Ke, fe in zip(dofs, stiffness_quadrature(mesh, cut, form, rows),
+                             inner.element_load(cut, values, rows)):
+            K[np.ix_(d, d)] += Ke
+            f[d] += fe
+    return K, f
+
+
+class TestKroneckerCutOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(kronecker_cut_cases(), st.data())
+    def test_matches_per_element_quadrature(self, case, data):
+        """The CUT elements' two Kronecker products (the full rule minus
+        its covered points) give the bulk matrix and constant loads of
+        per-element quadrature on the `integrate_cut` rows, to 1e-13 of
+        the largest entry."""
+        inner, region, ncut = case
+        try:
+            nc = NonconformingModel(inner, region, ncut=ncut)
+        except OverDeactivationError:
+            assume(False)
+        values = np.array(data.draw(st.lists(
+            st.floats(-2.0, 2.0), min_size=inner.ncomp_node,
+            max_size=inner.ncomp_node)))
+        K, f = kronecker_oracle(inner, region, ncut, values)
+        np.testing.assert_allclose(
+            System([nc]).bulk_matrix().toarray(), K, rtol=0,
+            atol=1e-13 * max(np.abs(K).max(), 1e-300))
+        np.testing.assert_allclose(nc.element_sum(values), f, rtol=0,
+                                   atol=1e-13 * max(np.abs(f).max(), 1e-300))
