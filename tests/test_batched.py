@@ -259,6 +259,29 @@ def test_bulk_matrix_matches_dense_scatter():
                                atol=1e-13 * np.abs(ref).max())
 
 
+def test_bulk_matrix_flushes_within_budget(monkeypatch):
+    system = nonconforming_system()
+    ref = system.bulk_matrix().toarray()
+    flushes = []
+    flush = mesh_mod.add_blocks
+
+    def counted(K, dofs, mats):
+        if dofs:
+            flushes.append(sum(Ke.size for Ke in mats))
+        return flush(K, dofs, mats)
+
+    # Below one cut plate element matrix (144 entries): the 7 cut
+    # elements are Kronecker products over their boxes as the standard
+    # ones are, so not one element block is flushed.
+    monkeypatch.setattr(mesh_mod, "_TRIPLET_BUDGET", 100)
+    monkeypatch.setattr(mesh_mod, "add_blocks", counted)
+    K = system.bulk_matrix()
+    assert flushes == []
+    assert K.has_canonical_format
+    np.testing.assert_allclose(K.toarray(), ref, rtol=0,
+                               atol=1e-13 * np.abs(ref).max())
+
+
 def spy_quadrature(monkeypatch):
     """Record every `stiffness_quadrature` call (the quadrature path),
     from solids and structures alike."""
