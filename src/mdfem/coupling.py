@@ -20,6 +20,7 @@ DOFs, to `System`, which sums the blocks of every coupling into CSR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,14 +81,16 @@ class CouplingOperator:
     basis tables at the same points (`mesh.facet_rules`)."""
 
     def __init__(self, solid, struct, points, starts, tables):
-        self.solid, self.struct, self.starts = solid, struct, starts
-        self.tables = tables
-        self.points = p = points
-        self.segments = [
-            Segment(int(p.s_elem[a]), p.s_parent[a:b], int(p.b_elem[a]),
-                    p.b_parent[a:b], p.offsets[a:b], p.normals[a:b],
-                    p.weights[a:b])
-            for a, b in zip(starts[:-1], starts[1:])]
+        self.solid, self.struct, self.points = solid, struct, points
+        self.starts, self.tables = starts, tables
+
+    @cached_property
+    def segments(self):
+        """`points` as one `Segment` of views per segment, on first read."""
+        p, s = self.points, self.starts
+        return [Segment(int(p.s_elem[a]), p.s_parent[a:b], int(p.b_elem[a]),
+                        p.b_parent[a:b], p.offsets[a:b], p.normals[a:b],
+                        p.weights[a:b]) for a, b in zip(s[:-1], s[1:])]
 
     @property
     def measure(self):
@@ -101,9 +104,10 @@ class CouplingOperator:
         estimate reads it). A segment's Nitsche term is ``K^n + K^n.T +
         alpha * K^st``; `System` sums them into CSR.
 
-        The partner is traced once over all points, the solid's N, dN/dx
-        and traction (n C E) dN/dx come from ``tables`` on the nodes
-        nonzero on the face (`mesh.live_shapes`). J and T hold only the
+        The partner is traced once over all points. The solid's N (row 0
+        of the jet table of ``tables``, `mesh.live_shapes`, on the nodes
+        nonzero on the face), dN/dx (rows 1 to d) and traction (n C E)
+        dN/dx come from that one table. J and T hold only the
         element-local columns nonzero at some point (a solid's inner node
         layers carry neither trace nor traction); the products J^T T, J^T
         J and T^T T run on them over a batch axis of segments, one batch
@@ -112,7 +116,8 @@ class CouplingOperator:
         solid, struct, p = self.solid, self.struct, self.points
         rows = struct.solid_stress_rows
         nmat = _normal_matrices(p.normals, rows)
-        nodes, N, dN = live_shapes(solid.mesh, self.tables)
+        nodes, jet = live_shapes(solid.mesh, self.tables)
+        N, dN = jet[0], np.moveaxis(jet[1:], 0, -1)
         nq, nn, d = dN.shape
         # n . C B = (n C E) dN/dx: M[q, i, m, c] weighs du_c/dx_m in t_i.
         E = solid.kinematics[1][0, :, :, 1:d + 1].swapaxes(1, 2)

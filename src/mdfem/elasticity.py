@@ -11,10 +11,9 @@ from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag
 
 from .errors import ConfigError
-from .mesh import (Mesh, direction_tables, facet_rules, gauss_rule,
+from .mesh import (Mesh, direction_tables, facet_rules, gauss_rule, jets,
                    live_shapes, parent_data, quadrature_data)
 from .quadrature import tensor_rules
 
@@ -95,19 +94,6 @@ def integrate_atb(A: np.ndarray, B: np.ndarray, w: np.ndarray,
                      wB.reshape(*lead, nq * nr, B.shape[-1]), out=out)
 
 
-# The second derivatives d2/dx_k dx_l of a jet, k <= l.
-_PAIRS = {dim: np.triu_indices(dim) for dim in (1, 2, 3)}
-
-
-def jets(dim):
-    """Derivative multi-indices ``(njet, dim)`` of the shape jet, in the
-    order of every table and form: the value, the first derivatives, then
-    the second ones (`_PAIRS`)."""
-    one = np.eye(dim, dtype=int)
-    k, l = _PAIRS[dim]
-    return np.concatenate([np.zeros((1, dim), int), one, one[k] + one[l]])
-
-
 def kinematics(disp, strain):
     """Tables ``(U, E)``, each ``(2, rows, ncomp, njet)``: row r of the
     displacement (U) or Voigt strain (E) at section offset y sums ``(a + y
@@ -148,9 +134,8 @@ def interpolate(mesh, e, parent, kin, offset=None):
     t = np.concatenate(kin, axis=1)
     r, c, j = np.nonzero(t.any(0))
     # Second derivatives are needed iff a used column follows the first.
-    shapes = parent_data(mesh, e, parent, 2 if j.max() > mesh.dim else 1)
-    J = _jet(shapes[:3], set(j.tolist()), mesh.dim)
-    nq, nen = shapes[0].shape
+    J = parent_data(mesh, e, parent, 2 if j.max() > mesh.dim else 1)
+    nq, nen = J.shape[1:]
     y = 0.0 if offset is None else np.reshape(offset, (-1, 1))
     out = np.zeros((nq, t.shape[1], nen, t.shape[2]))
     for row, comp, col, a, b in zip(r.tolist(), c.tolist(), j.tolist(),
@@ -158,14 +143,6 @@ def interpolate(mesh, e, parent, kin, offset=None):
         out[:, row, :, comp] += (a + y * b) * J[col]
     out = out.reshape(nq, t.shape[1], -1)
     return out[:, :kin[0].shape[1]], out[:, kin[0].shape[1]:]
-
-
-def _jet(shapes, used, dim):
-    """``{j: column j}`` of the jet of ``(N, dN, d2N)``, j in ``used``."""
-    N, dN, d2N = shapes
-    k, l = _PAIRS[dim]
-    return {j: N if j == 0 else dN[..., j - 1] if j <= dim
-            else d2N[..., k[j - 1 - dim], l[j - 1 - dim]] for j in used}
 
 
 def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
@@ -181,9 +158,9 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
     for D, npts in form:
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         nders = 2 if used[-1] > mesh.dim else 1
-        _, w, *shapes, _ = quadrature_data(mesh, e, gauss_rule(
+        w, J = quadrature_data(mesh, e, gauss_rule(
             mesh, e, npts) if quadrature is None else quadrature, nders)
-        J = np.stack(list(_jet(shapes, used, mesh.dim).values()))
+        J = J[used]
         *lead, _, nen = J.shape[1:]
         wJ = J * w[..., None]
         nu, nc = used.size, D.shape[0]
@@ -209,18 +186,18 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     DOFs, of node blocks (i, j), j >= i, diagonal ones upper.
 
     The map is x = origin + A t, so a jet in x combines jets in the local
-    coordinates t (`_jet_map`), and P_ab in t over a box is the
-    Kronecker product over directions (first fastest) of the 1D band
-    matrices int B^(a_k) B^(b_k) dt_k over the box's elements, on the
-    functions they support (`_band_1d`), upper with the slowest direction
-    A: strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
+    coordinates t by ``Mesh.jet_map``, the matrix every point evaluation
+    maps its jet table with, and P_ab in t over a box is the Kronecker
+    product over directions (first fastest) of the 1D band matrices int
+    B^(a_k) B^(b_k) dt_k over the box's elements, on the functions they
+    support (`_band_1d`), upper with the slowest direction A:
+    strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
     tables are evaluated once per part and direction (`_tables_1d`). The
     parts share the band pattern, so their jet pairs (a, b) ride side by
     side on the values' trailing axis: one product per box, and one GEMM
     with the parts' D stacked gives the node blocks.
     """
-    _, _, G, det = mesh.placement
-    T, m = _jet_map(G), jets(mesh.dim)
+    T, m, det = mesh.jet_map, jets(mesh.dim), mesh.placement[3]
     idx, mats, Dab = [None] * mesh.dim, [[] for _ in mesh.dirs], []
     for D, npts, cover in form:
         D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
@@ -253,14 +230,6 @@ def stiffness_separable(mesh: Mesh, form, boxes):
         Ks.append(sp.bsr_matrix((blocks, P[1], np.cumsum(ptr)),
                                 shape=(mesh.nnodes * nc,) * 2))
     return Ks
-
-
-def _jet_map(G):
-    """T with d^a/dx = sum_b T[a, b] d^b/dt (`jets` order) for t = G x + c:
-    d/dx_k = sum_m G_mk d/dt_m, and d2/dx_k dx_l the product of two."""
-    k, l = _PAIRS[len(G)]
-    Q = G[k][:, k] * G[l][:, l] + G[l][:, k] * G[k][:, l]
-    return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
 
 
 def _tables_1d(d, npts, nders, cover):
@@ -389,8 +358,8 @@ class Model:
         """Consistent load of constant ``values`` (one per nodal unknown)
         per unit measure of element ``e``, or one row per element of an
         element array, on the standard or an explicit rule."""
-        _, w, N, _, _, _ = quadrature_data(self.mesh, e, quadrature)
-        return np.einsum("...q,...qn,c->...nc", w, N, np.reshape(
+        w, J = quadrature_data(self.mesh, e, quadrature)
+        return np.einsum("...q,...qn,c->...nc", w, J[0], np.reshape(
             np.asarray(values, dtype=float), self.ncomp_node)).reshape(
                 w.shape[:-1] + (-1,))
 
@@ -414,15 +383,15 @@ class Model:
         mesh = self.mesh
         elems, _, phys, w, _, tabs = facet_rules(
             mesh, axis, side, max(mesh.degrees) + 1, strip)
-        nodes, N, _ = live_shapes(mesh, tabs)
+        nodes, J = live_shapes(mesh, tabs)
         bad = elems[self.part_index(elems) != 0]
         if bad.size:
             raise ConfigError(f"face load on element {bad[0]}, void or cut")
         t = np.asarray(values(phys) if callable(values) else
                        np.tile(values, (len(w), 1)), dtype=float)
         fq = (len(elems), -1)
-        fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq),
-                       N.reshape(fq + N.shape[1:]), t.reshape(fq + t.shape[1:]))
+        fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq), J[0].reshape(
+            fq + J.shape[2:]), t.reshape(fq + t.shape[1:]))
         out = np.zeros(self.ndof)
         dofs = self.element_dofs(elems).reshape(fe.shape[0], -1, fe.shape[2])
         np.add.at(out, dofs[:, nodes], fe)

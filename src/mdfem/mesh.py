@@ -14,13 +14,19 @@ store global coordinates (A is the placement rotation, the identity if
 none); beam meshes store the local axis coordinate with placement in
 ``origin``/``phi``; plate meshes store mid-surface coordinates with the
 transverse offset in ``z_mid``.
+
+Every shape evaluation returns one jet table ``(njet, ..., nen)`` (`jets`
+order, `jet_table`): J[0] is N, J[1:dim + 1] the gradient. It is in t from
+`Mesh.shape_ders`, else in x through ``Mesh.jet_map``, one per mesh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .bspline import SplineDir, make_open_knots
 from .errors import ConfigError, DomainError
@@ -44,7 +50,8 @@ class Mesh:
     _nodes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        """``placement``: ``(c, A, G, det A)`` of x = c + A y, G = A^-1."""
+        """``placement``: ``(c, A, G, det A)`` of x = c + A y, G = A^-1,
+        and ``jet_map``, the `jet_map` of G."""
         A = np.eye(self.dim) if self.rotation is None else self.rotation
         det, G = _det_inv(A)
         if not (np.isfinite(det) and det > 0 and np.isfinite(G).all()):
@@ -52,6 +59,7 @@ class Mesh:
                               f"determinant, got {det} for {A.tolist()}")
         self.placement = (np.zeros(self.dim) if self.rotation is None
                           else self.origin), A, G, float(det)
+        self.jet_map = jet_map(G)
 
     @property
     def dim(self):
@@ -194,18 +202,13 @@ class Mesh:
         return e if x.ndim == 2 else int(e[0])
 
     def shape_ders(self, e, local, nders=1):
-        """Tensor-product shape values and local-coordinate derivatives.
-
-        Returns ``(N, dN, d2N)`` with shapes ``(nq, nen)``,
-        ``(nq, nen, dim)`` and ``(nq, nen, dim, dim)`` (``d2N`` is None
-        unless requested). Local node ordering: first direction fastest.
-        ``e`` is one element for all points or an array of one element per
-        point; each direction's basis is evaluated in one call.
-        """
-        local = np.atleast_2d(np.asarray(local, dtype=float))
-        return _tensor_combine(
-            [d.eval(i, local[:, k], nders) for k, (d, i)
-             in enumerate(zip(self.dirs, self.element_grid_index(e)))], nders)
+        """The jet table ``(njet, nq, nen)`` in the local coordinates t of
+        order <= ``nders`` at local points (`jet_table`; nodes first
+        direction fastest). ``e`` is one element for all points or one per
+        point; each direction's basis is evaluated in one call."""
+        local = np.atleast_2d(np.asarray(local, dtype=float)).T
+        return jet_table([d.eval(i, t, nders) for d, i, t in zip(
+            self.dirs, self.element_grid_index(e), local)])
 
     def locate(self, x_local):
         """Element and parent coordinates ``(e, xi)`` of a point in local
@@ -367,32 +370,49 @@ def _flat(arrays):
             else np.concatenate([a.ravel() for a in arrays]))
 
 
-def _tensor_combine(uni, nders):
-    """``Mesh.shape_ders`` from per-direction basis tables ``uni[k]`` of
-    shape ``(..., nq, nders + 1, nloc_k)``; leading axes carry through."""
-    lead = uni[0].shape[:-2]
-    dim = len(uni)
-
-    def combine(orders):
-        out = np.ones(lead + (1,))
-        for k in range(dim):
-            # New direction slowest.
-            out = (out[..., None, :] * uni[k][..., orders[k], :, None]
-                   ).reshape(lead + (out.shape[-1] * uni[k].shape[-1],))
-        return out
-
+@lru_cache
+def jets(dim):
+    """Derivative multi-indices ``(njet, dim)`` of the shape jet, in the
+    order of every table and form: the value, the first derivatives, then
+    the second ones d2/dx_k dx_l, k <= l; built once per dim, read-only."""
     one = np.eye(dim, dtype=int)
-    N = combine(0 * one[0])
-    dN = d2N = None
-    if nders >= 1:
-        # Stored direction-major: each dN[..., k] is contiguous.
-        dN = np.moveaxis(np.stack([combine(o) for o in one]), 0, -1)
-    if nders >= 2:
-        d2N = np.empty(N.shape + (dim, dim))
-        for k in range(dim):
-            for l in range(k, dim):
-                d2N[..., k, l] = d2N[..., l, k] = combine(one[k] + one[l])
-    return N, dN, d2N
+    k, l = np.triu_indices(dim)
+    m = np.concatenate([np.zeros((1, dim), int), one, one[k] + one[l]])
+    m.flags.writeable = False
+    return m
+
+
+def jet_map(G):
+    """T with d^a/dx = sum_b T[a, b] d^b/dt (`jets` order) for t = G x + c:
+    d/dx_k = sum_m G_mk d/dt_m, and d2/dx_k dx_l the product of two; T
+    is block diagonal by derivative order."""
+    k, l = np.triu_indices(len(G))
+    Q = G[k][:, k] * G[l][:, l] + G[l][:, k] * G[k][:, l]
+    return block_diag(1.0, G.T, (Q / np.where(k == l, 2.0, 1.0)[:, None]).T)
+
+
+def jet_table(tables):
+    """The jet table ``(njet, ..., nen)`` of the tensor-product functions
+    from per-direction basis tables ``tables[k]`` ``(..., nders + 1,
+    nloc_k)``: their `jets` of order <= nders, one product chain per jet,
+    new direction slowest; leading axes carry through."""
+    lead, m = tables[0].shape[:-2], jets(len(tables))
+
+    def chain(orders):
+        out = np.ones(lead + (1,))
+        for t, o in zip(tables, orders):
+            out = (out[..., None, :] * t[..., o, :, None]).reshape(
+                lead + (out.shape[-1] * t.shape[-1],))
+        return out
+    return np.stack([chain(o) for o in m[m.sum(1) < tables[0].shape[-2]]])
+
+
+def _x_jets(mesh, tables):
+    """The `jet_table` of per-direction ``tables`` in x: one GEMM with the
+    leading block of ``mesh.jet_map``, its orders up to the tables'."""
+    J = jet_table(tables)
+    T = mesh.jet_map[:len(J), :len(J)]
+    return (T @ J.reshape(len(J), -1)).reshape(J.shape)
 
 
 def direction_tables(d, el, t, nders):
@@ -418,33 +438,34 @@ def gauss_rule(mesh: Mesh, e, npts):
 
 
 def quadrature_data(mesh, e, quadrature=None, nders=1):
-    """Quadrature data ``(local, weights, N, dNdx, d2Ndx2, phys)`` of one
-    element or an element array, on its `gauss_rule` (None) or on an
-    explicit local-coordinate rule ``(local, weights)``: ``(E, nq, dim)``
-    and ``(E, nq)`` for an element array, ``(nq, dim)`` and ``(nq,)`` for
-    one element. Weights include the physical volume measure, an element
-    array adds a leading element axis to each output, and ``d2Ndx2`` is
-    None unless ``nders >= 2``. All points are tabulated in one call per
-    direction."""
+    """``(weights, J)`` of an element array on its `gauss_rule` (None) or
+    an explicit local-coordinate rule ``(local, weights)``, ``(E, nq,
+    dim)`` and ``(E, nq)``: the weights times det A and the jet table in x
+    of order <= ``nders`` (1 or 2), ``(njet, E, nq, nen)``; one element
+    drops the element axis throughout. One basis call per direction."""
     elems = np.atleast_1d(e)
     local, wts = (gauss_rule(mesh, e, None) if quadrature is None
                   else quadrature)
     local = np.reshape(local, (len(elems), -1, mesh.dim))
-    wts = np.reshape(wts, local.shape[:2])
-    return _element_data(mesh, e, local, wts,
-                         _point_tables(mesh, elems, local, nders))
+    wts = np.reshape(wts, local.shape[:2]) * mesh.placement[3]
+    J = _x_jets(mesh, _point_tables(mesh, elems, local, nders))
+    return (wts, J) if np.ndim(e) else (wts[0], J[:, 0])
 
 
 def parent_data(mesh, e, parent, nders=1):
-    """``(N, dNdx, d2Ndx2, phys)`` at parent points of one element, or of
-    element ``e[i]`` at point ``i`` for an element array; one row per
-    point either way. Each point is an element of a one-point rule."""
+    """The jet table in x ``(njet, npts, nen)`` of order <= ``nders`` at
+    parent points ``(npts, dim)`` of one element, or of element ``e[i]`` at
+    point ``i`` for an element array. Points without ``dim`` coordinates
+    each, or an element array of another length, are a DomainError."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
-    elems = np.broadcast_to(e, parent.shape[:1])
-    rule = (mesh.parent_to_local(elems, parent)[:, None],
-            np.ones((len(elems), 1)))
-    return tuple(None if a is None else a[:, 0]
-                 for a in quadrature_data(mesh, elems, rule, nders)[2:])
+    n = len(parent)
+    if parent.shape != (n, mesh.dim) or np.ndim(e) and np.shape(e) != (n,):
+        raise DomainError(f"expected points of shape ({n}, {mesh.dim}) and "
+                          f"one element or {n}, got points of shape "
+                          f"{parent.shape} and elements {np.shape(e)}")
+    elems = np.broadcast_to(e, (n,))
+    local = mesh.parent_to_local(elems, parent)[:, None]
+    return _x_jets(mesh, _point_tables(mesh, elems, local, nders))[:, :, 0]
 
 
 def _point_tables(mesh, e, local, nders):
@@ -470,24 +491,6 @@ def _det_inv(J):
                - P[..., k1, k2[:, None]] * P[..., k2, k1[:, None]])
         det = (P[..., 0, :] * adj[..., 0]).sum(axis=-1)
         return det, (adj / det[..., None, None])[..., :d, :d]
-
-
-def _element_data(mesh, e, local, wts, tables):
-    """Physical quadrature data of elements ``e`` (the element axis
-    dropped for one) at local points ``(E, nq, dim)`` with weights ``(E,
-    nq)``, from each direction's `direction_tables`. x = c + A t has the
-    Jacobian A: d/dx = G^T d/dt, measure det A."""
-    c, A, G, det = mesh.placement
-    N, dN, d2N = _tensor_combine(tables, tables[0].shape[-2] - 1)
-
-    def right(M):  # M G, one GEMM over the stacked rows of M
-        return (M.reshape(-1, G.shape[0]) @ G).reshape(M.shape)
-    # d2N/dx2 = G^T d2N/dt2 G = (d2N/dt2 G)^T G, as d2N/dt2 is symmetric.
-    out = (local, wts * det, N, right(dN),
-           None if d2N is None else right(right(d2N).swapaxes(-1, -2)),
-           c + local @ A.T)
-    return out if np.ndim(e) else tuple(
-        None if a is None else a[0] for a in out)
 
 
 # Boundary faces -------------------------------------------------------
@@ -561,13 +564,12 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
 
 
 def live_shapes(mesh, tabs):
-    """``(nodes, N, dNdx)``: `parent_data`'s N and dN/dx from per-point
-    direction tables ``tabs`` (`facet_rules`) on the local ``nodes``
-    (ascending) whose function in each direction has a nonzero value or
-    derivative at some point, so every node with N or dN/dx nonzero."""
+    """``(nodes, J)``: `parent_data`'s jet table of order 1, ``(dim + 1,
+    npoints, nodes)``, from per-point direction tables ``tabs``
+    (`facet_rules`) on the local ``nodes`` (ascending) whose function in
+    each direction has a nonzero value or derivative at some point, so
+    every node with a nonzero jet."""
     keep = [np.flatnonzero(t.any(axis=(0, 1))) for t in tabs]
     nodes = np.ravel_multi_index(np.ix_(*keep), [t.shape[-1] for t in tabs],
                                  order="F").ravel(order="F")
-    N, dN, _ = _tensor_combine([t[..., k] for t, k in zip(tabs, keep)], 1)
-    G = mesh.placement[2]
-    return nodes, N, (dN.reshape(-1, G.shape[0]) @ G).reshape(dN.shape)
+    return nodes, _x_jets(mesh, [t[..., k] for t, k in zip(tabs, keep)])

@@ -74,8 +74,12 @@ def _require_c1(mesh: Mesh, what: str):
 
 
 def _prolong(model, e, parent, offset):
-    """The model's kinematics at section offsets within its thickness."""
-    offset = np.asarray(offset, dtype=float).ravel()
+    """The model's kinematics at section offsets within its thickness, one
+    offset for all points or one per point."""
+    offset, n = np.asarray(offset, dtype=float), len(np.atleast_2d(parent))
+    if offset.size not in (1, n):
+        raise DomainError(f"expected 1 or {n} section offsets for {n} "
+                          f"points, got shape {offset.shape}")
     h = model.material.thickness
     if np.any(np.abs(offset) > h / 2 + 1e-12 * h):
         raise DomainError(
@@ -169,10 +173,9 @@ class BeamModel(Model):
         e, xi = self.mesh.locate((x_local,))
         if self.part_index(e) < 0:
             raise ConfigError(f"point load on element {e}, void")
-        N = parent_data(self.mesh, e, xi)[0]
         f = np.zeros(self.ndof)
-        fe = (N[0][:, None] * comp[None, :]).ravel()
-        f[self.element_dofs(e)] += fe
+        f[self.element_dofs(e)] += np.outer(
+            parent_data(self.mesh, e, xi)[0, 0], comp).ravel()
         return f
 
     def recover(self, e, parent, offset, a_model):

@@ -41,13 +41,13 @@ measures an order of it node pair by node pair. `power_iteration_alpha` is
 the stabilization estimate as a power iteration on the interface DOFs,
 one step per loop pass; `coupling.estimate_alpha` evaluates the
 quotients of those steps in closed form from one eigendecomposition.
-`element_data_reference` is `mesh._element_data` by the general
+`jet_reference` is `mesh.quadrature_data` by the general
 isoparametric map of the control net (`element_map`: the points
 ``N @ P`` and the Jacobians ``P^T dN`` of the tensor-product shape
 functions), LAPACK's stacked determinants and inverses and the chain
 rule for the second derivatives, two d x d products per point and node;
-the library maps each direction's 1D table on its own and places the
-box once.
+the library maps every jet table with one matrix per mesh
+(``Mesh.jet_map``).
 `locate_point` finds one point's element and parent coordinates a
 direction at a time by a scan of the element intervals; `Mesh.locate`
 searches whole point arrays.
@@ -65,10 +65,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from mdfem.coupling import _ALPHA_SEED, _ALPHA_TOL, _normal_matrices
-from mdfem.elasticity import (_band_1d, _jet_map, _tables_1d, integrate_atb,
-                              interpolate, jets)
+from mdfem.elasticity import _band_1d, _tables_1d, integrate_atb, interpolate
 from mdfem.errors import ConfigError, ConvergenceError, DomainError, RankError
-from mdfem.mesh import _TRIPLET_BUDGET, add_blocks, element_batches
+from mdfem.mesh import _TRIPLET_BUDGET, add_blocks, element_batches, jets
 from mdfem.quadrature import gauss_1d
 from mdfem.system import _factor_spd
 
@@ -304,30 +303,43 @@ def locate_point(mesh, t):
     return e, mesh.local_to_parent(e, t[None, :])[0]
 
 
-def element_data_reference(mesh, e, local, wts, nders):
-    """`mesh._element_data` outputs for elements ``e`` at local points
-    ``local`` ``(E, nq, dim)`` with weights ``(E, nq)``: the map of the
-    control net ``mesh.nodes`` through `element_map`, `np.linalg.det`
-    and `np.linalg.inv`, and the chain rule for the second derivatives
-    as J^-T (d2N/dxi2 - sum_m dN/dx_m d2x_m/dxi2) J^-1, one pair of d x d
-    products per point and node."""
+def jet_reference(mesh, e, local, wts):
+    """`mesh.quadrature_data` ``(weights, J)`` of second order for
+    elements ``e`` at local points ``local`` ``(E, nq, dim)`` with weights
+    ``(E, nq)``: the jets in t of `Mesh.shape_ders` taken to x by the map
+    of the control net ``mesh.nodes`` through `element_map`,
+    `np.linalg.det` and `np.linalg.inv`, and the chain rule for the second
+    derivatives as J^-T (d2N/dxi2 - sum_m dN/dx_m d2x_m/dxi2) J^-1, one
+    pair of d x d products per point and node."""
     E, nq, dim = local.shape
-    shapes = mesh.shape_ders(np.repeat(e, nq), local.reshape(-1, dim), nders)
-    N, dN, d2N = (None if a is None else a.reshape((E, nq) + a.shape[1:])
-                  for a in shapes)
+    t = mesh.shape_ders(np.repeat(e, nq), local.reshape(-1, dim), 2)
+    N, dN, d2N = jet_arrays(t.reshape(-1, E, nq, t.shape[-1]), dim)
     P = mesh.nodes[mesh.element_nodes(e)]
-    phys, J = element_map(P, N, dN)
+    _, J = element_map(P, N, dN)
     det = np.linalg.det(J)
     Jinv = np.linalg.inv(J)
     dNdx = dN @ Jinv
-    d2Ndx2 = None
-    if nders >= 2:
-        flat = d2N.shape[:-2] + (-1,)
-        d2x = np.swapaxes(P, -1, -2)[:, None] @ d2N.reshape(flat)
-        d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
-        Jinv = Jinv[..., None, :, :]
-        d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
-    return local, wts * det, N, dNdx, d2Ndx2, phys
+    flat = d2N.shape[:-2] + (-1,)
+    d2x = np.swapaxes(P, -1, -2)[:, None] @ d2N.reshape(flat)
+    d2N = d2N - (dNdx @ d2x).reshape(d2N.shape)
+    Jinv = Jinv[..., None, :, :]
+    d2Ndx2 = np.swapaxes(Jinv, -1, -2) @ d2N @ Jinv
+    k, l = np.triu_indices(dim)
+    return wts * det, np.concatenate([N[None], np.moveaxis(dNdx, -1, 0),
+                                      np.moveaxis(d2Ndx2[..., k, l], -1, 0)])
+
+
+def jet_arrays(J, dim):
+    """``(N, dN, d2N)`` of a jet table ``(njet, ..., nen)`` (`mesh.jets`
+    order): ``(..., nen)``, ``(..., nen, dim)`` and, for a table of second
+    order, the symmetric ``(..., nen, dim, dim)`` (else None)."""
+    N, dN = J[0], np.moveaxis(J[1:dim + 1], 0, -1)
+    if len(J) == dim + 1:
+        return N, dN, None
+    k, l = np.triu_indices(dim)
+    d2N = np.empty(N.shape + (dim, dim))
+    d2N[..., k, l] = d2N[..., l, k] = np.moveaxis(J[dim + 1:], 0, -1)
+    return N, dN, d2N
 
 
 def b_matrix_solid(dNdx: np.ndarray) -> np.ndarray:
@@ -426,8 +438,7 @@ def separable_full(mesh, form, boxes, upper=False):
     zeroed: its upper blocks, as BLAS computes them on those rows. Each
     part's product is built on its own; one GEMM takes them side by side
     against the parts' D stacked, as the library's does."""
-    _, _, G, det = mesh.placement
-    T, m = _jet_map(G), jets(mesh.dim)
+    T, m, det = mesh.jet_map, jets(mesh.dim), mesh.placement[3]
     parts = []
     for D, npts, cover in form:
         D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)

@@ -16,7 +16,7 @@ from mdfem.bench import run_case
 from mdfem.bspline import SplineDir, least_squares_project, make_open_knots
 from mdfem.coupling import build_interface
 from mdfem.elasticity import SolidModel
-from mdfem.mesh import build_mesh, parent_data
+from mdfem.mesh import build_mesh
 from mdfem.structural import BeamModel, Material, PlateModel, frame_transforms
 from mdfem.system import System
 from oracles import eval_basis, local_matrices
@@ -378,16 +378,17 @@ def test_08_basis_micro_suite(report):
                       ((0.0, 3.0), (0.0, 2.0)),
                       origin=np.array([1.5, -0.5]),
                       rotation=frame_transforms(0.4)[0].T)
+    c, A, _, _ = mesh.placement
     rt_dev = 0.0
     for _ in range(25):
         e = int(rng.integers(mesh.nelem))
         xi = rng.uniform(-0.95, 0.95, 2)
-        phys = parent_data(mesh, e, xi)[3][0]
+        phys = c + mesh.parent_to_local(e, xi)[0] @ A.T
         # locate takes local coordinates: R^T (x - origin), R orthogonal.
         e2, xi2 = mesh.locate((phys - mesh.origin) @ mesh.rotation)
         assert e2 == e
         rt_dev = max(rt_dev, float(np.abs(xi2 - xi).max()))
-        back = parent_data(mesh, e2, xi2)[3][0]
+        back = c + mesh.parent_to_local(e2, xi2)[0] @ A.T
         rt_dev = max(rt_dev, float(np.abs(back - phys).max()))
 
     dt = time.perf_counter() - t0

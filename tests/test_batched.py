@@ -24,14 +24,15 @@ from mdfem.nonconforming import (CUT, VOID, NonconformingModel, OverlapRegion,
 from mdfem.structural import BeamModel, PlateModel, frame_transforms
 from mdfem.system import System
 from oracles import (b_matrix_solid, boundary_facets, element_interval,
-                     integrate_btcb, section_rigidities, separable_full,
-                     tensor_rule)
+                     integrate_btcb, jet_arrays, section_rigidities,
+                     separable_full, tensor_rule)
 
 INF = float("inf")
 MAT = Material(E=2.1e5, nu=0.3, thickness=0.4, width=0.5)
 
 
 def oracle_points(mesh, e, npts=None, nders=1):
+    """`quadrature_data` ``(weights, J)`` on the per-element tensor rule."""
     if npts is None:
         npts = tuple(d.degree + 1 for d in mesh.dirs)
     elif np.isscalar(npts):
@@ -43,7 +44,8 @@ def oracle_points(mesh, e, npts=None, nders=1):
 
 
 def oracle_solid(model, e):
-    _, w, _, dNdx, _, _ = oracle_points(model.mesh, e)
+    w, J = oracle_points(model.mesh, e)
+    _, dNdx, _ = jet_arrays(J, model.mesh.dim)
     C = constitutive_solid(model.material, model.mesh.dim)
     return integrate_btcb(b_matrix_solid(dNdx), C, w)
 
@@ -52,17 +54,18 @@ def oracle_beam(model, e):
     mesh = model.mesh
     EA, EI, kGA = section_rigidities(model.material)
     if model.theory == "euler_bernoulli":
-        _, w, _, _, d2, _ = oracle_points(mesh, e, nders=2)
-        return integrate_btcb(d2[:, :, 0, 0][:, None, :],
-                              np.array([[EI]]), w)
-    _, w, N, dNdx, _, _ = oracle_points(mesh, e)
+        w, J = oracle_points(mesh, e, nders=2)
+        return integrate_btcb(J[2][:, None, :], np.array([[EI]]), w)
+    w, J = oracle_points(mesh, e)
+    N, dNdx, _ = jet_arrays(J, 1)
     nq, nen = N.shape
     Bab = np.zeros((nq, 2, 3 * nen))
     Bab[:, 0, 0::3] = dNdx[:, :, 0]
     Bab[:, 1, 2::3] = dNdx[:, :, 0]
     K = integrate_btcb(Bab, np.diag([EA, EI]), w)
     if mesh.dirs[0].degree == 1:
-        _, w, N, dNdx, _, _ = oracle_points(mesh, e, npts=1)
+        w, J = oracle_points(mesh, e, npts=1)
+        N, dNdx, _ = jet_arrays(J, 1)
     Bs = np.zeros((len(w), 1, 3 * nen))
     Bs[:, 0, 1::3] = dNdx[:, :, 0]
     Bs[:, 0, 2::3] = -N
@@ -75,13 +78,15 @@ def oracle_plate(model, e):
     m = model.material
     D_b = m.thickness ** 3 / 12.0 * constitutive_solid(m, 2)
     if model.theory == "kirchhoff":
-        _, w, _, _, d2, _ = oracle_points(model.mesh, e, nders=2)
+        w, J = oracle_points(model.mesh, e, nders=2)
+        d2 = jet_arrays(J, 2)[2]
         B = np.zeros((len(w), 3, d2.shape[1]))
         B[:, 0, :] = d2[:, :, 0, 0]
         B[:, 1, :] = d2[:, :, 1, 1]
         B[:, 2, :] = 2.0 * d2[:, :, 0, 1]
         return integrate_btcb(B, D_b, w)
-    _, w, N, dNdx, _, _ = oracle_points(model.mesh, e)
+    w, J = oracle_points(model.mesh, e)
+    N, dNdx, _ = jet_arrays(J, 2)
     nq, nen = N.shape
     d1, d2 = dNdx[:, :, 0], dNdx[:, :, 1]
     Bb = np.zeros((nq, 3, 3 * nen))
@@ -194,14 +199,12 @@ def test_quadrature_data_batch_equals_per_element_rule(model, degree, nders,
 
     def rule(e):
         return None if npts is None else gauss_rule(m, e, npts)
-    batch = quadrature_data(m, elems, rule(elems), nders)
+    w, J = quadrature_data(m, elems, rule(elems), nders)
     for row, e in enumerate(elems):
-        for a, b, c in zip(batch, oracle_points(m, e, npts, nders),
+        for a, b, c in zip((w[row], J[:, row]),
+                           oracle_points(m, e, npts, nders),
                            quadrature_data(m, int(e), rule(int(e)), nders)):
-            if b is None:
-                assert a is None and c is None
-                continue
-            np.testing.assert_array_equal(a[row], b)
+            np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(c, b)
 
 
@@ -568,8 +571,7 @@ def oracle_facet_load(model, axis, side, npts, load, strip=None):
     nq = len(w) // len(facets)
     for i, (e, _) in enumerate(facets):
         q = slice(i * nq, (i + 1) * nq)
-        N, _, _ = mesh.shape_ders(e, mesh.parent_to_local(e, parent[q]),
-                                  nders=0)
+        N = mesh.shape_ders(e, mesh.parent_to_local(e, parent[q]), nders=0)[0]
         out[model.element_dofs(e)] += load(w[q], N, phys[q]).ravel()
     return out
 

@@ -24,7 +24,7 @@ from mdfem.errors import (
     PairingError,
     RankError,
 )
-from mdfem.mesh import add_blocks, build_mesh, parent_data
+from mdfem.mesh import add_blocks, build_mesh
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from mdfem.system import System
@@ -109,7 +109,7 @@ class TestBuildInterface:
         for seg in op.segments:
             np.testing.assert_allclose(seg.normals[:, 0], 1.0, atol=1e-14)
             np.testing.assert_allclose(seg.normals[:, 1], 0.0, atol=1e-14)
-            phys = parent_data(solid.mesh, seg.s_elem, seg.s_parent)[3]
+            phys = solid.mesh.parent_to_local(seg.s_elem, seg.s_parent)
             np.testing.assert_allclose(phys[:, 0], 24.0, atol=1e-12)
             # section offsets are the y coordinates
             np.testing.assert_allclose(seg.offsets, phys[:, 1], atol=1e-14)
@@ -132,7 +132,7 @@ class TestBuildInterface:
         assert partners == [1, 3]  # right column of the 2x2 plate grid
         assert {len(seg.weights) for seg in op.segments} == {8}
         for seg in op.segments:
-            phys = parent_data(solid.mesh, seg.s_elem, seg.s_parent)[3]
+            phys = solid.mesh.parent_to_local(seg.s_elem, seg.s_parent)
             np.testing.assert_allclose(seg.offsets, phys[:, 2] - 0.5,
                                        atol=1e-14)
 

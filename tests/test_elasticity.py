@@ -175,8 +175,8 @@ class TestStiffness:
         K = stiffness_solid(mesh, 0, mat)
         rng = np.random.default_rng(11)
         a = rng.standard_normal(K.shape[0])
-        _, w, _, dNdx, _, _ = quadrature_data(mesh, 0, nders=1)
-        eps = b_matrix_solid(dNdx) @ a
+        w, J = quadrature_data(mesh, 0, nders=1)
+        eps = b_matrix_solid(np.moveaxis(J[1:], 0, -1)) @ a
         C = constitutive_solid(mat, 2)
         energy = np.sum(w * np.einsum("qa,ab,qb->q", eps, C, eps))
         assert a @ K @ a == pytest.approx(energy, rel=1e-10)

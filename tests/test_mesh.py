@@ -1,7 +1,6 @@
 """Mesh construction, mappings and facet quadrature."""
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,15 +15,16 @@ from mdfem.mesh import (
     MODEL_DIMS,
     SplineDir,
     _det_inv,
-    _element_data,
     build_mesh,
     facet_rules,
+    gauss_rule,
+    live_shapes,
     parent_data,
     quadrature_data,
 )
 from mdfem.structural import frame_transforms
-from oracles import (boundary_facets, element_data_reference, element_map,
-                     element_interval, tensor_rule)
+from oracles import (boundary_facets, element_interval, element_map,
+                     jet_reference, tensor_rule)
 
 
 def to_global(mesh, x_storage):
@@ -46,9 +46,9 @@ def map_at(mesh, e, parent):
     of ``e[i]`` at point ``i``) at parent points, by `element_map`."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     elems = np.broadcast_to(e, parent.shape[:1])
-    N, dN, _ = mesh.shape_ders(elems, mesh.parent_to_local(elems, parent))
-    x, J = element_map(mesh.nodes[mesh.element_nodes(elems)], N[:, None],
-                       dN[:, None])
+    t = mesh.shape_ders(elems, mesh.parent_to_local(elems, parent))
+    x, J = element_map(mesh.nodes[mesh.element_nodes(elems)], t[0][:, None],
+                       np.moveaxis(t[1:], 0, -1)[:, None])
     a, b = mesh._bounds(elems)
     return x[:, 0], J[:, 0] * (0.5 * (b - a))[:, None]
 
@@ -277,10 +277,10 @@ def test_locate_inverts_the_map(m, data):
     coord = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
     xi = np.array(data.draw(st.lists(st.tuples(*[coord] * m.dim),
                                      min_size=npts, max_size=npts)))
-    y = global_to_local(m, parent_data(m, elems, xi)[3])
+    y = global_to_local(m, map_at(m, elems, xi)[0])
     e, xif = m.locate(y)
     scale = np.abs(m.box).max()
-    assert_allclose(global_to_local(m, parent_data(m, e, xif)[3]), y,
+    assert_allclose(global_to_local(m, map_at(m, e, xif)[0]), y,
                     rtol=0.0, atol=1e-10 * scale)
     assert (np.abs(xif) <= 1.0 + 1e-10).all()
     inside = (np.abs(xi) < 1.0 - 1e-6).all(axis=1)
@@ -330,10 +330,10 @@ def test_quadrature_data_measure():
     m = build_mesh("solid2d", "spline", 3, (16, 4), [(0, 24), (-3, 3)])
     total = 0.0
     for e in range(m.nelem):
-        _, w, N, dNdx, _, phys = quadrature_data(m, e)
+        w, J = quadrature_data(m, e)
         total += w.sum()
-        assert_allclose(N.sum(axis=1), 1.0, atol=1e-12)
-        assert_allclose(dNdx.sum(axis=1), 0.0, atol=1e-10)
+        assert_allclose(J[0].sum(axis=-1), 1.0, atol=1e-12)
+        assert_allclose(J[1:].sum(axis=-1), 0.0, atol=1e-10)
     assert_allclose(total, 24 * 6, rtol=1e-12)
 
 
@@ -350,11 +350,11 @@ def test_linear_fields_have_zero_hessian_on_placed_maps(model, degree, seed):
                       rotation=orthogonal(rng, (3, 3), 1.0))
     m = build_mesh(model, "spline", degree, 3, [(0.0, 1.0)] * dim, **kwargs)
     for e in range(m.nelem):
-        _, _, _, _, d2Ndx2, _ = quadrature_data(m, e, nders=2)
+        d2Ndx2 = quadrature_data(m, e, nders=2)[1][dim + 1:]
         P = m.nodes[m.element_nodes(e)]
         # The map reproduces each coordinate field and the constant one.
-        assert np.abs(np.einsum("qnij,nm->qmij", d2Ndx2, P)).max() <= 1e-10
-        assert np.abs(d2Ndx2.sum(axis=1)).max() <= 1e-10
+        assert np.abs(d2Ndx2 @ P).max() <= 1e-10
+        assert np.abs(d2Ndx2.sum(axis=-1)).max() <= 1e-10
 
 
 def test_facet_quadrature_measure_and_normals():
@@ -742,28 +742,53 @@ def mapped_meshes(draw):
 @settings(max_examples=60, deadline=None)
 @given(m=mapped_meshes(), data=st.data())
 def test_element_data_matches_the_lapack_chain_rule(m, data):
-    """Every `_element_data` output of `quadrature_data` and `parent_data`
-    with second derivatives is within 1e-12 of its largest entry of the
-    reference by the control net's map, LAPACK inverses and two d x d
-    products per point and node."""
-    calls = []
-
-    def spy(*args):
-        calls.append((args, _element_data(*args)))
-        return calls[-1][1]
-
+    """The weights of `quadrature_data` and the jet tables of second order
+    of it and `parent_data` are within 1e-13 of the largest entry (of each
+    derivative order) of the reference by the control net's map, LAPACK
+    inverses and two d x d products per point and node
+    (`oracles.jet_reference`)."""
     npts = data.draw(st.integers(1, 5))
     elems = np.array(data.draw(st.lists(st.integers(0, m.nelem - 1),
                                         min_size=npts, max_size=npts)))
     parent = np.array(data.draw(st.lists(
         st.tuples(*[st.floats(-1.0, 1.0)] * m.dim),
         min_size=npts, max_size=npts)))
-    with mock.patch("mdfem.mesh._element_data", spy):
-        quadrature_data(m, np.arange(m.nelem), nders=2)
-        parent_data(m, elems, parent, nders=2)
-    assert len(calls) == 2
-    for (_, e, local, wts, _), out in calls:
-        for got, want in zip(out, element_data_reference(m, e, local, wts,
-                                                         2)):
-            assert_allclose(got, want, rtol=0.0,
-                            atol=1e-12 * np.abs(want).max())
+    every = np.arange(m.nelem)
+    w, J = quadrature_data(m, every, nders=2)
+    w_ref, J_ref = jet_reference(m, every, *gauss_rule(m, every, None))
+    assert_allclose(w, w_ref, rtol=0.0, atol=1e-13 * np.abs(w_ref).max())
+    local = m.parent_to_local(elems, parent)[:, None]
+    for got, want in [(J, J_ref), (
+            parent_data(m, elems, parent, nders=2),
+            jet_reference(m, elems, local, np.ones((npts, 1)))[1])]:
+        got = got.reshape(want.shape)
+        for rows in (slice(0, 1), slice(1, m.dim + 1), slice(m.dim + 1, None)):
+            assert_allclose(got[rows], want[rows], rtol=0.0,
+                            atol=1e-13 * np.abs(want[rows]).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(("solid2d", "solid3d")), degree=st.integers(1, 4),
+       placed=st.booleans(), data=st.data())
+def test_live_shapes_are_parent_data_on_the_live_nodes(model, degree, placed,
+                                                       data):
+    """At the points of any face, `live_shapes`' jets equal `parent_data`'s
+    on the live nodes, and `parent_data`'s are zero on every other node,
+    both within 1e-13 of the largest entry."""
+    dim = MODEL_DIMS[model]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kwargs = {}
+    if placed:
+        kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
+                      rotation=orthogonal(rng, (dim, dim), 1.0))
+    m = build_mesh(model, "spline" if degree > 1 else "lagrange", degree,
+                   data.draw(st.tuples(*[st.integers(1, 3)] * dim)),
+                   [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)][:dim], **kwargs)
+    axis, side = data.draw(st.integers(0, dim - 1)), data.draw(
+        st.sampled_from([-1, 1]))
+    elems, parent, _, w, _, tabs = facet_rules(m, axis, side, degree + 1)
+    nodes, J = live_shapes(m, tabs)
+    ref = parent_data(m, np.repeat(elems, w.size // elems.size), parent)
+    tol = 1e-13 * np.abs(ref).max()
+    assert_allclose(J, ref[..., nodes], rtol=0.0, atol=tol)
+    assert np.abs(np.delete(ref, nodes, axis=-1)).max(initial=0.0) <= tol

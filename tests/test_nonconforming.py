@@ -694,8 +694,8 @@ def oracle_nonconforming(inner, region, ncut, threshold):
         if isinstance(inner, PlateModel):
             f[d] += inner.pressure_element(e, -2.0, rules.get(e))
         if isinstance(inner, SolidModel):
-            _, w, N, _, _, _ = quadrature_data(mesh, e, rules.get(e))
-            f[d] += np.einsum("q,qn,c->nc", w, N, BODY[:mesh.dim]).ravel()
+            w, J = quadrature_data(mesh, e, rules.get(e))
+            f[d] += np.einsum("q,qn,c->nc", w, J[0], BODY[:mesh.dim]).ravel()
     nc = inner.ncomp_node
     dofs = (inactive[:, None] * nc + np.arange(nc)).ravel()
     return labels, dofs, K, f
@@ -750,9 +750,9 @@ class TestLoadsOverParts:
         ref = np.zeros(solid.ndof)
         for e in range(solid.mesh.nelem):
             if solid.mesh.element_grid_index(e)[0] < 2:
-                _, w, N, _, _, _ = quadrature_data(solid.mesh, e)
+                w, J = quadrature_data(solid.mesh, e)
                 ref[solid.element_dofs(e)] += np.einsum(
-                    "q,qn,c->nc", w, N, (0.0, -1.0)).ravel()
+                    "q,qn,c->nc", w, J[0], (0.0, -1.0)).ravel()
         np.testing.assert_array_equal(f, ref)
         # The middle node on x = 2 (node 7) carries two live elements.
         assert f[2 * 7 + 1] == pytest.approx(-0.5, rel=1e-12)

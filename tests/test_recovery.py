@@ -138,6 +138,39 @@ def test_points_outside_raise(kind):
                 mesh.element_containing(pts[2])
 
 
+@pytest.mark.parametrize("method", ["recover", "trace"])
+@pytest.mark.parametrize("kind", ["solid2d-spline", "solid3d-lagrange",
+                                  "timoshenko", "euler-bernoulli", "mindlin",
+                                  "kirchhoff"])
+def test_mismatched_point_counts_raise(kind, method):
+    """An element array of another length than the points, a parent point
+    of another dimension than the mesh's and, for beams and plates,
+    section offsets neither one nor one per point are each a DomainError
+    naming the expected and the received shapes."""
+    model = MODELS[kind](np.random.default_rng(3))
+    dim, a = model.mesh.dim, np.zeros(model.ndof)
+    section = model.mesh.model in ("beam", "plate")
+
+    def call(e, parent, offset=0.1):
+        return getattr(model, method)(
+            e, parent, *[offset] * section, *[a] * (method == "recover"))
+
+    pts = np.zeros((2, dim))
+    call(np.array([0, 0]), pts)
+    cases = [(np.array([0, 0, 0]), pts, 0.1,
+              f"expected points of shape (2, {dim}) and one element or 2, "
+              f"got points of shape (2, {dim}) and elements (3,)"),
+             (0, np.zeros((1, dim + 1)), 0.1,
+              f"expected points of shape (1, {dim}) and one element or 1, "
+              f"got points of shape (1, {dim + 1}) and elements ()")]
+    if section:
+        cases.append((0, pts, [0.1, 0.0, -0.1], "expected 1 or 2 section "
+                      "offsets for 2 points, got shape (3,)"))
+    for e, parent, offset, msg in cases:
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            call(e, parent, offset)
+
+
 @pytest.mark.parametrize("kind", ["solid2d-spline", "timoshenko-rotated",
                                   "kirchhoff", "nonconforming-plate"])
 def test_one_recover_call_per_sample_set(kind, monkeypatch):
