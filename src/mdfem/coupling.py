@@ -168,9 +168,13 @@ def build_interface(solid, struct, axis, side, *,
     point is located in the structural mesh (possibly splitting one
     facet across several partner elements) by the partner's `to_local`
     and `Mesh.locate`; a point outside the partner mesh is a
-    PairingError.
+    PairingError. A beam couples to a 2D solid and a plate to a 3D solid;
+    any other pair is a ConfigError.
     """
-    smesh = struct.mesh
+    smesh, kind = struct.mesh, solid.mesh.model
+    if {"beam": "solid2d", "plate": "solid3d"}.get(smesh.model) != kind:
+        raise ConfigError(f"a beam couples to a 2D solid and a plate to a 3D "
+                          f"solid, got a {smesh.model} and a {kind}")
     p_struct = max(d.degree for d in smesh.dirs)
     npts = tuple(solid.mesh.dirs[k].degree + p_struct + 1
                  for k in range(solid.mesh.dim) if k != axis)

@@ -13,8 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .mesh import (Mesh, direction_tables, facet_rules, gauss_rule, jets,
-                   live_shapes, parent_data, quadrature_data)
+from .mesh import (_BLOCK, Mesh, direction_tables, facet_rules, floats,
+                   gauss_rule, jets, live_shapes, parent_data,
+                   quadrature_data)
 from .quadrature import tensor_rules
 
 
@@ -150,32 +151,23 @@ def stiffness_quadrature(mesh, e, form, quadrature=None) -> np.ndarray:
     parts, D as `section_form` gives it, each on its ``npts``-point Gauss
     rule (None: p + 1) or all on an explicit ``quadrature`` (as
     `mesh.quadrature_data` takes it); one element or an element array.
-    P_ab = sum_q w d^a N (d^b N)^T for each pair of used jet columns (one
-    GEMM each), and K[m i, n j] = sum_ab D[i a j b] P_ab[m, n]."""
+    K[m i, n j] = sum_q w sum_a d^a N_m Y[a i, n j] over the used jet
+    columns, D taken in first: Y[a i, n j] = sum_b D[i a j b] d^b N_n."""
     if quadrature is not None:
         form = [(sum(D for D, _ in form), None)]
     parts = []
     for D, npts in form:
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
-        nders = 2 if used[-1] > mesh.dim else 1
         w, J = quadrature_data(mesh, e, gauss_rule(
-            mesh, e, npts) if quadrature is None else quadrature, nders)
-        J = J[used]
-        *lead, _, nen = J.shape[1:]
-        wJ = J * w[..., None]
-        nu, nc = used.size, D.shape[0]
-        P = np.empty((nu, nu, *lead, nen, nen))
-        for a in range(nu):
-            for b in range(nu):
-                np.matmul(J[a].swapaxes(-1, -2), wJ[b], out=P[a, b])
-        # [i, j, ..., m, n]. A one-row product is a GEMV, whose sums depend
-        # on the batch size: that row is summed term by term.
-        Du = D[:, used][..., used].transpose(0, 2, 1, 3).reshape(nc * nc, -1)
-        P = P.reshape(nu * nu, -1)
-        Kp = Du @ P if nc > 1 else sum(d * p for d, p in zip(Du[0], P) if d)
-        # -> [..., m, i, n, j]
-        parts.append(np.moveaxis(Kp.reshape(nc, nc, *lead, nen, nen), (0, 1),
-                                 (-3, -1)).reshape(*lead, nen * nc, nen * nc))
+            mesh, e, npts) if quadrature is None else quadrature,
+            2 if used[-1] > mesh.dim else 1)
+        J = np.moveaxis(J[used], 0, -2)  # [..., q, a, m]
+        (nu, nen), nc = J.shape[-2:], D.shape[0]
+        Y = (D[:, used][..., used].reshape(-1, nu) @ J).reshape(
+            J.shape[:-2] + (nc, nu, nc, nen)).swapaxes(-4, -3)
+        K = integrate_atb(J, Y.swapaxes(-2, -1).reshape(J.shape[:-1] + (-1,)),
+                          w)  # [..., m, i n j]
+        parts.append(K.reshape(K.shape[:-2] + (nen * nc,) * 2))
     return sum(parts[1:], parts[0])
 
 
@@ -194,13 +186,14 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     strict_upper(A) x R + diag(A) x upper(R) (`_kron_csr`). Gauss
     tables are evaluated once per part and direction (`_tables_1d`). The
     parts share the band pattern, so their jet pairs (a, b) ride side by
-    side on the values' trailing axis: one product per box, and one GEMM
-    with the parts' D stacked gives the node blocks.
+    side on the values' trailing axis. The product, from a 1 x 1 factor of
+    ones, is index only; the parts' D, stacked, goes into A's values
+    before they meet R's.
     """
     T, m, det = mesh.jet_map, jets(mesh.dim), mesh.placement[3]
     idx, mats, Dab = [None] * mesh.dim, [[] for _ in mesh.dirs], []
     for D, npts, cover in form:
-        D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
+        D = det * (T.T @ D.transpose(0, 2, 1, 3) @ T).transpose(0, 2, 1, 3)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
         nders = 2 if used[-1] > mesh.dim else 1
@@ -213,21 +206,40 @@ def stiffness_separable(mesh: Mesh, form, boxes):
     mats, Dab = [np.concatenate(mk, axis=-1) for mk in mats], np.vstack(Dab)
     nc, Ks = form[0][0].shape[0], []
     for box in boxes:
-        P, nodes, n = (), np.zeros(1, dtype=int), 1
+        nodes, n, vals = np.zeros(1, dtype=int), 1, np.ones((1, len(Dab)))
         for k, (d, mk, mask) in enumerate(zip(mesh.dirs, mats, box)):
             last = k == mesh.dim - 1
-            band, live = _band_1d(d.n, idx[k], mk, mask, last)
-            P = _kron_csr(*band, P[0], _upper_starts(P[0], P[1], nodes)
-                          if last else P[0][:-1], *P[1:], n) if P else band
+            (pa, ca, va), live = _band_1d(d.n, idx[k], mk, mask, last)
+            if k == 0:  # the first factor times the 1 x 1 ones is itself
+                ptr, col, ea, eb = pa, ca, np.arange(ca.size), 0 * ca
+                vals = vals if last else va
+            else:  # in the upper product R's rows start at their diagonal
+                sb = ptr[:-1] + last * np.add.reduceat(
+                    col < np.repeat(nodes, np.diff(ptr)), ptr[:-1], dtype=int)
+                ptr, col, ea, eb = _kron_csr(pa, ca, ptr, sb, col, n)
+                vals = vals if last else va[ea] * vals[eb]
             nodes = (n * live[:, None] + nodes).ravel()
             n *= d.n
+        # G[i] = R (va[i, :, None] Dab) for the entries i of a run of A's
+        # rows (at most _BLOCK entries of G, or one row) in one statement,
+        # so no two runs' G are alive; the node blocks are G[ea, eb], taken
+        # in "clip" mode (the indices are in range) without a buffer.
+        nb, nr = len(vals), len(pa) - 1
+        at = ptr[::(len(ptr) - 1) // nr]  # the product's entries by A's rows
+        step = max(1, _BLOCK // (nb * nc * nc * np.diff(pa).max()))
+        blocks = np.empty((len(ea), nc, nc))
+        for i in range(0, nr, step):
+            ends = [i, min(i + step, nr)]
+            (a0, a1), (s, e) = pa[ends], at[ends]
+            np.take(np.matmul(vals, va[a0:a1, :, None] * Dab).reshape(
+                -1, nc, nc), (ea[s:e] - a0) * nb + eb[s:e], 0, blocks[s:e],
+                "clip")
         # The box's rows are the mesh nodes ``nodes``, each led by its
         # diagonal block; other rows are empty.
-        blocks = (P[2] @ Dab).reshape(-1, nc, nc)
-        blocks[P[0][:-1]] = np.triu(blocks[P[0][:-1]])
-        ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
-        ptr[nodes + 1] = np.diff(P[0])
-        Ks.append(sp.bsr_matrix((blocks, P[1], np.cumsum(ptr)),
+        blocks[ptr[:-1]] = np.triu(blocks[ptr[:-1]])
+        rows = np.zeros(mesh.nnodes + 1, dtype=ptr.dtype)
+        rows[nodes + 1] = np.diff(ptr)
+        Ks.append(sp.bsr_matrix((blocks, col, np.cumsum(rows)),
                                 shape=(mesh.nnodes * nc,) * 2))
     return Ks
 
@@ -300,19 +312,13 @@ def part_form(form, rule):
     return [(D, rule[0], None), (-D, *rule)]
 
 
-def _upper_starts(ptr, col, rows):
-    """Each sorted CSR row's first entry at or past its diagonal ``rows``."""
-    r = np.repeat(np.arange(rows.size), np.diff(ptr))
-    return ptr[:-1] + np.bincount(r[col < rows[r]], minlength=rows.size)
-
-
-def _kron_csr(pa, ca, va, pb, sb, cb, vb, nb):
-    """Kronecker product ``(indptr, indices, values)`` of CSR a and b, b
-    fastest, values with a trailing axis (multiplied entry by entry), b of
-    ``nb`` columns; sorted rows stay sorted. Row (i, k) is a's first entry
-    of row i times b's row k from entry ``sb[k]``, then a's later ones
-    times b's whole row k: the full product with b's row starts, the upper
-    triangle with a upper (rows led by the diagonal) and b's diagonals."""
+def _kron_csr(pa, ca, pb, sb, cb, nb):
+    """Kronecker product ``(indptr, indices, ea, eb)`` of CSR a and b, b
+    fastest and of ``nb`` columns, each entry a's entry ``ea`` times b's
+    ``eb``; sorted rows stay sorted. Row (i, k) is a's first entry of row
+    i times b's row k from entry ``sb[k]``, then a's later ones times b's
+    whole row k: the full product with b's row starts, the upper triangle
+    with a upper (rows led by the diagonal) and b's diagonals."""
     la, lb = np.diff(pa), np.diff(pb)
     ptr = np.r_[0, np.cumsum((np.outer(la, lb) - (sb - pb[:-1])).ravel())]
     nrun = np.repeat(la, lb.size)  # runs of row (i, k), in row order
@@ -322,9 +328,7 @@ def _kron_csr(pa, ca, va, pb, sb, cb, vb, nb):
     start = np.where(t == 0, sb[k], pb[k])
     n = pb[k + 1] - start
     eb = np.arange(ptr[-1]) - np.repeat(np.cumsum(n) - n - start, n)
-    vals = np.repeat(va[ea], n, axis=0)
-    vals *= np.take(vb, eb, axis=0)
-    return ptr, np.repeat(ca[ea] * nb, n) + cb[eb], vals
+    return ptr, np.repeat(ca[ea] * nb, n) + cb[eb], np.repeat(ea, n), eb
 
 
 class Model:
@@ -371,8 +375,8 @@ class Model:
         f = sum((load_separable(mesh, part_form([(1.0, None)], rule),
                                 mesh.element_boxes(el))
                  for el, rule in self.parts if el.size), np.zeros(mesh.nnodes))
-        return np.multiply.outer(f, np.reshape(np.asarray(
-            values, dtype=float), self.ncomp_node)).reshape(-1)
+        return np.multiply.outer(f, floats(
+            values, (self.ncomp_node,), "load per nodal unknown")).reshape(-1)
 
     def face_load(self, axis, side, values, strip=None):
         """Consistent load of ``values`` per unit measure of a boundary face
@@ -383,15 +387,16 @@ class Model:
         mesh = self.mesh
         elems, _, phys, w, _, tabs = facet_rules(
             mesh, axis, side, max(mesh.degrees) + 1, strip)
-        nodes, J = live_shapes(mesh, tabs)
+        nodes, J = live_shapes(mesh, [t[:, :1] for t in tabs])
         bad = elems[self.part_index(elems) != 0]
         if bad.size:
             raise ConfigError(f"face load on element {bad[0]}, void or cut")
-        t = np.asarray(values(phys) if callable(values) else
-                       np.tile(values, (len(w), 1)), dtype=float)
-        fq = (len(elems), -1)
+        fq, n = (len(elems), -1), self.ncomp_node
+        t = (floats(values(phys), (len(w), n), f"face load at {len(w)} points")
+             if callable(values) else np.tile(floats(
+                 values, (n,), "face load per nodal unknown"), (len(w), 1)))
         fe = np.einsum("fq,fqn,fqc->fnc", w.reshape(fq), J[0].reshape(
-            fq + J.shape[2:]), t.reshape(fq + t.shape[1:]))
+            fq + J.shape[2:]), t.reshape(fq + (n,)))
         out = np.zeros(self.ndof)
         dofs = self.element_dofs(elems).reshape(fe.shape[0], -1, fe.shape[2])
         np.add.at(out, dofs[:, nodes], fe)
@@ -401,11 +406,6 @@ class Model:
         """Global coordinates of stored ones at section ``offsets``: a solid
         stores global coordinates."""
         return stored
-
-    def to_local(self, phys):
-        """Beams and plates map global points to ``(inplane, offsets)``."""
-        raise ConfigError(f"a {self.mesh.model} model has no section to "
-                          "pair an interface with")
 
 
 class SolidModel(Model):
@@ -451,13 +451,14 @@ class SolidModel(Model):
     def recover(self, e, parent, a_model):
         """Displacement and stress at parent points from model DOF values,
         with ``e`` as in `trace`."""
-        return recover_values(self.trace(e, parent),
-                              a_model[self.element_dofs(e)])
+        return recover_values(self, self.trace(e, parent), e, a_model)
 
 
-def recover_values(trace, ae):
-    """``(N a_e, S a_e)`` of a trace ``(N, S)`` and element DOF values
-    ``ae``: one row for all points, or one row per point."""
+def recover_values(model, trace, e, a_model):
+    """``(N a_e, S a_e)`` of a trace ``(N, S)`` of element ``e`` (one, or
+    one per point) and ``model``'s DOF values ``a_model``."""
     N, S = trace
+    ae = floats(a_model, (model.ndof,), "model DOF values")[
+        model.element_dofs(e)]
     ae = np.broadcast_to(ae, (N.shape[0], N.shape[-1]))[..., None]
     return (N @ ae)[..., 0], (S @ ae)[..., 0]

@@ -21,6 +21,7 @@ order, `jet_table`): J[0] is N, J[1:dim + 1] the gradient. It is in t from
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -267,7 +268,7 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
     dim = MODEL_DIMS[model]
     degrees = _per_dir(degrees, dim, "degrees")
     nelems = _per_dir(nelems, dim, "nelems")
-    extents = _floats(extents, (dim, 2), "extents")
+    extents = floats(extents, (dim, 2), "extents")
     if np.any(extents[:, 1] <= extents[:, 0]):
         raise ConfigError("extents must have positive length")
     if basis not in ("lagrange", "spline"):
@@ -287,12 +288,12 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
 
     solid = model.startswith("solid")
     if origin is not None:
-        origin = _floats(origin, (2 if model in ("solid2d", "beam") else 3,),
+        origin = floats(origin, (2 if model in ("solid2d", "beam") else 3,),
                          "origin")
     if rotation is not None:
         if not solid:
             raise ConfigError("rotation applies to solid meshes only")
-        rotation = _floats(rotation, (dim, dim), "rotation")
+        rotation = floats(rotation, (dim, dim), "rotation")
     if solid and (rotation is not None or origin is not None):
         origin = np.zeros(dim) if origin is None else origin
         rotation = np.eye(dim) if rotation is None else rotation
@@ -300,8 +301,8 @@ def build_mesh(model, basis, degrees, nelems, extents, *, origin=None,
         origin = np.zeros(2)
 
     return Mesh(model=model, basis=basis, dirs=dirs, origin=origin,
-                rotation=rotation, phi=float(_floats(phi, (), "phi")),
-                z_mid=float(_floats(z_mid, (), "z_mid")))
+                rotation=rotation, phi=float(floats(phi, (), "phi")),
+                z_mid=float(floats(z_mid, (), "z_mid")))
 
 
 def _per_dir(value, dim, name):
@@ -314,16 +315,16 @@ def _per_dir(value, dim, name):
     return tuple(int(v) for v in out)
 
 
-def _floats(value, shape, name):
+def floats(value, shape, name):
     """``value`` as finite floats of ``shape``, from as many values."""
-    n = np.prod(shape, dtype=int)
+    n = math.prod(shape)
     try:
         out = np.asarray(value, dtype=float)
     except (TypeError, ValueError):  # not numbers: rejected below
-        out = np.array(np.nan)
-    if out.size != n or not np.isfinite(out).all():
-        raise ConfigError(f"{name}: expected {n} finite values, "
-                          f"got {value!r}")
+        out = None
+    if out is None or out.size != n or not np.isfinite(out).all():
+        got = out.size if out is not None and out.size != n else repr(value)
+        raise ConfigError(f"{name}: expected {n} finite values, got {got}")
     return out.reshape(shape)
 
 
@@ -332,6 +333,7 @@ def _floats(value, shape, name):
 # Entries an element batch may hold (element-matrix entries, or shape
 # gradients in loads); bulk and coupling assembly also flush at this count.
 _TRIPLET_BUDGET = 5_000_000
+_BLOCK = 2**16  # entries of a `system._fill` row block or a stiffness G run
 
 
 def element_batches(elems, entries):
@@ -416,12 +418,12 @@ def _x_jets(mesh, tables):
 
 
 def direction_tables(d, el, t, nders):
-    """Direction ``d``'s basis derivatives of order <= ``nders`` (1 or 2)
-    at local points ``t`` ``(E, Q)`` of its elements ``el`` ``(E,)``:
+    """Direction ``d``'s basis derivatives of order <= ``nders`` <= 2 at
+    local points ``t`` ``(E, Q)`` of its elements ``el`` ``(E,)``:
     ``(E, Q, nders + 1, p + 1)``."""
-    if nders not in (1, 2):
-        raise ConfigError(f"nders must be 1 (shape gradients) or 2 (also "
-                          f"second derivatives), got {nders!r}")
+    if nders not in (0, 1, 2):
+        raise ConfigError(f"nders must be 0 (shape values), 1 (gradients) "
+                          f"or 2 (second derivatives), got {nders!r}")
     return d.eval(np.repeat(el, t.shape[1]), t.ravel(), nders).reshape(
         t.shape + (nders + 1, d.nloc))
 
@@ -441,7 +443,7 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
     """``(weights, J)`` of an element array on its `gauss_rule` (None) or
     an explicit local-coordinate rule ``(local, weights)``, ``(E, nq,
     dim)`` and ``(E, nq)``: the weights times det A and the jet table in x
-    of order <= ``nders`` (1 or 2), ``(njet, E, nq, nen)``; one element
+    of order <= ``nders`` <= 2, ``(njet, E, nq, nen)``; one element
     drops the element axis throughout. One basis call per direction."""
     elems = np.atleast_1d(e)
     local, wts = (gauss_rule(mesh, e, None) if quadrature is None
@@ -453,10 +455,10 @@ def quadrature_data(mesh, e, quadrature=None, nders=1):
 
 
 def parent_data(mesh, e, parent, nders=1):
-    """The jet table in x ``(njet, npts, nen)`` of order <= ``nders`` at
-    parent points ``(npts, dim)`` of one element, or of element ``e[i]`` at
-    point ``i`` for an element array. Points without ``dim`` coordinates
-    each, or an element array of another length, are a DomainError."""
+    """The jet table in x ``(njet, npts, nen)`` of order <= ``nders`` <= 2
+    at parent points ``(npts, dim)`` of one element, or of element ``e[i]``
+    at point ``i`` for an element array. Points without ``dim`` coordinates
+    each, another count of elements or one off the mesh: DomainError."""
     parent = np.atleast_2d(np.asarray(parent, dtype=float))
     n = len(parent)
     if parent.shape != (n, mesh.dim) or np.ndim(e) and np.shape(e) != (n,):
@@ -464,6 +466,9 @@ def parent_data(mesh, e, parent, nders=1):
                           f"one element or {n}, got points of shape "
                           f"{parent.shape} and elements {np.shape(e)}")
     elems = np.broadcast_to(e, (n,))
+    bad = elems[(elems < 0) | (elems >= mesh.nelem)]
+    if bad.size:
+        raise DomainError(f"element {bad[0]} outside [0, {mesh.nelem})")
     local = mesh.parent_to_local(elems, parent)[:, None]
     return _x_jets(mesh, _point_tables(mesh, elems, local, nders))[:, :, 0]
 
@@ -564,11 +569,11 @@ def facet_rules(mesh: Mesh, axis: int, side: int, npts, strip=None):
 
 
 def live_shapes(mesh, tabs):
-    """``(nodes, J)``: `parent_data`'s jet table of order 1, ``(dim + 1,
-    npoints, nodes)``, from per-point direction tables ``tabs``
-    (`facet_rules`) on the local ``nodes`` (ascending) whose function in
-    each direction has a nonzero value or derivative at some point, so
-    every node with a nonzero jet."""
+    """``(nodes, J)``: `parent_data`'s jet table of the order of per-point
+    direction tables ``tabs`` (`facet_rules`, or its value rows ``t[:,
+    :1]``), ``(njet, npoints, nodes)``, on the local ``nodes`` (ascending)
+    whose function in each direction has a nonzero entry of its table at
+    some point, so every node with a nonzero jet."""
     keep = [np.flatnonzero(t.any(axis=(0, 1))) for t in tabs]
     nodes = np.ravel_multi_index(np.ix_(*keep), [t.shape[-1] for t in tabs],
                                  order="F").ravel(order="F")

@@ -18,7 +18,7 @@ from .elasticity import (Material, Model, constitutive_solid, interpolate,
                          kinematics, recover_values, section_form,
                          stiffness_quadrature)
 from .errors import ConfigError, DomainError
-from .mesh import Mesh, parent_data
+from .mesh import Mesh, floats, parent_data
 
 # Rows: displacement (ux, uy) or (u1, u2, u3), then Voigt strain (xx, yy,
 # xy), for Mindlin (xx, yy, xy, yz, xz). Terms: (component, derivative
@@ -169,20 +169,20 @@ class BeamModel(Model):
         Euler-Bernoulli, (f_u, f_w, m) for Timoshenko; for a rotated
         frame member they are interpreted in global axes.
         """
-        comp = np.asarray(components, dtype=float).reshape(self.ncomp_node)
+        comp = floats(components, (self.ncomp_node,),
+                      "point load per nodal unknown")
         e, xi = self.mesh.locate((x_local,))
         if self.part_index(e) < 0:
             raise ConfigError(f"point load on element {e}, void")
         f = np.zeros(self.ndof)
         f[self.element_dofs(e)] += np.outer(
-            parent_data(self.mesh, e, xi)[0, 0], comp).ravel()
+            parent_data(self.mesh, e, xi, 0)[0, 0], comp).ravel()
         return f
 
     def recover(self, e, parent, offset, a_model):
         """Displacement and stress at section points from model DOF values,
         with ``e`` as in `trace`."""
-        return recover_values(self.trace(e, parent, offset),
-                              a_model[self.element_dofs(e)])
+        return recover_values(self, self.trace(e, parent, offset), e, a_model)
 
 
 class PlateModel(Model):
@@ -267,5 +267,4 @@ class PlateModel(Model):
     def recover(self, e, parent, offset, a_model):
         """Displacement and stress at section points from model DOF values,
         with ``e`` as in `trace`."""
-        return recover_values(self.trace(e, parent, offset),
-                              a_model[self.element_dofs(e)])
+        return recover_values(self, self.trace(e, parent, offset), e, a_model)

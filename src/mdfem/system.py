@@ -33,6 +33,7 @@ from . import mesh
 from .coupling import estimate_alpha
 from .elasticity import part_form, stiffness_separable
 from .errors import ConfigError, DefinitenessError, MdfemError, RankError
+from .mesh import _BLOCK
 
 
 @dataclass
@@ -162,6 +163,9 @@ class System:
 
     def model_part(self, a, idx):
         self._model(idx)
+        if np.shape(a)[:1] != (self.ndof,):
+            raise ConfigError(f"expected one row per system DOF ({self.ndof})"
+                              f", got shape {np.shape(a)}")
         return a[self.offsets[idx]:self.offsets[idx + 1]]
 
     def add_coupling(self, op):
@@ -375,7 +379,6 @@ def _block_diag(parts) -> sp.csr_matrix:
 
 
 _PIVOT_TOL = 1e-10  # pivot^2 <= this * K_jj: round-off of K_jj, singular
-_BLOCK = 2**16  # stored entries per row block of the passes
 
 
 def _pieces(K) -> Pieces:

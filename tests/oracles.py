@@ -413,10 +413,10 @@ def solid_solve(K):
     return _factor_spd(K, np.ones(n, bool), np.zeros((n, 3)))[0]
 
 
-def kron_csr(pa, ca, va, pb, cb, vb, nb):
-    """Kronecker product ``(indptr, indices, values)`` of CSR matrices a
-    and b, b fastest, whose values carry a trailing axis (multiplied entry
-    by entry), b having ``nb`` columns: every entry, rows sorted."""
+def kron_csr(pa, ca, pb, cb, nb):
+    """Kronecker product ``(indptr, indices, ea, eb)`` of CSR matrices a
+    and b, b fastest and of ``nb`` columns, each entry a's entry ``ea``
+    times b's ``eb``: every entry, rows sorted."""
     la, lb = np.diff(pa), np.diff(pb)
     rowlen = np.outer(la, lb).ravel()
     ptr = np.concatenate(([0], np.cumsum(rowlen)))
@@ -424,24 +424,26 @@ def kron_csr(pa, ca, va, pb, cb, vb, nb):
     ia, ib = np.divmod(r, lb.size)
     q, s = np.divmod(np.arange(ptr[-1]) - ptr[r], lb[ib])
     ea, eb = pa[ia] + q, pb[ib] + s
-    vals = np.take(va, ea, axis=0)
-    vals *= np.take(vb, eb, axis=0)
-    return ptr, ca[ea] * nb + cb[eb], vals
+    return ptr, ca[ea] * nb + cb[eb], ea, eb
 
 
 def separable_full(mesh, form, boxes, upper=False):
     """`elasticity.stiffness_separable` with both triangles: per box the
     whole Kronecker product (`kron_csr`) of the library's 1D band
-    matrices times D, as canonical BSR of node blocks. With ``upper``
-    only the product's entries on node pairs (i, j), j >= i, are
-    multiplied by D, and the diagonal blocks' strictly lower parts are
-    zeroed: its upper blocks, as BLAS computes them on those rows. Each
-    part's product is built on its own; one GEMM takes them side by side
-    against the parts' D stacked, as the library's does."""
+    matrices times D, as canonical BSR of node blocks. D is taken first
+    into the slowest direction's values va: its entry i gives G[i] = vb
+    (va[i, :, None] Dab), vb the other directions' product (from a 1 x 1
+    factor of ones), in one batched GEMM over all of va, and the block
+    of a's entry i times b's entry j is G[i, j]. Each part's product is
+    built on its own; their jet pairs ride side by side against the
+    parts' D stacked, as the library's do. With ``upper`` only the
+    entries on node pairs (i, j), j >= i, are kept, and the diagonal
+    blocks' strictly lower parts are zeroed: its upper blocks, as BLAS
+    computes them."""
     T, m, det = mesh.jet_map, jets(mesh.dim), mesh.placement[3]
     parts = []
     for D, npts, cover in form:
-        D = det * np.einsum("ab,iajc,cd->ibjd", T, D, T)
+        D = det * (T.T @ D.transpose(0, 2, 1, 3) @ T).transpose(0, 2, 1, 3)
         used = np.flatnonzero(np.abs(D).sum((0, 2, 3)))
         a, b = (used[i].ravel() for i in np.indices((used.size,) * 2))
         nders = 2 if used[-1] > mesh.dim else 1
@@ -455,27 +457,36 @@ def separable_full(mesh, form, boxes, upper=False):
     nc, Ks = form[0][0].shape[0], []
     Dab = np.vstack([part[3] for part in parts])
     for box in boxes:
-        vals = []
+        va, vb = [], []
         for mats, ma, mb, _ in parts:
-            P, nodes, n = (), np.zeros(1, dtype=int), 1
+            ptr, col = np.arange(2), np.zeros(1, dtype=int)
+            vals = np.ones((1, len(ma)))
+            nodes, n = np.zeros(1, dtype=int), 1
             for k, (d, (idx, mk), mask) in enumerate(zip(mesh.dirs, mats,
                                                          box)):
-                (ptr, col, val), live = _band_1d(d.n, idx, mk, mask,
-                                                   False)
-                band = ptr, col, val[:, ma[:, k], mb[:, k]]
-                P = kron_csr(*band, *P, n) if P else band
+                (pa, ca, val), live = _band_1d(d.n, idx, mk, mask, False)
+                val = val[:, ma[:, k], mb[:, k]]
+                if k == mesh.dim - 1:
+                    break
+                ptr, col, ea, eb = kron_csr(pa, ca, ptr, col, n)
+                vals = np.take(val, ea, axis=0) * np.take(vals, eb, axis=0)
                 nodes = (n * live[:, None] + nodes).ravel()
                 n *= d.n
-            rows = np.repeat(nodes, np.diff(P[0]))
-            keep = P[1] >= rows if upper else np.ones(rows.size, bool)
-            vals.append(P[2][keep])
-        blocks = (np.concatenate(vals, axis=1) @ Dab).reshape(-1, nc, nc)
+            va.append(val)
+            vb.append(vals)
+        ptr, col, ea, eb = kron_csr(pa, ca, ptr, col, n)
+        nodes = (n * live[:, None] + nodes).ravel()
+        G = np.matmul(np.concatenate(vb, axis=1),
+                      np.concatenate(va, axis=1)[:, :, None] * Dab)
+        rows = np.repeat(nodes, np.diff(ptr))
+        keep = col >= rows if upper else np.ones(rows.size, bool)
+        blocks = G[ea[keep], eb[keep]].reshape(-1, nc, nc)
         if upper:
-            diag = P[1][keep] == rows[keep]
+            diag = col[keep] == rows[keep]
             blocks[diag] = np.triu(blocks[diag])
-        ptr = np.zeros(mesh.nnodes + 1, dtype=P[0].dtype)
-        ptr[nodes + 1] = np.add.reduceat(keep, P[0][:-1])
-        Ks.append(sp.bsr_matrix((blocks, P[1][keep], np.cumsum(ptr)),
+        indptr = np.zeros(mesh.nnodes + 1, dtype=ptr.dtype)
+        indptr[nodes + 1] = np.add.reduceat(keep, ptr[:-1])
+        Ks.append(sp.bsr_matrix((blocks, col[keep], np.cumsum(indptr)),
                                 shape=(mesh.nnodes * nc,) * 2))
     return Ks
 

@@ -7,6 +7,8 @@ hand-built B matrices. The library integrates each model's stiffness
 form in tensor form instead, so every kernel must match to 1e-13 of the
 largest entry.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -458,6 +460,40 @@ def test_separable_blocks_are_the_full_products_upper_blocks(model, data):
         scale = max(abs(term[i]).max() for term in terms)
         np.testing.assert_allclose(K.toarray(), sp.triu(full).toarray(),
                                    rtol=0, atol=1e-15 * scale)
+
+
+def test_separable_memory_is_the_result_and_one_run(monkeypatch):
+    """On a 16 x 3 x 4 tri-cubic solid, where one slowest-direction row of
+    G (`stiffness_separable`'s GEMM output, node blocks of the other
+    directions' product times that row's 4 entries) holds more than
+    ``_BLOCK`` entries, so G is computed in 7 runs of one row, the traced
+    peak above entry stays under the result, one run's G and 32 bytes per
+    node block (the product's int64 columns, ea and eb, and a run's gather
+    indices and R's values). G in one run would exceed that bound."""
+    m = build_mesh("solid3d", "spline", 3, (16, 3, 4), [(0.0, 1.0)] * 3)
+    form = elasticity.part_form(SolidModel(m, MAT).stiffness_form(), None)
+    boxes = m.element_boxes(np.arange(m.nelem))
+    nb = np.prod([sum(min(i + 3, d.n - 1) - max(i - 3, 0) + 1
+                      for i in range(d.n)) for d in m.dirs[:2]])
+    run = 4 * nb * 3 * 3 * 8  # bytes of one row's G
+    assert run > 8 * elasticity._BLOCK
+
+    def peak():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Ks = elasticity.stiffness_separable(m, form, boxes)
+            return Ks, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    elasticity.stiffness_separable(m, form, boxes)
+    Ks, used = peak()
+    nnz = sum(K.indices.size for K in Ks)
+    bound = run + 32 * nnz + sum(K.data.nbytes + K.indices.nbytes
+                                 + K.indptr.nbytes for K in Ks)
+    assert used <= bound
+    monkeypatch.setattr(elasticity, "_BLOCK", 2**40)
+    assert peak()[1] > bound
 
 
 @settings(max_examples=80, deadline=None)

@@ -143,8 +143,26 @@ class TestBuildInterface:
 
     def test_solid_partner_rejected(self):
         solid, _ = q4_bench_models()
-        with pytest.raises(ConfigError, match="solid2d model has no section"):
+        with pytest.raises(ConfigError, match="got a solid2d and a solid2d$"):
             build_interface(solid, solid, axis=0, side=1)
+
+    def test_partner_of_the_wrong_dimension_rejected(self):
+        """A beam couples to a 2D solid and a plate to a 3D solid: the
+        other pairings are a ConfigError saying so, raised before any
+        point is paired."""
+        mat = Material(E=100.0, nu=0.3)
+        solid2d, beam = q4_bench_models()
+        solid3d = SolidModel(build_mesh("solid3d", "spline", 2, (2, 1, 1), (
+            (0.0, 2.0), (0.0, 1.0), (0.0, 1.0))), mat)
+        plate = PlateModel(build_mesh("plate", "spline", 2, (2, 1), (
+            (2.0, 4.0), (0.0, 1.0)), z_mid=0.5), mat)
+        for solid, struct, got in [(solid2d, plate, "a plate and a solid2d"),
+                                   (solid3d, beam, "a beam and a solid3d")]:
+            with pytest.raises(ConfigError, match=(
+                    f"^a beam couples to a 2D solid and a plate to a 3D "
+                    f"solid, got {got}$")):
+                build_interface(solid, struct, axis=0, side=1)
+        build_interface(solid3d, plate, axis=0, side=1)
 
 
 def bending_state():

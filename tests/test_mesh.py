@@ -16,6 +16,7 @@ from mdfem.mesh import (
     SplineDir,
     _det_inv,
     build_mesh,
+    direction_tables,
     facet_rules,
     gauss_rule,
     live_shapes,
@@ -655,8 +656,10 @@ def test_one_basis_call_per_direction(model, basis, degree, monkeypatch):
     assert len(calls) == m.dim
 
 
-@pytest.mark.parametrize("nders", [0, 3])
+@pytest.mark.parametrize("nders", [-1, 3])
 def test_element_data_rejects_other_derivative_orders(nders):
+    """Orders 0 to 2 are tabulated (`test_order_zero_tables_are_the_value_rows`
+    reads order 0); any other is a ConfigError."""
     mesh = build_mesh("solid2d", "spline", 2, (2, 2), [(0, 1), (0, 1)])
     for call in (lambda: quadrature_data(mesh, [0, 1], nders=nders),
                  lambda: parent_data(mesh, 0, [[0.0, 0.0]], nders=nders)):
@@ -792,3 +795,39 @@ def test_live_shapes_are_parent_data_on_the_live_nodes(model, degree, placed,
     tol = 1e-13 * np.abs(ref).max()
     assert_allclose(J, ref[..., nodes], rtol=0.0, atol=tol)
     assert np.abs(np.delete(ref, nodes, axis=-1)).max(initial=0.0) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(("solid2d", "solid3d")), degree=st.integers(1, 4),
+       placed=st.booleans(), data=st.data())
+def test_order_zero_tables_are_the_value_rows(model, degree, placed, data):
+    """Order 0 gives N alone, bit for bit the value row of order 1: from
+    `parent_data` and from `live_shapes` on a face's value rows ``t[:,
+    :1]``, whose live nodes are those of the full tables with a nonzero
+    value at some point."""
+    dim = MODEL_DIMS[model]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kwargs = {}
+    if placed:
+        kwargs.update(origin=rng.uniform(-2.0, 2.0, dim),
+                      rotation=orthogonal(rng, (dim, dim), 1.0))
+    m = build_mesh(model, "spline" if degree > 1 else "lagrange", degree,
+                   data.draw(st.tuples(*[st.integers(1, 3)] * dim)),
+                   [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)][:dim], **kwargs)
+    axis, side = data.draw(st.integers(0, dim - 1)), data.draw(
+        st.sampled_from([-1, 1]))
+    elems, parent, _, w, _, tabs = facet_rules(m, axis, side, degree + 1)
+    e = np.repeat(elems, w.size // elems.size)
+    N = parent_data(m, e, parent, 0)
+    assert N.shape == (1, w.size, m.nen)
+    assert N.tobytes() == parent_data(m, e, parent)[:1].tobytes()
+    nodes, J = live_shapes(m, tabs)
+    live, J0 = live_shapes(m, [t[:, :1] for t in tabs])
+    assert J0.shape == (1, w.size, live.size) and set(live) <= set(nodes)
+    assert J0.tobytes() == J[:1, :, np.searchsorted(nodes, live)].tobytes()
+    assert not np.delete(N[0], live, axis=-1).any()
+    d = m.dirs[0]
+    np.testing.assert_array_equal(
+        direction_tables(d, np.zeros(1, int), np.full((1, 2), d.lo), 0),
+        direction_tables(d, np.zeros(1, int), np.full((1, 2), d.lo), 1)[
+            ..., :1, :])

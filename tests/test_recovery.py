@@ -21,8 +21,8 @@ from mdfem import mesh as mesh_mod
 from mdfem.cli import main
 from mdfem.coupling import build_interface
 from mdfem.elasticity import Material, SolidModel
-from mdfem.errors import ConvergenceError, DomainError
-from mdfem.mesh import build_mesh
+from mdfem.errors import ConfigError, ConvergenceError, DomainError
+from mdfem.mesh import build_mesh, facet_rules
 from mdfem.nonconforming import NonconformingModel, OverlapRegion
 from mdfem.structural import BeamModel, PlateModel
 from oracles import element_interval, locate_point
@@ -169,6 +169,72 @@ def test_mismatched_point_counts_raise(kind, method):
     for e, parent, offset, msg in cases:
         with pytest.raises(DomainError, match=re.escape(msg)):
             call(e, parent, offset)
+
+
+@pytest.mark.parametrize("method", ["recover", "trace"])
+@pytest.mark.parametrize("kind", ["solid2d-spline", "solid3d-lagrange",
+                                  "timoshenko", "euler-bernoulli", "mindlin",
+                                  "kirchhoff", "nonconforming-plate"])
+def test_element_outside_the_mesh_raises(kind, method):
+    """An element index past the last or below 0, alone or in an element
+    array, is a DomainError naming it and the element count."""
+    model = MODELS[kind](np.random.default_rng(3))
+    mesh, a = model.mesh, np.zeros(model.ndof)
+    section = mesh.model in ("beam", "plate")
+    pts = np.zeros((2, mesh.dim))
+    for e in (mesh.nelem, 99, -1, np.array([0, mesh.nelem]),
+              np.array([-1, 0])):
+        bad = np.atleast_1d(e)[(np.atleast_1d(e) < 0)
+                               | (np.atleast_1d(e) >= mesh.nelem)][0]
+        with pytest.raises(DomainError, match=re.escape(
+                f"element {bad} outside [0, {mesh.nelem})")):
+            getattr(model, method)(e, pts, *[0.0] * section,
+                                   *[a] * (method == "recover"))
+
+
+@pytest.mark.parametrize("kind", ["solid2d-spline", "solid3d-lagrange",
+                                  "timoshenko", "euler-bernoulli", "mindlin",
+                                  "kirchhoff", "nonconforming-beam"])
+def test_values_of_the_wrong_size_raise(kind):
+    """Loads without one value per nodal unknown (a callable face load:
+    one such row per point), `recover`'s DOF values without one per model
+    DOF and a `System.model_part` vector without one row per system DOF
+    are each a ConfigError naming the expected and the received counts;
+    the right sizes pass."""
+    model = MODELS[kind](np.random.default_rng(3))
+    mesh, n, ndof = model.mesh, model.ncomp_node, model.ndof
+    section = [0.0] * (mesh.model in ("beam", "plate"))
+    if mesh.model == "beam":
+        loads = [lambda v: model.point_load(mesh.box[0].mean(), v)]
+    else:
+        loads = [lambda v: model.face_load(0, 1, v)]
+    if mesh.model.startswith("solid"):
+        loads += [model.body_force, lambda v: model.traction_force(0, -1, v)]
+    for load in loads:
+        assert load(np.ones(n)).shape == (ndof,)
+        for m in {n - 1, n + 1, 2 * n} - {0}:
+            with pytest.raises(ConfigError,
+                               match=rf"expected {n} finite values, got {m}$"):
+                load(np.ones(m))
+    if mesh.model != "beam":
+        npts = facet_rules(mesh, 0, 1, max(mesh.degrees) + 1)[3].size
+        assert model.face_load(0, 1, lambda x: np.ones((len(x), n))).shape \
+            == (ndof,)
+        msg = rf"expected {npts * n} finite values, got {npts * (n + 1)}$"
+        with pytest.raises(ConfigError, match=msg):
+            model.face_load(0, 1, lambda x: np.ones((len(x), n + 1)))
+    pts = np.zeros((1, mesh.dim))
+    model.recover(0, pts, *section, np.zeros(ndof))
+    sysm = system.System([model])
+    assert sysm.model_part(np.arange(ndof), 0).size == ndof
+    for m in (3, ndof - 1, ndof + 1):
+        with pytest.raises(ConfigError, match=rf"expected {ndof} finite "
+                                              rf"values, got {m}$"):
+            model.recover(0, pts, *section, np.zeros(m))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"expected one row per system DOF ({ndof}), got shape "
+                f"({m},)")):
+            sysm.model_part(np.zeros(m), 0)
 
 
 @pytest.mark.parametrize("kind", ["solid2d-spline", "timoshenko-rotated",
